@@ -5,7 +5,9 @@ sibling 1x1 heads predicting, per anchor and position, (background,
 foreground) logits and (center offset, log length) regression.  Proposals
 are pooled over all levels, suppressed at tIoU 0.7 and classified by
 per-level classifiers over RoI-pooled (optionally context-fused) features;
-final detections are suppressed class-wise at tIoU 0.4.
+final detections are suppressed class-wise at tIoU 0.4.  Each level pools
+its proposals as one [N, D, P] batch (one cell selection pass, one take, one
+call per context conv), so its graph does not grow with the proposal count.
 """
 
 from __future__ import annotations
@@ -223,59 +225,85 @@ def generate_proposals(apn_out, grid: AnchorGrid, nms_tiou: float = 0.7, top_k: 
 # RoI pooling and context fusion
 
 
-def _roi_cell_selection(feat_data: np.ndarray, segment: Segment, stride: float, num_bins: int) -> np.ndarray:
-    """Flat take-indices [D, P] implementing max-pooled temporal bins.
+def _range_argmax_table(x: np.ndarray) -> np.ndarray:
+    """[K, T, D] sparse table for a [D, T] map: entry (k, i, c) is the flat
+    index into ``x`` of the first maximum of x[c, i : i + 2**k] (if in range)."""
+    d, t = x.shape
+    table = np.zeros((t.bit_length(), t, d), dtype=np.int64)
+    table[0] = np.arange(d * t).reshape(d, t).T
+    val = np.ascontiguousarray(x.T)
+    for k in range(1, len(table)):
+        h = 1 << (k - 1)
+        n = t - 2 * h + 1
+        table[k, :n] = np.where(val[h:] > val[:-h], table[k - 1, h : h + n], table[k - 1, :n])
+        val = np.maximum(val[:-h], val[h:])
+    return table
 
-    The segment is mapped to feature coordinates and clamped; each of the P
+
+def _roi_cell_selection(feat_data: np.ndarray, starts: np.ndarray, ends: np.ndarray, stride: float, num_bins: int) -> np.ndarray:
+    """Flat take-indices [N, D, P] implementing max-pooled temporal bins.
+
+    Each segment is mapped to feature coordinates and clamped; each of its P
     equal sub-intervals pools the cells whose centers fall inside it, and an
-    empty sub-interval borrows the covered cell nearest its center.
+    empty sub-interval borrows the covered cell nearest its center.  All
+    segments are resolved in one pass: every bin becomes a cell range whose
+    first maximum per channel comes from a range-argmax table.
     """
     d, t = feat_data.shape
-    lo = min(max(segment.start / stride, 0.0), float(t))
-    hi = min(max(segment.end / stride, 0.0), float(t))
-    if hi <= lo:
-        raise ContractError(f"segment [{segment.start}, {segment.end}] lies outside the feature extent")
-    # first/last cell whose center lies in [lo, hi)
-    first = max(0, int(np.ceil(lo - 0.5)))
-    last = min(t, int(np.ceil(hi - 0.5)))
-    if last <= first:
-        first = int(np.clip(np.floor(0.5 * (lo + hi)), 0, t - 1))
-        last = first + 1
-    cov_centers = np.arange(first, last) + 0.5
-    sub = feat_data[:, first:last]
-    edges = lo + (hi - lo) * np.arange(num_bins + 1) / num_bins
-    bounds = np.searchsorted(cov_centers, edges, side="left")
-    flat = np.empty((d, num_bins), dtype=np.int64)
-    rows = np.arange(d) * t
-    for p in range(num_bins):
-        blo, bhi = bounds[p], bounds[p + 1]
-        if bhi > blo:
-            arg = sub[:, blo:bhi].argmax(axis=1)
-            flat[:, p] = rows + first + blo + arg
-        else:
-            mid = 0.5 * (edges[p] + edges[p + 1])
-            flat[:, p] = rows + first + int(np.argmin(np.abs(cov_centers - mid)))
-    return flat
+    lo = np.minimum(np.maximum(starts / stride, 0.0), float(t))
+    hi = np.minimum(np.maximum(ends / stride, 0.0), float(t))
+    outside = hi <= lo
+    if outside.any():
+        i = outside.argmax()
+        raise ContractError(f"segment [{starts[i]}, {ends[i]}] lies outside the feature extent")
+    # covered cells [first, last): centers in [lo, hi), else the cell at the middle
+    first = np.maximum(np.ceil(lo - 0.5), 0).astype(np.int64)
+    last = np.minimum(np.ceil(hi - 0.5), t).astype(np.int64)
+    empty = last <= first
+    first[empty] = np.minimum(np.maximum(np.floor(0.5 * (lo + hi)), 0), t - 1)[empty]
+    last[empty] = first[empty] + 1
+    first, last = first[:, None], last[:, None]
+    edges = lo[:, None] + (hi - lo)[:, None] * np.arange(num_bins + 1) / num_bins
+    # bin p pools covered cells [a, b): those with centers in [edge p, edge p+1)
+    bounds = np.minimum(np.maximum(np.searchsorted(np.arange(t) + 0.5, edges, side="left"), first), last)
+    a, b = bounds[:, :-1], bounds[:, 1:]
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    near = np.minimum(np.maximum(np.floor(mid - 0.5), first), last - 1).astype(np.int64)
+    after = np.minimum(near + 1, last - 1)
+    near = np.where(np.abs(after + 0.5 - mid) < np.abs(near + 0.5 - mid), after, near)
+    a, b = np.where(b > a, a, near), np.where(b > a, b, near + 1)
+    k = np.frexp(b - a)[1] - 1  # floor(log2(width))
+    # each bin is covered by two (possibly overlapping) power-of-two windows
+    table = _range_argmax_table(feat_data)
+    left = table.take(((k * t + a) * d)[:, :, None] + np.arange(d))
+    right = table.take(((k * t + b - (1 << k)) * d)[:, :, None] + np.arange(d))
+    return np.where(feat_data.take(right) > feat_data.take(left), right, left).transpose(0, 2, 1)
 
 
-def roi_pool(level_feat, segment: Segment, stride: float, num_bins: int) -> nc.Tensor:
-    """Fixed-size [D, P] max-pooled features for an arbitrary segment."""
+def roi_pool(level_feat, starts, ends, stride: float, num_bins: int) -> nc.Tensor:
+    """Fixed-size [N, D, P] max-pooled features for N segments, given as
+    arrays of start and end frames, gathered by one take."""
     feat = level_feat if isinstance(level_feat, nc.Tensor) else nc.Tensor(level_feat)
-    flat = _roi_cell_selection(feat.data, segment, stride, num_bins)
+    flat = _roi_cell_selection(feat.data, np.asarray(starts, dtype=np.float64), np.asarray(ends, dtype=np.float64), stride, num_bins)
     return nc.take(feat, flat)
 
 
-def context_window(segment: Segment, buffer_len: float) -> Segment:
-    """The segment dilated to twice its length about its center, clipped."""
-    c, half = segment.center, segment.length
-    return Segment(max(0.0, c - half), min(float(buffer_len), c + half))
+def context_window(starts, ends, buffer_len: float):
+    """(starts, ends) of the segments dilated to twice their length about
+    their centers, clipped to the buffer."""
+    c, half = 0.5 * (starts + ends), ends - starts
+    return np.maximum(0.0, c - half), np.minimum(float(buffer_len), c + half)
 
 
-def context_features(level_feat, segment: Segment, stride: float, num_bins: int, params: dict, level: int, buffer_len: float) -> nc.Tensor:
-    """Fuse RoI features with pooled context: both are channel-reduced to
-    D/2 by separate conv layers and concatenated back to [D, P]."""
-    pooled = roi_pool(level_feat, segment, stride, num_bins)
-    ctx = roi_pool(level_feat, context_window(segment, buffer_len), stride, num_bins)
+def context_features(level_feat, starts, ends, stride: float, num_bins: int, params: dict, level: int, buffer_len: float) -> nc.Tensor:
+    """Fuse the RoI features of N segments (start and end arrays) with their
+    context: one ``roi_pool`` call pools the segments and their context
+    windows, and the two [N, D, P] halves are channel-reduced to D/2 by
+    separate conv layers and concatenated back to [N, D, P]."""
+    ctx_starts, ctx_ends = context_window(starts, ends, buffer_len)
+    both = roi_pool(level_feat, np.concatenate([starts, ctx_starts]), np.concatenate([ends, ctx_ends]), stride, num_bins)
+    rows = np.arange(both.data.size).reshape(both.shape)  # split the gather into its halves
+    pooled, ctx = nc.take(both, rows[: len(starts)]), nc.take(both, rows[len(starts) :])
     r = nc.relu(nc.temporal_conv(pooled, params[f"acn.level{level}.roi_reduce.w"], params[f"acn.level{level}.roi_reduce.b"], 1, 1))
     c = nc.relu(nc.temporal_conv(ctx, params[f"acn.level{level}.ctx_reduce.w"], params[f"acn.level{level}.ctx_reduce.b"], 1, 1))
     return nc.concat_channels(r, c)
@@ -301,8 +329,9 @@ def assign_proposals(proposals: list[Proposal], cfg: AcnConfig, num_levels: int)
 
 
 def acn_forward(pyr: PyramidFeatures, proposals: list[Proposal], cfg: AcnConfig, params: dict, buffer_len: float, assignment: list[list[int]] | None = None) -> list:
-    """Per level: pooled (and optionally context-fused) features through
-    that level's classifier.  Returns, per level, (proposal indices,
+    """Per level: the level's n proposals pooled as one [n, D, P] batch
+    (optionally context-fused), flattened D-major to [n, D*P] rows and run
+    through that level's classifier.  Returns, per level, (proposal indices,
     [n, C+1] class logits, [n, 2C] class-specific regression) with Nones
     for levels that received nothing.
     """
@@ -310,21 +339,18 @@ def acn_forward(pyr: PyramidFeatures, proposals: list[Proposal], cfg: AcnConfig,
         raise ContractError("acn_forward needs at least one proposal")
     if assignment is None:
         assignment = assign_proposals(proposals, cfg, len(pyr.levels))
+    starts, ends = np.array([(p.segment.start, p.segment.end) for p in proposals], dtype=np.float64).T
     out = []
     for k, idx in enumerate(assignment):
         if not idx:
             out.append((idx, None, None))
             continue
         feat, stride = pyr.levels[k], pyr.strides[k]
-        rows = []
-        for i in idx:
-            seg = proposals[i].segment
-            if cfg.use_context:
-                f = context_features(feat, seg, stride, cfg.roi_bins, params, k, buffer_len)
-            else:
-                f = roi_pool(feat, seg, stride, cfg.roi_bins)
-            rows.append(nc.reshape(f, (-1,)))
-        x = nc.stack_rows(rows)
+        if cfg.use_context:
+            f = context_features(feat, starts[idx], ends[idx], stride, cfg.roi_bins, params, k, buffer_len)
+        else:
+            f = roi_pool(feat, starts[idx], ends[idx], stride, cfg.roi_bins)
+        x = nc.reshape(f, (len(idx), -1))
         h = nc.relu(nc.linear(x, params[f"acn.level{k}.fc6.w"], params[f"acn.level{k}.fc6.b"]))
         h = nc.relu(nc.linear(h, params[f"acn.level{k}.fc7.w"], params[f"acn.level{k}.fc7.b"]))
         cls = nc.linear(h, params[f"acn.level{k}.cls.w"], params[f"acn.level{k}.cls.b"])

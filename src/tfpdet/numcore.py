@@ -175,50 +175,54 @@ def linear(x, w, b) -> Tensor:
 
 
 def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
-    """1-D cross-correlation along the temporal axis of a [C_in, T] map.
+    """1-D cross-correlation along the temporal axis of a [C_in, T] map, or
+    of every row of an [N, C_in, T] batch with the same per-row arithmetic.
 
     ``w`` has shape [C_out, C_in, k]; the output length is
-    floor((T + 2*padding - k) / stride) + 1.
+    floor((T + 2*padding - k) / stride) + 1.  The weight gradient of a batch
+    is one gemm over its N*T' columns.
     """
     xt, wt, bt = _t(x), _t(w), _t(b)
-    if xt.data.ndim != 2 or wt.data.ndim != 3 or bt.data.ndim != 1:
+    if xt.data.ndim not in (2, 3) or wt.data.ndim != 3 or bt.data.ndim != 1:
         raise ContractError(
-            f"temporal_conv expects [C,T] x, [Co,Ci,k] w, [Co] b; got {xt.shape}, {wt.shape}, {bt.shape}"
+            f"temporal_conv expects [C,T] or [N,C,T] x, [Co,Ci,k] w, [Co] b; got {xt.shape}, {wt.shape}, {bt.shape}"
         )
     c_out, c_in, k = wt.shape
-    if xt.shape[0] != c_in or bt.shape[0] != c_out:
+    if xt.shape[-2] != c_in or bt.shape[0] != c_out:
         raise ContractError(f"temporal_conv shape mismatch: x {xt.shape} vs w {wt.shape}")
     if stride < 1 or padding < 0:
         raise ContractError(f"temporal_conv needs stride >= 1, padding >= 0; got {stride}, {padding}")
-    t_in = xt.shape[1]
+    t_in = xt.shape[-1]
     t_out = (t_in + 2 * padding - k) // stride + 1
     if t_in + 2 * padding < k or t_out < 1:
         raise ContractError(
             f"temporal_conv empty output: T={t_in}, k={k}, stride={stride}, padding={padding}"
         )
-    if padding:
-        xp = np.zeros((c_in, t_in + 2 * padding))
-        xp[:, padding : padding + t_in] = xt.data
-    else:
-        xp = xt.data
-    cols = np.empty((c_in, k, t_out))
+    xb = xt.data.reshape(-1, c_in, t_in)
+    n = xb.shape[0]
+    xp = np.zeros((n, c_in, t_in + 2 * padding))
+    xp[:, :, padding : padding + t_in] = xb
+    cols = np.empty((n, c_in, k, t_out))
     for j in range(k):
-        cols[:, j, :] = xp[:, j : j + stride * t_out : stride]
+        cols[:, :, j, :] = xp[:, :, j : j + stride * t_out : stride]
+    cols = cols.reshape(n, c_in * k, t_out)
     w2 = wt.data.reshape(c_out, c_in * k)
-    y = w2 @ cols.reshape(c_in * k, t_out) + bt.data[:, None]
+    y = np.matmul(w2, cols) + bt.data[:, None]
     req = xt.requires_grad or wt.requires_grad or bt.requires_grad
 
     def back(g):
-        _accumulate(wt, (g @ cols.reshape(c_in * k, t_out).T).reshape(wt.shape))
-        _accumulate(bt, g.sum(axis=1))
+        g = g.reshape(n, c_out, t_out)
+        gw = g.transpose(1, 0, 2).reshape(c_out, n * t_out) @ cols.transpose(1, 0, 2).reshape(c_in * k, n * t_out).T
+        _accumulate(wt, gw.reshape(wt.shape))
+        _accumulate(bt, g.sum(axis=2).sum(axis=0))
         if xt.requires_grad:
-            gk = (w2.T @ g).reshape(c_in, k, t_out)
-            gxp = np.zeros((c_in, t_in + 2 * padding))
+            gk = np.matmul(w2.T, g).reshape(n, c_in, k, t_out)
+            gxp = np.zeros((n, c_in, t_in + 2 * padding))
             for j in range(k):
-                gxp[:, j : j + stride * t_out : stride] += gk[:, j, :]
-            _accumulate(xt, gxp[:, padding : padding + t_in] if padding else gxp)
+                gxp[:, :, j : j + stride * t_out : stride] += gk[:, :, j, :]
+            _accumulate(xt, gxp[:, :, padding : padding + t_in].reshape(xt.shape))
 
-    return Tensor(y, req, (xt, wt, bt), back if req else None)
+    return Tensor(y.reshape(xt.shape[:-2] + (c_out, t_out)), req, (xt, wt, bt), back if req else None)
 
 
 def temporal_maxpool(x, k: int, stride: int) -> Tensor:
@@ -257,17 +261,17 @@ def relu(x) -> Tensor:
 
 
 def concat_channels(a, b) -> Tensor:
-    """Stack two [C, T] maps along the channel axis."""
+    """Stack two [C, T] maps, or two [N, C, T] batches, along the channel axis."""
     at, bt = _t(a), _t(b)
-    if at.data.ndim != 2 or bt.data.ndim != 2 or at.shape[1] != bt.shape[1]:
+    if at.data.ndim not in (2, 3) or bt.data.ndim != at.data.ndim or at.shape[:-2] + at.shape[-1:] != bt.shape[:-2] + bt.shape[-1:]:
         raise ContractError(f"concat_channels needs equal T: got {at.shape} and {bt.shape}")
-    y = np.concatenate([at.data, bt.data], axis=0)
-    c1 = at.shape[0]
+    y = np.concatenate([at.data, bt.data], axis=-2)
+    c1 = at.shape[-2]
     req = at.requires_grad or bt.requires_grad
 
     def back(g):
-        _accumulate(at, g[:c1])
-        _accumulate(bt, g[c1:])
+        _accumulate(at, g[..., :c1, :])
+        _accumulate(bt, g[..., c1:, :])
 
     return Tensor(y, req, (at, bt), back if req else None)
 
@@ -367,24 +371,6 @@ def reshape(x, shape) -> Tensor:
         _accumulate(xt, np.asarray(g).reshape(xt.data.shape))
 
     return Tensor(y, req, (xt,), back if req else None)
-
-
-def stack_rows(rows) -> Tensor:
-    """Stack 1-D tensors into a [N, L] matrix (batched classifier input)."""
-    ts = [_t(r) for r in rows]
-    if not ts:
-        raise ContractError("stack_rows needs at least one row")
-    length = ts[0].data.shape
-    if any(t.data.ndim != 1 or t.data.shape != length for t in ts):
-        raise ContractError("stack_rows requires equal-length 1-D rows")
-    y = np.stack([t.data for t in ts])
-    req = any(t.requires_grad for t in ts)
-
-    def back(g):
-        for i, t in enumerate(ts):
-            _accumulate(t, g[i])
-
-    return Tensor(y, req, tuple(ts), back if req else None)
 
 
 def sgd_step(params, cfg: SgdConfig, step: int) -> None:

@@ -373,13 +373,20 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
     version, hlen = struct.unpack_from("<II", raw, 4)
     if version != CHECKPOINT_VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    if 12 + hlen > len(raw):
+        raise DataError(f"{path}: truncated header ({len(raw) - 12} of {hlen} bytes)")
+    try:
+        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: unreadable checkpoint header: {exc}") from exc
     encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, train_cfg = _configs_from_header(header["configs"])
     params: dict[str, nc.Parameter] = {}
     offset = 12 + hlen
     for entry in header["params"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
+        if offset + 8 * count > len(raw):
+            raise DataError(f"{path}: truncated payload for {entry['name']!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         offset += 8 * count
         name = entry["name"]

@@ -243,3 +243,50 @@ def roi_pool_ref(feat: np.ndarray, segment, stride: float, num_bins: int) -> np.
         for ch in range(d):
             out[ch, p] = max(feat[ch, i] for i in cells)
     return out
+
+
+def _pool_node_ref(feat, segment, stride: float, num_bins: int):
+    """``roi_pool_ref`` as a graph node: each output routes its gradient to
+    the cell of its row that holds its value, so the values of a feature
+    row must be distinct (true for continuous random features)."""
+    data = feat.data
+    vals = roi_pool_ref(data, segment, stride, num_bins)
+    d, t = data.shape
+    flat = np.zeros((d, num_bins), dtype=np.int64)
+    for ch in range(d):
+        row = data[ch].tolist()
+        assert len(set(row)) == t, "feature row values must be distinct"
+        for p in range(num_bins):
+            flat[ch, p] = ch * t + row.index(vals[ch, p])
+    return nc.take(feat, flat)
+
+
+def acn_forward_ref(pyr, proposals, cfg, params, buffer_len: float, assignment):
+    """Per-proposal classifier: pool (and context-fuse) one proposal at a
+    time with 2-D convs, stack the D-major flattened rows and run the
+    level's fc layers.  Same return layout as ``heads.acn_forward``."""
+    out = []
+    for k, idx in enumerate(assignment):
+        if not idx:
+            out.append((idx, None, None))
+            continue
+        feat, stride = pyr.levels[k], pyr.strides[k]
+        x = None
+        for i in idx:
+            seg = proposals[i].segment
+            f = _pool_node_ref(feat, seg, stride, cfg.roi_bins)
+            if cfg.use_context:
+                c, half = 0.5 * (seg.start + seg.end), seg.end - seg.start
+                ctx_seg = type(seg)(max(0.0, c - half), min(float(buffer_len), c + half))
+                ctx = _pool_node_ref(feat, ctx_seg, stride, cfg.roi_bins)
+                r = nc.relu(nc.temporal_conv(f, params[f"acn.level{k}.roi_reduce.w"], params[f"acn.level{k}.roi_reduce.b"], 1, 1))
+                cc = nc.relu(nc.temporal_conv(ctx, params[f"acn.level{k}.ctx_reduce.w"], params[f"acn.level{k}.ctx_reduce.b"], 1, 1))
+                f = nc.concat_channels(r, cc)
+            row = nc.reshape(f, (1, -1))
+            x = row if x is None else nc.concat_channels(x, row)
+        h = nc.relu(nc.linear(x, params[f"acn.level{k}.fc6.w"], params[f"acn.level{k}.fc6.b"]))
+        h = nc.relu(nc.linear(h, params[f"acn.level{k}.fc7.w"], params[f"acn.level{k}.fc7.b"]))
+        cls = nc.linear(h, params[f"acn.level{k}.cls.w"], params[f"acn.level{k}.cls.b"])
+        reg = nc.linear(h, params[f"acn.level{k}.reg.w"], params[f"acn.level{k}.reg.b"])
+        out.append((idx, cls, reg))
+    return out

@@ -5,7 +5,7 @@ from tfpdet import anchorkit as ak, heads, numcore as nc, pyramid as pyr
 from tfpdet.datakit import Buffer
 from tfpdet.errors import ContractError
 
-from oracles import check_gradients, nms_ref, roi_pool_ref, tiou_ref
+from oracles import acn_forward_ref, check_gradients, nms_ref, roi_pool_ref, tiou_ref
 
 
 def small_setup(hidden=8, buffer_len=768, variant="conv", seed=0):
@@ -122,55 +122,81 @@ def test_generate_proposals_sorted_and_separated():
 # RoI pooling
 
 
+def pool(feat, segments, stride, bins):
+    starts = np.array([s.start for s in segments])
+    ends = np.array([s.end for s in segments])
+    return heads.roi_pool(feat, starts, ends, stride, bins)
+
+
 def test_roi_pool_aligned_identity():
     feat = np.arange(24, dtype=np.float64).reshape(2, 12)
-    out = heads.roi_pool(nc.Tensor(feat), ak.Segment(0.0, 32.0), 8, 4)
-    assert np.array_equal(out.data, feat[:, :4])
+    out = pool(nc.Tensor(feat), [ak.Segment(0.0, 32.0)], 8, 4)
+    assert np.array_equal(out.data[0], feat[:, :4])
 
 
 def test_roi_pool_single_cell_borrow():
     feat = np.arange(24, dtype=np.float64).reshape(2, 12)
-    out = heads.roi_pool(nc.Tensor(feat), ak.Segment(16.0, 24.0), 8, 4)
-    assert np.array_equal(out.data, np.repeat(feat[:, 2:3], 4, axis=1))
+    out = pool(nc.Tensor(feat), [ak.Segment(16.0, 24.0)], 8, 4)
+    assert np.array_equal(out.data[0], np.repeat(feat[:, 2:3], 4, axis=1))
 
 
 def test_roi_pool_matches_loop_oracle():
     rng = np.random.default_rng(12)
-    for _ in range(300):
+    for _ in range(30):
         t = int(rng.integers(4, 40))
         feat = rng.standard_normal((3, t))
         stride = float(rng.choice([8, 16, 32]))
-        s = rng.uniform(-20, stride * t - 1)
-        seg = ak.Segment(s, s + rng.uniform(1.5, stride * t))
-        if seg.end <= 0 or seg.start >= stride * t:
-            continue
-        got = heads.roi_pool(nc.Tensor(feat), seg, stride, 4)
-        assert np.array_equal(got.data, roi_pool_ref(feat, seg, stride, 4))
+        segs = []
+        while len(segs) < 10:
+            s = rng.uniform(-20, stride * t - 1)
+            seg = ak.Segment(s, s + rng.uniform(1.5, stride * t))
+            if seg.end > 0 and seg.start < stride * t:
+                segs.append(seg)
+        got = pool(nc.Tensor(feat), segs, stride, 4)
+        assert got.shape == (10, 3, 4)
+        for row, seg in zip(got.data, segs):
+            assert np.array_equal(row, roi_pool_ref(feat, seg, stride, 4))
 
 
 def test_roi_pool_outside_extent_raises():
+    segs = [ak.Segment(0.0, 20.0), ak.Segment(200.0, 220.0), ak.Segment(8.0, 40.0)]
     with pytest.raises(ContractError, match="outside"):
-        heads.roi_pool(nc.Tensor(np.zeros((2, 8))), ak.Segment(200.0, 220.0), 8, 4)
+        pool(nc.Tensor(np.zeros((2, 8))), segs, 8, 4)
 
 
 def test_roi_pool_gradient_routes_to_selected_cells():
     feat = np.zeros((1, 8))
     feat[0] = [0, 5, 1, 7, 2, 0, 0, 0]
     x = nc.Tensor(feat, requires_grad=True)
-    out = heads.roi_pool(x, ak.Segment(0.0, 32.0), 8, 2)  # cells 0..3, bins of 2
-    nc.backward(nc.smooth_l1(out, nc.Tensor(np.zeros((1, 2)))))
+    out = pool(x, [ak.Segment(0.0, 32.0)], 8, 2)  # cells 0..3, bins of 2
+    nc.backward(nc.smooth_l1(out, nc.Tensor(np.zeros((1, 1, 2)))))
     assert np.nonzero(x.grad[0])[0].tolist() == [1, 3]
+
+
+def test_roi_pool_ties_route_to_the_first_cell():
+    x = nc.Tensor(np.ones((1, 8)), requires_grad=True)
+    out = pool(x, [ak.Segment(0.0, 48.0)], 8, 2)  # cells 0..5, bins of 3
+    nc.backward(nc.smooth_l1(out, nc.Tensor(np.zeros((1, 1, 2)))))
+    assert np.nonzero(x.grad[0])[0].tolist() == [0, 3]
+
+
+def test_roi_pool_empty_bin_halfway_borrows_the_earlier_cell():
+    feat = np.array([[0.0, 10.0, 20.0, 30.0, 40.0, 0.0, 0.0, 0.0]])
+    seg = ak.Segment(10.0, 30.0)  # covers cells 1..3; bins 1 and 3 are empty with mids on cell edges
+    out = pool(nc.Tensor(feat), [seg], 8, 5)
+    assert out.data[0].tolist() == [[10.0, 10.0, 20.0, 20.0, 30.0]]
+    assert np.array_equal(out.data[0], roi_pool_ref(feat, seg, 8, 5))
 
 
 def test_roi_pool_ignores_outside_features():
     rng = np.random.default_rng(9)
     feat = rng.standard_normal((4, 24))
-    seg = ak.Segment(40.0, 120.0)  # cells 5..15 at stride 8
-    base = heads.roi_pool(nc.Tensor(feat), seg, 8, 4).data.copy()
+    seg = [ak.Segment(40.0, 120.0)]  # cells 5..15 at stride 8
+    base = pool(nc.Tensor(feat), seg, 8, 4).data.copy()
     tampered = feat.copy()
     tampered[:, :4] += 100.0
     tampered[:, 17:] -= 50.0
-    assert np.array_equal(heads.roi_pool(nc.Tensor(tampered), seg, 8, 4).data, base)
+    assert np.array_equal(pool(nc.Tensor(tampered), seg, 8, 4).data, base)
 
 
 # ---------------------------------------------------------------------------
@@ -178,13 +204,11 @@ def test_roi_pool_ignores_outside_features():
 
 
 def test_context_window_centered_doubling():
-    w = heads.context_window(ak.Segment(100.0, 150.0), 768.0)
-    assert (w.start, w.end) == (75.0, 175.0)
+    assert heads.context_window(100.0, 150.0, 768.0) == (75.0, 175.0)
 
 
 def test_context_window_clipped_at_start():
-    w = heads.context_window(ak.Segment(0.0, 50.0), 768.0)
-    assert (w.start, w.end) == (0.0, 75.0)
+    assert heads.context_window(0.0, 50.0, 768.0) == (0.0, 75.0)
 
 
 def test_context_features_channel_count():
@@ -192,8 +216,8 @@ def test_context_features_channel_count():
     acn_cfg = heads.AcnConfig(num_classes=2, roi_bins=4, fc_dim=16)
     params = heads.init_acn_params(8, acn_cfg, 1, rng)
     feat = nc.Tensor(rng.standard_normal((8, 96)))
-    out = heads.context_features(feat, ak.Segment(100.0, 200.0), 8, 4, params, 0, 768.0)
-    assert out.shape == (8, 4)
+    out = heads.context_features(feat, np.array([100.0, 300.0]), np.array([200.0, 340.0]), 8, 4, params, 0, 768.0)
+    assert out.shape == (2, 8, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +301,47 @@ def test_acn_rejects_empty_proposals():
     acn_cfg, params, pf = acn_setup("s1")
     with pytest.raises(ContractError, match="proposal"):
         heads.acn_forward(pf, [], acn_cfg, params, 768.0)
+
+
+# clipped at 0 and at the buffer end, sub-cell (borrowing bins, and no
+# covered cell center at all), context clipped at both ends, plus random ones
+EDGE_SEGMENTS = [(0.0, 40.0), (700.0, 768.0), (100.0, 103.0), (101.0, 103.0), (5.0, 760.0), (380.0, 395.0)]
+
+
+@pytest.mark.parametrize("use_context", [True, False])
+@pytest.mark.parametrize("strategy", ["s1", "s2", "s3"])
+def test_acn_matches_per_proposal_oracle(strategy, use_context):
+    acn_cfg, params, pf = acn_setup(strategy, use_context=use_context, seed=21)
+    rng = np.random.default_rng(22)
+    props = [heads.Proposal(ak.Segment(s, e), 0.5, i % 3) for i, (s, e) in enumerate(EDGE_SEGMENTS)]
+    props += make_proposals(10, rng, level=1)
+    assignment = heads.assign_proposals(props, acn_cfg, 3)
+    targets = [rng.standard_normal((len(idx), 6)) for idx in assignment]
+
+    def run(forward):
+        out = forward(pf, props, acn_cfg, params, 768.0, assignment=assignment)
+        loss = None
+        for (idx, cls, reg), target in zip(out, targets):
+            if cls is None:
+                continue
+            term = nc.add(nc.softmax_cross_entropy(cls, np.arange(len(idx)) % 4), nc.smooth_l1(reg, nc.Tensor(target)))
+            loss = term if loss is None else nc.add(loss, term)
+        leaves = list(pf.levels) + [p.tensor for p in params.values()]
+        for t in leaves:
+            t.grad = np.zeros_like(t.data)
+        nc.backward(loss)
+        return out, [t.grad.copy() for t in leaves]
+
+    got, got_grads = run(heads.acn_forward)
+    ref, ref_grads = run(acn_forward_ref)
+    for (idx, cls, reg), (ref_idx, ref_cls, ref_reg) in zip(got, ref):
+        assert idx == ref_idx
+        if cls is None:
+            assert ref_cls is None
+            continue
+        assert np.array_equal(cls.data, ref_cls.data) and np.array_equal(reg.data, ref_reg.data)
+    for g, r in zip(got_grads, ref_grads):
+        np.testing.assert_allclose(g, r, rtol=1e-12)
 
 
 def test_acn_gradcheck_full_path():

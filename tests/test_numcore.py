@@ -339,18 +339,51 @@ def test_gradcheck_cross_entropy_and_take():
     check_gradients(build, [x])
 
 
-def test_gradcheck_stack_and_scale_add():
+def test_gradcheck_batched_conv_concat_and_scale_add():
     rng = np.random.default_rng(55)
-    a, b = rng.standard_normal(5), rng.standard_normal(5)
-    t = rng.standard_normal((2, 5))
+    x = rng.standard_normal((3, 2, 4))
+    wa, ba = rng.standard_normal((2, 2, 3)), rng.standard_normal(2)
+    wb, bb = rng.standard_normal((1, 2, 3)), rng.standard_normal(1)
+    t = rng.standard_normal((3, 3, 4))
+    arrays = [x, wa, ba, wb, bb]
 
     def build():
-        at, bt = nc.Tensor(a, requires_grad=True), nc.Tensor(b, requires_grad=True)
-        loss = nc.add(nc.scale(nc.smooth_l1(nc.stack_rows([at, bt]), nc.Tensor(t)), 2.0),
-                      nc.smooth_l1(nc.stack_rows([bt, at]), nc.Tensor(t)))
-        return loss, [at, bt]
+        xt, wat, bat, wbt, bbt = (nc.Tensor(a, requires_grad=True) for a in arrays)
+        y = nc.concat_channels(nc.temporal_conv(xt, wat, bat, 1, 1), nc.relu(nc.temporal_conv(xt, wbt, bbt, 1, 1)))
+        loss = nc.add(nc.scale(nc.smooth_l1(y, nc.Tensor(t)), 2.0),
+                      nc.softmax_cross_entropy(nc.reshape(y, (3, 12)), np.arange(3)))
+        return loss, [xt, wat, bat, wbt, bbt]
 
-    check_gradients(build, [a, b])
+    check_gradients(build, arrays)
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
+def test_batched_conv_equals_per_row_calls(stride, padding):
+    rng = np.random.default_rng(66 + stride)
+    x, w, b = rng.standard_normal((5, 6, 7)), rng.standard_normal((3, 6, 3)), rng.standard_normal(3)
+    g = rng.standard_normal((5, 3, (7 + 2 * padding - 3) // stride + 1))
+    xt, wt, bt = (nc.Tensor(a, requires_grad=True) for a in (x, w, b))
+    y = nc.temporal_conv(xt, wt, bt, stride, padding)
+    y._backward(g)
+    gw, gb = np.zeros_like(w), np.zeros_like(b)
+    for i in range(5):
+        xi, wi, bi = (nc.Tensor(a, requires_grad=True) for a in (x[i], w, b))
+        yi = nc.temporal_conv(xi, wi, bi, stride, padding)
+        yi._backward(g[i])
+        assert np.array_equal(y.data[i], yi.data)
+        assert np.array_equal(xt.grad[i], xi.grad)
+        gw += wi.grad
+        gb += bi.grad
+    # one gemm over all rows sums the weight gradient in another order
+    np.testing.assert_allclose(wt.grad, gw, rtol=1e-12)
+    np.testing.assert_allclose(bt.grad, gb, rtol=1e-12)
+
+
+def test_concat_batched_along_channels():
+    y = nc.concat_channels(tensor(np.ones((2, 1, 3))), tensor(np.zeros((2, 2, 3))))
+    assert np.array_equal(y.data, np.concatenate([np.ones((2, 1, 3)), np.zeros((2, 2, 3))], axis=1))
+    with pytest.raises(ContractError, match="equal T"):
+        nc.concat_channels(tensor(np.ones((2, 1, 3))), tensor(np.ones((3, 1, 3))))
 
 
 # ---------------------------------------------------------------------------
