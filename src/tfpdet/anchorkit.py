@@ -107,12 +107,20 @@ def build_anchor_grid(buffer_len: int, strides=DEFAULT_STRIDES, scales=DEFAULT_S
     return AnchorGrid(levels, strides, buffer_len)
 
 
-def tiou(a: Segment, b: Segment) -> float:
-    """Temporal intersection-over-union of two segments, in [0, 1]."""
-    inter = min(a.end, b.end) - max(a.start, b.start)
-    if inter <= 0.0:
-        return 0.0
-    return inter / (a.length + b.length - inter)
+def tiou(a, b) -> np.ndarray:
+    """Temporal intersection-over-union of (start, end) pairs, in [0, 1].
+
+    ``a`` and ``b`` are array-likes of shape [..., 2] that broadcast against
+    each other, so ``tiou(x[:, None], y)`` is the [len(x), len(y)] matrix.
+    """
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    inter = np.clip(np.minimum(a[..., 1], b[..., 1]) - np.maximum(a[..., 0], b[..., 0]), 0.0, None)
+    return inter / ((a[..., 1] - a[..., 0]) + (b[..., 1] - b[..., 0]) - inter)
+
+
+def segment_pairs(segments) -> np.ndarray:
+    """[n, 2] array of (start, end) for a sequence of Segments."""
+    return np.array([[s.start for s in segments], [s.end for s in segments]], dtype=np.float64).T
 
 
 def encode(anchor: Segment, gt: Segment) -> tuple[float, float]:
@@ -138,14 +146,6 @@ def decode(anchor: Segment, center_offset: float, log_length: float, clip_to=Non
         if e - s < 1.0:
             return None
     return Segment(s, e)
-
-
-def _tiou_matrix(starts: np.ndarray, ends: np.ndarray, gts: list[Segment]) -> np.ndarray:
-    gs = np.array([g.start for g in gts])
-    ge = np.array([g.end for g in gts])
-    inter = np.clip(np.minimum(ends[:, None], ge[None, :]) - np.maximum(starts[:, None], gs[None, :]), 0.0, None)
-    union = (ends - starts)[:, None] + (ge - gs)[None, :] - inter
-    return inter / union
 
 
 @dataclass
@@ -176,7 +176,8 @@ def match_anchors_apn(grid: AnchorGrid, gts: list[Segment], pos_tiou: float = 0.
             matched_gt=np.full(n, -1, dtype=np.int64),
             reg_targets=np.zeros((n, 2)),
         )
-    m = _tiou_matrix(grid.starts, grid.ends, gts)
+    g = segment_pairs(gts)
+    m = tiou(np.stack([grid.starts, grid.ends], axis=1)[:, None], g)
     best_gt = m.argmax(axis=1)
     best_tiou = m[np.arange(n), best_gt]
     labels = np.zeros(n, dtype=np.int8)
@@ -186,8 +187,8 @@ def match_anchors_apn(grid: AnchorGrid, gts: list[Segment], pos_tiou: float = 0.
     matched = np.where(labels == 1, best_gt, -1)
     lengths = grid.ends - grid.starts
     centers = 0.5 * (grid.starts + grid.ends)
-    gc = np.array([g.center for g in gts])[best_gt]
-    gl = np.array([g.length for g in gts])[best_gt]
+    gc = 0.5 * (g[best_gt, 0] + g[best_gt, 1])
+    gl = g[best_gt, 1] - g[best_gt, 0]
     reg = np.stack([(gc - centers) / lengths, np.log(gl / lengths)], axis=1)
     reg[labels != 1] = 0.0
     return MatchResult(labels=labels, matched_gt=matched, reg_targets=reg)
@@ -215,9 +216,7 @@ def match_proposals_acn(proposals: list[Segment], gts: list[Segment], gt_labels,
     reg = np.zeros((n, 2))
     if n == 0 or not gts:
         return ProposalMatch(labels, matched, reg)
-    starts = np.array([p.start for p in proposals])
-    ends = np.array([p.end for p in proposals])
-    m = _tiou_matrix(starts, ends, gts)
+    m = tiou(segment_pairs(proposals)[:, None], segment_pairs(gts))
     best_gt = m.argmax(axis=1)
     best_tiou = m[np.arange(n), best_gt]
     fg = best_tiou > fg_tiou

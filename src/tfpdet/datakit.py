@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,7 @@ TFPV_MAGIC = b"TFPV"
 TFPV_VERSION = 1
 MAX_PYRAMID_STRIDE = 32
 MIN_INSTANCE_GAP = 8
+PLACEMENT_RESTARTS = 10  # fresh starts of one video's placement before giving up
 CLIP_KEEP_FRACTION = 0.5  # windowed annotations keeping less are dropped
 
 
@@ -102,6 +104,13 @@ def _reject_duplicate_keys(pairs):
     return d
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a finite float; anything else is a DataError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise DataError(f"{where}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[str, VideoRecord], list[str]]:
     """Read an annotation JSON file into metadata-only VideoRecords.
 
@@ -113,11 +122,17 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_reject_duplicate_keys)
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: not valid JSON: {e}") from e
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"{path}: not valid UTF-8 JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("version") != 1 or "database" not in doc:
         raise DataError(f"{path}: expected {{'version': 1, 'database': ...}}")
     database = doc["database"]
+    if not isinstance(database, dict):
+        raise DataError(f"{path}: 'database' must be an object")
+    for vid, entry in database.items():
+        anns = entry.get("annotations", []) if isinstance(entry, dict) else None
+        if not isinstance(anns, list) or not all(isinstance(a, dict) for a in anns):
+            raise DataError(f"{path}: video {vid!r}: expected an object with a list of annotation objects")
     if label_index is None:
         seen = set()
         for vid, entry in database.items():
@@ -133,10 +148,13 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
         for fieldname in ("fps", "num_frames", "subset", "annotations"):
             if fieldname not in entry:
                 raise DataError(f"{where}: missing field {fieldname!r}")
-        fps = float(entry["fps"])
+        fps = _number(entry["fps"], f"{where}: fps")
         if fps <= 0:
             raise DataError(f"{where}: fps must be positive")
-        num_frames = int(entry["num_frames"])
+        num_frames = _number(entry["num_frames"], f"{where}: num_frames")
+        if num_frames < 0 or not num_frames.is_integer():
+            raise DataError(f"{where}: num_frames must be a whole number >= 0, got {num_frames}")
+        num_frames = int(num_frames)
         subset = entry["subset"]
         if subset not in ("train", "val", "test"):
             raise DataError(f"{where}: unknown subset {subset!r}")
@@ -145,13 +163,16 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
             if "segment" not in ann or "label" not in ann:
                 raise DataError(f"{where}: annotation {i}: missing 'segment' or 'label'")
             seg = ann["segment"]
-            if len(seg) != 2 or not seg[1] > seg[0]:
+            if not isinstance(seg, list) or len(seg) != 2:
+                raise DataError(f"{where}: annotation {i}: segment must be [start, end], got {seg!r}")
+            t0, t1 = (_number(t, f"{where}: annotation {i}: segment") for t in seg)
+            if not t1 > t0:
                 raise DataError(f"{where}: annotation {i}: non-increasing segment {seg}")
             name = str(ann["label"])
             if name not in label_to_id:
                 raise DataError(f"{where}: annotation {i}: unknown label {name!r}")
-            start = float(seg[0]) * fps
-            end = min(float(seg[1]) * fps, float(num_frames))
+            start = t0 * fps
+            end = min(t1 * fps, float(num_frames))
             if not end > start:
                 raise DataError(f"{where}: annotation {i}: segment collapses after frame conversion")
             activities.append(Activity(start, end, label_to_id[name]))
@@ -185,11 +206,15 @@ def save_annotations(records: dict[str, VideoRecord], path, label_index: list[st
 
 
 def load_label_index(path) -> list[str]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    labels = doc.get("labels")
-    if not isinstance(labels, list) or labels != sorted(labels) or len(set(labels)) != len(labels):
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"{path}: not valid UTF-8 JSON: {e}") from e
+    labels = doc.get("labels") if isinstance(doc, dict) else None
+    if (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
+            or labels != sorted(labels) or len(set(labels)) != len(labels)):
         raise DataError(f"{path}: 'labels' must be a sorted list of unique names")
-    return [str(x) for x in labels]
+    return labels
 
 
 def save_label_index(labels: list[str], path) -> None:
@@ -332,9 +357,27 @@ def sample_instance_length(rng: np.random.Generator, bands) -> tuple[int, int]:
 
 
 def _place_instances(rng, cfg: SynthConfig, video_id: str):
-    """Rejection-sample non-overlapping instances with >= 8-frame gaps."""
+    """Rejection-sample non-overlapping instances with >= 8-frame gaps.
+
+    Instances placed first can leave no room for the rest.  After 1000
+    rejections the placement starts over from the same rng, up to
+    ``PLACEMENT_RESTARTS`` times.
+    """
     n = int(rng.integers(cfg.instances_per_video[0], cfg.instances_per_video[1] + 1))
-    placed = []  # (start, end, label, band)
+    for _ in range(PLACEMENT_RESTARTS + 1):
+        placed = _try_place(rng, cfg, n)
+        if placed is not None:
+            return sorted(placed)
+    raise ConfigError(
+        f"video {video_id!r}: could not place {n} instances in {PLACEMENT_RESTARTS + 1} tries of "
+        "1000 rejections; reduce instances_per_video or band lengths"
+    )
+
+
+def _try_place(rng, cfg: SynthConfig, n: int):
+    """One placement attempt: (start, end, label, band) tuples, or None
+    after 1000 rejections."""
+    placed = []
     rejections = 0
     for _ in range(n):
         while True:
@@ -351,11 +394,7 @@ def _place_instances(rng, cfg: SynthConfig, video_id: str):
                     break
                 rejections += 1
             if rejections > 1000:
-                raise ConfigError(
-                    f"video {video_id!r}: could not place {n} instances after 1000 rejections; "
-                    "reduce instances_per_video or band lengths"
-                )
-    placed.sort()
+                return None
     return placed
 
 

@@ -2,7 +2,8 @@
 recall at a proposal budget.
 
 Matching is one-to-one and greedy by descending score with each ground
-truth usable once; AP integrates the precision envelope over exact recall
+truth usable once: one ``tiou`` matrix per (video, class) block, walked once
+for all thresholds.  AP integrates the precision envelope over exact recall
 steps.  Classes without any ground truth are excluded from mAP averaging.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anchorkit import Segment, tiou
+from .anchorkit import segment_pairs, tiou
 from .errors import ConfigError, ContractError
 
 DETECTION_DISPLAY_THRESHOLDS = (0.5, 0.75, 0.95)
@@ -72,46 +73,62 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _sorted_dets(dets) -> list:
-    # descending score; ties by earlier start, then video id for determinism
-    return sorted(dets, key=lambda d: (-d.score, d.segment.start, d.video_id))
+def _greedy_match(m: np.ndarray, thresholds) -> np.ndarray:
+    """bool [T, n]: whether row i of a block's [n, G] tIoU matrix, walked
+    in rank order, takes the unused column of largest tIoU >= threshold t
+    (lowest index on ties).  Only rows reaching the lowest threshold are
+    walked; sorted threshold k is bit k of the ints in ``used`` and ``row``.
+    """
+    ts = np.asarray(thresholds, dtype=np.float64)
+    if len(ts) > 62:  # a row's bits must fit an int64
+        return np.concatenate([_greedy_match(m, ts[k:k + 62]) for k in range(0, len(ts), 62)])
+    perm = np.argsort(ts, kind="stable")
+    reach = np.searchsorted(ts[perm], m, side="right")  # thresholds each tIoU reaches
+    walk = np.flatnonzero(reach.max(axis=1) > 0)
+    cols = np.argsort(-m[walk], axis=1, kind="stable")  # best column first, lowest index on ties
+    used = [0] * m.shape[1]
+    got = []
+    for order, ks in zip(cols.tolist(), np.take_along_axis(reach[walk], cols, axis=1).tolist()):
+        row = 0
+        for g, k in zip(order, ks):
+            if k == 0:
+                break
+            take = ((1 << k) - 1) & ~used[g] & ~row
+            used[g] |= take
+            row |= take
+        got.append(row)
+    hit = np.zeros((len(ts), len(m)), dtype=bool)
+    hit[perm[:, None], walk] = (np.array(got, dtype=np.int64) >> np.arange(len(ts))[:, None]) & 1
+    return hit
 
 
-def average_precision(dets, gts_by_video: dict, thresh: float) -> float | None:
-    """AP of one class.  ``gts_by_video`` maps video id to Segment lists;
-    returns None when the class has no ground truth anywhere."""
+def average_precision(dets, gts_by_video: dict, thresholds) -> list | None:
+    """AP of one class at each of ``thresholds``.  ``gts_by_video`` maps
+    video id to Segment lists; returns None when the class has no ground
+    truth anywhere."""
     npos = sum(len(v) for v in gts_by_video.values())
     if npos == 0:
         return None
-    if not dets:
-        return 0.0
-    used = {vid: np.zeros(len(v), dtype=bool) for vid, v in gts_by_video.items()}
-    order = _sorted_dets(dets)
-    tp = np.zeros(len(order))
-    fp = np.zeros(len(order))
-    for i, d in enumerate(order):
-        gts = gts_by_video.get(d.video_id, [])
-        best_j, best_t = -1, -1.0
-        for j, g in enumerate(gts):
-            if used[d.video_id][j]:
-                continue
-            t = tiou(d.segment, g)
-            if t >= thresh and t > best_t:
-                best_j, best_t = j, t
-        if best_j >= 0:
-            used[d.video_id][best_j] = True
-            tp[i] = 1.0
-        else:
-            fp[i] = 1.0
-    recall = np.cumsum(tp) / npos
-    precision = np.cumsum(tp) / (np.cumsum(tp) + np.cumsum(fp))
-    # precision-envelope monotonization, then exact step integration
-    mprec = np.concatenate([[0.0], precision, [0.0]])
-    mrec = np.concatenate([[0.0], recall, [1.0]])
-    for i in range(len(mprec) - 2, -1, -1):
-        mprec[i] = max(mprec[i], mprec[i + 1])
-    steps = np.nonzero(mrec[1:] != mrec[:-1])[0] + 1
-    return float(np.sum((mrec[steps] - mrec[steps - 1]) * mprec[steps]))
+    # rank by descending score; ties by earlier start, then video id
+    vids = [d.video_id for d in dets]
+    pairs = segment_pairs([d.segment for d in dets])
+    order = np.lexsort((vids, pairs[:, 0], [-d.score for d in dets]))
+    videos, video_of = np.unique(vids, return_inverse=True)
+    ranks_by_video = np.split(np.argsort(video_of[order], kind="stable"), np.cumsum(np.bincount(video_of))[:-1])
+    hit = np.zeros((len(thresholds), len(dets)), dtype=bool)
+    for vid, ranks in zip(videos, ranks_by_video):
+        gts = gts_by_video.get(vid)
+        if gts:
+            hit[:, ranks] = _greedy_match(tiou(pairs[order[ranks], None], segment_pairs(gts)), thresholds)
+    tp = np.cumsum(hit, axis=1)
+    recall = np.pad(tp / npos, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
+    precision = np.pad(tp / np.arange(1, len(dets) + 1), ((0, 0), (1, 1)))
+    # precision envelope (best precision at recall >= r), then exact step integration
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    step = recall[:, 1:] != recall[:, :-1]
+    area = (recall[:, 1:] - recall[:, :-1]) * envelope[:, 1:]
+    # np.sum per row: a fused 2-D reduction adds in another order and moves the last bit
+    return [float(np.sum(a[s])) for a, s in zip(area, step)]
 
 
 def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport:
@@ -131,14 +148,11 @@ def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport
         c: {vid: [seg for seg, label in v if label == c] for vid, v in gts_by_video.items()}
         for c in classes
     }
-    per_class = {c: {} for c in classes}
-    for c in classes:
-        for t in thresholds:
-            ap = average_precision(dets_by_class[c], gts_by_class[c], t)
-            if ap is not None:
-                per_class[c][t] = ap
+    # every class here has ground truth, so its AP list is never None
+    per_class = {c: dict(zip(thresholds, average_precision(dets_by_class[c], gts_by_class[c], thresholds)))
+                 for c in classes}
     map_per_t = {
-        t: float(np.mean([per_class[c][t] for c in classes if t in per_class[c]]))
+        t: float(np.mean([per_class[c][t] for c in classes]))
         for t in thresholds
     }
     avg = float(np.mean([map_per_t[t] for t in cfg.average_grid]))
@@ -162,25 +176,11 @@ def average_recall(proposals_by_video: dict, gts_by_video: dict, budget: int, gr
     total_gt = sum(len(v) for v in gts_by_video.values())
     if total_gt == 0:
         return 0.0
-    top = {}
-    for vid, props in proposals_by_video.items():
-        ranked = sorted(props, key=lambda p: (-p.objectness, p.segment.start))
-        top[vid] = ranked[:budget]
-    recalls = []
-    for t in grid:
-        matched = 0
-        for vid, gts in gts_by_video.items():
-            used = np.zeros(len(gts), dtype=bool)
-            for p in top.get(vid, []):
-                best_j, best_v = -1, -1.0
-                for j, g in enumerate(gts):
-                    if used[j]:
-                        continue
-                    v = tiou(p.segment, g)
-                    if v >= t and v > best_v:
-                        best_j, best_v = j, v
-                if best_j >= 0:
-                    used[best_j] = True
-                    matched += 1
-        recalls.append(matched / total_gt)
-    return float(np.mean(recalls))
+    matched = np.zeros(len(grid), dtype=np.int64)
+    for vid, gts in gts_by_video.items():
+        props = proposals_by_video.get(vid, [])
+        pairs = segment_pairs([p.segment for p in props])
+        top = np.lexsort((pairs[:, 0], [-p.objectness for p in props]))[:budget]  # ties by earlier start
+        if len(top) and gts:
+            matched += _greedy_match(tiou(pairs[top, None], segment_pairs(gts)), grid).sum(axis=1)
+    return float(np.mean(matched / total_gt))

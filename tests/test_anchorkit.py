@@ -59,15 +59,15 @@ def test_single_scale_layout_covers_same_lengths():
 
 
 def test_tiou_identity():
-    assert ak.tiou(seg(0, 10), seg(0, 10)) == 1.0
+    assert ak.tiou((0, 10), (0, 10)) == 1.0
 
 
 def test_tiou_disjoint():
-    assert ak.tiou(seg(0, 10), seg(20, 30)) == 0.0
+    assert ak.tiou((0, 10), (20, 30)) == 0.0
 
 
 def test_tiou_partial_overlap():
-    assert ak.tiou(seg(0, 10), seg(5, 15)) == pytest.approx(5 / 15, abs=1e-12)
+    assert ak.tiou((0, 10), (5, 15)) == pytest.approx(5 / 15, abs=1e-12)
 
 
 @given(
@@ -76,11 +76,24 @@ def test_tiou_partial_overlap():
 )
 @settings(max_examples=200, deadline=None)
 def test_tiou_symmetric_and_bounded(s1, l1, s2, l2):
-    a, b = seg(s1, s1 + l1), seg(s2, s2 + l2)
+    a, b = (s1, s1 + l1), (s2, s2 + l2)
     v = ak.tiou(a, b)
     assert 0.0 <= v <= 1.0
     assert v == ak.tiou(b, a)
     assert ak.tiou(a, a) == 1.0
+
+
+def test_tiou_broadcast_equals_scalar_oracle():
+    rng = np.random.default_rng(17)
+    # integer grid (touching ends, nested and identical segments) plus continuous
+    starts = np.concatenate([rng.integers(0, 30, 40), rng.uniform(0, 30, 20)])
+    a = np.stack([starts, starts + np.concatenate([rng.integers(1, 12, 40), rng.uniform(0.1, 12, 20)])], axis=1)
+    b = a[rng.permutation(len(a))[:25]]
+    m = ak.tiou(a[:, None], b)
+    assert m.shape == (60, 25)
+    ref = [[tiou_ref(seg(*x), seg(*y)) for y in b] for x in a]
+    assert np.array_equal(m, ref)
+    assert np.array_equal(ak.tiou(a, b[3]), m[:, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +178,7 @@ def test_match_midrange_best_anchor_still_positive():
     # clause can make it positive, and exactly one anchor wins
     grid = ak.build_anchor_grid(768)
     m = ak.match_anchors_apn(grid, [seg(0.0, 4.0)])
-    best = max(ak.tiou(a.segment, seg(0.0, 4.0)) for a in grid.anchors)
+    best = ak.tiou(ak.segment_pairs([a.segment for a in grid.anchors]), (0.0, 4.0)).max()
     assert best == pytest.approx(0.5, abs=1e-12)
     assert int(np.sum(m.labels == 1)) == 1
     ref_labels, _ = match_anchors_ref([a.segment for a in grid.anchors], [seg(0.0, 4.0)])
@@ -184,7 +197,7 @@ def test_match_every_gt_gets_a_positive():
         for j in range(len(gts)):
             assert np.any((m.labels == 1) & (m.matched_gt >= 0)), "some positive exists"
             # the best anchor for gt j is positive
-            ti = np.array([ak.tiou(a.segment, gts[j]) for a in grid.anchors])
+            ti = ak.tiou(np.stack([grid.starts, grid.ends], axis=1), (gts[j].start, gts[j].end))
             assert m.labels[int(ti.argmax())] == 1
 
 
@@ -223,7 +236,7 @@ def test_proposal_match_below_threshold_is_background():
 def test_proposal_match_exactly_half_is_background():
     # tIoU exactly 0.5: strict "greater than" sends it to background
     m = ak.match_proposals_acn([seg(0, 5)], [seg(0, 10)], [1])
-    assert ak.tiou(seg(0, 5), seg(0, 10)) == 0.5
+    assert ak.tiou((0, 5), (0, 10)) == 0.5
     assert m.class_labels[0] == 0
 
 

@@ -114,6 +114,72 @@ def test_annotations_roundtrip_identity(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("change", [
+    {"segment": 5},
+    {"segment": ["a", "b"]},
+    {"segment": [None, 2]},
+    {"segment": [1.0, 2.0, 3.0]},
+    {"segment": [True, 2]},
+    {"fps": "abc"},
+    {"fps": None},
+    {"fps": float("nan")},
+    {"num_frames": "64"},
+    {"num_frames": 64.5},
+    {"num_frames": 10 ** 400},
+    {"annotations": "oops"},
+    {"annotations": [7]},
+])
+def test_load_malformed_values_raise_data_error(tmp_path, change):
+    entry = video_entry(annotations=[{"segment": [1.0, 2.0], "label": "A"}])
+    if "segment" in change:
+        entry["annotations"][0]["segment"] = change["segment"]
+    else:
+        entry.update(change)
+    with pytest.raises(DataError, match="v1"):
+        dk.load_annotations(write_annotations(tmp_path, {"v1": entry}))
+
+
+def test_load_database_not_an_object(tmp_path):
+    p = tmp_path / "ann.json"
+    p.write_text(json.dumps({"version": 1, "database": [1, 2]}))
+    with pytest.raises(DataError, match="database"):
+        dk.load_annotations(p)
+
+
+def test_label_index_roundtrip(tmp_path):
+    dk.save_label_index(["b", "a"], tmp_path / "labels.json")
+    assert dk.load_label_index(tmp_path / "labels.json") == ["a", "b"]
+
+
+def test_label_index_truncated_file(tmp_path):
+    p = tmp_path / "labels.json"
+    dk.save_label_index(["a", "b"], p)
+    p.write_bytes(p.read_bytes()[:7])
+    with pytest.raises(DataError, match="JSON"):
+        dk.load_label_index(p)
+
+
+def test_label_index_top_level_list(tmp_path):
+    p = tmp_path / "labels.json"
+    p.write_text('["a", "b"]')
+    with pytest.raises(DataError, match="labels"):
+        dk.load_label_index(p)
+
+
+def test_label_index_not_utf8(tmp_path):
+    p = tmp_path / "labels.json"
+    p.write_bytes(b'{"labels": ["\xff"]}')
+    with pytest.raises(DataError, match="UTF-8"):
+        dk.load_label_index(p)
+
+
+def test_label_index_mixed_types(tmp_path):
+    p = tmp_path / "labels.json"
+    p.write_text('{"labels": [1, "a"]}')
+    with pytest.raises(DataError, match="labels"):
+        dk.load_label_index(p)
+
+
 # ---------------------------------------------------------------------------
 # TFPV binary
 
@@ -331,6 +397,21 @@ def test_generate_placement_error_when_impossible():
                          duration_bands=((8, 16, 1.0),), instances_per_video=(3, 3), seed=0)
     with pytest.raises(ConfigError, match="1000 rejections"):
         dk._place_instances(np.random.default_rng(0), cfg, "v")
+
+
+def test_generate_restarts_a_dead_end_placement(tmp_path):
+    # the instances placed first in video_0069 leave no room for the 4th
+    summary = dk.generate_synthetic(dk.SynthConfig(seed=510), tmp_path / "d")
+    records, _ = dk.load_dataset(tmp_path / "d")
+    anns = sorted(records["video_0069"].annotations, key=lambda a: a.t_start)
+    assert len(anns) == 4
+    assert all(b.t_start - a.t_end >= dk.MIN_INSTANCE_GAP for a, b in zip(anns, anns[1:]))
+    assert sum(summary["instances_per_band"]) == sum(len(r.annotations) for r in records.values())
+
+
+def test_generate_output_unchanged_for_a_seed_without_dead_ends(tmp_path):
+    dk.generate_synthetic(dk.SynthConfig(num_videos=6, seed=1), tmp_path / "d")
+    assert digest_dir(tmp_path / "d") == "8301ebced8acc019d2d2d34848899fb168c4b81b7645b8cbd18f7add46a33b93"
 
 
 def test_generate_subset_split(tmp_path):

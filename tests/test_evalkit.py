@@ -22,26 +22,26 @@ def prop(s, e, objectness=0.9):
 
 
 def test_ap_perfect_detection():
-    ap = ek.average_precision([det(0, 10)], {"v": [Segment(0, 10)]}, 0.5)
+    (ap,) = ek.average_precision([det(0, 10)], {"v": [Segment(0, 10)]}, [0.5])
     assert ap == 1.0
 
 
 def test_ap_false_positive_after_correct_keeps_one():
     dets = [det(0, 10, score=0.9), det(50, 60, score=0.8)]
-    assert ek.average_precision(dets, {"v": [Segment(0, 10)]}, 0.5) == 1.0
+    assert ek.average_precision(dets, {"v": [Segment(0, 10)]}, [0.5]) == [1.0]
 
 
 def test_ap_false_positive_before_correct_halves():
     dets = [det(50, 60, score=0.9), det(0, 10, score=0.8)]
-    assert ek.average_precision(dets, {"v": [Segment(0, 10)]}, 0.5) == 0.5
+    assert ek.average_precision(dets, {"v": [Segment(0, 10)]}, [0.5]) == [0.5]
 
 
 def test_ap_no_ground_truth_returns_none():
-    assert ek.average_precision([det(0, 10)], {"v": []}, 0.5) is None
+    assert ek.average_precision([det(0, 10)], {"v": []}, [0.5]) is None
 
 
 def test_ap_no_detections_is_zero():
-    assert ek.average_precision([], {"v": [Segment(0, 10)]}, 0.5) == 0.0
+    assert ek.average_precision([], {"v": [Segment(0, 10)]}, [0.5]) == [0.0]
 
 
 def test_ap_matches_exhaustive_oracle():
@@ -61,12 +61,12 @@ def test_ap_matches_exhaustive_oracle():
             s = rng.uniform(0, 150)
             dets.append(det(s, s + rng.uniform(4, 60), score=float(rng.uniform(0, 1)), vid=vid))
         thresh = float(rng.choice([0.3, 0.5, 0.7]))
-        got = ek.average_precision(dets, gts, thresh)
+        got = ek.average_precision(dets, gts, [thresh])
         ref = average_precision_ref(dets, gts, thresh)
         if ref is None:
             assert got is None
         else:
-            assert got == pytest.approx(ref, abs=1e-12)
+            assert got[0] == pytest.approx(ref, abs=1e-12)
 
 
 def test_ap_invariant_to_monotone_score_transform():
@@ -74,9 +74,65 @@ def test_ap_invariant_to_monotone_score_transform():
     gts = {"v": [Segment(s, s + 20) for s in (0, 100, 200)]}
     dets = [det(s + rng.uniform(-5, 5), s + 20 + rng.uniform(-5, 5), score=float(rng.uniform(0.1, 0.9)))
             for s in (0, 100, 200, 300, 400)]
-    base = ek.average_precision(dets, gts, 0.5)
+    base = ek.average_precision(dets, gts, [0.5])
     squashed = [Detection(d.segment, d.label, d.score ** 3 / 2, d.video_id) for d in dets]
-    assert ek.average_precision(squashed, gts, 0.5) == base
+    assert ek.average_precision(squashed, gts, [0.5]) == base
+
+
+def grid_scene(rng):
+    """Integer-grid segments and quarter-step scores, so tIoU ties and score
+    ties are common.  Video "c" holds detections but never ground truth."""
+    gts = {}
+    for vid in ("a", "b"):
+        n = int(rng.integers(0, 6))
+        gts[vid] = [Segment(float(s), float(s + l)) for s, l in zip(rng.integers(0, 40, n), rng.integers(1, 12, n))]
+    dets = []
+    for _ in range(int(rng.integers(0, 25))):
+        s = int(rng.integers(0, 40))
+        dets.append(det(s, s + int(rng.integers(1, 12)), score=int(rng.integers(0, 5)) / 4,
+                        vid=("a", "b", "c")[int(rng.integers(3))]))
+    return gts, dets
+
+
+def test_ap_all_thresholds_equal_oracle_per_threshold():
+    rng = np.random.default_rng(31)
+    grids = ([0.1, 0.3, 0.5, 0.7, 0.9, 1.0], [1.0, 0.5, 0.75], list(ek.average_map_grid()),
+             list(rng.permutation(np.linspace(0.01, 1.0, 100))))  # unsorted; more than 62 thresholds
+    for case in range(400):
+        gts, dets = grid_scene(rng)
+        ts = grids[case % len(grids)]
+        got = ek.average_precision(dets, gts, ts)
+        ref = [average_precision_ref(dets, gts, t) for t in ts]
+        if ref[0] is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(ref, abs=1e-12)
+        # a class without ground truth anywhere
+        assert ek.average_precision(dets, {"a": [], "c": []}, ts) is None
+
+
+def test_ar_all_thresholds_equal_oracle():
+    rng = np.random.default_rng(32)
+    for case in range(300):
+        gts, dets = grid_scene(rng)
+        props = {vid: [prop(d.segment.start, d.segment.end, d.score) for d in dets if d.video_id == vid]
+                 for vid in ("b", "c")}  # video "a" has ground truth but no proposals
+        grid = (0.3, 0.5, 0.7, 1.0) if case % 2 else ek.average_map_grid()
+        budget = int(rng.integers(1, 10))
+        got = ek.average_recall(props, gts, budget, grid)
+        assert got == pytest.approx(average_recall_ref(props, gts, budget, grid), abs=1e-12)
+
+
+def test_greedy_match_prefers_best_then_lowest_index_column():
+    m = np.array([[0.6, 0.9, 0.9],
+                  [0.6, 0.9, 0.9],
+                  [0.95, 0.9, 0.2],
+                  [0.55, 0.2, 0.5]])
+    hit = ek._greedy_match(m, [0.5, 0.92])
+    # at 0.5: rows take columns 1, 2, 0 in turn; row 3 finds nothing free
+    assert hit[0].tolist() == [True, True, True, False]
+    # at 0.92 only row 2 reaches a column
+    assert hit[1].tolist() == [False, False, True, False]
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def test_generate_proposals_sorted_and_separated():
         assert 0.0 <= a.segment.start < a.segment.end <= 768.0
         assert a.segment.length >= 1.0
         for b in props[i + 1 :]:
-            assert ak.tiou(a.segment, b.segment) < 0.7
+            assert ak.tiou((a.segment.start, a.segment.end), (b.segment.start, b.segment.end)) < 0.7
 
 
 # ---------------------------------------------------------------------------
