@@ -114,7 +114,7 @@ def tiou(a, b) -> np.ndarray:
     each other, so ``tiou(x[:, None], y)`` is the [len(x), len(y)] matrix.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    inter = np.clip(np.minimum(a[..., 1], b[..., 1]) - np.maximum(a[..., 0], b[..., 0]), 0.0, None)
+    inter = np.maximum(np.minimum(a[..., 1], b[..., 1]) - np.maximum(a[..., 0], b[..., 0]), 0.0)
     return inter / ((a[..., 1] - a[..., 0]) + (b[..., 1] - b[..., 0]) - inter)
 
 
@@ -131,21 +131,19 @@ def encode(anchor: Segment, gt: Segment) -> tuple[float, float]:
     )
 
 
-def decode(anchor: Segment, center_offset: float, log_length: float, clip_to=None):
-    """Invert ``encode``; optionally clip to [lo, hi].
+def decode(starts, ends, center_offsets, log_lengths, clip_to):
+    """Invert ``encode`` elementwise over broadcasting arrays (anchor
+    starts and ends, center offsets, log lengths), then clip to
+    ``clip_to`` = (lo, hi).
 
-    When clipping is requested, a result shorter than one frame is
-    degenerate and ``None`` is returned for the caller to drop.
+    Returns (starts, ends, keep); ``keep`` is False where the clipped
+    result is shorter than one frame, which callers drop as degenerate.
     """
-    c = anchor.center + center_offset * anchor.length
-    half = 0.5 * anchor.length * math.exp(log_length)
-    s, e = c - half, c + half
-    if clip_to is not None:
-        s = max(s, clip_to[0])
-        e = min(e, clip_to[1])
-        if e - s < 1.0:
-            return None
-    return Segment(s, e)
+    length = ends - starts
+    c = 0.5 * (starts + ends) + center_offsets * length
+    half = 0.5 * length * np.exp(log_lengths)
+    s, e = np.maximum(c - half, clip_to[0]), np.minimum(c + half, clip_to[1])
+    return s, e, e - s >= 1.0
 
 
 @dataclass

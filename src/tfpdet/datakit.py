@@ -124,8 +124,9 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
         doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_reject_duplicate_keys)
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: not valid UTF-8 JSON: {e}") from e
-    if not isinstance(doc, dict) or doc.get("version") != 1 or "database" not in doc:
-        raise DataError(f"{path}: expected {{'version': 1, 'database': ...}}")
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if type(version) is not int or version != 1 or "database" not in doc:
+        raise DataError(f"{path}: expected {{'version': 1, 'database': ...}} with an integer version")
     database = doc["database"]
     if not isinstance(database, dict):
         raise DataError(f"{path}: 'database' must be an object")
@@ -133,12 +134,15 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
         anns = entry.get("annotations", []) if isinstance(entry, dict) else None
         if not isinstance(anns, list) or not all(isinstance(a, dict) for a in anns):
             raise DataError(f"{path}: video {vid!r}: expected an object with a list of annotation objects")
+        for i, ann in enumerate(anns):
+            if not isinstance(ann.get("label", ""), str):
+                raise DataError(f"{path}: video {vid!r}: annotation {i}: label must be a string, got {ann['label']!r}")
     if label_index is None:
         seen = set()
         for vid, entry in database.items():
             for ann in entry.get("annotations", []):
                 if "label" in ann:
-                    seen.add(str(ann["label"]))
+                    seen.add(ann["label"])
         label_index = sorted(seen)
     label_to_id = {name: i + 1 for i, name in enumerate(label_index)}
 
@@ -168,7 +172,7 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
             t0, t1 = (_number(t, f"{where}: annotation {i}: segment") for t in seg)
             if not t1 > t0:
                 raise DataError(f"{where}: annotation {i}: non-increasing segment {seg}")
-            name = str(ann["label"])
+            name = ann["label"]
             if name not in label_to_id:
                 raise DataError(f"{where}: annotation {i}: unknown label {name!r}")
             start = t0 * fps

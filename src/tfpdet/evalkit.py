@@ -143,7 +143,10 @@ def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport
         raise ContractError("evaluate_detections needs at least one ground-truth instance")
     classes = sorted({label for v in gts_by_video.values() for _, label in v})
     thresholds = sorted(set(cfg.tiou_thresholds) | set(cfg.average_grid))
-    dets_by_class = {c: [d for d in dets if d.label == c] for c in classes}
+    dets_by_class = {c: [] for c in classes}
+    for d in dets:
+        if d.label in dets_by_class:
+            dets_by_class[d.label].append(d)
     gts_by_class = {
         c: {vid: [seg for seg, label in v if label == c] for vid, v in gts_by_video.items()}
         for c in classes
@@ -163,7 +166,7 @@ def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport
         ar_at_budget=None,
         counts={
             "ground_truth": total_gt,
-            "detections": len(list(dets)),
+            "detections": len(dets),
             "classes": len(classes),
             "proposal_budget": cfg.proposal_budget,
         },

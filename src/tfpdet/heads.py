@@ -8,6 +8,10 @@ per-level classifiers over RoI-pooled (optionally context-fused) features;
 final detections are suppressed class-wise at tIoU 0.4.  Each level pools
 its proposals as one [N, D, P] batch (one cell selection pass, one take, one
 call per context conv), so its graph does not grow with the proposal count.
+Post-processing runs on arrays: proposals and detections are decoded by
+``anchorkit.decode`` per level, and NMS is exact greedy suppression over
+blocked ``anchorkit.tiou`` matrices; Python objects are built only for the
+rows that survive.
 """
 
 from __future__ import annotations
@@ -17,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .anchorkit import AnchorGrid, Segment, decode
+from .anchorkit import AnchorGrid, Segment, decode, segment_pairs, tiou
 from .errors import ConfigError, ContractError
 from .pyramid import HEAD_BIAS, HEAD_WEIGHT_STD, PyramidFeatures
 
 STRATEGIES = ("s1", "s2", "s3")
+NMS_BLOCK = 64  # candidates per greedy block in nms_indices
 
 
 @dataclass(frozen=True)
@@ -170,23 +175,28 @@ def nms_indices(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray, thresh
     """Greedy NMS: keep by descending score, suppress overlaps >= thresh.
 
     Score ties break on the lower index, which callers keep deterministic.
+    The score order is walked in blocks of ``NMS_BLOCK``.  Each block reads
+    one tIoU matrix of its candidates against the rows kept so far and
+    against each other: a candidate overlapping a kept row is dead before
+    the greedy pass over the block's own columns starts.
     """
     n = len(scores)
     order = np.lexsort((np.arange(n), -np.asarray(scores)))
-    lengths = ends - starts
-    alive = np.ones(n, dtype=bool)
-    kept: list[int] = []
-    for i in order:
-        if not alive[i]:
-            continue
-        kept.append(int(i))
-        if top_k is not None and len(kept) >= top_k:
-            break
-        inter = np.clip(np.minimum(ends, ends[i]) - np.maximum(starts, starts[i]), 0.0, None)
-        overlap = inter / (lengths + lengths[i] - inter)
-        alive &= overlap < thresh
-        alive[i] = False
-    return kept
+    segs = np.stack([starts, ends], axis=1)[order]
+    kept: list[int] = []  # positions in score order
+    for lo in range(0, n, NMS_BLOCK):
+        block, k = segs[lo : lo + NMS_BLOCK], len(kept)
+        # `not < thresh` rather than `>= thresh`: a NaN overlap suppresses
+        hits = ~(tiou(block[:, None], np.concatenate([segs[kept], block])) < thresh)
+        dead, own = hits[:, :k].any(axis=1), hits[:, k:]
+        for r in range(len(block)):
+            if dead[r]:
+                continue
+            kept.append(lo + r)
+            if top_k is not None and len(kept) >= top_k:
+                return order[kept].tolist()
+            dead |= own[r]
+    return order[kept].tolist()
 
 
 def generate_proposals(apn_out, grid: AnchorGrid, nms_tiou: float = 0.7, top_k: int = 100) -> list[Proposal]:
@@ -200,13 +210,7 @@ def generate_proposals(apn_out, grid: AnchorGrid, nms_tiou: float = 0.7, top_k: 
         obj = np.exp(fg - m) / (np.exp(bg - m) + np.exp(fg - m))
         idx = grid.level_indices(k)
         j, p = grid.scale_index_of[idx], grid.position_of[idx]
-        a_len = grid.ends[idx] - grid.starts[idx]
-        a_ctr = 0.5 * (grid.starts[idx] + grid.ends[idx])
-        ctr = a_ctr + reg.data[0::2][j, p] * a_len
-        half = 0.5 * a_len * np.exp(reg.data[1::2][j, p])
-        s = np.maximum(ctr - half, 0.0)
-        e = np.minimum(ctr + half, hi)
-        keep = e - s >= 1.0
+        s, e, keep = decode(grid.starts[idx], grid.ends[idx], reg.data[0::2][j, p], reg.data[1::2][j, p], (0.0, hi))
         starts.append(s[keep])
         ends.append(e[keep])
         scores.append(obj[j, p][keep])
@@ -371,35 +375,28 @@ def finalize_detections(acn_out, proposals: list[Proposal], cfg: AcnConfig, buff
     Every (proposal, level) output contributes one candidate per
     non-background class whose posterior clears ``score_thresh``; its
     segment is the class-specific refinement of the proposal, clipped to
-    the buffer's valid content.  Candidates then pass class-wise NMS and
-    are shifted into video coordinates.
+    the buffer's valid content.  Each class's candidates, in (level, row)
+    order, then pass NMS and are shifted into video coordinates.
     """
-    cands = {c: ([], [], []) for c in range(1, cfg.num_classes + 1)}  # starts, ends, scores
-    valid_end = float(buffer.num_valid)
+    prop = segment_pairs([p.segment for p in proposals])
+    cands = [[] for _ in range(cfg.num_classes)]  # per class: (starts, ends, scores) per level
     for idx, cls, reg in acn_out:
         if cls is None:
             continue
-        post = _softmax(cls.data)
-        regs = reg.data
-        for row, i in enumerate(idx):
-            seg = proposals[i].segment
-            for c in range(1, cfg.num_classes + 1):
-                s = float(post[row, c])
-                if s < score_thresh:
-                    continue
-                refined = decode(seg, regs[row, 2 * (c - 1)], regs[row, 2 * (c - 1) + 1], clip_to=(0.0, valid_end))
-                if refined is None:
-                    continue
-                st, en, sc = cands[c]
-                st.append(refined.start)
-                en.append(refined.end)
-                sc.append(s)
+        post = _softmax(cls.data)[:, 1:]
+        seg = prop[idx]
+        s, e, ok = decode(seg[:, :1], seg[:, 1:], reg.data[:, 0::2], reg.data[:, 1::2], (0.0, float(buffer.num_valid)))
+        live = ~(post < score_thresh) & ok
+        for c, parts in enumerate(cands):
+            m = live[:, c]
+            if m.any():
+                parts.append((s[m, c], e[m, c], post[m, c]))
     detections = []
     off = float(buffer.frame_offset)
-    for c, (st, en, sc) in cands.items():
-        if not sc:
+    for c, parts in enumerate(cands, start=1):
+        if not parts:
             continue
-        st, en, sc = np.array(st), np.array(en), np.array(sc)
+        st, en, sc = (np.concatenate(x) for x in zip(*parts))
         for i in nms_indices(st, en, sc, nms_tiou):
             detections.append(Detection(Segment(st[i] + off, en[i] + off), c, float(sc[i]), buffer.video_id))
     detections.sort(key=lambda d: (-d.score, d.label, d.segment.start))
@@ -408,13 +405,13 @@ def finalize_detections(acn_out, proposals: list[Proposal], cfg: AcnConfig, buff
 
 def nms_detections(dets: list[Detection], thresh: float) -> list[Detection]:
     """Class-wise greedy NMS over a flat detection list (same video)."""
+    groups: dict[int, list[Detection]] = {}
+    for d in dets:
+        groups.setdefault(d.label, []).append(d)
     kept: list[Detection] = []
-    labels = sorted({d.label for d in dets})
-    for c in labels:
-        group = [d for d in dets if d.label == c]
-        st = np.array([d.segment.start for d in group])
-        en = np.array([d.segment.end for d in group])
-        sc = np.array([d.score for d in group])
-        kept.extend(group[i] for i in nms_indices(st, en, sc, thresh))
+    for c in sorted(groups):
+        group = groups[c]
+        seg = segment_pairs([d.segment for d in group])
+        kept.extend(group[i] for i in nms_indices(seg[:, 0], seg[:, 1], np.array([d.score for d in group]), thresh))
     kept.sort(key=lambda d: (-d.score, d.label, d.segment.start))
     return kept

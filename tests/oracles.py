@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from tfpdet import numcore as nc
+from tfpdet.anchorkit import Segment
+from tfpdet.heads import Detection
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +162,41 @@ def nms_ref(segments, scores, thresh, top_k=None):
             if top_k is not None and len(kept) >= top_k:
                 break
     return kept
+
+
+def finalize_detections_ref(acn_out, proposals, cfg, buffer, nms_tiou=0.4, score_thresh=0.05):
+    """Per-row finalize: every (proposal, level, class) output clearing
+    ``score_thresh`` is decoded on its own (exp from numpy), clipped to the
+    buffer's valid content and dropped below one frame; each class's
+    candidates, in (level, row) order, pass ``nms_ref`` and are shifted to
+    video coordinates."""
+    cands = {c: ([], []) for c in range(1, cfg.num_classes + 1)}  # segments, scores
+    valid_end = float(buffer.num_valid)
+    for idx, cls, reg in acn_out:
+        if cls is None:
+            continue
+        z = cls.data - cls.data.max(axis=1, keepdims=True)
+        post = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+        for row, i in enumerate(idx):
+            seg = proposals[i].segment
+            for c in range(1, cfg.num_classes + 1):
+                s = float(post[row, c])
+                if s < score_thresh:
+                    continue
+                center = seg.center + reg.data[row, 2 * (c - 1)] * seg.length
+                half = 0.5 * seg.length * np.exp(reg.data[row, 2 * (c - 1) + 1])
+                start, end = max(center - half, 0.0), min(center + half, valid_end)
+                if end - start < 1.0:
+                    continue
+                cands[c][0].append(Segment(start, end))
+                cands[c][1].append(s)
+    dets = []
+    off = float(buffer.frame_offset)
+    for c, (segs, scores) in cands.items():
+        for i in nms_ref(segs, scores, nms_tiou):
+            dets.append(Detection(Segment(segs[i].start + off, segs[i].end + off), c, scores[i], buffer.video_id))
+    dets.sort(key=lambda d: (-d.score, d.label, d.segment.start))
+    return dets
 
 
 def average_precision_ref(dets, gts_by_video, thresh):

@@ -114,32 +114,57 @@ def test_encode_double_length():
     assert (tc, tl) == pytest.approx((0.0, math.log(2)), abs=1e-12)
 
 
+def decode_one(anchor, center_offset, log_length, clip_to=(-math.inf, math.inf)):
+    """``ak.decode`` on a single row: (start, end), or None if dropped."""
+    s, e, keep = ak.decode(np.array([anchor.start]), np.array([anchor.end]),
+                           np.array([center_offset]), np.array([log_length]), clip_to)
+    return (s[0], e[0]) if keep[0] else None
+
+
 def test_decode_zero_offsets_is_anchor():
     a = seg(12, 44)
-    d = ak.decode(a, 0.0, 0.0)
-    assert (d.start, d.end) == pytest.approx((12.0, 44.0), abs=1e-12)
+    d = decode_one(a, 0.0, 0.0)
+    assert d == pytest.approx((12.0, 44.0), abs=1e-12)
 
 
 def test_decode_clips_to_buffer():
-    d = ak.decode(seg(-4, 12), 0.0, 0.0, clip_to=(0.0, 768.0))
-    assert (d.start, d.end) == (0.0, 12.0)
+    d = decode_one(seg(-4, 12), 0.0, 0.0, clip_to=(0.0, 768.0))
+    assert d == (0.0, 12.0)
 
 
 def test_decode_degenerate_returns_none():
-    assert ak.decode(seg(-10, -2), 0.0, 0.0, clip_to=(0.0, 768.0)) is None
+    assert decode_one(seg(-10, -2), 0.0, 0.0, clip_to=(0.0, 768.0)) is None
+
+
+def test_decode_broadcasts_anchors_against_class_columns():
+    starts, ends = np.array([[0.0], [100.0]]), np.array([[10.0], [300.0]])
+    offsets = np.array([[0.0, 0.5, 80.0], [0.0, -0.25, 0.0]])
+    logs = np.array([[0.0, 0.0, 0.0], [math.log(3), 0.0, -10.0]])
+    s, e, keep = ak.decode(starts, ends, offsets, logs, (0.0, 400.0))
+    assert s.shape == e.shape == keep.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            expect = decode_one(seg(starts[i, 0], ends[i, 0]), offsets[i, j], logs[i, j], (0.0, 400.0))
+            assert (None if not keep[i, j] else (s[i, j], e[i, j])) == expect
+    assert not keep[0, 2] and not keep[1, 2]  # pushed past the clip range; shorter than a frame
+    assert (s[1, 0], e[1, 0]) == (0.0, 400.0)
 
 
 def test_encode_decode_roundtrip_sample():
     rng = np.random.default_rng(17)
-    worst = 0.0
+    anchors, gts = [], []
     for _ in range(2000):
         ac = rng.uniform(0, 768)
         al = rng.uniform(1, 512)
         gc = rng.uniform(0, 768)
         gl = rng.uniform(1, 512)
-        a, g = seg(ac, ac + al), seg(gc, gc + gl)
-        d = ak.decode(a, *ak.encode(a, g))
-        worst = max(worst, abs(d.start - g.start), abs(d.end - g.end))
+        anchors.append(seg(ac, ac + al))
+        gts.append(seg(gc, gc + gl))
+    a, g = ak.segment_pairs(anchors), ak.segment_pairs(gts)
+    offsets, logs = np.array([ak.encode(x, y) for x, y in zip(anchors, gts)]).T
+    s, e, keep = ak.decode(a[:, 0], a[:, 1], offsets, logs, (-math.inf, math.inf))
+    assert keep.all()
+    worst = max(np.abs(s - g[:, 0]).max(), np.abs(e - g[:, 1]).max())
     assert worst < 1e-9
 
 

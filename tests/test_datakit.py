@@ -128,15 +128,27 @@ def test_annotations_roundtrip_identity(tmp_path):
     {"num_frames": 10 ** 400},
     {"annotations": "oops"},
     {"annotations": [7]},
+    {"label": {"a": 1}},
+    {"label": 3},
+    {"label": None},
+    {"version": True},
+    {"version": 1.0},
+    {"version": "1"},
+    {"version": 2},
 ])
 def test_load_malformed_values_raise_data_error(tmp_path, change):
     entry = video_entry(annotations=[{"segment": [1.0, 2.0], "label": "A"}])
-    if "segment" in change:
-        entry["annotations"][0]["segment"] = change["segment"]
+    doc = {"version": 1, "database": {"v1": entry}}
+    if "version" in change:
+        doc.update(change)
+    elif "segment" in change or "label" in change:
+        entry["annotations"][0].update(change)
     else:
         entry.update(change)
-    with pytest.raises(DataError, match="v1"):
-        dk.load_annotations(write_annotations(tmp_path, {"v1": entry}))
+    p = tmp_path / "ann.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="version" if "version" in change else "v1"):
+        dk.load_annotations(p)
 
 
 def test_load_database_not_an_object(tmp_path):

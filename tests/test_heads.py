@@ -5,7 +5,7 @@ from tfpdet import anchorkit as ak, heads, numcore as nc, pyramid as pyr
 from tfpdet.datakit import Buffer
 from tfpdet.errors import ContractError
 
-from oracles import acn_forward_ref, check_gradients, nms_ref, roi_pool_ref, tiou_ref
+from oracles import acn_forward_ref, check_gradients, finalize_detections_ref, nms_ref, roi_pool_ref, tiou_ref
 
 
 def small_setup(hidden=8, buffer_len=768, variant="conv", seed=0):
@@ -101,6 +101,19 @@ def test_nms_matches_oracle_on_random_sets():
         scores = rng.uniform(0, 1, n)
         thresh = rng.uniform(0.2, 0.9)
         assert _props_from(segs, scores, thresh) == nms_ref(segs, scores, thresh)
+    # several blocks (1272 is the proposal network's candidate count), tied
+    # scores on integer-grid segments with duplicates, and the extreme thresholds
+    for n, thresh, top_k in ((1272, 0.7, 100), (1272, 0.7, 1), (1300, 0.4, None), (1300, 0.0, None),
+                             (700, 1.0, None), (700, 1.0, 100), (300, 0.4, None), (129, 0.6, None)):
+        starts = rng.integers(0, 200, n)
+        segs = [ak.Segment(float(s), float(s + d)) for s, d in zip(starts, rng.integers(1, 40, n))]
+        scores = rng.integers(0, 4, n) / 3
+        assert _props_from(segs, scores, thresh, top_k) == nms_ref(segs, scores, thresh, top_k)
+    starts = rng.uniform(-100, 768, 1272)
+    segs = [ak.Segment(s, s + d) for s, d in zip(starts, rng.uniform(1, 500, 1272))]
+    scores = rng.uniform(0, 1, 1272)
+    for thresh, top_k in ((0.7, 100), (0.7, None), (1.0, None), (0.0, 1)):
+        assert _props_from(segs, scores, thresh, top_k) == nms_ref(segs, scores, thresh, top_k)
 
 
 def test_generate_proposals_sorted_and_separated():
@@ -431,6 +444,34 @@ def test_finalize_maps_to_video_coordinates_and_clips_padding():
     assert d.segment.start == pytest.approx(768 + 700.0)
     assert d.segment.end == pytest.approx(768 + 732.0)  # clipped at valid content
     assert d.video_id == "v"
+
+
+@pytest.mark.parametrize("strategy", heads.STRATEGIES)
+def test_finalize_matches_per_row_oracle(strategy):
+    rng = np.random.default_rng(heads.STRATEGIES.index(strategy))
+    for case in range(25):
+        c = int(rng.integers(1, 5))
+        cfg = heads.AcnConfig(num_classes=c, strategy=strategy)
+        buf = make_buffer(offset=int(rng.choice([0, 768, 5376])), num_valid=int(rng.choice([768, 700, 131])))
+        props = []
+        for _ in range(int(rng.integers(1, 60))):
+            s = float(rng.integers(-40, 760)) if case % 2 else rng.uniform(-40, 760)
+            props.append(heads.Proposal(ak.Segment(s, s + float(rng.integers(1, 300))), 0.5, int(rng.integers(3))))
+        out = []
+        for idx in heads.assign_proposals(props, cfg, 3):
+            if not idx:
+                out.append((idx, None, None))
+                continue
+            logits = rng.normal(0.0, 2.0, (len(idx), c + 1))
+            logits[rng.random(len(idx)) < 0.3] = 0.0  # posterior exactly 1 / (c + 1)
+            if case % 3 == 0:
+                logits[:, c] = -60.0  # the last class gets no candidate
+            regs = rng.normal(0.0, 0.3, (len(idx), 2 * c)) * rng.choice([1.0, 10.0], (len(idx), 1))
+            out.append((idx, nc.Tensor(logits), nc.Tensor(regs)))
+        thresh = 1 / (c + 1) if case % 4 == 0 else 0.05
+        nms = float(rng.choice([0.4, 0.7]))
+        got = heads.finalize_detections(out, props, cfg, buf, nms, thresh)
+        assert got == finalize_detections_ref(out, props, cfg, buf, nms, thresh)
 
 
 def test_nms_detections_is_class_wise():
