@@ -7,6 +7,7 @@ unclipped at generation; clipping happens only when proposals are decoded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,31 +61,39 @@ class Anchor:
 
 
 class AnchorGrid:
-    """All anchors of all levels with vectorized views for matching.
+    """All anchors of all levels as flat arrays for matching and decoding.
 
     Anchor order is level-major, then position, then scale index; the flat
-    index in that order is the tie-break key everywhere.
+    index in that order is the tie-break key everywhere.  The ``Anchor``
+    objects of ``anchors`` and ``levels`` are built on first use only.
     """
 
-    def __init__(self, levels: list[list[Anchor]], strides, buffer_len: int):
-        self.levels = levels
+    def __init__(self, starts, ends, level_of, position_of, scale_index_of, strides, buffer_len: int):
+        self.starts = starts
+        self.ends = ends
+        self.level_of = level_of
+        self.position_of = position_of
+        self.scale_index_of = scale_index_of
         self.strides = tuple(strides)
         self.buffer_len = int(buffer_len)
-        flat = [a for lv in levels for a in lv]
-        self.anchors = flat
-        self.starts = np.array([a.segment.start for a in flat])
-        self.ends = np.array([a.segment.end for a in flat])
-        self.level_of = np.array([a.level for a in flat], dtype=np.int64)
-        self.position_of = np.array([a.position for a in flat], dtype=np.int64)
-        self.scale_index_of = np.array([a.scale_index for a in flat], dtype=np.int64)
-        offs = np.cumsum([0] + [len(lv) for lv in levels])
-        self.level_offsets = offs  # level k occupies [offs[k], offs[k+1])
+        # level k occupies [level_offsets[k], level_offsets[k+1])
+        self.level_offsets = np.searchsorted(level_of, np.arange(len(self.strides) + 1))
 
     def __len__(self) -> int:
-        return len(self.anchors)
+        return len(self.starts)
 
     def level_indices(self, k: int) -> np.ndarray:
         return np.arange(self.level_offsets[k], self.level_offsets[k + 1])
+
+    @functools.cached_property
+    def anchors(self) -> list[Anchor]:
+        cols = (self.starts, self.ends, self.level_of, self.position_of, self.scale_index_of)
+        return [Anchor(Segment(s, e), k, p, j) for s, e, k, p, j in zip(*(c.tolist() for c in cols))]
+
+    @functools.cached_property
+    def levels(self) -> list[list[Anchor]]:
+        offs = self.level_offsets.tolist()
+        return [self.anchors[lo:hi] for lo, hi in zip(offs, offs[1:])]
 
 
 def build_anchor_grid(buffer_len: int, strides=DEFAULT_STRIDES, scales=DEFAULT_SCALES) -> AnchorGrid:
@@ -93,18 +102,22 @@ def build_anchor_grid(buffer_len: int, strides=DEFAULT_STRIDES, scales=DEFAULT_S
     """
     if len(strides) != len(scales):
         raise ConfigError(f"{len(strides)} strides but {len(scales)} scale lists")
-    levels = []
+    if not strides:
+        raise ConfigError("an anchor grid needs at least one level")
+    starts, ends, level_of, position_of, scale_index_of = [], [], [], [], []
     for k, (s_k, level_scales) in enumerate(zip(strides, scales)):
         if buffer_len % s_k != 0:
             raise ConfigError(f"buffer_len {buffer_len} not divisible by stride {s_k}")
-        level = []
-        for p in range(buffer_len // s_k):
-            c = (p + 0.5) * s_k
-            for j, sc in enumerate(level_scales):
-                half = 0.5 * sc * s_k
-                level.append(Anchor(Segment(c - half, c + half), k, p, j))
-        levels.append(level)
-    return AnchorGrid(levels, strides, buffer_len)
+        n, a = buffer_len // s_k, len(level_scales)
+        c = ((np.arange(n) + 0.5) * s_k)[:, None]
+        half = 0.5 * np.asarray(level_scales, dtype=np.float64) * s_k
+        starts.append((c - half).ravel())
+        ends.append((c + half).ravel())
+        level_of.append(np.full(n * a, k))
+        position_of.append(np.repeat(np.arange(n), a))
+        scale_index_of.append(np.tile(np.arange(a), n))
+    cols = (starts, ends, level_of, position_of, scale_index_of)
+    return AnchorGrid(*(np.concatenate(col) for col in cols), strides, buffer_len)
 
 
 def tiou(a, b) -> np.ndarray:

@@ -29,6 +29,17 @@ STRATEGIES = ("s1", "s2", "s3")
 NMS_BLOCK = 64  # candidates per greedy block in nms_indices
 
 
+def _check_unit(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
+
+
+def _check_nms_tiou(value: float) -> None:
+    # at 0 every overlap, even none, would suppress
+    if not 0.0 < value <= 1.0:
+        raise ConfigError(f"nms_tiou must lie in (0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class ApnConfig:
     """Proposal-network settings: anchor scales per level plus the matching
@@ -45,6 +56,11 @@ class ApnConfig:
             raise ConfigError("apn needs at least one anchor scale per level")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be positive, got {self.top_k}")
+        _check_unit("pos_tiou", self.pos_tiou)
+        _check_unit("neg_tiou", self.neg_tiou)
+        _check_nms_tiou(self.nms_tiou)
+        if self.neg_tiou > self.pos_tiou:
+            raise ConfigError(f"neg_tiou {self.neg_tiou} exceeds pos_tiou {self.pos_tiou}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +82,9 @@ class AcnConfig:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
         if self.num_classes < 1 or self.roi_bins < 1 or self.fc_dim < 1:
             raise ConfigError("num_classes, roi_bins and fc_dim must be positive")
+        _check_unit("fg_tiou", self.fg_tiou)
+        _check_unit("score_thresh", self.score_thresh)
+        _check_nms_tiou(self.nms_tiou)
 
 
 @dataclass(frozen=True)
@@ -95,61 +114,47 @@ class Detection:
 # parameter construction
 
 
-def init_apn_params(hidden_dim: int, cfg: ApnConfig, rng: np.random.Generator) -> dict:
-    params = {}
+def apn_param_specs(hidden_dim: int, cfg: ApnConfig) -> list[tuple]:
+    """(name, shape, init_spec) of every proposal-network parameter, in creation order."""
+    specs = []
     for k, level_scales in enumerate(cfg.scales):
         two_a = 2 * len(level_scales)
-        for name, shape in (
-            (f"apn.level{k}.shared.w", (hidden_dim, hidden_dim, 3)),
-            (f"apn.level{k}.cls.w", (two_a, hidden_dim, 1)),
-            (f"apn.level{k}.reg.w", (two_a, hidden_dim, 1)),
-        ):
-            params[name] = nc.Parameter.create(name, shape, ("gaussian", 0.0, HEAD_WEIGHT_STD), rng)
-        for name, shape in (
-            (f"apn.level{k}.shared.b", (hidden_dim,)),
-            (f"apn.level{k}.cls.b", (two_a,)),
-            (f"apn.level{k}.reg.b", (two_a,)),
-        ):
-            params[name] = nc.Parameter.create(name, shape, ("constant", HEAD_BIAS), rng)
-    return params
+        weights = [(f"apn.level{k}.shared.w", (hidden_dim, hidden_dim, 3)),
+                   (f"apn.level{k}.cls.w", (two_a, hidden_dim, 1)),
+                   (f"apn.level{k}.reg.w", (two_a, hidden_dim, 1))]
+        biases = [(f"apn.level{k}.shared.b", (hidden_dim,)),
+                  (f"apn.level{k}.cls.b", (two_a,)),
+                  (f"apn.level{k}.reg.b", (two_a,))]
+        specs += [(name, shape, ("gaussian", 0.0, HEAD_WEIGHT_STD)) for name, shape in weights]
+        specs += [(name, shape, ("constant", HEAD_BIAS)) for name, shape in biases]
+    return specs
 
 
-def init_acn_params(hidden_dim: int, cfg: AcnConfig, num_levels: int, rng: np.random.Generator) -> dict:
+def acn_param_specs(hidden_dim: int, cfg: AcnConfig, num_levels: int) -> list[tuple]:
+    """(name, shape, init_spec) of every classifier parameter, in creation order."""
     if cfg.use_context and hidden_dim % 2 != 0:
         raise ConfigError(f"context fusion needs an even feature dim, got {hidden_dim}")
-    params = {}
+    specs = []
     in_dim = hidden_dim * cfg.roi_bins
     half = hidden_dim // 2
     for k in range(num_levels):
-        shapes = []
+        weights, biases = [], []
         if cfg.use_context:
-            shapes += [
-                (f"acn.level{k}.roi_reduce.w", (half, hidden_dim, 3)),
-                (f"acn.level{k}.ctx_reduce.w", (half, hidden_dim, 3)),
-            ]
-        shapes += [
-            (f"acn.level{k}.fc6.w", (in_dim, cfg.fc_dim)),
-            (f"acn.level{k}.fc7.w", (cfg.fc_dim, cfg.fc_dim)),
-            (f"acn.level{k}.cls.w", (cfg.fc_dim, cfg.num_classes + 1)),
-            (f"acn.level{k}.reg.w", (cfg.fc_dim, 2 * cfg.num_classes)),
-        ]
-        for name, shape in shapes:
-            params[name] = nc.Parameter.create(name, shape, ("gaussian", 0.0, HEAD_WEIGHT_STD), rng)
-        biases = []
-        if cfg.use_context:
-            biases += [
-                (f"acn.level{k}.roi_reduce.b", (half,)),
-                (f"acn.level{k}.ctx_reduce.b", (half,)),
-            ]
-        biases += [
-            (f"acn.level{k}.fc6.b", (cfg.fc_dim,)),
-            (f"acn.level{k}.fc7.b", (cfg.fc_dim,)),
-            (f"acn.level{k}.cls.b", (cfg.num_classes + 1,)),
-            (f"acn.level{k}.reg.b", (2 * cfg.num_classes,)),
-        ]
-        for name, shape in biases:
-            params[name] = nc.Parameter.create(name, shape, ("constant", HEAD_BIAS), rng)
-    return params
+            weights += [(f"acn.level{k}.roi_reduce.w", (half, hidden_dim, 3)),
+                        (f"acn.level{k}.ctx_reduce.w", (half, hidden_dim, 3))]
+            biases += [(f"acn.level{k}.roi_reduce.b", (half,)),
+                       (f"acn.level{k}.ctx_reduce.b", (half,))]
+        weights += [(f"acn.level{k}.fc6.w", (in_dim, cfg.fc_dim)),
+                    (f"acn.level{k}.fc7.w", (cfg.fc_dim, cfg.fc_dim)),
+                    (f"acn.level{k}.cls.w", (cfg.fc_dim, cfg.num_classes + 1)),
+                    (f"acn.level{k}.reg.w", (cfg.fc_dim, 2 * cfg.num_classes))]
+        biases += [(f"acn.level{k}.fc6.b", (cfg.fc_dim,)),
+                   (f"acn.level{k}.fc7.b", (cfg.fc_dim,)),
+                   (f"acn.level{k}.cls.b", (cfg.num_classes + 1,)),
+                   (f"acn.level{k}.reg.b", (2 * cfg.num_classes,))]
+        specs += [(name, shape, ("gaussian", 0.0, HEAD_WEIGHT_STD)) for name, shape in weights]
+        specs += [(name, shape, ("constant", HEAD_BIAS)) for name, shape in biases]
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +234,23 @@ def generate_proposals(apn_out, grid: AnchorGrid, nms_tiou: float = 0.7, top_k: 
 # RoI pooling and context fusion
 
 
-def _range_argmax_table(x: np.ndarray) -> np.ndarray:
-    """[K, T, D] sparse table for a [D, T] map: entry (k, i, c) is the flat
-    index into ``x`` of the first maximum of x[c, i : i + 2**k] (if in range)."""
+def _range_argmax_table(x: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """[levels*T, D] index and value tables for a [D, T] map: row k*T + i
+    holds, per channel c, the flat index into ``x`` of the first maximum of
+    x[c, i : i + 2**k] and that maximum (rows with i + 2**k > T are unused)."""
     d, t = x.shape
-    table = np.zeros((t.bit_length(), t, d), dtype=np.int64)
-    table[0] = np.arange(d * t).reshape(d, t).T
-    val = np.ascontiguousarray(x.T)
-    for k in range(1, len(table)):
-        h = 1 << (k - 1)
+    idx = np.zeros((levels * t, d), dtype=np.int64)
+    val = np.empty(idx.shape)
+    idx[:t] = np.arange(d * t).reshape(d, t).T
+    val[:t] = x.T
+    for lo in range(t, len(idx), t):
+        h = 1 << (lo // t - 1)
         n = t - 2 * h + 1
-        table[k, :n] = np.where(val[h:] > val[:-h], table[k - 1, h : h + n], table[k - 1, :n])
-        val = np.maximum(val[:-h], val[h:])
-    return table
+        a, b = slice(lo - t, lo - t + n), slice(lo - t + h, lo - t + h + n)
+        up = val[b] > val[a]
+        idx[lo : lo + n] = idx[a] + (idx[b] - idx[a]) * up
+        np.maximum(val[a], val[b], out=val[lo : lo + n])
+    return idx, val
 
 
 def _roi_cell_selection(feat_data: np.ndarray, starts: np.ndarray, ends: np.ndarray, stride: float, num_bins: int) -> np.ndarray:
@@ -251,7 +260,9 @@ def _roi_cell_selection(feat_data: np.ndarray, starts: np.ndarray, ends: np.ndar
     equal sub-intervals pools the cells whose centers fall inside it, and an
     empty sub-interval borrows the covered cell nearest its center.  All
     segments are resolved in one pass: every bin becomes a cell range whose
-    first maximum per channel comes from a range-argmax table.
+    first maximum per channel comes from a range-argmax table.  The two
+    table windows of a bin are compared by their range maxima, which equal
+    the values of the chosen cells unless a window holds a NaN.
     """
     d, t = feat_data.shape
     lo = np.minimum(np.maximum(starts / stride, 0.0), float(t))
@@ -277,11 +288,15 @@ def _roi_cell_selection(feat_data: np.ndarray, starts: np.ndarray, ends: np.ndar
     near = np.where(np.abs(after + 0.5 - mid) < np.abs(near + 0.5 - mid), after, near)
     a, b = np.where(b > a, a, near), np.where(b > a, b, near + 1)
     k = np.frexp(b - a)[1] - 1  # floor(log2(width))
-    # each bin is covered by two (possibly overlapping) power-of-two windows
-    table = _range_argmax_table(feat_data)
-    left = table.take(((k * t + a) * d)[:, :, None] + np.arange(d))
-    right = table.take(((k * t + b - (1 << k)) * d)[:, :, None] + np.arange(d))
-    return np.where(feat_data.take(right) > feat_data.take(left), right, left).transpose(0, 2, 1)
+    # each bin is covered by two (possibly overlapping) power-of-two windows;
+    # both are whole-row gathers, and the later one wins only if larger
+    idx, val = _range_argmax_table(feat_data, int(k.max()) + 1)
+    left, right = k * t + a, k * t + b - (1 << k)
+    li, ri = idx[left], idx[right]
+    step = (ri - li) * (val[right] > val[left])
+    cells = np.empty((len(starts), d, num_bins), dtype=np.int64)
+    np.add(li, step, out=cells.transpose(0, 2, 1))
+    return cells
 
 
 def roi_pool(level_feat, starts, ends, stride: float, num_bins: int) -> nc.Tensor:
@@ -302,12 +317,12 @@ def context_window(starts, ends, buffer_len: float):
 def context_features(level_feat, starts, ends, stride: float, num_bins: int, params: dict, level: int, buffer_len: float) -> nc.Tensor:
     """Fuse the RoI features of N segments (start and end arrays) with their
     context: one ``roi_pool`` call pools the segments and their context
-    windows, and the two [N, D, P] halves are channel-reduced to D/2 by
+    windows, and the two [N, D, P] row halves are channel-reduced to D/2 by
     separate conv layers and concatenated back to [N, D, P]."""
     ctx_starts, ctx_ends = context_window(starts, ends, buffer_len)
     both = roi_pool(level_feat, np.concatenate([starts, ctx_starts]), np.concatenate([ends, ctx_ends]), stride, num_bins)
-    rows = np.arange(both.data.size).reshape(both.shape)  # split the gather into its halves
-    pooled, ctx = nc.take(both, rows[: len(starts)]), nc.take(both, rows[len(starts) :])
+    n = len(starts)
+    pooled, ctx = nc.rows(both, 0, n), nc.rows(both, n, 2 * n)
     r = nc.relu(nc.temporal_conv(pooled, params[f"acn.level{level}.roi_reduce.w"], params[f"acn.level{level}.roi_reduce.b"], 1, 1))
     c = nc.relu(nc.temporal_conv(ctx, params[f"acn.level{level}.ctx_reduce.w"], params[f"acn.level{level}.ctx_reduce.b"], 1, 1))
     return nc.concat_channels(r, c)

@@ -7,6 +7,16 @@ accumulating gradients into every tensor on a path to a gradient-requiring
 leaf.  Only the operations the detection heads actually need are provided;
 everything runs on contiguous float64 numpy arrays for exact, deterministic
 arithmetic at desk scale.
+
+Kernel layout rule: a kernel may change how it moves data, never the
+arithmetic.  Every BLAS call keeps its operand values and shapes (only the
+row stride of an operand may change), and every elementwise sum adds its
+terms in the order a plain scatter-add over the outputs would, so results
+are identical bit for bit whichever layout a kernel picks.  A kernel arranges its copies and additions so that
+numpy's innermost loop runs over long contiguous memory: along T for a
+single long [C, T] map, over whole [N, C] planes (time-major) for a batch
+of short sequences whose T is below N*C, and as whole T-runs moved as
+single opaque items where a copy has to transpose around short runs.
 """
 
 from __future__ import annotations
@@ -23,7 +33,10 @@ class Tensor:
 
     ``grad`` is allocated at construction for gradient-requiring leaves and
     lazily during ``backward()`` for interior nodes; when present it always
-    has the same shape as ``data``.
+    has the same shape as ``data``.  A leaf's buffer is its own: gradients
+    are added into it in place, so code that assigns a leaf's ``grad`` hands
+    that array over.  An interior node's ``grad`` may be a view of another
+    node's gradient and is never written in place.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -85,6 +98,12 @@ class Parameter:
         return self.tensor.data
 
 
+def create_params(specs, rng: np.random.Generator) -> dict:
+    """Named parameters from (name, shape, init_spec) triples, drawn from
+    ``rng`` in order."""
+    return {name: Parameter.create(name, shape, init_spec, rng) for name, shape, init_spec in specs}
+
+
 @dataclass(frozen=True)
 class SgdConfig:
     """SGD with momentum, weight decay and a stepped learning-rate decay."""
@@ -121,8 +140,15 @@ def _t(x) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        # a leaf must own its buffer before anything is added into it
+        t.grad = g if t._parents else np.array(g, dtype=np.float64)
+    elif t._parents:
+        t.grad = t.grad + g
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
@@ -174,13 +200,37 @@ def linear(x, w, b) -> Tensor:
     return Tensor(y, req, (xt, wt, bt), back if req else None)
 
 
+def _im2col(xb: np.ndarray, k: int, stride: int, padding: int, t_out: int) -> np.ndarray:
+    """[C_in*k, N, T'] patch columns of an [N, C_in, T] batch: row (c, j),
+    column (i, t) holds x[i, c, stride*t + j - padding], zero in the padding.
+
+    Laid out this way, column block i is the per-row matmul operand of row i
+    and the whole array is the weight-gradient operand, without a copy.
+    """
+    n, c_in, t_in = xb.shape
+    xp = np.zeros((n, c_in, t_in + 2 * padding))
+    xp[:, :, padding : padding + t_in] = xb
+    cols = np.empty((c_in, k, n, t_out))
+    if stride == 1:
+        # each patch row is a contiguous T'-run of xp: move it as one item
+        run = np.dtype((np.void, 8 * t_out))
+        dst = cols.view(run)[..., 0]
+        for j in range(k):
+            dst[:, j] = np.ndarray((n, c_in), run, xp, 8 * j, xp.strides[:2]).T
+    else:
+        for j in range(k):
+            cols[:, j] = xp[:, :, j : j + stride * t_out : stride].transpose(1, 0, 2)
+    return cols.reshape(c_in * k, n, t_out)
+
+
 def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation along the temporal axis of a [C_in, T] map, or
     of every row of an [N, C_in, T] batch with the same per-row arithmetic.
 
     ``w`` has shape [C_out, C_in, k]; the output length is
     floor((T + 2*padding - k) / stride) + 1.  The weight gradient of a batch
-    is one gemm over its N*T' columns.
+    is one gemm over its N*T' columns.  The input gradient is scattered back
+    time-major when T < N*C_in (see the layout rule above).
     """
     xt, wt, bt = _t(x), _t(w), _t(b)
     if xt.data.ndim not in (2, 3) or wt.data.ndim != 3 or bt.data.ndim != 1:
@@ -200,33 +250,42 @@ def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         )
     xb = xt.data.reshape(-1, c_in, t_in)
     n = xb.shape[0]
-    xp = np.zeros((n, c_in, t_in + 2 * padding))
-    xp[:, :, padding : padding + t_in] = xb
-    cols = np.empty((n, c_in, k, t_out))
-    for j in range(k):
-        cols[:, :, j, :] = xp[:, :, j : j + stride * t_out : stride]
-    cols = cols.reshape(n, c_in * k, t_out)
+    cols = _im2col(xb, k, stride, padding, t_out)
     w2 = wt.data.reshape(c_out, c_in * k)
-    y = np.matmul(w2, cols) + bt.data[:, None]
+    y = np.matmul(w2, cols.transpose(1, 0, 2)) + bt.data[:, None]
     req = xt.requires_grad or wt.requires_grad or bt.requires_grad
 
     def back(g):
         g = g.reshape(n, c_out, t_out)
-        gw = g.transpose(1, 0, 2).reshape(c_out, n * t_out) @ cols.transpose(1, 0, 2).reshape(c_in * k, n * t_out).T
+        gw = g.transpose(1, 0, 2).reshape(c_out, n * t_out) @ cols.reshape(c_in * k, n * t_out).T
         _accumulate(wt, gw.reshape(wt.shape))
         _accumulate(bt, g.sum(axis=2).sum(axis=0))
         if xt.requires_grad:
             gk = np.matmul(w2.T, g).reshape(n, c_in, k, t_out)
-            gxp = np.zeros((n, c_in, t_in + 2 * padding))
-            for j in range(k):
-                gxp[:, :, j : j + stride * t_out : stride] += gk[:, :, j, :]
-            _accumulate(xt, gxp[:, :, padding : padding + t_in].reshape(xt.shape))
+            span = slice(padding, padding + t_in)
+            if t_in < n * c_in:  # time-major: add whole [N, C_in] planes
+                gxp = np.zeros((t_in + 2 * padding, n, c_in))
+                gkt = gk.transpose(2, 3, 0, 1)
+                for j in range(k):
+                    gxp[j : j + stride * t_out : stride] += gkt[j]
+                gx = gxp[span].transpose(1, 2, 0)
+            else:
+                gxp = np.zeros((n, c_in, t_in + 2 * padding))
+                for j in range(k):
+                    gxp[:, :, j : j + stride * t_out : stride] += gk[:, :, j, :]
+                gx = gxp[:, :, span]
+            _accumulate(xt, np.ascontiguousarray(gx).reshape(xt.shape))
 
     return Tensor(y.reshape(xt.shape[:-2] + (c_out, t_out)), req, (xt, wt, bt), back if req else None)
 
 
 def temporal_maxpool(x, k: int, stride: int) -> Tensor:
-    """Windowed maximum per channel; ties route gradient to the first index."""
+    """Windowed maximum per channel; ties route gradient to the first index.
+
+    Works on k strided slices, one per window position: the forward is a
+    running maximum over them, and the backward routes each output's
+    gradient to the first slice that holds its value (or a NaN).
+    """
     xt = _t(x)
     if xt.data.ndim != 2:
         raise ContractError(f"temporal_maxpool expects [C,T], got {xt.shape}")
@@ -234,16 +293,29 @@ def temporal_maxpool(x, k: int, stride: int) -> Tensor:
     if t_in < k:
         raise ContractError(f"temporal_maxpool empty output: T={t_in} < k={k}")
     t_out = (t_in - k) // stride + 1
-    starts = np.arange(t_out) * stride
-    win = xt.data[:, starts[:, None] + np.arange(k)[None, :]]  # (C, T', k)
-    arg = win.argmax(axis=2)  # first maximal index per window
-    y = np.take_along_axis(win, arg[:, :, None], axis=2)[:, :, 0]
-    src = starts[None, :] + arg  # (C, T') source column per output cell
+    span = stride * (t_out - 1) + 1
+    win = [xt.data[:, j : j + span : stride] for j in range(k)]  # element j of every window
+    y = win[0]
+    for v in win[1:]:
+        # the running maximum is the second operand, which np.maximum returns
+        # on ties (+0.0 against -0.0): the first maximum's value
+        y = np.maximum(v, y)
     req = xt.requires_grad
 
     def back(g):
         gx = np.zeros_like(xt.data)
-        np.add.at(gx, (np.repeat(np.arange(c), t_out), src.ravel()), g.ravel())
+        bits = g.view(np.int64)
+        routes, taken = [], np.zeros(g.shape, dtype=bool)
+        for v in win[:-1]:
+            hit = ~taken & ((v == y) | np.isnan(v))
+            taken |= hit
+            routes.append(hit)
+        routes.append(~taken)
+        # descending j is ascending output order wherever windows overlap; an
+        # AND with an all-ones or all-zeros mask selects g or +0.0 without
+        # branching on the random routes
+        for j in reversed(range(k)):
+            gx[:, j : j + span : stride] += (bits & -routes[j].view(np.int8)).view(np.float64)
         _accumulate(xt, gx)
 
     return Tensor(y, req, (xt,), back if req else None)
@@ -362,6 +434,20 @@ def take(x, flat_indices) -> Tensor:
     return Tensor(y, req, (xt,), back if req else None)
 
 
+def rows(x, lo: int, hi: int) -> Tensor:
+    """Rows lo:hi along the first axis, as a view; the backward writes its
+    rows of an otherwise zero gradient."""
+    xt = _t(x)
+    req = xt.requires_grad
+
+    def back(g):
+        gx = np.zeros_like(xt.data)
+        gx[lo:hi] = g
+        _accumulate(xt, gx)
+
+    return Tensor(xt.data[lo:hi], req, (xt,), back if req else None)
+
+
 def reshape(x, shape) -> Tensor:
     xt = _t(x)
     y = xt.data.reshape(shape)
@@ -377,6 +463,12 @@ def sgd_step(params, cfg: SgdConfig, step: int) -> None:
     """One momentum-SGD update over ``params``; gradients are zeroed after.
 
     v <- momentum*v + grad + weight_decay*param;  param <- param - lr(step)*v
+
+    Each leaf gets a fresh zeroed gradient buffer rather than its old one
+    zeroed in place: the fresh buffers outlive the step's temporaries, so
+    the allocator keeps their memory mapped instead of returning it and
+    faulting it back in on the next step (in-place zeroing measured ~2,300
+    more minor page faults per training step).
     """
     lr = cfg.effective_lr(step)
     for p in params:

@@ -83,14 +83,17 @@ class Model:
         self.acn_cfg = acn_cfg
         self.params = params
 
+    @staticmethod
+    def param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg) -> list[tuple]:
+        """(name, shape, init_spec) of every parameter, in creation order."""
+        hidden = encoder_cfg.hidden_dim
+        return (pyramid.encoder_param_specs(encoder_cfg) + pyramid.pyramid_param_specs(pyramid_cfg, hidden)
+                + heads.apn_param_specs(hidden, apn_cfg) + heads.acn_param_specs(hidden, acn_cfg, pyramid_cfg.num_levels))
+
     @classmethod
     def build(cls, encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, seed: int) -> "Model":
         rng = np.random.default_rng([int(seed), 2])
-        params = {}
-        params.update(pyramid.init_encoder_params(encoder_cfg, rng))
-        params.update(pyramid.init_pyramid_params(pyramid_cfg, encoder_cfg.hidden_dim, rng))
-        params.update(heads.init_apn_params(encoder_cfg.hidden_dim, apn_cfg, rng))
-        params.update(heads.init_acn_params(encoder_cfg.hidden_dim, acn_cfg, pyramid_cfg.num_levels, rng))
+        params = nc.create_params(cls.param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg), rng)
         return cls(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params)
 
     def parameters(self) -> list[nc.Parameter]:
@@ -366,7 +369,35 @@ def _configs_from_header(cfgs: dict) -> tuple:
     return encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, train_cfg
 
 
+def _manifest_entries(path, manifest, expected: dict) -> list[tuple]:
+    """(name, kind, shape, init_spec) per manifest entry, after checking that
+    every parameter in ``expected`` (name -> shape) appears exactly once as a
+    value and once as a velocity, with its shape, and nothing else does."""
+    if not isinstance(manifest, list) or not all(isinstance(e, dict) for e in manifest):
+        raise DataError(f"{path}: checkpoint manifest is not a list of objects")
+    entries = []
+    for e in manifest:
+        name, kind, shape = e.get("name"), e.get("kind"), e.get("shape")
+        if kind not in ("value", "velocity") or name not in expected:
+            raise DataError(f"{path}: unexpected manifest entry {name!r} ({kind!r})")
+        if not isinstance(shape, list) or tuple(shape) != expected[name] or not all(type(d) is int for d in shape):
+            raise DataError(f"{path}: {name!r} has shape {shape!r}, the configs imply {list(expected[name])}")
+        init_spec = e.get("init_spec")
+        if kind == "value" and not isinstance(init_spec, list):
+            raise DataError(f"{path}: {name!r} has no init_spec list")
+        entries.append((name, kind, expected[name], init_spec))
+    pairs = {(name, kind) for name, kind, _, _ in entries}
+    want = {(name, kind) for name in expected for kind in ("value", "velocity")}
+    if len(pairs) != len(entries) or pairs != want:
+        missing = sorted(want - pairs)
+        raise DataError(f"{path}: manifest does not match the configs (missing {missing[:3]}, or duplicates)")
+    return entries
+
+
 def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
+    """Read a TFPM container; any malformed or inconsistent content raises
+    ``DataError``.  The manifest must list exactly the parameters, with the
+    shapes, that ``Model.param_specs`` gives for the header's configs."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic")
@@ -379,25 +410,30 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: unreadable checkpoint header: {exc}") from exc
-    encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, train_cfg = _configs_from_header(header["configs"])
-    params: dict[str, nc.Parameter] = {}
+    params: dict[str, nc.Parameter] = {}  # filled from the payloads below
+    try:
+        configs = _configs_from_header(header["configs"])
+        step, manifest = header["step"], header["params"]
+        model = Model(*configs[:4], params)
+        expected = {name: tuple(shape) for name, shape, _ in Model.param_specs(*configs[:4])}
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc
+    if type(step) is not int:
+        raise DataError(f"{path}: checkpoint step {step!r} is not an integer")
     offset = 12 + hlen
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
+    for name, kind, shape, init_spec in _manifest_entries(path, manifest, expected):
         count = int(np.prod(shape)) if shape else 1
         if offset + 8 * count > len(raw):
-            raise DataError(f"{path}: truncated payload for {entry['name']!r}")
+            raise DataError(f"{path}: truncated payload for {name!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         offset += 8 * count
-        name = entry["name"]
-        if entry["kind"] == "value":
+        if kind == "value":
             params[name] = nc.Parameter(name=name, tensor=nc.Tensor(arr, requires_grad=True),
-                                        init_spec=tuple(entry["init_spec"]))
+                                        init_spec=tuple(init_spec))
         else:
             if name not in params:
-                raise DataError(f"{path}: velocity for unknown parameter {name!r}")
+                raise DataError(f"{path}: velocity for {name!r} precedes its values")
             params[name].velocity = arr
     if offset != len(raw):
         raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
-    model = Model(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params)
-    return model, train_cfg, int(header["step"])
+    return model, configs[4], step

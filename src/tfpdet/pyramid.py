@@ -68,32 +68,25 @@ class PyramidFeatures:
     strides: tuple
 
 
-def init_encoder_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict:
-    params = {}
-    c_in = cfg.input_dim
+def encoder_param_specs(cfg: EncoderConfig) -> list[tuple]:
+    """(name, shape, init_spec) of every encoder parameter, in creation order."""
+    specs, c_in = [], cfg.input_dim
     for i in range(cfg.num_blocks):
         std = math.sqrt(2.0 / (c_in * 3))
-        params[f"encoder.block{i}.w"] = nc.Parameter.create(
-            f"encoder.block{i}.w", (cfg.hidden_dim, c_in, 3), ("gaussian", 0.0, std), rng
-        )
-        params[f"encoder.block{i}.b"] = nc.Parameter.create(
-            f"encoder.block{i}.b", (cfg.hidden_dim,), ("constant", HEAD_BIAS), rng
-        )
+        specs.append((f"encoder.block{i}.w", (cfg.hidden_dim, c_in, 3), ("gaussian", 0.0, std)))
+        specs.append((f"encoder.block{i}.b", (cfg.hidden_dim,), ("constant", HEAD_BIAS)))
         c_in = cfg.hidden_dim
-    return params
+    return specs
 
 
-def init_pyramid_params(pcfg: PyramidConfig, hidden_dim: int, rng: np.random.Generator) -> dict:
-    params = {}
+def pyramid_param_specs(pcfg: PyramidConfig, hidden_dim: int) -> list[tuple]:
+    """(name, shape, init_spec) of the down-sampling convs of the conv variant."""
+    specs = []
     if pcfg.variant == "conv":
         for k in range(1, pcfg.num_levels):
-            params[f"pyramid.down{k}.w"] = nc.Parameter.create(
-                f"pyramid.down{k}.w", (hidden_dim, hidden_dim, 3), ("gaussian", 0.0, HEAD_WEIGHT_STD), rng
-            )
-            params[f"pyramid.down{k}.b"] = nc.Parameter.create(
-                f"pyramid.down{k}.b", (hidden_dim,), ("constant", HEAD_BIAS), rng
-            )
-    return params
+            specs.append((f"pyramid.down{k}.w", (hidden_dim, hidden_dim, 3), ("gaussian", 0.0, HEAD_WEIGHT_STD)))
+            specs.append((f"pyramid.down{k}.b", (hidden_dim,), ("constant", HEAD_BIAS)))
+    return specs
 
 
 def encode(buffer_features, cfg: EncoderConfig, params: dict) -> nc.Tensor:

@@ -11,6 +11,7 @@ import numpy as np
 
 from tfpdet import numcore as nc
 from tfpdet.anchorkit import Segment
+from tfpdet.errors import ContractError
 from tfpdet.heads import Detection
 
 
@@ -327,3 +328,143 @@ def acn_forward_ref(pyr, proposals, cfg, params, buffer_len: float, assignment):
         reg = nc.linear(h, params[f"acn.level{k}.reg.w"], params[f"acn.level{k}.reg.b"])
         out.append((idx, cls, reg))
     return out
+
+
+# ---------------------------------------------------------------------------
+# kernels as they were before their data movement was rewritten, verbatim
+# apart from names; the rewritten kernels must match them bit for bit
+
+
+def _accumulate_ref(t, g):
+    if t.requires_grad:
+        t.grad = g if t.grad is None else t.grad + g
+
+
+def temporal_conv_ref(x, w, b, stride: int = 1, padding: int = 0) -> nc.Tensor:
+    """1-D cross-correlation along the temporal axis of a [C_in, T] map, or
+    of every row of an [N, C_in, T] batch with the same per-row arithmetic.
+
+    ``w`` has shape [C_out, C_in, k]; the output length is
+    floor((T + 2*padding - k) / stride) + 1.  The weight gradient of a batch
+    is one gemm over its N*T' columns.
+    """
+    xt, wt, bt = nc._t(x), nc._t(w), nc._t(b)
+    if xt.data.ndim not in (2, 3) or wt.data.ndim != 3 or bt.data.ndim != 1:
+        raise ContractError(
+            f"temporal_conv expects [C,T] or [N,C,T] x, [Co,Ci,k] w, [Co] b; got {xt.shape}, {wt.shape}, {bt.shape}"
+        )
+    c_out, c_in, k = wt.shape
+    if xt.shape[-2] != c_in or bt.shape[0] != c_out:
+        raise ContractError(f"temporal_conv shape mismatch: x {xt.shape} vs w {wt.shape}")
+    if stride < 1 or padding < 0:
+        raise ContractError(f"temporal_conv needs stride >= 1, padding >= 0; got {stride}, {padding}")
+    t_in = xt.shape[-1]
+    t_out = (t_in + 2 * padding - k) // stride + 1
+    if t_in + 2 * padding < k or t_out < 1:
+        raise ContractError(
+            f"temporal_conv empty output: T={t_in}, k={k}, stride={stride}, padding={padding}"
+        )
+    xb = xt.data.reshape(-1, c_in, t_in)
+    n = xb.shape[0]
+    xp = np.zeros((n, c_in, t_in + 2 * padding))
+    xp[:, :, padding : padding + t_in] = xb
+    cols = np.empty((n, c_in, k, t_out))
+    for j in range(k):
+        cols[:, :, j, :] = xp[:, :, j : j + stride * t_out : stride]
+    cols = cols.reshape(n, c_in * k, t_out)
+    w2 = wt.data.reshape(c_out, c_in * k)
+    y = np.matmul(w2, cols) + bt.data[:, None]
+    req = xt.requires_grad or wt.requires_grad or bt.requires_grad
+
+    def back(g):
+        g = g.reshape(n, c_out, t_out)
+        gw = g.transpose(1, 0, 2).reshape(c_out, n * t_out) @ cols.transpose(1, 0, 2).reshape(c_in * k, n * t_out).T
+        _accumulate_ref(wt, gw.reshape(wt.shape))
+        _accumulate_ref(bt, g.sum(axis=2).sum(axis=0))
+        if xt.requires_grad:
+            gk = np.matmul(w2.T, g).reshape(n, c_in, k, t_out)
+            gxp = np.zeros((n, c_in, t_in + 2 * padding))
+            for j in range(k):
+                gxp[:, :, j : j + stride * t_out : stride] += gk[:, :, j, :]
+            _accumulate_ref(xt, gxp[:, :, padding : padding + t_in].reshape(xt.shape))
+
+    return nc.Tensor(y.reshape(xt.shape[:-2] + (c_out, t_out)), req, (xt, wt, bt), back if req else None)
+
+
+def temporal_maxpool_ref(x, k: int, stride: int) -> nc.Tensor:
+    """Windowed maximum per channel; ties route gradient to the first index."""
+    xt = nc._t(x)
+    if xt.data.ndim != 2:
+        raise ContractError(f"temporal_maxpool expects [C,T], got {xt.shape}")
+    c, t_in = xt.shape
+    if t_in < k:
+        raise ContractError(f"temporal_maxpool empty output: T={t_in} < k={k}")
+    t_out = (t_in - k) // stride + 1
+    starts = np.arange(t_out) * stride
+    win = xt.data[:, starts[:, None] + np.arange(k)[None, :]]  # (C, T', k)
+    arg = win.argmax(axis=2)  # first maximal index per window
+    y = np.take_along_axis(win, arg[:, :, None], axis=2)[:, :, 0]
+    src = starts[None, :] + arg  # (C, T') source column per output cell
+    req = xt.requires_grad
+
+    def back(g):
+        gx = np.zeros_like(xt.data)
+        np.add.at(gx, (np.repeat(np.arange(c), t_out), src.ravel()), g.ravel())
+        _accumulate_ref(xt, gx)
+
+    return nc.Tensor(y, req, (xt,), back if req else None)
+
+
+def range_argmax_table_ref(x: np.ndarray) -> np.ndarray:
+    """[K, T, D] sparse table for a [D, T] map: entry (k, i, c) is the flat
+    index into ``x`` of the first maximum of x[c, i : i + 2**k] (if in range)."""
+    d, t = x.shape
+    table = np.zeros((t.bit_length(), t, d), dtype=np.int64)
+    table[0] = np.arange(d * t).reshape(d, t).T
+    val = np.ascontiguousarray(x.T)
+    for k in range(1, len(table)):
+        h = 1 << (k - 1)
+        n = t - 2 * h + 1
+        table[k, :n] = np.where(val[h:] > val[:-h], table[k - 1, h : h + n], table[k - 1, :n])
+        val = np.maximum(val[:-h], val[h:])
+    return table
+
+
+def roi_cell_selection_ref(feat_data: np.ndarray, starts: np.ndarray, ends: np.ndarray, stride: float, num_bins: int) -> np.ndarray:
+    """Flat take-indices [N, D, P] implementing max-pooled temporal bins.
+
+    Each segment is mapped to feature coordinates and clamped; each of its P
+    equal sub-intervals pools the cells whose centers fall inside it, and an
+    empty sub-interval borrows the covered cell nearest its center.  All
+    segments are resolved in one pass: every bin becomes a cell range whose
+    first maximum per channel comes from a range-argmax table.
+    """
+    d, t = feat_data.shape
+    lo = np.minimum(np.maximum(starts / stride, 0.0), float(t))
+    hi = np.minimum(np.maximum(ends / stride, 0.0), float(t))
+    outside = hi <= lo
+    if outside.any():
+        i = outside.argmax()
+        raise ContractError(f"segment [{starts[i]}, {ends[i]}] lies outside the feature extent")
+    # covered cells [first, last): centers in [lo, hi), else the cell at the middle
+    first = np.maximum(np.ceil(lo - 0.5), 0).astype(np.int64)
+    last = np.minimum(np.ceil(hi - 0.5), t).astype(np.int64)
+    empty = last <= first
+    first[empty] = np.minimum(np.maximum(np.floor(0.5 * (lo + hi)), 0), t - 1)[empty]
+    last[empty] = first[empty] + 1
+    first, last = first[:, None], last[:, None]
+    edges = lo[:, None] + (hi - lo)[:, None] * np.arange(num_bins + 1) / num_bins
+    # bin p pools covered cells [a, b): those with centers in [edge p, edge p+1)
+    bounds = np.minimum(np.maximum(np.searchsorted(np.arange(t) + 0.5, edges, side="left"), first), last)
+    a, b = bounds[:, :-1], bounds[:, 1:]
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    near = np.minimum(np.maximum(np.floor(mid - 0.5), first), last - 1).astype(np.int64)
+    after = np.minimum(near + 1, last - 1)
+    near = np.where(np.abs(after + 0.5 - mid) < np.abs(near + 0.5 - mid), after, near)
+    a, b = np.where(b > a, a, near), np.where(b > a, b, near + 1)
+    k = np.frexp(b - a)[1] - 1  # floor(log2(width))
+    # each bin is covered by two (possibly overlapping) power-of-two windows
+    table = range_argmax_table_ref(feat_data)
+    left = table.take(((k * t + a) * d)[:, :, None] + np.arange(d))
+    right = table.take(((k * t + b - (1 << k)) * d)[:, :, None] + np.arange(d))
+    return np.where(feat_data.take(right) > feat_data.take(left), right, left).transpose(0, 2, 1)

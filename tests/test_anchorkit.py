@@ -40,6 +40,36 @@ def test_first_cell_anchor_placement():
     assert (a.segment.start, a.segment.end) == (0.0, 8.0)
 
 
+@pytest.mark.parametrize("buffer_len,strides,scales", [
+    (768, ak.DEFAULT_STRIDES, ak.DEFAULT_SCALES),
+    (768, (8,), ak.SINGLE_SCALE_SCALES),
+    (96, (3, 6), ((0.5, 1.7), (2,))),
+])
+def test_grid_arrays_equal_per_anchor_loop(buffer_len, strides, scales):
+    grid = ak.build_anchor_grid(buffer_len, strides, scales)
+    want = []  # the per-anchor construction, in flat order
+    for k, (s_k, level_scales) in enumerate(zip(strides, scales)):
+        for p in range(buffer_len // s_k):
+            c = (p + 0.5) * s_k
+            for j, sc in enumerate(level_scales):
+                half = 0.5 * sc * s_k
+                want.append(ak.Anchor(ak.Segment(c - half, c + half), k, p, j))
+    assert grid.anchors == want
+    assert grid.starts.tolist() == [a.segment.start for a in want]
+    assert grid.ends.tolist() == [a.segment.end for a in want]
+    assert grid.level_of.tolist() == [a.level for a in want]
+    assert grid.position_of.tolist() == [a.position for a in want]
+    assert grid.scale_index_of.tolist() == [a.scale_index for a in want]
+    assert [a for lv in grid.levels for a in lv] == want
+    assert [len(lv) for lv in grid.levels] == [len(grid.level_indices(k)) for k in range(len(strides))]
+
+
+def test_grid_builds_anchor_objects_only_when_read():
+    grid = ak.build_anchor_grid(768)
+    assert "anchors" not in vars(grid) and "levels" not in vars(grid)
+    assert grid.levels[0][0] is grid.anchors[0]
+
+
 def test_grid_rejects_indivisible_buffer():
     with pytest.raises(ConfigError, match="divisible"):
         ak.build_anchor_grid(100)

@@ -3,9 +3,35 @@ import pytest
 
 from tfpdet import anchorkit as ak, heads, numcore as nc, pyramid as pyr
 from tfpdet.datakit import Buffer
-from tfpdet.errors import ContractError
+from tfpdet.errors import ConfigError, ContractError
 
-from oracles import acn_forward_ref, check_gradients, finalize_detections_ref, nms_ref, roi_pool_ref, tiou_ref
+from oracles import (acn_forward_ref, check_gradients, finalize_detections_ref, nms_ref, roi_cell_selection_ref,
+                     roi_pool_ref, tiou_ref)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("pos_tiou", 1.5), ("pos_tiou", -0.1), ("neg_tiou", -0.1), ("neg_tiou", 0.8), ("pos_tiou", float("nan")),
+    ("nms_tiou", 0.0), ("nms_tiou", 1.01), ("nms_tiou", float("nan")),
+])
+def test_apn_config_rejects_thresholds_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field):
+        heads.ApnConfig(scales=((1,),), **{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("fg_tiou", 1.2), ("fg_tiou", -0.5), ("score_thresh", 1.5), ("score_thresh", -0.01),
+    ("score_thresh", float("nan")), ("nms_tiou", 0.0), ("nms_tiou", 2.0),
+])
+def test_acn_config_rejects_thresholds_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=field):
+        heads.AcnConfig(num_classes=1, **{field: value})
+
+
+def test_configs_accept_threshold_bounds():
+    heads.ApnConfig(scales=((1,),), pos_tiou=1.0, neg_tiou=1.0, nms_tiou=1.0)
+    heads.ApnConfig(scales=((1,),), pos_tiou=0.0, neg_tiou=0.0, nms_tiou=1e-9)
+    heads.AcnConfig(num_classes=1, fg_tiou=0.0, score_thresh=1.0, nms_tiou=1.0)
+    heads.AcnConfig(num_classes=1, fg_tiou=1.0, score_thresh=0.0, nms_tiou=1e-9)
 
 
 def small_setup(hidden=8, buffer_len=768, variant="conv", seed=0):
@@ -13,9 +39,9 @@ def small_setup(hidden=8, buffer_len=768, variant="conv", seed=0):
     pcfg = pyr.PyramidConfig(variant=variant)
     apn_cfg = heads.ApnConfig(scales=ak.DEFAULT_SCALES)
     rng = np.random.default_rng(seed)
-    params = pyr.init_encoder_params(ecfg, rng)
-    params.update(pyr.init_pyramid_params(pcfg, hidden, rng))
-    params.update(heads.init_apn_params(hidden, apn_cfg, rng))
+    params = nc.create_params(pyr.encoder_param_specs(ecfg), rng)
+    params.update(nc.create_params(pyr.pyramid_param_specs(pcfg, hidden), rng))
+    params.update(nc.create_params(heads.apn_param_specs(hidden, apn_cfg), rng))
     return ecfg, pcfg, apn_cfg, params
 
 
@@ -51,7 +77,7 @@ def test_apn_gradcheck_through_sibling_heads():
     hidden = 3
     apn_cfg = heads.ApnConfig(scales=((1, 2),))
     rng = np.random.default_rng(2)
-    params = heads.init_apn_params(hidden, apn_cfg, rng)
+    params = nc.create_params(heads.apn_param_specs(hidden, apn_cfg), rng)
     feat = rng.standard_normal((hidden, 6))
     arrays = [feat] + [p.tensor.data for p in params.values()]
 
@@ -171,6 +197,24 @@ def test_roi_pool_matches_loop_oracle():
             assert np.array_equal(row, roi_pool_ref(feat, seg, stride, 4))
 
 
+@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("bins", [1, 2, 3, 4, 5])
+def test_cell_selection_bytes_equal_oracle(n, bins):
+    # relu'd small integers tie often; lengths from a fraction of a cell
+    # (borrowed bins) to past the whole map (clamped segments)
+    rng = np.random.default_rng(40 * n + bins)
+    for _ in range(12):
+        d, t = int(rng.integers(1, 9)), int(rng.integers(1, 100))
+        feat = np.maximum(rng.integers(-2, 4, size=(d, t)), 0).astype(np.float64)
+        stride = float(rng.choice([8, 16, 32]))
+        starts = rng.uniform(-stride, stride * t - 1, size=n)
+        ends = np.maximum(starts + rng.uniform(0.1, 1.5, size=n) * rng.choice([stride, stride * t], size=n), 1.0)
+        got = heads._roi_cell_selection(feat, starts, ends, stride, bins)
+        want = roi_cell_selection_ref(feat, starts, ends, stride, bins)
+        assert got.flags["C_CONTIGUOUS"] and got.dtype == want.dtype
+        assert got.shape == want.shape == (n, d, bins) and np.array_equal(got, want)
+
+
 def test_roi_pool_outside_extent_raises():
     segs = [ak.Segment(0.0, 20.0), ak.Segment(200.0, 220.0), ak.Segment(8.0, 40.0)]
     with pytest.raises(ContractError, match="outside"):
@@ -227,7 +271,7 @@ def test_context_window_clipped_at_start():
 def test_context_features_channel_count():
     rng = np.random.default_rng(3)
     acn_cfg = heads.AcnConfig(num_classes=2, roi_bins=4, fc_dim=16)
-    params = heads.init_acn_params(8, acn_cfg, 1, rng)
+    params = nc.create_params(heads.acn_param_specs(8, acn_cfg, 1), rng)
     feat = nc.Tensor(rng.standard_normal((8, 96)))
     out = heads.context_features(feat, np.array([100.0, 300.0]), np.array([200.0, 340.0]), 8, 4, params, 0, 768.0)
     assert out.shape == (2, 8, 4)
@@ -240,7 +284,7 @@ def test_context_features_channel_count():
 def acn_setup(strategy="s3", use_context=True, hidden=8, num_levels=3, seed=0):
     acn_cfg = heads.AcnConfig(num_classes=3, strategy=strategy, use_context=use_context, roi_bins=4, fc_dim=16)
     rng = np.random.default_rng(seed)
-    params = heads.init_acn_params(hidden, acn_cfg, num_levels, rng)
+    params = nc.create_params(heads.acn_param_specs(hidden, acn_cfg, num_levels), rng)
     feat_rng = np.random.default_rng(seed + 1)
     levels = [nc.Tensor(feat_rng.standard_normal((hidden, 96 // 2 ** k)), requires_grad=True) for k in range(num_levels)]
     pf = pyr.PyramidFeatures(levels=levels, strides=(8, 16, 32)[:num_levels])

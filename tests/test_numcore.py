@@ -7,11 +7,31 @@ import pytest
 from tfpdet import numcore as nc
 from tfpdet.errors import ConfigError, ContractError
 
-from oracles import check_gradients, max_relative_error
+from oracles import check_gradients, max_relative_error, temporal_conv_ref, temporal_maxpool_ref
 
 
 def tensor(data, grad=True):
     return nc.Tensor(np.array(data, dtype=np.float64), requires_grad=grad)
+
+
+def assert_same_bytes(a, b):
+    """Equal shape and bytes: tells -0.0 from 0.0 and compares NaN payloads."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def run_against_ref(op, ref, arrays, args, g):
+    """Forward both kernels on fresh leaves, push ``g`` back through each and
+    compare outputs and every leaf gradient byte for byte."""
+    outs = []
+    for fn in (op, ref):
+        leaves = [nc.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        y = fn(*leaves, *args)
+        y._backward(g)
+        outs.append([y.data] + [t.grad for t in leaves])
+    for got, want in zip(*outs):
+        assert_same_bytes(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +117,26 @@ def test_maxpool_matches_loop_oracle():
     y = nc.temporal_maxpool(nc.Tensor(x), 3, 2)
     ref = np.array([[max(x[c, s : s + 3]) for s in range(0, 6, 2)] for c in range(3)])
     assert np.array_equal(y.data, ref)
+
+
+@pytest.mark.parametrize("k,stride", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 2)])
+def test_maxpool_bytes_equal_argmax_oracle(k, stride):
+    # small integer values tie often; (3, 1) and (5, 2) put one input cell in
+    # three windows, where the order of the gradient adds matters
+    rng = np.random.default_rng(100 + 10 * k + stride)
+    for case in range(40):
+        c, t_in = int(rng.integers(1, 6)), int(rng.integers(k, 3 * k + 12))
+        x = rng.integers(-3, 4, size=(c, t_in)).astype(np.float64)
+        if case % 4 == 0:
+            x[rng.random(x.shape) < 0.2] = -0.0
+        g = rng.standard_normal((c, (t_in - k) // stride + 1))
+        g[rng.random(g.shape) < 0.1] = -0.0
+        run_against_ref(nc.temporal_maxpool, temporal_maxpool_ref, [x], (k, stride), g)
+
+
+def test_maxpool_nan_window_routes_to_its_first_nan():
+    x = np.array([[1.0, np.nan, np.nan, 2.0, 3.0, 3.0]])
+    run_against_ref(nc.temporal_maxpool, temporal_maxpool_ref, [x], (3, 1), np.arange(1.0, 5.0)[None])
 
 
 def test_maxpool_too_short_raises():
@@ -219,6 +259,19 @@ def test_concat_gradient_splits_exactly():
 def test_backward_rejects_non_scalar():
     with pytest.raises(ContractError, match="scalar"):
         nc.backward(tensor([[1.0, 2.0]]))
+
+
+def test_leaf_gradients_accumulate_in_buffers_of_their_own():
+    # both adds hand one gradient array to two tensors; a leaf without a
+    # buffer must copy it before the second add accumulates into it in place
+    a, b = tensor([1.0, 2.0]), tensor([3.0, 4.0])
+    a.grad = b.grad = None
+    owned = tensor([5.0, 6.0])
+    buffer = owned.grad
+    y = nc.add(nc.add(nc.add(a, b), a), owned)
+    nc.backward(nc.smooth_l1(y, nc.Tensor(np.zeros(2))))
+    assert np.array_equal(a.grad, [1.0, 1.0]) and np.array_equal(b.grad, [0.5, 0.5])
+    assert owned.grad is buffer and np.array_equal(buffer, [0.5, 0.5])
 
 
 def test_sgd_plain_gradient_step():
@@ -377,6 +430,33 @@ def test_batched_conv_equals_per_row_calls(stride, padding):
     # one gemm over all rows sums the weight gradient in another order
     np.testing.assert_allclose(wt.grad, gw, rtol=1e-12)
     np.testing.assert_allclose(bt.grad, gb, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [None, 1, 64])
+@pytest.mark.parametrize("stride,padding,k", [(1, 1, 3), (2, 1, 3), (1, 0, 1), (2, 0, 2), (1, 2, 3)])
+def test_conv_bytes_equal_oracle(n, stride, padding, k):
+    # None is a 2-D [C, T] map; T runs over the RoI bin counts 1..5 and a
+    # long map, so both scatter layouts of the input gradient are covered
+    rng = np.random.default_rng(7 * k + 3 * stride + padding + (n or 0))
+    for t_in in (1, 2, 3, 4, 5, 40):
+        if t_in + 2 * padding < k:
+            continue
+        c_in, c_out = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+        shape = (c_in, t_in) if n is None else (n, c_in, t_in)
+        x = rng.integers(-2, 3, size=shape) * 0.5 + rng.standard_normal(shape) * (rng.random(shape) < 0.5)
+        w, b = rng.standard_normal((c_out, c_in, k)), rng.standard_normal(c_out)
+        t_out = (t_in + 2 * padding - k) // stride + 1
+        g = rng.standard_normal(shape[:-2] + (c_out, t_out))
+        run_against_ref(nc.temporal_conv, temporal_conv_ref, [x, w, b], (stride, padding), g)
+
+
+def test_rows_slices_and_writes_its_gradient_rows():
+    x = tensor(np.arange(12.0).reshape(4, 3))
+    top, bottom = nc.rows(x, 0, 1), nc.rows(x, 3, 4)
+    assert np.array_equal(top.data, [[0.0, 1.0, 2.0]]) and np.array_equal(bottom.data, [[9.0, 10.0, 11.0]])
+    loss = nc.add(nc.smooth_l1(top, nc.Tensor(np.zeros((1, 3)))), nc.scale(nc.smooth_l1(bottom, nc.Tensor(np.zeros((1, 3)))), 2.0))
+    nc.backward(loss)
+    assert np.array_equal(x.grad, [[0.0, 1 / 3, 1 / 3], [0.0] * 3, [0.0] * 3, [2 / 3] * 3])
 
 
 def test_concat_batched_along_channels():

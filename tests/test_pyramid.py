@@ -9,8 +9,8 @@ from oracles import check_gradients
 
 def build_params(ecfg, pcfg, seed=0):
     rng = np.random.default_rng(seed)
-    params = pyr.init_encoder_params(ecfg, rng)
-    params.update(pyr.init_pyramid_params(pcfg, ecfg.hidden_dim, rng))
+    params = nc.create_params(pyr.encoder_param_specs(ecfg), rng)
+    params.update(nc.create_params(pyr.pyramid_param_specs(pcfg, ecfg.hidden_dim), rng))
     return params
 
 
@@ -67,8 +67,8 @@ def test_pyramid_max_is_monotone_per_channel():
 def test_conv_variant_has_parameters_max_does_not():
     ecfg = pyr.EncoderConfig(input_dim=4, hidden_dim=8)
     rng = np.random.default_rng(0)
-    assert pyr.init_pyramid_params(pyr.PyramidConfig(variant="max"), 8, rng) == {}
-    conv_params = pyr.init_pyramid_params(pyr.PyramidConfig(variant="conv"), 8, rng)
+    assert nc.create_params(pyr.pyramid_param_specs(pyr.PyramidConfig(variant="max"), 8), rng) == {}
+    conv_params = nc.create_params(pyr.pyramid_param_specs(pyr.PyramidConfig(variant="conv"), 8), rng)
     assert sorted(conv_params) == [
         "pyramid.down1.b", "pyramid.down1.w", "pyramid.down2.b", "pyramid.down2.w",
     ]
