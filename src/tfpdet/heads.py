@@ -290,7 +290,7 @@ def _roi_cell_selection(feat_data: np.ndarray, starts: np.ndarray, ends: np.ndar
     k = np.frexp(b - a)[1] - 1  # floor(log2(width))
     # each bin is covered by two (possibly overlapping) power-of-two windows;
     # both are whole-row gathers, and the later one wins only if larger
-    idx, val = _range_argmax_table(feat_data, int(k.max()) + 1)
+    idx, val = _range_argmax_table(feat_data, int(k.max(initial=0)) + 1)
     left, right = k * t + a, k * t + b - (1 << k)
     li, ri = idx[left], idx[right]
     step = (ri - li) * (val[right] > val[left])

@@ -12,11 +12,12 @@ Kernel layout rule: a kernel may change how it moves data, never the
 arithmetic.  Every BLAS call keeps its operand values and shapes (only the
 row stride of an operand may change), and every elementwise sum adds its
 terms in the order a plain scatter-add over the outputs would, so results
-are identical bit for bit whichever layout a kernel picks.  A kernel arranges its copies and additions so that
-numpy's innermost loop runs over long contiguous memory: along T for a
-single long [C, T] map, over whole [N, C] planes (time-major) for a batch
-of short sequences whose T is below N*C, and as whole T-runs moved as
-single opaque items where a copy has to transpose around short runs.
+are identical bit for bit whichever layout a kernel picks.  A kernel
+arranges its copies and additions so that numpy's innermost loop runs over
+long contiguous memory: along T within a [C, T] map, over whole [N, C]
+planes (time-major) where an input gradient is scattered back,
+and as whole T-runs moved as single opaque items where a copy has to
+transpose around short runs.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     ``w`` has shape [C_out, C_in, k]; the output length is
     floor((T + 2*padding - k) / stride) + 1.  The weight gradient of a batch
     is one gemm over its N*T' columns.  The input gradient is scattered back
-    time-major when T < N*C_in (see the layout rule above).
+    time-major (see the layout rule above).
     """
     xt, wt, bt = _t(x), _t(w), _t(b)
     if xt.data.ndim not in (2, 3) or wt.data.ndim != 3 or bt.data.ndim != 1:
@@ -262,18 +263,12 @@ def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         _accumulate(bt, g.sum(axis=2).sum(axis=0))
         if xt.requires_grad:
             gk = np.matmul(w2.T, g).reshape(n, c_in, k, t_out)
-            span = slice(padding, padding + t_in)
-            if t_in < n * c_in:  # time-major: add whole [N, C_in] planes
-                gxp = np.zeros((t_in + 2 * padding, n, c_in))
-                gkt = gk.transpose(2, 3, 0, 1)
-                for j in range(k):
-                    gxp[j : j + stride * t_out : stride] += gkt[j]
-                gx = gxp[span].transpose(1, 2, 0)
-            else:
-                gxp = np.zeros((n, c_in, t_in + 2 * padding))
-                for j in range(k):
-                    gxp[:, :, j : j + stride * t_out : stride] += gk[:, :, j, :]
-                gx = gxp[:, :, span]
+            # time-major: each tap adds whole [N, C_in] planes
+            gxp = np.zeros((t_in + 2 * padding, n, c_in))
+            gkt = gk.transpose(2, 3, 0, 1)
+            for j in range(k):
+                gxp[j : j + stride * t_out : stride] += gkt[j]
+            gx = gxp[padding : padding + t_in].transpose(1, 2, 0)
             _accumulate(xt, np.ascontiguousarray(gx).reshape(xt.shape))
 
     return Tensor(y.reshape(xt.shape[:-2] + (c_out, t_out)), req, (xt, wt, bt), back if req else None)

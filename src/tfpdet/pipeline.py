@@ -378,7 +378,7 @@ def _manifest_entries(path, manifest, expected: dict) -> list[tuple]:
     entries = []
     for e in manifest:
         name, kind, shape = e.get("name"), e.get("kind"), e.get("shape")
-        if kind not in ("value", "velocity") or name not in expected:
+        if kind not in ("value", "velocity") or not isinstance(name, str) or name not in expected:
             raise DataError(f"{path}: unexpected manifest entry {name!r} ({kind!r})")
         if not isinstance(shape, list) or tuple(shape) != expected[name] or not all(type(d) is int for d in shape):
             raise DataError(f"{path}: {name!r} has shape {shape!r}, the configs imply {list(expected[name])}")

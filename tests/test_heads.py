@@ -197,7 +197,7 @@ def test_roi_pool_matches_loop_oracle():
             assert np.array_equal(row, roi_pool_ref(feat, seg, stride, 4))
 
 
-@pytest.mark.parametrize("n", [1, 64])
+@pytest.mark.parametrize("n", [0, 1, 64])
 @pytest.mark.parametrize("bins", [1, 2, 3, 4, 5])
 def test_cell_selection_bytes_equal_oracle(n, bins):
     # relu'd small integers tie often; lengths from a fraction of a cell

@@ -158,6 +158,8 @@ HEADER_EDITS = {
     "velocity before its values": swap_value_and_velocity,
     "velocity listed twice": list_a_velocity_twice,
     "unknown parameter kind": lambda h: h["params"][1].update(kind="momentum"),
+    "parameter name not a string": lambda h: h["params"][0].update(name=[]),
+    "parameter name an object": lambda h: h["params"][0].update(name={"a": 1}),
 }
 
 
