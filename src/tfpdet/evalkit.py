@@ -17,7 +17,6 @@ from .anchorkit import segment_pairs, tiou
 from .errors import ConfigError, ContractError
 
 DETECTION_DISPLAY_THRESHOLDS = (0.5, 0.75, 0.95)
-THUMOS_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 def average_map_grid() -> tuple:

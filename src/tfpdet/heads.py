@@ -6,8 +6,11 @@ foreground) logits and (center offset, log length) regression.  Proposals
 are pooled over all levels, suppressed at tIoU 0.7 and classified by
 per-level classifiers over RoI-pooled (optionally context-fused) features;
 final detections are suppressed class-wise at tIoU 0.4.  Each level pools
-its proposals as one [N, D, P] batch (one cell selection pass, one take, one
-call per context conv), so its graph does not grow with the proposal count.
+its proposals as one [N, D, P] batch (one value-table pass, one call per
+context conv), so its graph does not grow with the proposal count.  RoI
+values are read from a range-max value table; the first-max cell indices
+that route the gradient are computed only by the backward, so a forward
+that needs no gradient never builds them.
 Post-processing runs on arrays: proposals and detections are decoded by
 ``anchorkit.decode`` per level, and NMS is exact greedy suppression over
 blocked ``anchorkit.tiou`` matrices; Python objects are built only for the
@@ -234,37 +237,17 @@ def generate_proposals(apn_out, grid: AnchorGrid, nms_tiou: float = 0.7, top_k: 
 # RoI pooling and context fusion
 
 
-def _range_argmax_table(x: np.ndarray, levels: int) -> tuple[np.ndarray, np.ndarray]:
-    """[levels*T, D] index and value tables for a [D, T] map: row k*T + i
-    holds, per channel c, the flat index into ``x`` of the first maximum of
-    x[c, i : i + 2**k] and that maximum (rows with i + 2**k > T are unused)."""
-    d, t = x.shape
-    idx = np.zeros((levels * t, d), dtype=np.int64)
-    val = np.empty(idx.shape)
-    idx[:t] = np.arange(d * t).reshape(d, t).T
-    val[:t] = x.T
-    for lo in range(t, len(idx), t):
-        h = 1 << (lo // t - 1)
-        n = t - 2 * h + 1
-        a, b = slice(lo - t, lo - t + n), slice(lo - t + h, lo - t + h + n)
-        up = val[b] > val[a]
-        idx[lo : lo + n] = idx[a] + (idx[b] - idx[a]) * up
-        np.maximum(val[a], val[b], out=val[lo : lo + n])
-    return idx, val
-
-
-def _roi_cell_selection(feat_data: np.ndarray, starts: np.ndarray, ends: np.ndarray, stride: float, num_bins: int) -> np.ndarray:
-    """Flat take-indices [N, D, P] implementing max-pooled temporal bins.
+def _roi_windows(t: int, starts: np.ndarray, ends: np.ndarray, stride: float, num_bins: int) -> tuple:
+    """Range-max table rows (left, right), each [N, P], of the two power-of-two
+    windows that cover each bin's cell range, and the table's level count.
 
     Each segment is mapped to feature coordinates and clamped; each of its P
     equal sub-intervals pools the cells whose centers fall inside it, and an
     empty sub-interval borrows the covered cell nearest its center.  All
-    segments are resolved in one pass: every bin becomes a cell range whose
-    first maximum per channel comes from a range-argmax table.  The two
-    table windows of a bin are compared by their range maxima, which equal
-    the values of the chosen cells unless a window holds a NaN.
+    segments are resolved in one pass: every bin becomes a cell range [a, b)
+    whose maximum per channel is the larger of two (possibly overlapping)
+    table windows, the later one winning only if strictly larger.
     """
-    d, t = feat_data.shape
     lo = np.minimum(np.maximum(starts / stride, 0.0), float(t))
     hi = np.minimum(np.maximum(ends / stride, 0.0), float(t))
     outside = hi <= lo
@@ -288,23 +271,99 @@ def _roi_cell_selection(feat_data: np.ndarray, starts: np.ndarray, ends: np.ndar
     near = np.where(np.abs(after + 0.5 - mid) < np.abs(near + 0.5 - mid), after, near)
     a, b = np.where(b > a, a, near), np.where(b > a, b, near + 1)
     k = np.frexp(b - a)[1] - 1  # floor(log2(width))
-    # each bin is covered by two (possibly overlapping) power-of-two windows;
-    # both are whole-row gathers, and the later one wins only if larger
-    idx, val = _range_argmax_table(feat_data, int(k.max(initial=0)) + 1)
-    left, right = k * t + a, k * t + b - (1 << k)
-    li, ri = idx[left], idx[right]
-    step = (ri - li) * (val[right] > val[left])
-    cells = np.empty((len(starts), d, num_bins), dtype=np.int64)
-    np.add(li, step, out=cells.transpose(0, 2, 1))
+    return k * t + a, k * t + b - (1 << k), int(k.max(initial=0)) + 1
+
+
+def _table_levels(t: int, rows: int):
+    """(dst, a, b) row ranges per table level: row i of level k covers
+    x[:, i : i + 2**k] as the windows of level k-1 at rows i and i + 2**(k-1)
+    (rows with i + 2**k > T are unused)."""
+    for lo in range(t, rows, t):
+        h = 1 << (lo // t - 1)
+        n = t - 2 * h + 1
+        yield slice(lo, lo + n), slice(lo - t, lo - t + n), slice(lo - t + h, lo - t + h + n)
+
+
+def _range_max_table(x: np.ndarray, levels: int) -> tuple[np.ndarray, list]:
+    """[levels*T, D] table for a [D, T] map, and per level above the first
+    the [n, D] mask of the rows where the later half-window won.
+
+    Row k*T + i holds, per channel c, the first maximum of x[c, i : i + 2**k].
+    The later half-window wins only where it is larger (``>``), so each entry
+    is the value of ``x`` at the cell that ``_first_max_cells`` picks by the
+    same masks, NaN or not.
+    """
+    d, t = x.shape
+    val = np.empty((levels * t, d))
+    val[:t] = x.T
+    ups = []
+    for dst, a, b in _table_levels(t, len(val)):
+        up = val[b] > val[a]
+        np.copyto(val[dst], val[a])
+        np.copyto(val[dst], val[b], where=up)
+        ups.append(up)
+    return val, ups
+
+
+def _pool_values(val: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[N, D, P] pooled values from the table rows (left, right) of each
+    bin, and the [P, N, D] mask of where the right window won.  Each bin is
+    two [N, D] row gathers and one select, so no temporary grows with P."""
+    (n, num_bins), d = left.shape, val.shape[1]
+    out = np.empty((n, d, num_bins))
+    wins = np.empty((num_bins, n, d), dtype=bool)
+    for p, pooled in enumerate(out.transpose(2, 0, 1)):
+        vl, vr = val.take(left[:, p], axis=0), val.take(right[:, p], axis=0)
+        np.greater(vr, vl, out=wins[p])
+        np.copyto(pooled, vl)
+        np.copyto(pooled, vr, where=wins[p])
+    return out, wins
+
+
+def _first_max_cells(t: int, ups: list, left: np.ndarray, right: np.ndarray, wins: np.ndarray) -> np.ndarray:
+    """Flat indices [N, D, P] into the [D, T] map of the cells whose values
+    ``_pool_values`` took: the masks that built the value table and chose
+    each bin's window, replayed on an index table."""
+    (n, num_bins), d = left.shape, wins.shape[2]
+    idx = np.zeros(((len(ups) + 1) * t, d), dtype=np.int64)
+    idx[:t] = np.arange(d * t).reshape(d, t).T
+    for (dst, a, b), up in zip(_table_levels(t, len(idx)), ups):
+        idx[dst] = idx[a] + (idx[b] - idx[a]) * up
+    cells = np.empty((n, d, num_bins), dtype=np.int64)
+    for p, c in enumerate(cells.transpose(2, 0, 1)):
+        li, ri = idx.take(left[:, p], axis=0), idx.take(right[:, p], axis=0)
+        np.add(li, (ri - li) * wins[p], out=c)
     return cells
+
+
+def _roi_cell_selection(feat_data: np.ndarray, starts: np.ndarray, ends: np.ndarray, stride: float, num_bins: int) -> np.ndarray:
+    """Flat take-indices [N, D, P] implementing max-pooled temporal bins:
+    per bin and channel, the first cell holding the bin's maximum (see
+    ``_roi_windows`` for the binning rules)."""
+    t = feat_data.shape[1]
+    left, right, levels = _roi_windows(t, starts, ends, stride, num_bins)
+    val, ups = _range_max_table(feat_data, levels)
+    _, wins = _pool_values(val, left, right)
+    return _first_max_cells(t, ups, left, right, wins)
 
 
 def roi_pool(level_feat, starts, ends, stride: float, num_bins: int) -> nc.Tensor:
     """Fixed-size [N, D, P] max-pooled features for N segments, given as
-    arrays of start and end frames, gathered by one take."""
+    arrays of start and end frames.
+
+    The values are read from the range-max table.  The pooled cells'
+    indices, which only the gradient needs, are computed by the backward
+    from the forward's selection masks; they are ``_roi_cell_selection``'s,
+    so the node equals ``nc.take(feat, _roi_cell_selection(...))`` bit for
+    bit.
+    """
     feat = level_feat if isinstance(level_feat, nc.Tensor) else nc.Tensor(level_feat)
-    flat = _roi_cell_selection(feat.data, np.asarray(starts, dtype=np.float64), np.asarray(ends, dtype=np.float64), stride, num_bins)
-    return nc.take(feat, flat)
+    t = feat.shape[1]
+    starts, ends = np.asarray(starts, dtype=np.float64), np.asarray(ends, dtype=np.float64)
+    left, right, levels = _roi_windows(t, starts, ends, stride, num_bins)
+    val, ups = _range_max_table(feat.data, levels)
+    out, wins = _pool_values(val, left, right)
+    return nc.gathered(feat, out, lambda: _first_max_cells(t, ups, left, right, wins))
 
 
 def context_window(starts, ends, buffer_len: float):

@@ -4,7 +4,12 @@ A fresh computation graph is built on every forward pass: each operation
 returns a new ``Tensor`` wired to its inputs through a backward closure,
 and ``backward()`` walks the graph in reverse topological order,
 accumulating gradients into every tensor on a path to a gradient-requiring
-leaf.  Only the operations the detection heads actually need are provided;
+leaf.  Only gradient-requiring tensors are recorded: a tensor that does not
+require grad keeps no parents and no backward closure, so an operation on
+inputs that need no gradient holds nothing of them once it returns, and a
+forward over non-grad views of the parameters builds no graph at all.
+
+Only the operations the detection heads actually need are provided;
 everything runs on contiguous float64 numpy arrays for exact, deterministic
 arithmetic at desk scale.
 
@@ -47,8 +52,9 @@ class Tensor:
         # ascontiguousarray would promote 0-d scalars to shape (1,)
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
-        self._parents = tuple(_parents)
-        self._backward = _backward
+        # a non-grad tensor records nothing, so its inputs can be freed
+        self._parents = tuple(_parents) if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
         self.grad = np.zeros_like(self.data) if (self.requires_grad and not _parents) else None
 
     @property
@@ -418,15 +424,23 @@ def take(x, flat_indices) -> Tensor:
     idx = np.asarray(flat_indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= xt.data.size):
         raise ContractError(f"take index out of range for size {xt.data.size}")
-    y = xt.data.reshape(-1)[idx]
+    return gathered(xt, xt.data.reshape(-1)[idx], lambda: idx)
+
+
+def gathered(x, values, flat_indices) -> Tensor:
+    """``values``, which must equal ``take(x, flat_indices())``, as a node
+    with take's backward.  ``flat_indices`` is called only by the backward,
+    so a caller that can compute the gathered values directly never builds
+    the index array of a forward that needs no gradient."""
+    xt = _t(x)
     req = xt.requires_grad
 
     def back(g):
         gx = np.zeros(xt.data.size)
-        np.add.at(gx, idx.ravel(), np.asarray(g).ravel())
+        np.add.at(gx, np.asarray(flat_indices()).ravel(), np.asarray(g).ravel())
         _accumulate(xt, gx.reshape(xt.data.shape))
 
-    return Tensor(y, req, (xt,), back if req else None)
+    return Tensor(values, req, (xt,), back if req else None)
 
 
 def rows(x, lo: int, hi: int) -> Tensor:

@@ -5,12 +5,15 @@ Each optimization step consumes one buffer of one video.  Anchors are
 matched jointly across levels, minibatches are sampled per level for each
 head, and the total loss is the level-weighted sum of classification and
 (positives-only) localization terms.  Proposal geometry is detached: the
-classifier treats decoded proposals as fixed inputs.
+classifier treats decoded proposals as fixed inputs.  Inference runs the
+same layer functions on non-grad views of the parameters, so it records no
+autograd graph.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -41,8 +44,8 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Desk-scale defaults; ``paper_preset`` restores the published
-    schedule (lr 1e-4 decayed 10x every 100k steps, 150k max)."""
+    """Desk-scale defaults.  The paper trains with lr 1e-4, decayed 10x
+    every 100k steps, for 150k steps."""
 
     sgd: nc.SgdConfig = field(default_factory=nc.SgdConfig)
     max_steps: int = 3000
@@ -60,12 +63,6 @@ class TrainConfig:
             raise ConfigError("max_steps and buffer_len must be positive")
         if self.apn_batch < 1 or self.acn_batch < 1:
             raise ConfigError("batch sizes must be positive")
-
-    @classmethod
-    def paper_preset(cls, **overrides) -> "TrainConfig":
-        sgd = nc.SgdConfig(learning_rate=1e-4, momentum=0.9, weight_decay=5e-4,
-                           lr_decay_factor=0.1, lr_decay_every=100_000)
-        return cls(sgd=sgd, max_steps=150_000, **overrides)
 
 
 class Model:
@@ -99,9 +96,14 @@ class Model:
     def parameters(self) -> list[nc.Parameter]:
         return list(self.params.values())
 
-    def forward_pyramid(self, features) -> pyramid.PyramidFeatures:
-        base = pyramid.encode(features, self.encoder_cfg, self.params)
-        return pyramid.build_pyramid(base, self.pyramid_cfg, self.params)
+    def frozen_params(self) -> dict:
+        """The parameter arrays as non-grad tensors, shared, not copied: a
+        forward over them records no graph."""
+        return {name: nc.Tensor(p.data) for name, p in self.params.items()}
+
+    def forward_pyramid(self, features, params: dict) -> pyramid.PyramidFeatures:
+        base = pyramid.encode(features, self.encoder_cfg, params)
+        return pyramid.build_pyramid(base, self.pyramid_cfg, params)
 
 
 @dataclass
@@ -228,11 +230,13 @@ def model_buffer_len(pyr: pyramid.PyramidFeatures) -> int:
 
 def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anchorkit.AnchorGrid, step: int) -> StepReport:
     """One optimization step on one buffer: forward both heads, sample
-    per-level minibatches, backpropagate the joint loss and update."""
+    per-level minibatches, backpropagate the joint loss and update.  A
+    non-finite loss raises ``ContractError`` before the update, leaving the
+    parameters and velocities as they were."""
     if buffer.features is None or buffer.features.data.size == 0:
         raise ContractError("train_step needs a buffer with features")
     rng = _step_rng(cfg.seed, step)
-    pyr = model.forward_pyramid(buffer.features)
+    pyr = model.forward_pyramid(buffer.features, model.params)
     apn_out = heads.apn_forward(pyr, model.params)
     gts = [a.segment() for a in buffer.annotations]
     gt_labels = [a.label for a in buffer.annotations]
@@ -244,13 +248,11 @@ def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anc
     )
     acn_terms, acn_pos, acn_neg = _acn_level_losses(pyr, proposals, pmatch, model, cfg, rng)
     loss = joint_loss(apn_terms, acn_terms, cfg.loss_weights)
-    nc.backward(loss)
-    nc.sgd_step(model.parameters(), cfg.sgd, step)
 
     def vals(terms, which):
         return [None if t[which] is None else t[which].item() for t in terms]
 
-    return StepReport(
+    report = StepReport(
         step=step,
         lr=cfg.sgd.effective_lr(step),
         total_loss=loss.item(),
@@ -263,6 +265,21 @@ def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anc
         acn_pos=acn_pos,
         acn_neg=acn_neg,
     )
+    _check_finite_losses(report)
+    nc.backward(loss)
+    nc.sgd_step(model.parameters(), cfg.sgd, step)
+    return report
+
+
+def _check_finite_losses(report: StepReport) -> None:
+    """Raise ``ContractError`` naming the first non-finite loss term of a
+    step (per head and level, then the total), before anything is updated."""
+    for name in ("apn_cls", "apn_loc", "acn_cls", "acn_loc"):
+        for k, v in enumerate(getattr(report, name)):
+            if v is not None and not math.isfinite(v):
+                raise ContractError(f"step {report.step}: non-finite loss {name}[{k}] = {v}")
+    if not math.isfinite(report.total_loss):
+        raise ContractError(f"step {report.step}: non-finite total_loss = {report.total_loss}")
 
 
 def pick_training_buffer(buffers_by_video: dict[str, list], cfg: TrainConfig, step: int) -> datakit.Buffer:
@@ -277,10 +294,11 @@ def pick_training_buffer(buffers_by_video: dict[str, list], cfg: TrainConfig, st
 def propose_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> list[heads.Proposal]:
     """Forward-window the video and pool proposals in video coordinates."""
     grid = anchorkit.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    params = model.frozen_params()
     out = []
     for buf in datakit.make_buffers(record, cfg.buffer_len, directions="forward"):
-        pyr = model.forward_pyramid(buf.features)
-        for p in heads.generate_proposals(heads.apn_forward(pyr, model.params), grid,
+        pyr = model.forward_pyramid(buf.features, params)
+        for p in heads.generate_proposals(heads.apn_forward(pyr, params), grid,
                                           model.apn_cfg.nms_tiou, model.apn_cfg.top_k):
             s = max(p.segment.start, 0.0) + buf.frame_offset
             e = min(p.segment.end, float(buf.num_valid)) + buf.frame_offset
@@ -291,17 +309,24 @@ def propose_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -
 
 
 def infer_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> list[heads.Detection]:
-    """Two-stage inference over forward windows, merged with a video-global
-    class-wise NMS so overlapping window analyses cannot double-report."""
+    """Two-stage inference over disjoint forward windows, on frozen
+    parameters (no graph is recorded).
+
+    ``finalize_detections`` already suppresses each window's detections
+    class-wise, and windows do not overlap, so the closing video-global
+    ``nms_detections`` cannot suppress anything; it stays only until the
+    benchmark stops reading its detection count from it.
+    """
     grid = anchorkit.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    params = model.frozen_params()
     all_dets: list[heads.Detection] = []
     for buf in datakit.make_buffers(record, cfg.buffer_len, directions="forward"):
-        pyr = model.forward_pyramid(buf.features)
-        proposals = heads.generate_proposals(heads.apn_forward(pyr, model.params), grid,
+        pyr = model.forward_pyramid(buf.features, params)
+        proposals = heads.generate_proposals(heads.apn_forward(pyr, params), grid,
                                              model.apn_cfg.nms_tiou, model.apn_cfg.top_k)
         if not proposals:
             continue
-        acn_out = heads.acn_forward(pyr, proposals, model.acn_cfg, model.params, float(cfg.buffer_len))
+        acn_out = heads.acn_forward(pyr, proposals, model.acn_cfg, params, float(cfg.buffer_len))
         all_dets.extend(
             heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf,
                                       model.acn_cfg.nms_tiou, model.acn_cfg.score_thresh)

@@ -215,6 +215,39 @@ def test_cell_selection_bytes_equal_oracle(n, bins):
         assert got.shape == want.shape == (n, d, bins) and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [0, 1, 64])
+@pytest.mark.parametrize("bins", [1, 3, 4])
+def test_roi_pool_bytes_equal_take_of_cell_selection(n, bins):
+    # values come from the range-max table and indices only from the
+    # backward; both must be those of a take through the cell selection
+    rng = np.random.default_rng(70 * n + bins)
+    for _ in range(8):
+        d, t = int(rng.integers(1, 9)), int(rng.integers(1, 100))
+        feat = np.maximum(rng.integers(-2, 4, size=(d, t)), 0).astype(np.float64)  # relu'd, tied
+        stride = float(rng.choice([8, 16, 32]))
+        starts = rng.uniform(-stride, stride * t - 1, size=n)
+        ends = np.maximum(starts + rng.uniform(0.1, 1.5, size=n) * rng.choice([stride, stride * t], size=n), 1.0)
+        g = rng.standard_normal((n, d, bins)) * 10.0 ** rng.integers(-8, 8, size=(n, d, bins))
+        outs = []
+        for pool_fn in (heads.roi_pool, lambda x, *a: nc.take(x, heads._roi_cell_selection(x.data, *a))):
+            x = nc.Tensor(feat, requires_grad=True)
+            y = pool_fn(x, starts, ends, stride, bins)
+            y._backward(g)
+            outs.append((y.data, x.grad))
+        for got, want in zip(*outs):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_roi_pool_value_table_follows_the_index_selections_through_nan():
+    # the value table takes the later window only where it is larger, so a
+    # NaN never replaces the value of the cell the indices pick
+    feat = np.array([[1.0, np.nan, 3.0, 0.0, 2.0, 5.0, np.nan, 4.0]])
+    starts, ends = np.array([0.0, 8.0, 0.0, 24.0]), np.array([32.0, 64.0, 64.0, 56.0])
+    out = heads.roi_pool(nc.Tensor(feat), starts, ends, 8.0, 1)
+    cells = heads._roi_cell_selection(feat, starts, ends, 8.0, 1)
+    assert out.data.tobytes() == feat.take(cells).tobytes()
+
+
 def test_roi_pool_outside_extent_raises():
     segs = [ak.Segment(0.0, 20.0), ak.Segment(200.0, 220.0), ak.Segment(8.0, 40.0)]
     with pytest.raises(ContractError, match="outside"):

@@ -274,6 +274,37 @@ def test_leaf_gradients_accumulate_in_buffers_of_their_own():
     assert owned.grad is buffer and np.array_equal(buffer, [0.5, 0.5])
 
 
+def test_ops_on_non_grad_inputs_record_nothing():
+    # each op's backward closure holds its operands; a non-grad result must
+    # drop both, or a forward-only pass keeps every intermediate alive
+    x, w, b = tensor(np.ones((2, 3)), grad=False), tensor(np.ones((3, 2)), grad=False), tensor([0.0, 1.0], grad=False)
+    ys = [nc.linear(x, w, b), nc.relu(x), nc.take(x, [[0, 4]]), nc.rows(x, 0, 1), nc.scale(x, 2.0),
+          nc.temporal_conv(x, tensor(np.ones((1, 2, 1)), grad=False), tensor([0.0], grad=False)),
+          nc.gathered(x, np.ones(2), lambda: [0, 1])]
+    for y in ys:
+        assert not y.requires_grad and y._parents == () and y._backward is None and y.grad is None
+    # one gradient-requiring operand is enough to record the node
+    y = nc.linear(x, tensor(np.ones((3, 2))), b)
+    assert y.requires_grad and len(y._parents) == 3 and y._backward is not None
+
+
+def test_gathered_equals_take_and_builds_indices_only_for_backward():
+    rng = np.random.default_rng(3)
+    data = rng.standard_normal((4, 5))
+    idx = rng.integers(0, 20, size=(6, 3))  # repeats: the scatter order matters
+    g = rng.standard_normal(idx.shape)
+    calls = []
+
+    def indices():
+        calls.append(1)
+        return idx
+
+    run_against_ref(lambda x: nc.gathered(x, x.data.reshape(-1)[idx], indices), lambda x: nc.take(x, idx), [data], (), g)
+    assert len(calls) == 1
+    nc.gathered(tensor(data, grad=False), np.zeros(idx.shape), indices)
+    assert len(calls) == 1
+
+
 def test_sgd_plain_gradient_step():
     p = nc.Parameter("p", nc.Tensor([1.0], requires_grad=True), ("constant", 1.0))
     p.tensor.grad = np.array([1.0])

@@ -52,6 +52,48 @@ def test_propose_video_sorted_in_range_and_repeatable():
     assert pipeline.propose_video(rec, model, cfg) == props
 
 
+def infer_video_taped(record, model, cfg):
+    """``infer_video`` run on the gradient-requiring parameters, recording
+    the autograd graph of every window."""
+    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    dets = []
+    for buf in datakit.make_buffers(record, cfg.buffer_len, directions="forward"):
+        pyramid_out = model.forward_pyramid(buf.features, model.params)
+        proposals = heads.generate_proposals(heads.apn_forward(pyramid_out, model.params), grid,
+                                             model.apn_cfg.nms_tiou, model.apn_cfg.top_k)
+        acn_out = heads.acn_forward(pyramid_out, proposals, model.acn_cfg, model.params, float(cfg.buffer_len))
+        assert all(cls.requires_grad for _, cls, _ in acn_out)
+        dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf,
+                                              model.acn_cfg.nms_tiou, model.acn_cfg.score_thresh))
+    return heads.nms_detections(dets, model.acn_cfg.nms_tiou)
+
+
+def parameter_bytes(model):
+    return {n: (p.data.tobytes(), p.tensor.grad.tobytes(), p.velocity.tobytes()) for n, p in model.params.items()}
+
+
+def test_infer_video_records_no_graph_and_equals_a_taped_forward(monkeypatch):
+    model, cfg, rec = small_model(), pipeline.TrainConfig(), two_window_video()
+    rng = np.random.default_rng(6)
+    for p in model.params.values():
+        p.tensor.grad = rng.standard_normal(p.data.shape)  # as if mid-accumulation
+    before = parameter_bytes(model)
+    outputs = []
+    acn_forward = heads.acn_forward
+
+    def recording_acn_forward(*args, **kwargs):
+        out = acn_forward(*args, **kwargs)
+        outputs.extend(t for _, cls, reg in out for t in (cls, reg) if t is not None)
+        return out
+
+    monkeypatch.setattr(heads, "acn_forward", recording_acn_forward)
+    dets = pipeline.infer_video(rec, model, cfg)
+    assert outputs and all(not t.requires_grad and t._parents == () for t in outputs)
+    assert parameter_bytes(model) == before
+    monkeypatch.setattr(heads, "acn_forward", acn_forward)
+    assert dets and dets == infer_video_taped(rec, model, cfg)
+
+
 def annotated_buffers():
     """Both windows of a fixed-seed 1,200-frame video with three activities."""
     acts = [datakit.Activity(40.0, 120.0, 1), datakit.Activity(300.0, 420.0, 2), datakit.Activity(900.0, 960.0, 1)]
@@ -69,6 +111,36 @@ def test_same_seed_training_is_byte_identical():
         runs.append((reports, {n: (p.data.tobytes(), p.velocity.tobytes()) for n, p in model.params.items()}))
     assert runs[0] == runs[1]
     assert sum(sum(r["acn_pos"]) + sum(r["acn_neg"]) for r in runs[0][0]) > 0  # both heads trained
+
+
+def test_non_finite_loss_raises_before_any_update():
+    model, cfg = small_model(), pipeline.TrainConfig(seed=5)
+    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    bufs = annotated_buffers()
+    pipeline.train_step(bufs[0], model, cfg, grid, 0)  # non-zero velocities
+    features = bufs[1].features.data.copy()
+    features[2, 100] = np.nan
+    bad = datakit.Buffer(bufs[1].video_id, bufs[1].frame_offset, bufs[1].direction, Tensor(features),
+                         bufs[1].annotations, bufs[1].num_valid)
+    before = parameter_bytes(model)
+    with pytest.raises(ContractError, match=r"step 1: non-finite loss (apn|acn)_(cls|loc)\[\d\] = nan"):
+        pipeline.train_step(bad, model, cfg, grid, 1)
+    assert parameter_bytes(model) == before
+
+
+def test_checkpoint_round_trip_then_step_is_byte_identical(tmp_path):
+    cfg = pipeline.TrainConfig(seed=5)
+    model, bufs = small_model(), annotated_buffers()
+    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    for step in range(2):
+        pipeline.train_step(bufs[step % 2], model, cfg, grid, step)
+    path = tmp_path / "m.tfpm"
+    pipeline.save_checkpoint(path, model, cfg, 2)
+    loaded, loaded_cfg, step = pipeline.load_checkpoint(path)
+    assert step == 2 and loaded_cfg == cfg
+    reports = [pipeline.train_step(bufs[0], m, loaded_cfg, grid, step).to_json_dict() for m in (model, loaded)]
+    assert json.dumps(reports[0]) == json.dumps(reports[1]) and sum(reports[0]["acn_pos"]) + sum(reports[0]["acn_neg"]) > 0
+    assert parameter_bytes(loaded) == parameter_bytes(model)
 
 
 def test_joint_loss_weights_levels_by_gamma_and_lambda():
