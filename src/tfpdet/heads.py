@@ -299,8 +299,7 @@ def _range_max_table(x: np.ndarray, levels: int) -> tuple[np.ndarray, list]:
     ups = []
     for dst, a, b in _table_levels(t, len(val)):
         up = val[b] > val[a]
-        np.copyto(val[dst], val[a])
-        np.copyto(val[dst], val[b], where=up)
+        val[dst] = np.where(up, val[b], val[a])
         ups.append(up)
     return val, ups
 
@@ -315,8 +314,7 @@ def _pool_values(val: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[
     for p, pooled in enumerate(out.transpose(2, 0, 1)):
         vl, vr = val.take(left[:, p], axis=0), val.take(right[:, p], axis=0)
         np.greater(vr, vl, out=wins[p])
-        np.copyto(pooled, vl)
-        np.copyto(pooled, vr, where=wins[p])
+        pooled[...] = np.where(wins[p], vr, vl)
     return out, wins
 
 
