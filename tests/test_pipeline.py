@@ -61,6 +61,8 @@ def infer_video_taped(record, model, cfg):
         pyramid_out = model.forward_pyramid(buf.features, model.params)
         proposals = heads.generate_proposals(heads.apn_forward(pyramid_out, model.params), grid,
                                              model.apn_cfg.nms_tiou, model.apn_cfg.top_k)
+        if not proposals:
+            continue
         acn_out = heads.acn_forward(pyramid_out, proposals, model.acn_cfg, model.params, float(cfg.buffer_len))
         assert all(cls.requires_grad for _, cls, _ in acn_out)
         dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf,
