@@ -7,7 +7,6 @@ unclipped at generation; clipping happens only when proposals are decoded.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,22 +49,11 @@ class Segment:
         return 0.5 * (self.start + self.end)
 
 
-@dataclass(frozen=True)
-class Anchor:
-    """A reference window at (level, position, scale_index) on the grid."""
-
-    segment: Segment
-    level: int
-    position: int
-    scale_index: int
-
-
 class AnchorGrid:
     """All anchors of all levels as flat arrays for matching and decoding.
 
     Anchor order is level-major, then position, then scale index; the flat
-    index in that order is the tie-break key everywhere.  The ``Anchor``
-    objects of ``anchors`` and ``levels`` are built on first use only.
+    index in that order is the tie-break key everywhere.
     """
 
     def __init__(self, starts, ends, level_of, position_of, scale_index_of, strides, buffer_len: int):
@@ -84,16 +72,6 @@ class AnchorGrid:
 
     def level_indices(self, k: int) -> np.ndarray:
         return np.arange(self.level_offsets[k], self.level_offsets[k + 1])
-
-    @functools.cached_property
-    def anchors(self) -> list[Anchor]:
-        cols = (self.starts, self.ends, self.level_of, self.position_of, self.scale_index_of)
-        return [Anchor(Segment(s, e), k, p, j) for s, e, k, p, j in zip(*(c.tolist() for c in cols))]
-
-    @functools.cached_property
-    def levels(self) -> list[list[Anchor]]:
-        offs = self.level_offsets.tolist()
-        return [self.anchors[lo:hi] for lo, hi in zip(offs, offs[1:])]
 
 
 def build_anchor_grid(buffer_len: int, strides=DEFAULT_STRIDES, scales=DEFAULT_SCALES) -> AnchorGrid:

@@ -269,8 +269,8 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
     shifted; a clipped instance keeping less than half its original length
     is dropped.
     """
-    if buf_len % MAX_PYRAMID_STRIDE != 0:
-        raise ConfigError(f"buf_len {buf_len} must be a multiple of {MAX_PYRAMID_STRIDE}")
+    if buf_len < 1 or buf_len % MAX_PYRAMID_STRIDE != 0:
+        raise ConfigError(f"buf_len {buf_len} must be a positive multiple of {MAX_PYRAMID_STRIDE}")
     if record.features is None:
         raise ContractError(f"video {record.video_id!r} has no features loaded")
     if directions not in ("both", "forward"):

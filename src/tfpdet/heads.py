@@ -207,8 +207,9 @@ def nms_indices(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray, thresh
     return order[kept].tolist()
 
 
-def generate_proposals(apn_out, grid: AnchorGrid, nms_tiou: float = 0.7, top_k: int = 100) -> list[Proposal]:
-    """Score and decode every anchor, then pool all levels through NMS."""
+def generate_proposals(apn_out, grid: AnchorGrid, cfg: ApnConfig) -> list[Proposal]:
+    """Score and decode every anchor, then pool all levels through NMS at
+    ``cfg.nms_tiou``, keeping at most ``cfg.top_k``."""
     starts, ends, scores, levels = [], [], [], []
     hi = float(grid.buffer_len)
     for k, (cls, reg) in enumerate(apn_out):
@@ -229,7 +230,7 @@ def generate_proposals(apn_out, grid: AnchorGrid, nms_tiou: float = 0.7, top_k: 
     levels = np.concatenate(levels)
     if not scores.size:
         return []
-    kept = nms_indices(starts, ends, scores, nms_tiou, top_k)
+    kept = nms_indices(starts, ends, scores, cfg.nms_tiou, cfg.top_k)
     return [Proposal(Segment(starts[i], ends[i]), float(scores[i]), int(levels[i])) for i in kept]
 
 
@@ -441,14 +442,15 @@ def _softmax(rows: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=1, keepdims=True)
 
 
-def finalize_detections(acn_out, proposals: list[Proposal], cfg: AcnConfig, buffer, nms_tiou: float = 0.4, score_thresh: float = 0.05) -> list[Detection]:
+def finalize_detections(acn_out, proposals: list[Proposal], cfg: AcnConfig, buffer) -> list[Detection]:
     """Turn classifier outputs into video-coordinate detections.
 
     Every (proposal, level) output contributes one candidate per
-    non-background class whose posterior clears ``score_thresh``; its
+    non-background class whose posterior clears ``cfg.score_thresh``; its
     segment is the class-specific refinement of the proposal, clipped to
     the buffer's valid content.  Each class's candidates, in (level, row)
-    order, then pass NMS and are shifted into video coordinates.
+    order, then pass NMS at ``cfg.nms_tiou`` and are shifted into video
+    coordinates.
     """
     prop = segment_pairs([p.segment for p in proposals])
     cands = [[] for _ in range(cfg.num_classes)]  # per class: (starts, ends, scores) per level
@@ -458,7 +460,7 @@ def finalize_detections(acn_out, proposals: list[Proposal], cfg: AcnConfig, buff
         post = _softmax(cls.data)[:, 1:]
         seg = prop[idx]
         s, e, ok = decode(seg[:, :1], seg[:, 1:], reg.data[:, 0::2], reg.data[:, 1::2], (0.0, float(buffer.num_valid)))
-        live = ~(post < score_thresh) & ok
+        live = ~(post < cfg.score_thresh) & ok
         for c, parts in enumerate(cands):
             m = live[:, c]
             if m.any():
@@ -469,7 +471,7 @@ def finalize_detections(acn_out, proposals: list[Proposal], cfg: AcnConfig, buff
         if not parts:
             continue
         st, en, sc = (np.concatenate(x) for x in zip(*parts))
-        for i in nms_indices(st, en, sc, nms_tiou):
+        for i in nms_indices(st, en, sc, cfg.nms_tiou):
             detections.append(Detection(Segment(st[i] + off, en[i] + off), c, float(sc[i]), buffer.video_id))
     detections.sort(key=lambda d: (-d.score, d.label, d.segment.start))
     return detections

@@ -72,16 +72,11 @@ class Tensor:
 
 @dataclass(eq=False)
 class Parameter:
-    """A named, trainable tensor with its initialization recipe.
-
-    ``init_spec`` is either ``("gaussian", mean, stddev)`` or
-    ``("constant", value)`` and is applied exactly once at creation.
-    ``velocity`` is the SGD momentum buffer (same shape as the values).
+    """A trainable tensor plus its SGD momentum buffer ``velocity`` (same
+    shape as the values).  Its name is its key in the parameter dict.
     """
 
-    name: str
     tensor: Tensor
-    init_spec: tuple
     velocity: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
@@ -89,7 +84,9 @@ class Parameter:
             self.velocity = np.zeros_like(self.tensor.data)
 
     @classmethod
-    def create(cls, name: str, shape, init_spec: tuple, rng: np.random.Generator) -> "Parameter":
+    def create(cls, shape, init_spec: tuple, rng: np.random.Generator) -> "Parameter":
+        """Draw the values once from ``init_spec``: ``("gaussian", mean,
+        stddev)`` or ``("constant", value)``."""
         kind = init_spec[0]
         if kind == "gaussian":
             _, mean, std = init_spec
@@ -98,7 +95,7 @@ class Parameter:
             data = np.full(shape, float(init_spec[1]))
         else:
             raise ConfigError(f"unknown init spec {init_spec!r}")
-        return cls(name=name, tensor=Tensor(data, requires_grad=True), init_spec=init_spec)
+        return cls(Tensor(data, requires_grad=True))
 
     @property
     def data(self) -> np.ndarray:
@@ -108,7 +105,7 @@ class Parameter:
 def create_params(specs, rng: np.random.Generator) -> dict:
     """Named parameters from (name, shape, init_spec) triples, drawn from
     ``rng`` in order."""
-    return {name: Parameter.create(name, shape, init_spec, rng) for name, shape, init_spec in specs}
+    return {name: Parameter.create(shape, init_spec, rng) for name, shape, init_spec in specs}
 
 
 @dataclass(frozen=True)

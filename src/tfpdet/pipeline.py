@@ -7,7 +7,10 @@ head, and the total loss is the level-weighted sum of classification and
 (positives-only) localization terms.  Proposal geometry is detached: the
 classifier treats decoded proposals as fixed inputs.  Inference runs the
 same layer functions on non-grad views of the parameters, so it records no
-autograd graph.
+autograd graph.  A checkpoint (TFPM version 2) is the configs plus the
+arrays: its header holds the configs, the step and the parameter names in
+``Model.param_specs`` order, its payload each parameter's values and then
+velocity as f64.  Changing that order needs a new version.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from . import anchorkit, datakit, heads, numcore as nc, pyramid
 from .errors import ConfigError, ContractError, DataError
 
 CHECKPOINT_MAGIC = b"TFPM"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -242,7 +246,7 @@ def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anc
     gt_labels = [a.label for a in buffer.annotations]
     match = anchorkit.match_anchors_apn(grid, gts, model.apn_cfg.pos_tiou, model.apn_cfg.neg_tiou)
     apn_terms, apn_pos, apn_neg = _apn_level_losses(apn_out, grid, match, cfg, rng)
-    proposals = heads.generate_proposals(apn_out, grid, model.apn_cfg.nms_tiou, model.apn_cfg.top_k)
+    proposals = heads.generate_proposals(apn_out, grid, model.apn_cfg)
     pmatch = anchorkit.match_proposals_acn(
         [p.segment for p in proposals], gts, gt_labels, model.acn_cfg.fg_tiou
     )
@@ -298,8 +302,7 @@ def propose_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -
     out = []
     for buf in datakit.make_buffers(record, cfg.buffer_len, directions="forward"):
         pyr = model.forward_pyramid(buf.features, params)
-        for p in heads.generate_proposals(heads.apn_forward(pyr, params), grid,
-                                          model.apn_cfg.nms_tiou, model.apn_cfg.top_k):
+        for p in heads.generate_proposals(heads.apn_forward(pyr, params), grid, model.apn_cfg):
             s = max(p.segment.start, 0.0) + buf.frame_offset
             e = min(p.segment.end, float(buf.num_valid)) + buf.frame_offset
             if e - s >= 1.0:
@@ -322,15 +325,11 @@ def infer_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> 
     all_dets: list[heads.Detection] = []
     for buf in datakit.make_buffers(record, cfg.buffer_len, directions="forward"):
         pyr = model.forward_pyramid(buf.features, params)
-        proposals = heads.generate_proposals(heads.apn_forward(pyr, params), grid,
-                                             model.apn_cfg.nms_tiou, model.apn_cfg.top_k)
+        proposals = heads.generate_proposals(heads.apn_forward(pyr, params), grid, model.apn_cfg)
         if not proposals:
             continue
         acn_out = heads.acn_forward(pyr, proposals, model.acn_cfg, params, float(cfg.buffer_len))
-        all_dets.extend(
-            heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf,
-                                      model.acn_cfg.nms_tiou, model.acn_cfg.score_thresh)
-        )
+        all_dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
     return heads.nms_detections(all_dets, model.acn_cfg.nms_tiou)
 
 
@@ -338,91 +337,69 @@ def infer_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> 
 # checkpoint container
 
 
-def _config_header(model: Model, train_cfg: TrainConfig) -> dict:
-    return {
-        "encoder": asdict(model.encoder_cfg),
-        "pyramid": asdict(model.pyramid_cfg),
-        "apn": asdict(model.apn_cfg),
-        "acn": asdict(model.acn_cfg),
-        "train": asdict(train_cfg),
-    }
+@dataclass(frozen=True)
+class _Configs:
+    """The configs a checkpoint header records; they define the model."""
+
+    encoder: pyramid.EncoderConfig
+    pyramid: pyramid.PyramidConfig
+    apn: heads.ApnConfig
+    acn: heads.AcnConfig
+    train: TrainConfig
 
 
 def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> None:
-    """Write the TFPM container: magic, version, JSON header, f64 payloads.
+    """Write the TFPM container, version 2: magic, little-endian u32
+    version and header length, JSON header, payload.
 
-    Every parameter contributes two manifest entries (its values and its
-    momentum velocity); payloads follow in manifest order, little-endian.
+    The header holds ``configs``, ``step`` and ``params``, the parameter
+    names in ``Model.param_specs`` order.  The payload holds each parameter's
+    values and then its momentum velocity, in that order, as little-endian
+    f64; shapes come from the configs alone.  A code change to what
+    ``param_specs`` gives for the same configs (names, order or shapes)
+    changes this layout and needs a new version; the name list makes older
+    files fail to load rather than load wrong.
     """
-    manifest = []
-    payloads = []
-    for name, p in model.params.items():
-        manifest.append({"name": name, "shape": list(p.tensor.data.shape), "kind": "value",
-                         "init_spec": list(p.init_spec)})
-        payloads.append(np.ascontiguousarray(p.tensor.data, dtype="<f8").tobytes())
-        manifest.append({"name": name, "shape": list(p.velocity.shape), "kind": "velocity"})
-        payloads.append(np.ascontiguousarray(p.velocity, dtype="<f8").tobytes())
-    header = {
-        "configs": _config_header(model, train_cfg),
-        "step": int(step),
-        "seed": int(train_cfg.seed),
-        "params": manifest,
-    }
+    cfgs = _Configs(model.encoder_cfg, model.pyramid_cfg, model.apn_cfg, model.acn_cfg, train_cfg)
+    names = [name for name, _, _ in Model.param_specs(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn)]
+    header = {"configs": asdict(cfgs), "step": int(step), "params": names}
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(hb)))
         f.write(hb)
-        for blob in payloads:
-            f.write(blob)
+        for name in names:
+            p = model.params[name]
+            f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(p.velocity, dtype="<f8").tobytes())
 
 
-def _configs_from_header(cfgs: dict) -> tuple:
-    encoder_cfg = pyramid.EncoderConfig(**cfgs["encoder"])
-    pc = dict(cfgs["pyramid"])
-    pc["strides"] = tuple(pc["strides"])
-    pyramid_cfg = pyramid.PyramidConfig(**pc)
-    ac = dict(cfgs["apn"])
-    ac["scales"] = tuple(tuple(s) for s in ac["scales"])
-    apn_cfg = heads.ApnConfig(**ac)
-    acn_cfg = heads.AcnConfig(**cfgs["acn"])
-    tc = dict(cfgs["train"])
-    tc["sgd"] = nc.SgdConfig(**tc["sgd"])
-    lw = tc["loss_weights"]
-    tc["loss_weights"] = LossWeights(gamma=tuple(lw["gamma"]), lam=tuple(lw["lam"]))
-    train_cfg = TrainConfig(**tc)
-    return encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, train_cfg
-
-
-def _manifest_entries(path, manifest, expected: dict) -> list[tuple]:
-    """(name, kind, shape, init_spec) per manifest entry, after checking that
-    every parameter in ``expected`` (name -> shape) appears exactly once as a
-    value and once as a velocity, with its shape, and nothing else does."""
-    if not isinstance(manifest, list) or not all(isinstance(e, dict) for e in manifest):
-        raise DataError(f"{path}: checkpoint manifest is not a list of objects")
-    entries = []
-    for e in manifest:
-        name, kind, shape = e.get("name"), e.get("kind"), e.get("shape")
-        if kind not in ("value", "velocity") or not isinstance(name, str) or name not in expected:
-            raise DataError(f"{path}: unexpected manifest entry {name!r} ({kind!r})")
-        if not isinstance(shape, list) or tuple(shape) != expected[name] or not all(type(d) is int for d in shape):
-            raise DataError(f"{path}: {name!r} has shape {shape!r}, the configs imply {list(expected[name])}")
-        init_spec = e.get("init_spec")
-        if kind == "value" and not isinstance(init_spec, list):
-            raise DataError(f"{path}: {name!r} has no init_spec list")
-        entries.append((name, kind, expected[name], init_spec))
-    pairs = {(name, kind) for name, kind, _, _ in entries}
-    want = {(name, kind) for name in expected for kind in ("value", "velocity")}
-    if len(pairs) != len(entries) or pairs != want:
-        missing = sorted(want - pairs)
-        raise DataError(f"{path}: manifest does not match the configs (missing {missing[:3]}, or duplicates)")
-    return entries
+def _decode(tp, value, where: str):
+    """``value``, read from JSON, as a config field of type ``tp``.  A config
+    dataclass needs an object with exactly its fields, each decoded by its
+    annotation.  A tuple needs a list; nested lists become tuples and other
+    items must be numbers.  An int needs an integer (not a bool), a bool or
+    str exactly that type, and a float a finite number."""
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        if not isinstance(value, dict) or set(value) != set(hints):
+            raise DataError(f"{where}: expected an object with exactly the fields of {tp.__name__}")
+        return tp(**{name: _decode(hints[name], v, f"{where}.{name}") for name, v in value.items()})
+    if tp is tuple and isinstance(value, list):
+        return tuple(_decode(tuple if isinstance(v, list) else int if type(v) is int else float, v, f"{where}[{i}]")
+                     for i, v in enumerate(value))
+    if tp is float:
+        return datakit._number(value, where)
+    if tp in (int, bool, str) and type(value) is tp:
+        return value
+    raise DataError(f"{where}: expected {tp.__name__}, got {value!r}")
 
 
 def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
-    """Read a TFPM container; any malformed or inconsistent content raises
-    ``DataError``.  The manifest must list exactly the parameters, with the
-    shapes, that ``Model.param_specs`` gives for the header's configs."""
+    """Read a TFPM version 2 container; any malformed or inconsistent
+    content raises ``DataError``.  The header's ``params`` must equal the
+    names that ``Model.param_specs`` gives for its configs, and the payload
+    must hold 16 bytes per parameter element, before anything is allocated."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic")
@@ -435,30 +412,25 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: unreadable checkpoint header: {exc}") from exc
-    params: dict[str, nc.Parameter] = {}  # filled from the payloads below
+    if not isinstance(header, dict) or set(header) != {"configs", "step", "params"}:
+        raise DataError(f"{path}: checkpoint header needs exactly the keys configs, step and params")
+    if type(header["step"]) is not int:
+        raise DataError(f"{path}: checkpoint step {header['step']!r} is not an integer")
+    params: dict[str, nc.Parameter] = {}  # filled from the payload below
     try:
-        configs = _configs_from_header(header["configs"])
-        step, manifest = header["step"], header["params"]
-        model = Model(*configs[:4], params)
-        expected = {name: tuple(shape) for name, shape, _ in Model.param_specs(*configs[:4])}
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise DataError(f"{path}: malformed checkpoint header: {exc!r}") from exc
-    if type(step) is not int:
-        raise DataError(f"{path}: checkpoint step {step!r} is not an integer")
+        cfgs = _decode(_Configs, header["configs"], f"{path}: configs")
+        model = Model(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn, params)
+        specs = Model.param_specs(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn)
+    except (TypeError, ConfigError) as exc:
+        raise DataError(f"{path}: invalid checkpoint configs: {exc!r}") from exc
+    if header["params"] != [name for name, _, _ in specs]:
+        raise DataError(f"{path}: checkpoint params are not the parameters of its configs, in order")
+    sizes = [math.prod(shape) for _, shape, _ in specs]
     offset = 12 + hlen
-    for name, kind, shape, init_spec in _manifest_entries(path, manifest, expected):
-        count = int(np.prod(shape)) if shape else 1
-        if offset + 8 * count > len(raw):
-            raise DataError(f"{path}: truncated payload for {name!r}")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += 8 * count
-        if kind == "value":
-            params[name] = nc.Parameter(name=name, tensor=nc.Tensor(arr, requires_grad=True),
-                                        init_spec=tuple(init_spec))
-        else:
-            if name not in params:
-                raise DataError(f"{path}: velocity for {name!r} precedes its values")
-            params[name].velocity = arr
-    if offset != len(raw):
-        raise DataError(f"{path}: {len(raw) - offset} trailing bytes")
-    return model, configs[4], step
+    if len(raw) - offset != 16 * sum(sizes):
+        raise DataError(f"{path}: payload has {len(raw) - offset} bytes, the configs need {16 * sum(sizes)}")
+    for (name, shape, _), size in zip(specs, sizes):
+        values, velocity = np.frombuffer(raw, dtype="<f8", count=2 * size, offset=offset).reshape((2, *shape))
+        params[name] = nc.Parameter(nc.Tensor(values.copy(), requires_grad=True), velocity.copy())
+        offset += 16 * size
+    return model, cfgs.train, header["step"]

@@ -17,7 +17,8 @@ import numpy as np
 from . import numcore as nc
 from .errors import ConfigError
 
-ENCODER_STRIDE = 8
+ENCODER_BLOCKS = 3  # conv+relu+pool blocks, each halving the length
+ENCODER_STRIDE = 2 ** ENCODER_BLOCKS
 
 # Initialization follows the split between the backbone stand-in and the
 # detection-specific layers: the encoder replaces a pretrained feature
@@ -31,15 +32,10 @@ HEAD_BIAS = 0.1
 class EncoderConfig:
     input_dim: int
     hidden_dim: int = 64
-    num_blocks: int = 3
 
     def __post_init__(self):
         if self.input_dim < 1 or self.hidden_dim < 1:
             raise ConfigError("encoder dims must be positive")
-        if 2 ** self.num_blocks != ENCODER_STRIDE:
-            raise ConfigError(
-                f"encoder must have total stride {ENCODER_STRIDE}; {self.num_blocks} blocks give {2 ** self.num_blocks}"
-            )
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ class PyramidFeatures:
 def encoder_param_specs(cfg: EncoderConfig) -> list[tuple]:
     """(name, shape, init_spec) of every encoder parameter, in creation order."""
     specs, c_in = [], cfg.input_dim
-    for i in range(cfg.num_blocks):
+    for i in range(ENCODER_BLOCKS):
         std = math.sqrt(2.0 / (c_in * 3))
         specs.append((f"encoder.block{i}.w", (cfg.hidden_dim, c_in, 3), ("gaussian", 0.0, std)))
         specs.append((f"encoder.block{i}.b", (cfg.hidden_dim,), ("constant", HEAD_BIAS)))
@@ -96,7 +92,7 @@ def encode(buffer_features, cfg: EncoderConfig, params: dict) -> nc.Tensor:
         raise ConfigError(f"encoder expects {cfg.input_dim} input channels, got {x.shape[0]}")
     if x.shape[1] % ENCODER_STRIDE != 0:
         raise ConfigError(f"buffer length {x.shape[1]} not divisible by encoder stride {ENCODER_STRIDE}")
-    for i in range(cfg.num_blocks):
+    for i in range(ENCODER_BLOCKS):
         x = nc.relu(nc.temporal_conv(x, params[f"encoder.block{i}.w"], params[f"encoder.block{i}.b"], stride=1, padding=1))
         x = nc.temporal_maxpool(x, k=2, stride=2)
     return x

@@ -14,13 +14,22 @@ def seg(s, e):
     return ak.Segment(s, e)
 
 
+def grid_segments(grid):
+    return [seg(s, e) for s, e in zip(grid.starts.tolist(), grid.ends.tolist())]
+
+
+def level_lengths(grid, k):
+    idx = grid.level_indices(k)
+    return sorted(set((grid.ends[idx] - grid.starts[idx]).tolist()))
+
+
 # ---------------------------------------------------------------------------
 # grid construction
 
 
 def test_grid_level_lengths_match_scale_ranges():
     grid = ak.build_anchor_grid(768)
-    lengths = [sorted({a.segment.length for a in lv}) for lv in grid.levels]
+    lengths = [level_lengths(grid, k) for k in range(3)]
     assert lengths[0] == [8, 16, 24, 32, 40, 48, 56]
     assert lengths[1] == [64, 80, 96, 112, 128, 144, 160]
     assert lengths[2] == list(range(192, 513, 32))
@@ -28,16 +37,14 @@ def test_grid_level_lengths_match_scale_ranges():
 
 def test_grid_counts():
     grid = ak.build_anchor_grid(768)
-    assert [len(lv) for lv in grid.levels] == [96 * 7, 48 * 7, 24 * 11]
+    assert [len(grid.level_indices(k)) for k in range(3)] == [96 * 7, 48 * 7, 24 * 11]
     assert len(grid) == 1272
 
 
 def test_first_cell_anchor_placement():
     grid = ak.build_anchor_grid(768)
-    a = grid.levels[0][0]
-    assert (a.level, a.position, a.scale_index) == (0, 0, 0)
-    assert a.segment.center == 4.0
-    assert (a.segment.start, a.segment.end) == (0.0, 8.0)
+    assert (grid.level_of[0], grid.position_of[0], grid.scale_index_of[0]) == (0, 0, 0)
+    assert (grid.starts[0], grid.ends[0]) == (0.0, 8.0)
 
 
 @pytest.mark.parametrize("buffer_len,strides,scales", [
@@ -53,21 +60,11 @@ def test_grid_arrays_equal_per_anchor_loop(buffer_len, strides, scales):
             c = (p + 0.5) * s_k
             for j, sc in enumerate(level_scales):
                 half = 0.5 * sc * s_k
-                want.append(ak.Anchor(ak.Segment(c - half, c + half), k, p, j))
-    assert grid.anchors == want
-    assert grid.starts.tolist() == [a.segment.start for a in want]
-    assert grid.ends.tolist() == [a.segment.end for a in want]
-    assert grid.level_of.tolist() == [a.level for a in want]
-    assert grid.position_of.tolist() == [a.position for a in want]
-    assert grid.scale_index_of.tolist() == [a.scale_index for a in want]
-    assert [a for lv in grid.levels for a in lv] == want
-    assert [len(lv) for lv in grid.levels] == [len(grid.level_indices(k)) for k in range(len(strides))]
-
-
-def test_grid_builds_anchor_objects_only_when_read():
-    grid = ak.build_anchor_grid(768)
-    assert "anchors" not in vars(grid) and "levels" not in vars(grid)
-    assert grid.levels[0][0] is grid.anchors[0]
+                want.append((c - half, c + half, k, p, j))
+    cols = (grid.starts, grid.ends, grid.level_of, grid.position_of, grid.scale_index_of)
+    assert list(zip(*(c.tolist() for c in cols))) == want
+    assert [len(grid.level_indices(k)) for k in range(len(strides))] == [
+        sum(1 for a in want if a[2] == k) for k in range(len(strides))]
 
 
 def test_grid_rejects_indivisible_buffer():
@@ -78,9 +75,7 @@ def test_grid_rejects_indivisible_buffer():
 def test_single_scale_layout_covers_same_lengths():
     grid = ak.build_anchor_grid(768, strides=(8,), scales=ak.SINGLE_SCALE_SCALES)
     multi = ak.build_anchor_grid(768)
-    assert sorted({a.segment.length for lv in grid.levels for a in lv}) == sorted(
-        {a.segment.length for lv in multi.levels for a in lv}
-    )
+    assert level_lengths(grid, 0) == sorted(set().union(*(level_lengths(multi, k) for k in range(3))))
     assert len(ak.SINGLE_SCALE_SCALES[0]) == 25
 
 
@@ -215,7 +210,7 @@ def test_match_perfect_anchor_is_positive():
     grid = ak.build_anchor_grid(768)
     m = ak.match_anchors_apn(grid, [seg(0.0, 56.0)])
     # the length-56 anchor centered at 28 is an exact hit
-    exact = [i for i, a in enumerate(grid.anchors) if a.segment.start == 0.0 and a.segment.end == 56.0]
+    exact = np.flatnonzero((grid.starts == 0.0) & (grid.ends == 56.0)).tolist()
     assert len(exact) == 1
     assert m.labels[exact[0]] == 1
     assert np.allclose(m.reg_targets[exact[0]], [0.0, 0.0])
@@ -233,10 +228,10 @@ def test_match_midrange_best_anchor_still_positive():
     # clause can make it positive, and exactly one anchor wins
     grid = ak.build_anchor_grid(768)
     m = ak.match_anchors_apn(grid, [seg(0.0, 4.0)])
-    best = ak.tiou(ak.segment_pairs([a.segment for a in grid.anchors]), (0.0, 4.0)).max()
+    best = ak.tiou(np.stack([grid.starts, grid.ends], axis=1), (0.0, 4.0)).max()
     assert best == pytest.approx(0.5, abs=1e-12)
     assert int(np.sum(m.labels == 1)) == 1
-    ref_labels, _ = match_anchors_ref([a.segment for a in grid.anchors], [seg(0.0, 4.0)])
+    ref_labels, _ = match_anchors_ref(grid_segments(grid), [seg(0.0, 4.0)])
     assert np.array_equal(m.labels, ref_labels)
 
 
@@ -259,7 +254,7 @@ def test_match_every_gt_gets_a_positive():
 def test_match_equals_exhaustive_oracle_on_random_scenes():
     rng = np.random.default_rng(99)
     grid = ak.build_anchor_grid(128, strides=(8, 16), scales=((1, 2, 4), (3, 5)))
-    segs = [a.segment for a in grid.anchors]
+    segs = grid_segments(grid)
     for _ in range(60):
         n = int(rng.integers(0, 4))
         gts = []

@@ -318,6 +318,13 @@ def test_buffers_reject_bad_length():
         dk.make_buffers(make_record(100), 100)
 
 
+@pytest.mark.parametrize("buf_len", [0, -32, -768])
+def test_buffers_reject_non_positive_length(buf_len):
+    # a multiple of 32, so only the sign check stops an endless window loop
+    with pytest.raises(ConfigError, match="positive multiple"):
+        dk.make_buffers(make_record(100), buf_len)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generation
 

@@ -1,0 +1,70 @@
+"""Every file boundary either loads or raises ``DataError``: any truncation
+or single-byte change of a TFPM checkpoint, a TFPV feature file, an
+annotation file or a label index."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tfpdet import datakit, heads, pipeline, pyramid
+from tfpdet.errors import DataError
+
+
+def write_checkpoint(path):
+    model = pipeline.Model.build(
+        pyramid.EncoderConfig(input_dim=2, hidden_dim=2),
+        pyramid.PyramidConfig(variant="max", num_levels=1, strides=(8,)),
+        heads.ApnConfig(scales=((1, 2),)),
+        heads.AcnConfig(num_classes=1, fc_dim=2),
+        seed=0,
+    )
+    pipeline.save_checkpoint(path, model, pipeline.TrainConfig(), 3)
+
+
+def write_annotations(path):
+    records = {
+        "a": datakit.VideoRecord("a", 64, [datakit.Activity(8.0, 24.0, 1), datakit.Activity(30.0, 40.0, 2)],
+                                 fps=8.0, subset="train"),
+        "b": datakit.VideoRecord("b", 32, [], fps=4.0, subset="val"),
+    }
+    datakit.save_annotations(records, path, ["jump", "run"])
+
+
+FORMATS = {
+    "tfpm": (write_checkpoint, pipeline.load_checkpoint),
+    "tfpv": (lambda path: datakit.save_features(np.arange(24.0).reshape(3, 8), path), datakit.load_features),
+    "annotations": (write_annotations, datakit.load_annotations),
+    "labels": (lambda path: datakit.save_label_index(["jump", "run"], path), datakit.load_label_index),
+}
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """Per format: the path mutated files are written to, the loader and
+    the bytes of a valid file."""
+    out = {}
+    for name, (write, load) in FORMATS.items():
+        path = tmp_path_factory.mktemp(name) / "file"
+        write(path)
+        out[name] = (path, load, path.read_bytes())
+    return out
+
+
+def mutations(n: int):
+    """A truncation to fewer than ``n`` bytes, or one byte of ``n`` replaced."""
+    truncate = st.integers(0, n - 1).map(lambda cut: lambda raw: raw[:cut])
+    replace = st.tuples(st.integers(0, n - 1), st.integers(0, 255)).map(
+        lambda ib: lambda raw: raw[: ib[0]] + bytes([ib[1]]) + raw[ib[0] + 1 :])
+    return st.one_of(truncate, replace)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_file_loads_or_raises_data_error(originals, fmt, data):
+    path, load, raw = originals[fmt]
+    path.write_bytes(data.draw(mutations(len(raw)))(raw))
+    try:
+        load(path)
+    except DataError:
+        pass

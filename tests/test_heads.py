@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,8 @@ def test_apn_zero_cls_weights_give_uniform_objectness():
         params[f"apn.level{k}.cls.w"].tensor.data[:] = 0.0
     out = heads.apn_forward(forward_pyramid(ecfg, pcfg, params), params)
     grid = ak.build_anchor_grid(768)
-    props = heads.generate_proposals(out, grid, top_k=10)
+    props = heads.generate_proposals(out, grid, replace(apn_cfg, top_k=10))
+    assert len(props) == 10
     assert all(p.objectness == pytest.approx(0.5, abs=1e-12) for p in props)
 
 
@@ -146,7 +149,8 @@ def test_generate_proposals_sorted_and_separated():
     ecfg, pcfg, apn_cfg, params = small_setup(seed=5)
     out = heads.apn_forward(forward_pyramid(ecfg, pcfg, params, seed=6), params)
     grid = ak.build_anchor_grid(768)
-    props = heads.generate_proposals(out, grid, nms_tiou=0.7, top_k=100)
+    props = heads.generate_proposals(out, grid, apn_cfg)
+    assert (apn_cfg.nms_tiou, apn_cfg.top_k) == (0.7, 100)
     assert 0 < len(props) <= 100
     for a, b in zip(props, props[1:]):
         assert a.objectness >= b.objectness
@@ -505,10 +509,9 @@ def test_finalize_s3_duplicates_collapse_to_one():
 def test_finalize_score_threshold_prunes():
     cfg = heads.AcnConfig(num_classes=1, strategy="s1")
     props = [heads.Proposal(ak.Segment(100, 200), 0.9, 0)]
-    dets = heads.finalize_detections(
-        acn_out_single([[0.0, 0.0]], [[0.0, 0.0]]), props, cfg, make_buffer(), score_thresh=0.6
-    )
-    assert dets == []
+    out = acn_out_single([[0.0, 0.0]], [[0.0, 0.0]])  # posterior 0.5
+    assert len(heads.finalize_detections(out, props, cfg, make_buffer())) == 1
+    assert heads.finalize_detections(out, props, replace(cfg, score_thresh=0.6), make_buffer()) == []
 
 
 def test_finalize_maps_to_video_coordinates_and_clips_padding():
@@ -547,7 +550,7 @@ def test_finalize_matches_per_row_oracle(strategy):
             out.append((idx, nc.Tensor(logits), nc.Tensor(regs)))
         thresh = 1 / (c + 1) if case % 4 == 0 else 0.05
         nms = float(rng.choice([0.4, 0.7]))
-        got = heads.finalize_detections(out, props, cfg, buf, nms, thresh)
+        got = heads.finalize_detections(out, props, replace(cfg, nms_tiou=nms, score_thresh=thresh), buf)
         assert got == finalize_detections_ref(out, props, cfg, buf, nms, thresh)
 
 

@@ -306,7 +306,7 @@ def test_gathered_equals_take_and_builds_indices_only_for_backward():
 
 
 def test_sgd_plain_gradient_step():
-    p = nc.Parameter("p", nc.Tensor([1.0], requires_grad=True), ("constant", 1.0))
+    p = nc.Parameter(nc.Tensor([1.0], requires_grad=True))
     p.tensor.grad = np.array([1.0])
     nc.sgd_step([p], nc.SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.0), 0)
     assert p.data[0] == pytest.approx(0.9, abs=1e-15)
@@ -314,7 +314,7 @@ def test_sgd_plain_gradient_step():
 
 
 def test_sgd_momentum_two_steps():
-    p = nc.Parameter("p", nc.Tensor([1.0], requires_grad=True), ("constant", 1.0))
+    p = nc.Parameter(nc.Tensor([1.0], requires_grad=True))
     cfg = nc.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
     for step in range(2):
         p.tensor.grad = np.array([1.0])
@@ -324,7 +324,7 @@ def test_sgd_momentum_two_steps():
 
 
 def test_sgd_pure_weight_decay():
-    p = nc.Parameter("p", nc.Tensor([1.0], requires_grad=True), ("constant", 1.0))
+    p = nc.Parameter(nc.Tensor([1.0], requires_grad=True))
     p.tensor.grad = np.array([0.0])
     nc.sgd_step([p], nc.SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.5), 0)
     assert p.data[0] == pytest.approx(0.95, abs=1e-15)
@@ -334,7 +334,7 @@ def test_sgd_delta_equals_lr_times_grad_exactly():
     rng = np.random.default_rng(9)
     vals = rng.standard_normal(5)
     grad = rng.standard_normal(5)
-    p = nc.Parameter("p", nc.Tensor(vals.copy(), requires_grad=True), ("constant", 0.0))
+    p = nc.Parameter(nc.Tensor(vals.copy(), requires_grad=True))
     p.tensor.grad = grad.copy()
     nc.sgd_step([p], nc.SgdConfig(learning_rate=0.01, momentum=0.0, weight_decay=0.0), 0)
     assert np.array_equal(p.data, vals - 0.01 * grad)
@@ -361,8 +361,8 @@ def test_sgd_config_validation():
 
 def test_parameter_init_specs():
     rng = np.random.default_rng(0)
-    g = nc.Parameter.create("g", (2000,), ("gaussian", 0.0, 0.01), rng)
-    c = nc.Parameter.create("c", (3, 3), ("constant", 0.1), rng)
+    g = nc.Parameter.create((2000,), ("gaussian", 0.0, 0.01), rng)
+    c = nc.Parameter.create((3, 3), ("constant", 0.1), rng)
     assert abs(g.data.std() - 0.01) < 2e-3
     assert np.all(c.data == 0.1)
     assert g.tensor.grad is not None and g.tensor.grad.shape == g.data.shape

@@ -59,14 +59,12 @@ def infer_video_taped(record, model, cfg):
     dets = []
     for buf in datakit.make_buffers(record, cfg.buffer_len, directions="forward"):
         pyramid_out = model.forward_pyramid(buf.features, model.params)
-        proposals = heads.generate_proposals(heads.apn_forward(pyramid_out, model.params), grid,
-                                             model.apn_cfg.nms_tiou, model.apn_cfg.top_k)
+        proposals = heads.generate_proposals(heads.apn_forward(pyramid_out, model.params), grid, model.apn_cfg)
         if not proposals:
             continue
         acn_out = heads.acn_forward(pyramid_out, proposals, model.acn_cfg, model.params, float(cfg.buffer_len))
         assert all(cls.requires_grad for _, cls, _ in acn_out)
-        dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf,
-                                              model.acn_cfg.nms_tiou, model.acn_cfg.score_thresh))
+        dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
     return heads.nms_detections(dets, model.acn_cfg.nms_tiou)
 
 
@@ -199,41 +197,56 @@ def rewrite_header(raw: bytes, edit) -> bytes:
 
 
 def drop_last_parameter(header):
-    value, velocity = header["params"][-2:]
-    del header["params"][-2:]
-    return 8 * (int(np.prod(value["shape"])) + int(np.prod(velocity["shape"])))
+    """Drop the last name and cut its values and velocity from the payload."""
+    name = header["params"].pop()
+    return 16 * small_model().params[name].data.size
 
 
-def reshape_first_parameter(header):
-    header["params"][0]["shape"] = header["params"][0]["shape"][::-1]  # same size, other shape
-    header["params"][1]["shape"] = header["params"][1]["shape"][::-1]
+def swap_first_two_parameters(header):
+    names = header["params"]
+    names[0], names[1] = names[1], names[0]
 
 
-def swap_value_and_velocity(header):
-    header["params"][0], header["params"][1] = header["params"][1], header["params"][0]
-    header["params"][0]["init_spec"] = header["params"][1].pop("init_spec")
+def set_config_field(section: str, field: str, value):
+    """An edit setting ``configs.<section>.<field>``; ``section`` may be
+    dotted for nested configs."""
+    def edit(header):
+        cfg = header["configs"]
+        for key in section.split("."):
+            cfg = cfg[key]
+        cfg[field] = value
+    return edit
 
 
-def list_a_velocity_twice(header):
-    header["params"][-1] = dict(header["params"][-3])  # the previous parameter's velocity
-
+# Values of the wrong JSON type that a config constructor does not catch by
+# itself: each raised a bare TypeError, or loaded, before configs were
+# decoded field by field from their annotations.  The dims are the saved
+# values of small_model(), written as floats.
+UNTYPED_CONFIG_VALUES = [
+    ("encoder", "hidden_dim", 4.0), ("encoder", "input_dim", 4.0), ("acn", "roi_bins", 4.0),
+    ("acn", "fc_dim", 8.0), ("acn", "num_classes", 2.0), ("acn", "use_context", "no"), ("apn", "top_k", 100.0),
+    ("train.sgd", "lr_decay_every", 1.5), ("train", "seed", "x"), ("train", "seed", 1.5),
+    ("train", "max_steps", True), ("train.sgd", "learning_rate", True),
+    ("train.loss_weights", "gamma", [True, 1.0, 1.0]),
+]
 
 HEADER_EDITS = {
     "missing configs": lambda h: h.__delitem__("configs"),
     "unknown config field": lambda h: h["configs"]["acn"].update(dropout=0.5),
+    "missing config field": lambda h: h["configs"]["acn"].__delitem__("fc_dim"),
     "config of the wrong type": lambda h: h["configs"]["encoder"].update(hidden_dim="4"),
     "configs that do not fit together": lambda h: h["configs"]["apn"].update(scales=[[1, 2]]),
     "step not an int": lambda h: h.update(step="17"),
     "step a float": lambda h: h.update(step=17.0),
     "params not a list": lambda h: h.update(params={"a": 1}),
     "header not an object": lambda h: h.clear(),
+    "header keeps the v1 seed": lambda h: h.update(seed=0),
     "manifest drops a parameter": drop_last_parameter,
-    "manifest reshapes a parameter": reshape_first_parameter,
-    "velocity before its values": swap_value_and_velocity,
-    "velocity listed twice": list_a_velocity_twice,
-    "unknown parameter kind": lambda h: h["params"][1].update(kind="momentum"),
-    "parameter name not a string": lambda h: h["params"][0].update(name=[]),
-    "parameter name an object": lambda h: h["params"][0].update(name={"a": 1}),
+    "params reordered": swap_first_two_parameters,
+    "parameter name not a string": lambda h: h["params"].__setitem__(0, []),
+    "parameter name an object": lambda h: h["params"].__setitem__(0, {"a": 1}),
+    **{f"configs.{section}.{field} = {value!r}": set_config_field(section, field, value)
+       for section, field, value in UNTYPED_CONFIG_VALUES},
 }
 
 
@@ -254,3 +267,34 @@ def test_rewritten_but_unchanged_header_still_loads(tmp_path):
     path.write_bytes(rewrite_header(path.read_bytes(), lambda h: None))
     loaded, _, step = pipeline.load_checkpoint(path)
     assert step == 17 and list(loaded.params) == list(model.params)
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:], "unsupported checkpoint version 1"),
+    (lambda raw: raw[:-8], "payload has"),
+    (lambda raw: raw + bytes(8), "payload has"),
+], ids=["version 1 file", "payload one f64 short", "payload one f64 long"])
+def test_checkpoint_of_another_version_or_size_raises_data_error(tmp_path, edit, match):
+    path = tmp_path / "m.tfpm"
+    pipeline.save_checkpoint(path, small_model(), pipeline.TrainConfig(), 17)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(DataError, match=match):
+        pipeline.load_checkpoint(path)
+
+
+def test_save_load_save_gives_identical_bytes(tmp_path):
+    cfg = pipeline.TrainConfig(seed=5)
+    model, bufs = small_model(), annotated_buffers()
+    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    pipeline.train_step(bufs[0], model, cfg, grid, 0)  # non-zero velocities
+    first, second = tmp_path / "a.tfpm", tmp_path / "b.tfpm"
+    pipeline.save_checkpoint(first, model, cfg, 1)
+    pipeline.save_checkpoint(second, *pipeline.load_checkpoint(first))
+    raw = first.read_bytes()
+    assert second.read_bytes() == raw
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + hlen])
+    assert sorted(header) == ["configs", "params", "step"] and header["params"] == list(model.params)
+    # per parameter in param_specs order: its values, then its velocity
+    assert raw[12 + hlen :] == b"".join(p.data.astype("<f8").tobytes() + p.velocity.astype("<f8").tobytes()
+                                        for p in model.params.values())

@@ -28,11 +28,6 @@ def test_encoder_rejects_indivisible_length():
         pyr.encode(nc.Tensor(np.zeros((4, 20))), ecfg, params)
 
 
-def test_encoder_requires_stride_eight():
-    with pytest.raises(ConfigError, match="stride"):
-        pyr.EncoderConfig(input_dim=4, num_blocks=2)
-
-
 def test_encoder_constant_propagation_with_zero_weights():
     ecfg = pyr.EncoderConfig(input_dim=4, hidden_dim=8)
     params = build_params(ecfg, pyr.PyramidConfig())
