@@ -111,6 +111,15 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
+def _read_json(raw: bytes, where, **kwargs):
+    """``json.loads(raw.decode("utf-8"), **kwargs)``; bad UTF-8, bad JSON and
+    nesting too deep for the parser raise DataError."""
+    try:
+        return json.loads(raw.decode("utf-8"), **kwargs)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+        raise DataError(f"{where}: not valid UTF-8 JSON: {e}") from e
+
+
 def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[str, VideoRecord], list[str]]:
     """Read an annotation JSON file into metadata-only VideoRecords.
 
@@ -120,37 +129,18 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
     Class ids are 1-based positions in the index (0 is background).
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_reject_duplicate_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: not valid UTF-8 JSON: {e}") from e
+    doc = _read_json(path.read_bytes(), path, object_pairs_hook=_reject_duplicate_keys)
     version = doc.get("version") if isinstance(doc, dict) else None
     if type(version) is not int or version != 1 or "database" not in doc:
         raise DataError(f"{path}: expected {{'version': 1, 'database': ...}} with an integer version")
     database = doc["database"]
     if not isinstance(database, dict):
         raise DataError(f"{path}: 'database' must be an object")
-    for vid, entry in database.items():
-        anns = entry.get("annotations", []) if isinstance(entry, dict) else None
-        if not isinstance(anns, list) or not all(isinstance(a, dict) for a in anns):
-            raise DataError(f"{path}: video {vid!r}: expected an object with a list of annotation objects")
-        for i, ann in enumerate(anns):
-            if not isinstance(ann.get("label", ""), str):
-                raise DataError(f"{path}: video {vid!r}: annotation {i}: label must be a string, got {ann['label']!r}")
-    if label_index is None:
-        seen = set()
-        for vid, entry in database.items():
-            for ann in entry.get("annotations", []):
-                if "label" in ann:
-                    seen.add(ann["label"])
-        label_index = sorted(seen)
-    label_to_id = {name: i + 1 for i, name in enumerate(label_index)}
-
-    records: dict[str, VideoRecord] = {}
+    videos = {}  # video id -> (fps, num_frames, subset, [(start, end, label name)] in frames)
     for vid, entry in database.items():
         where = f"{path}: video {vid!r}"
         for fieldname in ("fps", "num_frames", "subset", "annotations"):
-            if fieldname not in entry:
+            if not isinstance(entry, dict) or fieldname not in entry:
                 raise DataError(f"{where}: missing field {fieldname!r}")
         fps = _number(entry["fps"], f"{where}: fps")
         if fps <= 0:
@@ -162,24 +152,34 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
         subset = entry["subset"]
         if subset not in ("train", "val", "test"):
             raise DataError(f"{where}: unknown subset {subset!r}")
-        activities = []
-        for i, ann in enumerate(entry["annotations"]):
-            if "segment" not in ann or "label" not in ann:
-                raise DataError(f"{where}: annotation {i}: missing 'segment' or 'label'")
+        anns = entry["annotations"]
+        if not isinstance(anns, list):
+            raise DataError(f"{where}: annotations must be a list, got {anns!r}")
+        spans = []
+        for i, ann in enumerate(anns):
+            if not isinstance(ann, dict) or "segment" not in ann or not isinstance(ann.get("label"), str):
+                raise DataError(f"{where}: annotation {i}: expected an object with a 'segment' and a string 'label'")
             seg = ann["segment"]
             if not isinstance(seg, list) or len(seg) != 2:
                 raise DataError(f"{where}: annotation {i}: segment must be [start, end], got {seg!r}")
             t0, t1 = (_number(t, f"{where}: annotation {i}: segment") for t in seg)
-            if not t1 > t0:
-                raise DataError(f"{where}: annotation {i}: non-increasing segment {seg}")
-            name = ann["label"]
-            if name not in label_to_id:
-                raise DataError(f"{where}: annotation {i}: unknown label {name!r}")
+            if not 0 <= t0 < t1:
+                raise DataError(f"{where}: annotation {i}: negative or non-increasing segment {seg}")
             start = t0 * fps
             end = min(t1 * fps, float(num_frames))
             if not end > start:
                 raise DataError(f"{where}: annotation {i}: segment collapses after frame conversion")
-            activities.append(Activity(start, end, label_to_id[name]))
+            spans.append((start, end, ann["label"]))
+        videos[vid] = (fps, num_frames, subset, spans)
+    if label_index is None:
+        label_index = sorted({name for *_, spans in videos.values() for _, _, name in spans})
+    label_to_id = {name: i + 1 for i, name in enumerate(label_index)}
+    records: dict[str, VideoRecord] = {}
+    for vid, (fps, num_frames, subset, spans) in videos.items():
+        unknown = [name for _, _, name in spans if name not in label_to_id]
+        if unknown:
+            raise DataError(f"{path}: video {vid!r}: unknown label {unknown[0]!r}")
+        activities = [Activity(start, end, label_to_id[name]) for start, end, name in spans]
         records[vid] = VideoRecord(
             video_id=vid, num_frames=num_frames, annotations=activities, fps=fps, subset=subset
         )
@@ -210,10 +210,7 @@ def save_annotations(records: dict[str, VideoRecord], path, label_index: list[st
 
 
 def load_label_index(path) -> list[str]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: not valid UTF-8 JSON: {e}") from e
+    doc = _read_json(Path(path).read_bytes(), path)
     labels = doc.get("labels") if isinstance(doc, dict) else None
     if (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
             or labels != sorted(labels) or len(set(labels)) != len(labels)):
@@ -230,7 +227,7 @@ def save_label_index(labels: list[str], path) -> None:
 
 
 def load_features(path) -> Tensor:
-    """Read a TFPV file into a [D, L] float64 tensor."""
+    """Read a TFPV file into a [D, L] float64 tensor of finite values."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != TFPV_MAGIC:
         raise DataError(f"{path}: bad TFPV magic")
@@ -243,6 +240,8 @@ def load_features(path) -> Tensor:
     if len(raw) != expected:
         raise DataError(f"{path}: payload is {len(raw)} bytes, expected {expected}")
     flat = np.frombuffer(raw, dtype="<f4", offset=16)
+    if not np.isfinite(flat).all():
+        raise DataError(f"{path}: feature values must be finite")
     return Tensor(flat.reshape(l, d).T.astype(np.float64))
 
 

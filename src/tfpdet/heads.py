@@ -48,7 +48,7 @@ class ApnConfig:
     """Proposal-network settings: anchor scales per level plus the matching
     and suppression thresholds."""
 
-    scales: tuple
+    scales: tuple[tuple[int, ...], ...]
     pos_tiou: float = 0.7
     neg_tiou: float = 0.3
     nms_tiou: float = 0.7
@@ -57,6 +57,8 @@ class ApnConfig:
     def __post_init__(self):
         if not self.scales or any(len(s) < 1 for s in self.scales):
             raise ConfigError("apn needs at least one anchor scale per level")
+        if any(type(x) is not int or x < 1 for s in self.scales for x in s):
+            raise ConfigError(f"anchor scales must be positive ints, got {self.scales}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be positive, got {self.top_k}")
         _check_unit("pos_tiou", self.pos_tiou)
@@ -372,12 +374,13 @@ def context_window(starts, ends, buffer_len: float):
     return np.maximum(0.0, c - half), np.minimum(float(buffer_len), c + half)
 
 
-def context_features(level_feat, starts, ends, stride: float, num_bins: int, params: dict, level: int, buffer_len: float) -> nc.Tensor:
+def context_features(level_feat, starts, ends, stride: float, num_bins: int, params: dict, level: int) -> nc.Tensor:
     """Fuse the RoI features of N segments (start and end arrays) with their
     context: one ``roi_pool`` call pools the segments and their context
     windows, and the two [N, D, P] row halves are channel-reduced to D/2 by
-    separate conv layers and concatenated back to [N, D, P]."""
-    ctx_starts, ctx_ends = context_window(starts, ends, buffer_len)
+    separate conv layers and concatenated back to [N, D, P].  Context windows
+    are clipped to the buffer the level's map spans, its length times stride."""
+    ctx_starts, ctx_ends = context_window(starts, ends, level_feat.shape[-1] * stride)
     both = roi_pool(level_feat, np.concatenate([starts, ctx_starts]), np.concatenate([ends, ctx_ends]), stride, num_bins)
     n = len(starts)
     pooled, ctx = nc.rows(both, 0, n), nc.rows(both, n, 2 * n)
@@ -405,7 +408,7 @@ def assign_proposals(proposals: list[Proposal], cfg: AcnConfig, num_levels: int)
     return assignment
 
 
-def acn_forward(pyr: PyramidFeatures, proposals: list[Proposal], cfg: AcnConfig, params: dict, buffer_len: float, assignment: list[list[int]] | None = None) -> list:
+def acn_forward(pyr: PyramidFeatures, proposals: list[Proposal], cfg: AcnConfig, params: dict, assignment: list[list[int]] | None = None) -> list:
     """Per level: the level's n proposals pooled as one [n, D, P] batch
     (optionally context-fused), flattened D-major to [n, D*P] rows and run
     through that level's classifier.  Returns, per level, (proposal indices,
@@ -424,7 +427,7 @@ def acn_forward(pyr: PyramidFeatures, proposals: list[Proposal], cfg: AcnConfig,
             continue
         feat, stride = pyr.levels[k], pyr.strides[k]
         if cfg.use_context:
-            f = context_features(feat, starts[idx], ends[idx], stride, cfg.roi_bins, params, k, buffer_len)
+            f = context_features(feat, starts[idx], ends[idx], stride, cfg.roi_bins, params, k)
         else:
             f = roi_pool(feat, starts[idx], ends[idx], stride, cfg.roi_bins)
         x = nc.reshape(f, (len(idx), -1))

@@ -4,10 +4,12 @@ A fresh computation graph is built on every forward pass: each operation
 returns a new ``Tensor`` wired to its inputs through a backward closure,
 and ``backward()`` walks the graph in reverse topological order,
 accumulating gradients into every tensor on a path to a gradient-requiring
-leaf.  Only gradient-requiring tensors are recorded: a tensor that does not
-require grad keeps no parents and no backward closure, so an operation on
-inputs that need no gradient holds nothing of them once it returns, and a
-forward over non-grad views of the parameters builds no graph at all.
+leaf.  Only gradient-requiring tensors are recorded, and ``Tensor`` alone
+decides which: a node requires grad when any input does, and one that does
+not keeps neither the inputs nor the backward closure its operation passes,
+so an operation on inputs that need no gradient holds nothing of them once
+it returns, and a forward over non-grad views of the parameters builds no
+graph at all.
 
 Only the operations the detection heads actually need are provided;
 everything runs on contiguous float64 numpy arrays for exact, deterministic
@@ -51,7 +53,7 @@ class Tensor:
         arr = np.asarray(data, dtype=np.float64)
         # ascontiguousarray would promote 0-d scalars to shape (1,)
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
-        self.requires_grad = bool(requires_grad)
+        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         # a non-grad tensor records nothing, so its inputs can be freed
         self._parents = tuple(_parents) if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
@@ -194,14 +196,13 @@ def linear(x, w, b) -> Tensor:
     if xt.shape[1] != wt.shape[0] or wt.shape[1] != bt.shape[0]:
         raise ContractError(f"linear shape mismatch: x {xt.shape} vs w {wt.shape}, b {bt.shape}")
     y = xt.data @ wt.data + bt.data
-    req = xt.requires_grad or wt.requires_grad or bt.requires_grad
 
     def back(g):
         _accumulate(xt, g @ wt.data.T)
         _accumulate(wt, xt.data.T @ g)
         _accumulate(bt, g.sum(axis=0))
 
-    return Tensor(y, req, (xt, wt, bt), back if req else None)
+    return Tensor(y, _parents=(xt, wt, bt), _backward=back)
 
 
 def _im2col(xb: np.ndarray, k: int, stride: int, padding: int, t_out: int) -> np.ndarray:
@@ -257,7 +258,6 @@ def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     cols = _im2col(xb, k, stride, padding, t_out)
     w2 = wt.data.reshape(c_out, c_in * k)
     y = np.matmul(w2, cols.transpose(1, 0, 2)) + bt.data[:, None]
-    req = xt.requires_grad or wt.requires_grad or bt.requires_grad
 
     def back(g):
         g = g.reshape(n, c_out, t_out)
@@ -274,7 +274,7 @@ def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
             gx = gxp[padding : padding + t_in].transpose(1, 2, 0)
             _accumulate(xt, np.ascontiguousarray(gx).reshape(xt.shape))
 
-    return Tensor(y.reshape(xt.shape[:-2] + (c_out, t_out)), req, (xt, wt, bt), back if req else None)
+    return Tensor(y.reshape(xt.shape[:-2] + (c_out, t_out)), _parents=(xt, wt, bt), _backward=back)
 
 
 def temporal_maxpool(x, k: int, stride: int) -> Tensor:
@@ -298,7 +298,6 @@ def temporal_maxpool(x, k: int, stride: int) -> Tensor:
         # the running maximum is the second operand, which np.maximum returns
         # on ties (+0.0 against -0.0): the first maximum's value
         y = np.maximum(v, y)
-    req = xt.requires_grad
 
     def back(g):
         gx = np.zeros_like(xt.data)
@@ -316,18 +315,17 @@ def temporal_maxpool(x, k: int, stride: int) -> Tensor:
             gx[:, j : j + span : stride] += (bits & -routes[j].view(np.int8)).view(np.float64)
         _accumulate(xt, gx)
 
-    return Tensor(y, req, (xt,), back if req else None)
+    return Tensor(y, _parents=(xt,), _backward=back)
 
 
 def relu(x) -> Tensor:
     xt = _t(x)
     y = np.maximum(xt.data, 0.0)
-    req = xt.requires_grad
 
     def back(g):
         _accumulate(xt, g * (xt.data > 0.0))
 
-    return Tensor(y, req, (xt,), back if req else None)
+    return Tensor(y, _parents=(xt,), _backward=back)
 
 
 def concat_channels(a, b) -> Tensor:
@@ -337,13 +335,12 @@ def concat_channels(a, b) -> Tensor:
         raise ContractError(f"concat_channels needs equal T: got {at.shape} and {bt.shape}")
     y = np.concatenate([at.data, bt.data], axis=-2)
     c1 = at.shape[-2]
-    req = at.requires_grad or bt.requires_grad
 
     def back(g):
         _accumulate(at, g[..., :c1, :])
         _accumulate(bt, g[..., c1:, :])
 
-    return Tensor(y, req, (at, bt), back if req else None)
+    return Tensor(y, _parents=(at, bt), _backward=back)
 
 
 def softmax_cross_entropy(logits, labels) -> Tensor:
@@ -362,14 +359,13 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     lse = np.log(ez.sum(axis=1))
     losses = lse - z[np.arange(n), lab]
     y = losses.mean()
-    req = lt.requires_grad
 
     def back(g):
         p = ez / ez.sum(axis=1, keepdims=True)
         p[np.arange(n), lab] -= 1.0
         _accumulate(lt, (float(g) / n) * p)
 
-    return Tensor(y, req, (lt,), back if req else None)
+    return Tensor(y, _parents=(lt,), _backward=back)
 
 
 def smooth_l1(pred, target) -> Tensor:
@@ -381,38 +377,35 @@ def smooth_l1(pred, target) -> Tensor:
     ad = np.abs(d)
     quad = ad < 1.0
     y = np.where(quad, 0.5 * d * d, ad - 0.5).mean()
-    req = pt.requires_grad or tt.requires_grad
 
     def back(g):
         df = np.where(quad, d, np.sign(d)) * (float(g) / d.size)
         _accumulate(pt, df)
         _accumulate(tt, -df)
 
-    return Tensor(y, req, (pt, tt), back if req else None)
+    return Tensor(y, _parents=(pt, tt), _backward=back)
 
 
 def add(a, b) -> Tensor:
     at, bt = _t(a), _t(b)
     if at.shape != bt.shape:
         raise ContractError(f"add shape mismatch: {at.shape} vs {bt.shape}")
-    req = at.requires_grad or bt.requires_grad
 
     def back(g):
         _accumulate(at, g)
         _accumulate(bt, g)
 
-    return Tensor(at.data + bt.data, req, (at, bt), back if req else None)
+    return Tensor(at.data + bt.data, _parents=(at, bt), _backward=back)
 
 
 def scale(x, c: float) -> Tensor:
     xt = _t(x)
     c = float(c)
-    req = xt.requires_grad
 
     def back(g):
         _accumulate(xt, g * c)
 
-    return Tensor(xt.data * c, req, (xt,), back if req else None)
+    return Tensor(xt.data * c, _parents=(xt,), _backward=back)
 
 
 def take(x, flat_indices) -> Tensor:
@@ -430,39 +423,36 @@ def gathered(x, values, flat_indices) -> Tensor:
     so a caller that can compute the gathered values directly never builds
     the index array of a forward that needs no gradient."""
     xt = _t(x)
-    req = xt.requires_grad
 
     def back(g):
         gx = np.zeros(xt.data.size)
         np.add.at(gx, np.asarray(flat_indices()).ravel(), np.asarray(g).ravel())
         _accumulate(xt, gx.reshape(xt.data.shape))
 
-    return Tensor(values, req, (xt,), back if req else None)
+    return Tensor(values, _parents=(xt,), _backward=back)
 
 
 def rows(x, lo: int, hi: int) -> Tensor:
     """Rows lo:hi along the first axis, as a view; the backward writes its
     rows of an otherwise zero gradient."""
     xt = _t(x)
-    req = xt.requires_grad
 
     def back(g):
         gx = np.zeros_like(xt.data)
         gx[lo:hi] = g
         _accumulate(xt, gx)
 
-    return Tensor(xt.data[lo:hi], req, (xt,), back if req else None)
+    return Tensor(xt.data[lo:hi], _parents=(xt,), _backward=back)
 
 
 def reshape(x, shape) -> Tensor:
     xt = _t(x)
     y = xt.data.reshape(shape)
-    req = xt.requires_grad
 
     def back(g):
         _accumulate(xt, np.asarray(g).reshape(xt.data.shape))
 
-    return Tensor(y, req, (xt,), back if req else None)
+    return Tensor(y, _parents=(xt,), _backward=back)
 
 
 def sgd_step(params, cfg: SgdConfig, step: int) -> None:

@@ -7,7 +7,7 @@ head, and the total loss is the level-weighted sum of classification and
 (positives-only) localization terms.  Proposal geometry is detached: the
 classifier treats decoded proposals as fixed inputs.  Inference runs the
 same layer functions on non-grad views of the parameters, so it records no
-autograd graph.  A checkpoint (TFPM version 2) is the configs plus the
+autograd graph.  A checkpoint (TFPM version 3) is the configs plus the
 arrays: its header holds the configs, the step and the parameter names in
 ``Model.param_specs`` order, its payload each parameter's values and then
 velocity as f64.  Changing that order needs a new version.
@@ -20,7 +20,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from . import anchorkit, datakit, heads, numcore as nc, pyramid
 from .errors import ConfigError, ContractError, DataError
 
 CHECKPOINT_MAGIC = b"TFPM"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -36,8 +36,8 @@ class LossWeights:
     """Per-level loss balance: gamma scales a level's whole contribution,
     lam trades classification against localization inside it."""
 
-    gamma: tuple = (1.0, 1.0, 1.0)
-    lam: tuple = (1.0, 1.0, 1.0)
+    gamma: tuple[float, ...] = (1.0, 1.0, 1.0)
+    lam: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         if len(self.gamma) != len(self.lam):
@@ -100,11 +100,6 @@ class Model:
     def parameters(self) -> list[nc.Parameter]:
         return list(self.params.values())
 
-    def frozen_params(self) -> dict:
-        """The parameter arrays as non-grad tensors, shared, not copied: a
-        forward over them records no graph."""
-        return {name: nc.Tensor(p.data) for name, p in self.params.items()}
-
     def forward_pyramid(self, features, params: dict) -> pyramid.PyramidFeatures:
         base = pyramid.encode(features, self.encoder_cfg, params)
         return pyramid.build_pyramid(base, self.pyramid_cfg, params)
@@ -156,36 +151,32 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), 3, int(step)])
 
 
+def _head_terms(logits, labels, reg, pos_pairs, targets) -> tuple:
+    """One head's (classification loss, localization loss or None): cross-entropy
+    of ``logits`` against ``labels``, and smooth-L1 of the ``reg`` values at the
+    positives' flat index pairs ``pos_pairs`` against their ``targets``."""
+    cls_loss = nc.softmax_cross_entropy(logits, labels)
+    if not len(pos_pairs):
+        return cls_loss, None
+    return cls_loss, nc.smooth_l1(nc.take(reg, pos_pairs), targets)
+
+
 def _apn_level_losses(apn_out, grid, match, cfg: TrainConfig, rng):
-    terms, pos_counts, neg_counts = [], [], []
+    terms = [(None, None)] * len(apn_out)
+    pos_counts, neg_counts = [0] * len(apn_out), [0] * len(apn_out)
     for k, (cls_map, reg_map) in enumerate(apn_out):
         level_idx = grid.level_indices(k)
-        has_pos = np.any(match.labels[level_idx] == 1)
-        has_neg = np.any(match.labels[level_idx] == -1)
-        if not has_pos and not has_neg:
-            terms.append((None, None))
-            pos_counts.append(0)
-            neg_counts.append(0)
+        if not match.labels[level_idx].any():  # all ignored: nothing to sample
             continue
         sel = anchorkit.sample_minibatch(match, cfg.apn_batch, cfg.apn_pos_fraction, rng, candidate_idx=level_idx)
         t_k = cls_map.shape[1]
-        rows_bg = 2 * grid.scale_index_of[sel]
-        cols = grid.position_of[sel]
-        flat = np.stack([rows_bg * t_k + cols, (rows_bg + 1) * t_k + cols], axis=1)
-        logits = nc.take(cls_map, flat)
-        labels01 = (match.labels[sel] == 1).astype(np.int64)
-        cls_loss = nc.softmax_cross_entropy(logits, labels01)
-        loc_loss = None
-        pos_sel = sel[match.labels[sel] == 1]
-        if pos_sel.size:
-            rows = 2 * grid.scale_index_of[pos_sel]
-            cols = grid.position_of[pos_sel]
-            flat = np.stack([rows * t_k + cols, (rows + 1) * t_k + cols], axis=1)
-            pred = nc.take(reg_map, flat)
-            loc_loss = nc.smooth_l1(pred, match.reg_targets[pos_sel])
-        terms.append((cls_loss, loc_loss))
-        pos_counts.append(int(pos_sel.size))
-        neg_counts.append(int(sel.size - pos_sel.size))
+        # anchor j at position p reads rows (2j, 2j+1) of the [2A, T_k] maps
+        bg = 2 * grid.scale_index_of[sel] * t_k + grid.position_of[sel]
+        pairs = np.stack([bg, bg + t_k], axis=1)
+        pos = match.labels[sel] == 1
+        terms[k] = _head_terms(nc.take(cls_map, pairs), pos.astype(np.int64), reg_map, pairs[pos], match.reg_targets[sel[pos]])
+        pos_counts[k] = int(pos.sum())
+        neg_counts[k] = int(sel.size - pos_counts[k])
     return terms, pos_counts, neg_counts
 
 
@@ -209,27 +200,17 @@ def _acn_level_losses(pyr, proposals, pmatch, model: Model, cfg: TrainConfig, rn
         sampled.append(sel.tolist())
         pos_counts[k] = int(np.sum(pmatch.class_labels[sel] > 0))
         neg_counts[k] = int(sel.size - pos_counts[k])
-    acn_out = heads.acn_forward(pyr, proposals, acn_cfg, model.params, float(model_buffer_len(pyr)), assignment=sampled)
+    acn_out = heads.acn_forward(pyr, proposals, acn_cfg, model.params, assignment=sampled)
     for k, (idx, cls, reg) in enumerate(acn_out):
         if cls is None:
             continue
-        labels = pmatch.class_labels[np.asarray(idx, dtype=np.int64)]
-        cls_loss = nc.softmax_cross_entropy(cls, labels)
-        loc_loss = None
-        pos_rows = np.nonzero(labels > 0)[0]
-        if pos_rows.size:
-            c = labels[pos_rows]
-            two_c = 2 * acn_cfg.num_classes
-            flat = np.stack([pos_rows * two_c + 2 * (c - 1), pos_rows * two_c + 2 * (c - 1) + 1], axis=1)
-            pred = nc.take(reg, flat)
-            targets = pmatch.reg_targets[np.asarray(idx, dtype=np.int64)[pos_rows]]
-            loc_loss = nc.smooth_l1(pred, targets)
-        terms[k] = (cls_loss, loc_loss)
+        idx = np.asarray(idx, dtype=np.int64)
+        labels = pmatch.class_labels[idx]
+        rows = np.nonzero(labels > 0)[0]
+        # a positive of class c reads columns (2(c-1), 2(c-1)+1) of its [2C] row
+        first = rows * (2 * acn_cfg.num_classes) + 2 * (labels[rows] - 1)
+        terms[k] = _head_terms(cls, labels, reg, np.stack([first, first + 1], axis=1), pmatch.reg_targets[idx[rows]])
     return terms, pos_counts, neg_counts
-
-
-def model_buffer_len(pyr: pyramid.PyramidFeatures) -> int:
-    return pyr.levels[0].shape[1] * pyr.strides[0]
 
 
 def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anchorkit.AnchorGrid, step: int) -> StepReport:
@@ -295,14 +276,21 @@ def pick_training_buffer(buffers_by_video: dict[str, list], cfg: TrainConfig, st
     return bufs[int(rng.integers(len(bufs)))]
 
 
-def propose_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> list[heads.Proposal]:
-    """Forward-window the video and pool proposals in video coordinates."""
+def _forward_windows(record: datakit.VideoRecord, model: Model, cfg: TrainConfig):
+    """(buffer, pyramid, frozen parameters, proposals) per disjoint forward
+    window of the video; computed on frozen parameters, they record no graph."""
     grid = anchorkit.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
-    params = model.frozen_params()
-    out = []
+    params = {name: nc.Tensor(p.data) for name, p in model.params.items()}  # non-grad views, not copies
     for buf in datakit.make_buffers(record, cfg.buffer_len, directions="forward"):
         pyr = model.forward_pyramid(buf.features, params)
-        for p in heads.generate_proposals(heads.apn_forward(pyr, params), grid, model.apn_cfg):
+        yield buf, pyr, params, heads.generate_proposals(heads.apn_forward(pyr, params), grid, model.apn_cfg)
+
+
+def propose_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> list[heads.Proposal]:
+    """Forward-window the video and pool proposals in video coordinates."""
+    out = []
+    for buf, _, _, proposals in _forward_windows(record, model, cfg):
+        for p in proposals:
             s = max(p.segment.start, 0.0) + buf.frame_offset
             e = min(p.segment.end, float(buf.num_valid)) + buf.frame_offset
             if e - s >= 1.0:
@@ -320,16 +308,11 @@ def infer_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> 
     ``nms_detections`` cannot suppress anything; it stays only until the
     benchmark stops reading its detection count from it.
     """
-    grid = anchorkit.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
-    params = model.frozen_params()
     all_dets: list[heads.Detection] = []
-    for buf in datakit.make_buffers(record, cfg.buffer_len, directions="forward"):
-        pyr = model.forward_pyramid(buf.features, params)
-        proposals = heads.generate_proposals(heads.apn_forward(pyr, params), grid, model.apn_cfg)
-        if not proposals:
-            continue
-        acn_out = heads.acn_forward(pyr, proposals, model.acn_cfg, params, float(cfg.buffer_len))
-        all_dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
+    for buf, pyr, params, proposals in _forward_windows(record, model, cfg):
+        if proposals:
+            acn_out = heads.acn_forward(pyr, proposals, model.acn_cfg, params)
+            all_dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
     return heads.nms_detections(all_dets, model.acn_cfg.nms_tiou)
 
 
@@ -349,7 +332,7 @@ class _Configs:
 
 
 def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> None:
-    """Write the TFPM container, version 2: magic, little-endian u32
+    """Write the TFPM container, version 3: magic, little-endian u32
     version and header length, JSON header, payload.
 
     The header holds ``configs``, ``step`` and ``params``, the parameter
@@ -377,17 +360,16 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> No
 def _decode(tp, value, where: str):
     """``value``, read from JSON, as a config field of type ``tp``.  A config
     dataclass needs an object with exactly its fields, each decoded by its
-    annotation.  A tuple needs a list; nested lists become tuples and other
-    items must be numbers.  An int needs an integer (not a bool), a bool or
-    str exactly that type, and a float a finite number."""
+    annotation.  A ``tuple[X, ...]`` needs a list whose items decode as X.
+    An int needs an integer (not a bool), a bool or str exactly that type,
+    and a float a finite number."""
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         if not isinstance(value, dict) or set(value) != set(hints):
             raise DataError(f"{where}: expected an object with exactly the fields of {tp.__name__}")
         return tp(**{name: _decode(hints[name], v, f"{where}.{name}") for name, v in value.items()})
-    if tp is tuple and isinstance(value, list):
-        return tuple(_decode(tuple if isinstance(v, list) else int if type(v) is int else float, v, f"{where}[{i}]")
-                     for i, v in enumerate(value))
+    if get_origin(tp) is tuple and isinstance(value, list):
+        return tuple(_decode(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if tp is float:
         return datakit._number(value, where)
     if tp in (int, bool, str) and type(value) is tp:
@@ -396,7 +378,7 @@ def _decode(tp, value, where: str):
 
 
 def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
-    """Read a TFPM version 2 container; any malformed or inconsistent
+    """Read a TFPM version 3 container; any malformed or inconsistent
     content raises ``DataError``.  The header's ``params`` must equal the
     names that ``Model.param_specs`` gives for its configs, and the payload
     must hold 16 bytes per parameter element, before anything is allocated."""
@@ -408,10 +390,7 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     if 12 + hlen > len(raw):
         raise DataError(f"{path}: truncated header ({len(raw) - 12} of {hlen} bytes)")
-    try:
-        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"{path}: unreadable checkpoint header: {exc}") from exc
+    header = datakit._read_json(raw[12 : 12 + hlen], f"{path}: checkpoint header")
     if not isinstance(header, dict) or set(header) != {"configs", "step", "params"}:
         raise DataError(f"{path}: checkpoint header needs exactly the keys configs, step and params")
     if type(header["step"]) is not int:

@@ -42,18 +42,17 @@ class EncoderConfig:
 class PyramidConfig:
     variant: str = "conv"
     num_levels: int = 3
-    strides: tuple = (8, 16, 32)
 
     def __post_init__(self):
         if self.variant not in ("max", "conv"):
             raise ConfigError(f"pyramid variant must be 'max' or 'conv', got {self.variant!r}")
-        if self.num_levels < 1 or len(self.strides) != self.num_levels:
-            raise ConfigError(f"need one stride per level, got {self.strides} for {self.num_levels} levels")
-        if self.strides[0] != ENCODER_STRIDE:
-            raise ConfigError(f"level-0 stride must be {ENCODER_STRIDE}, got {self.strides[0]}")
-        for a, b in zip(self.strides, self.strides[1:]):
-            if b != 2 * a:
-                raise ConfigError(f"strides must double per level, got {self.strides}")
+        if self.num_levels < 1:
+            raise ConfigError(f"a pyramid needs at least one level, got {self.num_levels}")
+
+    @property
+    def strides(self) -> tuple:
+        """Level k's stride in frames: the encoder's, doubled per level."""
+        return tuple(ENCODER_STRIDE << k for k in range(self.num_levels))
 
 
 @dataclass

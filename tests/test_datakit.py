@@ -120,6 +120,7 @@ def test_annotations_roundtrip_identity(tmp_path):
     {"segment": [None, 2]},
     {"segment": [1.0, 2.0, 3.0]},
     {"segment": [True, 2]},
+    {"segment": [-1.0, 2.0]},
     {"fps": "abc"},
     {"fps": None},
     {"fps": float("nan")},
@@ -223,6 +224,14 @@ def test_tfpv_truncated_payload(tmp_path):
     p = tmp_path / "f.tfpv"
     p.write_bytes(b"TFPV" + struct.pack("<III", 1, 2, 3) + struct.pack("<3f", 1, 2, 3))
     with pytest.raises(DataError, match="bytes"):
+        dk.load_features(p)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_tfpv_non_finite_value_rejected(tmp_path, value):
+    p = tmp_path / "f.tfpv"
+    p.write_bytes(b"TFPV" + struct.pack("<III", 1, 2, 3) + struct.pack("<6f", 1, 2, value, 4, 5, 6))
+    with pytest.raises(DataError, match="finite"):
         dk.load_features(p)
 
 

@@ -2,6 +2,8 @@
 or single-byte change of a TFPM checkpoint, a TFPV feature file, an
 annotation file or a label index."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from tfpdet.errors import DataError
 def write_checkpoint(path):
     model = pipeline.Model.build(
         pyramid.EncoderConfig(input_dim=2, hidden_dim=2),
-        pyramid.PyramidConfig(variant="max", num_levels=1, strides=(8,)),
+        pyramid.PyramidConfig(variant="max", num_levels=1),
         heads.ApnConfig(scales=((1, 2),)),
         heads.AcnConfig(num_classes=1, fc_dim=2),
         seed=0,
@@ -56,6 +58,17 @@ def mutations(n: int):
     replace = st.tuples(st.integers(0, n - 1), st.integers(0, 255)).map(
         lambda ib: lambda raw: raw[: ib[0]] + bytes([ib[1]]) + raw[ib[0] + 1 :])
     return st.one_of(truncate, replace)
+
+
+@pytest.mark.parametrize("fmt", ["annotations", "labels", "tfpm"])
+def test_deeply_nested_json_raises_data_error(tmp_path, fmt):
+    nested = b"[" * 100_000  # deeper than json.loads can recurse
+    if fmt == "tfpm":
+        nested = pipeline.CHECKPOINT_MAGIC + struct.pack("<II", pipeline.CHECKPOINT_VERSION, len(nested)) + nested
+    path = tmp_path / "file"
+    path.write_bytes(nested)
+    with pytest.raises(DataError, match="JSON"):
+        FORMATS[fmt][1](path)
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))

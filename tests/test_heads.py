@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,13 @@ from oracles import (acn_forward_ref, check_gradients, finalize_detections_ref, 
 def test_apn_config_rejects_thresholds_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):
         heads.ApnConfig(scales=((1,),), **{field: value})
+
+
+@pytest.mark.parametrize("scales", [((1.0, 2),), ((0,),), ((1,), (True,))])
+def test_apn_config_rejects_scales_that_are_not_positive_ints(scales):
+    # a checkpoint decodes scales as JSON integers, so only those may be saved
+    with pytest.raises(ConfigError, match="scales"):
+        heads.ApnConfig(scales=scales)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -310,7 +318,7 @@ def test_context_features_channel_count():
     acn_cfg = heads.AcnConfig(num_classes=2, roi_bins=4, fc_dim=16)
     params = nc.create_params(heads.acn_param_specs(8, acn_cfg, 1), rng)
     feat = nc.Tensor(rng.standard_normal((8, 96)))
-    out = heads.context_features(feat, np.array([100.0, 300.0]), np.array([200.0, 340.0]), 8, 4, params, 0, 768.0)
+    out = heads.context_features(feat, np.array([100.0, 300.0]), np.array([200.0, 340.0]), 8, 4, params, 0)
     assert out.shape == (2, 8, 4)
 
 
@@ -339,7 +347,7 @@ def make_proposals(n, rng=None, level=0):
 
 def test_acn_s3_fans_out_to_all_levels():
     acn_cfg, params, pf = acn_setup("s3")
-    out = heads.acn_forward(pf, make_proposals(10), acn_cfg, params, 768.0)
+    out = heads.acn_forward(pf, make_proposals(10), acn_cfg, params)
     assert sum(len(idx) for idx, _, _ in out) == 30
     for idx, cls, reg in out:
         assert cls.shape == (10, 4)
@@ -348,7 +356,7 @@ def test_acn_s3_fans_out_to_all_levels():
 
 def test_acn_s1_sends_everything_to_level_zero():
     acn_cfg, params, pf = acn_setup("s1")
-    out = heads.acn_forward(pf, make_proposals(6), acn_cfg, params, 768.0)
+    out = heads.acn_forward(pf, make_proposals(6), acn_cfg, params)
     assert len(out[0][0]) == 6
     assert out[1][1] is None and out[2][1] is None
 
@@ -357,13 +365,13 @@ def test_acn_s2_follows_source_level():
     acn_cfg, params, pf = acn_setup("s2")
     rng = np.random.default_rng(4)
     props = make_proposals(3, rng, level=0) + make_proposals(2, rng, level=2)
-    out = heads.acn_forward(pf, props, acn_cfg, params, 768.0)
+    out = heads.acn_forward(pf, props, acn_cfg, params)
     assert [len(idx) for idx, _, _ in out] == [3, 0, 2]
 
 
 def test_acn_s1_touches_only_level_zero_classifier():
     acn_cfg, params, pf = acn_setup("s1")
-    out = heads.acn_forward(pf, make_proposals(5), acn_cfg, params, 768.0)
+    out = heads.acn_forward(pf, make_proposals(5), acn_cfg, params)
     idx, cls, reg = out[0]
     loss = nc.softmax_cross_entropy(cls, np.zeros(5, dtype=np.int64))
     nc.backward(loss)
@@ -378,7 +386,7 @@ def test_acn_s1_touches_only_level_zero_classifier():
 def test_acn_zero_cls_weights_uniform_posterior():
     acn_cfg, params, pf = acn_setup("s1")
     params["acn.level0.cls.w"].tensor.data[:] = 0.0
-    out = heads.acn_forward(pf, make_proposals(4), acn_cfg, params, 768.0)
+    out = heads.acn_forward(pf, make_proposals(4), acn_cfg, params)
     logits = out[0][1].data
     post = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     assert np.allclose(post, 0.25, atol=1e-12)
@@ -386,7 +394,7 @@ def test_acn_zero_cls_weights_uniform_posterior():
 
 def test_acn_without_context_same_classifier_shape():
     acn_cfg, params, pf = acn_setup("s1", use_context=False)
-    out = heads.acn_forward(pf, make_proposals(4), acn_cfg, params, 768.0)
+    out = heads.acn_forward(pf, make_proposals(4), acn_cfg, params)
     assert out[0][1].shape == (4, 4)
     assert not any("reduce" in name for name in params)
 
@@ -394,7 +402,7 @@ def test_acn_without_context_same_classifier_shape():
 def test_acn_rejects_empty_proposals():
     acn_cfg, params, pf = acn_setup("s1")
     with pytest.raises(ContractError, match="proposal"):
-        heads.acn_forward(pf, [], acn_cfg, params, 768.0)
+        heads.acn_forward(pf, [], acn_cfg, params)
 
 
 # clipped at 0 and at the buffer end, sub-cell (borrowing bins, and no
@@ -413,7 +421,7 @@ def test_acn_matches_per_proposal_oracle(strategy, use_context):
     targets = [rng.standard_normal((len(idx), 6)) for idx in assignment]
 
     def run(forward):
-        out = forward(pf, props, acn_cfg, params, 768.0, assignment=assignment)
+        out = forward(pf, props, acn_cfg, params, assignment=assignment)
         loss = None
         for (idx, cls, reg), target in zip(out, targets):
             if cls is None:
@@ -427,7 +435,7 @@ def test_acn_matches_per_proposal_oracle(strategy, use_context):
         return out, [t.grad.copy() for t in leaves]
 
     got, got_grads = run(heads.acn_forward)
-    ref, ref_grads = run(acn_forward_ref)
+    ref, ref_grads = run(partial(acn_forward_ref, buffer_len=768.0))
     for (idx, cls, reg), (ref_idx, ref_cls, ref_reg) in zip(got, ref):
         assert idx == ref_idx
         if cls is None:
@@ -450,7 +458,7 @@ def test_acn_gradcheck_full_path():
     arrays = [l.data for l in pf.levels] + [p.tensor.data for p in params.values()]
 
     def build():
-        out = heads.acn_forward(pf, props, acn_cfg, params, 768.0)
+        out = heads.acn_forward(pf, props, acn_cfg, params)
         loss = None
         for idx, cls, reg in out:
             if cls is None:

@@ -274,18 +274,37 @@ def test_leaf_gradients_accumulate_in_buffers_of_their_own():
     assert owned.grad is buffer and np.array_equal(buffer, [0.5, 0.5])
 
 
+# every differentiable op: (op, tensor operands as arrays, other arguments)
+OPS = {
+    "linear": (nc.linear, [np.ones((2, 3)), np.ones((3, 2)), np.array([0.0, 1.0])], ()),
+    "temporal_conv": (nc.temporal_conv, [np.ones((2, 3)), np.ones((1, 2, 1)), np.zeros(1)], ()),
+    "temporal_maxpool": (nc.temporal_maxpool, [np.ones((2, 4))], (2, 2)),
+    "relu": (nc.relu, [np.ones((2, 3))], ()),
+    "concat_channels": (nc.concat_channels, [np.ones((2, 3)), np.ones((1, 3))], ()),
+    "softmax_cross_entropy": (nc.softmax_cross_entropy, [np.ones((2, 3))], ([0, 2],)),
+    "smooth_l1": (nc.smooth_l1, [np.ones((2, 3)), np.zeros((2, 3))], ()),
+    "add": (nc.add, [np.ones((2, 3)), np.ones((2, 3))], ()),
+    "scale": (nc.scale, [np.ones((2, 3))], (2.0,)),
+    "take": (nc.take, [np.ones((2, 3))], ([[0, 4]],)),
+    "gathered": (nc.gathered, [np.ones((2, 3))], (np.ones(2), lambda: [0, 1])),
+    "rows": (nc.rows, [np.ones((2, 3))], (0, 1)),
+    "reshape": (nc.reshape, [np.ones((2, 3))], ((3, 2),)),
+}
+
+
 def test_ops_on_non_grad_inputs_record_nothing():
     # each op's backward closure holds its operands; a non-grad result must
     # drop both, or a forward-only pass keeps every intermediate alive
-    x, w, b = tensor(np.ones((2, 3)), grad=False), tensor(np.ones((3, 2)), grad=False), tensor([0.0, 1.0], grad=False)
-    ys = [nc.linear(x, w, b), nc.relu(x), nc.take(x, [[0, 4]]), nc.rows(x, 0, 1), nc.scale(x, 2.0),
-          nc.temporal_conv(x, tensor(np.ones((1, 2, 1)), grad=False), tensor([0.0], grad=False)),
-          nc.gathered(x, np.ones(2), lambda: [0, 1])]
-    for y in ys:
-        assert not y.requires_grad and y._parents == () and y._backward is None and y.grad is None
-    # one gradient-requiring operand is enough to record the node
-    y = nc.linear(x, tensor(np.ones((3, 2))), b)
-    assert y.requires_grad and len(y._parents) == 3 and y._backward is not None
+    for name, (op, arrays, args) in OPS.items():
+        y = op(*(tensor(a, grad=False) for a in arrays), *args)
+        assert not y.requires_grad and y._parents == () and y._backward is None and y.grad is None, name
+        # one gradient-requiring operand is enough to record the node, and
+        # the backward fills only that operand's gradient
+        leaves = [tensor(a, grad=i == 0) for i, a in enumerate(arrays)]
+        y = op(*leaves, *args)
+        assert y.requires_grad and len(y._parents) == len(arrays) and y._backward is not None, name
+        y._backward(np.ones_like(y.data))
+        assert np.abs(leaves[0].grad).sum() > 0 and all(t.grad is None for t in leaves[1:]), name
 
 
 def test_gathered_equals_take_and_builds_indices_only_for_backward():

@@ -62,7 +62,7 @@ def infer_video_taped(record, model, cfg):
         proposals = heads.generate_proposals(heads.apn_forward(pyramid_out, model.params), grid, model.apn_cfg)
         if not proposals:
             continue
-        acn_out = heads.acn_forward(pyramid_out, proposals, model.acn_cfg, model.params, float(cfg.buffer_len))
+        acn_out = heads.acn_forward(pyramid_out, proposals, model.acn_cfg, model.params)
         assert all(cls.requires_grad for _, cls, _ in acn_out)
         dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
     return heads.nms_detections(dets, model.acn_cfg.nms_tiou)
@@ -245,6 +245,11 @@ HEADER_EDITS = {
     "params reordered": swap_first_two_parameters,
     "parameter name not a string": lambda h: h["params"].__setitem__(0, []),
     "parameter name an object": lambda h: h["params"].__setitem__(0, {"a": 1}),
+    "pyramid keeps the v2 strides": set_config_field("pyramid", "strides", [8, 16, 32]),
+    # both loaded before tuple items were typed: the nested scales then made
+    # infer_video raise a bare ValueError, and the float scales ran
+    "scales nested one level deeper": set_config_field("apn", "scales", [[[x] for x in s] for s in ak.DEFAULT_SCALES]),
+    "float scales": set_config_field("apn", "scales", [[float(x) for x in s] for s in ak.DEFAULT_SCALES]),
     **{f"configs.{section}.{field} = {value!r}": set_config_field(section, field, value)
        for section, field, value in UNTYPED_CONFIG_VALUES},
 }
@@ -271,9 +276,10 @@ def test_rewritten_but_unchanged_header_still_loads(tmp_path):
 
 @pytest.mark.parametrize("edit,match", [
     (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:], "unsupported checkpoint version 1"),
+    (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:], "unsupported checkpoint version 2"),
     (lambda raw: raw[:-8], "payload has"),
     (lambda raw: raw + bytes(8), "payload has"),
-], ids=["version 1 file", "payload one f64 short", "payload one f64 long"])
+], ids=["version 1 file", "version 2 file", "payload one f64 short", "payload one f64 long"])
 def test_checkpoint_of_another_version_or_size_raises_data_error(tmp_path, edit, match):
     path = tmp_path / "m.tfpm"
     pipeline.save_checkpoint(path, small_model(), pipeline.TrainConfig(), 17)
@@ -295,6 +301,7 @@ def test_save_load_save_gives_identical_bytes(tmp_path):
     hlen = int.from_bytes(raw[8:12], "little")
     header = json.loads(raw[12 : 12 + hlen])
     assert sorted(header) == ["configs", "params", "step"] and header["params"] == list(model.params)
+    assert sorted(header["configs"]["pyramid"]) == ["num_levels", "variant"]  # strides are derived
     # per parameter in param_specs order: its values, then its velocity
     assert raw[12 + hlen :] == b"".join(p.data.astype("<f8").tobytes() + p.velocity.astype("<f8").tobytes()
                                         for p in model.params.values())

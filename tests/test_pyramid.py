@@ -71,7 +71,7 @@ def test_conv_variant_has_parameters_max_does_not():
 
 def test_single_level_pyramid_is_base_only():
     base = nc.Tensor(np.random.default_rng(2).standard_normal((4, 96)))
-    feats = pyr.build_pyramid(base, pyr.PyramidConfig(num_levels=1, strides=(8,)), {})
+    feats = pyr.build_pyramid(base, pyr.PyramidConfig(num_levels=1), {})
     assert len(feats.levels) == 1
     assert feats.levels[0] is base
 
@@ -80,9 +80,9 @@ def test_pyramid_config_validation():
     with pytest.raises(ConfigError):
         pyr.PyramidConfig(variant="avg")
     with pytest.raises(ConfigError):
-        pyr.PyramidConfig(num_levels=2, strides=(8, 24))
-    with pytest.raises(ConfigError):
-        pyr.PyramidConfig(num_levels=3, strides=(16, 32, 64))
+        pyr.PyramidConfig(num_levels=0)
+    # strides are derived: the encoder's 8, doubled per level
+    assert pyr.PyramidConfig(num_levels=4).strides == (8, 16, 32, 64)
 
 
 @pytest.mark.parametrize("variant", ["max", "conv"])
