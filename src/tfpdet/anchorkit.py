@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 
-# Per-level anchor layout: stride of each pyramid level and the anchor
-# lengths on it expressed as multiples of that stride.
-DEFAULT_STRIDES = (8, 16, 32)
+# Per-level anchor lengths, as multiples of the level's stride (which
+# ``PyramidConfig.strides`` gives).
 DEFAULT_SCALES = (
     tuple(range(1, 8)),
     tuple(range(4, 11)),
@@ -56,16 +55,15 @@ class AnchorGrid:
     index in that order is the tie-break key everywhere.
     """
 
-    def __init__(self, starts, ends, level_of, position_of, scale_index_of, strides, buffer_len: int):
+    def __init__(self, starts, ends, level_of, position_of, scale_index_of, num_levels: int, buffer_len: int):
         self.starts = starts
         self.ends = ends
         self.level_of = level_of
         self.position_of = position_of
         self.scale_index_of = scale_index_of
-        self.strides = tuple(strides)
         self.buffer_len = int(buffer_len)
         # level k occupies [level_offsets[k], level_offsets[k+1])
-        self.level_offsets = np.searchsorted(level_of, np.arange(len(self.strides) + 1))
+        self.level_offsets = np.searchsorted(level_of, np.arange(num_levels + 1))
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -74,7 +72,7 @@ class AnchorGrid:
         return np.arange(self.level_offsets[k], self.level_offsets[k + 1])
 
 
-def build_anchor_grid(buffer_len: int, strides=DEFAULT_STRIDES, scales=DEFAULT_SCALES) -> AnchorGrid:
+def build_anchor_grid(buffer_len: int, strides, scales) -> AnchorGrid:
     """Enumerate anchors: at (k, p, j), centered at (p+0.5)*stride_k with
     length scales[k][j]*stride_k.  Anchors may extend beyond [0, buffer_len].
     """
@@ -95,7 +93,7 @@ def build_anchor_grid(buffer_len: int, strides=DEFAULT_STRIDES, scales=DEFAULT_S
         position_of.append(np.repeat(np.arange(n), a))
         scale_index_of.append(np.tile(np.arange(a), n))
     cols = (starts, ends, level_of, position_of, scale_index_of)
-    return AnchorGrid(*(np.concatenate(col) for col in cols), strides, buffer_len)
+    return AnchorGrid(*(np.concatenate(col) for col in cols), len(strides), buffer_len)
 
 
 def tiou(a, b) -> np.ndarray:
@@ -195,17 +193,17 @@ class ProposalMatch:
     reg_targets: np.ndarray
 
 
-def match_proposals_acn(proposals: list[Segment], gts: list[Segment], gt_labels, fg_tiou: float = 0.5) -> ProposalMatch:
-    """Assign class labels to proposals: the argmax ground truth's label when
-    the maximum tIoU is strictly above ``fg_tiou``, background otherwise.
-    """
+def match_proposals_acn(proposals: np.ndarray, gts: list[Segment], gt_labels, fg_tiou: float = 0.5) -> ProposalMatch:
+    """Label the [n, 2] (start, end) proposals: the argmax ground truth's
+    label when the maximum tIoU is strictly above ``fg_tiou``, background
+    otherwise."""
     n = len(proposals)
     labels = np.zeros(n, dtype=np.int64)
     matched = np.full(n, -1, dtype=np.int64)
     reg = np.zeros((n, 2))
     if n == 0 or not gts:
         return ProposalMatch(labels, matched, reg)
-    m = tiou(segment_pairs(proposals)[:, None], segment_pairs(gts))
+    m = tiou(proposals[:, None], segment_pairs(gts))
     best_gt = m.argmax(axis=1)
     best_tiou = m[np.arange(n), best_gt]
     fg = best_tiou > fg_tiou
@@ -213,7 +211,7 @@ def match_proposals_acn(proposals: list[Segment], gts: list[Segment], gt_labels,
     labels[fg] = gt_labels[best_gt[fg]]
     matched[fg] = best_gt[fg]
     for i in np.nonzero(fg)[0]:
-        reg[i] = encode(proposals[i], gts[best_gt[i]])
+        reg[i] = encode(Segment(*proposals[i]), gts[best_gt[i]])
     return ProposalMatch(labels, matched, reg)
 
 
@@ -234,18 +232,9 @@ def sample_pos_neg(pos_idx: np.ndarray, neg_idx: np.ndarray, batch: int, pos_fra
     return np.concatenate([pos_sel, neg_sel])
 
 
-def sample_minibatch(match: MatchResult, batch: int, pos_fraction: float, rng: np.random.Generator, candidate_idx=None) -> np.ndarray:
-    """Sample anchor indices from a match result, positives first.
-
-    ``candidate_idx`` restricts the pool (used for per-level batches);
-    ignored anchors are never sampled.
-    """
-    labels = match.labels
-    if candidate_idx is not None:
-        candidate_idx = np.asarray(candidate_idx, dtype=np.int64)
-        pos = candidate_idx[labels[candidate_idx] == 1]
-        neg = candidate_idx[labels[candidate_idx] == -1]
-    else:
-        pos = np.nonzero(labels == 1)[0]
-        neg = np.nonzero(labels == -1)[0]
-    return sample_pos_neg(pos, neg, batch, pos_fraction, rng)
+def sample_minibatch(match: MatchResult, batch: int, pos_fraction: float, rng: np.random.Generator, candidate_idx) -> np.ndarray:
+    """Sample anchor indices from the pool ``candidate_idx`` (one level's
+    anchors), positives first; ignored anchors are never sampled."""
+    candidate_idx = np.asarray(candidate_idx, dtype=np.int64)
+    labels = match.labels[candidate_idx]
+    return sample_pos_neg(candidate_idx[labels == 1], candidate_idx[labels == -1], batch, pos_fraction, rng)

@@ -22,7 +22,6 @@ from .numcore import Tensor
 
 TFPV_MAGIC = b"TFPV"
 TFPV_VERSION = 1
-MAX_PYRAMID_STRIDE = 32
 MIN_INSTANCE_GAP = 8
 PLACEMENT_RESTARTS = 10  # fresh starts of one video's placement before giving up
 CLIP_KEEP_FRACTION = 0.5  # windowed annotations keeping less are dropped
@@ -268,8 +267,8 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
     shifted; a clipped instance keeping less than half its original length
     is dropped.
     """
-    if buf_len < 1 or buf_len % MAX_PYRAMID_STRIDE != 0:
-        raise ConfigError(f"buf_len {buf_len} must be a positive multiple of {MAX_PYRAMID_STRIDE}")
+    if buf_len < 1:
+        raise ConfigError(f"buf_len must be positive, got {buf_len}")
     if record.features is None:
         raise ContractError(f"video {record.video_id!r} has no features loaded")
     if directions not in ("both", "forward"):

@@ -13,8 +13,9 @@ that route the gradient are computed only by the backward, so a forward
 that needs no gradient never builds them.
 Post-processing runs on arrays: proposals and detections are decoded by
 ``anchorkit.decode`` per level, and NMS is exact greedy suppression over
-blocked ``anchorkit.tiou`` matrices; Python objects are built only for the
-rows that survive.
+blocked ``anchorkit.tiou`` matrices.  A window's proposals stay arrays
+(``Proposals``) from NMS through assignment, pooling and finalization;
+only the detections that survive become objects.
 """
 
 from __future__ import annotations
@@ -99,6 +100,19 @@ class Proposal:
     segment: Segment
     objectness: float
     source_level: int
+
+
+@dataclass(frozen=True, eq=False)
+class Proposals:
+    """A window's proposals in NMS order: [n, 2] (start, end) segments, [n]
+    objectness scores and [n] source levels."""
+
+    segments: np.ndarray
+    objectness: np.ndarray
+    levels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.objectness)
 
 
 @dataclass(frozen=True)
@@ -209,10 +223,10 @@ def nms_indices(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray, thresh
     return order[kept].tolist()
 
 
-def generate_proposals(apn_out, grid: AnchorGrid, cfg: ApnConfig) -> list[Proposal]:
+def generate_proposals(apn_out, grid: AnchorGrid, cfg: ApnConfig) -> Proposals:
     """Score and decode every anchor, then pool all levels through NMS at
     ``cfg.nms_tiou``, keeping at most ``cfg.top_k``."""
-    starts, ends, scores, levels = [], [], [], []
+    parts = []  # per level: the kept anchors' starts, ends, scores and levels
     hi = float(grid.buffer_len)
     for k, (cls, reg) in enumerate(apn_out):
         c = cls.data
@@ -222,18 +236,10 @@ def generate_proposals(apn_out, grid: AnchorGrid, cfg: ApnConfig) -> list[Propos
         idx = grid.level_indices(k)
         j, p = grid.scale_index_of[idx], grid.position_of[idx]
         s, e, keep = decode(grid.starts[idx], grid.ends[idx], reg.data[0::2][j, p], reg.data[1::2][j, p], (0.0, hi))
-        starts.append(s[keep])
-        ends.append(e[keep])
-        scores.append(obj[j, p][keep])
-        levels.append(np.full(int(keep.sum()), k))
-    starts = np.concatenate(starts)
-    ends = np.concatenate(ends)
-    scores = np.concatenate(scores)
-    levels = np.concatenate(levels)
-    if not scores.size:
-        return []
+        parts.append((s[keep], e[keep], obj[j, p][keep], np.full(int(keep.sum()), k)))
+    starts, ends, scores, levels = (np.concatenate(x) for x in zip(*parts))
     kept = nms_indices(starts, ends, scores, cfg.nms_tiou, cfg.top_k)
-    return [Proposal(Segment(starts[i], ends[i]), float(scores[i]), int(levels[i])) for i in kept]
+    return Proposals(np.stack([starts, ends], 1)[kept], scores[kept], levels[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -393,22 +399,18 @@ def context_features(level_feat, starts, ends, stride: float, num_bins: int, par
 # classification network
 
 
-def assign_proposals(proposals: list[Proposal], cfg: AcnConfig, num_levels: int) -> list[list[int]]:
-    """Proposal indices per level under the assignment strategy: s1 sends
-    everything to level 0, s2 to the source level, s3 to every level."""
-    assignment = [[] for _ in range(num_levels)]
-    for i, p in enumerate(proposals):
-        if cfg.strategy == "s1":
-            assignment[0].append(i)
-        elif cfg.strategy == "s2":
-            assignment[p.source_level].append(i)
-        else:
-            for k in range(num_levels):
-                assignment[k].append(i)
-    return assignment
+def assign_proposals(proposals: Proposals, cfg: AcnConfig, num_levels: int) -> list[np.ndarray]:
+    """Ascending proposal indices per level under the assignment strategy: s1
+    sends everything to level 0, s2 to the source level, s3 to every level."""
+    idx = np.arange(len(proposals))
+    if cfg.strategy == "s1":
+        return [idx] + [idx[:0]] * (num_levels - 1)
+    if cfg.strategy == "s2":
+        return [idx[proposals.levels == k] for k in range(num_levels)]
+    return [idx] * num_levels
 
 
-def acn_forward(pyr: PyramidFeatures, proposals: list[Proposal], cfg: AcnConfig, params: dict, assignment: list[list[int]] | None = None) -> list:
+def acn_forward(pyr: PyramidFeatures, proposals: Proposals, cfg: AcnConfig, params: dict, assignment: list[np.ndarray] | None = None) -> list:
     """Per level: the level's n proposals pooled as one [n, D, P] batch
     (optionally context-fused), flattened D-major to [n, D*P] rows and run
     through that level's classifier.  Returns, per level, (proposal indices,
@@ -419,10 +421,10 @@ def acn_forward(pyr: PyramidFeatures, proposals: list[Proposal], cfg: AcnConfig,
         raise ContractError("acn_forward needs at least one proposal")
     if assignment is None:
         assignment = assign_proposals(proposals, cfg, len(pyr.levels))
-    starts, ends = np.array([(p.segment.start, p.segment.end) for p in proposals], dtype=np.float64).T
+    starts, ends = proposals.segments.T
     out = []
     for k, idx in enumerate(assignment):
-        if not idx:
+        if len(idx) == 0:
             out.append((idx, None, None))
             continue
         feat, stride = pyr.levels[k], pyr.strides[k]
@@ -445,7 +447,7 @@ def _softmax(rows: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=1, keepdims=True)
 
 
-def finalize_detections(acn_out, proposals: list[Proposal], cfg: AcnConfig, buffer) -> list[Detection]:
+def finalize_detections(acn_out, proposals: Proposals, cfg: AcnConfig, buffer) -> list[Detection]:
     """Turn classifier outputs into video-coordinate detections.
 
     Every (proposal, level) output contributes one candidate per
@@ -455,13 +457,12 @@ def finalize_detections(acn_out, proposals: list[Proposal], cfg: AcnConfig, buff
     order, then pass NMS at ``cfg.nms_tiou`` and are shifted into video
     coordinates.
     """
-    prop = segment_pairs([p.segment for p in proposals])
     cands = [[] for _ in range(cfg.num_classes)]  # per class: (starts, ends, scores) per level
     for idx, cls, reg in acn_out:
         if cls is None:
             continue
         post = _softmax(cls.data)[:, 1:]
-        seg = prop[idx]
+        seg = proposals.segments[idx]
         s, e, ok = decode(seg[:, :1], seg[:, 1:], reg.data[:, 0::2], reg.data[:, 1::2], (0.0, float(buffer.num_valid)))
         live = ~(post < cfg.score_thresh) & ok
         for c, parts in enumerate(cands):

@@ -9,7 +9,9 @@ decides which: a node requires grad when any input does, and one that does
 not keeps neither the inputs nor the backward closure its operation passes,
 so an operation on inputs that need no gradient holds nothing of them once
 it returns, and a forward over non-grad views of the parameters builds no
-graph at all.
+graph at all.  A parameter is a gradient-requiring leaf tensor, so every
+layer takes the same dict of tensors in training and inference; its SGD
+momentum lives apart, in ``Model.velocity``.
 
 Only the operations the detection heads actually need are provided;
 everything runs on contiguous float64 numpy arrays for exact, deterministic
@@ -29,7 +31,7 @@ transpose around short runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,23 +74,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-@dataclass(eq=False)
-class Parameter:
-    """A trainable tensor plus its SGD momentum buffer ``velocity`` (same
-    shape as the values).  Its name is its key in the parameter dict.
-    """
-
-    tensor: Tensor
-    velocity: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.velocity is None:
-            self.velocity = np.zeros_like(self.tensor.data)
-
-    @classmethod
-    def create(cls, shape, init_spec: tuple, rng: np.random.Generator) -> "Parameter":
-        """Draw the values once from ``init_spec``: ``("gaussian", mean,
-        stddev)`` or ``("constant", value)``."""
+def create_params(specs, rng: np.random.Generator) -> dict:
+    """Named parameters, each a gradient-requiring leaf tensor, from (name,
+    shape, init_spec) triples, drawn from ``rng`` in order.  An init spec is
+    ``("gaussian", mean, stddev)`` or ``("constant", value)``."""
+    params = {}
+    for name, shape, init_spec in specs:
         kind = init_spec[0]
         if kind == "gaussian":
             _, mean, std = init_spec
@@ -97,17 +88,8 @@ class Parameter:
             data = np.full(shape, float(init_spec[1]))
         else:
             raise ConfigError(f"unknown init spec {init_spec!r}")
-        return cls(Tensor(data, requires_grad=True))
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-
-def create_params(specs, rng: np.random.Generator) -> dict:
-    """Named parameters from (name, shape, init_spec) triples, drawn from
-    ``rng`` in order."""
-    return {name: Parameter.create(shape, init_spec, rng) for name, shape, init_spec in specs}
+        params[name] = Tensor(data, requires_grad=True)
+    return params
 
 
 @dataclass(frozen=True)
@@ -137,12 +119,8 @@ class SgdConfig:
 
 
 def _t(x) -> Tensor:
-    """Unwrap parameters / wrap raw arrays so ops accept all three."""
-    if isinstance(x, Parameter):
-        return x.tensor
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
+    """Wrap raw arrays so ops accept arrays and tensors alike."""
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -455,8 +433,9 @@ def reshape(x, shape) -> Tensor:
     return Tensor(y, _parents=(xt,), _backward=back)
 
 
-def sgd_step(params, cfg: SgdConfig, step: int) -> None:
-    """One momentum-SGD update over ``params``; gradients are zeroed after.
+def sgd_step(params: dict, velocity: dict, cfg: SgdConfig, step: int) -> None:
+    """One momentum-SGD update of each leaf tensor in ``params`` with its
+    namesake momentum buffer in ``velocity``; gradients are zeroed after.
 
     v <- momentum*v + grad + weight_decay*param;  param <- param - lr(step)*v
 
@@ -467,12 +446,12 @@ def sgd_step(params, cfg: SgdConfig, step: int) -> None:
     more minor page faults per training step).
     """
     lr = cfg.effective_lr(step)
-    for p in params:
-        v = p.velocity
+    for name, p in params.items():
+        v = velocity[name]
         v *= cfg.momentum
-        if p.tensor.grad is not None:
-            v += p.tensor.grad
+        if p.grad is not None:
+            v += p.grad
         if cfg.weight_decay:
-            v += cfg.weight_decay * p.tensor.data
-        p.tensor.data -= lr * v
-        p.tensor.grad = np.zeros_like(p.tensor.data)
+            v += cfg.weight_decay * p.data
+        p.data -= lr * v
+        p.grad = np.zeros_like(p.data)

@@ -7,10 +7,12 @@ head, and the total loss is the level-weighted sum of classification and
 (positives-only) localization terms.  Proposal geometry is detached: the
 classifier treats decoded proposals as fixed inputs.  Inference runs the
 same layer functions on non-grad views of the parameters, so it records no
-autograd graph.  A checkpoint (TFPM version 3) is the configs plus the
-arrays: its header holds the configs, the step and the parameter names in
-``Model.param_specs`` order, its payload each parameter's values and then
-velocity as f64.  Changing that order needs a new version.
+autograd graph.  A parameter is a leaf tensor in ``Model.params`` and its
+momentum the array of the same name in ``Model.velocity``.  A checkpoint
+(TFPM version 3) is the configs plus the arrays: its header holds the
+configs, the step and the parameter names in ``Model.param_specs`` order,
+its payload each parameter's values and then velocity as f64.  Changing
+that order needs a new version.
 """
 
 from __future__ import annotations
@@ -67,13 +69,16 @@ class TrainConfig:
             raise ConfigError("max_steps and buffer_len must be positive")
         if self.apn_batch < 1 or self.acn_batch < 1:
             raise ConfigError("batch sizes must be positive")
+        for name in ("apn_pos_fraction", "acn_pos_fraction"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
 class Model:
-    """All named parameters plus the configs that shaped them."""
+    """All named parameters, their namesake momentum buffers and the configs that shaped them."""
 
     def __init__(self, encoder_cfg: pyramid.EncoderConfig, pyramid_cfg: pyramid.PyramidConfig,
-                 apn_cfg: heads.ApnConfig, acn_cfg: heads.AcnConfig, params: dict):
+                 apn_cfg: heads.ApnConfig, acn_cfg: heads.AcnConfig, params: dict, velocity: dict):
         if len(apn_cfg.scales) != pyramid_cfg.num_levels:
             raise ConfigError(
                 f"{len(apn_cfg.scales)} anchor scale lists for {pyramid_cfg.num_levels} pyramid levels"
@@ -83,6 +88,7 @@ class Model:
         self.apn_cfg = apn_cfg
         self.acn_cfg = acn_cfg
         self.params = params
+        self.velocity = velocity
 
     @staticmethod
     def param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg) -> list[tuple]:
@@ -95,10 +101,8 @@ class Model:
     def build(cls, encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, seed: int) -> "Model":
         rng = np.random.default_rng([int(seed), 2])
         params = nc.create_params(cls.param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg), rng)
-        return cls(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params)
-
-    def parameters(self) -> list[nc.Parameter]:
-        return list(self.params.values())
+        velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
+        return cls(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params, velocity)
 
     def forward_pyramid(self, features, params: dict) -> pyramid.PyramidFeatures:
         base = pyramid.encode(features, self.encoder_cfg, params)
@@ -130,7 +134,10 @@ def joint_loss(apn_terms: list, acn_terms: list, weights: LossWeights) -> nc.Ten
 
     ``apn_terms``/``acn_terms`` hold per level a (cls, loc) pair of scalar
     tensors, either possibly None; levels with nothing sampled contribute 0.
+    ``weights`` must hold one gamma and one lambda per level.
     """
+    if not len(weights.gamma) == len(apn_terms) == len(acn_terms):
+        raise ConfigError(f"{len(weights.gamma)} (gamma, lambda) loss weights for {len(apn_terms)} pyramid levels")
     total = None
     for terms in (apn_terms, acn_terms):
         for k, (cls, loc) in enumerate(terms):
@@ -189,22 +196,20 @@ def _acn_level_losses(pyr, proposals, pmatch, model: Model, cfg: TrainConfig, rn
         return terms, pos_counts, neg_counts
     assignment = heads.assign_proposals(proposals, acn_cfg, num_levels)
     sampled = []
-    for k in range(num_levels):
-        cand = np.asarray(assignment[k], dtype=np.int64)
+    for k, cand in enumerate(assignment):
         if cand.size == 0:
-            sampled.append([])
+            sampled.append(cand)
             continue
         pos = cand[pmatch.class_labels[cand] > 0]
         neg = cand[pmatch.class_labels[cand] == 0]
         sel = anchorkit.sample_pos_neg(pos, neg, cfg.acn_batch, cfg.acn_pos_fraction, rng)
-        sampled.append(sel.tolist())
+        sampled.append(sel)
         pos_counts[k] = int(np.sum(pmatch.class_labels[sel] > 0))
         neg_counts[k] = int(sel.size - pos_counts[k])
     acn_out = heads.acn_forward(pyr, proposals, acn_cfg, model.params, assignment=sampled)
     for k, (idx, cls, reg) in enumerate(acn_out):
         if cls is None:
             continue
-        idx = np.asarray(idx, dtype=np.int64)
         labels = pmatch.class_labels[idx]
         rows = np.nonzero(labels > 0)[0]
         # a positive of class c reads columns (2(c-1), 2(c-1)+1) of its [2C] row
@@ -228,9 +233,7 @@ def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anc
     match = anchorkit.match_anchors_apn(grid, gts, model.apn_cfg.pos_tiou, model.apn_cfg.neg_tiou)
     apn_terms, apn_pos, apn_neg = _apn_level_losses(apn_out, grid, match, cfg, rng)
     proposals = heads.generate_proposals(apn_out, grid, model.apn_cfg)
-    pmatch = anchorkit.match_proposals_acn(
-        [p.segment for p in proposals], gts, gt_labels, model.acn_cfg.fg_tiou
-    )
+    pmatch = anchorkit.match_proposals_acn(proposals.segments, gts, gt_labels, model.acn_cfg.fg_tiou)
     acn_terms, acn_pos, acn_neg = _acn_level_losses(pyr, proposals, pmatch, model, cfg, rng)
     loss = joint_loss(apn_terms, acn_terms, cfg.loss_weights)
 
@@ -252,7 +255,7 @@ def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anc
     )
     _check_finite_losses(report)
     nc.backward(loss)
-    nc.sgd_step(model.parameters(), cfg.sgd, step)
+    nc.sgd_step(model.params, model.velocity, cfg.sgd, step)
     return report
 
 
@@ -290,11 +293,11 @@ def propose_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -
     """Forward-window the video and pool proposals in video coordinates."""
     out = []
     for buf, _, _, proposals in _forward_windows(record, model, cfg):
-        for p in proposals:
-            s = max(p.segment.start, 0.0) + buf.frame_offset
-            e = min(p.segment.end, float(buf.num_valid)) + buf.frame_offset
-            if e - s >= 1.0:
-                out.append(heads.Proposal(anchorkit.Segment(s, e), p.objectness, p.source_level))
+        s = np.maximum(proposals.segments[:, 0], 0.0) + buf.frame_offset
+        e = np.minimum(proposals.segments[:, 1], float(buf.num_valid)) + buf.frame_offset
+        keep = e - s >= 1.0
+        rows = zip(s[keep].tolist(), e[keep].tolist(), proposals.objectness[keep].tolist(), proposals.levels[keep].tolist())
+        out += [heads.Proposal(anchorkit.Segment(a, b), score, level) for a, b, score, level in rows]
     out.sort(key=lambda p: (-p.objectness, p.segment.start))
     return out
 
@@ -352,9 +355,8 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> No
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(hb)))
         f.write(hb)
         for name in names:
-            p = model.params[name]
-            f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(p.velocity, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(model.params[name].data, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(model.velocity[name], dtype="<f8").tobytes())
 
 
 def _decode(tp, value, where: str):
@@ -395,10 +397,9 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
         raise DataError(f"{path}: checkpoint header needs exactly the keys configs, step and params")
     if type(header["step"]) is not int:
         raise DataError(f"{path}: checkpoint step {header['step']!r} is not an integer")
-    params: dict[str, nc.Parameter] = {}  # filled from the payload below
     try:
         cfgs = _decode(_Configs, header["configs"], f"{path}: configs")
-        model = Model(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn, params)
+        model = Model(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn, {}, {})  # arrays from the payload below
         specs = Model.param_specs(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn)
     except (TypeError, ConfigError) as exc:
         raise DataError(f"{path}: invalid checkpoint configs: {exc!r}") from exc
@@ -410,6 +411,7 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
         raise DataError(f"{path}: payload has {len(raw) - offset} bytes, the configs need {16 * sum(sizes)}")
     for (name, shape, _), size in zip(specs, sizes):
         values, velocity = np.frombuffer(raw, dtype="<f8", count=2 * size, offset=offset).reshape((2, *shape))
-        params[name] = nc.Parameter(nc.Tensor(values.copy(), requires_grad=True), velocity.copy())
+        model.params[name] = nc.Tensor(values.copy(), requires_grad=True)
+        model.velocity[name] = velocity.copy()
         offset += 16 * size
     return model, cfgs.train, header["step"]

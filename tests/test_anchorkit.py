@@ -6,8 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from tfpdet import anchorkit as ak
 from tfpdet.errors import ConfigError, ContractError
+from tfpdet.pyramid import PyramidConfig
 
 from oracles import match_anchors_ref, match_proposals_ref, tiou_ref
+
+
+STRIDES = PyramidConfig().strides
 
 
 def seg(s, e):
@@ -28,7 +32,7 @@ def level_lengths(grid, k):
 
 
 def test_grid_level_lengths_match_scale_ranges():
-    grid = ak.build_anchor_grid(768)
+    grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
     lengths = [level_lengths(grid, k) for k in range(3)]
     assert lengths[0] == [8, 16, 24, 32, 40, 48, 56]
     assert lengths[1] == [64, 80, 96, 112, 128, 144, 160]
@@ -36,19 +40,19 @@ def test_grid_level_lengths_match_scale_ranges():
 
 
 def test_grid_counts():
-    grid = ak.build_anchor_grid(768)
+    grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
     assert [len(grid.level_indices(k)) for k in range(3)] == [96 * 7, 48 * 7, 24 * 11]
     assert len(grid) == 1272
 
 
 def test_first_cell_anchor_placement():
-    grid = ak.build_anchor_grid(768)
+    grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
     assert (grid.level_of[0], grid.position_of[0], grid.scale_index_of[0]) == (0, 0, 0)
     assert (grid.starts[0], grid.ends[0]) == (0.0, 8.0)
 
 
 @pytest.mark.parametrize("buffer_len,strides,scales", [
-    (768, ak.DEFAULT_STRIDES, ak.DEFAULT_SCALES),
+    (768, STRIDES, ak.DEFAULT_SCALES),
     (768, (8,), ak.SINGLE_SCALE_SCALES),
     (96, (3, 6), ((0.5, 1.7), (2,))),
 ])
@@ -69,12 +73,12 @@ def test_grid_arrays_equal_per_anchor_loop(buffer_len, strides, scales):
 
 def test_grid_rejects_indivisible_buffer():
     with pytest.raises(ConfigError, match="divisible"):
-        ak.build_anchor_grid(100)
+        ak.build_anchor_grid(100, STRIDES, ak.DEFAULT_SCALES)
 
 
 def test_single_scale_layout_covers_same_lengths():
     grid = ak.build_anchor_grid(768, strides=(8,), scales=ak.SINGLE_SCALE_SCALES)
-    multi = ak.build_anchor_grid(768)
+    multi = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
     assert level_lengths(grid, 0) == sorted(set().union(*(level_lengths(multi, k) for k in range(3))))
     assert len(ak.SINGLE_SCALE_SCALES[0]) == 25
 
@@ -207,7 +211,7 @@ def test_segment_rejects_empty():
 
 
 def test_match_perfect_anchor_is_positive():
-    grid = ak.build_anchor_grid(768)
+    grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
     m = ak.match_anchors_apn(grid, [seg(0.0, 56.0)])
     # the length-56 anchor centered at 28 is an exact hit
     exact = np.flatnonzero((grid.starts == 0.0) & (grid.ends == 56.0)).tolist()
@@ -217,7 +221,7 @@ def test_match_perfect_anchor_is_positive():
 
 
 def test_match_empty_gts_all_negative():
-    grid = ak.build_anchor_grid(768)
+    grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
     m = ak.match_anchors_apn(grid, [])
     assert np.all(m.labels == -1)
     assert int(np.sum(m.labels == -1)) == 1272
@@ -226,7 +230,7 @@ def test_match_empty_gts_all_negative():
 def test_match_midrange_best_anchor_still_positive():
     # a 4-frame ground truth has best tIoU 4/8 = 0.5: only the best-match
     # clause can make it positive, and exactly one anchor wins
-    grid = ak.build_anchor_grid(768)
+    grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
     m = ak.match_anchors_apn(grid, [seg(0.0, 4.0)])
     best = ak.tiou(np.stack([grid.starts, grid.ends], axis=1), (0.0, 4.0)).max()
     assert best == pytest.approx(0.5, abs=1e-12)
@@ -272,20 +276,20 @@ def test_match_equals_exhaustive_oracle_on_random_scenes():
 
 
 def test_proposal_match_perfect():
-    m = ak.match_proposals_acn([seg(10, 50)], [seg(10, 50)], [3])
+    m = ak.match_proposals_acn(np.array([[10.0, 50.0]]), [seg(10, 50)], [3])
     assert m.class_labels[0] == 3
     assert np.allclose(m.reg_targets[0], [0.0, 0.0])
 
 
 def test_proposal_match_below_threshold_is_background():
-    m = ak.match_proposals_acn([seg(0, 4)], [seg(0, 10)], [2])
+    m = ak.match_proposals_acn(np.array([[0.0, 4.0]]), [seg(0, 10)], [2])
     assert m.class_labels[0] == 0
     assert m.matched_gt[0] == -1
 
 
 def test_proposal_match_exactly_half_is_background():
     # tIoU exactly 0.5: strict "greater than" sends it to background
-    m = ak.match_proposals_acn([seg(0, 5)], [seg(0, 10)], [1])
+    m = ak.match_proposals_acn(np.array([[0.0, 5.0]]), [seg(0, 10)], [1])
     assert ak.tiou((0, 5), (0, 10)) == 0.5
     assert m.class_labels[0] == 0
 
@@ -296,7 +300,7 @@ def test_proposal_match_equals_oracle():
         props = [seg(s, s + l) for s, l in zip(rng.uniform(0, 200, 8), rng.uniform(1, 80, 8))]
         gts = [seg(s, s + l) for s, l in zip(rng.uniform(0, 200, 3), rng.uniform(1, 80, 3))]
         labels = rng.integers(1, 4, 3).tolist()
-        m = ak.match_proposals_acn(props, gts, labels)
+        m = ak.match_proposals_acn(ak.segment_pairs(props), gts, labels)
         ref = match_proposals_ref(props, gts, labels)
         assert m.class_labels.tolist() == [r[0] for r in ref]
         assert m.matched_gt.tolist() == [r[1] for r in ref]
@@ -315,7 +319,7 @@ def _match_with(pos, neg, total):
 
 def test_sample_balanced_one_to_one():
     m = _match_with(100, 100, 220)
-    sel = ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(0))
+    sel = ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(0), np.arange(len(m.labels)))
     assert len(sel) == 64
     assert int(np.sum(m.labels[sel] == 1)) == 32
     assert int(np.sum(m.labels[sel] == -1)) == 32
@@ -323,21 +327,21 @@ def test_sample_balanced_one_to_one():
 
 def test_sample_fills_with_negatives():
     m = _match_with(5, 1000, 1010)
-    sel = ak.sample_minibatch(m, 64, 0.25, np.random.default_rng(0))
+    sel = ak.sample_minibatch(m, 64, 0.25, np.random.default_rng(0), np.arange(len(m.labels)))
     assert int(np.sum(m.labels[sel] == 1)) == 5
     assert int(np.sum(m.labels[sel] == -1)) == 59
 
 
 def test_sample_zero_positives():
     m = _match_with(0, 1000, 1000)
-    sel = ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(0))
+    sel = ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(0), np.arange(len(m.labels)))
     assert len(sel) == 64
     assert np.all(m.labels[sel] == -1)
 
 
 def test_sample_never_takes_ignores():
     m = _match_with(3, 4, 50)  # 43 ignored anchors
-    sel = ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(1))
+    sel = ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(1), np.arange(len(m.labels)))
     assert np.all(m.labels[sel] != 0)
     assert len(sel) == 7
 
@@ -345,13 +349,13 @@ def test_sample_never_takes_ignores():
 def test_sample_empty_pools_raise():
     m = _match_with(0, 0, 10)
     with pytest.raises(ContractError, match="no positives and no negatives"):
-        ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(0))
+        ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(0), np.arange(len(m.labels)))
 
 
 def test_sample_without_replacement_and_seeded():
     m = _match_with(40, 40, 80)
-    a = ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(42))
-    b = ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(42))
+    a = ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(42), np.arange(len(m.labels)))
+    b = ak.sample_minibatch(m, 64, 0.5, np.random.default_rng(42), np.arange(len(m.labels)))
     assert np.array_equal(a, b)
     assert len(set(a.tolist())) == len(a)
 
@@ -369,7 +373,7 @@ def test_sample_respects_candidate_restriction():
 
 def test_anchor_coverage_at_least_point_six():
     lengths = sorted(
-        sc * s for s, scales in zip(ak.DEFAULT_STRIDES, ak.DEFAULT_SCALES) for sc in scales
+        sc * s for s, scales in zip(STRIDES, ak.DEFAULT_SCALES) for sc in scales
     )
     for l in range(8, 513):
         best = max(min(a, l) / max(a, l) for a in lengths)

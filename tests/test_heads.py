@@ -76,12 +76,12 @@ def test_apn_output_shapes():
 def test_apn_zero_cls_weights_give_uniform_objectness():
     ecfg, pcfg, apn_cfg, params = small_setup()
     for k in range(3):
-        params[f"apn.level{k}.cls.w"].tensor.data[:] = 0.0
+        params[f"apn.level{k}.cls.w"].data[:] = 0.0
     out = heads.apn_forward(forward_pyramid(ecfg, pcfg, params), params)
-    grid = ak.build_anchor_grid(768)
+    grid = ak.build_anchor_grid(768, pcfg.strides, apn_cfg.scales)
     props = heads.generate_proposals(out, grid, replace(apn_cfg, top_k=10))
     assert len(props) == 10
-    assert all(p.objectness == pytest.approx(0.5, abs=1e-12) for p in props)
+    assert np.all(np.abs(props.objectness - 0.5) <= 1e-12)
 
 
 def test_apn_gradcheck_through_sibling_heads():
@@ -90,7 +90,7 @@ def test_apn_gradcheck_through_sibling_heads():
     rng = np.random.default_rng(2)
     params = nc.create_params(heads.apn_param_specs(hidden, apn_cfg), rng)
     feat = rng.standard_normal((hidden, 6))
-    arrays = [feat] + [p.tensor.data for p in params.values()]
+    arrays = [feat] + [p.data for p in params.values()]
 
     def build():
         ft = nc.Tensor(feat, requires_grad=True)
@@ -101,7 +101,7 @@ def test_apn_gradcheck_through_sibling_heads():
             nc.softmax_cross_entropy(nc.reshape(cls, (cls.shape[1], cls.shape[0])), labels),
             nc.smooth_l1(reg, nc.Tensor(np.full(reg.shape, 0.3))),
         )
-        return loss, [ft] + [p.tensor for p in params.values()]
+        return loss, [ft] + list(params.values())
 
     check_gradients(build, arrays)
 
@@ -156,17 +156,57 @@ def test_nms_matches_oracle_on_random_sets():
 def test_generate_proposals_sorted_and_separated():
     ecfg, pcfg, apn_cfg, params = small_setup(seed=5)
     out = heads.apn_forward(forward_pyramid(ecfg, pcfg, params, seed=6), params)
-    grid = ak.build_anchor_grid(768)
+    grid = ak.build_anchor_grid(768, pcfg.strides, apn_cfg.scales)
     props = heads.generate_proposals(out, grid, apn_cfg)
     assert (apn_cfg.nms_tiou, apn_cfg.top_k) == (0.7, 100)
     assert 0 < len(props) <= 100
-    for a, b in zip(props, props[1:]):
-        assert a.objectness >= b.objectness
-    for i, a in enumerate(props):
-        assert 0.0 <= a.segment.start < a.segment.end <= 768.0
-        assert a.segment.length >= 1.0
-        for b in props[i + 1 :]:
-            assert ak.tiou((a.segment.start, a.segment.end), (b.segment.start, b.segment.end)) < 0.7
+    assert props.segments.shape == (len(props), 2) and props.levels.shape == (len(props),)
+    assert np.all(np.diff(props.objectness) <= 0.0)
+    s, e = props.segments.T
+    assert np.all((0.0 <= s) & (s < e) & (e <= 768.0) & (e - s >= 1.0))
+    assert np.all(ak.tiou(props.segments[:, None], props.segments)[np.triu_indices(len(props), 1)] < 0.7)
+
+
+def generate_proposals_ref(apn_out, grid, cfg):
+    """The proposal list built one object per kept row, as before proposals
+    stayed arrays: per level, softmax objectness and decoded anchors, then
+    NMS over all levels."""
+    starts, ends, scores, levels = [], [], [], []
+    for k, (cls, reg) in enumerate(apn_out):
+        c = cls.data
+        m = np.maximum(c[0::2], c[1::2])
+        obj = np.exp(c[1::2] - m) / (np.exp(c[0::2] - m) + np.exp(c[1::2] - m))
+        idx = grid.level_indices(k)
+        j, p = grid.scale_index_of[idx], grid.position_of[idx]
+        s, e, keep = ak.decode(grid.starts[idx], grid.ends[idx], reg.data[0::2][j, p], reg.data[1::2][j, p],
+                               (0.0, float(grid.buffer_len)))
+        starts += s[keep].tolist()
+        ends += e[keep].tolist()
+        scores += obj[j, p][keep].tolist()
+        levels += [k] * int(keep.sum())
+    if not scores:
+        return []
+    kept = heads.nms_indices(np.array(starts), np.array(ends), np.array(scores), cfg.nms_tiou, cfg.top_k)
+    return [heads.Proposal(ak.Segment(starts[i], ends[i]), scores[i], levels[i]) for i in kept]
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_generate_proposals_rows_equal_the_proposal_list(seed):
+    ecfg, pcfg, apn_cfg, params = small_setup(seed=seed)
+    out = heads.apn_forward(forward_pyramid(ecfg, pcfg, params, seed=seed + 1), params)
+    grid = ak.build_anchor_grid(768, pcfg.strides, apn_cfg.scales)
+    for cfg in (apn_cfg, replace(apn_cfg, nms_tiou=0.4, top_k=30)):
+        props = heads.generate_proposals(out, grid, cfg)
+        want = generate_proposals_ref(out, grid, cfg)
+        assert want and len(props) == len(want)
+        assert list(zip(*props.segments.T.tolist(), props.objectness.tolist(), props.levels.tolist())) == [
+            (p.segment.start, p.segment.end, p.objectness, p.source_level) for p in want]
+    # every anchor decodes to less than one frame: no proposal at all
+    degenerate = [(cls, nc.Tensor(np.where(np.arange(len(reg.data))[:, None] % 2, -50.0, reg.data)))
+                  for cls, reg in out]
+    props = heads.generate_proposals(degenerate, grid, apn_cfg)
+    assert generate_proposals_ref(degenerate, grid, apn_cfg) == [] and len(props) == 0
+    assert props.segments.shape == (0, 2) and props.objectness.shape == props.levels.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +385,15 @@ def make_proposals(n, rng=None, level=0):
     return props
 
 
+def as_arrays(props):
+    """``heads.Proposals`` holding the rows of a ``Proposal`` list, in order."""
+    return heads.Proposals(ak.segment_pairs([p.segment for p in props]).reshape(-1, 2),
+                           np.array([p.objectness for p in props]), np.array([p.source_level for p in props], dtype=np.int64))
+
+
 def test_acn_s3_fans_out_to_all_levels():
     acn_cfg, params, pf = acn_setup("s3")
-    out = heads.acn_forward(pf, make_proposals(10), acn_cfg, params)
+    out = heads.acn_forward(pf, as_arrays(make_proposals(10)), acn_cfg, params)
     assert sum(len(idx) for idx, _, _ in out) == 30
     for idx, cls, reg in out:
         assert cls.shape == (10, 4)
@@ -356,7 +402,7 @@ def test_acn_s3_fans_out_to_all_levels():
 
 def test_acn_s1_sends_everything_to_level_zero():
     acn_cfg, params, pf = acn_setup("s1")
-    out = heads.acn_forward(pf, make_proposals(6), acn_cfg, params)
+    out = heads.acn_forward(pf, as_arrays(make_proposals(6)), acn_cfg, params)
     assert len(out[0][0]) == 6
     assert out[1][1] is None and out[2][1] is None
 
@@ -365,18 +411,18 @@ def test_acn_s2_follows_source_level():
     acn_cfg, params, pf = acn_setup("s2")
     rng = np.random.default_rng(4)
     props = make_proposals(3, rng, level=0) + make_proposals(2, rng, level=2)
-    out = heads.acn_forward(pf, props, acn_cfg, params)
-    assert [len(idx) for idx, _, _ in out] == [3, 0, 2]
+    out = heads.acn_forward(pf, as_arrays(props), acn_cfg, params)
+    assert [idx.tolist() for idx, _, _ in out] == [[0, 1, 2], [], [3, 4]]
 
 
 def test_acn_s1_touches_only_level_zero_classifier():
     acn_cfg, params, pf = acn_setup("s1")
-    out = heads.acn_forward(pf, make_proposals(5), acn_cfg, params)
+    out = heads.acn_forward(pf, as_arrays(make_proposals(5)), acn_cfg, params)
     idx, cls, reg = out[0]
     loss = nc.softmax_cross_entropy(cls, np.zeros(5, dtype=np.int64))
     nc.backward(loss)
     for name, p in params.items():
-        grad_norm = float(np.abs(p.tensor.grad).max())
+        grad_norm = float(np.abs(p.grad).max())
         if ".level0." in name and "reg" not in name:
             assert grad_norm > 0.0, name
         if ".level1." in name or ".level2." in name:
@@ -385,8 +431,8 @@ def test_acn_s1_touches_only_level_zero_classifier():
 
 def test_acn_zero_cls_weights_uniform_posterior():
     acn_cfg, params, pf = acn_setup("s1")
-    params["acn.level0.cls.w"].tensor.data[:] = 0.0
-    out = heads.acn_forward(pf, make_proposals(4), acn_cfg, params)
+    params["acn.level0.cls.w"].data[:] = 0.0
+    out = heads.acn_forward(pf, as_arrays(make_proposals(4)), acn_cfg, params)
     logits = out[0][1].data
     post = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     assert np.allclose(post, 0.25, atol=1e-12)
@@ -394,7 +440,7 @@ def test_acn_zero_cls_weights_uniform_posterior():
 
 def test_acn_without_context_same_classifier_shape():
     acn_cfg, params, pf = acn_setup("s1", use_context=False)
-    out = heads.acn_forward(pf, make_proposals(4), acn_cfg, params)
+    out = heads.acn_forward(pf, as_arrays(make_proposals(4)), acn_cfg, params)
     assert out[0][1].shape == (4, 4)
     assert not any("reduce" in name for name in params)
 
@@ -402,7 +448,7 @@ def test_acn_without_context_same_classifier_shape():
 def test_acn_rejects_empty_proposals():
     acn_cfg, params, pf = acn_setup("s1")
     with pytest.raises(ContractError, match="proposal"):
-        heads.acn_forward(pf, [], acn_cfg, params)
+        heads.acn_forward(pf, as_arrays([]), acn_cfg, params)
 
 
 # clipped at 0 and at the buffer end, sub-cell (borrowing bins, and no
@@ -410,34 +456,59 @@ def test_acn_rejects_empty_proposals():
 EDGE_SEGMENTS = [(0.0, 40.0), (700.0, 768.0), (100.0, 103.0), (101.0, 103.0), (5.0, 760.0), (380.0, 395.0)]
 
 
+def edge_proposals(rng):
+    props = [heads.Proposal(ak.Segment(s, e), 0.5, i % 3) for i, (s, e) in enumerate(EDGE_SEGMENTS)]
+    return props + make_proposals(10, rng, level=1)
+
+
+def assign_ref(props, strategy, num_levels):
+    """The per-proposal assignment rule: s1 sends each proposal to level 0,
+    s2 to its source level, s3 to every level."""
+    assignment = [[] for _ in range(num_levels)]
+    for i, p in enumerate(props):
+        for k in {"s1": [0], "s2": [p.source_level], "s3": range(num_levels)}[strategy]:
+            assignment[k].append(i)
+    return assignment
+
+
+@pytest.mark.parametrize("strategy", heads.STRATEGIES)
+def test_assign_proposals_equals_per_proposal_rule(strategy):
+    cfg = heads.AcnConfig(num_classes=1, strategy=strategy)
+    props = edge_proposals(np.random.default_rng(22))
+    no_level_one = [p for p in props if p.source_level != 1]
+    for case, num_levels in ((props, 3), (no_level_one, 3), (props[:1], 1), ([], 3)):
+        got = heads.assign_proposals(as_arrays(case), cfg, num_levels)
+        assert [a.tolist() for a in got] == assign_ref(case, strategy, num_levels)
+        assert all(a.dtype == np.int64 for a in got)
+
+
 @pytest.mark.parametrize("use_context", [True, False])
 @pytest.mark.parametrize("strategy", ["s1", "s2", "s3"])
 def test_acn_matches_per_proposal_oracle(strategy, use_context):
     acn_cfg, params, pf = acn_setup(strategy, use_context=use_context, seed=21)
     rng = np.random.default_rng(22)
-    props = [heads.Proposal(ak.Segment(s, e), 0.5, i % 3) for i, (s, e) in enumerate(EDGE_SEGMENTS)]
-    props += make_proposals(10, rng, level=1)
-    assignment = heads.assign_proposals(props, acn_cfg, 3)
+    props = edge_proposals(rng)
+    assignment = heads.assign_proposals(as_arrays(props), acn_cfg, 3)
     targets = [rng.standard_normal((len(idx), 6)) for idx in assignment]
 
-    def run(forward):
-        out = forward(pf, props, acn_cfg, params, assignment=assignment)
+    def run(forward, proposals, assignment):
+        out = forward(pf, proposals, acn_cfg, params, assignment=assignment)
         loss = None
         for (idx, cls, reg), target in zip(out, targets):
             if cls is None:
                 continue
             term = nc.add(nc.softmax_cross_entropy(cls, np.arange(len(idx)) % 4), nc.smooth_l1(reg, nc.Tensor(target)))
             loss = term if loss is None else nc.add(loss, term)
-        leaves = list(pf.levels) + [p.tensor for p in params.values()]
+        leaves = list(pf.levels) + list(params.values())
         for t in leaves:
             t.grad = np.zeros_like(t.data)
         nc.backward(loss)
         return out, [t.grad.copy() for t in leaves]
 
-    got, got_grads = run(heads.acn_forward)
-    ref, ref_grads = run(partial(acn_forward_ref, buffer_len=768.0))
+    got, got_grads = run(heads.acn_forward, as_arrays(props), assignment)
+    ref, ref_grads = run(partial(acn_forward_ref, buffer_len=768.0), props, [a.tolist() for a in assignment])
     for (idx, cls, reg), (ref_idx, ref_cls, ref_reg) in zip(got, ref):
-        assert idx == ref_idx
+        assert idx.tolist() == ref_idx
         if cls is None:
             assert ref_cls is None
             continue
@@ -452,10 +523,10 @@ def test_acn_gradcheck_full_path():
     # probe at generic O(1) parameter values: the production init is so
     # small that stacked layers push gradients below FD resolution
     for p in params.values():
-        p.tensor.data = rng.standard_normal(p.tensor.data.shape) * 0.4
-    props = make_proposals(3, rng)
+        p.data = rng.standard_normal(p.data.shape) * 0.4
+    props = as_arrays(make_proposals(3, rng))
     labels = np.array([0, 1, 2])
-    arrays = [l.data for l in pf.levels] + [p.tensor.data for p in params.values()]
+    arrays = [l.data for l in pf.levels] + [p.data for p in params.values()]
 
     def build():
         out = heads.acn_forward(pf, props, acn_cfg, params)
@@ -466,7 +537,7 @@ def test_acn_gradcheck_full_path():
             term = nc.add(nc.softmax_cross_entropy(cls, labels),
                           nc.smooth_l1(reg, nc.Tensor(np.full(reg.shape, 0.2))))
             loss = term if loss is None else nc.add(loss, term)
-        return loss, list(pf.levels) + [p.tensor for p in params.values()]
+        return loss, list(pf.levels) + list(params.values())
 
     check_gradients(build, arrays)
 
@@ -480,14 +551,14 @@ def make_buffer(video_id="v", offset=0, num_valid=768):
 
 
 def acn_out_single(logits, regs, idx=(0,), level_count=1):
-    out = [(list(idx), nc.Tensor(np.asarray(logits)), nc.Tensor(np.asarray(regs)))]
-    out += [([], None, None)] * (level_count - 1)
+    out = [(np.array(idx), nc.Tensor(np.asarray(logits)), nc.Tensor(np.asarray(regs)))]
+    out += [(np.array([], dtype=np.int64), None, None)] * (level_count - 1)
     return out
 
 
 def test_finalize_confident_background_yields_nothing():
     cfg = heads.AcnConfig(num_classes=3, strategy="s1")
-    props = [heads.Proposal(ak.Segment(100, 200), 0.9, 0)]
+    props = as_arrays([heads.Proposal(ak.Segment(100, 200), 0.9, 0)])
     logits = [[20.0, -20.0, -20.0, -20.0]]
     regs = [[0.0] * 6]
     dets = heads.finalize_detections(acn_out_single(logits, regs), props, cfg, make_buffer())
@@ -496,7 +567,7 @@ def test_finalize_confident_background_yields_nothing():
 
 def test_finalize_two_classes_same_segment_both_survive():
     cfg = heads.AcnConfig(num_classes=2, strategy="s1")
-    props = [heads.Proposal(ak.Segment(100, 200), 0.9, 0), heads.Proposal(ak.Segment(100, 200), 0.8, 0)]
+    props = as_arrays([heads.Proposal(ak.Segment(100, 200), 0.9, 0), heads.Proposal(ak.Segment(100, 200), 0.8, 0)])
     logits = [[-5.0, 5.0, -5.0], [-5.0, -5.0, 5.0]]
     regs = [[0.0] * 4, [0.0] * 4]
     dets = heads.finalize_detections(acn_out_single(logits, regs, idx=(0, 1)), props, cfg, make_buffer())
@@ -505,10 +576,10 @@ def test_finalize_two_classes_same_segment_both_survive():
 
 def test_finalize_s3_duplicates_collapse_to_one():
     cfg = heads.AcnConfig(num_classes=1, strategy="s3")
-    props = [heads.Proposal(ak.Segment(100, 200), 0.9, 0)]
+    props = as_arrays([heads.Proposal(ak.Segment(100, 200), 0.9, 0)])
     out = []
     for score_logit in (3.0, 2.0, 1.0):  # same segment from 3 levels, descending confidence
-        out.append(([0], nc.Tensor([[-score_logit, score_logit]]), nc.Tensor([[0.0, 0.0]])))
+        out.append((np.array([0]), nc.Tensor([[-score_logit, score_logit]]), nc.Tensor([[0.0, 0.0]])))
     dets = heads.finalize_detections(out, props, cfg, make_buffer())
     assert len(dets) == 1
     assert dets[0].score == pytest.approx(1 / (1 + np.exp(-6.0)))
@@ -516,7 +587,7 @@ def test_finalize_s3_duplicates_collapse_to_one():
 
 def test_finalize_score_threshold_prunes():
     cfg = heads.AcnConfig(num_classes=1, strategy="s1")
-    props = [heads.Proposal(ak.Segment(100, 200), 0.9, 0)]
+    props = as_arrays([heads.Proposal(ak.Segment(100, 200), 0.9, 0)])
     out = acn_out_single([[0.0, 0.0]], [[0.0, 0.0]])  # posterior 0.5
     assert len(heads.finalize_detections(out, props, cfg, make_buffer())) == 1
     assert heads.finalize_detections(out, props, replace(cfg, score_thresh=0.6), make_buffer()) == []
@@ -524,7 +595,7 @@ def test_finalize_score_threshold_prunes():
 
 def test_finalize_maps_to_video_coordinates_and_clips_padding():
     cfg = heads.AcnConfig(num_classes=1, strategy="s1")
-    props = [heads.Proposal(ak.Segment(700.0, 760.0), 0.9, 0)]
+    props = as_arrays([heads.Proposal(ak.Segment(700.0, 760.0), 0.9, 0)])
     buf = make_buffer(offset=768, num_valid=732)
     dets = heads.finalize_detections(acn_out_single([[-5.0, 5.0]], [[0.0, 0.0]]), props, cfg, buf)
     assert len(dets) == 1
@@ -546,8 +617,8 @@ def test_finalize_matches_per_row_oracle(strategy):
             s = float(rng.integers(-40, 760)) if case % 2 else rng.uniform(-40, 760)
             props.append(heads.Proposal(ak.Segment(s, s + float(rng.integers(1, 300))), 0.5, int(rng.integers(3))))
         out = []
-        for idx in heads.assign_proposals(props, cfg, 3):
-            if not idx:
+        for idx in heads.assign_proposals(as_arrays(props), cfg, 3):
+            if len(idx) == 0:
                 out.append((idx, None, None))
                 continue
             logits = rng.normal(0.0, 2.0, (len(idx), c + 1))
@@ -558,7 +629,7 @@ def test_finalize_matches_per_row_oracle(strategy):
             out.append((idx, nc.Tensor(logits), nc.Tensor(regs)))
         thresh = 1 / (c + 1) if case % 4 == 0 else 0.05
         nms = float(rng.choice([0.4, 0.7]))
-        got = heads.finalize_detections(out, props, replace(cfg, nms_tiou=nms, score_thresh=thresh), buf)
+        got = heads.finalize_detections(out, as_arrays(props), replace(cfg, nms_tiou=nms, score_thresh=thresh), buf)
         assert got == finalize_detections_ref(out, props, cfg, buf, nms, thresh)
 
 

@@ -324,39 +324,44 @@ def test_gathered_equals_take_and_builds_indices_only_for_backward():
     assert len(calls) == 1
 
 
+def leaf(values, grad):
+    """A one-parameter dict and its zero velocity, with ``grad`` assigned."""
+    p = nc.Tensor(values, requires_grad=True)
+    p.grad = np.asarray(grad, dtype=np.float64)
+    return {"p": p}, {"p": np.zeros_like(p.data)}
+
+
 def test_sgd_plain_gradient_step():
-    p = nc.Parameter(nc.Tensor([1.0], requires_grad=True))
-    p.tensor.grad = np.array([1.0])
-    nc.sgd_step([p], nc.SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.0), 0)
-    assert p.data[0] == pytest.approx(0.9, abs=1e-15)
-    assert np.array_equal(p.tensor.grad, [0.0])
+    params, velocity = leaf([1.0], [1.0])
+    nc.sgd_step(params, velocity, nc.SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.0), 0)
+    assert params["p"].data[0] == pytest.approx(0.9, abs=1e-15)
+    assert np.array_equal(params["p"].grad, [0.0])
 
 
 def test_sgd_momentum_two_steps():
-    p = nc.Parameter(nc.Tensor([1.0], requires_grad=True))
+    params, velocity = leaf([1.0], [1.0])
     cfg = nc.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.0)
     for step in range(2):
-        p.tensor.grad = np.array([1.0])
-        nc.sgd_step([p], cfg, step)
+        params["p"].grad = np.array([1.0])
+        nc.sgd_step(params, velocity, cfg, step)
     # v1 = 1, p = 0.9; v2 = 1.9, p = 0.9 - 0.19 = 0.71
-    assert p.data[0] == pytest.approx(0.71, abs=1e-15)
+    assert params["p"].data[0] == pytest.approx(0.71, abs=1e-15)
+    assert velocity["p"][0] == pytest.approx(1.9, abs=1e-15)
 
 
 def test_sgd_pure_weight_decay():
-    p = nc.Parameter(nc.Tensor([1.0], requires_grad=True))
-    p.tensor.grad = np.array([0.0])
-    nc.sgd_step([p], nc.SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.5), 0)
-    assert p.data[0] == pytest.approx(0.95, abs=1e-15)
+    params, velocity = leaf([1.0], [0.0])
+    nc.sgd_step(params, velocity, nc.SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.5), 0)
+    assert params["p"].data[0] == pytest.approx(0.95, abs=1e-15)
 
 
 def test_sgd_delta_equals_lr_times_grad_exactly():
     rng = np.random.default_rng(9)
     vals = rng.standard_normal(5)
     grad = rng.standard_normal(5)
-    p = nc.Parameter(nc.Tensor(vals.copy(), requires_grad=True))
-    p.tensor.grad = grad.copy()
-    nc.sgd_step([p], nc.SgdConfig(learning_rate=0.01, momentum=0.0, weight_decay=0.0), 0)
-    assert np.array_equal(p.data, vals - 0.01 * grad)
+    params, velocity = leaf(vals.copy(), grad.copy())
+    nc.sgd_step(params, velocity, nc.SgdConfig(learning_rate=0.01, momentum=0.0, weight_decay=0.0), 0)
+    assert np.array_equal(params["p"].data, vals - 0.01 * grad)
 
 
 def test_lr_schedule():
@@ -380,11 +385,17 @@ def test_sgd_config_validation():
 
 def test_parameter_init_specs():
     rng = np.random.default_rng(0)
-    g = nc.Parameter.create((2000,), ("gaussian", 0.0, 0.01), rng)
-    c = nc.Parameter.create((3, 3), ("constant", 0.1), rng)
+    params = nc.create_params([("g", (2000,), ("gaussian", 0.0, 0.01)), ("c", (3, 3), ("constant", 0.1))], rng)
+    g, c = params["g"], params["c"]
+    assert list(params) == ["g", "c"]
     assert abs(g.data.std() - 0.01) < 2e-3
+    assert np.array_equal(g.data, np.random.default_rng(0).normal(0.0, 0.01, size=2000))  # drawn in order
     assert np.all(c.data == 0.1)
-    assert g.tensor.grad is not None and g.tensor.grad.shape == g.data.shape
+    for p in (g, c):
+        assert isinstance(p, nc.Tensor) and p.requires_grad and p._parents == ()
+        assert p.grad is not None and p.grad.shape == p.data.shape
+    with pytest.raises(ConfigError, match="unknown init spec"):
+        nc.create_params([("u", (2,), ("uniform", 0.0, 1.0))], rng)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from tfpdet import anchorkit as ak, datakit, heads, numcore as nc, pipeline, pyramid as pyr
-from tfpdet.errors import ContractError, DataError
+from tfpdet.errors import ConfigError, ContractError, DataError
 from tfpdet.numcore import Tensor
 
 
@@ -69,14 +70,14 @@ def infer_video_taped(record, model, cfg):
 
 
 def parameter_bytes(model):
-    return {n: (p.data.tobytes(), p.tensor.grad.tobytes(), p.velocity.tobytes()) for n, p in model.params.items()}
+    return {n: (p.data.tobytes(), p.grad.tobytes(), model.velocity[n].tobytes()) for n, p in model.params.items()}
 
 
 def test_infer_video_records_no_graph_and_equals_a_taped_forward(monkeypatch):
     model, cfg, rec = small_model(), pipeline.TrainConfig(), two_window_video()
     rng = np.random.default_rng(6)
     for p in model.params.values():
-        p.tensor.grad = rng.standard_normal(p.data.shape)  # as if mid-accumulation
+        p.grad = rng.standard_normal(p.data.shape)  # as if mid-accumulation
     before = parameter_bytes(model)
     outputs = []
     acn_forward = heads.acn_forward
@@ -108,7 +109,7 @@ def test_same_seed_training_is_byte_identical():
         model, bufs = small_model(), annotated_buffers()
         grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
         reports = [pipeline.train_step(bufs[step % len(bufs)], model, cfg, grid, step).to_json_dict() for step in range(3)]
-        runs.append((reports, {n: (p.data.tobytes(), p.velocity.tobytes()) for n, p in model.params.items()}))
+        runs.append((reports, {n: (p.data.tobytes(), model.velocity[n].tobytes()) for n, p in model.params.items()}))
     assert runs[0] == runs[1]
     assert sum(sum(r["acn_pos"]) + sum(r["acn_neg"]) for r in runs[0][0]) > 0  # both heads trained
 
@@ -159,6 +160,54 @@ def test_joint_loss_weights_levels_by_gamma_and_lambda():
                      "acn_cls2": 0.5, "acn_loc2": 2.0}
     with pytest.raises(ContractError, match="no sampled terms"):
         pipeline.joint_loss([(None, None)] * 3, [(None, None)] * 3, weights)
+    for num_levels in (1, 2, 4):  # extra weights are not ignored, and missing ones raise no IndexError
+        with pytest.raises(ConfigError, match="loss weights"):
+            pipeline.joint_loss(apn[:1] * num_levels, acn[:1] * num_levels, weights)
+
+
+def test_level_count_without_loss_weights_raises_before_any_update():
+    model = pipeline.Model.build(pyr.EncoderConfig(input_dim=4, hidden_dim=4), pyr.PyramidConfig(num_levels=4),
+                                 heads.ApnConfig(scales=ak.DEFAULT_SCALES + ((8, 12),)),
+                                 heads.AcnConfig(num_classes=2, fc_dim=8), seed=0)
+    cfg = pipeline.TrainConfig(seed=5)
+    assert len(cfg.loss_weights.gamma) == 3
+    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    rng = np.random.default_rng(3)
+    for v in model.velocity.values():
+        v[...] = rng.standard_normal(v.shape)
+    before = parameter_bytes(model)
+    with pytest.raises(ConfigError, match=r"3 \(gamma, lambda\) loss weights for 4 pyramid levels"):
+        pipeline.train_step(annotated_buffers()[0], model, cfg, grid, 0)
+    assert parameter_bytes(model) == before
+
+
+@pytest.mark.parametrize("value", [1.5, -0.5, float("nan")])
+@pytest.mark.parametrize("field", ["apn_pos_fraction", "acn_pos_fraction"])
+def test_train_config_rejects_sampling_fractions_outside_unit_interval(field, value):
+    with pytest.raises(ConfigError, match=field):
+        pipeline.TrainConfig(**{field: value})
+    pipeline.TrainConfig(**{field: 0.0})
+    pipeline.TrainConfig(**{field: 1.0})
+
+
+def test_buffer_length_is_limited_by_the_model_only():
+    # 40 frames is no multiple of a 3-level model's largest stride, 32, but a
+    # 1-level model (stride 8) takes such buffers
+    acts = [datakit.Activity(10.0, 30.0, 1), datakit.Activity(50.0, 75.0, 2)]
+    rec = datakit.VideoRecord("v", 100, acts, Tensor(np.random.default_rng(9).standard_normal((4, 100))))
+    bufs = datakit.make_buffers(rec, 40)
+    assert [b.frame_offset for b in bufs] == [0, 40, 80, 60, 20, 0] and all(b.features.shape == (4, 40) for b in bufs)
+    model = pipeline.Model.build(pyr.EncoderConfig(input_dim=4, hidden_dim=4), pyr.PyramidConfig(num_levels=1),
+                                 heads.ApnConfig(scales=((1, 2, 3, 4),)), heads.AcnConfig(num_classes=2, fc_dim=8), seed=0)
+    cfg = pipeline.TrainConfig(buffer_len=40, seed=1, loss_weights=pipeline.LossWeights(gamma=(1.0,), lam=(1.0,)))
+    grid = ak.build_anchor_grid(40, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    report = pipeline.train_step(bufs[0], model, cfg, grid, 0)
+    assert math.isfinite(report.total_loss) and sum(report.acn_pos) + sum(report.acn_neg) > 0
+    dets = pipeline.infer_video(rec, model, cfg)
+    assert dets and all(0.0 <= d.segment.start < d.segment.end <= 100.0 for d in dets)
+    assert not any(d.segment.start < b < d.segment.end for d in dets for b in (40, 80))
+    with pytest.raises(ConfigError, match="divisible"):
+        pipeline.infer_video(rec, small_model(), pipeline.TrainConfig(buffer_len=100))
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -246,6 +295,8 @@ HEADER_EDITS = {
     "parameter name not a string": lambda h: h["params"].__setitem__(0, []),
     "parameter name an object": lambda h: h["params"].__setitem__(0, {"a": 1}),
     "pyramid keeps the v2 strides": set_config_field("pyramid", "strides", [8, 16, 32]),
+    # loaded before sampling fractions were checked, then failed mid-step
+    "apn_pos_fraction above 1": set_config_field("train", "apn_pos_fraction", 1.5),
     # both loaded before tuple items were typed: the nested scales then made
     # infer_video raise a bare ValueError, and the float scales ran
     "scales nested one level deeper": set_config_field("apn", "scales", [[[x] for x in s] for s in ak.DEFAULT_SCALES]),
@@ -303,5 +354,5 @@ def test_save_load_save_gives_identical_bytes(tmp_path):
     assert sorted(header) == ["configs", "params", "step"] and header["params"] == list(model.params)
     assert sorted(header["configs"]["pyramid"]) == ["num_levels", "variant"]  # strides are derived
     # per parameter in param_specs order: its values, then its velocity
-    assert raw[12 + hlen :] == b"".join(p.data.astype("<f8").tobytes() + p.velocity.astype("<f8").tobytes()
-                                        for p in model.params.values())
+    assert raw[12 + hlen :] == b"".join(p.data.astype("<f8").tobytes() + model.velocity[n].astype("<f8").tobytes()
+                                        for n, p in model.params.items())

@@ -32,7 +32,7 @@ def test_encoder_constant_propagation_with_zero_weights():
     ecfg = pyr.EncoderConfig(input_dim=4, hidden_dim=8)
     params = build_params(ecfg, pyr.PyramidConfig())
     for name, p in params.items():
-        p.tensor.data = np.zeros_like(p.tensor.data) if name.endswith(".w") else np.full_like(p.tensor.data, 0.1)
+        p.data = np.zeros_like(p.data) if name.endswith(".w") else np.full_like(p.data, 0.1)
     first = nc.temporal_conv(nc.Tensor(np.zeros((4, 32))), params["encoder.block0.w"], params["encoder.block0.b"], 1, 1)
     assert np.all(nc.relu(first).data == 0.1)
     out = pyr.encode(nc.Tensor(np.zeros((4, 32))), ecfg, params)
@@ -93,7 +93,7 @@ def test_gradcheck_encoder_and_pyramid(variant):
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 32))
     targets = [rng.standard_normal((3, 32 // 8 // 2 ** k)) for k in range(3)]
-    arrays = [x] + [p.tensor.data for p in params.values()]
+    arrays = [x] + [p.data for p in params.values()]
 
     def build():
         xt = nc.Tensor(x, requires_grad=True)
@@ -102,6 +102,6 @@ def test_gradcheck_encoder_and_pyramid(variant):
         for lvl, tgt in zip(feats.levels, targets):
             term = nc.smooth_l1(lvl, nc.Tensor(tgt))
             loss = term if loss is None else nc.add(loss, term)
-        return loss, [xt] + [p.tensor for p in params.values()]
+        return loss, [xt] + list(params.values())
 
     check_gradients(build, arrays)
