@@ -1,10 +1,16 @@
 """Detection and proposal metrics: AP/mAP at tIoU thresholds, average
 recall at a proposal budget.
 
-Matching is one-to-one and greedy by descending score with each ground
-truth usable once: one ``tiou`` matrix per (video, class) block, walked once
-for all thresholds.  AP integrates the precision envelope over exact recall
-steps.  Classes without any ground truth are excluded from mAP averaging.
+A scoring pass turns its detections into arrays once: [n, 2] segments,
+scores, labels and integer video codes (an id's rank among the sorted video
+ids, so code order is id order).  One stable ``np.lexsort`` ranks them all by
+descending score, then earlier start, then video; a class's ranking is its
+subsequence of that order.  Ground truth becomes [g, 2] arrays once.
+
+Matching is one-to-one and greedy by rank with each ground truth usable
+once: one ``tiou`` matrix per (video, class) block, walked once for all
+thresholds.  AP integrates the precision envelope over exact recall steps.
+Classes without any ground truth are excluded from mAP averaging.
 """
 
 from __future__ import annotations
@@ -101,27 +107,27 @@ def _greedy_match(m: np.ndarray, thresholds) -> np.ndarray:
     return hit
 
 
-def average_precision(dets, gts_by_video: dict, thresholds) -> list | None:
-    """AP of one class at each of ``thresholds``.  ``gts_by_video`` maps
-    video id to Segment lists; returns None when the class has no ground
-    truth anywhere."""
-    npos = sum(len(v) for v in gts_by_video.values())
+def average_precision(segments: np.ndarray, videos: np.ndarray, gts_by_video: dict, thresholds) -> list | None:
+    """AP of one class at each of ``thresholds``.  ``segments`` [n, 2] and
+    ``videos`` [n] (integer video codes) hold the class's detections in rank
+    order; ``gts_by_video`` maps a video code to its [g, 2] ground truth.
+    Returns None when the class has no ground truth anywhere."""
+    npos = sum(len(g) for g in gts_by_video.values())
     if npos == 0:
         return None
-    # rank by descending score; ties by earlier start, then video id
-    vids = [d.video_id for d in dets]
-    pairs = segment_pairs([d.segment for d in dets])
-    order = np.lexsort((vids, pairs[:, 0], [-d.score for d in dets]))
-    videos, video_of = np.unique(vids, return_inverse=True)
-    ranks_by_video = np.split(np.argsort(video_of[order], kind="stable"), np.cumsum(np.bincount(video_of))[:-1])
-    hit = np.zeros((len(thresholds), len(dets)), dtype=bool)
-    for vid, ranks in zip(videos, ranks_by_video):
-        gts = gts_by_video.get(vid)
-        if gts:
-            hit[:, ranks] = _greedy_match(tiou(pairs[order[ranks], None], segment_pairs(gts)), thresholds)
+    n = len(videos)
+    by_video = np.argsort(videos, kind="stable")  # ranks grouped by video, in rank order within each
+    bounds = np.searchsorted(videos[by_video], [(code, code + 1) for code in gts_by_video]).tolist()
+    hit = np.zeros((len(thresholds), n), dtype=bool)
+    for gts, (lo, hi) in zip(gts_by_video.values(), bounds):
+        if hi > lo and len(gts):
+            ranks = by_video[lo:hi]
+            hit[:, ranks] = _greedy_match(tiou(segments[ranks, None], gts), thresholds)
     tp = np.cumsum(hit, axis=1)
-    recall = np.pad(tp / npos, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
-    precision = np.pad(tp / np.arange(1, len(dets) + 1), ((0, 0), (1, 1)))
+    recall, precision = np.zeros((2, len(thresholds), n + 2))
+    recall[:, -1] = 1.0
+    np.divide(tp, npos, out=recall[:, 1:-1])
+    np.divide(tp, np.arange(1, n + 1), out=precision[:, 1:-1])
     # precision envelope (best precision at recall >= r), then exact step integration
     envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
     step = recall[:, 1:] != recall[:, :-1]
@@ -142,17 +148,19 @@ def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport
         raise ContractError("evaluate_detections needs at least one ground-truth instance")
     classes = sorted({label for v in gts_by_video.values() for _, label in v})
     thresholds = sorted(set(cfg.tiou_thresholds) | set(cfg.average_grid))
-    dets_by_class = {c: [] for c in classes}
-    for d in dets:
-        if d.label in dets_by_class:
-            dets_by_class[d.label].append(d)
-    gts_by_class = {
-        c: {vid: [seg for seg, label in v if label == c] for vid, v in gts_by_video.items()}
-        for c in classes
-    }
-    # every class here has ground truth, so its AP list is never None
-    per_class = {c: dict(zip(thresholds, average_precision(dets_by_class[c], gts_by_class[c], thresholds)))
-                 for c in classes}
+    codes = {vid: k for k, vid in enumerate(sorted({d.video_id for d in dets} | gts_by_video.keys()))}
+    segments = segment_pairs([d.segment for d in dets])
+    videos = np.array([codes[d.video_id] for d in dets], dtype=np.int64)
+    labels = np.array([d.label for d in dets])
+    # rank by descending score; ties by earlier start, then video id.  lexsort is
+    # stable, so each class's subsequence of this order is the class's own ranking
+    order = np.lexsort((videos, segments[:, 0], -np.array([d.score for d in dets], dtype=np.float64)))
+    gts_by_class = {c: {codes[vid]: segment_pairs([seg for seg, label in v if label == c]) for vid, v in gts_by_video.items()}
+                    for c in classes}
+    per_class = {}
+    for c in classes:  # every class here has ground truth, so its AP list is never None
+        ranked = order[labels[order] == c]
+        per_class[c] = dict(zip(thresholds, average_precision(segments[ranked], videos[ranked], gts_by_class[c], thresholds)))
     map_per_t = {
         t: float(np.mean([per_class[c][t] for c in classes]))
         for t in thresholds

@@ -415,10 +415,8 @@ def acn_forward(pyr: PyramidFeatures, proposals: Proposals, cfg: AcnConfig, para
     (optionally context-fused), flattened D-major to [n, D*P] rows and run
     through that level's classifier.  Returns, per level, (proposal indices,
     [n, C+1] class logits, [n, 2C] class-specific regression) with Nones
-    for levels that received nothing.
+    for levels that received nothing (every level, for no proposals).
     """
-    if not proposals:
-        raise ContractError("acn_forward needs at least one proposal")
     if assignment is None:
         assignment = assign_proposals(proposals, cfg, len(pyr.levels))
     starts, ends = proposals.segments.T

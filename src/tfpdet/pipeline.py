@@ -192,8 +192,6 @@ def _acn_level_losses(pyr, proposals, pmatch, model: Model, cfg: TrainConfig, rn
     acn_cfg = model.acn_cfg
     terms = [(None, None)] * num_levels
     pos_counts, neg_counts = [0] * num_levels, [0] * num_levels
-    if not proposals:
-        return terms, pos_counts, neg_counts
     assignment = heads.assign_proposals(proposals, acn_cfg, num_levels)
     sampled = []
     for k, cand in enumerate(assignment):
@@ -313,9 +311,8 @@ def infer_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> 
     """
     all_dets: list[heads.Detection] = []
     for buf, pyr, params, proposals in _forward_windows(record, model, cfg):
-        if proposals:
-            acn_out = heads.acn_forward(pyr, proposals, model.acn_cfg, params)
-            all_dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
+        acn_out = heads.acn_forward(pyr, proposals, model.acn_cfg, params)
+        all_dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
     return heads.nms_detections(all_dets, model.acn_cfg.nms_tiou)
 
 
@@ -401,6 +398,9 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
         cfgs = _decode(_Configs, header["configs"], f"{path}: configs")
         model = Model(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn, {}, {})  # arrays from the payload below
         specs = Model.param_specs(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn)
+        if len(cfgs.train.loss_weights.gamma) != cfgs.pyramid.num_levels:
+            raise ConfigError(f"{len(cfgs.train.loss_weights.gamma)} (gamma, lambda) loss weights"
+                              f" for {cfgs.pyramid.num_levels} pyramid levels")
     except (TypeError, ConfigError) as exc:
         raise DataError(f"{path}: invalid checkpoint configs: {exc!r}") from exc
     if header["params"] != [name for name, _, _ in specs]:

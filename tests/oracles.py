@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from tfpdet import numcore as nc
-from tfpdet.anchorkit import Segment
+from tfpdet.anchorkit import Segment, segment_pairs, tiou
 from tfpdet.errors import ContractError
+from tfpdet.evalkit import EvalConfig, EvalReport, _greedy_match
 from tfpdet.heads import Detection
 
 
@@ -234,6 +235,56 @@ def average_precision_ref(dets, gts_by_video, thresh):
             ap += (r - prev_r) * best_p
             prev_r = r
     return ap
+
+
+def average_precision_strings_ref(dets, gts_by_video: dict, thresholds) -> list | None:
+    """The earlier ``evalkit.average_precision``, kept verbatim as the
+    reference for ranking and grouping: one class's Detection objects, ranked
+    by lexsort over video-id strings and grouped by ``np.unique`` of those
+    strings.  It shares the package's matcher and tIoU, which the naive
+    oracles above check on their own."""
+    npos = sum(len(v) for v in gts_by_video.values())
+    if npos == 0:
+        return None
+    # rank by descending score; ties by earlier start, then video id
+    vids = [d.video_id for d in dets]
+    pairs = segment_pairs([d.segment for d in dets])
+    order = np.lexsort((vids, pairs[:, 0], [-d.score for d in dets]))
+    videos, video_of = np.unique(vids, return_inverse=True)
+    ranks_by_video = np.split(np.argsort(video_of[order], kind="stable"), np.cumsum(np.bincount(video_of))[:-1])
+    hit = np.zeros((len(thresholds), len(dets)), dtype=bool)
+    for vid, ranks in zip(videos, ranks_by_video):
+        gts = gts_by_video.get(vid)
+        if gts:
+            hit[:, ranks] = _greedy_match(tiou(pairs[order[ranks], None], segment_pairs(gts)), thresholds)
+    tp = np.cumsum(hit, axis=1)
+    recall = np.pad(tp / npos, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
+    precision = np.pad(tp / np.arange(1, len(dets) + 1), ((0, 0), (1, 1)))
+    # precision envelope (best precision at recall >= r), then exact step integration
+    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
+    step = recall[:, 1:] != recall[:, :-1]
+    area = (recall[:, 1:] - recall[:, :-1]) * envelope[:, 1:]
+    # np.sum per row: a fused 2-D reduction adds in another order and moves the last bit
+    return [float(np.sum(a[s])) for a, s in zip(area, step)]
+
+
+def evaluate_detections_strings_ref(dets, gts_by_video: dict, cfg: EvalConfig) -> dict:
+    """``to_json_dict()`` of the report ``evaluate_detections`` gives, built
+    per class from Detection and Segment lists by
+    ``average_precision_strings_ref``."""
+    classes = sorted({label for v in gts_by_video.values() for _, label in v})
+    thresholds = sorted(set(cfg.tiou_thresholds) | set(cfg.average_grid))
+    per_class = {
+        c: dict(zip(thresholds, average_precision_strings_ref(
+            [d for d in dets if d.label == c],
+            {vid: [seg for seg, label in v if label == c] for vid, v in gts_by_video.items()}, thresholds)))
+        for c in classes
+    }
+    map_per_t = {t: float(np.mean([per_class[c][t] for c in classes])) for t in thresholds}
+    counts = {"ground_truth": sum(len(v) for v in gts_by_video.values()), "detections": len(dets),
+              "classes": len(classes), "proposal_budget": cfg.proposal_budget}
+    return EvalReport(per_class, map_per_t, float(np.mean([map_per_t[t] for t in cfg.average_grid])), None,
+                      counts).to_json_dict()
 
 
 def average_recall_ref(proposals_by_video, gts_by_video, budget, grid):

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from tfpdet import evalkit as ek
-from tfpdet.anchorkit import Segment
+from tfpdet.anchorkit import Segment, segment_pairs
 from tfpdet.errors import ConfigError, ContractError
 from tfpdet.heads import Detection, Proposal
 
-from oracles import average_precision_ref, average_recall_ref
+from oracles import average_precision_ref, average_recall_ref, evaluate_detections_strings_ref
 
 
 def det(s, e, label=1, score=0.9, vid="v"):
@@ -17,31 +17,41 @@ def prop(s, e, objectness=0.9):
     return Proposal(Segment(s, e), objectness, 0)
 
 
+def class_ap(dets, gts_by_video, thresholds):
+    """``ek.average_precision`` of one class's Detection list against Segment
+    lists, ranked by descending score, then earlier start, then video id."""
+    codes = {vid: k for k, vid in enumerate(sorted({d.video_id for d in dets} | gts_by_video.keys()))}
+    ranked = sorted(dets, key=lambda d: (-d.score, d.segment.start, d.video_id))
+    return ek.average_precision(segment_pairs([d.segment for d in ranked]),
+                                np.array([codes[d.video_id] for d in ranked], dtype=np.int64),
+                                {codes[vid]: segment_pairs(g) for vid, g in gts_by_video.items()}, thresholds)
+
+
 # ---------------------------------------------------------------------------
 # average precision
 
 
 def test_ap_perfect_detection():
-    (ap,) = ek.average_precision([det(0, 10)], {"v": [Segment(0, 10)]}, [0.5])
+    (ap,) = class_ap([det(0, 10)], {"v": [Segment(0, 10)]}, [0.5])
     assert ap == 1.0
 
 
 def test_ap_false_positive_after_correct_keeps_one():
     dets = [det(0, 10, score=0.9), det(50, 60, score=0.8)]
-    assert ek.average_precision(dets, {"v": [Segment(0, 10)]}, [0.5]) == [1.0]
+    assert class_ap(dets, {"v": [Segment(0, 10)]}, [0.5]) == [1.0]
 
 
 def test_ap_false_positive_before_correct_halves():
     dets = [det(50, 60, score=0.9), det(0, 10, score=0.8)]
-    assert ek.average_precision(dets, {"v": [Segment(0, 10)]}, [0.5]) == [0.5]
+    assert class_ap(dets, {"v": [Segment(0, 10)]}, [0.5]) == [0.5]
 
 
 def test_ap_no_ground_truth_returns_none():
-    assert ek.average_precision([det(0, 10)], {"v": []}, [0.5]) is None
+    assert class_ap([det(0, 10)], {"v": []}, [0.5]) is None
 
 
 def test_ap_no_detections_is_zero():
-    assert ek.average_precision([], {"v": [Segment(0, 10)]}, [0.5]) == [0.0]
+    assert class_ap([], {"v": [Segment(0, 10)]}, [0.5]) == [0.0]
 
 
 def test_ap_matches_exhaustive_oracle():
@@ -61,7 +71,7 @@ def test_ap_matches_exhaustive_oracle():
             s = rng.uniform(0, 150)
             dets.append(det(s, s + rng.uniform(4, 60), score=float(rng.uniform(0, 1)), vid=vid))
         thresh = float(rng.choice([0.3, 0.5, 0.7]))
-        got = ek.average_precision(dets, gts, [thresh])
+        got = class_ap(dets, gts, [thresh])
         ref = average_precision_ref(dets, gts, thresh)
         if ref is None:
             assert got is None
@@ -74,9 +84,9 @@ def test_ap_invariant_to_monotone_score_transform():
     gts = {"v": [Segment(s, s + 20) for s in (0, 100, 200)]}
     dets = [det(s + rng.uniform(-5, 5), s + 20 + rng.uniform(-5, 5), score=float(rng.uniform(0.1, 0.9)))
             for s in (0, 100, 200, 300, 400)]
-    base = ek.average_precision(dets, gts, [0.5])
+    base = class_ap(dets, gts, [0.5])
     squashed = [Detection(d.segment, d.label, d.score ** 3 / 2, d.video_id) for d in dets]
-    assert ek.average_precision(squashed, gts, [0.5]) == base
+    assert class_ap(squashed, gts, [0.5]) == base
 
 
 def grid_scene(rng):
@@ -101,14 +111,14 @@ def test_ap_all_thresholds_equal_oracle_per_threshold():
     for case in range(400):
         gts, dets = grid_scene(rng)
         ts = grids[case % len(grids)]
-        got = ek.average_precision(dets, gts, ts)
+        got = class_ap(dets, gts, ts)
         ref = [average_precision_ref(dets, gts, t) for t in ts]
         if ref[0] is None:
             assert got is None
         else:
             assert got == pytest.approx(ref, abs=1e-12)
         # a class without ground truth anywhere
-        assert ek.average_precision(dets, {"a": [], "c": []}, ts) is None
+        assert class_ap(dets, {"a": [], "c": []}, ts) is None
 
 
 def test_ar_all_thresholds_equal_oracle():
@@ -190,6 +200,38 @@ def test_evaluate_map_monotone_in_threshold():
     ts = sorted(report.map_per_threshold)
     vals = [report.map_per_threshold[t] for t in ts]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_evaluate_equals_string_keyed_per_class_reference():
+    cfg = ek.EvalConfig()
+    gts = {
+        "v9": [(Segment(0, 10), 1), (Segment(40, 60), 2), (Segment(70, 90), 3)],
+        "v10": [(Segment(0, 10), 1), (Segment(20, 30), 2)],
+        "v2": [(Segment(5, 25), 1)],  # ground truth but no detections
+    }
+    # "v9" appears first but "v10" sorts first; score and start ties across videos;
+    # "w" holds detections but no ground truth; class 3 has no detections
+    dets = [det(0, 30, 1, 0.5, "v9"), det(0, 10, 1, 0.5, "v10"), det(0, 10, 1, 0.5, "w"),
+            det(20, 30, 2, 0.8, "v9"), det(20, 30, 2, 0.8, "v10"), det(41, 60, 2, 0.8, "v9"),
+            det(0, 12, 1, 0.5, "v9"), det(0, 10, 1, 0.25, "v10")]
+    for case in (dets, dets[::-1], dets[:3], []):
+        assert ek.evaluate_detections(case, gts, cfg).to_json_dict() == evaluate_detections_strings_ref(case, gts, cfg)
+    # the hit in "v10" ranks before the misses in "v9" and "w"
+    assert ek.evaluate_detections(dets[:3], gts, cfg).per_class_ap[1][0.5] == 1 / 3
+    rng = np.random.default_rng(33)
+    vids = ("v9", "v10", "v2", "w")
+    for _ in range(150):
+        gts = {vid: [(Segment(float(s), float(s + l)), int(c)) for s, l, c in
+                     zip(rng.integers(0, 40, n), rng.integers(1, 12, n), rng.integers(1, 4, n))]
+               for vid, n in zip(vids[:3], rng.integers(0, 5, 3))}
+        if not any(gts.values()):
+            continue
+        dets = []
+        for _ in range(int(rng.integers(0, 40))):
+            s = int(rng.integers(0, 40))
+            dets.append(det(s, s + int(rng.integers(1, 12)), int(rng.integers(1, 5)),
+                            int(rng.integers(0, 5)) / 4, vids[int(rng.integers(4))]))
+        assert ek.evaluate_detections(dets, gts, cfg).to_json_dict() == evaluate_detections_strings_ref(dets, gts, cfg)
 
 
 def test_eval_config_validation():

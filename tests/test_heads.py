@@ -445,10 +445,13 @@ def test_acn_without_context_same_classifier_shape():
     assert not any("reduce" in name for name in params)
 
 
-def test_acn_rejects_empty_proposals():
-    acn_cfg, params, pf = acn_setup("s1")
-    with pytest.raises(ContractError, match="proposal"):
-        heads.acn_forward(pf, as_arrays([]), acn_cfg, params)
+def test_acn_gives_every_level_nothing_without_proposals():
+    for strategy in ("s1", "s2", "s3"):
+        acn_cfg, params, pf = acn_setup(strategy)
+        props = as_arrays([])
+        out = heads.acn_forward(pf, props, acn_cfg, params)
+        assert [(len(idx), cls, reg) for idx, cls, reg in out] == [(0, None, None)] * 3
+        assert heads.finalize_detections(out, props, acn_cfg, make_buffer()) == []
 
 
 # clipped at 0 and at the buffer end, sub-cell (borrowing bins, and no

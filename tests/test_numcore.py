@@ -229,6 +229,17 @@ def test_relu_sign_cases():
     assert np.array_equal(y.data, [[0.0, 0.0, 2.0]])
 
 
+def test_relu_backward_is_bitwise_g_times_bool_mask():
+    nans = np.array([0x7FF8000000000001, -0x0007FFFFFFFFFFFF], dtype=np.int64).view(np.float64)  # payloads, both signs
+    special = np.concatenate([[-0.0, 0.0, np.inf, -np.inf, 2.5, -3.0, 5e-324, -5e-324], nans])
+    x, g = (np.ascontiguousarray(a) for a in np.meshgrid(special, special))
+    # a non-leaf input takes the gradient as given, with no add into a zeroed buffer
+    xt = nc.Tensor(x, _parents=(tensor([0.0]),), _backward=lambda _: None)
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        nc.relu(xt)._backward(g)
+        assert np.array_equal(xt.grad.view(np.int64), (g * (x > 0.0)).view(np.int64))
+
+
 def test_concat_minimal_stack():
     y = nc.concat_channels(tensor([[1.0]]), tensor([[2.0]]))
     assert np.array_equal(y.data, [[1.0], [2.0]])

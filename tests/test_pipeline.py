@@ -165,10 +165,14 @@ def test_joint_loss_weights_levels_by_gamma_and_lambda():
             pipeline.joint_loss(apn[:1] * num_levels, acn[:1] * num_levels, weights)
 
 
+def four_level_model():
+    return pipeline.Model.build(pyr.EncoderConfig(input_dim=4, hidden_dim=4), pyr.PyramidConfig(num_levels=4),
+                                heads.ApnConfig(scales=ak.DEFAULT_SCALES + ((8, 12),)),
+                                heads.AcnConfig(num_classes=2, fc_dim=8), seed=0)
+
+
 def test_level_count_without_loss_weights_raises_before_any_update():
-    model = pipeline.Model.build(pyr.EncoderConfig(input_dim=4, hidden_dim=4), pyr.PyramidConfig(num_levels=4),
-                                 heads.ApnConfig(scales=ak.DEFAULT_SCALES + ((8, 12),)),
-                                 heads.AcnConfig(num_classes=2, fc_dim=8), seed=0)
+    model = four_level_model()
     cfg = pipeline.TrainConfig(seed=5)
     assert len(cfg.loss_weights.gamma) == 3
     grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
@@ -218,6 +222,16 @@ def test_checkpoint_round_trip(tmp_path):
     assert step == 17 and loaded_cfg == cfg
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name].data, p.data)
+
+
+def test_checkpoint_without_loss_weights_per_level_raises_data_error(tmp_path):
+    path = tmp_path / "m.tfpm"
+    pipeline.save_checkpoint(path, four_level_model(), pipeline.TrainConfig(), 0)
+    with pytest.raises(DataError, match=r"3 \(gamma, lambda\) loss weights for 4 pyramid levels"):
+        pipeline.load_checkpoint(path)
+    cfg = pipeline.TrainConfig(loss_weights=pipeline.LossWeights(gamma=(1.0,) * 4, lam=(1.0,) * 4))
+    pipeline.save_checkpoint(path, four_level_model(), cfg, 0)
+    assert pipeline.load_checkpoint(path)[1] == cfg
 
 
 def test_truncated_checkpoint_raises_data_error(tmp_path):
