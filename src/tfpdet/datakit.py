@@ -2,8 +2,8 @@
 
 Annotations travel on disk in seconds (with a per-video fps) and live in
 frames everywhere inside the package; the conversion happens exactly once
-at ingestion.  Feature matrices are stored in the TFPV binary layout and
-widened from f32 to f64 on load.
+at ingestion.  Feature matrices are stored in the TFPV binary layout as f32
+and load as float32, the dtype the model computes in.
 """
 
 from __future__ import annotations
@@ -226,7 +226,8 @@ def save_label_index(labels: list[str], path) -> None:
 
 
 def load_features(path) -> Tensor:
-    """Read a TFPV file into a [D, L] float64 tensor of finite values."""
+    """Read a TFPV file into a [D, L] float32 tensor of finite values: the
+    file's own precision, and the dtype the model computes in."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != TFPV_MAGIC:
         raise DataError(f"{path}: bad TFPV magic")
@@ -241,7 +242,7 @@ def load_features(path) -> Tensor:
     flat = np.frombuffer(raw, dtype="<f4", offset=16)
     if not np.isfinite(flat).all():
         raise DataError(f"{path}: feature values must be finite")
-    return Tensor(flat.reshape(l, d).T.astype(np.float64))
+    return Tensor(np.ascontiguousarray(flat.reshape(l, d).T, dtype=np.float32))
 
 
 def save_features(features, path) -> None:
@@ -262,10 +263,10 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
     """Window a video into fixed-length buffers.
 
     Forward windows start at offsets 0, buf_len, 2*buf_len, ...; backward
-    windows end at L, L-buf_len, ... (offsets clamped at 0).  Short windows
-    are zero-padded at the tail.  Annotations are clipped to the window and
-    shifted; a clipped instance keeping less than half its original length
-    is dropped.
+    windows end at L, L-buf_len, ... (offsets clamped at 0).  Windows keep
+    the features' dtype, and short ones are zero-padded at the tail.
+    Annotations are clipped to the window and shifted; a clipped instance
+    keeping less than half its original length is dropped.
     """
     if buf_len < 1:
         raise ConfigError(f"buf_len must be positive, got {buf_len}")
@@ -278,7 +279,7 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
 
     def window(offset: int, direction: str) -> Buffer:
         valid = max(0, min(buf_len, L - offset))
-        block = np.zeros((feats.shape[0], buf_len))
+        block = np.zeros((feats.shape[0], buf_len), dtype=feats.dtype)
         if valid:
             block[:, :valid] = feats[:, offset : offset + valid]
         kept = []
@@ -430,7 +431,6 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> dict:
             feats[:, start:end] += cfg.signal_amplitude * sigs[label - 1][:, None]
             anns.append(Activity(float(start), float(end), label))
             band_counts[band] += 1
-        feats = feats.astype(np.float32).astype(np.float64)  # dataset truth is the f32 file
         save_features(feats, out_dir / "features" / f"{vid}.tfpv")
         records[vid] = VideoRecord(
             video_id=vid,

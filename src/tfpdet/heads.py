@@ -303,7 +303,7 @@ def _range_max_table(x: np.ndarray, levels: int) -> tuple[np.ndarray, list]:
     same masks, NaN or not.
     """
     d, t = x.shape
-    val = np.empty((levels * t, d))
+    val = np.empty((levels * t, d), dtype=x.dtype)
     val[:t] = x.T
     ups = []
     for dst, a, b in _table_levels(t, len(val)):
@@ -318,7 +318,7 @@ def _pool_values(val: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[
     bin, and the [P, N, D] mask of where the right window won.  Each bin is
     two [N, D] row gathers and one select, so no temporary grows with P."""
     (n, num_bins), d = left.shape, val.shape[1]
-    out = np.empty((n, d, num_bins))
+    out = np.empty((n, d, num_bins), dtype=val.dtype)
     wins = np.empty((num_bins, n, d), dtype=bool)
     for p, pooled in enumerate(out.transpose(2, 0, 1)):
         vl, vr = val.take(left[:, p], axis=0), val.take(right[:, p], axis=0)

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 A fresh computation graph is built on every forward pass: each operation
 returns a new ``Tensor`` wired to its inputs through a backward closure,
@@ -14,19 +14,22 @@ layer takes the same dict of tensors in training and inference; its SGD
 momentum lives apart, in ``Model.velocity``.
 
 Only the operations the detection heads actually need are provided;
-everything runs on contiguous float64 numpy arrays for exact, deterministic
-arithmetic at desk scale.
+everything runs on contiguous numpy arrays, deterministically.  Dtype rule:
+a tensor keeps float32 or float64 data as given and makes anything else
+float64, and every kernel computes its output, temporaries and gradients in
+its input's dtype.  So a float64 graph runs exactly as it always has, and a
+float32 one never upcasts in silence.
 
-Kernel layout rule: a kernel may change how it moves data, never the
-arithmetic.  Every BLAS call keeps its operand values and shapes (only the
-row stride of an operand may change), and every elementwise sum adds its
-terms in the order a plain scatter-add over the outputs would, so results
-are identical bit for bit whichever layout a kernel picks.  A kernel
-arranges its copies and additions so that numpy's innermost loop runs over
-long contiguous memory: along T within a [C, T] map, over whole [N, C]
-planes (time-major) where an input gradient is scattered back,
-and as whole T-runs moved as single opaque items where a copy has to
-transpose around short runs.
+Kernel layout rule, which holds per dtype: a kernel may change how it moves
+data, never the arithmetic.  Every BLAS call keeps its operand values and
+shapes (only the row stride of an operand may change), and every
+elementwise sum adds its terms in the order a plain scatter-add over the
+outputs would, so results are identical bit for bit whichever layout a
+kernel picks.  A kernel arranges its copies and additions so that numpy's
+innermost loop runs over long contiguous memory: along T within a [C, T]
+map, over whole [N, C] planes (time-major) where an input gradient is
+scattered back, and as whole T-runs moved as single opaque items where a
+copy has to transpose around short runs.
 """
 
 from __future__ import annotations
@@ -37,9 +40,14 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))  # kept as given; anything else becomes float64
+
 
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer.
+    """A dense float32 or float64 array plus an optional gradient buffer.
+
+    Data of either float dtype is kept as given (a view where it is already
+    contiguous); any other dtype, Python scalars included, becomes float64.
 
     ``grad`` is allocated at construction for gradient-requiring leaves and
     lazily during ``backward()`` for interior nodes; when present it always
@@ -52,7 +60,9 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        arr = np.asarray(data, dtype=np.float64)
+        arr = np.asarray(data)
+        if arr.dtype not in _FLOAT_DTYPES:
+            arr = arr.astype(np.float64)
         # ascontiguousarray would promote 0-d scalars to shape (1,)
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
@@ -130,7 +140,7 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         return
     if t.grad is None:
         # a leaf must own its buffer before anything is added into it
-        t.grad = g if t._parents else np.array(g, dtype=np.float64)
+        t.grad = g if t._parents else np.array(g, dtype=t.data.dtype)
     elif t._parents:
         t.grad = t.grad + g
     else:
@@ -193,15 +203,16 @@ def _im2col(xb: np.ndarray, k: int, stride: int, padding: int, t_out: int) -> np
     and the whole array is the weight-gradient operand, without a copy.
     """
     n, c_in, t_in = xb.shape
-    xp = np.zeros((n, c_in, t_in + 2 * padding))
+    xp = np.zeros((n, c_in, t_in + 2 * padding), dtype=xb.dtype)
     xp[:, :, padding : padding + t_in] = xb
-    cols = np.empty((c_in, k, n, t_out))
+    cols = np.empty((c_in, k, n, t_out), dtype=xb.dtype)
     if stride == 1:
         # each patch row is a contiguous T'-run of xp: move it as one item
-        run = np.dtype((np.void, 8 * t_out))
+        size = xb.itemsize
+        run = np.dtype((np.void, size * t_out))
         dst = cols.view(run)[..., 0]
         for j in range(k):
-            dst[:, j] = np.ndarray((n, c_in), run, xp, 8 * j, xp.strides[:2]).T
+            dst[:, j] = np.ndarray((n, c_in), run, xp, size * j, xp.strides[:2]).T
     else:
         for j in range(k):
             cols[:, j] = xp[:, :, j : j + stride * t_out : stride].transpose(1, 0, 2)
@@ -247,7 +258,7 @@ def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
         if xt.requires_grad:
             gk = np.matmul(w2.T, g).reshape(n, c_in, k, t_out)
             # time-major: each tap adds whole [N, C_in] planes
-            gxp = np.zeros((t_in + 2 * padding, n, c_in))
+            gxp = np.zeros((t_in + 2 * padding, n, c_in), dtype=xb.dtype)
             gkt = gk.transpose(2, 3, 0, 1)
             for j in range(k):
                 gxp[j : j + stride * t_out : stride] += gkt[j]
@@ -281,7 +292,7 @@ def temporal_maxpool(x, k: int, stride: int) -> Tensor:
 
     def back(g):
         gx = np.zeros_like(xt.data)
-        bits = g.view(np.int64)
+        bits = g.view(f"i{g.itemsize}")  # the signed integer as wide as g's floats
         routes, taken = [], np.zeros(g.shape, dtype=bool)
         for v in win[:-1]:
             hit = ~taken & ((v == y) | np.isnan(v))
@@ -292,7 +303,7 @@ def temporal_maxpool(x, k: int, stride: int) -> Tensor:
         # AND with an all-ones or all-zeros mask selects g or +0.0 without
         # branching on the random routes
         for j in reversed(range(k)):
-            gx[:, j : j + span : stride] += (bits & -routes[j].view(np.int8)).view(np.float64)
+            gx[:, j : j + span : stride] += (bits & -routes[j].view(np.int8)).view(g.dtype)
         _accumulate(xt, gx)
 
     return Tensor(y, _parents=(xt,), _backward=back)
@@ -303,7 +314,7 @@ def relu(x) -> Tensor:
     y = np.maximum(xt.data, 0.0)
 
     def back(g):
-        _accumulate(xt, g * (xt.data > 0.0).astype(np.float64))  # a float mask multiplies ~2x faster than a bool one
+        _accumulate(xt, g * (xt.data > 0.0).astype(xt.data.dtype))  # a float mask multiplies ~2x faster than a bool one
 
     return Tensor(y, _parents=(xt,), _backward=back)
 
@@ -349,11 +360,15 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
 
 
 def smooth_l1(pred, target) -> Tensor:
-    """Mean elementwise smooth-L1: 0.5*d^2 for |d| < 1, else |d| - 0.5."""
-    pt, tt = _t(pred), _t(target)
+    """Mean elementwise smooth-L1: 0.5*d^2 for |d| < 1, else |d| - 0.5.
+
+    Targets are cast to the prediction's dtype, so float64 targets of a
+    float32 prediction promote neither the loss nor its gradient."""
+    pt = _t(pred)
+    tt = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=pt.data.dtype))
     if pt.shape != tt.shape:
         raise ContractError(f"smooth_l1 shape mismatch: {pt.shape} vs {tt.shape}")
-    d = pt.data - tt.data
+    d = pt.data - tt.data.astype(pt.data.dtype, copy=False)
     ad = np.abs(d)
     quad = ad < 1.0
     y = np.where(quad, 0.5 * d * d, ad - 0.5).mean()
@@ -405,7 +420,7 @@ def gathered(x, values, flat_indices) -> Tensor:
     xt = _t(x)
 
     def back(g):
-        gx = np.zeros(xt.data.size)
+        gx = np.zeros(xt.data.size, dtype=xt.data.dtype)
         np.add.at(gx, np.asarray(flat_indices()).ravel(), np.asarray(g).ravel())
         _accumulate(xt, gx.reshape(xt.data.shape))
 

@@ -8,7 +8,9 @@ head, and the total loss is the level-weighted sum of classification and
 classifier treats decoded proposals as fixed inputs.  Inference runs the
 same layer functions on non-grad views of the parameters, so it records no
 autograd graph.  A parameter is a leaf tensor in ``Model.params`` and its
-momentum the array of the same name in ``Model.velocity``.  A checkpoint
+momentum the array of the same name in ``Model.velocity``, both float32
+(``PARAM_DTYPE``): the network computes in single precision, while anchors,
+decoded segments, NMS and scoring stay float64.  A checkpoint
 (TFPM version 3) is the configs plus the arrays: its header holds the
 configs, the step and the parameter names in ``Model.param_specs`` order,
 its payload each parameter's values and then velocity as f64.  Changing
@@ -31,6 +33,7 @@ from .errors import ConfigError, ContractError, DataError
 
 CHECKPOINT_MAGIC = b"TFPM"
 CHECKPOINT_VERSION = 3
+PARAM_DTYPE = np.float32  # of every parameter, velocity and feature the network computes on
 
 
 @dataclass(frozen=True)
@@ -100,12 +103,19 @@ class Model:
     @classmethod
     def build(cls, encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, seed: int) -> "Model":
         rng = np.random.default_rng([int(seed), 2])
-        params = nc.create_params(cls.param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg), rng)
+        drawn = nc.create_params(cls.param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg), rng)
+        params = {name: nc.Tensor(p.data.astype(PARAM_DTYPE), requires_grad=True) for name, p in drawn.items()}
         velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
         return cls(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params, velocity)
 
     def forward_pyramid(self, features, params: dict) -> pyramid.PyramidFeatures:
-        base = pyramid.encode(features, self.encoder_cfg, params)
+        """The pyramid of a [D, L] feature map, computed in the parameters'
+        dtype (loaded features are float32 already, and are not copied)."""
+        x = features if isinstance(features, nc.Tensor) else nc.Tensor(features)
+        dtype = params["encoder.block0.w"].data.dtype
+        if x.data.dtype != dtype:
+            x = nc.Tensor(x.data.astype(dtype))
+        base = pyramid.encode(x, self.encoder_cfg, params)
         return pyramid.build_pyramid(base, self.pyramid_cfg, params)
 
 
@@ -380,7 +390,10 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
     """Read a TFPM version 3 container; any malformed or inconsistent
     content raises ``DataError``.  The header's ``params`` must equal the
     names that ``Model.param_specs`` gives for its configs, and the payload
-    must hold 16 bytes per parameter element, before anything is allocated."""
+    must hold 16 bytes per parameter element, before anything is allocated.
+    Parameters and velocities load as ``PARAM_DTYPE``: the float64 payload
+    holds float32 values exactly, so a save, load and save writes the same
+    bytes, and a file written from a float64 model is rounded once here."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic")
@@ -411,7 +424,7 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
         raise DataError(f"{path}: payload has {len(raw) - offset} bytes, the configs need {16 * sum(sizes)}")
     for (name, shape, _), size in zip(specs, sizes):
         values, velocity = np.frombuffer(raw, dtype="<f8", count=2 * size, offset=offset).reshape((2, *shape))
-        model.params[name] = nc.Tensor(values.copy(), requires_grad=True)
-        model.velocity[name] = velocity.copy()
+        model.params[name] = nc.Tensor(values.astype(PARAM_DTYPE), requires_grad=True)
+        model.velocity[name] = velocity.astype(PARAM_DTYPE)
         offset += 16 * size
     return model, cfgs.train, header["step"]

@@ -203,7 +203,7 @@ def test_tfpv_layout_fixture(tmp_path):
     p.write_bytes(b"TFPV" + struct.pack("<III", 1, 2, 3) + payload)
     feats = dk.load_features(p)
     assert np.array_equal(feats.data, [[1, 3, 5], [2, 4, 6]])
-    assert feats.data.dtype == np.float64
+    assert feats.data.dtype == np.float32  # the file's precision, which the model computes in
 
 
 def test_tfpv_zero_length_rejected(tmp_path):

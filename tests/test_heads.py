@@ -253,7 +253,8 @@ def test_roi_pool_matches_loop_oracle():
 @pytest.mark.parametrize("bins", [1, 2, 3, 4, 5])
 def test_cell_selection_bytes_equal_oracle(n, bins):
     # relu'd small integers tie often; lengths from a fraction of a cell
-    # (borrowed bins) to past the whole map (clamped segments)
+    # (borrowed bins) to past the whole map (clamped segments).  The
+    # selection must be exact in both dtypes
     rng = np.random.default_rng(40 * n + bins)
     for _ in range(12):
         d, t = int(rng.integers(1, 9)), int(rng.integers(1, 100))
@@ -261,17 +262,19 @@ def test_cell_selection_bytes_equal_oracle(n, bins):
         stride = float(rng.choice([8, 16, 32]))
         starts = rng.uniform(-stride, stride * t - 1, size=n)
         ends = np.maximum(starts + rng.uniform(0.1, 1.5, size=n) * rng.choice([stride, stride * t], size=n), 1.0)
-        got = heads._roi_cell_selection(feat, starts, ends, stride, bins)
-        want = roi_cell_selection_ref(feat, starts, ends, stride, bins)
-        assert got.flags["C_CONTIGUOUS"] and got.dtype == want.dtype
-        assert got.shape == want.shape == (n, d, bins) and np.array_equal(got, want)
+        for f in (feat, feat.astype(np.float32)):
+            got = heads._roi_cell_selection(f, starts, ends, stride, bins)
+            want = roi_cell_selection_ref(f, starts, ends, stride, bins)
+            assert got.flags["C_CONTIGUOUS"] and got.dtype == want.dtype
+            assert got.shape == want.shape == (n, d, bins) and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [0, 1, 64])
 @pytest.mark.parametrize("bins", [1, 3, 4])
 def test_roi_pool_bytes_equal_take_of_cell_selection(n, bins):
     # values come from the range-max table and indices only from the
-    # backward; both must be those of a take through the cell selection
+    # backward; both must be those of a take through the cell selection,
+    # in the input's dtype
     rng = np.random.default_rng(70 * n + bins)
     for _ in range(8):
         d, t = int(rng.integers(1, 9)), int(rng.integers(1, 100))
@@ -280,24 +283,26 @@ def test_roi_pool_bytes_equal_take_of_cell_selection(n, bins):
         starts = rng.uniform(-stride, stride * t - 1, size=n)
         ends = np.maximum(starts + rng.uniform(0.1, 1.5, size=n) * rng.choice([stride, stride * t], size=n), 1.0)
         g = rng.standard_normal((n, d, bins)) * 10.0 ** rng.integers(-8, 8, size=(n, d, bins))
-        outs = []
-        for pool_fn in (heads.roi_pool, lambda x, *a: nc.take(x, heads._roi_cell_selection(x.data, *a))):
-            x = nc.Tensor(feat, requires_grad=True)
-            y = pool_fn(x, starts, ends, stride, bins)
-            y._backward(g)
-            outs.append((y.data, x.grad))
-        for got, want in zip(*outs):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for dtype in (np.float64, np.float32):
+            outs = []
+            for pool_fn in (heads.roi_pool, lambda x, *a: nc.take(x, heads._roi_cell_selection(x.data, *a))):
+                x = nc.Tensor(feat.astype(dtype), requires_grad=True)
+                y = pool_fn(x, starts, ends, stride, bins)
+                y._backward(g.astype(dtype))
+                outs.append((y.data, x.grad))
+            for got, want in zip(*outs):
+                assert got.dtype == want.dtype == dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_roi_pool_value_table_follows_the_index_selections_through_nan():
     # the value table takes the later window only where it is larger, so a
     # NaN never replaces the value of the cell the indices pick
-    feat = np.array([[1.0, np.nan, 3.0, 0.0, 2.0, 5.0, np.nan, 4.0]])
     starts, ends = np.array([0.0, 8.0, 0.0, 24.0]), np.array([32.0, 64.0, 64.0, 56.0])
-    out = heads.roi_pool(nc.Tensor(feat), starts, ends, 8.0, 1)
-    cells = heads._roi_cell_selection(feat, starts, ends, 8.0, 1)
-    assert out.data.tobytes() == feat.take(cells).tobytes()
+    for dtype in (np.float64, np.float32):
+        feat = np.array([[1.0, np.nan, 3.0, 0.0, 2.0, 5.0, np.nan, 4.0]], dtype=dtype)
+        out = heads.roi_pool(nc.Tensor(feat), starts, ends, 8.0, 1)
+        cells = heads._roi_cell_selection(feat, starts, ends, 8.0, 1)
+        assert out.data.dtype == dtype and out.data.tobytes() == feat.take(cells).tobytes()
 
 
 def test_roi_pool_outside_extent_raises():

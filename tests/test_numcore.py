@@ -122,7 +122,9 @@ def test_maxpool_matches_loop_oracle():
 @pytest.mark.parametrize("k,stride", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (5, 2)])
 def test_maxpool_bytes_equal_argmax_oracle(k, stride):
     # small integer values tie often; (3, 1) and (5, 2) put one input cell in
-    # three windows, where the order of the gradient adds matters
+    # three windows, where the order of the gradient adds matters.  Every case
+    # runs in both dtypes: the backward selects g or +0.0 through an integer
+    # view as wide as the dtype
     rng = np.random.default_rng(100 + 10 * k + stride)
     for case in range(40):
         c, t_in = int(rng.integers(1, 6)), int(rng.integers(k, 3 * k + 12))
@@ -131,12 +133,14 @@ def test_maxpool_bytes_equal_argmax_oracle(k, stride):
             x[rng.random(x.shape) < 0.2] = -0.0
         g = rng.standard_normal((c, (t_in - k) // stride + 1))
         g[rng.random(g.shape) < 0.1] = -0.0
-        run_against_ref(nc.temporal_maxpool, temporal_maxpool_ref, [x], (k, stride), g)
+        for dtype in (np.float64, np.float32):
+            run_against_ref(nc.temporal_maxpool, temporal_maxpool_ref, [x.astype(dtype)], (k, stride), g.astype(dtype))
 
 
 def test_maxpool_nan_window_routes_to_its_first_nan():
-    x = np.array([[1.0, np.nan, np.nan, 2.0, 3.0, 3.0]])
-    run_against_ref(nc.temporal_maxpool, temporal_maxpool_ref, [x], (3, 1), np.arange(1.0, 5.0)[None])
+    for dtype in (np.float64, np.float32):
+        x = np.array([[1.0, np.nan, np.nan, 2.0, 3.0, 3.0]], dtype=dtype)
+        run_against_ref(nc.temporal_maxpool, temporal_maxpool_ref, [x], (3, 1), np.arange(1.0, 5.0, dtype=dtype)[None])
 
 
 def test_maxpool_too_short_raises():
@@ -520,6 +524,57 @@ def test_conv_bytes_equal_oracle(n, stride, padding, k):
         t_out = (t_in + 2 * padding - k) // stride + 1
         g = rng.standard_normal(shape[:-2] + (c_out, t_out))
         run_against_ref(nc.temporal_conv, temporal_conv_ref, [x, w, b], (stride, padding), g)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("stride,padding,k", [(1, 1, 3), (2, 1, 3), (1, 0, 1), (2, 0, 2), (1, 2, 3)])
+def test_im2col_layout_equals_a_loop_in_the_input_dtype(stride, padding, k, dtype):
+    # a copy, no arithmetic: stride 1 moves whole T'-runs as opaque items as
+    # wide as T' values of the dtype, other strides copy strided slices
+    rng = np.random.default_rng(11 * k + 5 * stride + padding)
+    for t_in in (1, 2, 3, 5, 40):
+        if t_in + 2 * padding < k:
+            continue
+        n, c_in = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        xb = rng.standard_normal((n, c_in, t_in)).astype(dtype)
+        t_out = (t_in + 2 * padding - k) // stride + 1
+        xp = np.pad(xb, ((0, 0), (0, 0), (padding, padding)))
+        want = np.array([[[xp[i, c, stride * t + j] for t in range(t_out)] for i in range(n)]
+                         for c in range(c_in) for j in range(k)], dtype=dtype)
+        assert_same_bytes(nc._im2col(xb, k, stride, padding, t_out), want)
+
+
+def assert_float32_tracks_float64(op, arrays, args, g):
+    """Run ``op`` forward and backward on the same float32-representable
+    values in both dtypes: every float32 output and gradient stays float32
+    and lies within 1e-5 of the float64 one, relative to its largest value."""
+    runs = []
+    for dtype in (np.float32, np.float64):
+        leaves = [nc.Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+        y = op(*leaves, *args)
+        y._backward(g.astype(dtype))
+        runs.append([y.data] + [t.grad for t in leaves])
+    for got, want in zip(*runs):
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("n", [None, 1, 64])
+@pytest.mark.parametrize("stride,padding,k", [(1, 1, 3), (2, 1, 3), (1, 0, 1)])
+def test_float32_conv_lies_within_1e_5_of_float64(n, stride, padding, k):
+    rng = np.random.default_rng(13 * k + stride + padding + (n or 0))
+    c_in, c_out, t_in = 64, 32, 96
+    shape = (c_in, t_in) if n is None else (n, c_in, t_in)
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in (shape, (c_out, c_in, k), (c_out,))]
+    g = rng.standard_normal(shape[:-2] + (c_out, (t_in + 2 * padding - k) // stride + 1)).astype(np.float32)
+    assert_float32_tracks_float64(nc.temporal_conv, arrays, (stride, padding), g)
+
+
+@pytest.mark.parametrize("rows", [1, 64, 512])
+def test_float32_linear_lies_within_1e_5_of_float64(rows):
+    rng = np.random.default_rng(rows)
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in ((rows, 256), (256, 128), (128,))]
+    assert_float32_tracks_float64(nc.linear, arrays, (), rng.standard_normal((rows, 128)).astype(np.float32))
 
 
 def test_rows_slices_and_writes_its_gradient_rows():

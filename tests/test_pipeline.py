@@ -95,11 +95,46 @@ def test_infer_video_records_no_graph_and_equals_a_taped_forward(monkeypatch):
     assert dets and dets == infer_video_taped(rec, model, cfg)
 
 
-def annotated_buffers():
-    """Both windows of a fixed-seed 1,200-frame video with three activities."""
+def annotated_video():
+    """A fixed-seed 1,200-frame video with three activities and float32
+    features, as ``load_features`` returns them."""
     acts = [datakit.Activity(40.0, 120.0, 1), datakit.Activity(300.0, 420.0, 2), datakit.Activity(900.0, 960.0, 1)]
-    features = np.random.default_rng(8).standard_normal((4, 1200))
-    return datakit.make_buffers(datakit.VideoRecord("v", 1200, acts, Tensor(features)), 768)
+    features = np.random.default_rng(8).standard_normal((4, 1200)).astype(np.float32)
+    return datakit.VideoRecord("v", 1200, acts, Tensor(features))
+
+
+def annotated_buffers():
+    """Both windows of ``annotated_video``."""
+    return datakit.make_buffers(annotated_video(), 768)
+
+
+def test_default_model_builds_every_tensor_and_gradient_in_float32(monkeypatch):
+    # one float64 array anywhere (a target, a buffer, a constant) promotes
+    # every op after it, which only the dtypes of the nodes and gradients show
+    model, cfg, rec = small_model(), pipeline.TrainConfig(seed=5), annotated_video()
+    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    buf = datakit.make_buffers(rec, cfg.buffer_len)[0]
+    built, passed = [], []
+    init, accumulate = nc.Tensor.__init__, nc._accumulate
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.data.dtype)
+
+    def recording_accumulate(t, g):
+        passed.append(np.asarray(g).dtype)
+        accumulate(t, g)
+
+    monkeypatch.setattr(nc.Tensor, "__init__", recording_init)
+    monkeypatch.setattr(nc, "_accumulate", recording_accumulate)
+    report = pipeline.train_step(buf, model, cfg, grid, 0)
+    # both heads' smooth-L1 terms ran, so their float64 targets were met
+    assert any(v is not None for v in report.apn_loc) and any(v is not None for v in report.acn_loc)
+    assert set(passed) == {np.dtype(np.float32)}
+    for name, p in model.params.items():
+        assert p.data.dtype == p.grad.dtype == model.velocity[name].dtype == np.float32
+    assert pipeline.infer_video(rec, model, cfg) and pipeline.propose_video(rec, model, cfg)
+    assert len(built) > 100 and set(built) == {np.dtype(np.float32)}
 
 
 def test_same_seed_training_is_byte_identical():
@@ -139,6 +174,7 @@ def test_checkpoint_round_trip_then_step_is_byte_identical(tmp_path):
     pipeline.save_checkpoint(path, model, cfg, 2)
     loaded, loaded_cfg, step = pipeline.load_checkpoint(path)
     assert step == 2 and loaded_cfg == cfg
+    assert all(p.data.dtype == loaded.velocity[n].dtype == np.float32 for n, p in loaded.params.items())
     reports = [pipeline.train_step(bufs[0], m, loaded_cfg, grid, step).to_json_dict() for m in (model, loaded)]
     assert json.dumps(reports[0]) == json.dumps(reports[1]) and sum(reports[0]["acn_pos"]) + sum(reports[0]["acn_neg"]) > 0
     assert parameter_bytes(loaded) == parameter_bytes(model)

@@ -1,0 +1,97 @@
+"""Print SHA-256 digests of what the detector computes, to check that a
+change keeps its results equal bit for bit.
+
+    python3 tools/digest.py [--float64]
+
+Run from the root of a source checkout; it imports ``tfpdet`` from the
+checkout's ``src/`` and builds its inputs with the benchmark's workloads
+(``bench/workloads.py``, full scale, one BLAS thread):
+
+- ``train``: 40 ops of the ``train`` workload at seed 3, then one digest of
+  the StepReports and one of every parameter's values and velocity;
+- ``infer_long``: per seed 1 to 5, one digest of ``infer_video``'s
+  detections on each of the workload's videos.
+
+``--float64`` runs the model in float64: before the first op it redraws
+the parameters as ``Model.build`` draws them from the model seed, in float64
+and before any rounding to the model's own dtype, zeroes the velocities in
+float64 and casts the features to float64.  A checkout whose model computes
+in another dtype can so be checked against float64 arithmetic.  Only the
+public API is used, so the script runs unchanged on older checkouts: copy
+it into one made with ``git archive`` and compare the printed lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TRAIN_SEED, TRAIN_OPS = 3, 40
+INFER_SEEDS = range(1, 6)
+
+
+def sha256(chunks) -> str:
+    h = hashlib.sha256()
+    for chunk in chunks:
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def to_float64(workloads, model, videos_or_buffers) -> None:
+    """Redraw the parameters of the benchmark's model in float64 with zero
+    velocities, and cast every ``features`` tensor to float64, in place."""
+    import numpy as np
+    from tfpdet import numcore as nc, pipeline
+
+    specs = pipeline.Model.param_specs(model.encoder_cfg, model.pyramid_cfg, model.apn_cfg, model.acn_cfg)
+    model.params = nc.create_params(specs, np.random.default_rng([workloads.MODEL_SEED, 2]))  # Model.build's draw
+    model.velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
+    for item in videos_or_buffers:
+        item.features = nc.Tensor(item.features.data.astype(np.float64))
+
+
+def train_digests(workloads, float64: bool, workdir: Path) -> tuple[str, str]:
+    w = workloads.Train(TRAIN_SEED, workloads.FULL, workdir)
+    if float64:
+        to_float64(workloads, w.model, [b for bufs in w.buffers.values() for b in bufs])
+    reports = [json.dumps(w.op(i).to_json_dict(), sort_keys=True).encode() for i in range(TRAIN_OPS)]
+    arrays = [a.tobytes() for name, p in w.model.params.items() for a in (p.data, w.model.velocity[name])]
+    return sha256(reports), sha256(arrays)
+
+
+def infer_digest(workloads, seed: int, float64: bool, workdir: Path) -> str:
+    w = workloads.InferLong(seed, workloads.FULL, workdir)
+    if float64:
+        to_float64(workloads, w.model, w.videos)
+    rows = []
+    for i in range(len(w.videos)):
+        rows += [[d.video_id, d.label, float(d.segment.start), float(d.segment.end), float(d.score)] for d in w.op(i)]
+    return sha256([json.dumps(rows).encode()])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--float64", action="store_true", help="run the model and the features in float64")
+    args = ap.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import workloads  # imports numpy and tfpdet, so only after the thread cap
+
+    with tempfile.TemporaryDirectory() as tmp:
+        reports, arrays = train_digests(workloads, args.float64, Path(tmp) / "train")
+        print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} reports {reports}")
+        print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} params+velocities {arrays}")
+        for seed in INFER_SEEDS:
+            print(f"infer_long seed {seed} detections {infer_digest(workloads, seed, args.float64, Path(tmp) / f'infer{seed}')}")
+    return 0
+
+
+if __name__ == "__main__":
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.exit(main())
