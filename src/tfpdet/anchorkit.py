@@ -97,7 +97,8 @@ def build_anchor_grid(buffer_len: int, strides, scales) -> AnchorGrid:
 
 
 def tiou(a, b) -> np.ndarray:
-    """Temporal intersection-over-union of (start, end) pairs, in [0, 1].
+    """Temporal intersection-over-union of (start, end) pairs: in [0, 1] for
+    segments of positive length, NaN for two empty ones (0 / 0) or a NaN end.
 
     ``a`` and ``b`` are array-likes of shape [..., 2] that broadcast against
     each other, so ``tiou(x[:, None], y)`` is the [len(x), len(y)] matrix.

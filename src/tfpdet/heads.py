@@ -12,10 +12,10 @@ values are read from a range-max value table; the first-max cell indices
 that route the gradient are computed only by the backward, so a forward
 that needs no gradient never builds them.
 Post-processing runs on arrays: proposals and detections are decoded by
-``anchorkit.decode`` per level, and NMS is exact greedy suppression over
-blocked ``anchorkit.tiou`` matrices.  A window's proposals stay arrays
-(``Proposals``) from NMS through assignment, pooling and finalization;
-only the detections that survive become objects.
+``anchorkit.decode`` per level, and NMS is exact greedy suppression that
+computes ``anchorkit.tiou`` only for pairs that can suppress.  A window's
+proposals stay arrays (``Proposals``) from NMS through assignment, pooling
+and finalization; only the detections that survive become objects.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import ConfigError, ContractError
 from .pyramid import HEAD_BIAS, HEAD_WEIGHT_STD, PyramidFeatures
 
 STRATEGIES = ("s1", "s2", "s3")
-NMS_BLOCK = 64  # candidates per greedy block in nms_indices
+NMS_BLOCK = 64  # candidates per greedy block of nms_indices' top_k scan
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -195,29 +195,67 @@ def apn_forward(pyr: PyramidFeatures, params: dict) -> list:
     return out
 
 
+def _overlap_survivors(segs: np.ndarray, thresh: float) -> list[int]:
+    """The positions that greedy NMS at ``thresh > 0`` keeps of ``segs``, rows in score order."""
+    n, (s, e) = len(segs), segs.T
+    tame = np.isfinite(s) & np.isfinite(e) & (e > s)
+    by_start = np.flatnonzero(tame)[np.argsort(s[tame])]
+    # position p meets positions p+1 .. (the last one starting before its end)
+    pos = np.arange(len(by_start))
+    count = np.searchsorted(s[by_start], e[by_start]) - pos - 1
+    later = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - pos - 1, count)
+    wild = np.flatnonzero(~tame)
+    a = np.concatenate([by_start[np.repeat(pos, count)], np.repeat(wild, n)])
+    b = np.concatenate([by_start[later], np.tile(np.arange(n), len(wild))])
+    i, j = np.minimum(a, b), np.maximum(a, b)
+    # `not < thresh` rather than `>= thresh`: a NaN overlap suppresses
+    hit = (i != j) & ~(tiou(segs.take(i, axis=0), segs.take(j, axis=0)) < thresh)
+    i, j = i[hit], j[hit]
+    o = np.argsort(i)
+    dead = [False] * n
+    for r, q in zip(i[o].tolist(), j[o].tolist()):  # the pairs that can kill r come first
+        if not dead[r]:
+            dead[q] = True
+    return [r for r, d in enumerate(dead) if not d]
+
+
 def nms_indices(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray, thresh: float, top_k: int | None = None) -> list[int]:
     """Greedy NMS: keep by descending score, suppress overlaps >= thresh.
 
     Score ties break on the lower index, which callers keep deterministic.
-    The score order is walked in blocks of ``NMS_BLOCK``.  Each block reads
-    one tIoU matrix of its candidates against the rows kept so far and
-    against each other: a candidate overlapping a kept row is dead before
-    the greedy pass over the block's own columns starts.
+    A NaN overlap suppresses; a threshold that is not > 0 (NaN included)
+    keeps only the top row, since every tIoU reaches it.
+
+    Without ``top_k`` the rows are swept by start.  Two segments with finite
+    ends and positive length that do not overlap have a tIoU of exactly 0,
+    so such a row is paired only with the rows starting in [its start, its
+    end).  A wild row (a non-finite end or a length <= 0) can have a NaN
+    tIoU with any row and is paired with all.  Only these pairs get an
+    ``anchorkit.tiou``, so the result is the full matrix scan's bit for bit.
+
+    With ``top_k`` the score order is walked in blocks of ``NMS_BLOCK``
+    until ``top_k`` rows are kept.  Each block reads one tIoU matrix of its
+    candidates against the rows kept so far and against each other: a
+    candidate overlapping a kept row is dead before the greedy pass over the
+    block's own columns starts.
     """
     n = len(scores)
     order = np.lexsort((np.arange(n), -np.asarray(scores)))
-    segs = np.stack([starts, ends], axis=1)[order]
+    segs = np.stack([starts, ends], axis=1).take(order, axis=0)
+    if not thresh > 0:
+        return order[:1].tolist()
+    if top_k is None:
+        return order[_overlap_survivors(segs, thresh)].tolist()
     kept: list[int] = []  # positions in score order
     for lo in range(0, n, NMS_BLOCK):
         block, k = segs[lo : lo + NMS_BLOCK], len(kept)
-        # `not < thresh` rather than `>= thresh`: a NaN overlap suppresses
         hits = ~(tiou(block[:, None], np.concatenate([segs[kept], block])) < thresh)
         dead, own = hits[:, :k].any(axis=1), hits[:, k:]
         for r in range(len(block)):
             if dead[r]:
                 continue
             kept.append(lo + r)
-            if top_k is not None and len(kept) >= top_k:
+            if len(kept) >= top_k:
                 return order[kept].tolist()
             dead |= own[r]
     return order[kept].tolist()
@@ -473,8 +511,9 @@ def finalize_detections(acn_out, proposals: Proposals, cfg: AcnConfig, buffer) -
         if not parts:
             continue
         st, en, sc = (np.concatenate(x) for x in zip(*parts))
-        for i in nms_indices(st, en, sc, cfg.nms_tiou):
-            detections.append(Detection(Segment(st[i] + off, en[i] + off), c, float(sc[i]), buffer.video_id))
+        kept = nms_indices(st, en, sc, cfg.nms_tiou)
+        for s, e, score in zip((st[kept] + off).tolist(), (en[kept] + off).tolist(), sc[kept].tolist()):
+            detections.append(Detection(Segment(s, e), c, score, buffer.video_id))
     detections.sort(key=lambda d: (-d.score, d.label, d.segment.start))
     return detections
 

@@ -166,6 +166,29 @@ def nms_ref(segments, scores, thresh, top_k=None):
     return kept
 
 
+def nms_blocked_ref(starts, ends, scores, thresh, top_k=None, block=64):
+    """``heads.nms_indices`` as it was before its overlap sweep: greedy NMS
+    over blocked tIoU matrices of every candidate against the rows kept so
+    far and against its block.  A NaN overlap suppresses (``not < thresh``);
+    score ties break on the lower index."""
+    n = len(scores)
+    order = np.lexsort((np.arange(n), -np.asarray(scores)))
+    segs = np.stack([starts, ends], axis=1)[order]
+    kept = []  # positions in score order
+    for lo in range(0, n, block):
+        rows, k = segs[lo : lo + block], len(kept)
+        hits = ~(tiou(rows[:, None], np.concatenate([segs[kept], rows])) < thresh)
+        dead, own = hits[:, :k].any(axis=1), hits[:, k:]
+        for r in range(len(rows)):
+            if dead[r]:
+                continue
+            kept.append(lo + r)
+            if top_k is not None and len(kept) >= top_k:
+                return order[kept].tolist()
+            dead |= own[r]
+    return order[kept].tolist()
+
+
 def finalize_detections_ref(acn_out, proposals, cfg, buffer, nms_tiou=0.4, score_thresh=0.05):
     """Per-row finalize: every (proposal, level, class) output clearing
     ``score_thresh`` is decoded on its own (exp from numpy), clipped to the

@@ -3,13 +3,14 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tfpdet import anchorkit as ak, heads, numcore as nc, pyramid as pyr
 from tfpdet.datakit import Buffer
 from tfpdet.errors import ConfigError, ContractError
 
-from oracles import (acn_forward_ref, check_gradients, finalize_detections_ref, nms_ref, roi_cell_selection_ref,
-                     roi_pool_ref, tiou_ref)
+from oracles import (acn_forward_ref, check_gradients, finalize_detections_ref, nms_blocked_ref, nms_ref,
+                     roi_cell_selection_ref, roi_pool_ref, tiou_ref)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -151,6 +152,78 @@ def test_nms_matches_oracle_on_random_sets():
     scores = rng.uniform(0, 1, 1272)
     for thresh, top_k in ((0.7, 100), (0.7, None), (1.0, None), (0.0, 1)):
         assert _props_from(segs, scores, thresh, top_k) == nms_ref(segs, scores, thresh, top_k)
+
+
+NMS_THRESHOLDS = (0.0, 1e-9, 0.4, 0.7, 1.0, 1.5, float("nan"))
+_WILD = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def nms_rows(draw):
+    """(starts, ends, scores): grid and real-valued ends, some of them NaN
+    or infinite, lengths down to negative, duplicated rows and tied scores."""
+    start = st.one_of(st.integers(-5, 40).map(float), st.floats(-5, 40), _WILD)
+    length = st.one_of(st.integers(-3, 20).map(float), st.floats(-3, 30), _WILD)
+    rows = draw(st.lists(st.tuples(start, length), max_size=40))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=8)) if rows else []
+    starts = np.array([s for s, _ in rows], dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # -inf + inf
+        ends = starts + np.array([d for _, d in rows], dtype=np.float64)
+    score = st.one_of(st.integers(0, 3).map(lambda k: k / 3), st.floats(0, 1))
+    return starts, ends, np.array(draw(st.lists(score, min_size=len(rows), max_size=len(rows))), dtype=np.float64)
+
+
+@given(nms_rows(), st.sampled_from([None, 1, 3, 100]))
+@settings(max_examples=300, deadline=None)
+def test_nms_equals_the_blocked_scan_on_any_rows(rows, top_k):
+    starts, ends, scores = rows
+    tame = np.all(np.isfinite(starts) & np.isfinite(ends) & (ends > starts))
+    segs = [ak.Segment(s, e) for s, e in zip(starts, ends)] if tame else None
+    with np.errstate(invalid="ignore"):
+        for thresh in NMS_THRESHOLDS:
+            got = heads.nms_indices(starts, ends, scores, thresh, top_k)
+            assert got == nms_blocked_ref(starts, ends, scores, thresh, top_k)
+            if tame and not np.isnan(thresh):
+                assert got == nms_ref(segs, scores, thresh, top_k)
+
+
+def test_nms_computes_tiou_only_for_rows_that_can_suppress(monkeypatch):
+    # 50,000 disjoint unit segments and a NaN row ranked last: a dense scan
+    # computes ~10^9 overlaps, the sweep one per NaN pair
+    n, computed = 50_000, []
+    tiou = heads.tiou
+
+    def counting_tiou(a, b):
+        out = tiou(a, b)
+        computed.append(out.size)
+        return out
+
+    monkeypatch.setattr(heads, "tiou", counting_tiou)
+    starts = np.append(np.arange(n, dtype=np.float64), np.nan)
+    scores = np.append(np.random.default_rng(3).uniform(0.1, 1.0, n), 0.0)
+    with np.errstate(invalid="ignore"):
+        kept = heads.nms_indices(starts, starts + 1.0, scores, 0.4)
+    assert kept == np.argsort(-scores[:n], kind="stable").tolist()
+    assert sum(computed) <= n + 1
+
+
+@pytest.mark.parametrize("thresh", [1e-9, 0.4, 0.7, 1.0, 1.5])
+@pytest.mark.parametrize("top_k", [None, 10])
+def test_nms_nan_segment_suppresses_every_row_below_it(thresh, top_k):
+    starts = np.array([0.0, 50.0, np.nan, 100.0, 3.0])
+    ends = np.array([10.0, 60.0, 5.0, 110.0, np.nan])
+    with np.errstate(invalid="ignore"):
+        assert heads.nms_indices(starts, ends, np.array([0.5, 0.4, 0.9, 0.3, 0.2]), thresh, top_k) == [2]
+        # ranked below a kept row, a NaN row is suppressed by it and suppresses nothing
+        assert heads.nms_indices(starts, ends, np.array([0.9, 0.8, 0.7, 0.6, 0.5]), thresh, top_k) == [0, 1, 3]
+
+
+@pytest.mark.parametrize("thresh", [0.0, -0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("top_k", [None, 10])
+def test_nms_threshold_not_above_zero_keeps_only_the_top_row(thresh, top_k):
+    starts = np.array([0.0, 100.0, 200.0, 300.0])
+    assert heads.nms_indices(starts, starts + 10.0, np.array([0.2, 0.9, 0.5, 0.9]), thresh, top_k) == [1]
+    assert heads.nms_indices(starts[:0], starts[:0], starts[:0], thresh, top_k) == []
 
 
 def test_generate_proposals_sorted_and_separated():

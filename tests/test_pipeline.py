@@ -95,6 +95,24 @@ def test_infer_video_records_no_graph_and_equals_a_taped_forward(monkeypatch):
     assert dets and dets == infer_video_taped(rec, model, cfg)
 
 
+def test_video_nms_returns_the_window_detections_sorted(monkeypatch):
+    # windows are disjoint and each one's detections passed class-wise NMS
+    # at the same threshold, so the closing video-global NMS keeps them all
+    model, cfg, num_frames = small_model(), pipeline.TrainConfig(), 3 * 768 - 100
+    rec = datakit.VideoRecord("v", num_frames, [], Tensor(np.random.default_rng(9).standard_normal((4, num_frames))))
+    windows = []
+    finalize_detections = heads.finalize_detections
+
+    def recording_finalize(*args):
+        windows.append(finalize_detections(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(heads, "finalize_detections", recording_finalize)
+    dets = pipeline.infer_video(rec, model, cfg)
+    assert len(windows) == 3 and all(windows)
+    assert dets == sorted((d for w in windows for d in w), key=lambda d: (-d.score, d.label, d.segment.start))
+
+
 def annotated_video():
     """A fixed-seed 1,200-frame video with three activities and float32
     features, as ``load_features`` returns them."""

@@ -10,7 +10,13 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
 - ``train``: 40 ops of the ``train`` workload at seed 3, then one digest of
   the StepReports and one of every parameter's values and velocity;
 - ``infer_long``: per seed 1 to 5, one digest of ``infer_video``'s
-  detections on each of the workload's videos.
+  detections on each of the workload's videos;
+- ``nms``: one digest of ``heads.nms_indices``'s kept indices over a seeded
+  battery: random sets of the detector's shapes (1,272 candidates with
+  ``top_k`` 100 at 0.7, 300 and 550 candidates at 0.4), and a small set
+  with tied scores, duplicate and touching segments, NaN and infinite ends
+  and zero and negative lengths at every threshold from 0 to 1.5 and NaN,
+  with and without ``top_k``.
 
 ``--float64`` runs the model in float64: before the first op it redraws
 the parameters as ``Model.build`` draws them from the model seed, in float64
@@ -34,6 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 TRAIN_SEED, TRAIN_OPS = 3, 40
 INFER_SEEDS = range(1, 6)
+NMS_SEED = 11
+NMS_THRESHOLDS = (0.0, 1e-9, 0.4, 0.7, 1.0, 1.5, float("nan"))
 
 
 def sha256(chunks) -> str:
@@ -75,6 +83,37 @@ def infer_digest(workloads, seed: int, float64: bool, workdir: Path) -> str:
     return sha256([json.dumps(rows).encode()])
 
 
+def nms_battery():
+    """(starts, ends, scores, thresh, top_k) of every ``nms_indices`` call
+    the ``nms`` digest makes."""
+    import numpy as np
+
+    rng = np.random.default_rng(NMS_SEED)
+    for n, thresh, top_k in ((1272, 0.7, 100), (300, 0.4, None), (550, 0.4, None)):
+        for copies in (1, 3):  # 3: each segment jittered thrice, as a class's levels refine one proposal
+            base = rng.uniform(-50, 768, n // copies)
+            starts = np.repeat(base, copies) + rng.normal(0, 4, n // copies * copies)
+            ends = starts + np.exp(rng.uniform(np.log(8), np.log(400), len(starts)))
+            yield starts, ends, rng.uniform(0, 1, len(starts)), thresh, top_k
+    inf, nan = float("inf"), float("nan")
+    edge = [(0, 10), (0, 10), (10, 20), (5, 15), (nan, 4), (3, nan), (-inf, 2), (1, inf), (-inf, inf),
+            (7, 7), (9, 6), (inf, inf), (12, 30), (2, 8), (30, 40), (39, 50)]
+    starts, ends = (np.array(col, dtype=np.float64) for col in zip(*edge))
+    for scores in (np.zeros(len(edge)), rng.integers(0, 3, len(edge)) / 2, rng.uniform(0, 1, len(edge))):
+        for thresh in NMS_THRESHOLDS:
+            for top_k in (None, 1, 4, 100):
+                yield starts, ends, scores, thresh, top_k
+
+
+def nms_digest() -> str:
+    import numpy as np
+    from tfpdet import heads
+
+    with np.errstate(invalid="ignore"):  # NaN and infinite ends give NaN overlaps
+        kept = [heads.nms_indices(*call) for call in nms_battery()]
+    return sha256([json.dumps(kept).encode()])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--float64", action="store_true", help="run the model and the features in float64")
@@ -88,6 +127,7 @@ def main(argv=None) -> int:
         print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} params+velocities {arrays}")
         for seed in INFER_SEEDS:
             print(f"infer_long seed {seed} detections {infer_digest(workloads, seed, args.float64, Path(tmp) / f'infer{seed}')}")
+    print(f"nms seed {NMS_SEED} kept {nms_digest()}")
     return 0
 
 
