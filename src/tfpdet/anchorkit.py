@@ -7,7 +7,6 @@ unclipped at generation; clipping happens only when proposals are decoded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,18 +112,21 @@ def segment_pairs(segments) -> np.ndarray:
     return np.array([[s.start for s in segments], [s.end for s in segments]], dtype=np.float64).T
 
 
-def encode(anchor: Segment, gt: Segment) -> tuple[float, float]:
-    """Segment -> (center offset in anchor lengths, log length ratio)."""
-    return (
-        (gt.center - anchor.center) / anchor.length,
-        math.log(gt.length / anchor.length),
-    )
+def encode(anchors, gts) -> np.ndarray:
+    """Regression targets of ground truth ``gts`` against ``anchors``, both
+    (start, end) array-likes of shape [..., 2] that broadcast: a [..., 2]
+    array of (center offset in anchor lengths, log length ratio).  ``decode``
+    inverts it."""
+    a, g = np.asarray(anchors, dtype=np.float64), np.asarray(gts, dtype=np.float64)
+    length = a[..., 1] - a[..., 0]
+    offset = (0.5 * (g[..., 0] + g[..., 1]) - 0.5 * (a[..., 0] + a[..., 1])) / length
+    return np.stack([offset, np.log((g[..., 1] - g[..., 0]) / length)], axis=-1)
 
 
 def decode(starts, ends, center_offsets, log_lengths, clip_to):
     """Invert ``encode`` elementwise over broadcasting arrays (anchor
-    starts and ends, center offsets, log lengths), then clip to
-    ``clip_to`` = (lo, hi).
+    starts and ends, and the two columns of ``encode``'s result), then clip
+    to ``clip_to`` = (lo, hi).
 
     Returns (starts, ends, keep); ``keep`` is False where the clipped
     result is shorter than one frame, which callers drop as degenerate.
@@ -138,9 +140,10 @@ def decode(starts, ends, center_offsets, log_lengths, clip_to):
 
 @dataclass
 class MatchResult:
-    """Per-anchor matching outcome: labels in {+1 pos, -1 neg, 0 ignore},
-    the matched ground-truth index for positives (-1 elsewhere), and the
-    regression target (center offset, log length ratio) for positives.
+    """Per-row matching outcome of an anchor or proposal matcher: ``labels``
+    (anchors: +1 pos, -1 neg, 0 ignore; proposals: the class, 0 for
+    background), the matched ground-truth index of positives (-1 elsewhere)
+    and their ``encode`` regression targets (zeros elsewhere).
     """
 
     labels: np.ndarray
@@ -148,8 +151,28 @@ class MatchResult:
     reg_targets: np.ndarray
 
 
-def match_anchors_apn(grid: AnchorGrid, gts: list[Segment], pos_tiou: float = 0.7, neg_tiou: float = 0.3) -> MatchResult:
-    """Label anchors against ground truth, jointly across all levels.
+def _best_gt(segs: np.ndarray, gts: np.ndarray) -> tuple:
+    """The [n, g] tIoU matrix of the [n, 2] rows against the [g, 2] ground
+    truth, each row's best ground truth (the lowest index on ties) and that
+    tIoU; without ground truth, index -1 and tIoU -inf."""
+    m = tiou(segs[:, None], gts)
+    if not m.size:
+        return m, np.full(len(segs), -1), np.full(len(segs), -np.inf)
+    best = m.argmax(axis=1)
+    return m, best, m[np.arange(len(segs)), best]
+
+
+def _match(segs: np.ndarray, gts: np.ndarray, labels: np.ndarray, fg: np.ndarray, best: np.ndarray) -> MatchResult:
+    """``labels`` plus, for the rows where ``fg`` is set, the index of their
+    best ground truth and the regression target toward it."""
+    reg = np.zeros((len(segs), 2))
+    reg[fg] = encode(segs[fg], gts[best[fg]])
+    return MatchResult(labels, np.where(fg, best, -1), reg)
+
+
+def match_anchors_apn(grid: AnchorGrid, gts: np.ndarray, pos_tiou: float = 0.7, neg_tiou: float = 0.3) -> MatchResult:
+    """Label anchors against the [g, 2] ground-truth segments, jointly
+    across all levels.
 
     An anchor is positive if its tIoU against some ground truth is strictly
     above ``pos_tiou``, or if it is the best-tIoU anchor for a ground truth
@@ -157,63 +180,25 @@ def match_anchors_apn(grid: AnchorGrid, gts: list[Segment], pos_tiou: float = 0.
     strictly below ``neg_tiou`` for every ground truth; everything else is
     ignored.  Positives regress toward their own highest-tIoU ground truth.
     """
-    n = len(grid)
-    if not gts:
-        return MatchResult(
-            labels=np.full(n, -1, dtype=np.int8),
-            matched_gt=np.full(n, -1, dtype=np.int64),
-            reg_targets=np.zeros((n, 2)),
-        )
-    g = segment_pairs(gts)
-    m = tiou(np.stack([grid.starts, grid.ends], axis=1)[:, None], g)
-    best_gt = m.argmax(axis=1)
-    best_tiou = m[np.arange(n), best_gt]
-    labels = np.zeros(n, dtype=np.int8)
+    anchors = np.stack([grid.starts, grid.ends], axis=1)
+    m, best_gt, best_tiou = _best_gt(anchors, gts)
+    labels = np.zeros(len(grid), dtype=np.int8)
     labels[best_tiou < neg_tiou] = -1
     labels[best_tiou > pos_tiou] = 1
     labels[m.argmax(axis=0)] = 1  # best anchor per ground truth; argmax takes lowest index
-    matched = np.where(labels == 1, best_gt, -1)
-    lengths = grid.ends - grid.starts
-    centers = 0.5 * (grid.starts + grid.ends)
-    gc = 0.5 * (g[best_gt, 0] + g[best_gt, 1])
-    gl = g[best_gt, 1] - g[best_gt, 0]
-    reg = np.stack([(gc - centers) / lengths, np.log(gl / lengths)], axis=1)
-    reg[labels != 1] = 0.0
-    return MatchResult(labels=labels, matched_gt=matched, reg_targets=reg)
+    return _match(anchors, gts, labels, labels == 1, best_gt)
 
 
-@dataclass
-class ProposalMatch:
-    """Per-proposal class assignment: 0 is background, >=1 an activity
-    class; positives carry the matched ground-truth index and regression
-    target toward it.
-    """
-
-    class_labels: np.ndarray
-    matched_gt: np.ndarray
-    reg_targets: np.ndarray
-
-
-def match_proposals_acn(proposals: np.ndarray, gts: list[Segment], gt_labels, fg_tiou: float = 0.5) -> ProposalMatch:
-    """Label the [n, 2] (start, end) proposals: the argmax ground truth's
-    label when the maximum tIoU is strictly above ``fg_tiou``, background
-    otherwise."""
-    n = len(proposals)
-    labels = np.zeros(n, dtype=np.int64)
-    matched = np.full(n, -1, dtype=np.int64)
-    reg = np.zeros((n, 2))
-    if n == 0 or not gts:
-        return ProposalMatch(labels, matched, reg)
-    m = tiou(proposals[:, None], segment_pairs(gts))
-    best_gt = m.argmax(axis=1)
-    best_tiou = m[np.arange(n), best_gt]
+def match_proposals_acn(proposals: np.ndarray, gts: np.ndarray, gt_labels: np.ndarray, fg_tiou: float = 0.5) -> MatchResult:
+    """Label the [n, 2] (start, end) proposals against the [g, 2]
+    ground-truth segments and their [g] class labels: the best ground
+    truth's label when the maximum tIoU is strictly above ``fg_tiou``,
+    background (0) otherwise."""
+    _, best_gt, best_tiou = _best_gt(proposals, gts)
     fg = best_tiou > fg_tiou
-    gt_labels = np.asarray(gt_labels, dtype=np.int64)
+    labels = np.zeros(len(proposals), dtype=np.int64)
     labels[fg] = gt_labels[best_gt[fg]]
-    matched[fg] = best_gt[fg]
-    for i in np.nonzero(fg)[0]:
-        reg[i] = encode(Segment(*proposals[i]), gts[best_gt[i]])
-    return ProposalMatch(labels, matched, reg)
+    return _match(proposals, gts, labels, fg, best_gt)
 
 
 def sample_pos_neg(pos_idx: np.ndarray, neg_idx: np.ndarray, batch: int, pos_fraction: float, rng: np.random.Generator) -> np.ndarray:

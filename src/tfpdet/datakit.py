@@ -24,7 +24,7 @@ TFPV_MAGIC = b"TFPV"
 TFPV_VERSION = 1
 MIN_INSTANCE_GAP = 8
 PLACEMENT_RESTARTS = 10  # fresh starts of one video's placement before giving up
-CLIP_KEEP_FRACTION = 0.5  # windowed annotations keeping less are dropped
+CLIP_KEEP_FRACTION = 0.5  # clipped instances keeping less are dropped
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,17 @@ class Buffer:
     """A fixed-length training/inference window sliced from a video.
 
     ``features`` is zero-padded past ``num_valid`` when the window runs off
-    the end of the source; annotations are already in buffer coordinates.
+    the end of the source.  The ground truth is two arrays in buffer
+    coordinates: ``segments`` [g, 2] float64 (start, end) and ``labels``
+    [g] int64 classes.
     """
 
     video_id: str
     frame_offset: int
     direction: str
     features: Tensor
-    annotations: list[Activity]
+    segments: np.ndarray
+    labels: np.ndarray
     num_valid: int
 
 
@@ -265,8 +268,9 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
     Forward windows start at offsets 0, buf_len, 2*buf_len, ...; backward
     windows end at L, L-buf_len, ... (offsets clamped at 0).  Windows keep
     the features' dtype, and short ones are zero-padded at the tail.
-    Annotations are clipped to the window and shifted; a clipped instance
-    keeping less than half its original length is dropped.
+    All of the video's instances are clipped to each window in one pass
+    and shifted into its coordinates; a clipped instance keeping less than
+    half its original length is dropped.
     """
     if buf_len < 1:
         raise ConfigError(f"buf_len must be positive, got {buf_len}")
@@ -276,19 +280,19 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
         raise ConfigError(f"directions must be 'both' or 'forward', got {directions!r}")
     L = record.num_frames
     feats = record.features.data
+    starts, ends = np.array([(a.t_start, a.t_end) for a in record.annotations], dtype=np.float64).reshape(-1, 2).T
+    labels = np.array([a.label for a in record.annotations], dtype=np.int64)
 
     def window(offset: int, direction: str) -> Buffer:
         valid = max(0, min(buf_len, L - offset))
         block = np.zeros((feats.shape[0], buf_len), dtype=feats.dtype)
         if valid:
             block[:, :valid] = feats[:, offset : offset + valid]
-        kept = []
-        for a in record.annotations:
-            cs = max(a.t_start, float(offset))
-            ce = min(a.t_end, float(offset + valid))
-            if ce > cs and (ce - cs) >= CLIP_KEEP_FRACTION * a.length:
-                kept.append(Activity(cs - offset, ce - offset, a.label))
-        return Buffer(record.video_id, offset, direction, Tensor(block), kept, valid)
+        cs = np.maximum(starts, float(offset))
+        ce = np.minimum(ends, float(offset + valid))
+        kept = (ce > cs) & ((ce - cs) >= CLIP_KEEP_FRACTION * (ends - starts))
+        segments = np.stack([cs[kept], ce[kept]], axis=1) - offset
+        return Buffer(record.video_id, offset, direction, Tensor(block), segments, labels[kept], valid)
 
     buffers = []
     if L == 0:

@@ -244,20 +244,21 @@ def nms_indices(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray, thresh
     segs = np.stack([starts, ends], axis=1).take(order, axis=0)
     if not thresh > 0:
         return order[:1].tolist()
-    if top_k is None:
-        return order[_overlap_survivors(segs, thresh)].tolist()
-    kept: list[int] = []  # positions in score order
-    for lo in range(0, n, NMS_BLOCK):
-        block, k = segs[lo : lo + NMS_BLOCK], len(kept)
-        hits = ~(tiou(block[:, None], np.concatenate([segs[kept], block])) < thresh)
-        dead, own = hits[:, :k].any(axis=1), hits[:, k:]
-        for r in range(len(block)):
-            if dead[r]:
-                continue
-            kept.append(lo + r)
-            if len(kept) >= top_k:
-                return order[kept].tolist()
-            dead |= own[r]
+    with np.errstate(invalid="ignore"):  # NaN and infinite ends give NaN overlaps, which suppress
+        if top_k is None:
+            return order[_overlap_survivors(segs, thresh)].tolist()
+        kept: list[int] = []  # positions in score order
+        for lo in range(0, n, NMS_BLOCK):
+            block, k = segs[lo : lo + NMS_BLOCK], len(kept)
+            hits = ~(tiou(block[:, None], np.concatenate([segs[kept], block])) < thresh)
+            dead, own = hits[:, :k].any(axis=1), hits[:, k:]
+            for r in range(len(block)):
+                if dead[r]:
+                    continue
+                kept.append(lo + r)
+                if len(kept) >= top_k:
+                    return order[kept].tolist()
+                dead |= own[r]
     return order[kept].tolist()
 
 

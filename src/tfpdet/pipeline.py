@@ -208,17 +208,17 @@ def _acn_level_losses(pyr, proposals, pmatch, model: Model, cfg: TrainConfig, rn
         if cand.size == 0:
             sampled.append(cand)
             continue
-        pos = cand[pmatch.class_labels[cand] > 0]
-        neg = cand[pmatch.class_labels[cand] == 0]
+        pos = cand[pmatch.labels[cand] > 0]
+        neg = cand[pmatch.labels[cand] == 0]
         sel = anchorkit.sample_pos_neg(pos, neg, cfg.acn_batch, cfg.acn_pos_fraction, rng)
         sampled.append(sel)
-        pos_counts[k] = int(np.sum(pmatch.class_labels[sel] > 0))
+        pos_counts[k] = int(np.sum(pmatch.labels[sel] > 0))
         neg_counts[k] = int(sel.size - pos_counts[k])
     acn_out = heads.acn_forward(pyr, proposals, acn_cfg, model.params, assignment=sampled)
     for k, (idx, cls, reg) in enumerate(acn_out):
         if cls is None:
             continue
-        labels = pmatch.class_labels[idx]
+        labels = pmatch.labels[idx]
         rows = np.nonzero(labels > 0)[0]
         # a positive of class c reads columns (2(c-1), 2(c-1)+1) of its [2C] row
         first = rows * (2 * acn_cfg.num_classes) + 2 * (labels[rows] - 1)
@@ -236,12 +236,10 @@ def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anc
     rng = _step_rng(cfg.seed, step)
     pyr = model.forward_pyramid(buffer.features, model.params)
     apn_out = heads.apn_forward(pyr, model.params)
-    gts = [a.segment() for a in buffer.annotations]
-    gt_labels = [a.label for a in buffer.annotations]
-    match = anchorkit.match_anchors_apn(grid, gts, model.apn_cfg.pos_tiou, model.apn_cfg.neg_tiou)
+    match = anchorkit.match_anchors_apn(grid, buffer.segments, model.apn_cfg.pos_tiou, model.apn_cfg.neg_tiou)
     apn_terms, apn_pos, apn_neg = _apn_level_losses(apn_out, grid, match, cfg, rng)
     proposals = heads.generate_proposals(apn_out, grid, model.apn_cfg)
-    pmatch = anchorkit.match_proposals_acn(proposals.segments, gts, gt_labels, model.acn_cfg.fg_tiou)
+    pmatch = anchorkit.match_proposals_acn(proposals.segments, buffer.segments, buffer.labels, model.acn_cfg.fg_tiou)
     acn_terms, acn_pos, acn_neg = _acn_level_losses(pyr, proposals, pmatch, model, cfg, rng)
     loss = joint_loss(apn_terms, acn_terms, cfg.loss_weights)
 

@@ -7,6 +7,8 @@ not the test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from tfpdet import numcore as nc
@@ -100,6 +102,14 @@ def tiou_ref(a, b) -> float:
         return 0.0
     inter = e - s
     return inter / ((a.end - a.start) + (b.end - b.start) - inter)
+
+
+def encode_ref(anchor: Segment, gt: Segment) -> tuple[float, float]:
+    """Segment -> (center offset in anchor lengths, log length ratio)."""
+    return (
+        (gt.center - anchor.center) / anchor.length,
+        math.log(gt.length / anchor.length),
+    )
 
 
 def match_anchors_ref(anchors, gts, pos_tiou=0.7, neg_tiou=0.3):

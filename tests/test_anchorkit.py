@@ -8,7 +8,7 @@ from tfpdet import anchorkit as ak
 from tfpdet.errors import ConfigError, ContractError
 from tfpdet.pyramid import PyramidConfig
 
-from oracles import match_anchors_ref, match_proposals_ref, tiou_ref
+from oracles import encode_ref, match_anchors_ref, match_proposals_ref, tiou_ref
 
 
 STRIDES = PyramidConfig().strides
@@ -130,17 +130,40 @@ def test_tiou_broadcast_equals_scalar_oracle():
 
 
 def test_encode_identity_transform():
-    assert ak.encode(seg(10, 20), seg(10, 20)) == (0.0, 0.0)
+    assert tuple(ak.encode([10.0, 20.0], [10.0, 20.0])) == (0.0, 0.0)
 
 
 def test_encode_quarter_shift():
-    anchor = seg(100 - 28, 100 + 28)  # center 100, length 56
-    assert ak.encode(anchor, seg(86, 142)) == pytest.approx((0.25, 0.0), abs=1e-12)
+    anchor = [100 - 28, 100 + 28]  # center 100, length 56
+    assert tuple(ak.encode(anchor, [86.0, 142.0])) == pytest.approx((0.25, 0.0), abs=1e-12)
 
 
 def test_encode_double_length():
-    tc, tl = ak.encode(seg(0, 10), seg(-5, 15))
+    tc, tl = ak.encode([0.0, 10.0], [-5.0, 15.0])
     assert (tc, tl) == pytest.approx((0.0, math.log(2)), abs=1e-12)
+
+
+def test_encode_broadcasts_anchors_against_ground_truth():
+    anchors, gts = np.array([[0.0, 10.0], [100.0, 300.0]]), np.array([[0.0, 10.0], [-5.0, 15.0], [150.0, 250.0]])
+    out = ak.encode(anchors[:, None], gts)
+    assert out.shape == (2, 3, 2)
+    for i in range(2):
+        for j in range(3):
+            assert out[i, j].tolist() == ak.encode(anchors[i], gts[j]).tolist()
+
+
+def test_encode_equals_the_scalar_reference_on_random_pairs():
+    rng = np.random.default_rng(23)
+    n = 100_000
+    a0, g0 = rng.uniform(-200, 768, n), rng.uniform(-200, 768, n)
+    anchors = np.stack([a0, a0 + rng.uniform(0.5, 600, n)], axis=1)
+    gts = np.stack([g0, g0 + rng.uniform(0.5, 600, n)], axis=1)
+    got = ak.encode(anchors, gts)
+    ref = np.array([encode_ref(seg(*a), seg(*g)) for a, g in zip(anchors.tolist(), gts.tolist())])
+    assert np.array_equal(got[:, 0], ref[:, 0])  # the same arithmetic in the same order
+    # np.log and math.log may differ in the last place; float32 rounding hides it
+    assert np.all(np.abs(got[:, 1] - ref[:, 1]) <= np.spacing(np.abs(ref[:, 1])))
+    assert np.array_equal(got.astype(np.float32), ref.astype(np.float32))
 
 
 def decode_one(anchor, center_offset, log_length, clip_to=(-math.inf, math.inf)):
@@ -190,7 +213,7 @@ def test_encode_decode_roundtrip_sample():
         anchors.append(seg(ac, ac + al))
         gts.append(seg(gc, gc + gl))
     a, g = ak.segment_pairs(anchors), ak.segment_pairs(gts)
-    offsets, logs = np.array([ak.encode(x, y) for x, y in zip(anchors, gts)]).T
+    offsets, logs = ak.encode(a, g).T
     s, e, keep = ak.decode(a[:, 0], a[:, 1], offsets, logs, (-math.inf, math.inf))
     assert keep.all()
     worst = max(np.abs(s - g[:, 0]).max(), np.abs(e - g[:, 1]).max())
@@ -212,7 +235,7 @@ def test_segment_rejects_empty():
 
 def test_match_perfect_anchor_is_positive():
     grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
-    m = ak.match_anchors_apn(grid, [seg(0.0, 56.0)])
+    m = ak.match_anchors_apn(grid, np.array([[0.0, 56.0]]))
     # the length-56 anchor centered at 28 is an exact hit
     exact = np.flatnonzero((grid.starts == 0.0) & (grid.ends == 56.0)).tolist()
     assert len(exact) == 1
@@ -222,7 +245,7 @@ def test_match_perfect_anchor_is_positive():
 
 def test_match_empty_gts_all_negative():
     grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
-    m = ak.match_anchors_apn(grid, [])
+    m = ak.match_anchors_apn(grid, np.zeros((0, 2)))
     assert np.all(m.labels == -1)
     assert int(np.sum(m.labels == -1)) == 1272
 
@@ -231,7 +254,7 @@ def test_match_midrange_best_anchor_still_positive():
     # a 4-frame ground truth has best tIoU 4/8 = 0.5: only the best-match
     # clause can make it positive, and exactly one anchor wins
     grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
-    m = ak.match_anchors_apn(grid, [seg(0.0, 4.0)])
+    m = ak.match_anchors_apn(grid, np.array([[0.0, 4.0]]))
     best = ak.tiou(np.stack([grid.starts, grid.ends], axis=1), (0.0, 4.0)).max()
     assert best == pytest.approx(0.5, abs=1e-12)
     assert int(np.sum(m.labels == 1)) == 1
@@ -247,7 +270,7 @@ def test_match_every_gt_gets_a_positive():
             seg(s, s + l)
             for s, l in zip(rng.uniform(0, 200, 3), rng.uniform(2, 60, 3))
         ]
-        m = ak.match_anchors_apn(grid, gts)
+        m = ak.match_anchors_apn(grid, ak.segment_pairs(gts))
         for j in range(len(gts)):
             assert np.any((m.labels == 1) & (m.matched_gt >= 0)), "some positive exists"
             # the best anchor for gt j is positive
@@ -265,10 +288,12 @@ def test_match_equals_exhaustive_oracle_on_random_scenes():
         for _ in range(n):
             s = rng.uniform(0, 100)
             gts.append(seg(s, s + rng.uniform(1, 80)))
-        m = ak.match_anchors_apn(grid, gts)
+        m = ak.match_anchors_apn(grid, ak.segment_pairs(gts))
         ref_labels, ref_match = match_anchors_ref(segs, gts)
         assert np.array_equal(m.labels, ref_labels)
         assert np.array_equal(m.matched_gt, ref_match)
+        targets = [encode_ref(a, gts[j]) if j >= 0 else (0.0, 0.0) for a, j in zip(segs, ref_match)]
+        assert np.array_equal(m.reg_targets.astype(np.float32), np.array(targets, dtype=np.float32).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +301,22 @@ def test_match_equals_exhaustive_oracle_on_random_scenes():
 
 
 def test_proposal_match_perfect():
-    m = ak.match_proposals_acn(np.array([[10.0, 50.0]]), [seg(10, 50)], [3])
-    assert m.class_labels[0] == 3
+    m = ak.match_proposals_acn(np.array([[10.0, 50.0]]), np.array([[10.0, 50.0]]), np.array([3]))
+    assert m.labels[0] == 3
     assert np.allclose(m.reg_targets[0], [0.0, 0.0])
 
 
 def test_proposal_match_below_threshold_is_background():
-    m = ak.match_proposals_acn(np.array([[0.0, 4.0]]), [seg(0, 10)], [2])
-    assert m.class_labels[0] == 0
+    m = ak.match_proposals_acn(np.array([[0.0, 4.0]]), np.array([[0.0, 10.0]]), np.array([2]))
+    assert m.labels[0] == 0
     assert m.matched_gt[0] == -1
 
 
 def test_proposal_match_exactly_half_is_background():
     # tIoU exactly 0.5: strict "greater than" sends it to background
-    m = ak.match_proposals_acn(np.array([[0.0, 5.0]]), [seg(0, 10)], [1])
+    m = ak.match_proposals_acn(np.array([[0.0, 5.0]]), np.array([[0.0, 10.0]]), np.array([1]))
     assert ak.tiou((0, 5), (0, 10)) == 0.5
-    assert m.class_labels[0] == 0
+    assert m.labels[0] == 0
 
 
 def test_proposal_match_equals_oracle():
@@ -299,11 +324,20 @@ def test_proposal_match_equals_oracle():
     for _ in range(60):
         props = [seg(s, s + l) for s, l in zip(rng.uniform(0, 200, 8), rng.uniform(1, 80, 8))]
         gts = [seg(s, s + l) for s, l in zip(rng.uniform(0, 200, 3), rng.uniform(1, 80, 3))]
-        labels = rng.integers(1, 4, 3).tolist()
-        m = ak.match_proposals_acn(ak.segment_pairs(props), gts, labels)
+        labels = rng.integers(1, 4, 3)
+        m = ak.match_proposals_acn(ak.segment_pairs(props), ak.segment_pairs(gts), labels)
         ref = match_proposals_ref(props, gts, labels)
-        assert m.class_labels.tolist() == [r[0] for r in ref]
+        assert m.labels.tolist() == [r[0] for r in ref]
         assert m.matched_gt.tolist() == [r[1] for r in ref]
+        targets = [encode_ref(p, gts[j]) if j >= 0 else (0.0, 0.0) for p, (_, j) in zip(props, ref)]
+        assert np.array_equal(m.reg_targets.astype(np.float32), np.array(targets, dtype=np.float32))
+
+
+def test_proposal_match_without_ground_truth_or_proposals():
+    m = ak.match_proposals_acn(np.array([[0.0, 5.0]]), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
+    assert (m.labels.tolist(), m.matched_gt.tolist(), m.reg_targets.tolist()) == ([0], [-1], [[0.0, 0.0]])
+    m = ak.match_proposals_acn(np.zeros((0, 2)), np.array([[0.0, 5.0]]), np.array([1]))
+    assert m.labels.shape == m.matched_gt.shape == (0,) and m.reg_targets.shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -278,42 +278,54 @@ def test_buffers_drop_badly_clipped_annotation():
     # [760, 800] keeps 8/40 = 20% inside the first window: dropped
     rec = make_record(1024, [dk.Activity(760.0, 800.0, 1)])
     first = dk.make_buffers(rec, 768)[0]
-    assert first.annotations == []
+    assert first.segments.shape == (0, 2) and first.labels.shape == (0,)
 
 
 def test_buffers_keep_annotation_retaining_half():
     rec = make_record(1024, [dk.Activity(728.0, 808.0, 1)])  # 40/80 = 50% kept
     first = dk.make_buffers(rec, 768)[0]
-    assert len(first.annotations) == 1
-    a = first.annotations[0]
-    assert (a.t_start, a.t_end) == (728.0, 768.0)
+    assert first.segments.tolist() == [[728.0, 768.0]]
 
 
 def test_buffers_shift_annotations_into_window_coordinates():
     rec = make_record(1024, [dk.Activity(800.0, 900.0, 2)])
     second = dk.make_buffers(rec, 768)[1]
-    a = second.annotations[0]
-    assert (a.t_start, a.t_end, a.label) == (32.0, 132.0, 2)
+    assert (second.segments.tolist(), second.labels.tolist()) == ([[32.0, 132.0]], [2])
+
+
+def clipped_ref(annotations, offset, valid):
+    """A window's (start, end, label) ground truth, clipped one instance at a time."""
+    kept = []
+    for a in annotations:
+        cs, ce = max(a.t_start, float(offset)), min(a.t_end, float(offset + valid))
+        if ce > cs and (ce - cs) >= dk.CLIP_KEEP_FRACTION * a.length:
+            kept.append((cs - offset, ce - offset, a.label))
+    return kept
 
 
 def test_buffers_never_cross_boundary():
-    rng = np.random.default_rng(0)
+    rng, seen = np.random.default_rng(0), 0
     for _ in range(20):
         L = int(rng.integers(100, 2000))
         anns = []
         for _ in range(5):
             s = float(rng.uniform(0, L - 10))
-            anns.append(dk.Activity(s, min(float(L), s + float(rng.uniform(5, 300))), 1))
-        for buf in dk.make_buffers(make_record(L), 768):
-            for a in buf.annotations:
-                assert 0.0 <= a.t_start < a.t_end <= buf.num_valid
+            anns.append(dk.Activity(s, min(float(L), s + float(rng.uniform(5, 300))), int(rng.integers(1, 4))))
+        for buf in dk.make_buffers(make_record(L, anns), 768):
+            assert np.all((0.0 <= buf.segments[:, 0]) & (buf.segments[:, 0] < buf.segments[:, 1]))
+            assert np.all(buf.segments[:, 1] <= buf.num_valid)
+            got = [(s, e, c) for (s, e), c in zip(buf.segments.tolist(), buf.labels.tolist())]
+            assert got == clipped_ref(anns, buf.frame_offset, buf.num_valid)
+            assert buf.segments.dtype == np.float64 and buf.labels.dtype == np.int64
+            seen += len(got)
+    assert seen > 100
 
 
 def test_buffers_empty_video_single_padding_buffer():
     bufs = dk.make_buffers(make_record(0), 768)
     assert len(bufs) == 1
     assert bufs[0].num_valid == 0
-    assert bufs[0].annotations == []
+    assert bufs[0].segments.shape == (0, 2) and bufs[0].labels.shape == (0,)
     assert np.all(bufs[0].features.data == 0.0)
 
 

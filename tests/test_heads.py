@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -179,12 +180,14 @@ def test_nms_equals_the_blocked_scan_on_any_rows(rows, top_k):
     starts, ends, scores = rows
     tame = np.all(np.isfinite(starts) & np.isfinite(ends) & (ends > starts))
     segs = [ak.Segment(s, e) for s, e in zip(starts, ends)] if tame else None
-    with np.errstate(invalid="ignore"):
-        for thresh in NMS_THRESHOLDS:
+    for thresh in NMS_THRESHOLDS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # NaN overlaps are expected, not warned about
             got = heads.nms_indices(starts, ends, scores, thresh, top_k)
+        with np.errstate(invalid="ignore"):  # the reference warns on them
             assert got == nms_blocked_ref(starts, ends, scores, thresh, top_k)
-            if tame and not np.isnan(thresh):
-                assert got == nms_ref(segs, scores, thresh, top_k)
+        if tame and not np.isnan(thresh):
+            assert got == nms_ref(segs, scores, thresh, top_k)
 
 
 def test_nms_computes_tiou_only_for_rows_that_can_suppress(monkeypatch):
@@ -201,8 +204,7 @@ def test_nms_computes_tiou_only_for_rows_that_can_suppress(monkeypatch):
     monkeypatch.setattr(heads, "tiou", counting_tiou)
     starts = np.append(np.arange(n, dtype=np.float64), np.nan)
     scores = np.append(np.random.default_rng(3).uniform(0.1, 1.0, n), 0.0)
-    with np.errstate(invalid="ignore"):
-        kept = heads.nms_indices(starts, starts + 1.0, scores, 0.4)
+    kept = heads.nms_indices(starts, starts + 1.0, scores, 0.4)
     assert kept == np.argsort(-scores[:n], kind="stable").tolist()
     assert sum(computed) <= n + 1
 
@@ -212,10 +214,9 @@ def test_nms_computes_tiou_only_for_rows_that_can_suppress(monkeypatch):
 def test_nms_nan_segment_suppresses_every_row_below_it(thresh, top_k):
     starts = np.array([0.0, 50.0, np.nan, 100.0, 3.0])
     ends = np.array([10.0, 60.0, 5.0, 110.0, np.nan])
-    with np.errstate(invalid="ignore"):
-        assert heads.nms_indices(starts, ends, np.array([0.5, 0.4, 0.9, 0.3, 0.2]), thresh, top_k) == [2]
-        # ranked below a kept row, a NaN row is suppressed by it and suppresses nothing
-        assert heads.nms_indices(starts, ends, np.array([0.9, 0.8, 0.7, 0.6, 0.5]), thresh, top_k) == [0, 1, 3]
+    assert heads.nms_indices(starts, ends, np.array([0.5, 0.4, 0.9, 0.3, 0.2]), thresh, top_k) == [2]
+    # ranked below a kept row, a NaN row is suppressed by it and suppresses nothing
+    assert heads.nms_indices(starts, ends, np.array([0.9, 0.8, 0.7, 0.6, 0.5]), thresh, top_k) == [0, 1, 3]
 
 
 @pytest.mark.parametrize("thresh", [0.0, -0.0, -1.0, float("nan")])
@@ -628,7 +629,7 @@ def test_acn_gradcheck_full_path():
 
 
 def make_buffer(video_id="v", offset=0, num_valid=768):
-    return Buffer(video_id, offset, "forward", nc.Tensor(np.zeros((2, 768))), [], num_valid)
+    return Buffer(video_id, offset, "forward", nc.Tensor(np.zeros((2, 768))), np.zeros((0, 2)), np.zeros(0, dtype=np.int64), num_valid)
 
 
 def acn_out_single(logits, regs, idx=(0,), level_count=1):

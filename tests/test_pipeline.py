@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,24 @@ def test_default_model_builds_every_tensor_and_gradient_in_float32(monkeypatch):
     assert len(built) > 100 and set(built) == {np.dtype(np.float32)}
 
 
+def test_train_step_builds_no_segment_or_activity_objects(monkeypatch):
+    # ground truth travels as the buffer's arrays from make_buffers to the loss
+    model, cfg = small_model(), pipeline.TrainConfig(seed=5)
+    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    buf = annotated_buffers()[0]
+    assert len(buf.segments) == len(buf.labels) > 0
+
+    def refuse(self):
+        raise AssertionError(f"a training step built a {type(self).__name__}")
+
+    monkeypatch.setattr(ak.Segment, "__post_init__", refuse)
+    monkeypatch.setattr(datakit.Activity, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        ak.Segment(0.0, 1.0)
+    report = pipeline.train_step(buf, model, cfg, grid, 0)
+    assert sum(report.apn_pos) > 0 and sum(report.acn_pos) > 0
+
+
 def test_same_seed_training_is_byte_identical():
     cfg = pipeline.TrainConfig(seed=5)
     runs = []
@@ -174,8 +193,7 @@ def test_non_finite_loss_raises_before_any_update():
     pipeline.train_step(bufs[0], model, cfg, grid, 0)  # non-zero velocities
     features = bufs[1].features.data.copy()
     features[2, 100] = np.nan
-    bad = datakit.Buffer(bufs[1].video_id, bufs[1].frame_offset, bufs[1].direction, Tensor(features),
-                         bufs[1].annotations, bufs[1].num_valid)
+    bad = replace(bufs[1], features=Tensor(features))
     before = parameter_bytes(model)
     with pytest.raises(ContractError, match=r"step 1: non-finite loss (apn|acn)_(cls|loc)\[\d\] = nan"):
         pipeline.train_step(bad, model, cfg, grid, 1)
