@@ -13,9 +13,9 @@ that route the gradient are computed only by the backward, so a forward
 that needs no gradient never builds them.
 Post-processing runs on arrays: proposals and detections are decoded by
 ``anchorkit.decode`` per level, and NMS is exact greedy suppression that
-computes ``anchorkit.tiou`` only for pairs that can suppress.  A window's
-proposals stay arrays (``Proposals``) from NMS through assignment, pooling
-and finalization; only the detections that survive become objects.
+computes ``anchorkit.tiou`` only for pairs that can suppress.  Proposals
+(``Proposals``) and detections (``Detections``) stay arrays from a window's
+NMS to one class-wise ``nms_detections`` per video.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .anchorkit import AnchorGrid, Segment, decode, segment_pairs, tiou
+from .anchorkit import AnchorGrid, Segment, decode, tiou
 from .errors import ConfigError, ContractError
 from .pyramid import HEAD_BIAS, HEAD_WEIGHT_STD, PyramidFeatures
 
@@ -127,6 +127,25 @@ class Detection:
     def __post_init__(self):
         if self.label < 1:
             raise ContractError("detections never carry the background label")
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Detections as arrays: [n, 2] (start, end) segments in video frames,
+    [n] class labels (never background) and [n] scores."""
+
+    segments: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    @staticmethod
+    def concat(parts: list[Detections]) -> Detections:
+        """The rows of ``parts`` in order; scores as float64."""
+        cols = [(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), np.zeros(0))] + [(d.segments, d.labels, d.scores) for d in parts]
+        return Detections(*(np.concatenate(x) for x in zip(*cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,56 +497,35 @@ def acn_forward(pyr: PyramidFeatures, proposals: Proposals, cfg: AcnConfig, para
     return out
 
 
-def _softmax(rows: np.ndarray) -> np.ndarray:
-    z = rows - rows.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
-
-
-def finalize_detections(acn_out, proposals: Proposals, cfg: AcnConfig, buffer) -> list[Detection]:
-    """Turn classifier outputs into video-coordinate detections.
-
-    Every (proposal, level) output contributes one candidate per
-    non-background class whose posterior clears ``cfg.score_thresh``; its
-    segment is the class-specific refinement of the proposal, clipped to
-    the buffer's valid content.  Each class's candidates, in (level, row)
-    order, then pass NMS at ``cfg.nms_tiou`` and are shifted into video
-    coordinates.
-    """
-    cands = [[] for _ in range(cfg.num_classes)]  # per class: (starts, ends, scores) per level
+def finalize_detections(acn_out, proposals: Proposals, cfg: AcnConfig, buffer) -> Detections:
+    """A window's detection candidates in video frames, for ``nms_detections``:
+    one per (proposal, level) output and non-background class whose posterior
+    clears ``cfg.score_thresh``, the class-specific refinement of the proposal
+    clipped to the buffer's valid content.  Rows are in (level, row, class)
+    order, so each class's candidates are in (level, row) order."""
+    parts = []
     for idx, cls, reg in acn_out:
         if cls is None:
             continue
-        post = _softmax(cls.data)[:, 1:]
+        ez = np.exp(cls.data - cls.data.max(axis=1, keepdims=True))
+        post = (ez / ez.sum(axis=1, keepdims=True))[:, 1:]  # class posteriors
         seg = proposals.segments[idx]
         s, e, ok = decode(seg[:, :1], seg[:, 1:], reg.data[:, 0::2], reg.data[:, 1::2], (0.0, float(buffer.num_valid)))
-        live = ~(post < cfg.score_thresh) & ok
-        for c, parts in enumerate(cands):
-            m = live[:, c]
-            if m.any():
-                parts.append((s[m, c], e[m, c], post[m, c]))
-    detections = []
-    off = float(buffer.frame_offset)
-    for c, parts in enumerate(cands, start=1):
-        if not parts:
-            continue
-        st, en, sc = (np.concatenate(x) for x in zip(*parts))
-        kept = nms_indices(st, en, sc, cfg.nms_tiou)
-        for s, e, score in zip((st[kept] + off).tolist(), (en[kept] + off).tolist(), sc[kept].tolist()):
-            detections.append(Detection(Segment(s, e), c, score, buffer.video_id))
-    detections.sort(key=lambda d: (-d.score, d.label, d.segment.start))
-    return detections
+        row, c = np.nonzero(~(post < cfg.score_thresh) & ok)
+        parts.append(Detections(np.stack([s[row, c], e[row, c]], axis=1) + float(buffer.frame_offset), c + 1, post[row, c]))
+    return Detections.concat(parts)
 
 
-def nms_detections(dets: list[Detection], thresh: float) -> list[Detection]:
-    """Class-wise greedy NMS over a flat detection list (same video)."""
-    groups: dict[int, list[Detection]] = {}
-    for d in dets:
-        groups.setdefault(d.label, []).append(d)
-    kept: list[Detection] = []
-    for c in sorted(groups):
-        group = groups[c]
-        seg = segment_pairs([d.segment for d in group])
-        kept.extend(group[i] for i in nms_indices(seg[:, 0], seg[:, 1], np.array([d.score for d in group]), thresh))
-    kept.sort(key=lambda d: (-d.score, d.label, d.segment.start))
-    return kept
+def nms_detections(cands: Detections, thresh: float) -> Detections:
+    """Class-wise greedy NMS at ``thresh`` over one video's candidates in
+    window order, ranked by descending score, then label, then start; ties
+    keep candidate order.  Candidates of two disjoint windows meet at most
+    at a boundary, at tIoU 0, so one NMS per class equals one per window."""
+    starts, ends = cands.segments.T
+    kept = [np.zeros(0, dtype=np.int64)]
+    for c in sorted(set(cands.labels.tolist())):  # np.unique imports numpy.ma: ~1.6 MB of RSS
+        idx = np.flatnonzero(cands.labels == c)
+        kept.append(idx[nms_indices(starts[idx], ends[idx], cands.scores[idx], thresh)])
+    kept = np.concatenate(kept)
+    order = kept[np.lexsort((starts[kept], cands.labels[kept], -cands.scores[kept]))]
+    return Detections(cands.segments[order], cands.labels[order], cands.scores[order])

@@ -296,32 +296,30 @@ def _forward_windows(record: datakit.VideoRecord, model: Model, cfg: TrainConfig
 
 
 def propose_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> list[heads.Proposal]:
-    """Forward-window the video and pool proposals in video coordinates."""
-    out = []
+    """Every forward window's proposals in video frames, ranked by objectness, then start."""
+    parts = []
     for buf, _, _, proposals in _forward_windows(record, model, cfg):
         s = np.maximum(proposals.segments[:, 0], 0.0) + buf.frame_offset
         e = np.minimum(proposals.segments[:, 1], float(buf.num_valid)) + buf.frame_offset
         keep = e - s >= 1.0
-        rows = zip(s[keep].tolist(), e[keep].tolist(), proposals.objectness[keep].tolist(), proposals.levels[keep].tolist())
-        out += [heads.Proposal(anchorkit.Segment(a, b), score, level) for a, b, score, level in rows]
-    out.sort(key=lambda p: (-p.objectness, p.segment.start))
-    return out
+        parts.append((s[keep], e[keep], proposals.objectness[keep], proposals.levels[keep]))
+    s, e, obj, levels = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort((s, -obj))
+    rows = zip(s[order].tolist(), e[order].tolist(), obj[order].tolist(), levels[order].tolist())
+    return [heads.Proposal(anchorkit.Segment(a, b), score, level) for a, b, score, level in rows]
 
 
 def infer_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> list[heads.Detection]:
-    """Two-stage inference over disjoint forward windows, on frozen
-    parameters (no graph is recorded).
-
-    ``finalize_detections`` already suppresses each window's detections
-    class-wise, and windows do not overlap, so the closing video-global
-    ``nms_detections`` cannot suppress anything; it stays only until the
-    benchmark stops reading its detection count from it.
-    """
-    all_dets: list[heads.Detection] = []
+    """Two-stage inference over disjoint forward windows on frozen parameters
+    (no graph is recorded): all windows' candidates pass one class-wise
+    ``nms_detections``, and only its survivors become ``Detection`` objects."""
+    windows = []
     for buf, pyr, params, proposals in _forward_windows(record, model, cfg):
         acn_out = heads.acn_forward(pyr, proposals, model.acn_cfg, params)
-        all_dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
-    return heads.nms_detections(all_dets, model.acn_cfg.nms_tiou)
+        windows.append(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
+    dets = heads.nms_detections(heads.Detections.concat(windows), model.acn_cfg.nms_tiou)
+    rows = zip(dets.segments.tolist(), dets.labels.tolist(), dets.scores.tolist())
+    return [heads.Detection(anchorkit.Segment(s, e), c, score, record.video_id) for (s, e), c, score in rows]
 
 
 # ---------------------------------------------------------------------------

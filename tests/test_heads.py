@@ -530,7 +530,7 @@ def test_acn_gives_every_level_nothing_without_proposals():
         props = as_arrays([])
         out = heads.acn_forward(pf, props, acn_cfg, params)
         assert [(len(idx), cls, reg) for idx, cls, reg in out] == [(0, None, None)] * 3
-        assert heads.finalize_detections(out, props, acn_cfg, make_buffer()) == []
+        assert len(heads.finalize_detections(out, props, acn_cfg, make_buffer())) == 0
 
 
 # clipped at 0 and at the buffer end, sub-cell (borrowing bins, and no
@@ -638,13 +638,25 @@ def acn_out_single(logits, regs, idx=(0,), level_count=1):
     return out
 
 
+def as_objects(dets, video_id):
+    """The ``Detection`` objects of a ``heads.Detections``, in order."""
+    rows = zip(dets.segments.tolist(), dets.labels.tolist(), dets.scores.tolist())
+    return [heads.Detection(ak.Segment(s, e), c, score, video_id) for (s, e), c, score in rows]
+
+
+def detections(rows):
+    """``heads.Detections`` of (start, end, label, score) rows, in order."""
+    s, e, labels, scores = (np.array(col) for col in zip(*rows))
+    return heads.Detections(np.stack([s, e], axis=1).astype(np.float64), labels.astype(np.int64), scores.astype(np.float64))
+
+
 def test_finalize_confident_background_yields_nothing():
     cfg = heads.AcnConfig(num_classes=3, strategy="s1")
     props = as_arrays([heads.Proposal(ak.Segment(100, 200), 0.9, 0)])
     logits = [[20.0, -20.0, -20.0, -20.0]]
     regs = [[0.0] * 6]
     dets = heads.finalize_detections(acn_out_single(logits, regs), props, cfg, make_buffer())
-    assert dets == []
+    assert len(dets) == 0
 
 
 def test_finalize_two_classes_same_segment_both_survive():
@@ -652,8 +664,9 @@ def test_finalize_two_classes_same_segment_both_survive():
     props = as_arrays([heads.Proposal(ak.Segment(100, 200), 0.9, 0), heads.Proposal(ak.Segment(100, 200), 0.8, 0)])
     logits = [[-5.0, 5.0, -5.0], [-5.0, -5.0, 5.0]]
     regs = [[0.0] * 4, [0.0] * 4]
-    dets = heads.finalize_detections(acn_out_single(logits, regs, idx=(0, 1)), props, cfg, make_buffer())
-    assert sorted(d.label for d in dets) == [1, 2]
+    cands = heads.finalize_detections(acn_out_single(logits, regs, idx=(0, 1)), props, cfg, make_buffer())
+    dets = heads.nms_detections(cands, cfg.nms_tiou)
+    assert sorted(dets.labels.tolist()) == [1, 2]
 
 
 def test_finalize_s3_duplicates_collapse_to_one():
@@ -662,9 +675,9 @@ def test_finalize_s3_duplicates_collapse_to_one():
     out = []
     for score_logit in (3.0, 2.0, 1.0):  # same segment from 3 levels, descending confidence
         out.append((np.array([0]), nc.Tensor([[-score_logit, score_logit]]), nc.Tensor([[0.0, 0.0]])))
-    dets = heads.finalize_detections(out, props, cfg, make_buffer())
+    dets = heads.nms_detections(heads.finalize_detections(out, props, cfg, make_buffer()), cfg.nms_tiou)
     assert len(dets) == 1
-    assert dets[0].score == pytest.approx(1 / (1 + np.exp(-6.0)))
+    assert dets.scores[0] == pytest.approx(1 / (1 + np.exp(-6.0)))
 
 
 def test_finalize_score_threshold_prunes():
@@ -672,7 +685,7 @@ def test_finalize_score_threshold_prunes():
     props = as_arrays([heads.Proposal(ak.Segment(100, 200), 0.9, 0)])
     out = acn_out_single([[0.0, 0.0]], [[0.0, 0.0]])  # posterior 0.5
     assert len(heads.finalize_detections(out, props, cfg, make_buffer())) == 1
-    assert heads.finalize_detections(out, props, replace(cfg, score_thresh=0.6), make_buffer()) == []
+    assert len(heads.finalize_detections(out, props, replace(cfg, score_thresh=0.6), make_buffer())) == 0
 
 
 def test_finalize_maps_to_video_coordinates_and_clips_padding():
@@ -681,10 +694,10 @@ def test_finalize_maps_to_video_coordinates_and_clips_padding():
     buf = make_buffer(offset=768, num_valid=732)
     dets = heads.finalize_detections(acn_out_single([[-5.0, 5.0]], [[0.0, 0.0]]), props, cfg, buf)
     assert len(dets) == 1
-    d = dets[0]
-    assert d.segment.start == pytest.approx(768 + 700.0)
-    assert d.segment.end == pytest.approx(768 + 732.0)  # clipped at valid content
-    assert d.video_id == "v"
+    start, end = dets.segments[0]
+    assert start == pytest.approx(768 + 700.0)
+    assert end == pytest.approx(768 + 732.0)  # clipped at valid content
+    assert dets.labels.tolist() == [1]
 
 
 @pytest.mark.parametrize("strategy", heads.STRATEGIES)
@@ -711,12 +724,28 @@ def test_finalize_matches_per_row_oracle(strategy):
             out.append((idx, nc.Tensor(logits), nc.Tensor(regs)))
         thresh = 1 / (c + 1) if case % 4 == 0 else 0.05
         nms = float(rng.choice([0.4, 0.7]))
-        got = heads.finalize_detections(out, as_arrays(props), replace(cfg, nms_tiou=nms, score_thresh=thresh), buf)
+        cands = heads.finalize_detections(out, as_arrays(props), replace(cfg, nms_tiou=nms, score_thresh=thresh), buf)
+        got = as_objects(heads.nms_detections(cands, nms), buf.video_id)
         assert got == finalize_detections_ref(out, props, cfg, buf, nms, thresh)
 
 
 def test_nms_detections_is_class_wise():
-    mk = lambda s, e, label, score: heads.Detection(ak.Segment(s, e), label, score, "v")
-    dets = [mk(0, 10, 1, 0.9), mk(0, 10, 2, 0.8), mk(1, 11, 1, 0.7)]
-    kept = heads.nms_detections(dets, 0.4)
-    assert sorted((d.label, d.score) for d in kept) == [(1, 0.9), (2, 0.8)]
+    kept = heads.nms_detections(detections([(0, 10, 1, 0.9), (0, 10, 2, 0.8), (1, 11, 1, 0.7)]), 0.4)
+    assert sorted(zip(kept.labels.tolist(), kept.scores.tolist())) == [(1, 0.9), (2, 0.8)]
+
+
+@pytest.mark.parametrize("thresh", [1e-9, 0.4, 1.0])
+def test_nms_detections_keeps_same_class_candidates_touching_at_a_window_boundary(thresh):
+    # windows [0, 768) and [768, 1536): each candidate is clipped to its own
+    kept = heads.nms_detections(detections([(700.0, 768.0, 1, 0.9), (768.0, 800.0, 1, 0.9), (768.0, 1536.0, 2, 0.5)]), thresh)
+    assert kept.segments.tolist() == [[700.0, 768.0], [768.0, 800.0], [768.0, 1536.0]]
+
+
+def test_nms_detections_keeps_candidate_order_among_rows_tied_on_score_label_and_start():
+    # no pair reaches tIoU 0.4, so all survive; the ranking is a stable sort
+    # on (-score, label, start) of the candidates in order, as a Python sort
+    rows = [(0.0, 100.0, 2, 0.5), (0.0, 10.0, 1, 0.5), (0.0, 30.0, 2, 0.5), (0.0, 10.0, 2, 0.5),
+            (200.0, 260.0, 1, 0.5), (200.0, 210.0, 1, 0.5), (0.0, 100.0, 1, 0.7), (300.0, 350.0, 1, 0.25)]
+    kept = heads.nms_detections(detections(rows), 0.4)
+    want = sorted(rows, key=lambda r: (-r[3], r[2], r[0]))
+    assert [(s, e, c, score) for (s, e), c, score in zip(kept.segments.tolist(), kept.labels.tolist(), kept.scores.tolist())] == want

@@ -54,11 +54,17 @@ def test_propose_video_sorted_in_range_and_repeatable():
     assert pipeline.propose_video(rec, model, cfg) == props
 
 
+def as_objects(dets, video_id):
+    """The ``Detection`` objects of a ``heads.Detections``, in order."""
+    rows = zip(dets.segments.tolist(), dets.labels.tolist(), dets.scores.tolist())
+    return [heads.Detection(ak.Segment(s, e), c, score, video_id) for (s, e), c, score in rows]
+
+
 def infer_video_taped(record, model, cfg):
     """``infer_video`` run on the gradient-requiring parameters, recording
     the autograd graph of every window."""
     grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
-    dets = []
+    windows = []
     for buf in datakit.make_buffers(record, cfg.buffer_len, directions="forward"):
         pyramid_out = model.forward_pyramid(buf.features, model.params)
         proposals = heads.generate_proposals(heads.apn_forward(pyramid_out, model.params), grid, model.apn_cfg)
@@ -66,8 +72,8 @@ def infer_video_taped(record, model, cfg):
             continue
         acn_out = heads.acn_forward(pyramid_out, proposals, model.acn_cfg, model.params)
         assert all(cls.requires_grad for _, cls, _ in acn_out)
-        dets.extend(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
-    return heads.nms_detections(dets, model.acn_cfg.nms_tiou)
+        windows.append(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
+    return as_objects(heads.nms_detections(heads.Detections.concat(windows), model.acn_cfg.nms_tiou), record.video_id)
 
 
 def parameter_bytes(model):
@@ -96,11 +102,39 @@ def test_infer_video_records_no_graph_and_equals_a_taped_forward(monkeypatch):
     assert dets and dets == infer_video_taped(rec, model, cfg)
 
 
+def three_window_video():
+    """A fixed-seed video of three 768-frame windows, the last one short."""
+    num_frames = 3 * 768 - 100
+    return datakit.VideoRecord("v", num_frames, [], Tensor(np.random.default_rng(9).standard_normal((4, num_frames))))
+
+
+def test_propose_video_equals_the_window_proposals_sorted(monkeypatch):
+    # each window's proposals clipped to its content, shifted and ranked by a
+    # stable Python sort on (-objectness, start), as Proposal objects
+    model, cfg, rec = small_model(), pipeline.TrainConfig(), three_window_video()
+    windows = []
+    generate_proposals = heads.generate_proposals
+
+    def recording_generate(*args):
+        windows.append(generate_proposals(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(heads, "generate_proposals", recording_generate)
+    props = pipeline.propose_video(rec, model, cfg)
+    want = []
+    for buf, w in zip(datakit.make_buffers(rec, cfg.buffer_len, directions="forward"), windows, strict=True):
+        for (s, e), obj, level in zip(w.segments.tolist(), w.objectness.tolist(), w.levels.tolist()):
+            s, e = max(s, 0.0) + buf.frame_offset, min(e, float(buf.num_valid)) + buf.frame_offset
+            if e - s >= 1.0:
+                want.append(heads.Proposal(ak.Segment(s, e), obj, level))
+    assert len(windows) == 3 and len(want) > 2 * model.apn_cfg.top_k
+    assert props == sorted(want, key=lambda p: (-p.objectness, p.segment.start))
+
+
 def test_video_nms_returns_the_window_detections_sorted(monkeypatch):
-    # windows are disjoint and each one's detections passed class-wise NMS
-    # at the same threshold, so the closing video-global NMS keeps them all
-    model, cfg, num_frames = small_model(), pipeline.TrainConfig(), 3 * 768 - 100
-    rec = datakit.VideoRecord("v", num_frames, [], Tensor(np.random.default_rng(9).standard_normal((4, num_frames))))
+    # windows are disjoint and candidates are clipped to their window, so one
+    # class-wise NMS over the video keeps what each window's own NMS keeps
+    model, cfg, rec = small_model(), pipeline.TrainConfig(), three_window_video()
     windows = []
     finalize_detections = heads.finalize_detections
 
@@ -111,7 +145,9 @@ def test_video_nms_returns_the_window_detections_sorted(monkeypatch):
     monkeypatch.setattr(heads, "finalize_detections", recording_finalize)
     dets = pipeline.infer_video(rec, model, cfg)
     assert len(windows) == 3 and all(windows)
-    assert dets == sorted((d for w in windows for d in w), key=lambda d: (-d.score, d.label, d.segment.start))
+    kept = [as_objects(heads.nms_detections(w, model.acn_cfg.nms_tiou), rec.video_id) for w in windows]
+    assert all(len(k) < len(w) for k, w in zip(kept, windows))  # each window's NMS suppresses
+    assert dets == sorted((d for k in kept for d in k), key=lambda d: (-d.score, d.label, d.segment.start))
 
 
 def annotated_video():

@@ -11,6 +11,8 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
   the StepReports and one of every parameter's values and velocity;
 - ``infer_long``: per seed 1 to 5, one digest of ``infer_video``'s
   detections on each of the workload's videos;
+- ``propose_long``: per seed 1 to 5, one digest of ``propose_video``'s
+  proposals on the same videos with the same model;
 - ``nms``: one digest of ``heads.nms_indices``'s kept indices over a seeded
   battery: random sets of the detector's shapes (1,272 candidates with
   ``top_k`` 100 at 0.7, 300 and 550 candidates at 0.4), and a small set
@@ -73,14 +75,20 @@ def train_digests(workloads, float64: bool, workdir: Path) -> tuple[str, str]:
     return sha256(reports), sha256(arrays)
 
 
-def infer_digest(workloads, seed: int, float64: bool, workdir: Path) -> str:
+def infer_digests(workloads, seed: int, float64: bool, workdir: Path) -> tuple[str, str]:
+    """Digests of ``infer_video``'s detections and ``propose_video``'s
+    proposals on every video of the ``infer_long`` workload at ``seed``."""
+    from tfpdet import pipeline
+
     w = workloads.InferLong(seed, workloads.FULL, workdir)
     if float64:
         to_float64(workloads, w.model, w.videos)
-    rows = []
-    for i in range(len(w.videos)):
-        rows += [[d.video_id, d.label, float(d.segment.start), float(d.segment.end), float(d.score)] for d in w.op(i)]
-    return sha256([json.dumps(rows).encode()])
+    dets, props = [], []
+    for i, video in enumerate(w.videos):
+        dets += [[d.video_id, d.label, float(d.segment.start), float(d.segment.end), float(d.score)] for d in w.op(i)]
+        props += [[video.video_id, float(p.segment.start), float(p.segment.end), float(p.objectness), p.source_level]
+                  for p in pipeline.propose_video(video, w.model, w.cfg)]
+    return sha256([json.dumps(dets).encode()]), sha256([json.dumps(props).encode()])
 
 
 def nms_battery():
@@ -125,8 +133,12 @@ def main(argv=None) -> int:
         reports, arrays = train_digests(workloads, args.float64, Path(tmp) / "train")
         print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} reports {reports}")
         print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} params+velocities {arrays}")
+        proposals = []
         for seed in INFER_SEEDS:
-            print(f"infer_long seed {seed} detections {infer_digest(workloads, seed, args.float64, Path(tmp) / f'infer{seed}')}")
+            dets, props = infer_digests(workloads, seed, args.float64, Path(tmp) / f"infer{seed}")
+            print(f"infer_long seed {seed} detections {dets}")
+            proposals.append(f"propose_long seed {seed} proposals {props}")
+        print("\n".join(proposals))
     print(f"nms seed {NMS_SEED} kept {nms_digest()}")
     return 0
 
