@@ -47,22 +47,19 @@ class Segment:
         return 0.5 * (self.start + self.end)
 
 
+@dataclass(frozen=True, eq=False)
 class AnchorGrid:
-    """All anchors of all levels as flat arrays for matching and decoding.
-
-    Anchor order is level-major, then position, then scale index; the flat
-    index in that order is the tie-break key everywhere.
+    """All anchors of all levels as flat (start, end) arrays.  Level k's are
+    the block [level_offsets[k], level_offsets[k+1]), position-major: scale
+    j at position p is entry p * len(scales[k]) + j of the block, and
+    ``heads.anchor_map_indices`` maps it to APN map rows.  The flat index is
+    the tie-break key everywhere.
     """
 
-    def __init__(self, starts, ends, level_of, position_of, scale_index_of, num_levels: int, buffer_len: int):
-        self.starts = starts
-        self.ends = ends
-        self.level_of = level_of
-        self.position_of = position_of
-        self.scale_index_of = scale_index_of
-        self.buffer_len = int(buffer_len)
-        # level k occupies [level_offsets[k], level_offsets[k+1])
-        self.level_offsets = np.searchsorted(level_of, np.arange(num_levels + 1))
+    starts: np.ndarray
+    ends: np.ndarray
+    level_offsets: np.ndarray
+    buffer_len: int
 
     def __len__(self) -> int:
         return len(self.starts)
@@ -79,20 +76,16 @@ def build_anchor_grid(buffer_len: int, strides, scales) -> AnchorGrid:
         raise ConfigError(f"{len(strides)} strides but {len(scales)} scale lists")
     if not strides:
         raise ConfigError("an anchor grid needs at least one level")
-    starts, ends, level_of, position_of, scale_index_of = [], [], [], [], []
-    for k, (s_k, level_scales) in enumerate(zip(strides, scales)):
+    starts, ends, offsets = [], [], [0]
+    for s_k, level_scales in zip(strides, scales):
         if buffer_len % s_k != 0:
             raise ConfigError(f"buffer_len {buffer_len} not divisible by stride {s_k}")
-        n, a = buffer_len // s_k, len(level_scales)
-        c = ((np.arange(n) + 0.5) * s_k)[:, None]
+        c = ((np.arange(buffer_len // s_k) + 0.5) * s_k)[:, None]
         half = 0.5 * np.asarray(level_scales, dtype=np.float64) * s_k
         starts.append((c - half).ravel())
         ends.append((c + half).ravel())
-        level_of.append(np.full(n * a, k))
-        position_of.append(np.repeat(np.arange(n), a))
-        scale_index_of.append(np.tile(np.arange(a), n))
-    cols = (starts, ends, level_of, position_of, scale_index_of)
-    return AnchorGrid(*(np.concatenate(col) for col in cols), len(strides), buffer_len)
+        offsets.append(offsets[-1] + c.size * half.size)
+    return AnchorGrid(np.concatenate(starts), np.concatenate(ends), np.array(offsets), int(buffer_len))
 
 
 def tiou(a, b) -> np.ndarray:

@@ -201,9 +201,9 @@ def acn_param_specs(hidden_dim: int, cfg: AcnConfig, num_levels: int) -> list[tu
 
 def apn_forward(pyr: PyramidFeatures, params: dict) -> list:
     """Per level: shared conv(k=3, pad=1)+relu, then the two sibling 1x1
-    heads.  Rows (2j, 2j+1) of the cls map are the (background, foreground)
-    logits of anchor j; the same rows of the reg map are its (center
-    offset, log length) predictions.
+    heads, [2A, T] maps.  Rows (2j, 2j+1) at column p of the cls map are the
+    (background, foreground) logits of scale j's anchor at position p, and of
+    the reg map its (center offset, log length); see ``anchor_map_indices``.
     """
     out = []
     for k, feat in enumerate(pyr.levels):
@@ -281,20 +281,35 @@ def nms_indices(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray, thresh
     return order[kept].tolist()
 
 
+def anchor_map_indices(grid: AnchorGrid, k: int, shape, anchors) -> np.ndarray:
+    """[n, 2] flat indices into level k's [2A, T] APN map (``shape``) of the
+    rows (2j, 2j+1) at position p of each of the n grid ``anchors``, all of
+    level k.  Level k of the grid must hold exactly A anchors per position."""
+    (two_a, t), offsets = shape, grid.level_offsets
+    if offsets[k + 1] - offsets[k] != two_a // 2 * t:
+        raise ContractError(f"level {k} of the anchor grid is not {two_a // 2} anchors at each of {t} positions")
+    p, j = np.divmod(np.asarray(anchors) - offsets[k], two_a // 2)
+    first = 2 * j * t + p
+    return np.stack([first, first + t], axis=1)
+
+
 def generate_proposals(apn_out, grid: AnchorGrid, cfg: ApnConfig) -> Proposals:
-    """Score and decode every anchor, then pool all levels through NMS at
-    ``cfg.nms_tiou``, keeping at most ``cfg.top_k``."""
+    """Score and decode every anchor of the maps' ``grid``, then pool all
+    levels through NMS at ``cfg.nms_tiou``, keeping at most ``cfg.top_k``."""
+    if len(grid.level_offsets) != len(apn_out) + 1:
+        raise ContractError(f"an anchor grid of {len(grid.level_offsets) - 1} levels for {len(apn_out)} APN levels")
     parts = []  # per level: the kept anchors' starts, ends, scores and levels
     hi = float(grid.buffer_len)
     for k, (cls, reg) in enumerate(apn_out):
-        c = cls.data
-        bg, fg = c[0::2], c[1::2]
-        m = np.maximum(bg, fg)
-        obj = np.exp(fg - m) / (np.exp(bg - m) + np.exp(fg - m))
         idx = grid.level_indices(k)
-        j, p = grid.scale_index_of[idx], grid.position_of[idx]
-        s, e, keep = decode(grid.starts[idx], grid.ends[idx], reg.data[0::2][j, p], reg.data[1::2][j, p], (0.0, hi))
-        parts.append((s[keep], e[keep], obj[j, p][keep], np.full(int(keep.sum()), k)))
+        cells = anchor_map_indices(grid, k, cls.shape, idx)
+        bg, fg = cls.data.take(cells).T
+        m = np.maximum(bg, fg)
+        efg = np.exp(fg - m)
+        obj = efg / (np.exp(bg - m) + efg)
+        offsets, log_lengths = reg.data.take(cells).T
+        s, e, keep = decode(grid.starts[idx], grid.ends[idx], offsets, log_lengths, (0.0, hi))
+        parts.append((s[keep], e[keep], obj[keep], np.full(int(keep.sum()), k)))
     starts, ends, scores, levels = (np.concatenate(x) for x in zip(*parts))
     kept = nms_indices(starts, ends, scores, cfg.nms_tiou, cfg.top_k)
     return Proposals(np.stack([starts, ends], 1)[kept], scores[kept], levels[kept])

@@ -13,12 +13,13 @@ graph at all.  A parameter is a gradient-requiring leaf tensor, so every
 layer takes the same dict of tensors in training and inference; its SGD
 momentum lives apart, in ``Model.velocity``.
 
-Only the operations the detection heads actually need are provided;
-everything runs on contiguous numpy arrays, deterministically.  Dtype rule:
-a tensor keeps float32 or float64 data as given and makes anything else
-float64, and every kernel computes its output, temporaries and gradients in
-its input's dtype.  So a float64 graph runs exactly as it always has, and a
-float32 one never upcasts in silence.
+Only the operations the detection heads actually need are provided, at
+the shapes the network runs them (``temporal_maxpool`` is the pair maximum
+that halves a map); everything runs on contiguous numpy arrays,
+deterministically.  Dtype rule: a tensor keeps float32 or float64 data as
+given and makes anything else float64, and every kernel computes its
+output, temporaries and gradients in its input's dtype.  So a float64 graph
+runs exactly as it always has, and a float32 one never upcasts in silence.
 
 Kernel layout rule, which holds per dtype: a kernel may change how it moves
 data, never the arithmetic.  Every BLAS call keeps its operand values and
@@ -268,42 +269,30 @@ def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     return Tensor(y.reshape(xt.shape[:-2] + (c_out, t_out)), _parents=(xt, wt, bt), _backward=back)
 
 
-def temporal_maxpool(x, k: int, stride: int) -> Tensor:
-    """Windowed maximum per channel; ties route gradient to the first index.
-
-    Works on k strided slices, one per window position: the forward is a
-    running maximum over them, and the backward routes each output's
-    gradient to the first slice that holds its value (or a NaN).
-    """
+def temporal_maxpool(x) -> Tensor:
+    """Maximum of each disjoint pair of columns of a [C, T] map, per channel,
+    which halves its length; an odd last column is dropped.  The gradient
+    goes to the first cell of a pair where it holds the maximum or a NaN,
+    else to the second."""
     xt = _t(x)
     if xt.data.ndim != 2:
         raise ContractError(f"temporal_maxpool expects [C,T], got {xt.shape}")
-    c, t_in = xt.shape
-    if t_in < k:
-        raise ContractError(f"temporal_maxpool empty output: T={t_in} < k={k}")
-    t_out = (t_in - k) // stride + 1
-    span = stride * (t_out - 1) + 1
-    win = [xt.data[:, j : j + span : stride] for j in range(k)]  # element j of every window
-    y = win[0]
-    for v in win[1:]:
-        # the running maximum is the second operand, which np.maximum returns
-        # on ties (+0.0 against -0.0): the first maximum's value
-        y = np.maximum(v, y)
+    t_in = xt.shape[1]
+    if t_in < 2:
+        raise ContractError(f"temporal_maxpool empty output: T={t_in} < 2")
+    end = t_in - t_in % 2
+    a, b = xt.data[:, 0:end:2], xt.data[:, 1:end:2]
+    # np.maximum returns its second operand on ties (+0.0 against -0.0): the first cell's value
+    y = np.maximum(b, a)
 
     def back(g):
         gx = np.zeros_like(xt.data)
         bits = g.view(f"i{g.itemsize}")  # the signed integer as wide as g's floats
-        routes, taken = [], np.zeros(g.shape, dtype=bool)
-        for v in win[:-1]:
-            hit = ~taken & ((v == y) | np.isnan(v))
-            taken |= hit
-            routes.append(hit)
-        routes.append(~taken)
-        # descending j is ascending output order wherever windows overlap; an
-        # AND with an all-ones or all-zeros mask selects g or +0.0 without
-        # branching on the random routes
-        for j in reversed(range(k)):
-            gx[:, j : j + span : stride] += (bits & -routes[j].view(np.int8)).view(g.dtype)
+        first = ((a == y) | np.isnan(a)).view(np.int8)
+        # an AND with an all-ones or all-zeros mask selects g or +0.0 without
+        # branching on the random routes; adding it to +0.0 turns -0.0 into +0.0
+        gx[:, 0:end:2] += (bits & -first).view(g.dtype)
+        gx[:, 1:end:2] += (bits & (first - 1)).view(g.dtype)
         _accumulate(xt, gx)
 
     return Tensor(y, _parents=(xt,), _backward=back)
@@ -344,7 +333,7 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     if lab.shape != (n,):
         raise ContractError(f"labels shape {lab.shape} does not match batch {n}")
     if lab.size and (lab.min() < 0 or lab.max() >= c):
-        raise IndexError(f"label out of range [0,{c}): {lab[(lab < 0) | (lab >= c)][0]}")
+        raise ContractError(f"label out of range [0,{c}): {lab[(lab < 0) | (lab >= c)][0]}")
     z = lt.data - lt.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
     lse = np.log(ez.sum(axis=1))

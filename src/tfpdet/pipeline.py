@@ -186,10 +186,7 @@ def _apn_level_losses(apn_out, grid, match, cfg: TrainConfig, rng):
         if not match.labels[level_idx].any():  # all ignored: nothing to sample
             continue
         sel = anchorkit.sample_minibatch(match, cfg.apn_batch, cfg.apn_pos_fraction, rng, candidate_idx=level_idx)
-        t_k = cls_map.shape[1]
-        # anchor j at position p reads rows (2j, 2j+1) of the [2A, T_k] maps
-        bg = 2 * grid.scale_index_of[sel] * t_k + grid.position_of[sel]
-        pairs = np.stack([bg, bg + t_k], axis=1)
+        pairs = heads.anchor_map_indices(grid, k, cls_map.shape, sel)
         pos = match.labels[sel] == 1
         terms[k] = _head_terms(nc.take(cls_map, pairs), pos.astype(np.int64), reg_map, pairs[pos], match.reg_targets[sel[pos]])
         pos_counts[k] = int(pos.sum())
@@ -236,9 +233,9 @@ def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anc
     rng = _step_rng(cfg.seed, step)
     pyr = model.forward_pyramid(buffer.features, model.params)
     apn_out = heads.apn_forward(pyr, model.params)
+    proposals = heads.generate_proposals(apn_out, grid, model.apn_cfg)  # first: it checks the grid against the maps
     match = anchorkit.match_anchors_apn(grid, buffer.segments, model.apn_cfg.pos_tiou, model.apn_cfg.neg_tiou)
     apn_terms, apn_pos, apn_neg = _apn_level_losses(apn_out, grid, match, cfg, rng)
-    proposals = heads.generate_proposals(apn_out, grid, model.apn_cfg)
     pmatch = anchorkit.match_proposals_acn(proposals.segments, buffer.segments, buffer.labels, model.acn_cfg.fg_tiou)
     acn_terms, acn_pos, acn_neg = _acn_level_losses(pyr, proposals, pmatch, model, cfg, rng)
     loss = joint_loss(apn_terms, acn_terms, cfg.loss_weights)

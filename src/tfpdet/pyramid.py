@@ -85,7 +85,7 @@ def pyramid_param_specs(pcfg: PyramidConfig, hidden_dim: int) -> list[tuple]:
 
 
 def encode(buffer_features, cfg: EncoderConfig, params: dict) -> nc.Tensor:
-    """Run the encoder blocks: conv(k=3, pad=1) + relu + maxpool(k=2, s=2)."""
+    """Run the encoder blocks: conv(k=3, pad=1) + relu + pair max pool."""
     x = buffer_features if isinstance(buffer_features, nc.Tensor) else nc.Tensor(buffer_features)
     if x.shape[0] != cfg.input_dim:
         raise ConfigError(f"encoder expects {cfg.input_dim} input channels, got {x.shape[0]}")
@@ -93,15 +93,15 @@ def encode(buffer_features, cfg: EncoderConfig, params: dict) -> nc.Tensor:
         raise ConfigError(f"buffer length {x.shape[1]} not divisible by encoder stride {ENCODER_STRIDE}")
     for i in range(ENCODER_BLOCKS):
         x = nc.relu(nc.temporal_conv(x, params[f"encoder.block{i}.w"], params[f"encoder.block{i}.b"], stride=1, padding=1))
-        x = nc.temporal_maxpool(x, k=2, stride=2)
+        x = nc.temporal_maxpool(x)
     return x
 
 
 def build_pyramid(base, cfg: PyramidConfig, params: dict) -> PyramidFeatures:
     """Cascade down-sampling from the stride-8 base map.
 
-    MAX uses temporal_maxpool(k=2, s=2); CONV uses temporal_conv(k=3, s=2,
-    pad=1) followed by relu, halving the length either way.
+    MAX takes ``temporal_maxpool``'s pair maximum; CONV uses temporal_conv(k=3,
+    s=2, pad=1) followed by relu, halving the length either way.
     """
     base = base if isinstance(base, nc.Tensor) else nc.Tensor(base)
     if cfg.num_levels > 1 and base.shape[1] % (2 ** (cfg.num_levels - 1)) != 0:
@@ -112,7 +112,7 @@ def build_pyramid(base, cfg: PyramidConfig, params: dict) -> PyramidFeatures:
     for k in range(1, cfg.num_levels):
         prev = levels[-1]
         if cfg.variant == "max":
-            levels.append(nc.temporal_maxpool(prev, k=2, stride=2))
+            levels.append(nc.temporal_maxpool(prev))
         else:
             levels.append(
                 nc.relu(nc.temporal_conv(prev, params[f"pyramid.down{k}.w"], params[f"pyramid.down{k}.b"], stride=2, padding=1))

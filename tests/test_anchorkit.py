@@ -45,10 +45,23 @@ def test_grid_counts():
     assert len(grid) == 1272
 
 
+def level_position_scale(grid, scales, i):
+    """(k, p, j) of flat anchor ``i``: its level block, then position-major
+    within the block."""
+    k = int(np.searchsorted(grid.level_offsets, i, side="right")) - 1
+    p, j = divmod(i - int(grid.level_offsets[k]), len(scales[k]))
+    return k, p, j
+
+
 def test_first_cell_anchor_placement():
     grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
-    assert (grid.level_of[0], grid.position_of[0], grid.scale_index_of[0]) == (0, 0, 0)
+    assert grid.level_offsets.tolist() == [0, 96 * 7, 96 * 7 + 48 * 7, 1272]
+    assert level_position_scale(grid, ak.DEFAULT_SCALES, 0) == (0, 0, 0)
     assert (grid.starts[0], grid.ends[0]) == (0.0, 8.0)
+    # the last anchor of level 0, and the first of level 1
+    assert level_position_scale(grid, ak.DEFAULT_SCALES, 96 * 7 - 1) == (0, 95, 6)
+    assert level_position_scale(grid, ak.DEFAULT_SCALES, 96 * 7) == (1, 0, 0)
+    assert (grid.starts[96 * 7], grid.ends[96 * 7]) == (-24.0, 40.0)
 
 
 @pytest.mark.parametrize("buffer_len,strides,scales", [
@@ -65,8 +78,8 @@ def test_grid_arrays_equal_per_anchor_loop(buffer_len, strides, scales):
             for j, sc in enumerate(level_scales):
                 half = 0.5 * sc * s_k
                 want.append((c - half, c + half, k, p, j))
-    cols = (grid.starts, grid.ends, grid.level_of, grid.position_of, grid.scale_index_of)
-    assert list(zip(*(c.tolist() for c in cols))) == want
+    assert [(s, e, *level_position_scale(grid, scales, i))
+            for i, (s, e) in enumerate(zip(grid.starts.tolist(), grid.ends.tolist()))] == want
     assert [len(grid.level_indices(k)) for k in range(len(strides))] == [
         sum(1 for a in want if a[2] == k) for k in range(len(strides))]
 

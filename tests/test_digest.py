@@ -1,5 +1,6 @@
 """``tools/digest.py`` against the package: its NMS edge rows run without
-warnings, and its float64 parameter draw is ``Model.build``'s."""
+warnings, its float64 parameter draw is ``Model.build``'s, and its pooling
+battery holds the ties that routing can get wrong."""
 
 import importlib.util
 import warnings
@@ -41,3 +42,12 @@ def test_float64_redraw_is_the_model_draw_before_rounding(monkeypatch):
         assert p.data.dtype == redrawn.velocity[name].dtype == np.float64
         assert np.array_equal(p.data.astype(built.params[name].data.dtype), built.params[name].data)
         assert not redrawn.velocity[name].any()
+
+
+def test_pool_battery_holds_ties_signed_zeros_and_nan():
+    xs = [x for x, _ in load_digest().pool_battery()]
+    assert all(x.shape[1] % 4 == 0 for x in xs)  # three pyramid levels
+    first, second = np.concatenate([x.reshape(-1, 2) for x in xs]).T  # the pairs the first pool takes
+    assert (first == second).any()
+    assert ((first == 0) & (second == 0) & (np.signbit(first) != np.signbit(second))).any()
+    assert (np.isnan(first) & ~np.isnan(second)).any() and (~np.isnan(first) & np.isnan(second)).any()

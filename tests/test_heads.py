@@ -241,6 +241,34 @@ def test_generate_proposals_sorted_and_separated():
     assert np.all(ak.tiou(props.segments[:, None], props.segments)[np.triu_indices(len(props), 1)] < 0.7)
 
 
+@pytest.mark.parametrize("strides,scales", [(pyr.PyramidConfig().strides, ak.DEFAULT_SCALES), ((8,), ak.SINGLE_SCALE_SCALES)])
+def test_anchor_map_indices_equal_a_per_anchor_loop(strides, scales):
+    grid = ak.build_anchor_grid(768, strides, scales)
+    for k, (s_k, level_scales) in enumerate(zip(strides, scales)):
+        a, t = len(level_scales), 768 // s_k
+        want = [[2 * j * t + p, (2 * j + 1) * t + p] for p in range(t) for j in range(a)]  # the block's order
+        got = heads.anchor_map_indices(grid, k, (2 * a, t), grid.level_indices(k))
+        assert got.tolist() == want
+        sub = np.random.default_rng(k).permutation(grid.level_indices(k))[:50]  # any subset, in any order
+        assert heads.anchor_map_indices(grid, k, (2 * a, t), sub).tolist() == [
+            want[i - grid.level_offsets[k]] for i in sub.tolist()]
+
+
+@pytest.mark.parametrize("buffer_len,scales", [
+    (384, ak.DEFAULT_SCALES),
+    (1536, ak.DEFAULT_SCALES),
+    (768, ((1, 2), (3, 4), (5, 6))),
+    (768, ak.DEFAULT_SCALES[:2]),
+    (768, ak.DEFAULT_SCALES + ((8, 12),)),
+])
+def test_generate_proposals_rejects_a_grid_of_other_maps(buffer_len, scales):
+    ecfg, pcfg, apn_cfg, params = small_setup()
+    out = heads.apn_forward(forward_pyramid(ecfg, pcfg, params), params)
+    grid = ak.build_anchor_grid(buffer_len, (8, 16, 32, 64)[:len(scales)], scales)
+    with pytest.raises(ContractError, match="anchor grid"):
+        heads.generate_proposals(out, grid, apn_cfg)
+
+
 def generate_proposals_ref(apn_out, grid, cfg):
     """The proposal list built one object per kept row, as before proposals
     stayed arrays: per level, softmax objectness and decoded anchors, then
@@ -251,7 +279,9 @@ def generate_proposals_ref(apn_out, grid, cfg):
         m = np.maximum(c[0::2], c[1::2])
         obj = np.exp(c[1::2] - m) / (np.exp(c[0::2] - m) + np.exp(c[1::2] - m))
         idx = grid.level_indices(k)
-        j, p = grid.scale_index_of[idx], grid.position_of[idx]
+        a, t = len(cfg.scales[k]), c.shape[1]
+        assert len(idx) == a * t
+        j, p = np.tile(np.arange(a), t), np.repeat(np.arange(t), a)  # the level block is position-major
         s, e, keep = ak.decode(grid.starts[idx], grid.ends[idx], reg.data[0::2][j, p], reg.data[1::2][j, p],
                                (0.0, float(grid.buffer_len)))
         starts += s[keep].tolist()

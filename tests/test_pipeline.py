@@ -236,6 +236,25 @@ def test_non_finite_loss_raises_before_any_update():
     assert parameter_bytes(model) == before
 
 
+@pytest.mark.parametrize("buffer_len,scales", [
+    (384, ak.DEFAULT_SCALES),
+    (1536, ak.DEFAULT_SCALES),
+    (768, ((1, 2), (3, 4), (5, 6))),
+    (768, ak.DEFAULT_SCALES[:2]),
+    (768, ak.DEFAULT_SCALES + ((8, 12),)),
+])
+def test_grid_of_other_maps_raises_before_any_update(buffer_len, scales):
+    model, cfg = small_model(), pipeline.TrainConfig(seed=5)
+    bufs = annotated_buffers()
+    pipeline.train_step(bufs[0], model, cfg, ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides,
+                                                                  model.apn_cfg.scales), 0)  # non-zero velocities
+    grid = ak.build_anchor_grid(buffer_len, (8, 16, 32, 64)[:len(scales)], scales)
+    before = parameter_bytes(model)
+    with pytest.raises(ContractError, match="anchor grid"):
+        pipeline.train_step(bufs[1], model, cfg, grid, 1)
+    assert parameter_bytes(model) == before
+
+
 def test_checkpoint_round_trip_then_step_is_byte_identical(tmp_path):
     cfg = pipeline.TrainConfig(seed=5)
     model, bufs = small_model(), annotated_buffers()

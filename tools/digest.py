@@ -18,7 +18,12 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
   ``top_k`` 100 at 0.7, 300 and 550 candidates at 0.4), and a small set
   with tied scores, duplicate and touching segments, NaN and infinite ends
   and zero and negative lengths at every threshold from 0 to 1.5 and NaN,
-  with and without ``top_k``.
+  with and without ``top_k``;
+- ``pool``: one digest of the level values and the input gradient of
+  ``pyramid.build_pyramid(x, PyramidConfig(variant="max"), {})``, driven by
+  ``numcore.backward`` through a smooth-L1 loss on every level, over a
+  seeded battery of [C, T] maps in float32 and float64: relu'd small
+  integers, so pairs tie, with signed zeros and some NaN.
 
 ``--float64`` runs the model in float64: before the first op it redraws
 the parameters as ``Model.build`` draws them from the model seed, in float64
@@ -44,6 +49,7 @@ TRAIN_SEED, TRAIN_OPS = 3, 40
 INFER_SEEDS = range(1, 6)
 NMS_SEED = 11
 NMS_THRESHOLDS = (0.0, 1e-9, 0.4, 0.7, 1.0, 1.5, float("nan"))
+POOL_SEED, POOL_CASES = 13, 60
 
 
 def sha256(chunks) -> str:
@@ -122,6 +128,36 @@ def nms_digest() -> str:
     return sha256([json.dumps(kept).encode()])
 
 
+def pool_battery():
+    """(x, targets) of every ``pool`` case: a [C, T] map and one smooth-L1
+    target per level of the default three-level pyramid."""
+    import numpy as np
+
+    rng = np.random.default_rng(POOL_SEED)
+    for case in range(POOL_CASES):
+        c, t = int(rng.integers(1, 6)), 4 * int(rng.integers(1, 17))
+        x = np.maximum(rng.integers(-3, 4, (c, t)), 0).astype(np.float64)
+        x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+        if case % 3 == 0:
+            x[rng.random(x.shape) < 0.1] = np.nan
+        yield x, [rng.integers(-3, 4, (c, t >> k)).astype(np.float64) for k in range(3)]
+
+
+def pool_digest() -> str:
+    import numpy as np
+    from tfpdet import numcore as nc, pyramid
+
+    chunks = []
+    for dtype in (np.float32, np.float64):
+        for x, targets in pool_battery():
+            xt = nc.Tensor(x.astype(dtype), requires_grad=True)
+            levels = pyramid.build_pyramid(xt, pyramid.PyramidConfig(variant="max"), {}).levels
+            losses = [nc.smooth_l1(level, y.astype(dtype)) for level, y in zip(levels, targets)]
+            nc.backward(nc.add(nc.add(losses[0], losses[1]), losses[2]))
+            chunks += [level.data.tobytes() for level in levels] + [xt.grad.tobytes()]
+    return sha256(chunks)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--float64", action="store_true", help="run the model and the features in float64")
@@ -140,6 +176,7 @@ def main(argv=None) -> int:
             proposals.append(f"propose_long seed {seed} proposals {props}")
         print("\n".join(proposals))
     print(f"nms seed {NMS_SEED} kept {nms_digest()}")
+    print(f"pool seed {POOL_SEED} cases {POOL_CASES} values+gradients {pool_digest()}")
     return 0
 
 
