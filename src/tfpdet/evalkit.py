@@ -9,8 +9,12 @@ subsequence of that order.  Ground truth becomes [g, 2] arrays once.
 
 Matching is one-to-one and greedy by rank with each ground truth usable
 once: one ``tiou`` matrix per (video, class) block, walked once for all
-thresholds.  AP integrates the precision envelope over exact recall steps.
-Classes without any ground truth are excluded from mAP averaging.
+thresholds, and only through the cells that reach the lowest one.  A row's
+walk stops at its first column below it; NaN ranks below every number, so
+a NaN cell counts only when every finite cell of its row reaches.  AP
+integrates the precision envelope over exact recall steps, which only true
+positives take, so it is summed over them alone.  Classes without any
+ground truth are excluded from mAP averaging.
 """
 
 from __future__ import annotations
@@ -30,6 +34,15 @@ def average_map_grid() -> tuple:
     return tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
 
 
+def _check_budget(budget) -> None:
+    """Raise ConfigError unless ``budget`` is an int >= 1.  A slice
+    ``[:budget]`` takes zero or a negative budget silently (``-1`` scores
+    all proposals but the last) and fails on a float with a bare
+    TypeError."""
+    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
+        raise ConfigError(f"proposal budget must be an int >= 1, got {budget!r}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     tiou_thresholds: tuple = DETECTION_DISPLAY_THRESHOLDS
@@ -43,8 +56,7 @@ class EvalConfig:
                 raise ConfigError(f"tIoU thresholds must lie in (0, 1], got {grid}")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"tIoU thresholds must be strictly increasing, got {grid}")
-        if self.proposal_budget < 1:
-            raise ConfigError(f"proposal_budget must be positive, got {self.proposal_budget}")
+        _check_budget(self.proposal_budget)
 
 
 @dataclass
@@ -81,29 +93,44 @@ class EvalReport:
 def _greedy_match(m: np.ndarray, thresholds) -> np.ndarray:
     """bool [T, n]: whether row i of a block's [n, G] tIoU matrix, walked
     in rank order, takes the unused column of largest tIoU >= threshold t
-    (lowest index on ties).  Only rows reaching the lowest threshold are
-    walked; sorted threshold k is bit k of the ints in ``used`` and ``row``.
+    (lowest index on ties).
+
+    Only cells that reach the lowest threshold are walked, in one flat list
+    sorted by (row, descending tIoU, lowest column).  The rule is a walk of
+    each row's columns, best first, that stops at the first one below the
+    lowest threshold: a NaN cell reaches every threshold but ranks below
+    every number, so it counts only when every finite cell of its row
+    reaches.  Sorted threshold k is bit k of the ints in ``used`` and
+    ``row``.
     """
     ts = np.asarray(thresholds, dtype=np.float64)
     if len(ts) > 62:  # a row's bits must fit an int64
         return np.concatenate([_greedy_match(m, ts[k:k + 62]) for k in range(0, len(ts), 62)])
-    perm = np.argsort(ts, kind="stable")
-    reach = np.searchsorted(ts[perm], m, side="right")  # thresholds each tIoU reaches
-    walk = np.flatnonzero(reach.max(axis=1) > 0)
-    cols = np.argsort(-m[walk], axis=1, kind="stable")  # best column first, lowest index on ties
-    used = [0] * m.shape[1]
-    got = []
-    for order, ks in zip(cols.tolist(), np.take_along_axis(reach[walk], cols, axis=1).tolist()):
-        row = 0
-        for g, k in zip(order, ks):
-            if k == 0:
-                break
-            take = ((1 << k) - 1) & ~used[g] & ~row
-            used[g] |= take
-            row |= take
-        got.append(row)
     hit = np.zeros((len(ts), len(m)), dtype=bool)
-    hit[perm[:, None], walk] = (np.array(got, dtype=np.int64) >> np.arange(len(ts))[:, None]) & 1
+    if not len(ts):
+        return hit
+    perm = np.argsort(ts, kind="stable")
+    nan = np.isnan(m)  # NaN sorts above every threshold, so it reaches them all
+    walk = nan | (m >= ts[perm[0]])
+    if nan.any():
+        walk &= ~nan | walk.all(axis=1, keepdims=True)
+    rows, cols = np.nonzero(walk)  # row by row, each row's columns in order
+    tious = m[rows, cols]
+    cells = np.lexsort((-tious, rows))  # stable, so ties keep the lowest column first
+    masks = (1 << np.searchsorted(ts[perm], tious[cells], side="right")) - 1  # the thresholds each cell reaches
+    used = [0] * m.shape[1]
+    walked, got, row = [-1], [], 0  # got[k] is the row walked[k] took, once the walk leaves it
+    for i, g, mask in zip(rows[cells].tolist(), cols[cells].tolist(), masks.tolist()):
+        if i != walked[-1]:
+            walked.append(i)
+            got.append(row)
+            row = 0
+        take = mask & ~used[g] & ~row
+        used[g] |= take
+        row |= take
+    got.append(row)
+    # threshold t's bit is its place in the sorted order, the inverse of perm
+    hit[:, walked[1:]] = (np.array(got[1:], dtype=np.int64) >> np.argsort(perm)[:, None]) & 1
     return hit
 
 
@@ -111,7 +138,13 @@ def average_precision(segments: np.ndarray, videos: np.ndarray, gts_by_video: di
     """AP of one class at each of ``thresholds``.  ``segments`` [n, 2] and
     ``videos`` [n] (integer video codes) hold the class's detections in rank
     order; ``gts_by_video`` maps a video code to its [g, 2] ground truth.
-    Returns None when the class has no ground truth anywhere."""
+    Returns None when the class has no ground truth anywhere.
+
+    Only true positives move the precision-recall curve, so AP is summed
+    over them: the k-th at rank i gives a recall step k/npos - (k-1)/npos
+    times the envelope, the best precision k'/(i'+1) of the k-th or any
+    later true positive.  Fewer than npos of them close the curve with one
+    step of area 0.0 up to recall 1."""
     npos = sum(len(g) for g in gts_by_video.values())
     if npos == 0:
         return None
@@ -123,17 +156,15 @@ def average_precision(segments: np.ndarray, videos: np.ndarray, gts_by_video: di
         if hi > lo and len(gts):
             ranks = by_video[lo:hi]
             hit[:, ranks] = _greedy_match(tiou(segments[ranks, None], gts), thresholds)
-    tp = np.cumsum(hit, axis=1)
-    recall, precision = np.zeros((2, len(thresholds), n + 2))
-    recall[:, -1] = 1.0
-    np.divide(tp, npos, out=recall[:, 1:-1])
-    np.divide(tp, np.arange(1, n + 1), out=precision[:, 1:-1])
-    # precision envelope (best precision at recall >= r), then exact step integration
-    envelope = np.maximum.accumulate(precision[:, ::-1], axis=1)[:, ::-1]
-    step = recall[:, 1:] != recall[:, :-1]
-    area = (recall[:, 1:] - recall[:, :-1]) * envelope[:, 1:]
-    # np.sum per row: a fused 2-D reduction adds in another order and moves the last bit
-    return [float(np.sum(a[s])) for a, s in zip(area, step)]
+    aps = []
+    for row in hit:
+        ranks = np.flatnonzero(row)
+        k = np.arange(1, len(ranks) + 1)
+        envelope = np.maximum.accumulate((k / (ranks + 1))[::-1])[::-1]
+        area = (k / npos - (k - 1) / npos) * envelope
+        # np.sum of exactly these steps: its pairwise order depends on the length
+        aps.append(float(np.sum(np.append(area, 0.0) if len(k) < npos else area)))
+    return aps
 
 
 def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport:
@@ -182,7 +213,12 @@ def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport
 
 def average_recall(proposals_by_video: dict, gts_by_video: dict, budget: int, grid) -> float:
     """Mean over the tIoU grid of the recall of the top-``budget``
-    proposals per video, matched one-to-one greedily by objectness."""
+    proposals per video, matched one-to-one greedily by objectness.
+
+    A video's proposals rank by one stable ``np.lexsort`` by descending
+    objectness, ties by earlier start.  ``budget`` must be an int >= 1,
+    else ``ConfigError``."""
+    _check_budget(budget)
     total_gt = sum(len(v) for v in gts_by_video.values())
     if total_gt == 0:
         return 0.0

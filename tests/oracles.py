@@ -345,6 +345,51 @@ def average_recall_ref(proposals_by_video, gts_by_video, budget, grid):
     return sum(recalls) / len(recalls)
 
 
+def greedy_match_rows_ref(m: np.ndarray, thresholds) -> np.ndarray:
+    """The earlier ``evalkit._greedy_match``, kept verbatim as the reference
+    for the matcher that walks only reachable cells: it sorts every column
+    of every row that reaches the lowest threshold, and breaks a row's walk
+    at its first column below it."""
+    ts = np.asarray(thresholds, dtype=np.float64)
+    if len(ts) > 62:  # a row's bits must fit an int64
+        return np.concatenate([greedy_match_rows_ref(m, ts[k:k + 62]) for k in range(0, len(ts), 62)])
+    perm = np.argsort(ts, kind="stable")
+    reach = np.searchsorted(ts[perm], m, side="right")  # thresholds each tIoU reaches
+    walk = np.flatnonzero(reach.max(axis=1) > 0)
+    cols = np.argsort(-m[walk], axis=1, kind="stable")  # best column first, lowest index on ties
+    used = [0] * m.shape[1]
+    got = []
+    for order, ks in zip(cols.tolist(), np.take_along_axis(reach[walk], cols, axis=1).tolist()):
+        row = 0
+        for g, k in zip(order, ks):
+            if k == 0:
+                break
+            take = ((1 << k) - 1) & ~used[g] & ~row
+            used[g] |= take
+            row |= take
+        got.append(row)
+    hit = np.zeros((len(ts), len(m)), dtype=bool)
+    hit[perm[:, None], walk] = (np.array(got, dtype=np.int64) >> np.arange(len(ts))[:, None]) & 1
+    return hit
+
+
+def average_recall_lexsort_ref(proposals_by_video: dict, gts_by_video: dict, budget: int, grid) -> float:
+    """The earlier ``evalkit.average_recall``, kept verbatim (with the matcher
+    above) as the reference for its ranking, one stable lexsort per video by
+    (-objectness, start), and for its matching."""
+    total_gt = sum(len(v) for v in gts_by_video.values())
+    if total_gt == 0:
+        return 0.0
+    matched = np.zeros(len(grid), dtype=np.int64)
+    for vid, gts in gts_by_video.items():
+        props = proposals_by_video.get(vid, [])
+        pairs = segment_pairs([p.segment for p in props])
+        top = np.lexsort((pairs[:, 0], [-p.objectness for p in props]))[:budget]  # ties by earlier start
+        if len(top) and gts:
+            matched += greedy_match_rows_ref(tiou(pairs[top, None], segment_pairs(gts)), grid).sum(axis=1)
+    return float(np.mean(matched / total_gt))
+
+
 def roi_pool_ref(feat: np.ndarray, segment, stride: float, num_bins: int) -> np.ndarray:
     """Loop implementation of the binning rules (max over covered cell
     centers per bin, nearest covered cell when a bin is empty)."""

@@ -1,6 +1,7 @@
 """``tools/digest.py`` against the package: its NMS edge rows run without
-warnings, its float64 parameter draw is ``Model.build``'s, and its pooling
-battery holds the ties that routing can get wrong."""
+warnings, its float64 parameter draw is ``Model.build``'s, its pooling
+battery holds the ties that routing can get wrong, and its rounded scoring
+set holds the ranking ties that only the stable sort orders."""
 
 import importlib.util
 import warnings
@@ -51,3 +52,19 @@ def test_pool_battery_holds_ties_signed_zeros_and_nan():
     assert (first == second).any()
     assert ((first == 0) & (second == 0) & (np.signbit(first) != np.signbit(second))).any()
     assert (np.isnan(first) & ~np.isnan(second)).any() and (~np.isnan(first) & np.isnan(second)).any()
+
+
+def test_tied_eval_set_holds_score_and_objectness_ties(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    digest = load_digest()
+    w = workloads.Eval(digest.EVAL_SEEDS[0], workloads.FULL, tmp_path)
+    dets, props = digest.tied(w)
+    assert [(d.segment, d.label, d.video_id) for d in dets] == [(d.segment, d.label, d.video_id) for d in w.dets]
+    for label in {d.label for d in dets}:  # so each class's ranking holds ties that the lexsort orders by start
+        scores = np.sort([d.score for d in dets if d.label == label])
+        assert (scores[1:] == scores[:-1]).sum() > len(scores) // 2
+    for vid, ps in props.items():  # and so does each video's proposal ranking
+        objectness = np.sort([p.objectness for p in ps])
+        assert len(ps) == len(w.proposals[vid]) and (objectness[1:] == objectness[:-1]).sum() > len(ps) // 2

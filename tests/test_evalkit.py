@@ -6,7 +6,8 @@ from tfpdet.anchorkit import Segment, segment_pairs
 from tfpdet.errors import ConfigError, ContractError
 from tfpdet.heads import Detection, Proposal
 
-from oracles import average_precision_ref, average_recall_ref, evaluate_detections_strings_ref
+from oracles import (average_precision_ref, average_precision_strings_ref, average_recall_lexsort_ref,
+                     average_recall_ref, evaluate_detections_strings_ref, greedy_match_rows_ref)
 
 
 def det(s, e, label=1, score=0.9, vid="v"):
@@ -79,6 +80,25 @@ def test_ap_matches_exhaustive_oracle():
             assert got[0] == pytest.approx(ref, abs=1e-12)
 
 
+def test_ap_edges_equal_string_keyed_reference():
+    # the float that the full precision-recall curve gives, at its edges
+    rng = np.random.default_rng(34)
+    many = list(rng.permutation(np.linspace(0.01, 1.0, 100)))  # more than 62 thresholds
+    for case in range(160):
+        npos = int(rng.integers(1, 40))
+        gts = {"a": [Segment(10.0 * j, 10.0 * j + 8) for j in range(npos)], "b": []}
+        found = int(rng.integers(0, npos + 1)) if case % 4 else npos  # every ground truth found: no closing step
+        dets = [det(10.0 * j + rng.uniform(0, 3), 10.0 * j + 8, score=float(rng.uniform(0.1, 1)), vid="a")
+                for j in rng.choice(npos, found, replace=False)]
+        dets += [det(10.0 * j, 10.0 * j + 8, score=float(rng.uniform(0, 1)), vid="a")  # duplicates
+                 for j in rng.integers(0, npos, int(rng.integers(0, 4)))]
+        dets += [det(s, s + 8, score=float(rng.uniform(0, 0.1)), vid=str(rng.choice(["a", "b"])))  # trailing misses
+                 for s in rng.uniform(1000, 2000, int(rng.integers(0, 12)))]
+        for ts in ([0.5], [0.3, 0.5, 0.7, 0.9], many):
+            assert class_ap(dets, gts, ts) == average_precision_strings_ref(dets, gts, ts)
+            assert class_ap([], gts, ts) == average_precision_strings_ref([], gts, ts) == [0.0] * len(ts)
+
+
 def test_ap_invariant_to_monotone_score_transform():
     rng = np.random.default_rng(3)
     gts = {"v": [Segment(s, s + 20) for s in (0, 100, 200)]}
@@ -143,6 +163,27 @@ def test_greedy_match_prefers_best_then_lowest_index_column():
     assert hit[0].tolist() == [True, True, True, False]
     # at 0.92 only row 2 reaches a column
     assert hit[1].tolist() == [False, False, True, False]
+
+
+def test_greedy_match_equals_row_walk_reference():
+    # NaN cells, tied tIoUs, and blocks without rows or columns
+    rng = np.random.default_rng(35)
+    grids = ([0.5], [0.25, 0.5, 0.75, 1.0], [1.0, 0.5, 0.75], list(ek.average_map_grid()),
+             list(rng.permutation(np.linspace(0.01, 1.0, 100))), [], [0.0, 0.5])
+    for case in range(700):
+        n, g = int(rng.integers(0, 7)), int(rng.integers(0, 6))
+        m = rng.integers(0, 5, (n, g)) / 4
+        m[(m == 0) & (rng.random((n, g)) < 0.5)] = -0.0
+        m[rng.random((n, g)) < (0.0, 0.1, 0.4)[case % 3]] = np.nan
+        ts = grids[case % len(grids)]
+        hit = ek._greedy_match(m, ts)
+        if g == 0:  # the reference's row max has no identity here
+            assert hit.shape == (len(ts), n) and not hit.any()
+        else:
+            assert np.array_equal(hit, greedy_match_rows_ref(m, ts))
+    # a NaN cell counts only when every finite cell of its row reaches
+    m = np.array([[np.nan, 0.6], [np.nan, 0.2], [np.nan, np.nan]])
+    assert ek._greedy_match(m, [0.5]).tolist() == [[True, False, True]]
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +259,17 @@ def test_evaluate_equals_string_keyed_per_class_reference():
         assert ek.evaluate_detections(case, gts, cfg).to_json_dict() == evaluate_detections_strings_ref(case, gts, cfg)
     # the hit in "v10" ranks before the misses in "v9" and "w"
     assert ek.evaluate_detections(dets[:3], gts, cfg).per_class_ap[1][0.5] == 1 / 3
+    # NaN, +0.0 against -0.0, all-equal scores, and equal starts in different videos
+    nan = float("nan")
+    for scores in ([nan, 0.5, nan, 0.8, 0.8, 0.8, 0.5, 0.25], [0.0, -0.0, 0.0, -0.0, 0.5, 0.0, -0.0, 0.0],
+                   [0.5] * 8, [nan] * 8):
+        case = [Detection(d.segment, d.label, s, d.video_id) for d, s in zip(dets, scores)]
+        for c in (case, case[::-1]):
+            assert ek.evaluate_detections(c, gts, cfg).to_json_dict() == evaluate_detections_strings_ref(c, gts, cfg)
     rng = np.random.default_rng(33)
     vids = ("v9", "v10", "v2", "w")
-    for _ in range(150):
+    scores = (0.0, 0.25, 0.5, 0.75, 1.0, -0.0, nan)
+    for case in range(300):
         gts = {vid: [(Segment(float(s), float(s + l)), int(c)) for s, l, c in
                      zip(rng.integers(0, 40, n), rng.integers(1, 12, n), rng.integers(1, 4, n))]
                for vid, n in zip(vids[:3], rng.integers(0, 5, 3))}
@@ -229,8 +278,8 @@ def test_evaluate_equals_string_keyed_per_class_reference():
         dets = []
         for _ in range(int(rng.integers(0, 40))):
             s = int(rng.integers(0, 40))
-            dets.append(det(s, s + int(rng.integers(1, 12)), int(rng.integers(1, 5)),
-                            int(rng.integers(0, 5)) / 4, vids[int(rng.integers(4))]))
+            score = float(rng.uniform(0, 1)) if case % 3 == 2 else scores[int(rng.integers(0, 5 + 2 * (case % 3)))]
+            dets.append(det(s, s + int(rng.integers(1, 12)), int(rng.integers(1, 5)), score, vids[int(rng.integers(4))]))
         assert ek.evaluate_detections(dets, gts, cfg).to_json_dict() == evaluate_detections_strings_ref(dets, gts, cfg)
 
 
@@ -239,8 +288,9 @@ def test_eval_config_validation():
         ek.EvalConfig(tiou_thresholds=(0.5, 0.5))
     with pytest.raises(ConfigError):
         ek.EvalConfig(tiou_thresholds=(0.0, 0.5))
-    with pytest.raises(ConfigError):
-        ek.EvalConfig(proposal_budget=0)
+    for budget in (0, -1, 2.5, True, "3"):
+        with pytest.raises(ConfigError):
+            ek.EvalConfig(proposal_budget=budget)
 
 
 def test_report_serialization_shape():
@@ -293,3 +343,28 @@ def test_ar_matches_exhaustive_oracle():
         got = ek.average_recall(props, gts, budget, (0.3, 0.5, 0.7))
         ref = average_recall_ref(props, gts, budget, (0.3, 0.5, 0.7))
         assert got == pytest.approx(ref, abs=1e-12)
+
+
+def test_ar_rejects_a_budget_that_is_not_a_positive_int():
+    gts = {"v": [Segment(0, 40), Segment(100, 200)]}
+    props = {"v": [prop(0, 40, 0.9), prop(100, 200, 0.8)]}
+    for budget in (-1, 0, 2.5, True, "3", None):
+        with pytest.raises(ConfigError, match="budget"):
+            ek.average_recall(props, gts, budget, (0.5,))
+    with pytest.raises(ConfigError, match="budget"):
+        ek.average_recall(props, {"v": []}, 0, (0.5,))  # before the early return on no ground truth
+    assert ek.average_recall(props, gts, np.int64(1), (0.5,)) == 0.5
+
+
+def test_ar_equals_lexsort_reference_with_objectness_ties():
+    rng = np.random.default_rng(36)
+    nan = float("nan")
+    objectness = (0.0, 0.25, 0.5, 0.75, 1.0, -0.0, nan)
+    for case in range(300):
+        gts, dets = grid_scene(rng)
+        props = {vid: [prop(d.segment.start, d.segment.end,
+                            float(rng.uniform(0, 1)) if case % 3 == 2 else objectness[int(rng.integers(0, 5 + 2 * (case % 3)))])
+                       for d in dets if d.video_id == vid] for vid in ("a", "b", "c")}
+        budget = int(rng.integers(1, 10))
+        grid = (0.3, 0.5, 0.7, 1.0) if case % 2 else ek.average_map_grid()
+        assert ek.average_recall(props, gts, budget, grid) == average_recall_lexsort_ref(props, gts, budget, grid)

@@ -23,7 +23,13 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
   ``pyramid.build_pyramid(x, PyramidConfig(variant="max"), {})``, driven by
   ``numcore.backward`` through a smooth-L1 loss on every level, over a
   seeded battery of [C, T] maps in float32 and float64: relu'd small
-  integers, so pairs tie, with signed zeros and some NaN.
+  integers, so pairs tie, with signed zeros and some NaN;
+- ``eval``: per seed 1 to 5 of the ``eval`` workload, one digest of
+  ``evaluate_detections``'s ``to_json_dict()`` and the exact AR at the
+  workload's budget; then one line over the same five sets with every
+  detection score and proposal objectness rounded to a multiple of 0.05,
+  so that ranking ties, and the stable sort that orders them, are pinned
+  too.
 
 ``--float64`` runs the model in float64: before the first op it redraws
 the parameters as ``Model.build`` draws them from the model seed, in float64
@@ -50,6 +56,8 @@ INFER_SEEDS = range(1, 6)
 NMS_SEED = 11
 NMS_THRESHOLDS = (0.0, 1e-9, 0.4, 0.7, 1.0, 1.5, float("nan"))
 POOL_SEED, POOL_CASES = 13, 60
+EVAL_SEEDS = range(1, 6)
+TIE_STEP = 0.05
 
 
 def sha256(chunks) -> str:
@@ -158,6 +166,27 @@ def pool_digest() -> str:
     return sha256(chunks)
 
 
+def tied(w):
+    """The detections and proposals of ``Eval`` workload ``w`` with each
+    score and objectness rounded to a multiple of ``TIE_STEP``."""
+    from tfpdet import heads
+
+    dets = [heads.Detection(d.segment, d.label, round(d.score / TIE_STEP) * TIE_STEP, d.video_id) for d in w.dets]
+    props = {vid: [heads.Proposal(p.segment, round(p.objectness / TIE_STEP) * TIE_STEP, p.source_level) for p in ps]
+             for vid, ps in w.proposals.items()}
+    return dets, props
+
+
+def eval_digest(w, dets, proposals) -> tuple[str, float]:
+    """Digest of the report of one scoring pass of ``Eval`` workload ``w``
+    on ``dets`` and ``proposals``, and its AR."""
+    from tfpdet import evalkit
+
+    report = evalkit.evaluate_detections(dets, w.gts, w.cfg)
+    ar = evalkit.average_recall(proposals, w.gt_segments, w.cfg.proposal_budget, w.cfg.ar_tiou_grid)
+    return sha256([json.dumps(report.to_json_dict()).encode()]), ar
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--float64", action="store_true", help="run the model and the features in float64")
@@ -175,6 +204,12 @@ def main(argv=None) -> int:
             print(f"infer_long seed {seed} detections {dets}")
             proposals.append(f"propose_long seed {seed} proposals {props}")
         print("\n".join(proposals))
+        evals = [workloads.Eval(seed, workloads.FULL, Path(tmp) / f"eval{seed}") for seed in EVAL_SEEDS]
+    for seed, w in zip(EVAL_SEEDS, evals):
+        report, ar = eval_digest(w, w.dets, w.proposals)
+        print(f"eval seed {seed} report {report} ar {ar!r}")
+    tied_digests = repr([eval_digest(w, *tied(w)) for w in evals]).encode()
+    print(f"eval seeds {EVAL_SEEDS[0]}-{EVAL_SEEDS[-1]} scores rounded to {TIE_STEP} reports+ars {sha256([tied_digests])}")
     print(f"nms seed {NMS_SEED} kept {nms_digest()}")
     print(f"pool seed {POOL_SEED} cases {POOL_CASES} values+gradients {pool_digest()}")
     return 0
