@@ -78,10 +78,12 @@ class VideoRecord:
 class Buffer:
     """A fixed-length training/inference window sliced from a video.
 
-    ``features`` is zero-padded past ``num_valid`` when the window runs off
-    the end of the source.  The ground truth is two arrays in buffer
-    coordinates: ``segments`` [g, 2] float64 (start, end) and ``labels``
-    [g] int64 classes.
+    ``features`` is a read-only [D, buf_len] array, zero-padded past
+    ``num_valid`` when the window runs off the end of the source: a view of
+    one array that holds the video's windows for all of its buffers (see
+    ``make_buffers``), so it is never written.  The ground truth is two
+    arrays in buffer coordinates: ``segments`` [g, 2] float64 (start, end)
+    and ``labels`` [g] int64 classes.
     """
 
     video_id: str
@@ -267,7 +269,12 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
 
     Forward windows start at offsets 0, buf_len, 2*buf_len, ...; backward
     windows end at L, L-buf_len, ... (offsets clamped at 0).  Windows keep
-    the features' dtype, and short ones are zero-padded at the tail.
+    the features' dtype, and short ones are zero-padded at the tail.  Each
+    distinct window is laid out once, as a row of one zero-padded,
+    read-only [n, D, buf_len] array, and a buffer's ``features`` is a
+    contiguous view of its row.  So a backward window at a forward offset
+    (every backward window, when L is a multiple of buf_len) shares its
+    forward twin's row; nothing is copied per buffer.
     All of the video's instances are clipped to each window in one pass
     and shifted into its coordinates; a clipped instance keeping less than
     half its original length is dropped.
@@ -282,32 +289,24 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
     feats = record.features.data
     starts, ends = np.array([(a.t_start, a.t_end) for a in record.annotations], dtype=np.float64).reshape(-1, 2).T
     labels = np.array([a.label for a in record.annotations], dtype=np.int64)
+    forward = [0] if L == 0 else list(range(0, L, buf_len))
+    backward = [max(0, end - buf_len) for end in range(L, 0, -buf_len)] if directions == "both" else []
+    rows = {offset: i for i, offset in enumerate(dict.fromkeys(forward + backward))}
+    stack = np.zeros((len(rows), feats.shape[0], buf_len), dtype=feats.dtype)
+    for offset, i in rows.items():
+        part = feats[:, offset : offset + buf_len]
+        stack[i, :, : part.shape[1]] = part
+    stack.flags.writeable = False
 
     def window(offset: int, direction: str) -> Buffer:
         valid = max(0, min(buf_len, L - offset))
-        block = np.zeros((feats.shape[0], buf_len), dtype=feats.dtype)
-        if valid:
-            block[:, :valid] = feats[:, offset : offset + valid]
         cs = np.maximum(starts, float(offset))
         ce = np.minimum(ends, float(offset + valid))
         kept = (ce > cs) & ((ce - cs) >= CLIP_KEEP_FRACTION * (ends - starts))
         segments = np.stack([cs[kept], ce[kept]], axis=1) - offset
-        return Buffer(record.video_id, offset, direction, Tensor(block), segments, labels[kept], valid)
+        return Buffer(record.video_id, offset, direction, Tensor(stack[rows[offset]]), segments, labels[kept], valid)
 
-    buffers = []
-    if L == 0:
-        buffers.append(window(0, "forward"))
-    else:
-        off = 0
-        while off < L:
-            buffers.append(window(off, "forward"))
-            off += buf_len
-        if directions == "both":
-            end = L
-            while end > 0:
-                buffers.append(window(max(0, end - buf_len), "backward"))
-                end -= buf_len
-    return buffers
+    return [window(offset, "forward") for offset in forward] + [window(offset, "backward") for offset in backward]
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,18 @@ def _check_budget(budget) -> None:
         raise ConfigError(f"proposal budget must be an int >= 1, got {budget!r}")
 
 
+def _check_grid(grid) -> None:
+    """Raise ConfigError unless ``grid`` is a non-empty, strictly increasing
+    run of tIoU thresholds in (0, 1].  An empty grid has no mean: scoring
+    with one returned NaN under numpy's "Mean of empty slice" warning."""
+    if not len(grid):
+        raise ConfigError("a tIoU threshold grid must not be empty")
+    if any(not 0.0 < t <= 1.0 for t in grid):
+        raise ConfigError(f"tIoU thresholds must lie in (0, 1], got {grid}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"tIoU thresholds must be strictly increasing, got {grid}")
+
+
 @dataclass(frozen=True)
 class EvalConfig:
     tiou_thresholds: tuple = DETECTION_DISPLAY_THRESHOLDS
@@ -52,10 +64,7 @@ class EvalConfig:
 
     def __post_init__(self):
         for grid in (self.tiou_thresholds, self.average_grid, self.ar_tiou_grid):
-            if any(not 0.0 < t <= 1.0 for t in grid):
-                raise ConfigError(f"tIoU thresholds must lie in (0, 1], got {grid}")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(f"tIoU thresholds must be strictly increasing, got {grid}")
+            _check_grid(grid)
         _check_budget(self.proposal_budget)
 
 
@@ -216,9 +225,11 @@ def average_recall(proposals_by_video: dict, gts_by_video: dict, budget: int, gr
     proposals per video, matched one-to-one greedily by objectness.
 
     A video's proposals rank by one stable ``np.lexsort`` by descending
-    objectness, ties by earlier start.  ``budget`` must be an int >= 1,
-    else ``ConfigError``."""
+    objectness, ties by earlier start.  ``budget`` must be an int >= 1 and
+    ``grid`` non-empty, else ``ConfigError``."""
     _check_budget(budget)
+    if not len(grid):
+        raise ConfigError("average_recall needs a non-empty tIoU grid")
     total_gt = sum(len(v) for v in gts_by_video.values())
     if total_gt == 0:
         return 0.0

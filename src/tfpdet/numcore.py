@@ -52,9 +52,11 @@ class Tensor:
 
     ``grad`` is allocated at construction for gradient-requiring leaves and
     lazily during ``backward()`` for interior nodes; when present it always
-    has the same shape as ``data``.  A leaf's buffer is its own: gradients
-    are added into it in place, so code that assigns a leaf's ``grad`` hands
-    that array over.  An interior node's ``grad`` may be a view of another
+    has the same shape as ``data``.  A leaf's buffer comes from ``np.zeros``,
+    which leaves its zero pages untouched, so a leaf that never receives a
+    gradient (a model that only infers) never makes them resident.  A
+    leaf's buffer is its own: gradients are added into it in place, so code
+    that assigns a leaf's ``grad`` hands that array over.  An interior node's ``grad`` may be a view of another
     node's gradient and is never written in place.
     """
 
@@ -72,7 +74,7 @@ class Tensor:
         # a non-grad tensor records nothing, so its inputs can be freed
         self._parents = tuple(_parents) if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
-        self.grad = np.zeros_like(self.data) if (self.requires_grad and not _parents) else None
+        self.grad = np.zeros(self.data.shape, self.data.dtype) if (self.requires_grad and not _parents) else None
 
     @property
     def shape(self):
@@ -87,18 +89,21 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def create_params(specs, rng: np.random.Generator) -> dict:
+def create_params(specs, rng: np.random.Generator, dtype=np.float64) -> dict:
     """Named parameters, each a gradient-requiring leaf tensor, from (name,
     shape, init_spec) triples, drawn from ``rng`` in order.  An init spec is
-    ``("gaussian", mean, stddev)`` or ``("constant", value)``."""
+    ``("gaussian", mean, stddev)`` or ``("constant", value)``.  Each draw is
+    made in float64 and cast to ``dtype`` as it is made, so the values are
+    the float64 draw rounded once, and no float64 copy of the whole set is
+    held."""
     params = {}
     for name, shape, init_spec in specs:
         kind = init_spec[0]
         if kind == "gaussian":
             _, mean, std = init_spec
-            data = rng.normal(mean, std, size=shape)
+            data = rng.normal(mean, std, size=shape).astype(dtype, copy=False)
         elif kind == "constant":
-            data = np.full(shape, float(init_spec[1]))
+            data = np.full(shape, float(init_spec[1]), dtype=dtype)
         else:
             raise ConfigError(f"unknown init spec {init_spec!r}")
         params[name] = Tensor(data, requires_grad=True)

@@ -102,10 +102,13 @@ class Model:
 
     @classmethod
     def build(cls, encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, seed: int) -> "Model":
+        """A fresh model: each parameter drawn from the seed in float64 and
+        cast to ``PARAM_DTYPE`` as it is drawn, with zero velocities.  The
+        velocities and the leaves' gradients are untouched zero pages until
+        a training step writes them."""
         rng = np.random.default_rng([int(seed), 2])
-        drawn = nc.create_params(cls.param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg), rng)
-        params = {name: nc.Tensor(p.data.astype(PARAM_DTYPE), requires_grad=True) for name, p in drawn.items()}
-        velocity = {name: np.zeros_like(p.data) for name, p in params.items()}
+        params = nc.create_params(cls.param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg), rng, PARAM_DTYPE)
+        velocity = {name: np.zeros(p.shape, PARAM_DTYPE) for name, p in params.items()}
         return cls(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params, velocity)
 
     def forward_pyramid(self, features, params: dict) -> pyramid.PyramidFeatures:

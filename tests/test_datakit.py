@@ -1,6 +1,7 @@
 import hashlib
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +273,58 @@ def test_buffers_window_arithmetic_for_1000_frames():
     short = bufs[1]
     assert short.num_valid == 232
     assert np.all(short.features.data[:, 232:] == 0.0)
+
+
+def padded_window(rec, offset, buf_len):
+    """One window of ``rec``, copied out and zero-padded on its own."""
+    out = np.zeros((rec.features.shape[0], buf_len), dtype=rec.features.data.dtype)
+    valid = max(0, min(buf_len, rec.num_frames - offset))
+    out[:, :valid] = rec.features.data[:, offset : offset + valid]
+    return out
+
+
+@pytest.mark.parametrize("L", [2 * 768, 768 + 100, 1000])  # exact fit; short tails, each with a misaligned backward window
+def test_buffers_equal_per_window_padded_copies(L):
+    rec = make_record(L, D=3)
+    bufs = dk.make_buffers(rec, 768)
+    for buf in bufs:
+        assert buf.features.data.dtype == rec.features.data.dtype
+        assert np.array_equal(buf.features.data, padded_window(rec, buf.frame_offset, 768))
+    assert any(b.frame_offset % 768 for b in bufs) == any(b.num_valid < 768 for b in bufs) == bool(L % 768)
+
+
+def test_buffers_share_rows_and_are_read_only():
+    rec = make_record(3 * 768)
+    bufs = dk.make_buffers(rec, 768)
+    forward = {b.frame_offset: b for b in bufs if b.direction == "forward"}
+    backward = [b for b in bufs if b.direction == "backward"]
+    assert sorted(forward) == sorted(b.frame_offset for b in backward) == [0, 768, 1536]
+    for b in backward:
+        assert np.shares_memory(b.features.data, forward[b.frame_offset].features.data)
+    assert not np.shares_memory(forward[0].features.data, forward[768].features.data)
+    misaligned = dk.make_buffers(make_record(1000), 768)  # backward windows at 232 (a row of its own) and 0
+    assert np.shares_memory(misaligned[0].features.data, misaligned[3].features.data)
+    assert not any(np.shares_memory(misaligned[2].features.data, b.features.data) for b in misaligned[:2])
+    for buf in bufs + misaligned:
+        assert buf.features.data.flags["C_CONTIGUOUS"]
+        with pytest.raises(ValueError, match="read-only"):
+            buf.features.data[0, 0] = 1.0
+    assert not np.shares_memory(rec.features.data, bufs[0].features.data)
+
+
+def test_buffers_hold_an_exact_fit_video_once():
+    # both directions of a 6,144-frame video: each window's features once,
+    # not a copy per buffer
+    rec = make_record(8 * 768, D=16)
+    rec.features = Tensor(rec.features.data.astype(np.float32))
+    tracemalloc.start()
+    try:
+        bufs = dk.make_buffers(rec, 768)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(bufs) == 16
+    assert peak <= 1.05 * rec.features.data.nbytes  # measured 1.04x
 
 
 def test_buffers_drop_badly_clipped_annotation():

@@ -293,6 +293,13 @@ def test_eval_config_validation():
             ek.EvalConfig(proposal_budget=budget)
 
 
+@pytest.mark.parametrize("name", ["tiou_thresholds", "average_grid", "ar_tiou_grid"])
+def test_eval_config_rejects_an_empty_grid(name):
+    # an empty grid has no mean: scoring with one gave NaN and numpy warnings
+    with pytest.raises(ConfigError, match="empty"):
+        ek.EvalConfig(**{name: ()})
+
+
 def test_report_serialization_shape():
     report = ek.evaluate_detections([det(0, 40, 1, 0.9, "v1")], simple_gts(), ek.EvalConfig())
     doc = report.to_json_dict()
@@ -354,6 +361,14 @@ def test_ar_rejects_a_budget_that_is_not_a_positive_int():
     with pytest.raises(ConfigError, match="budget"):
         ek.average_recall(props, {"v": []}, 0, (0.5,))  # before the early return on no ground truth
     assert ek.average_recall(props, gts, np.int64(1), (0.5,)) == 0.5
+
+
+def test_ar_rejects_an_empty_grid():
+    gts = {"v": [Segment(0, 40)]}
+    props = {"v": [prop(0, 40, 0.9)]}
+    for ground_truth in (gts, {"v": []}):  # before the early return on no ground truth, as the budget
+        with pytest.raises(ConfigError, match="empty"):
+            ek.average_recall(props, ground_truth, 100, ())
 
 
 def test_ar_equals_lexsort_reference_with_objectness_ties():

@@ -431,6 +431,16 @@ def test_parameter_init_specs():
         nc.create_params([("u", (2,), ("uniform", 0.0, 1.0))], rng)
 
 
+def test_parameters_cast_as_drawn_equal_the_float64_draw_rounded():
+    specs = [("g", (40, 7), ("gaussian", 0.5, 0.1)), ("c", (3,), ("constant", 0.1)), ("h", (9,), ("gaussian", 0.0, 1.0))]
+    wide = nc.create_params(specs, np.random.default_rng(3))
+    narrow = nc.create_params(specs, np.random.default_rng(3), np.float32)
+    assert list(narrow) == list(wide)
+    for name, p in narrow.items():
+        assert p.data.dtype == p.grad.dtype == np.float32
+        assert np.array_equal(p.data, wide[name].data.astype(np.float32)) and not p.grad.any()
+
+
 # ---------------------------------------------------------------------------
 # gradient checks per op
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -190,6 +191,22 @@ def test_default_model_builds_every_tensor_and_gradient_in_float32(monkeypatch):
         assert p.data.dtype == p.grad.dtype == model.velocity[name].dtype == np.float32
     assert pipeline.infer_video(rec, model, cfg) and pipeline.propose_video(rec, model, cfg)
     assert len(built) > 100 and set(built) == {np.dtype(np.float32)}
+
+
+def test_model_build_peaks_at_what_it_keeps():
+    # parameters are cast as they are drawn, with no float64 set and no
+    # float64 gradients built and dropped
+    cfgs = (pyr.EncoderConfig(input_dim=16, hidden_dim=64), pyr.PyramidConfig(),
+            heads.ApnConfig(scales=ak.DEFAULT_SCALES), heads.AcnConfig(num_classes=3))
+    tracemalloc.start()
+    try:
+        model = pipeline.Model.build(*cfgs, seed=0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    param_bytes = sum(p.data.nbytes for p in model.params.values())
+    assert kept >= 3 * param_bytes  # values, gradients and velocities
+    assert peak <= 1.1 * kept  # measured 1.0001x
 
 
 def test_train_step_builds_no_segment_or_activity_objects(monkeypatch):
