@@ -2,8 +2,9 @@
 
 Annotations travel on disk in seconds (with a per-video fps) and live in
 frames everywhere inside the package; the conversion happens exactly once
-at ingestion.  Feature matrices are stored in the TFPV binary layout as f32
-and load as float32, the dtype the model computes in.
+at ingestion.  Feature matrices are plain [D, L] numpy arrays, stored in
+the TFPV binary layout as f32 and loaded as float32, the dtype the model
+computes in; only the network turns a window into an autograd tensor.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .anchorkit import Segment
 from .errors import ConfigError, ContractError, DataError
-from .numcore import Tensor
 
 TFPV_MAGIC = b"TFPV"
 TFPV_VERSION = 1
@@ -53,12 +53,13 @@ class Activity:
 
 @dataclass
 class VideoRecord:
-    """Per-video feature matrix plus its annotation set."""
+    """Per-video [D, L] feature array (or None before it is loaded) plus
+    its annotation set."""
 
     video_id: str
     num_frames: int
     annotations: list[Activity]
-    features: Tensor | None = None
+    features: np.ndarray | None = None
     fps: float = 1.0
     subset: str = "train"
 
@@ -68,9 +69,12 @@ class VideoRecord:
                 raise DataError(
                     f"video {self.video_id!r}: annotation [{a.t_start}, {a.t_end}] exceeds {self.num_frames} frames"
                 )
-        if self.features is not None and self.features.shape[1] != self.num_frames:
+        feats = self.features
+        if feats is not None and not (isinstance(feats, np.ndarray) and feats.ndim == 2):
+            raise DataError(f"video {self.video_id!r}: features must be a [D, L] numpy array, got {type(feats).__name__}")
+        if feats is not None and feats.shape[1] != self.num_frames:
             raise DataError(
-                f"video {self.video_id!r}: feature length {self.features.shape[1]} != num_frames {self.num_frames}"
+                f"video {self.video_id!r}: feature length {feats.shape[1]} != num_frames {self.num_frames}"
             )
 
 
@@ -78,7 +82,7 @@ class VideoRecord:
 class Buffer:
     """A fixed-length training/inference window sliced from a video.
 
-    ``features`` is a read-only [D, buf_len] array, zero-padded past
+    ``features`` is a read-only [D, buf_len] numpy array, zero-padded past
     ``num_valid`` when the window runs off the end of the source: a view of
     one array that holds the video's windows for all of its buffers (see
     ``make_buffers``), so it is never written.  The ground truth is two
@@ -88,8 +92,7 @@ class Buffer:
 
     video_id: str
     frame_offset: int
-    direction: str
-    features: Tensor
+    features: np.ndarray
     segments: np.ndarray
     labels: np.ndarray
     num_valid: int
@@ -230,8 +233,8 @@ def save_label_index(labels: list[str], path) -> None:
 # TFPV feature binary
 
 
-def load_features(path) -> Tensor:
-    """Read a TFPV file into a [D, L] float32 tensor of finite values: the
+def load_features(path) -> np.ndarray:
+    """Read a TFPV file into a [D, L] float32 array of finite values: the
     file's own precision, and the dtype the model computes in."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != TFPV_MAGIC:
@@ -247,12 +250,12 @@ def load_features(path) -> Tensor:
     flat = np.frombuffer(raw, dtype="<f4", offset=16)
     if not np.isfinite(flat).all():
         raise DataError(f"{path}: feature values must be finite")
-    return Tensor(np.ascontiguousarray(flat.reshape(l, d).T, dtype=np.float32))
+    return np.ascontiguousarray(flat.reshape(l, d).T, dtype=np.float32)
 
 
-def save_features(features, path) -> None:
-    """Write a [D, L] feature matrix as TFPV (frame-major f32 payload)."""
-    arr = features.data if isinstance(features, Tensor) else np.asarray(features)
+def save_features(features: np.ndarray, path) -> None:
+    """Write a [D, L] feature array as TFPV (frame-major f32 payload)."""
+    arr = np.asarray(features)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"features must be a non-empty [D, L] matrix, got shape {arr.shape}")
     d, l = arr.shape
@@ -268,7 +271,8 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
     """Window a video into fixed-length buffers.
 
     Forward windows start at offsets 0, buf_len, 2*buf_len, ...; backward
-    windows end at L, L-buf_len, ... (offsets clamped at 0).  Windows keep
+    windows end at L, L-buf_len, ... (offsets clamped at 0); the list holds
+    the forward windows first, then the backward ones.  Windows keep
     the features' dtype, and short ones are zero-padded at the tail.  Each
     distinct window is laid out once, as a row of one zero-padded,
     read-only [n, D, buf_len] array, and a buffer's ``features`` is a
@@ -286,7 +290,7 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
     if directions not in ("both", "forward"):
         raise ConfigError(f"directions must be 'both' or 'forward', got {directions!r}")
     L = record.num_frames
-    feats = record.features.data
+    feats = record.features
     starts, ends = np.array([(a.t_start, a.t_end) for a in record.annotations], dtype=np.float64).reshape(-1, 2).T
     labels = np.array([a.label for a in record.annotations], dtype=np.int64)
     forward = [0] if L == 0 else list(range(0, L, buf_len))
@@ -298,15 +302,15 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
         stack[i, :, : part.shape[1]] = part
     stack.flags.writeable = False
 
-    def window(offset: int, direction: str) -> Buffer:
+    def window(offset: int) -> Buffer:
         valid = max(0, min(buf_len, L - offset))
         cs = np.maximum(starts, float(offset))
         ce = np.minimum(ends, float(offset + valid))
         kept = (ce > cs) & ((ce - cs) >= CLIP_KEEP_FRACTION * (ends - starts))
         segments = np.stack([cs[kept], ce[kept]], axis=1) - offset
-        return Buffer(record.video_id, offset, direction, Tensor(stack[rows[offset]]), segments, labels[kept], valid)
+        return Buffer(record.video_id, offset, stack[rows[offset]], segments, labels[kept], valid)
 
-    return [window(offset, "forward") for offset in forward] + [window(offset, "backward") for offset in backward]
+    return [window(offset) for offset in forward + backward]
 
 
 # ---------------------------------------------------------------------------

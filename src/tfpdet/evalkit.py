@@ -226,10 +226,9 @@ def average_recall(proposals_by_video: dict, gts_by_video: dict, budget: int, gr
 
     A video's proposals rank by one stable ``np.lexsort`` by descending
     objectness, ties by earlier start.  ``budget`` must be an int >= 1 and
-    ``grid`` non-empty, else ``ConfigError``."""
+    ``grid`` pass ``EvalConfig``'s grid check, else ``ConfigError``."""
     _check_budget(budget)
-    if not len(grid):
-        raise ConfigError("average_recall needs a non-empty tIoU grid")
+    _check_grid(grid)
     total_gt = sum(len(v) for v in gts_by_video.values())
     if total_gt == 0:
         return 0.0

@@ -416,26 +416,15 @@ def _first_max_cells(t: int, ups: list, left: np.ndarray, right: np.ndarray, win
     return cells
 
 
-def _roi_cell_selection(feat_data: np.ndarray, starts: np.ndarray, ends: np.ndarray, stride: float, num_bins: int) -> np.ndarray:
-    """Flat take-indices [N, D, P] implementing max-pooled temporal bins:
-    per bin and channel, the first cell holding the bin's maximum (see
-    ``_roi_windows`` for the binning rules)."""
-    t = feat_data.shape[1]
-    left, right, levels = _roi_windows(t, starts, ends, stride, num_bins)
-    val, ups = _range_max_table(feat_data, levels)
-    _, wins = _pool_values(val, left, right)
-    return _first_max_cells(t, ups, left, right, wins)
-
-
 def roi_pool(level_feat, starts, ends, stride: float, num_bins: int) -> nc.Tensor:
     """Fixed-size [N, D, P] max-pooled features for N segments, given as
     arrays of start and end frames.
 
     The values are read from the range-max table.  The pooled cells'
     indices, which only the gradient needs, are computed by the backward
-    from the forward's selection masks; they are ``_roi_cell_selection``'s,
-    so the node equals ``nc.take(feat, _roi_cell_selection(...))`` bit for
-    bit.
+    from the forward's selection masks: per bin and channel, the first cell
+    holding the bin's maximum, so the node equals ``nc.take`` of ``feat``
+    through those cells bit for bit.
     """
     feat = level_feat if isinstance(level_feat, nc.Tensor) else nc.Tensor(level_feat)
     t = feat.shape[1]

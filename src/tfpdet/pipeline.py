@@ -111,13 +111,11 @@ class Model:
         velocity = {name: np.zeros(p.shape, PARAM_DTYPE) for name, p in params.items()}
         return cls(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params, velocity)
 
-    def forward_pyramid(self, features, params: dict) -> pyramid.PyramidFeatures:
-        """The pyramid of a [D, L] feature map, computed in the parameters'
-        dtype (loaded features are float32 already, and are not copied)."""
-        x = features if isinstance(features, nc.Tensor) else nc.Tensor(features)
-        dtype = params["encoder.block0.w"].data.dtype
-        if x.data.dtype != dtype:
-            x = nc.Tensor(x.data.astype(dtype))
+    def forward_pyramid(self, features: np.ndarray, params: dict) -> pyramid.PyramidFeatures:
+        """The pyramid of a [D, L] feature array, computed in the parameters'
+        dtype.  This is where a window becomes network input: loaded features
+        are float32 already, and are not copied."""
+        x = nc.Tensor(features.astype(params["encoder.block0.w"].data.dtype, copy=False))
         base = pyramid.encode(x, self.encoder_cfg, params)
         return pyramid.build_pyramid(base, self.pyramid_cfg, params)
 
@@ -231,7 +229,7 @@ def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anc
     per-level minibatches, backpropagate the joint loss and update.  A
     non-finite loss raises ``ContractError`` before the update, leaving the
     parameters and velocities as they were."""
-    if buffer.features is None or buffer.features.data.size == 0:
+    if buffer.features is None or buffer.features.size == 0:
         raise ContractError("train_step needs a buffer with features")
     rng = _step_rng(cfg.seed, step)
     pyr = model.forward_pyramid(buffer.features, model.params)

@@ -203,8 +203,8 @@ def test_tfpv_layout_fixture(tmp_path):
     payload = struct.pack("<6f", 1, 2, 3, 4, 5, 6)
     p.write_bytes(b"TFPV" + struct.pack("<III", 1, 2, 3) + payload)
     feats = dk.load_features(p)
-    assert np.array_equal(feats.data, [[1, 3, 5], [2, 4, 6]])
-    assert feats.data.dtype == np.float32  # the file's precision, which the model computes in
+    assert type(feats) is np.ndarray and np.array_equal(feats, [[1, 3, 5], [2, 4, 6]])
+    assert feats.dtype == np.float32  # the file's precision, which the model computes in
 
 
 def test_tfpv_zero_length_rejected(tmp_path):
@@ -242,7 +242,7 @@ def test_tfpv_roundtrip_bit_exact(tmp_path):
     p1, p2 = tmp_path / "a.tfpv", tmp_path / "b.tfpv"
     dk.save_features(arr, p1)
     loaded = dk.load_features(p1)
-    assert np.array_equal(loaded.data, arr)
+    assert np.array_equal(loaded, arr)
     dk.save_features(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
@@ -253,33 +253,38 @@ def test_tfpv_roundtrip_bit_exact(tmp_path):
 
 def make_record(L, annotations=(), D=2):
     feats = np.arange(D * L, dtype=np.float64).reshape(D, L) if L else np.zeros((D, 0))
-    return dk.VideoRecord("v", L, list(annotations), features=Tensor(feats), fps=4.0)
+    return dk.VideoRecord("v", L, list(annotations), features=feats, fps=4.0)
+
+
+@pytest.mark.parametrize("features", [Tensor(np.zeros((2, 8))), np.zeros((2, 8)).tolist(), np.zeros(8),
+                                      np.zeros((1, 2, 8))], ids=["tensor", "list", "1d", "3d"])
+def test_record_rejects_features_that_are_not_a_2d_array(features):
+    with pytest.raises(DataError, match=r"\[D, L\] numpy array"):
+        dk.VideoRecord("v", 8, [], features=features)
 
 
 def test_buffers_exact_fit_duplicates_directions():
+    # the forward window, then its backward twin at the same offset
     bufs = dk.make_buffers(make_record(768), 768)
     assert len(bufs) == 2
-    assert [b.direction for b in bufs] == ["forward", "backward"]
     assert bufs[0].frame_offset == bufs[1].frame_offset == 0
-    assert np.array_equal(bufs[0].features.data, bufs[1].features.data)
+    assert np.array_equal(bufs[0].features, bufs[1].features)
 
 
 def test_buffers_window_arithmetic_for_1000_frames():
     bufs = dk.make_buffers(make_record(1024 - 24), 768)  # L = 1000
-    offsets = [(b.direction, b.frame_offset) for b in bufs]
-    assert offsets == [("forward", 0), ("forward", 768), ("backward", 232), ("backward", 0)]
-    assert len(bufs) == 4
+    assert [b.frame_offset for b in bufs] == [0, 768, 232, 0]  # forward windows, then backward ones
     # the short forward window is zero-padded past its valid content
     short = bufs[1]
     assert short.num_valid == 232
-    assert np.all(short.features.data[:, 232:] == 0.0)
+    assert np.all(short.features[:, 232:] == 0.0)
 
 
 def padded_window(rec, offset, buf_len):
     """One window of ``rec``, copied out and zero-padded on its own."""
-    out = np.zeros((rec.features.shape[0], buf_len), dtype=rec.features.data.dtype)
+    out = np.zeros((rec.features.shape[0], buf_len), dtype=rec.features.dtype)
     valid = max(0, min(buf_len, rec.num_frames - offset))
-    out[:, :valid] = rec.features.data[:, offset : offset + valid]
+    out[:, :valid] = rec.features[:, offset : offset + valid]
     return out
 
 
@@ -288,35 +293,35 @@ def test_buffers_equal_per_window_padded_copies(L):
     rec = make_record(L, D=3)
     bufs = dk.make_buffers(rec, 768)
     for buf in bufs:
-        assert buf.features.data.dtype == rec.features.data.dtype
-        assert np.array_equal(buf.features.data, padded_window(rec, buf.frame_offset, 768))
+        assert type(buf.features) is np.ndarray and buf.features.dtype == rec.features.dtype
+        assert np.array_equal(buf.features, padded_window(rec, buf.frame_offset, 768))
     assert any(b.frame_offset % 768 for b in bufs) == any(b.num_valid < 768 for b in bufs) == bool(L % 768)
 
 
 def test_buffers_share_rows_and_are_read_only():
     rec = make_record(3 * 768)
     bufs = dk.make_buffers(rec, 768)
-    forward = {b.frame_offset: b for b in bufs if b.direction == "forward"}
-    backward = [b for b in bufs if b.direction == "backward"]
+    forward = {b.frame_offset: b for b in bufs[:3]}  # forward windows first, then backward ones
+    backward = bufs[3:]
     assert sorted(forward) == sorted(b.frame_offset for b in backward) == [0, 768, 1536]
     for b in backward:
-        assert np.shares_memory(b.features.data, forward[b.frame_offset].features.data)
-    assert not np.shares_memory(forward[0].features.data, forward[768].features.data)
+        assert np.shares_memory(b.features, forward[b.frame_offset].features)
+    assert not np.shares_memory(forward[0].features, forward[768].features)
     misaligned = dk.make_buffers(make_record(1000), 768)  # backward windows at 232 (a row of its own) and 0
-    assert np.shares_memory(misaligned[0].features.data, misaligned[3].features.data)
-    assert not any(np.shares_memory(misaligned[2].features.data, b.features.data) for b in misaligned[:2])
+    assert np.shares_memory(misaligned[0].features, misaligned[3].features)
+    assert not any(np.shares_memory(misaligned[2].features, b.features) for b in misaligned[:2])
     for buf in bufs + misaligned:
-        assert buf.features.data.flags["C_CONTIGUOUS"]
+        assert buf.features.flags["C_CONTIGUOUS"]
         with pytest.raises(ValueError, match="read-only"):
-            buf.features.data[0, 0] = 1.0
-    assert not np.shares_memory(rec.features.data, bufs[0].features.data)
+            buf.features[0, 0] = 1.0
+    assert not np.shares_memory(rec.features, bufs[0].features)
 
 
 def test_buffers_hold_an_exact_fit_video_once():
     # both directions of a 6,144-frame video: each window's features once,
     # not a copy per buffer
     rec = make_record(8 * 768, D=16)
-    rec.features = Tensor(rec.features.data.astype(np.float32))
+    rec.features = rec.features.astype(np.float32)
     tracemalloc.start()
     try:
         bufs = dk.make_buffers(rec, 768)
@@ -324,7 +329,7 @@ def test_buffers_hold_an_exact_fit_video_once():
     finally:
         tracemalloc.stop()
     assert len(bufs) == 16
-    assert peak <= 1.05 * rec.features.data.nbytes  # measured 1.04x
+    assert peak <= 1.05 * rec.features.nbytes  # measured 1.04x
 
 
 def test_buffers_drop_badly_clipped_annotation():
@@ -379,12 +384,12 @@ def test_buffers_empty_video_single_padding_buffer():
     assert len(bufs) == 1
     assert bufs[0].num_valid == 0
     assert bufs[0].segments.shape == (0, 2) and bufs[0].labels.shape == (0,)
-    assert np.all(bufs[0].features.data == 0.0)
+    assert np.all(bufs[0].features == 0.0)
 
 
 def test_buffers_forward_only():
     bufs = dk.make_buffers(make_record(1000), 768, directions="forward")
-    assert [b.direction for b in bufs] == ["forward", "forward"]
+    assert [b.frame_offset for b in bufs] == [0, 768]
 
 
 @pytest.mark.parametrize("buf_len", [0, -32, -768])
@@ -429,8 +434,9 @@ def test_generate_noiseless_frames_equal_signature(tmp_path):
     sigs = dk.class_signatures(cfg)
     checked = 0
     for rec in records.values():
+        assert type(rec.features) is np.ndarray and rec.features.dtype == np.float32
         for a in rec.annotations:
-            col = rec.features.data[:, int(a.t_start)]
+            col = rec.features[:, int(a.t_start)]
             u = sigs[a.label - 1].astype(np.float32).astype(np.float64)
             assert np.array_equal(col, u)
             cos = col @ sigs[a.label - 1] / np.linalg.norm(col)
@@ -514,6 +520,6 @@ def test_load_dataset_checks_feature_length(tmp_path):
     dk.generate_synthetic(small_cfg(), tmp_path / "d")
     victim = next((tmp_path / "d" / "features").glob("*.tfpv"))
     arr = dk.load_features(victim)
-    dk.save_features(arr.data[:, :-32], victim)
+    dk.save_features(arr[:, :-32], victim)
     with pytest.raises(DataError, match="frames"):
         dk.load_dataset(tmp_path / "d")

@@ -1,7 +1,8 @@
 """``tools/digest.py`` against the package: its NMS edge rows run without
-warnings, its float64 parameter draw is ``Model.build``'s, its pooling
-battery holds the ties that routing can get wrong, and its rounded scoring
-set holds the ranking ties that only the stable sort orders."""
+warnings, its float64 parameter draw is ``Model.build``'s and its cast
+turns a workload's features into float64 arrays, its pooling battery
+holds the ties that routing can get wrong, and its rounded scoring set
+holds the ranking ties that only the stable sort orders."""
 
 import importlib.util
 import warnings
@@ -32,7 +33,7 @@ def test_nms_edge_rows_raise_no_warnings():
             heads.nms_indices(starts, ends, scores, thresh, top_k)
 
 
-def test_float64_redraw_is_the_model_draw_before_rounding(monkeypatch):
+def test_float64_redraw_is_the_model_draw_before_rounding(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     import workloads
 
@@ -43,6 +44,15 @@ def test_float64_redraw_is_the_model_draw_before_rounding(monkeypatch):
         assert p.data.dtype == redrawn.velocity[name].dtype == np.float64
         assert np.array_equal(p.data.astype(built.params[name].data.dtype), built.params[name].data)
         assert not redrawn.velocity[name].any()
+    # a workload's buffers and videos: features become float64 arrays of the same values
+    train = workloads.Train(1, workloads.TINY, tmp_path / "train")
+    infer = workloads.InferLong(1, workloads.TINY, tmp_path / "infer")
+    for w, items in ((train, [b for bufs in train.buffers.values() for b in bufs]), (infer, infer.videos)):
+        before = [item.features for item in items]
+        load_digest().to_float64(workloads, w.model, items)
+        for item, old in zip(items, before):
+            assert type(item.features) is np.ndarray and item.features.dtype == np.float64
+            assert old.dtype == np.float32 and np.array_equal(item.features, old)
 
 
 def test_pool_battery_holds_ties_signed_zeros_and_nan():

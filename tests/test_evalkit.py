@@ -369,6 +369,14 @@ def test_ar_rejects_an_empty_grid():
     for ground_truth in (gts, {"v": []}):  # before the early return on no ground truth, as the budget
         with pytest.raises(ConfigError, match="empty"):
             ek.average_recall(props, ground_truth, 100, ())
+    # the grids EvalConfig rejects; under (0.0,) a proposal 400 frames from its ground truth would count as found
+    far = {"v": [prop(440, 480, 0.9)]}
+    for grid in ((0.0,), (0.5, 1.5), (0.7, 0.5)):
+        with pytest.raises(ConfigError):
+            ek.EvalConfig(ar_tiou_grid=grid)
+        for ground_truth in (gts, {"v": []}):
+            with pytest.raises(ConfigError, match="tIoU thresholds"):
+                ek.average_recall(far, ground_truth, 100, grid)
 
 
 def test_ar_equals_lexsort_reference_with_objectness_ties():

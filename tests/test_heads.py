@@ -355,10 +355,17 @@ def test_roi_pool_matches_loop_oracle():
 
 @pytest.mark.parametrize("n", [0, 1, 64])
 @pytest.mark.parametrize("bins", [1, 2, 3, 4, 5])
-def test_cell_selection_bytes_equal_oracle(n, bins):
+def test_cell_selection_bytes_equal_oracle(n, bins, monkeypatch):
     # relu'd small integers tie often; lengths from a fraction of a cell
-    # (borrowed bins) to past the whole map (clamped segments).  The
-    # selection must be exact in both dtypes
+    # (borrowed bins) to past the whole map (clamped segments).  The cells
+    # that roi_pool's backward scatters through must be exact in both dtypes
+    cell_fns, gathered = [], nc.gathered
+
+    def recording_gathered(x, values, flat_indices):
+        cell_fns.append(flat_indices)
+        return gathered(x, values, flat_indices)
+
+    monkeypatch.setattr(nc, "gathered", recording_gathered)
     rng = np.random.default_rng(40 * n + bins)
     for _ in range(12):
         d, t = int(rng.integers(1, 9)), int(rng.integers(1, 100))
@@ -367,18 +374,19 @@ def test_cell_selection_bytes_equal_oracle(n, bins):
         starts = rng.uniform(-stride, stride * t - 1, size=n)
         ends = np.maximum(starts + rng.uniform(0.1, 1.5, size=n) * rng.choice([stride, stride * t], size=n), 1.0)
         for f in (feat, feat.astype(np.float32)):
-            got = heads._roi_cell_selection(f, starts, ends, stride, bins)
+            heads.roi_pool(nc.Tensor(f, requires_grad=True), starts, ends, stride, bins)
+            got = cell_fns.pop()()
             want = roi_cell_selection_ref(f, starts, ends, stride, bins)
             assert got.flags["C_CONTIGUOUS"] and got.dtype == want.dtype
             assert got.shape == want.shape == (n, d, bins) and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [0, 1, 64])
-@pytest.mark.parametrize("bins", [1, 3, 4])
+@pytest.mark.parametrize("bins", [1, 2, 3, 4, 5])
 def test_roi_pool_bytes_equal_take_of_cell_selection(n, bins):
     # values come from the range-max table and indices only from the
-    # backward; both must be those of a take through the cell selection,
-    # in the input's dtype
+    # backward; both must be those of a take through the oracle's cell
+    # selection, in the input's dtype
     rng = np.random.default_rng(70 * n + bins)
     for _ in range(8):
         d, t = int(rng.integers(1, 9)), int(rng.integers(1, 100))
@@ -389,7 +397,7 @@ def test_roi_pool_bytes_equal_take_of_cell_selection(n, bins):
         g = rng.standard_normal((n, d, bins)) * 10.0 ** rng.integers(-8, 8, size=(n, d, bins))
         for dtype in (np.float64, np.float32):
             outs = []
-            for pool_fn in (heads.roi_pool, lambda x, *a: nc.take(x, heads._roi_cell_selection(x.data, *a))):
+            for pool_fn in (heads.roi_pool, lambda x, *a: nc.take(x, roi_cell_selection_ref(x.data, *a))):
                 x = nc.Tensor(feat.astype(dtype), requires_grad=True)
                 y = pool_fn(x, starts, ends, stride, bins)
                 y._backward(g.astype(dtype))
@@ -400,13 +408,19 @@ def test_roi_pool_bytes_equal_take_of_cell_selection(n, bins):
 
 def test_roi_pool_value_table_follows_the_index_selections_through_nan():
     # the value table takes the later window only where it is larger, so a
-    # NaN never replaces the value of the cell the indices pick
+    # NaN never replaces the value of the cell the indices pick: each pooled
+    # value is the cell its own backward routes a unit gradient to
     starts, ends = np.array([0.0, 8.0, 0.0, 24.0]), np.array([32.0, 64.0, 64.0, 56.0])
     for dtype in (np.float64, np.float32):
         feat = np.array([[1.0, np.nan, 3.0, 0.0, 2.0, 5.0, np.nan, 4.0]], dtype=dtype)
-        out = heads.roi_pool(nc.Tensor(feat), starts, ends, 8.0, 1)
-        cells = heads._roi_cell_selection(feat, starts, ends, 8.0, 1)
-        assert out.data.dtype == dtype and out.data.tobytes() == feat.take(cells).tobytes()
+        x = nc.Tensor(feat, requires_grad=True)
+        out = heads.roi_pool(x, starts, ends, 8.0, 1)
+        assert out.data.dtype == dtype
+        for i in range(out.data.size):
+            x.grad = None
+            out._backward(np.eye(1, out.data.size, i, dtype=dtype).reshape(out.shape))
+            cell = np.flatnonzero(x.grad)
+            assert len(cell) == 1 and out.data.flat[i].tobytes() == feat.flat[cell[0]].tobytes()
 
 
 def test_roi_pool_outside_extent_raises():
@@ -659,7 +673,7 @@ def test_acn_gradcheck_full_path():
 
 
 def make_buffer(video_id="v", offset=0, num_valid=768):
-    return Buffer(video_id, offset, "forward", nc.Tensor(np.zeros((2, 768))), np.zeros((0, 2)), np.zeros(0, dtype=np.int64), num_valid)
+    return Buffer(video_id, offset, np.zeros((2, 768)), np.zeros((0, 2)), np.zeros(0, dtype=np.int64), num_valid)
 
 
 def acn_out_single(logits, regs, idx=(0,), level_count=1):

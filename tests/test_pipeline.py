@@ -26,7 +26,7 @@ def two_window_video():
     frames of content and is zero-padded past them."""
     num_frames = 768 + 500
     features = np.random.default_rng(4).standard_normal((4, num_frames))
-    return datakit.VideoRecord("v", num_frames, [], Tensor(features))
+    return datakit.VideoRecord("v", num_frames, [], features)
 
 
 def assert_in_video_windows(segments, num_frames, buffer_len):
@@ -106,7 +106,7 @@ def test_infer_video_records_no_graph_and_equals_a_taped_forward(monkeypatch):
 def three_window_video():
     """A fixed-seed video of three 768-frame windows, the last one short."""
     num_frames = 3 * 768 - 100
-    return datakit.VideoRecord("v", num_frames, [], Tensor(np.random.default_rng(9).standard_normal((4, num_frames))))
+    return datakit.VideoRecord("v", num_frames, [], np.random.default_rng(9).standard_normal((4, num_frames)))
 
 
 def test_propose_video_equals_the_window_proposals_sorted(monkeypatch):
@@ -156,12 +156,23 @@ def annotated_video():
     features, as ``load_features`` returns them."""
     acts = [datakit.Activity(40.0, 120.0, 1), datakit.Activity(300.0, 420.0, 2), datakit.Activity(900.0, 960.0, 1)]
     features = np.random.default_rng(8).standard_normal((4, 1200)).astype(np.float32)
-    return datakit.VideoRecord("v", 1200, acts, Tensor(features))
+    return datakit.VideoRecord("v", 1200, acts, features)
 
 
 def annotated_buffers():
     """Both windows of ``annotated_video``."""
     return datakit.make_buffers(annotated_video(), 768)
+
+
+def test_forward_pyramid_reads_a_float32_window_in_place(monkeypatch):
+    # the network's input tensor is the buffer's row itself, not a per-step copy
+    model, buf = small_model(), annotated_buffers()[1]
+    inputs = []
+    encode = pyr.encode
+    monkeypatch.setattr(pyr, "encode", lambda x, *args: inputs.append(x) or encode(x, *args))
+    model.forward_pyramid(buf.features, model.params)
+    assert buf.features.dtype == inputs[0].data.dtype == np.float32
+    assert np.shares_memory(inputs[0].data, buf.features)
 
 
 def test_default_model_builds_every_tensor_and_gradient_in_float32(monkeypatch):
@@ -244,9 +255,9 @@ def test_non_finite_loss_raises_before_any_update():
     grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
     bufs = annotated_buffers()
     pipeline.train_step(bufs[0], model, cfg, grid, 0)  # non-zero velocities
-    features = bufs[1].features.data.copy()
+    features = bufs[1].features.copy()
     features[2, 100] = np.nan
-    bad = replace(bufs[1], features=Tensor(features))
+    bad = replace(bufs[1], features=features)
     before = parameter_bytes(model)
     with pytest.raises(ContractError, match=r"step 1: non-finite loss (apn|acn)_(cls|loc)\[\d\] = nan"):
         pipeline.train_step(bad, model, cfg, grid, 1)
@@ -342,7 +353,7 @@ def test_buffer_length_is_limited_by_the_model_only():
     # 40 frames is no multiple of a 3-level model's largest stride, 32, but a
     # 1-level model (stride 8) takes such buffers
     acts = [datakit.Activity(10.0, 30.0, 1), datakit.Activity(50.0, 75.0, 2)]
-    rec = datakit.VideoRecord("v", 100, acts, Tensor(np.random.default_rng(9).standard_normal((4, 100))))
+    rec = datakit.VideoRecord("v", 100, acts, np.random.default_rng(9).standard_normal((4, 100)))
     bufs = datakit.make_buffers(rec, 40)
     assert [b.frame_offset for b in bufs] == [0, 40, 80, 60, 20, 0] and all(b.features.shape == (4, 40) for b in bufs)
     model = pipeline.Model.build(pyr.EncoderConfig(input_dim=4, hidden_dim=4), pyr.PyramidConfig(num_levels=1),

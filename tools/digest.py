@@ -34,8 +34,9 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
 ``--float64`` runs the model in float64: before the first op it redraws
 the parameters as ``Model.build`` draws them from the model seed, in float64
 and before any rounding to the model's own dtype, zeroes the velocities in
-float64 and casts the features to float64.  A checkout whose model computes
-in another dtype can so be checked against float64 arithmetic.  Only the
+float64 and casts the features to float64, whether they are arrays or
+(in older checkouts) numcore tensors.  A checkout whose model computes in
+another dtype can so be checked against float64 arithmetic.  Only the
 public API is used, so the script runs unchanged on older checkouts: copy
 it into one made with ``git archive`` and compare the printed lines.
 """
@@ -69,7 +70,8 @@ def sha256(chunks) -> str:
 
 def to_float64(workloads, model, videos_or_buffers) -> None:
     """Redraw the parameters of the benchmark's model in float64 with zero
-    velocities, and cast every ``features`` tensor to float64, in place."""
+    velocities, and cast every item's ``features`` to float64, in place:
+    an array, or a numcore ``Tensor`` in older checkouts."""
     import numpy as np
     from tfpdet import numcore as nc, pipeline
 
@@ -77,7 +79,11 @@ def to_float64(workloads, model, videos_or_buffers) -> None:
     model.params = nc.create_params(specs, np.random.default_rng([workloads.MODEL_SEED, 2]))  # Model.build's draw
     model.velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
     for item in videos_or_buffers:
-        item.features = nc.Tensor(item.features.data.astype(np.float64))
+        feats = item.features
+        if isinstance(feats, np.ndarray):
+            item.features = feats.astype(np.float64)
+        else:
+            item.features = nc.Tensor(feats.data.astype(np.float64))
 
 
 def train_digests(workloads, float64: bool, workdir: Path) -> tuple[str, str]:
