@@ -5,6 +5,9 @@ frames everywhere inside the package; the conversion happens exactly once
 at ingestion.  Feature matrices are plain [D, L] numpy arrays, stored in
 the TFPV binary layout as f32 and loaded as float32, the dtype the model
 computes in; only the network turns a window into an autograd tensor.
+Records and buffers are immutable: each is built once, complete, by its
+constructor, and a changed copy comes from ``dataclasses.replace``, which
+runs the record's checks again.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import json
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +54,11 @@ class Activity:
         return Segment(self.t_start, self.t_end)
 
 
-@dataclass
+@dataclass(frozen=True)
 class VideoRecord:
     """Per-video [D, L] feature array (or None before it is loaded) plus
-    its annotation set."""
+    its annotation set.  Immutable: ``load_dataset`` adds the features with
+    ``dataclasses.replace``, so every record passes ``__post_init__``."""
 
     video_id: str
     num_frames: int
@@ -78,9 +82,10 @@ class VideoRecord:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Buffer:
-    """A fixed-length training/inference window sliced from a video.
+    """A fixed-length training/inference window sliced from a video;
+    immutable, like a record.
 
     ``features`` is a read-only [D, buf_len] numpy array, zero-padded past
     ``num_valid`` when the window runs off the end of the source: a view of
@@ -342,8 +347,8 @@ class SynthConfig:
     def __post_init__(self):
         if self.num_videos < 1 or self.video_length < 1 or self.feature_dim < 1 or self.num_classes < 1:
             raise ConfigError("num_videos, video_length, feature_dim, num_classes must be positive")
-        if self.noise_sigma < 0 or self.fps <= 0:
-            raise ConfigError("noise_sigma must be >= 0 and fps > 0")
+        if not (0 <= self.noise_sigma < np.inf and 0 < self.fps < np.inf and abs(self.signal_amplitude) < np.inf):
+            raise ConfigError("noise_sigma must be finite and >= 0, fps finite and > 0, signal_amplitude finite")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0,1), got {self.val_fraction}")
         lo, hi = self.instances_per_video
@@ -351,7 +356,7 @@ class SynthConfig:
             raise ConfigError(f"bad instances_per_video {self.instances_per_video}")
         prev_max = -1
         for b in self.duration_bands:
-            if len(b) != 3 or b[0] < 1 or b[1] < b[0] or b[2] <= 0:
+            if len(b) != 3 or not 1 <= b[0] <= b[1] < np.inf or not 0 < b[2] < np.inf:  # NaN fails too
                 raise ConfigError(f"bad duration band {b}")
             if b[0] <= prev_max:
                 raise ConfigError("duration bands must be disjoint and ascending")
@@ -367,7 +372,8 @@ def sample_instance_length(rng: np.random.Generator, bands) -> tuple[int, int]:
 
 
 def _place_instances(rng, cfg: SynthConfig, video_id: str):
-    """Rejection-sample non-overlapping instances with >= 8-frame gaps.
+    """Rejection-sample non-overlapping instances with >= 8-frame gaps, as
+    sorted (start, end, label, band) tuples.
 
     Instances placed first can leave no room for the rest.  After 1000
     rejections the placement starts over from the same rng, up to
@@ -375,37 +381,22 @@ def _place_instances(rng, cfg: SynthConfig, video_id: str):
     """
     n = int(rng.integers(cfg.instances_per_video[0], cfg.instances_per_video[1] + 1))
     for _ in range(PLACEMENT_RESTARTS + 1):
-        placed = _try_place(rng, cfg, n)
-        if placed is not None:
+        placed, rejections = [], 0
+        while len(placed) < n and rejections <= 1000:
+            length, band = sample_instance_length(rng, cfg.duration_bands)
+            if length <= cfg.video_length:
+                start = int(rng.integers(0, cfg.video_length - length + 1))
+                end = start + length
+                if all(start >= e + MIN_INSTANCE_GAP or end <= s - MIN_INSTANCE_GAP for s, e, _, _ in placed):
+                    placed.append((start, end, int(rng.integers(1, cfg.num_classes + 1)), band))
+                    continue
+            rejections += 1
+        if len(placed) == n:
             return sorted(placed)
     raise ConfigError(
         f"video {video_id!r}: could not place {n} instances in {PLACEMENT_RESTARTS + 1} tries of "
         "1000 rejections; reduce instances_per_video or band lengths"
     )
-
-
-def _try_place(rng, cfg: SynthConfig, n: int):
-    """One placement attempt: (start, end, label, band) tuples, or None
-    after 1000 rejections."""
-    placed = []
-    rejections = 0
-    for _ in range(n):
-        while True:
-            length, band = sample_instance_length(rng, cfg.duration_bands)
-            if length > cfg.video_length:
-                rejections += 1
-            else:
-                start = int(rng.integers(0, cfg.video_length - length + 1))
-                end = start + length
-                ok = all(start >= e + MIN_INSTANCE_GAP or end <= s - MIN_INSTANCE_GAP for s, e, _, _ in placed)
-                if ok:
-                    label = int(rng.integers(1, cfg.num_classes + 1))
-                    placed.append((start, end, label, band))
-                    break
-                rejections += 1
-            if rejections > 1000:
-                return None
-    return placed
 
 
 def class_signatures(cfg: SynthConfig) -> np.ndarray:
@@ -462,11 +453,6 @@ def load_dataset(data_dir) -> tuple[dict[str, VideoRecord], list[str]]:
     data_dir = Path(data_dir)
     labels = load_label_index(data_dir / "labels.json")
     records, _ = load_annotations(data_dir / "annotations.json", label_index=labels)
-    for vid, rec in records.items():
-        feats = load_features(data_dir / "features" / f"{vid}.tfpv")
-        if feats.shape[1] != rec.num_frames:
-            raise DataError(
-                f"video {vid!r}: feature file has {feats.shape[1]} frames, annotations say {rec.num_frames}"
-            )
-        rec.features = feats
+    records = {vid: replace(rec, features=load_features(data_dir / "features" / f"{vid}.tfpv"))
+               for vid, rec in records.items()}
     return records, labels

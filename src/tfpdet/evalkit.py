@@ -88,16 +88,6 @@ class EvalReport:
             "counts": self.counts,
         }
 
-    def format_table(self, display_thresholds=None) -> str:
-        ts = sorted(display_thresholds or self.map_per_threshold)
-        head = "metric    " + "".join(f"{t:>8.2f}" for t in ts) + f"{'Average':>10}"
-        row = "mAP       " + "".join(f"{self.map_per_threshold.get(t, float('nan')):>8.4f}" for t in ts)
-        row += f"{self.average_map:>10.4f}"
-        lines = [head, row]
-        if self.ar_at_budget is not None:
-            lines.append(f"AR@{self.counts.get('proposal_budget', 0):<7d}{self.ar_at_budget:>8.4f}")
-        return "\n".join(lines)
-
 
 def _greedy_match(m: np.ndarray, thresholds) -> np.ndarray:
     """bool [T, n]: whether row i of a block's [n, G] tIoU matrix, walked

@@ -121,14 +121,14 @@ class SgdConfig:
     lr_decay_every: int = 1000
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:  # NaN fails too, here and below
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {self.weight_decay}")
-        if self.lr_decay_factor <= 0:
-            raise ConfigError(f"lr_decay_factor must be positive, got {self.lr_decay_factor}")
+        if not 0.0 <= self.weight_decay < np.inf:
+            raise ConfigError(f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
+        if not 0.0 < self.lr_decay_factor < np.inf:
+            raise ConfigError(f"lr_decay_factor must be positive and finite, got {self.lr_decay_factor}")
         if self.lr_decay_every < 1:
             raise ConfigError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
 

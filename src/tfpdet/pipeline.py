@@ -47,8 +47,8 @@ class LossWeights:
     def __post_init__(self):
         if len(self.gamma) != len(self.lam):
             raise ConfigError("gamma and lambda must have one entry per level")
-        if any(g <= 0 for g in self.gamma) or any(l <= 0 for l in self.lam):
-            raise ConfigError("loss weights must be positive")
+        if not all(0.0 < w < np.inf for w in (*self.gamma, *self.lam)):  # NaN fails too
+            raise ConfigError(f"loss weights must be positive and finite, got {self.gamma}, {self.lam}")
 
 
 @dataclass(frozen=True)

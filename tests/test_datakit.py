@@ -2,6 +2,7 @@ import hashlib
 import json
 import struct
 import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,17 @@ def make_record(L, annotations=(), D=2):
 def test_record_rejects_features_that_are_not_a_2d_array(features):
     with pytest.raises(DataError, match=r"\[D, L\] numpy array"):
         dk.VideoRecord("v", 8, [], features=features)
+    with pytest.raises(DataError, match=r"\[D, L\] numpy array"):  # load_dataset's path
+        replace(dk.VideoRecord("v", 8, []), features=features)
+
+
+def test_records_and_buffers_are_frozen():
+    rec = make_record(100, [dk.Activity(10.0, 20.0, 1)])
+    buf = dk.make_buffers(rec, 768)[0]
+    for value in (rec, buf):
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
 
 
 def test_buffers_exact_fit_duplicates_directions():
@@ -321,7 +333,7 @@ def test_buffers_hold_an_exact_fit_video_once():
     # both directions of a 6,144-frame video: each window's features once,
     # not a copy per buffer
     rec = make_record(8 * 768, D=16)
-    rec.features = rec.features.astype(np.float32)
+    rec = replace(rec, features=rec.features.astype(np.float32))
     tracemalloc.start()
     try:
         bufs = dk.make_buffers(rec, 768)
@@ -419,6 +431,19 @@ def small_cfg(**kw):
     return dk.SynthConfig(**base)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["noise_sigma", "signal_amplitude", "fps", "band weight", "band length"])
+def test_synth_config_rejects_non_finite_values(field, value):
+    if field == "band weight":
+        kw = {"duration_bands": ((8, 56, 0.5), (64, 160, value))}
+    elif field == "band length":
+        kw = {"duration_bands": ((8, 56, 0.5), (64, value, 0.5))}
+    else:
+        kw = {field: value}
+    with pytest.raises(ConfigError):
+        dk.SynthConfig(**kw)
+
+
 def test_generate_is_deterministic(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     s1 = dk.generate_synthetic(small_cfg(), d1)
@@ -491,6 +516,9 @@ def test_generate_placement_error_when_impossible():
                          duration_bands=((8, 16, 1.0),), instances_per_video=(3, 3), seed=0)
     with pytest.raises(ConfigError, match="1000 rejections"):
         dk._place_instances(np.random.default_rng(0), cfg, "v")
+    # no length fits the video: each draw counts as a rejection
+    with pytest.raises(ConfigError, match="1000 rejections"):
+        dk._place_instances(np.random.default_rng(0), replace(cfg, video_length=4), "v")
 
 
 def test_generate_restarts_a_dead_end_placement(tmp_path):
@@ -501,6 +529,7 @@ def test_generate_restarts_a_dead_end_placement(tmp_path):
     assert len(anns) == 4
     assert all(b.t_start - a.t_end >= dk.MIN_INSTANCE_GAP for a, b in zip(anns, anns[1:]))
     assert sum(summary["instances_per_band"]) == sum(len(r.annotations) for r in records.values())
+    assert digest_dir(tmp_path / "d") == "284fbb3bcf9c136facdd3df3c5f624e1fa1f8e644a811264fa68a1dd63699c35"
 
 
 def test_generate_output_unchanged_for_a_seed_without_dead_ends(tmp_path):

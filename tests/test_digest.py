@@ -1,11 +1,13 @@
 """``tools/digest.py`` against the package: its NMS edge rows run without
 warnings, its float64 parameter draw is ``Model.build``'s and its cast
-turns a workload's features into float64 arrays, its pooling battery
-holds the ties that routing can get wrong, and its rounded scoring set
-holds the ranking ties that only the stable sort orders."""
+returns copies of a workload's videos and buffers with float64 features,
+its pooling battery holds the ties that routing can get wrong, and its
+rounded scoring set holds the ranking ties that only the stable sort
+orders."""
 
 import importlib.util
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +50,12 @@ def test_float64_redraw_is_the_model_draw_before_rounding(monkeypatch, tmp_path)
     train = workloads.Train(1, workloads.TINY, tmp_path / "train")
     infer = workloads.InferLong(1, workloads.TINY, tmp_path / "infer")
     for w, items in ((train, [b for bufs in train.buffers.values() for b in bufs]), (infer, infer.videos)):
-        before = [item.features for item in items]
-        load_digest().to_float64(workloads, w.model, items)
-        for item, old in zip(items, before):
+        cast = load_digest().to_float64(workloads, w.model, items)
+        assert len(cast) == len(items)
+        for item, old in zip(cast, items):
             assert type(item.features) is np.ndarray and item.features.dtype == np.float64
-            assert old.dtype == np.float32 and np.array_equal(item.features, old)
+            assert old.features.dtype == np.float32 and np.array_equal(item.features, old.features)
+            assert all(getattr(item, f.name) is getattr(old, f.name) for f in fields(old) if f.name != "features")
 
 
 def test_pool_battery_holds_ties_signed_zeros_and_nan():

@@ -305,8 +305,6 @@ def test_report_serialization_shape():
     doc = report.to_json_dict()
     assert set(doc) == {"per_class_ap", "map_per_threshold", "average_map", "ar_at_budget", "counts"}
     assert "0.50" in doc["map_per_threshold"]
-    table = report.format_table((0.5, 0.75, 0.95))
-    assert "mAP" in table and "Average" in table
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,12 @@ def test_sgd_config_validation():
         nc.SgdConfig(learning_rate=-1.0)
     with pytest.raises(ConfigError):
         nc.SgdConfig(momentum=1.0)
+    # a NaN learning rate gave a finite loss, then NaN in every parameter,
+    # and a checkpoint that load_checkpoint refuses
+    for field in ("learning_rate", "momentum", "weight_decay", "lr_decay_factor"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ConfigError, match=field):
+                nc.SgdConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,15 @@ def test_train_config_rejects_sampling_fractions_outside_unit_interval(field, va
     pipeline.TrainConfig(**{field: 1.0})
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["gamma", "lam"])
+def test_loss_weights_reject_non_positive_and_non_finite_values(field, value):
+    weights = {"gamma": (1.0, 1.0, 1.0), "lam": (1.0, 1.0, 1.0)}
+    weights[field] = (1.0, value, 1.0)
+    with pytest.raises(ConfigError, match="positive and finite"):
+        pipeline.LossWeights(**weights)
+
+
 def test_buffer_length_is_limited_by_the_model_only():
     # 40 frames is no multiple of a 3-level model's largest stride, 32, but a
     # 1-level model (stride 8) takes such buffers

@@ -29,21 +29,27 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
   workload's budget; then one line over the same five sets with every
   detection score and proposal objectness rounded to a multiple of 0.05,
   so that ranking ties, and the stable sort that orders them, are pinned
-  too.
+  too;
+- ``synth``: one digest of every file that ``datakit.generate_synthetic``
+  writes for ``SynthConfig(seed=510)``, whose ``video_0069`` restarts its
+  instance placement, and for the default config at seeds 0 to 3.
 
 ``--float64`` runs the model in float64: before the first op it redraws
 the parameters as ``Model.build`` draws them from the model seed, in float64
 and before any rounding to the model's own dtype, zeroes the velocities in
-float64 and casts the features to float64, whether they are arrays or
-(in older checkouts) numcore tensors.  A checkout whose model computes in
-another dtype can so be checked against float64 arithmetic.  Only the
-public API is used, so the script runs unchanged on older checkouts: copy
-it into one made with ``git archive`` and compare the printed lines.
+float64, and swaps the workload's videos or buffers for copies (made with
+``dataclasses.replace``) whose features are cast to float64, whether they
+are arrays or (in older checkouts) numcore tensors.  A checkout whose
+model computes in another dtype can so be checked against float64
+arithmetic.  Only the public API is used, so the script runs unchanged on
+older checkouts: copy it into one made with ``git archive`` and compare the
+printed lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -58,6 +64,7 @@ NMS_SEED = 11
 NMS_THRESHOLDS = (0.0, 1e-9, 0.4, 0.7, 1.0, 1.5, float("nan"))
 POOL_SEED, POOL_CASES = 13, 60
 EVAL_SEEDS = range(1, 6)
+SYNTH_SEEDS = (510, 0, 1, 2, 3)  # 510: a video whose placement restarts
 TIE_STEP = 0.05
 
 
@@ -68,28 +75,29 @@ def sha256(chunks) -> str:
     return h.hexdigest()
 
 
-def to_float64(workloads, model, videos_or_buffers) -> None:
+def to_float64(workloads, model, videos_or_buffers) -> list:
     """Redraw the parameters of the benchmark's model in float64 with zero
-    velocities, and cast every item's ``features`` to float64, in place:
-    an array, or a numcore ``Tensor`` in older checkouts."""
+    velocities, and return copies of the videos or buffers whose
+    ``features`` are cast to float64: an array, or a numcore ``Tensor`` in
+    older checkouts."""
     import numpy as np
     from tfpdet import numcore as nc, pipeline
 
     specs = pipeline.Model.param_specs(model.encoder_cfg, model.pyramid_cfg, model.apn_cfg, model.acn_cfg)
     model.params = nc.create_params(specs, np.random.default_rng([workloads.MODEL_SEED, 2]))  # Model.build's draw
     model.velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
-    for item in videos_or_buffers:
-        feats = item.features
-        if isinstance(feats, np.ndarray):
-            item.features = feats.astype(np.float64)
-        else:
-            item.features = nc.Tensor(feats.data.astype(np.float64))
+
+    def cast(f):
+        return f.astype(np.float64) if isinstance(f, np.ndarray) else nc.Tensor(f.data.astype(np.float64))
+
+    return [dataclasses.replace(item, features=cast(item.features)) for item in videos_or_buffers]
 
 
 def train_digests(workloads, float64: bool, workdir: Path) -> tuple[str, str]:
     w = workloads.Train(TRAIN_SEED, workloads.FULL, workdir)
     if float64:
-        to_float64(workloads, w.model, [b for bufs in w.buffers.values() for b in bufs])
+        cast = iter(to_float64(workloads, w.model, [b for bufs in w.buffers.values() for b in bufs]))
+        w.buffers = {vid: [next(cast) for _ in bufs] for vid, bufs in w.buffers.items()}
     reports = [json.dumps(w.op(i).to_json_dict(), sort_keys=True).encode() for i in range(TRAIN_OPS)]
     arrays = [a.tobytes() for name, p in w.model.params.items() for a in (p.data, w.model.velocity[name])]
     return sha256(reports), sha256(arrays)
@@ -102,7 +110,7 @@ def infer_digests(workloads, seed: int, float64: bool, workdir: Path) -> tuple[s
 
     w = workloads.InferLong(seed, workloads.FULL, workdir)
     if float64:
-        to_float64(workloads, w.model, w.videos)
+        w.videos = to_float64(workloads, w.model, w.videos)
     dets, props = [], []
     for i, video in enumerate(w.videos):
         dets += [[d.video_id, d.label, float(d.segment.start), float(d.segment.end), float(d.score)] for d in w.op(i)]
@@ -172,6 +180,22 @@ def pool_digest() -> str:
     return sha256(chunks)
 
 
+def synth_digest() -> str:
+    """Digest of every file that ``generate_synthetic`` writes for the
+    default ``SynthConfig`` at each of ``SYNTH_SEEDS``."""
+    from tfpdet import datakit
+
+    chunks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in SYNTH_SEEDS:
+            out = Path(tmp) / f"seed{seed}"
+            datakit.generate_synthetic(datakit.SynthConfig(seed=seed), out)
+            for path in sorted(out.rglob("*")):
+                if path.is_file():
+                    chunks += [f"{seed}/{path.relative_to(out).as_posix()}".encode(), path.read_bytes()]
+    return sha256(chunks)
+
+
 def tied(w):
     """The detections and proposals of ``Eval`` workload ``w`` with each
     score and objectness rounded to a multiple of ``TIE_STEP``."""
@@ -218,6 +242,7 @@ def main(argv=None) -> int:
     print(f"eval seeds {EVAL_SEEDS[0]}-{EVAL_SEEDS[-1]} scores rounded to {TIE_STEP} reports+ars {sha256([tied_digests])}")
     print(f"nms seed {NMS_SEED} kept {nms_digest()}")
     print(f"pool seed {POOL_SEED} cases {POOL_CASES} values+gradients {pool_digest()}")
+    print(f"synth seeds {', '.join(map(str, SYNTH_SEEDS))} files {synth_digest()}")
     return 0
 
 
