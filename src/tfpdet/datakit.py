@@ -58,16 +58,18 @@ class Activity:
 class VideoRecord:
     """Per-video [D, L] feature array (or None before it is loaded) plus
     its annotation set.  Immutable: ``load_dataset`` adds the features with
-    ``dataclasses.replace``, so every record passes ``__post_init__``."""
+    ``dataclasses.replace``, so every record passes ``__post_init__``, and
+    the annotations are kept as a tuple (a list is accepted)."""
 
     video_id: str
     num_frames: int
-    annotations: list[Activity]
+    annotations: tuple[Activity, ...]
     features: np.ndarray | None = None
     fps: float = 1.0
     subset: str = "train"
 
     def __post_init__(self):
+        object.__setattr__(self, "annotations", tuple(self.annotations))
         for a in self.annotations:
             if a.t_end > self.num_frames + 1e-6:
                 raise DataError(
@@ -345,18 +347,20 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_videos < 1 or self.video_length < 1 or self.feature_dim < 1 or self.num_classes < 1:
-            raise ConfigError("num_videos, video_length, feature_dim, num_classes must be positive")
+        if not all(type(v) is int and v >= 1 for v in (self.num_videos, self.video_length, self.feature_dim, self.num_classes)):
+            raise ConfigError("num_videos, video_length, feature_dim, num_classes must be ints >= 1")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
         if not (0 <= self.noise_sigma < np.inf and 0 < self.fps < np.inf and abs(self.signal_amplitude) < np.inf):
             raise ConfigError("noise_sigma must be finite and >= 0, fps finite and > 0, signal_amplitude finite")
         if not 0 <= self.val_fraction < 1:
             raise ConfigError(f"val_fraction must be in [0,1), got {self.val_fraction}")
         lo, hi = self.instances_per_video
-        if lo < 0 or hi < lo:
+        if not (type(lo) is int and type(hi) is int and 0 <= lo <= hi):
             raise ConfigError(f"bad instances_per_video {self.instances_per_video}")
         prev_max = -1
         for b in self.duration_bands:
-            if len(b) != 3 or not 1 <= b[0] <= b[1] < np.inf or not 0 < b[2] < np.inf:  # NaN fails too
+            if len(b) != 3 or not (type(b[0]) is int and type(b[1]) is int and 1 <= b[0] <= b[1]) or not 0 < b[2] < np.inf:
                 raise ConfigError(f"bad duration band {b}")
             if b[0] <= prev_max:
                 raise ConfigError("duration bands must be disjoint and ascending")

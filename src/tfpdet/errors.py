@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
+Each kind has the exit code that a command-line front end should give it
+(the package has none yet): ConfigError -> 2, DataError -> 3,
 ContractError -> 4.
 """
 

@@ -60,8 +60,8 @@ class ApnConfig:
             raise ConfigError("apn needs at least one anchor scale per level")
         if any(type(x) is not int or x < 1 for s in self.scales for x in s):
             raise ConfigError(f"anchor scales must be positive ints, got {self.scales}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be positive, got {self.top_k}")
+        if type(self.top_k) is not int or self.top_k < 1:
+            raise ConfigError(f"top_k must be an int >= 1, got {self.top_k!r}")
         _check_unit("pos_tiou", self.pos_tiou)
         _check_unit("neg_tiou", self.neg_tiou)
         _check_nms_tiou(self.nms_tiou)
@@ -86,8 +86,8 @@ class AcnConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.num_classes < 1 or self.roi_bins < 1 or self.fc_dim < 1:
-            raise ConfigError("num_classes, roi_bins and fc_dim must be positive")
+        if not all(type(v) is int and v >= 1 for v in (self.num_classes, self.roi_bins, self.fc_dim)):
+            raise ConfigError("num_classes, roi_bins and fc_dim must be ints >= 1")
         _check_unit("fg_tiou", self.fg_tiou)
         _check_unit("score_thresh", self.score_thresh)
         _check_nms_tiou(self.nms_tiou)
@@ -416,9 +416,9 @@ def _first_max_cells(t: int, ups: list, left: np.ndarray, right: np.ndarray, win
     return cells
 
 
-def roi_pool(level_feat, starts, ends, stride: float, num_bins: int) -> nc.Tensor:
-    """Fixed-size [N, D, P] max-pooled features for N segments, given as
-    arrays of start and end frames.
+def roi_pool(feat: nc.Tensor, starts, ends, stride: float, num_bins: int) -> nc.Tensor:
+    """Fixed-size [N, D, P] max-pooled features of a level's [D, T] Tensor
+    for N segments, given as arrays of start and end frames.
 
     The values are read from the range-max table.  The pooled cells'
     indices, which only the gradient needs, are computed by the backward
@@ -426,7 +426,6 @@ def roi_pool(level_feat, starts, ends, stride: float, num_bins: int) -> nc.Tenso
     holding the bin's maximum, so the node equals ``nc.take`` of ``feat``
     through those cells bit for bit.
     """
-    feat = level_feat if isinstance(level_feat, nc.Tensor) else nc.Tensor(level_feat)
     t = feat.shape[1]
     starts, ends = np.asarray(starts, dtype=np.float64), np.asarray(ends, dtype=np.float64)
     left, right, levels = _roi_windows(t, starts, ends, stride, num_bins)

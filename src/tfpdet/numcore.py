@@ -9,9 +9,11 @@ decides which: a node requires grad when any input does, and one that does
 not keeps neither the inputs nor the backward closure its operation passes,
 so an operation on inputs that need no gradient holds nothing of them once
 it returns, and a forward over non-grad views of the parameters builds no
-graph at all.  A parameter is a gradient-requiring leaf tensor, so every
-layer takes the same dict of tensors in training and inference; its SGD
-momentum lives apart, in ``Model.velocity``.
+graph at all.  Every op takes Tensors and reads each input's
+``requires_grad``, so a raw array among its inputs raises as the op builds
+its output.  A parameter is a gradient-requiring leaf tensor, so every layer
+takes the same dict of tensors in training and inference; its SGD momentum
+lives apart, in ``Model.velocity``.
 
 Only the operations the detection heads actually need are provided, at
 the shapes the network runs them (``temporal_maxpool`` is the pair maximum
@@ -70,7 +72,8 @@ class Tensor:
         self.data = arr if arr.flags["C_CONTIGUOUS"] else np.ascontiguousarray(arr)
         self.requires_grad = bool(requires_grad)
         for p in _parents:  # a loop, not any() over a generator: ~4x cheaper per node
-            self.requires_grad = self.requires_grad or p.requires_grad
+            # every parent is read, so a raw array among them fails here
+            self.requires_grad = p.requires_grad or self.requires_grad
         # a non-grad tensor records nothing, so its inputs can be freed
         self._parents = tuple(_parents) if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
@@ -129,15 +132,16 @@ class SgdConfig:
             raise ConfigError(f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
         if not 0.0 < self.lr_decay_factor < np.inf:
             raise ConfigError(f"lr_decay_factor must be positive and finite, got {self.lr_decay_factor}")
-        if self.lr_decay_every < 1:
-            raise ConfigError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
+        if type(self.lr_decay_every) is not int or self.lr_decay_every < 1:
+            raise ConfigError(f"lr_decay_every must be an int >= 1, got {self.lr_decay_every!r}")
 
     def effective_lr(self, step: int) -> float:
         return self.learning_rate * self.lr_decay_factor ** (step // self.lr_decay_every)
 
 
 def _t(x) -> Tensor:
-    """Wrap raw arrays so ops accept arrays and tensors alike."""
+    """``x`` as a Tensor, wrapping a raw array.  No layer calls it, as every
+    op takes Tensors; the reference oracles of the tests do."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
@@ -182,23 +186,22 @@ def backward(loss: Tensor) -> None:
 # differentiable operations
 
 
-def linear(x, w, b) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map ``y = x @ w + b`` over a batch of row vectors."""
-    xt, wt, bt = _t(x), _t(w), _t(b)
-    if xt.data.ndim != 2 or wt.data.ndim != 2 or bt.data.ndim != 1:
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ContractError(
-            f"linear expects 2-D x, 2-D w, 1-D b; got {xt.shape}, {wt.shape}, {bt.shape}"
+            f"linear expects 2-D x, 2-D w, 1-D b; got {x.shape}, {w.shape}, {b.shape}"
         )
-    if xt.shape[1] != wt.shape[0] or wt.shape[1] != bt.shape[0]:
-        raise ContractError(f"linear shape mismatch: x {xt.shape} vs w {wt.shape}, b {bt.shape}")
-    y = xt.data @ wt.data + bt.data
+    if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
+        raise ContractError(f"linear shape mismatch: x {x.shape} vs w {w.shape}, b {b.shape}")
+    y = x.data @ w.data + b.data
 
     def back(g):
-        _accumulate(xt, g @ wt.data.T)
-        _accumulate(wt, xt.data.T @ g)
-        _accumulate(bt, g.sum(axis=0))
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+        _accumulate(b, g.sum(axis=0))
 
-    return Tensor(y, _parents=(xt, wt, bt), _backward=back)
+    return Tensor(y, _parents=(x, w, b), _backward=back)
 
 
 def _im2col(xb: np.ndarray, k: int, stride: int, padding: int, t_out: int) -> np.ndarray:
@@ -225,7 +228,7 @@ def _im2col(xb: np.ndarray, k: int, stride: int, padding: int, t_out: int) -> np
     return cols.reshape(c_in * k, n, t_out)
 
 
-def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
+def temporal_conv(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """1-D cross-correlation along the temporal axis of a [C_in, T] map, or
     of every row of an [N, C_in, T] batch with the same per-row arithmetic.
 
@@ -234,34 +237,33 @@ def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
     is one gemm over its N*T' columns.  The input gradient is scattered back
     time-major (see the layout rule above).
     """
-    xt, wt, bt = _t(x), _t(w), _t(b)
-    if xt.data.ndim not in (2, 3) or wt.data.ndim != 3 or bt.data.ndim != 1:
+    if x.data.ndim not in (2, 3) or w.data.ndim != 3 or b.data.ndim != 1:
         raise ContractError(
-            f"temporal_conv expects [C,T] or [N,C,T] x, [Co,Ci,k] w, [Co] b; got {xt.shape}, {wt.shape}, {bt.shape}"
+            f"temporal_conv expects [C,T] or [N,C,T] x, [Co,Ci,k] w, [Co] b; got {x.shape}, {w.shape}, {b.shape}"
         )
-    c_out, c_in, k = wt.shape
-    if xt.shape[-2] != c_in or bt.shape[0] != c_out:
-        raise ContractError(f"temporal_conv shape mismatch: x {xt.shape} vs w {wt.shape}")
+    c_out, c_in, k = w.shape
+    if x.shape[-2] != c_in or b.shape[0] != c_out:
+        raise ContractError(f"temporal_conv shape mismatch: x {x.shape} vs w {w.shape}")
     if stride < 1 or padding < 0:
         raise ContractError(f"temporal_conv needs stride >= 1, padding >= 0; got {stride}, {padding}")
-    t_in = xt.shape[-1]
+    t_in = x.shape[-1]
     t_out = (t_in + 2 * padding - k) // stride + 1
     if t_in + 2 * padding < k or t_out < 1:
         raise ContractError(
             f"temporal_conv empty output: T={t_in}, k={k}, stride={stride}, padding={padding}"
         )
-    xb = xt.data.reshape(-1, c_in, t_in)
+    xb = x.data.reshape(-1, c_in, t_in)
     n = xb.shape[0]
     cols = _im2col(xb, k, stride, padding, t_out)
-    w2 = wt.data.reshape(c_out, c_in * k)
-    y = np.matmul(w2, cols.transpose(1, 0, 2)) + bt.data[:, None]
+    w2 = w.data.reshape(c_out, c_in * k)
+    y = np.matmul(w2, cols.transpose(1, 0, 2)) + b.data[:, None]
 
     def back(g):
         g = g.reshape(n, c_out, t_out)
         gw = g.transpose(1, 0, 2).reshape(c_out, n * t_out) @ cols.reshape(c_in * k, n * t_out).T
-        _accumulate(wt, gw.reshape(wt.shape))
-        _accumulate(bt, g.sum(axis=2).sum(axis=0))
-        if xt.requires_grad:
+        _accumulate(w, gw.reshape(w.shape))
+        _accumulate(b, g.sum(axis=2).sum(axis=0))
+        if x.requires_grad:
             gk = np.matmul(w2.T, g).reshape(n, c_in, k, t_out)
             # time-major: each tap adds whole [N, C_in] planes
             gxp = np.zeros((t_in + 2 * padding, n, c_in), dtype=xb.dtype)
@@ -269,77 +271,73 @@ def temporal_conv(x, w, b, stride: int = 1, padding: int = 0) -> Tensor:
             for j in range(k):
                 gxp[j : j + stride * t_out : stride] += gkt[j]
             gx = gxp[padding : padding + t_in].transpose(1, 2, 0)
-            _accumulate(xt, np.ascontiguousarray(gx).reshape(xt.shape))
+            _accumulate(x, np.ascontiguousarray(gx).reshape(x.shape))
 
-    return Tensor(y.reshape(xt.shape[:-2] + (c_out, t_out)), _parents=(xt, wt, bt), _backward=back)
+    return Tensor(y.reshape(x.shape[:-2] + (c_out, t_out)), _parents=(x, w, b), _backward=back)
 
 
-def temporal_maxpool(x) -> Tensor:
+def temporal_maxpool(x: Tensor) -> Tensor:
     """Maximum of each disjoint pair of columns of a [C, T] map, per channel,
     which halves its length; an odd last column is dropped.  The gradient
     goes to the first cell of a pair where it holds the maximum or a NaN,
     else to the second."""
-    xt = _t(x)
-    if xt.data.ndim != 2:
-        raise ContractError(f"temporal_maxpool expects [C,T], got {xt.shape}")
-    t_in = xt.shape[1]
+    if x.data.ndim != 2:
+        raise ContractError(f"temporal_maxpool expects [C,T], got {x.shape}")
+    t_in = x.shape[1]
     if t_in < 2:
         raise ContractError(f"temporal_maxpool empty output: T={t_in} < 2")
     end = t_in - t_in % 2
-    a, b = xt.data[:, 0:end:2], xt.data[:, 1:end:2]
+    a, b = x.data[:, 0:end:2], x.data[:, 1:end:2]
     # np.maximum returns its second operand on ties (+0.0 against -0.0): the first cell's value
     y = np.maximum(b, a)
 
     def back(g):
-        gx = np.zeros_like(xt.data)
+        gx = np.zeros_like(x.data)
         bits = g.view(f"i{g.itemsize}")  # the signed integer as wide as g's floats
         first = ((a == y) | np.isnan(a)).view(np.int8)
         # an AND with an all-ones or all-zeros mask selects g or +0.0 without
         # branching on the random routes; adding it to +0.0 turns -0.0 into +0.0
         gx[:, 0:end:2] += (bits & -first).view(g.dtype)
         gx[:, 1:end:2] += (bits & (first - 1)).view(g.dtype)
-        _accumulate(xt, gx)
+        _accumulate(x, gx)
 
-    return Tensor(y, _parents=(xt,), _backward=back)
+    return Tensor(y, _parents=(x,), _backward=back)
 
 
-def relu(x) -> Tensor:
-    xt = _t(x)
-    y = np.maximum(xt.data, 0.0)
+def relu(x: Tensor) -> Tensor:
+    y = np.maximum(x.data, 0.0)
 
     def back(g):
-        _accumulate(xt, g * (xt.data > 0.0).astype(xt.data.dtype))  # a float mask multiplies ~2x faster than a bool one
+        _accumulate(x, g * (x.data > 0.0).astype(x.data.dtype))  # a float mask multiplies ~2x faster than a bool one
 
-    return Tensor(y, _parents=(xt,), _backward=back)
+    return Tensor(y, _parents=(x,), _backward=back)
 
 
-def concat_channels(a, b) -> Tensor:
+def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     """Stack two [C, T] maps, or two [N, C, T] batches, along the channel axis."""
-    at, bt = _t(a), _t(b)
-    if at.data.ndim not in (2, 3) or bt.data.ndim != at.data.ndim or at.shape[:-2] + at.shape[-1:] != bt.shape[:-2] + bt.shape[-1:]:
-        raise ContractError(f"concat_channels needs equal T: got {at.shape} and {bt.shape}")
-    y = np.concatenate([at.data, bt.data], axis=-2)
-    c1 = at.shape[-2]
+    if a.data.ndim not in (2, 3) or b.data.ndim != a.data.ndim or a.shape[:-2] + a.shape[-1:] != b.shape[:-2] + b.shape[-1:]:
+        raise ContractError(f"concat_channels needs equal T: got {a.shape} and {b.shape}")
+    y = np.concatenate([a.data, b.data], axis=-2)
+    c1 = a.shape[-2]
 
     def back(g):
-        _accumulate(at, g[..., :c1, :])
-        _accumulate(bt, g[..., c1:, :])
+        _accumulate(a, g[..., :c1, :])
+        _accumulate(b, g[..., c1:, :])
 
-    return Tensor(y, _parents=(at, bt), _backward=back)
+    return Tensor(y, _parents=(a, b), _backward=back)
 
 
-def softmax_cross_entropy(logits, labels) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean of -log softmax(logits)[label], stabilized by max subtraction."""
-    lt = _t(logits)
-    if lt.data.ndim != 2:
-        raise ContractError(f"softmax_cross_entropy expects [N,C] logits, got {lt.shape}")
+    if logits.data.ndim != 2:
+        raise ContractError(f"softmax_cross_entropy expects [N,C] logits, got {logits.shape}")
     lab = np.asarray(labels, dtype=np.int64)
-    n, c = lt.shape
+    n, c = logits.shape
     if lab.shape != (n,):
         raise ContractError(f"labels shape {lab.shape} does not match batch {n}")
     if lab.size and (lab.min() < 0 or lab.max() >= c):
         raise ContractError(f"label out of range [0,{c}): {lab[(lab < 0) | (lab >= c)][0]}")
-    z = lt.data - lt.data.max(axis=1, keepdims=True)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
     ez = np.exp(z)
     lse = np.log(ez.sum(axis=1))
     losses = lse - z[np.arange(n), lab]
@@ -348,100 +346,94 @@ def softmax_cross_entropy(logits, labels) -> Tensor:
     def back(g):
         p = ez / ez.sum(axis=1, keepdims=True)
         p[np.arange(n), lab] -= 1.0
-        _accumulate(lt, (float(g) / n) * p)
+        _accumulate(logits, (float(g) / n) * p)
 
-    return Tensor(y, _parents=(lt,), _backward=back)
+    return Tensor(y, _parents=(logits,), _backward=back)
 
 
-def smooth_l1(pred, target) -> Tensor:
+def smooth_l1(pred: Tensor, target) -> Tensor:
     """Mean elementwise smooth-L1: 0.5*d^2 for |d| < 1, else |d| - 0.5.
 
-    Targets are cast to the prediction's dtype, so float64 targets of a
-    float32 prediction promote neither the loss nor its gradient."""
-    pt = _t(pred)
-    tt = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=pt.data.dtype))
-    if pt.shape != tt.shape:
-        raise ContractError(f"smooth_l1 shape mismatch: {pt.shape} vs {tt.shape}")
-    d = pt.data - tt.data.astype(pt.data.dtype, copy=False)
+    The target is an array or a Tensor.  Targets are cast to the
+    prediction's dtype, so float64 targets of a float32 prediction promote
+    neither the loss nor its gradient."""
+    target = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=pred.data.dtype))
+    if pred.shape != target.shape:
+        raise ContractError(f"smooth_l1 shape mismatch: {pred.shape} vs {target.shape}")
+    d = pred.data - target.data.astype(pred.data.dtype, copy=False)
     ad = np.abs(d)
     quad = ad < 1.0
     y = np.where(quad, 0.5 * d * d, ad - 0.5).mean()
 
     def back(g):
         df = np.where(quad, d, np.sign(d)) * (float(g) / d.size)
-        _accumulate(pt, df)
-        _accumulate(tt, -df)
+        _accumulate(pred, df)
+        _accumulate(target, -df)
 
-    return Tensor(y, _parents=(pt, tt), _backward=back)
+    return Tensor(y, _parents=(pred, target), _backward=back)
 
 
-def add(a, b) -> Tensor:
-    at, bt = _t(a), _t(b)
-    if at.shape != bt.shape:
-        raise ContractError(f"add shape mismatch: {at.shape} vs {bt.shape}")
+def add(a: Tensor, b: Tensor) -> Tensor:
+    if a.shape != b.shape:
+        raise ContractError(f"add shape mismatch: {a.shape} vs {b.shape}")
 
     def back(g):
-        _accumulate(at, g)
-        _accumulate(bt, g)
+        _accumulate(a, g)
+        _accumulate(b, g)
 
-    return Tensor(at.data + bt.data, _parents=(at, bt), _backward=back)
+    return Tensor(a.data + b.data, _parents=(a, b), _backward=back)
 
 
-def scale(x, c: float) -> Tensor:
-    xt = _t(x)
+def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def back(g):
-        _accumulate(xt, g * c)
+        _accumulate(x, g * c)
 
-    return Tensor(xt.data * c, _parents=(xt,), _backward=back)
+    return Tensor(x.data * c, _parents=(x,), _backward=back)
 
 
-def take(x, flat_indices) -> Tensor:
+def take(x: Tensor, flat_indices) -> Tensor:
     """Gather by flattened (row-major) indices; gradient scatter-adds back."""
-    xt = _t(x)
     idx = np.asarray(flat_indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= xt.data.size):
-        raise ContractError(f"take index out of range for size {xt.data.size}")
-    return gathered(xt, xt.data.reshape(-1)[idx], lambda: idx)
+    if idx.size and (idx.min() < 0 or idx.max() >= x.data.size):
+        raise ContractError(f"take index out of range for size {x.data.size}")
+    return gathered(x, x.data.reshape(-1)[idx], lambda: idx)
 
 
-def gathered(x, values, flat_indices) -> Tensor:
+def gathered(x: Tensor, values, flat_indices) -> Tensor:
     """``values``, which must equal ``take(x, flat_indices())``, as a node
     with take's backward.  ``flat_indices`` is called only by the backward,
     so a caller that can compute the gathered values directly never builds
     the index array of a forward that needs no gradient."""
-    xt = _t(x)
 
     def back(g):
-        gx = np.zeros(xt.data.size, dtype=xt.data.dtype)
+        gx = np.zeros(x.data.size, dtype=x.data.dtype)
         np.add.at(gx, np.asarray(flat_indices()).ravel(), np.asarray(g).ravel())
-        _accumulate(xt, gx.reshape(xt.data.shape))
+        _accumulate(x, gx.reshape(x.data.shape))
 
-    return Tensor(values, _parents=(xt,), _backward=back)
+    return Tensor(values, _parents=(x,), _backward=back)
 
 
-def rows(x, lo: int, hi: int) -> Tensor:
+def rows(x: Tensor, lo: int, hi: int) -> Tensor:
     """Rows lo:hi along the first axis, as a view; the backward writes its
     rows of an otherwise zero gradient."""
-    xt = _t(x)
 
     def back(g):
-        gx = np.zeros_like(xt.data)
+        gx = np.zeros_like(x.data)
         gx[lo:hi] = g
-        _accumulate(xt, gx)
+        _accumulate(x, gx)
 
-    return Tensor(xt.data[lo:hi], _parents=(xt,), _backward=back)
+    return Tensor(x.data[lo:hi], _parents=(x,), _backward=back)
 
 
-def reshape(x, shape) -> Tensor:
-    xt = _t(x)
-    y = xt.data.reshape(shape)
+def reshape(x: Tensor, shape) -> Tensor:
+    y = x.data.reshape(shape)
 
     def back(g):
-        _accumulate(xt, np.asarray(g).reshape(xt.data.shape))
+        _accumulate(x, np.asarray(g).reshape(x.data.shape))
 
-    return Tensor(y, _parents=(xt,), _backward=back)
+    return Tensor(y, _parents=(x,), _backward=back)
 
 
 def sgd_step(params: dict, velocity: dict, cfg: SgdConfig, step: int) -> None:

@@ -11,10 +11,10 @@ autograd graph.  A parameter is a leaf tensor in ``Model.params`` and its
 momentum the array of the same name in ``Model.velocity``, both float32
 (``PARAM_DTYPE``): the network computes in single precision, while anchors,
 decoded segments, NMS and scoring stay float64.  A checkpoint
-(TFPM version 3) is the configs plus the arrays: its header holds the
+(TFPM version 4) is the configs plus the arrays: its header holds the
 configs, the step and the parameter names in ``Model.param_specs`` order,
-its payload each parameter's values and then velocity as f64.  Changing
-that order needs a new version.
+its payload each parameter's values and then velocity.  Changing that
+order needs a new version.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import anchorkit, datakit, heads, numcore as nc, pyramid
 from .errors import ConfigError, ContractError, DataError
 
 CHECKPOINT_MAGIC = b"TFPM"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 PARAM_DTYPE = np.float32  # of every parameter, velocity and feature the network computes on
 
 
@@ -68,10 +68,12 @@ class TrainConfig:
     checkpoint_every: int = 1000
 
     def __post_init__(self):
-        if self.max_steps < 1 or self.buffer_len < 1:
-            raise ConfigError("max_steps and buffer_len must be positive")
-        if self.apn_batch < 1 or self.acn_batch < 1:
-            raise ConfigError("batch sizes must be positive")
+        for name in ("max_steps", "buffer_len", "apn_batch", "acn_batch", "checkpoint_every"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
         for name in ("apn_pos_fraction", "acn_pos_fraction"):
             if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
                 raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
@@ -336,13 +338,13 @@ class _Configs:
 
 
 def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> None:
-    """Write the TFPM container, version 3: magic, little-endian u32
+    """Write the TFPM container, version 4: magic, little-endian u32
     version and header length, JSON header, payload.
 
     The header holds ``configs``, ``step`` and ``params``, the parameter
     names in ``Model.param_specs`` order.  The payload holds each parameter's
     values and then its momentum velocity, in that order, as little-endian
-    f64; shapes come from the configs alone.  A code change to what
+    f32; shapes come from the configs alone.  A code change to what
     ``param_specs`` gives for the same configs (names, order or shapes)
     changes this layout and needs a new version; the name list makes older
     files fail to load rather than load wrong.
@@ -356,8 +358,8 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> No
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(hb)))
         f.write(hb)
         for name in names:
-            f.write(np.ascontiguousarray(model.params[name].data, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(model.velocity[name], dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(model.params[name].data, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(model.velocity[name], dtype="<f4").tobytes())
 
 
 def _decode(tp, value, where: str):
@@ -381,13 +383,12 @@ def _decode(tp, value, where: str):
 
 
 def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
-    """Read a TFPM version 3 container; any malformed or inconsistent
+    """Read a TFPM version 4 container; any malformed or inconsistent
     content raises ``DataError``.  The header's ``params`` must equal the
     names that ``Model.param_specs`` gives for its configs, and the payload
-    must hold 16 bytes per parameter element, before anything is allocated.
-    Parameters and velocities load as ``PARAM_DTYPE``: the float64 payload
-    holds float32 values exactly, so a save, load and save writes the same
-    bytes, and a file written from a float64 model is rounded once here."""
+    must hold 8 bytes per parameter element, before anything is allocated.
+    Parameters and velocities load as ``PARAM_DTYPE``, so a save, load and
+    save writes the same bytes."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic")
@@ -414,11 +415,11 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
         raise DataError(f"{path}: checkpoint params are not the parameters of its configs, in order")
     sizes = [math.prod(shape) for _, shape, _ in specs]
     offset = 12 + hlen
-    if len(raw) - offset != 16 * sum(sizes):
-        raise DataError(f"{path}: payload has {len(raw) - offset} bytes, the configs need {16 * sum(sizes)}")
+    if len(raw) - offset != 8 * sum(sizes):
+        raise DataError(f"{path}: payload has {len(raw) - offset} bytes, the configs need {8 * sum(sizes)}")
     for (name, shape, _), size in zip(specs, sizes):
-        values, velocity = np.frombuffer(raw, dtype="<f8", count=2 * size, offset=offset).reshape((2, *shape))
+        values, velocity = np.frombuffer(raw, dtype="<f4", count=2 * size, offset=offset).reshape((2, *shape))
         model.params[name] = nc.Tensor(values.astype(PARAM_DTYPE), requires_grad=True)
         model.velocity[name] = velocity.astype(PARAM_DTYPE)
-        offset += 16 * size
+        offset += 8 * size
     return model, cfgs.train, header["step"]

@@ -34,8 +34,8 @@ class EncoderConfig:
     hidden_dim: int = 64
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.hidden_dim < 1:
-            raise ConfigError("encoder dims must be positive")
+        if not all(type(v) is int and v >= 1 for v in (self.input_dim, self.hidden_dim)):
+            raise ConfigError(f"encoder dims must be ints >= 1, got {self.input_dim!r}, {self.hidden_dim!r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class PyramidConfig:
     def __post_init__(self):
         if self.variant not in ("max", "conv"):
             raise ConfigError(f"pyramid variant must be 'max' or 'conv', got {self.variant!r}")
-        if self.num_levels < 1:
-            raise ConfigError(f"a pyramid needs at least one level, got {self.num_levels}")
+        if type(self.num_levels) is not int or self.num_levels < 1:
+            raise ConfigError(f"num_levels must be an int >= 1, got {self.num_levels!r}")
 
     @property
     def strides(self) -> tuple:
@@ -84,9 +84,9 @@ def pyramid_param_specs(pcfg: PyramidConfig, hidden_dim: int) -> list[tuple]:
     return specs
 
 
-def encode(buffer_features, cfg: EncoderConfig, params: dict) -> nc.Tensor:
-    """Run the encoder blocks: conv(k=3, pad=1) + relu + pair max pool."""
-    x = buffer_features if isinstance(buffer_features, nc.Tensor) else nc.Tensor(buffer_features)
+def encode(x: nc.Tensor, cfg: EncoderConfig, params: dict) -> nc.Tensor:
+    """Run the encoder blocks on a window's [D_in, L] Tensor: conv(k=3,
+    pad=1) + relu + pair max pool."""
     if x.shape[0] != cfg.input_dim:
         raise ConfigError(f"encoder expects {cfg.input_dim} input channels, got {x.shape[0]}")
     if x.shape[1] % ENCODER_STRIDE != 0:
@@ -97,13 +97,12 @@ def encode(buffer_features, cfg: EncoderConfig, params: dict) -> nc.Tensor:
     return x
 
 
-def build_pyramid(base, cfg: PyramidConfig, params: dict) -> PyramidFeatures:
-    """Cascade down-sampling from the stride-8 base map.
+def build_pyramid(base: nc.Tensor, cfg: PyramidConfig, params: dict) -> PyramidFeatures:
+    """Cascade down-sampling from the stride-8 base map, a [D, T] Tensor.
 
     MAX takes ``temporal_maxpool``'s pair maximum; CONV uses temporal_conv(k=3,
     s=2, pad=1) followed by relu, halving the length either way.
     """
-    base = base if isinstance(base, nc.Tensor) else nc.Tensor(base)
     if cfg.num_levels > 1 and base.shape[1] % (2 ** (cfg.num_levels - 1)) != 0:
         raise ConfigError(
             f"base length {base.shape[1]} not divisible by {2 ** (cfg.num_levels - 1)} for {cfg.num_levels} levels"

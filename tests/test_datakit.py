@@ -41,7 +41,7 @@ def test_load_converts_seconds_to_frames(tmp_path):
 def test_load_empty_annotation_list_is_valid(tmp_path):
     p = write_annotations(tmp_path, {"v1": video_entry()})
     records, labels = dk.load_annotations(p)
-    assert records["v1"].annotations == []
+    assert records["v1"].annotations == ()
     assert labels == []
 
 
@@ -275,6 +275,17 @@ def test_records_and_buffers_are_frozen():
                 setattr(value, f.name, getattr(value, f.name))
 
 
+def test_record_annotations_cannot_change_after_the_bounds_check():
+    # appended to a list, this instance past the end was dropped by
+    # make_buffers without a word
+    rec = make_record(100, [dk.Activity(10.0, 20.0, 1)])
+    assert rec.annotations == (dk.Activity(10.0, 20.0, 1),)
+    with pytest.raises(AttributeError):
+        rec.annotations.append(dk.Activity(150.0, 300.0, 1))
+    with pytest.raises(DataError, match="exceeds 100 frames"):  # replace runs the check again
+        replace(rec, annotations=[*rec.annotations, dk.Activity(150.0, 300.0, 1)])
+
+
 def test_buffers_exact_fit_duplicates_directions():
     # the forward window, then its backward twin at the same offset
     bufs = dk.make_buffers(make_record(768), 768)
@@ -440,6 +451,23 @@ def test_synth_config_rejects_non_finite_values(field, value):
         kw = {"duration_bands": ((8, 56, 0.5), (64, value, 0.5))}
     else:
         kw = {field: value}
+    with pytest.raises(ConfigError):
+        dk.SynthConfig(**kw)
+
+
+NOT_INTS = [float("nan"), 2.5, 768.0, True]
+
+
+@pytest.mark.parametrize("kw", [
+    *({field: v} for field in ("num_videos", "video_length", "feature_dim", "num_classes", "seed") for v in NOT_INTS),
+    *({"instances_per_video": pair} for v in NOT_INTS for pair in ((v, 1000), (1, v))),
+    # a NaN band length was already rejected by the range check
+    *({"duration_bands": (band,)} for v in NOT_INTS[1:] for band in ((v, 768, 1.0), (1, v, 1.0))),
+    {"seed": -1},
+], ids=repr)
+def test_synth_config_rejects_counts_and_seeds_that_are_not_ints(kw):
+    # a NaN video length constructed and then failed placement after 11,011
+    # draws; a negative seed failed at the first draw with numpy's ValueError
     with pytest.raises(ConfigError):
         dk.SynthConfig(**kw)
 

@@ -39,6 +39,17 @@ def test_acn_config_rejects_thresholds_out_of_range(field, value):
         heads.AcnConfig(num_classes=1, **{field: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), 2.5, 768.0, True])
+@pytest.mark.parametrize("field", ["top_k", "num_classes", "roi_bins", "fc_dim"])
+def test_configs_reject_counts_that_are_not_ints(field, value):
+    # ApnConfig(top_k=nan) constructed, and proposals were then not cut at all
+    with pytest.raises(ConfigError, match=field):
+        if field == "top_k":
+            heads.ApnConfig(scales=((1,),), top_k=value)
+        else:
+            heads.AcnConfig(**{"num_classes": 1, field: value})
+
+
 def test_configs_accept_threshold_bounds():
     heads.ApnConfig(scales=((1,),), pos_tiou=1.0, neg_tiou=1.0, nms_tiou=1.0)
     heads.ApnConfig(scales=((1,),), pos_tiou=0.0, neg_tiou=0.0, nms_tiou=1e-9)

@@ -340,6 +340,18 @@ def test_ops_on_non_grad_inputs_record_nothing():
         assert np.abs(leaves[0].grad).sum() > 0 and all(t.grad is None for t in leaves[1:]), name
 
 
+def test_an_op_given_a_raw_array_raises_when_it_builds_its_output():
+    # ops take Tensors; the output reads every parent's requires_grad, so a
+    # raw array fails even behind a gradient-requiring operand, where it
+    # used to build a node that would only fail in backward
+    with pytest.raises(AttributeError, match="requires_grad"):
+        nc.linear(tensor([[1.0, 2.0]]), np.eye(2), np.zeros(2))
+    for name, (op, arrays, args) in OPS.items():
+        if len(arrays) > 1 and name != "smooth_l1":  # smooth_l1's target may be an array
+            with pytest.raises(AttributeError):
+                op(tensor(arrays[0]), *arrays[1:], *args)
+
+
 def test_gathered_equals_take_and_builds_indices_only_for_backward():
     rng = np.random.default_rng(3)
     data = rng.standard_normal((4, 5))
@@ -416,6 +428,10 @@ def test_sgd_config_validation():
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ConfigError, match=field):
                 nc.SgdConfig(**{field: value})
+    # a NaN decay period gave a NaN learning rate
+    for value in (float("nan"), 2.5, 768.0, True):
+        with pytest.raises(ConfigError, match="lr_decay_every"):
+            nc.SgdConfig(lr_decay_every=value)
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,18 @@ def test_train_config_rejects_sampling_fractions_outside_unit_interval(field, va
     pipeline.TrainConfig(**{field: 1.0})
 
 
+@pytest.mark.parametrize("field,value", [
+    *((field, v) for field in ("max_steps", "buffer_len", "apn_batch", "acn_batch", "checkpoint_every", "seed")
+      for v in (float("nan"), 2.5, 768.0, True)),
+    ("seed", -1),
+])
+def test_train_config_rejects_counts_and_seeds_that_are_not_ints(field, value):
+    # buffer_len=768.0 constructed, then make_buffers raised a bare TypeError;
+    # seed=-1 failed at the first draw with numpy's ValueError
+    with pytest.raises(ConfigError, match=field):
+        pipeline.TrainConfig(**{field: value})
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("field", ["gamma", "lam"])
 def test_loss_weights_reject_non_positive_and_non_finite_values(field, value):
@@ -445,10 +457,11 @@ def set_config_field(section: str, field: str, value):
     return edit
 
 
-# Values of the wrong JSON type that a config constructor does not catch by
-# itself: each raised a bare TypeError, or loaded, before configs were
-# decoded field by field from their annotations.  The dims are the saved
-# values of small_model(), written as floats.
+# Values of the wrong JSON type: each raised a bare TypeError, or loaded,
+# before configs were decoded field by field from their annotations.  The
+# int fields' constructors now reject such values too; use_context,
+# learning_rate and gamma still rely on the decoding alone.  The dims are
+# the saved values of small_model(), written as floats.
 UNTYPED_CONFIG_VALUES = [
     ("encoder", "hidden_dim", 4.0), ("encoder", "input_dim", 4.0), ("acn", "roi_bins", 4.0),
     ("acn", "fc_dim", 8.0), ("acn", "num_classes", 2.0), ("acn", "use_context", "no"), ("apn", "top_k", 100.0),
@@ -506,9 +519,11 @@ def test_rewritten_but_unchanged_header_still_loads(tmp_path):
 @pytest.mark.parametrize("edit,match", [
     (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:], "unsupported checkpoint version 1"),
     (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:], "unsupported checkpoint version 2"),
-    (lambda raw: raw[:-8], "payload has"),
-    (lambda raw: raw + bytes(8), "payload has"),
-], ids=["version 1 file", "version 2 file", "payload one f64 short", "payload one f64 long"])
+    # version 3 held the same arrays as f64
+    (lambda raw: raw[:4] + (3).to_bytes(4, "little") + raw[8:], "unsupported checkpoint version 3"),
+    (lambda raw: raw[:-4], "payload has"),
+    (lambda raw: raw + bytes(4), "payload has"),
+], ids=["version 1 file", "version 2 file", "version 3 file", "payload one f32 short", "payload one f32 long"])
 def test_checkpoint_of_another_version_or_size_raises_data_error(tmp_path, edit, match):
     path = tmp_path / "m.tfpm"
     pipeline.save_checkpoint(path, small_model(), pipeline.TrainConfig(), 17)
@@ -532,5 +547,20 @@ def test_save_load_save_gives_identical_bytes(tmp_path):
     assert sorted(header) == ["configs", "params", "step"] and header["params"] == list(model.params)
     assert sorted(header["configs"]["pyramid"]) == ["num_levels", "variant"]  # strides are derived
     # per parameter in param_specs order: its values, then its velocity
-    assert raw[12 + hlen :] == b"".join(p.data.astype("<f8").tobytes() + model.velocity[n].astype("<f8").tobytes()
+    assert raw[12 + hlen :] == b"".join(p.data.astype("<f4").tobytes() + model.velocity[n].astype("<f4").tobytes()
                                         for n, p in model.params.items())
+
+
+def test_float64_model_loads_as_the_float32_rounding_of_its_values(tmp_path):
+    model = small_model()
+    specs = pipeline.Model.param_specs(model.encoder_cfg, model.pyramid_cfg, model.apn_cfg, model.acn_cfg)
+    model.params = nc.create_params(specs, np.random.default_rng(4))  # float64
+    rng = np.random.default_rng(5)
+    model.velocity = {name: rng.standard_normal(p.shape) for name, p in model.params.items()}
+    path = tmp_path / "m.tfpm"
+    pipeline.save_checkpoint(path, model, pipeline.TrainConfig(), 3)
+    loaded = pipeline.load_checkpoint(path)[0]
+    for name, p in model.params.items():
+        for got, wide in ((loaded.params[name].data, p.data), (loaded.velocity[name], model.velocity[name])):
+            assert got.dtype == np.float32 and np.array_equal(got, wide.astype(np.float32))
+    assert any(not np.array_equal(loaded.params[n].data, p.data) for n, p in model.params.items())  # rounded

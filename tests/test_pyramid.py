@@ -81,6 +81,13 @@ def test_pyramid_config_validation():
         pyr.PyramidConfig(variant="avg")
     with pytest.raises(ConfigError):
         pyr.PyramidConfig(num_levels=0)
+    # num_levels=True built a one-level pyramid
+    for value in (float("nan"), 2.5, 768.0, True):
+        with pytest.raises(ConfigError, match="levels"):
+            pyr.PyramidConfig(num_levels=value)
+        for field in ("input_dim", "hidden_dim"):
+            with pytest.raises(ConfigError, match="encoder dims"):
+                pyr.EncoderConfig(**{"input_dim": 4, field: value})
     # strides are derived: the encoder's 8, doubled per level
     assert pyr.PyramidConfig(num_levels=4).strides == (8, 16, 32, 64)
 
