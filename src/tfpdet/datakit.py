@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import json
 import struct
-import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .anchorkit import Segment
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, check_int, check_real
 
 TFPV_MAGIC = b"TFPV"
 TFPV_VERSION = 1
@@ -39,12 +38,11 @@ class Activity:
     label: int
 
     def __post_init__(self):
+        check_real("activity t_start", self.t_start, "[0, inf)", ContractError)
+        check_real("activity t_end", self.t_end, "[0, inf)", ContractError)
+        check_int("activity label", self.label, 1, ContractError)
         if not self.t_end > self.t_start:
             raise ContractError(f"activity needs t_end > t_start, got [{self.t_start}, {self.t_end}]")
-        if self.t_start < 0:
-            raise ContractError(f"activity starts before frame 0: {self.t_start}")
-        if self.label < 1:
-            raise ContractError(f"activity label must be >= 1, got {self.label}")
 
     @property
     def length(self) -> float:
@@ -69,6 +67,10 @@ class VideoRecord:
     subset: str = "train"
 
     def __post_init__(self):
+        check_int(f"video {self.video_id!r}: num_frames", self.num_frames, 0, DataError)
+        check_real(f"video {self.video_id!r}: fps", self.fps, "(0, inf)", DataError)
+        if self.subset not in ("train", "val", "test"):
+            raise DataError(f"video {self.video_id!r}: unknown subset {self.subset!r}")
         object.__setattr__(self, "annotations", tuple(self.annotations))
         for a in self.annotations:
             if a.t_end > self.num_frames + 1e-6:
@@ -118,13 +120,6 @@ def _reject_duplicate_keys(pairs):
     return d
 
 
-def _number(value, where: str) -> float:
-    """A JSON number as a finite float; anything else is a DataError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise DataError(f"{where}: expected a finite number, got {value!r}")
-    return float(value)
-
-
 def _read_json(raw: bytes, where, **kwargs):
     """``json.loads(raw.decode("utf-8"), **kwargs)``; bad UTF-8, bad JSON and
     nesting too deep for the parser raise DataError."""
@@ -156,16 +151,10 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
         for fieldname in ("fps", "num_frames", "subset", "annotations"):
             if not isinstance(entry, dict) or fieldname not in entry:
                 raise DataError(f"{where}: missing field {fieldname!r}")
-        fps = _number(entry["fps"], f"{where}: fps")
-        if fps <= 0:
-            raise DataError(f"{where}: fps must be positive")
-        num_frames = _number(entry["num_frames"], f"{where}: num_frames")
-        if num_frames < 0 or not num_frames.is_integer():
-            raise DataError(f"{where}: num_frames must be a whole number >= 0, got {num_frames}")
-        num_frames = int(num_frames)
-        subset = entry["subset"]
-        if subset not in ("train", "val", "test"):
-            raise DataError(f"{where}: unknown subset {subset!r}")
+        fps = check_real(f"{where}: fps", entry["fps"], "(0, inf)", DataError)
+        num_frames = check_real(f"{where}: num_frames", entry["num_frames"], "[0, inf)", DataError)
+        if not num_frames.is_integer():
+            raise DataError(f"{where}: num_frames must be a whole number, got {num_frames}")
         anns = entry["annotations"]
         if not isinstance(anns, list):
             raise DataError(f"{where}: annotations must be a list, got {anns!r}")
@@ -176,15 +165,15 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
             seg = ann["segment"]
             if not isinstance(seg, list) or len(seg) != 2:
                 raise DataError(f"{where}: annotation {i}: segment must be [start, end], got {seg!r}")
-            t0, t1 = (_number(t, f"{where}: annotation {i}: segment") for t in seg)
-            if not 0 <= t0 < t1:
-                raise DataError(f"{where}: annotation {i}: negative or non-increasing segment {seg}")
+            t0, t1 = (check_real(f"{where}: annotation {i}: segment", t, "[0, inf)", DataError) for t in seg)
+            if not t0 < t1:
+                raise DataError(f"{where}: annotation {i}: non-increasing segment {seg}")
             start = t0 * fps
-            end = min(t1 * fps, float(num_frames))
+            end = min(t1 * fps, num_frames)
             if not end > start:
                 raise DataError(f"{where}: annotation {i}: segment collapses after frame conversion")
             spans.append((start, end, ann["label"]))
-        videos[vid] = (fps, num_frames, subset, spans)
+        videos[vid] = (fps, int(num_frames), entry["subset"], spans)
     if label_index is None:
         label_index = sorted({name for *_, spans in videos.values() for _, _, name in spans})
     label_to_id = {name: i + 1 for i, name in enumerate(label_index)}
@@ -201,10 +190,13 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
 
 
 def save_annotations(records: dict[str, VideoRecord], path, label_index: list[str]) -> None:
-    """Write records back to the annotation JSON schema (seconds on disk)."""
+    """Write records back to the annotation JSON schema (seconds on disk); every label must be in ``label_index``."""
     database = {}
     for vid in sorted(records):
         r = records[vid]
+        for a in r.annotations:
+            if a.label > len(label_index):
+                raise ContractError(f"video {vid!r}: label {a.label} is not in the {len(label_index)}-name label index")
         database[vid] = {
             "fps": r.fps,
             "num_frames": r.num_frames,
@@ -290,8 +282,7 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
     and shifted into its coordinates; a clipped instance keeping less than
     half its original length is dropped.
     """
-    if buf_len < 1:
-        raise ConfigError(f"buf_len must be positive, got {buf_len}")
+    check_int("buf_len", buf_len, 1)
     if record.features is None:
         raise ContractError(f"video {record.video_id!r} has no features loaded")
     if directions not in ("both", "forward"):
@@ -347,21 +338,20 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(type(v) is int and v >= 1 for v in (self.num_videos, self.video_length, self.feature_dim, self.num_classes)):
-            raise ConfigError("num_videos, video_length, feature_dim, num_classes must be ints >= 1")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
-        if not (0 <= self.noise_sigma < np.inf and 0 < self.fps < np.inf and abs(self.signal_amplitude) < np.inf):
-            raise ConfigError("noise_sigma must be finite and >= 0, fps finite and > 0, signal_amplitude finite")
-        if not 0 <= self.val_fraction < 1:
-            raise ConfigError(f"val_fraction must be in [0,1), got {self.val_fraction}")
+        for name in ("num_videos", "video_length", "feature_dim", "num_classes"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
+        for name, interval in (("noise_sigma", "[0, inf)"), ("signal_amplitude", "(-inf, inf)"),
+                               ("val_fraction", "[0, 1)"), ("fps", "(0, inf)")):
+            check_real(name, getattr(self, name), interval)
         lo, hi = self.instances_per_video
-        if not (type(lo) is int and type(hi) is int and 0 <= lo <= hi):
+        if check_int("instances_per_video", lo, 0) > check_int("instances_per_video", hi, 0):
             raise ConfigError(f"bad instances_per_video {self.instances_per_video}")
         prev_max = -1
         for b in self.duration_bands:
-            if len(b) != 3 or not (type(b[0]) is int and type(b[1]) is int and 1 <= b[0] <= b[1]) or not 0 < b[2] < np.inf:
+            if len(b) != 3 or check_int("duration band length", b[0], 1) > check_int("duration band length", b[1], 1):
                 raise ConfigError(f"bad duration band {b}")
+            check_real("duration band weight", b[2], "(0, inf)")
             if b[0] <= prev_max:
                 raise ConfigError("duration bands must be disjoint and ascending")
             prev_max = b[1]

@@ -1,9 +1,15 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the checks of a number.
 
 Each kind has the exit code that a command-line front end should give it
 (the package has none yet): ConfigError -> 2, DataError -> 3,
-ContractError -> 4.
+ContractError -> 4.  Every config and record constructor checks its numbers
+with ``check_int`` and ``check_real``, so a config that constructs also saves and loads.
 """
+
+import sys
+from functools import lru_cache
+
+_FLOAT_MAX = sys.float_info.max
 
 
 class TfpdetError(Exception):
@@ -20,3 +26,26 @@ class DataError(TfpdetError):
 
 class ContractError(TfpdetError):
     """An operation was called outside its contract at runtime."""
+
+
+def check_int(name: str, value, lo: int, error=ConfigError) -> int:
+    """``value`` if it is an ``int`` (not a bool or numpy integer) >= ``lo``, else raise ``error``."""
+    if type(value) is not int or value < lo:
+        raise error(f"{name} must be an int >= {lo}, got {value!r}")
+    return value
+
+
+@lru_cache(maxsize=None)
+def _interval(text: str) -> tuple:
+    lo, hi = text[1:-1].split(",")
+    return float(lo), float(hi), text[0] == "(", text[-1] == ")"
+
+
+def check_real(name: str, value, interval: str, error=ConfigError) -> float:
+    """``value`` as a float if it is an int or float (not a bool or numpy float32) of finite
+    magnitude inside ``interval``, written like ``"(0, 1]"``; else raise ``error``."""
+    lo, hi, lo_open, hi_open = _interval(interval)
+    if (type(value) is bool or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX
+            or (value <= lo if lo_open else value < lo) or (value >= hi if hi_open else value > hi)):
+        raise error(f"{name} must lie in {interval}, got {value!r}")
+    return float(value)

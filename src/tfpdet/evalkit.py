@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchorkit import segment_pairs, tiou
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_real
 
 DETECTION_DISPLAY_THRESHOLDS = (0.5, 0.75, 0.95)
 
@@ -49,8 +49,8 @@ def _check_grid(grid) -> None:
     with one returned NaN under numpy's "Mean of empty slice" warning."""
     if not len(grid):
         raise ConfigError("a tIoU threshold grid must not be empty")
-    if any(not 0.0 < t <= 1.0 for t in grid):
-        raise ConfigError(f"tIoU thresholds must lie in (0, 1], got {grid}")
+    for t in grid:
+        check_real("tIoU thresholds", t, "(0, 1]")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(f"tIoU thresholds must be strictly increasing, got {grid}")
 

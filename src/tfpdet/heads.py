@@ -26,22 +26,11 @@ import numpy as np
 
 from . import numcore as nc
 from .anchorkit import AnchorGrid, Segment, decode, tiou
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_int, check_real
 from .pyramid import HEAD_BIAS, HEAD_WEIGHT_STD, PyramidFeatures
 
 STRATEGIES = ("s1", "s2", "s3")
 NMS_BLOCK = 64  # candidates per greedy block of nms_indices' top_k scan
-
-
-def _check_unit(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} must lie in [0, 1], got {value}")
-
-
-def _check_nms_tiou(value: float) -> None:
-    # at 0 every overlap, even none, would suppress
-    if not 0.0 < value <= 1.0:
-        raise ConfigError(f"nms_tiou must lie in (0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,15 +45,13 @@ class ApnConfig:
     top_k: int = 100
 
     def __post_init__(self):
+        object.__setattr__(self, "scales", tuple(tuple(check_int("anchor scales", x, 1) for x in s) for s in self.scales))
         if not self.scales or any(len(s) < 1 for s in self.scales):
             raise ConfigError("apn needs at least one anchor scale per level")
-        if any(type(x) is not int or x < 1 for s in self.scales for x in s):
-            raise ConfigError(f"anchor scales must be positive ints, got {self.scales}")
-        if type(self.top_k) is not int or self.top_k < 1:
-            raise ConfigError(f"top_k must be an int >= 1, got {self.top_k!r}")
-        _check_unit("pos_tiou", self.pos_tiou)
-        _check_unit("neg_tiou", self.neg_tiou)
-        _check_nms_tiou(self.nms_tiou)
+        check_int("top_k", self.top_k, 1)
+        # at nms_tiou 0 every overlap, even none, would suppress
+        for name, interval in (("pos_tiou", "[0, 1]"), ("neg_tiou", "[0, 1]"), ("nms_tiou", "(0, 1]")):
+            check_real(name, getattr(self, name), interval)
         if self.neg_tiou > self.pos_tiou:
             raise ConfigError(f"neg_tiou {self.neg_tiou} exceeds pos_tiou {self.pos_tiou}")
 
@@ -86,11 +73,12 @@ class AcnConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
-        if not all(type(v) is int and v >= 1 for v in (self.num_classes, self.roi_bins, self.fc_dim)):
-            raise ConfigError("num_classes, roi_bins and fc_dim must be ints >= 1")
-        _check_unit("fg_tiou", self.fg_tiou)
-        _check_unit("score_thresh", self.score_thresh)
-        _check_nms_tiou(self.nms_tiou)
+        if type(self.use_context) is not bool:
+            raise ConfigError(f"use_context must be a bool, got {self.use_context!r}")
+        for name in ("num_classes", "roi_bins", "fc_dim"):
+            check_int(name, getattr(self, name), 1)
+        for name, interval in (("fg_tiou", "[0, 1]"), ("score_thresh", "[0, 1]"), ("nms_tiou", "(0, 1]")):
+            check_real(name, getattr(self, name), interval)
 
 
 @dataclass(frozen=True)
@@ -500,6 +488,14 @@ def acn_forward(pyr: PyramidFeatures, proposals: Proposals, cfg: AcnConfig, para
     return out
 
 
+def acn_reg_indices(shape, rows, labels) -> np.ndarray:
+    """Flat [..., 2] indices into a level's [n, 2C] ACN regression output (``shape``) of class
+    ``labels``' (center offset, log length), columns 2(c-1) and 2(c-1)+1, in ``rows``; row 0's
+    are the column indices."""
+    first = rows * shape[1] + 2 * (labels - 1)
+    return np.stack([first, first + 1], axis=-1)
+
+
 def finalize_detections(acn_out, proposals: Proposals, cfg: AcnConfig, buffer) -> Detections:
     """A window's detection candidates in video frames, for ``nms_detections``:
     one per (proposal, level) output and non-background class whose posterior
@@ -513,7 +509,8 @@ def finalize_detections(acn_out, proposals: Proposals, cfg: AcnConfig, buffer) -
         ez = np.exp(cls.data - cls.data.max(axis=1, keepdims=True))
         post = (ez / ez.sum(axis=1, keepdims=True))[:, 1:]  # class posteriors
         seg = proposals.segments[idx]
-        s, e, ok = decode(seg[:, :1], seg[:, 1:], reg.data[:, 0::2], reg.data[:, 1::2], (0.0, float(buffer.num_valid)))
+        pairs = reg.data.take(acn_reg_indices(reg.shape, 0, np.arange(1, cfg.num_classes + 1)), axis=1)  # [n, C, 2]
+        s, e, ok = decode(seg[:, :1], seg[:, 1:], pairs[..., 0], pairs[..., 1], (0.0, float(buffer.num_valid)))
         row, c = np.nonzero(~(post < cfg.score_thresh) & ok)
         parts.append(Detections(np.stack([s[row, c], e[row, c]], axis=1) + float(buffer.frame_offset), c + 1, post[row, c]))
     return Detections.concat(parts)

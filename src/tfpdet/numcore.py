@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_int, check_real
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))  # kept as given; anything else becomes float64
 
@@ -124,16 +124,10 @@ class SgdConfig:
     lr_decay_every: int = 1000
 
     def __post_init__(self):
-        if not 0.0 < self.learning_rate < np.inf:  # NaN fails too, here and below
-            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError(f"momentum must be in [0,1), got {self.momentum}")
-        if not 0.0 <= self.weight_decay < np.inf:
-            raise ConfigError(f"weight_decay must be nonnegative and finite, got {self.weight_decay}")
-        if not 0.0 < self.lr_decay_factor < np.inf:
-            raise ConfigError(f"lr_decay_factor must be positive and finite, got {self.lr_decay_factor}")
-        if type(self.lr_decay_every) is not int or self.lr_decay_every < 1:
-            raise ConfigError(f"lr_decay_every must be an int >= 1, got {self.lr_decay_every!r}")
+        for name, interval in (("learning_rate", "(0, inf)"), ("momentum", "[0, 1)"), ("weight_decay", "[0, inf)"),
+                               ("lr_decay_factor", "(0, inf)")):
+            check_real(name, getattr(self, name), interval)
+        check_int("lr_decay_every", self.lr_decay_every, 1)
 
     def effective_lr(self, step: int) -> float:
         return self.learning_rate * self.lr_decay_factor ** (step // self.lr_decay_every)

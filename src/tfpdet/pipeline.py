@@ -29,7 +29,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import anchorkit, datakit, heads, numcore as nc, pyramid
-from .errors import ConfigError, ContractError, DataError
+from .errors import ConfigError, ContractError, DataError, check_int, check_real
 
 CHECKPOINT_MAGIC = b"TFPM"
 CHECKPOINT_VERSION = 4
@@ -45,10 +45,10 @@ class LossWeights:
     lam: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        for name in ("gamma", "lam"):
+            object.__setattr__(self, name, tuple(check_real(f"loss weights {name}", w, "(0, inf)") for w in getattr(self, name)))
         if len(self.gamma) != len(self.lam):
             raise ConfigError("gamma and lambda must have one entry per level")
-        if not all(0.0 < w < np.inf for w in (*self.gamma, *self.lam)):  # NaN fails too
-            raise ConfigError(f"loss weights must be positive and finite, got {self.gamma}, {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,10 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("max_steps", "buffer_len", "apn_batch", "acn_batch", "checkpoint_every"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ConfigError(f"seed must be an int >= 0, got {self.seed!r}")
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
         for name in ("apn_pos_fraction", "acn_pos_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:  # NaN fails too
-                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
+            check_real(name, getattr(self, name), "[0, 1]")
 
 
 class Model:
@@ -220,9 +216,7 @@ def _acn_level_losses(pyr, proposals, pmatch, model: Model, cfg: TrainConfig, rn
             continue
         labels = pmatch.labels[idx]
         rows = np.nonzero(labels > 0)[0]
-        # a positive of class c reads columns (2(c-1), 2(c-1)+1) of its [2C] row
-        first = rows * (2 * acn_cfg.num_classes) + 2 * (labels[rows] - 1)
-        terms[k] = _head_terms(cls, labels, reg, np.stack([first, first + 1], axis=1), pmatch.reg_targets[idx[rows]])
+        terms[k] = _head_terms(cls, labels, reg, heads.acn_reg_indices(reg.shape, rows, labels[rows]), pmatch.reg_targets[idx[rows]])
     return terms, pos_counts, neg_counts
 
 
@@ -351,7 +345,7 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> No
     """
     cfgs = _Configs(model.encoder_cfg, model.pyramid_cfg, model.apn_cfg, model.acn_cfg, train_cfg)
     names = [name for name, _, _ in Model.param_specs(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn)]
-    header = {"configs": asdict(cfgs), "step": int(step), "params": names}
+    header = {"configs": asdict(cfgs), "step": check_int("checkpoint step", step, 0, ContractError), "params": names}
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
@@ -363,23 +357,20 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> No
 
 
 def _decode(tp, value, where: str):
-    """``value``, read from JSON, as a config field of type ``tp``.  A config
-    dataclass needs an object with exactly its fields, each decoded by its
-    annotation.  A ``tuple[X, ...]`` needs a list whose items decode as X.
-    An int needs an integer (not a bool), a bool or str exactly that type,
-    and a float a finite number."""
+    """``value``, read from JSON, rebuilt as a config field of type ``tp``: a
+    config dataclass from an object with exactly its fields, each decoded by
+    its annotation, and a ``tuple[X, ...]`` from a list whose items decode as
+    X.  Any other value goes as read to the config's constructor, which checks it."""
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         if not isinstance(value, dict) or set(value) != set(hints):
             raise DataError(f"{where}: expected an object with exactly the fields of {tp.__name__}")
         return tp(**{name: _decode(hints[name], v, f"{where}.{name}") for name, v in value.items()})
-    if get_origin(tp) is tuple and isinstance(value, list):
-        return tuple(_decode(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if tp is float:
-        return datakit._number(value, where)
-    if tp in (int, bool, str) and type(value) is tp:
+    if get_origin(tp) is not tuple:
         return value
-    raise DataError(f"{where}: expected {tp.__name__}, got {value!r}")
+    if not isinstance(value, list):
+        raise DataError(f"{where}: expected a list, got {value!r}")
+    return tuple(_decode(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
@@ -400,8 +391,7 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
     header = datakit._read_json(raw[12 : 12 + hlen], f"{path}: checkpoint header")
     if not isinstance(header, dict) or set(header) != {"configs", "step", "params"}:
         raise DataError(f"{path}: checkpoint header needs exactly the keys configs, step and params")
-    if type(header["step"]) is not int:
-        raise DataError(f"{path}: checkpoint step {header['step']!r} is not an integer")
+    check_int(f"{path}: checkpoint step", header["step"], 0, DataError)
     try:
         cfgs = _decode(_Configs, header["configs"], f"{path}: configs")
         model = Model(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn, {}, {})  # arrays from the payload below

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 
 ENCODER_BLOCKS = 3  # conv+relu+pool blocks, each halving the length
 ENCODER_STRIDE = 2 ** ENCODER_BLOCKS
@@ -34,8 +34,8 @@ class EncoderConfig:
     hidden_dim: int = 64
 
     def __post_init__(self):
-        if not all(type(v) is int and v >= 1 for v in (self.input_dim, self.hidden_dim)):
-            raise ConfigError(f"encoder dims must be ints >= 1, got {self.input_dim!r}, {self.hidden_dim!r}")
+        check_int("input_dim", self.input_dim, 1)
+        check_int("hidden_dim", self.hidden_dim, 1)
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,7 @@ class PyramidConfig:
     def __post_init__(self):
         if self.variant not in ("max", "conv"):
             raise ConfigError(f"pyramid variant must be 'max' or 'conv', got {self.variant!r}")
-        if type(self.num_levels) is not int or self.num_levels < 1:
-            raise ConfigError(f"num_levels must be an int >= 1, got {self.num_levels!r}")
+        check_int("num_levels", self.num_levels, 1)
 
     @property
     def strides(self) -> tuple:

@@ -114,6 +114,12 @@ def test_annotations_roundtrip_identity(tmp_path):
     out2 = tmp_path / "out2.json"
     dk.save_annotations(records2, out2, labels2)
     assert out.read_bytes() == out2.read_bytes()
+    # a label past the index raised a bare IndexError
+    records2["v2"] = replace(records2["v2"], annotations=[dk.Activity(4.0, 8.0, 5)])
+    out3 = tmp_path / "out3.json"
+    with pytest.raises(ContractError, match="video 'v2': label 5"):
+        dk.save_annotations(records2, out3, labels2)
+    assert not out3.exists()
 
 
 @pytest.mark.parametrize("change", [
@@ -266,6 +272,25 @@ def test_record_rejects_features_that_are_not_a_2d_array(features):
         replace(dk.VideoRecord("v", 8, []), features=features)
 
 
+nan, inf = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: dk.Activity(0, 5, 1.5), ContractError),
+    (lambda: dk.Activity(0, 5, True), ContractError),
+    (lambda: dk.Activity(0, 5, nan), ContractError),
+    (lambda: dk.Activity(0, inf, 1), ContractError),
+    *((lambda v=v: dk.VideoRecord("v", v, []), DataError) for v in (-5, 100.5, nan, True)),
+    *((lambda v=v: dk.VideoRecord("v", 100, [], fps=v), DataError) for v in (0, nan, True)),
+    (lambda: dk.VideoRecord("v", 100, [], subset="x"), DataError),
+], ids=["label 1.5", "label True", "label nan", "end inf", "num_frames -5", "num_frames 100.5", "num_frames nan",
+        "num_frames True", "fps 0", "fps nan", "fps True", "subset x"])
+def test_records_reject_values_that_their_files_cannot_hold(make, error):
+    # each constructed; a record then saved a file that load_annotations refuses
+    with pytest.raises(error):
+        make()
+
+
 def test_records_and_buffers_are_frozen():
     rec = make_record(100, [dk.Activity(10.0, 20.0, 1)])
     buf = dk.make_buffers(rec, 768)[0]
@@ -415,10 +440,11 @@ def test_buffers_forward_only():
     assert [b.frame_offset for b in bufs] == [0, 768]
 
 
-@pytest.mark.parametrize("buf_len", [0, -32, -768])
+@pytest.mark.parametrize("buf_len", [0, -32, -768, 40.0, True])
 def test_buffers_reject_non_positive_length(buf_len):
-    # only the sign check stops an endless window loop
-    with pytest.raises(ConfigError, match="buf_len must be positive"):
+    # only the sign check stops an endless window loop; 40.0 and True raised
+    # a bare TypeError
+    with pytest.raises(ConfigError, match="buf_len must be an int >= 1"):
         dk.make_buffers(make_record(100), buf_len)
 
 
@@ -442,7 +468,7 @@ def small_cfg(**kw):
     return dk.SynthConfig(**base)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), True, np.float32(0.5), "0.5"])
 @pytest.mark.parametrize("field", ["noise_sigma", "signal_amplitude", "fps", "band weight", "band length"])
 def test_synth_config_rejects_non_finite_values(field, value):
     if field == "band weight":

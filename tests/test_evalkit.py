@@ -291,6 +291,11 @@ def test_eval_config_validation():
     for budget in (0, -1, 2.5, True, "3"):
         with pytest.raises(ConfigError):
             ek.EvalConfig(proposal_budget=budget)
+    # True and a float32 scored as thresholds, and a string raised a bare TypeError
+    for value in (True, np.float32(0.5), "0.5"):
+        for name in ("tiou_thresholds", "average_grid", "ar_tiou_grid"):
+            with pytest.raises(ConfigError, match=r"tIoU thresholds must lie in \(0, 1\]"):
+                ek.EvalConfig(**{name: (value,)})
 
 
 @pytest.mark.parametrize("name", ["tiou_thresholds", "average_grid", "ar_tiou_grid"])

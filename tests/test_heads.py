@@ -14,9 +14,13 @@ from oracles import (acn_forward_ref, check_gradients, finalize_detections_ref, 
                      roi_cell_selection_ref, roi_pool_ref, tiou_ref)
 
 
+NOT_REALS = [True, np.float32(0.5), "0.5"]  # a bool, a float JSON cannot write, a string
+
+
 @pytest.mark.parametrize("field,value", [
     ("pos_tiou", 1.5), ("pos_tiou", -0.1), ("neg_tiou", -0.1), ("neg_tiou", 0.8), ("pos_tiou", float("nan")),
     ("nms_tiou", 0.0), ("nms_tiou", 1.01), ("nms_tiou", float("nan")),
+    *((field, v) for field in ("pos_tiou", "neg_tiou", "nms_tiou") for v in NOT_REALS),
 ])
 def test_apn_config_rejects_thresholds_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -33,6 +37,7 @@ def test_apn_config_rejects_scales_that_are_not_positive_ints(scales):
 @pytest.mark.parametrize("field,value", [
     ("fg_tiou", 1.2), ("fg_tiou", -0.5), ("score_thresh", 1.5), ("score_thresh", -0.01),
     ("score_thresh", float("nan")), ("nms_tiou", 0.0), ("nms_tiou", 2.0),
+    *((field, v) for field in ("fg_tiou", "score_thresh", "nms_tiou") for v in NOT_REALS),
 ])
 def test_acn_config_rejects_thresholds_out_of_range(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -48,6 +53,13 @@ def test_configs_reject_counts_that_are_not_ints(field, value):
             heads.ApnConfig(scales=((1,),), top_k=value)
         else:
             heads.AcnConfig(**{"num_classes": 1, field: value})
+
+
+@pytest.mark.parametrize("value", [0, 1, "no"])
+def test_acn_config_use_context_must_be_a_bool(value):
+    # "no" turned context on, and 0 and 1 saved checkpoints that did not load
+    with pytest.raises(ConfigError, match="use_context"):
+        heads.AcnConfig(num_classes=1, use_context=value)
 
 
 def test_configs_accept_threshold_bounds():

@@ -424,8 +424,9 @@ def test_sgd_config_validation():
         nc.SgdConfig(momentum=1.0)
     # a NaN learning rate gave a finite loss, then NaN in every parameter,
     # and a checkpoint that load_checkpoint refuses
+    # True, a float32 and a string: they constructed, and then failed to save or load
     for field in ("learning_rate", "momentum", "weight_decay", "lr_decay_factor"):
-        for value in (float("nan"), float("inf"), float("-inf")):
+        for value in (float("nan"), float("inf"), float("-inf"), True, np.float32(0.5), "0.5"):
             with pytest.raises(ConfigError, match=field):
                 nc.SgdConfig(**{field: value})
     # a NaN decay period gave a NaN learning rate

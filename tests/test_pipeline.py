@@ -340,7 +340,7 @@ def test_level_count_without_loss_weights_raises_before_any_update():
     assert parameter_bytes(model) == before
 
 
-@pytest.mark.parametrize("value", [1.5, -0.5, float("nan")])
+@pytest.mark.parametrize("value", [1.5, -0.5, float("nan"), True, np.float32(0.5), "0.5"])
 @pytest.mark.parametrize("field", ["apn_pos_fraction", "acn_pos_fraction"])
 def test_train_config_rejects_sampling_fractions_outside_unit_interval(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -361,12 +361,12 @@ def test_train_config_rejects_counts_and_seeds_that_are_not_ints(field, value):
         pipeline.TrainConfig(**{field: value})
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf"), True, np.float32(0.5), "0.5"])
 @pytest.mark.parametrize("field", ["gamma", "lam"])
 def test_loss_weights_reject_non_positive_and_non_finite_values(field, value):
     weights = {"gamma": (1.0, 1.0, 1.0), "lam": (1.0, 1.0, 1.0)}
     weights[field] = (1.0, value, 1.0)
-    with pytest.raises(ConfigError, match="positive and finite"):
+    with pytest.raises(ConfigError, match=rf"loss weights {field}.*\(0, inf\)"):
         pipeline.LossWeights(**weights)
 
 
@@ -398,6 +398,11 @@ def test_checkpoint_round_trip(tmp_path):
     assert step == 17 and loaded_cfg == cfg
     for name, p in model.params.items():
         assert np.array_equal(loaded.params[name].data, p.data)
+    # int() saved 2.5 as step 2, and -1 as a step that loaded
+    for bad in (-1, 2.5, True):
+        with pytest.raises(ContractError, match="checkpoint step"):
+            pipeline.save_checkpoint(tmp_path / "bad.tfpm", model, cfg, bad)
+    assert not (tmp_path / "bad.tfpm").exists()
 
 
 def test_checkpoint_without_loss_weights_per_level_raises_data_error(tmp_path):
@@ -408,6 +413,28 @@ def test_checkpoint_without_loss_weights_per_level_raises_data_error(tmp_path):
     cfg = pipeline.TrainConfig(loss_weights=pipeline.LossWeights(gamma=(1.0,) * 4, lam=(1.0,) * 4))
     pipeline.save_checkpoint(path, four_level_model(), cfg, 0)
     assert pipeline.load_checkpoint(path)[1] == cfg
+
+
+def test_configs_built_from_valid_values_load_back_equal(tmp_path):
+    # an int in a float field and lists in tuple fields: the lists were
+    # unhashable, and their checkpoint loaded to an unequal config
+    encoder, pyramid_cfg = pyr.EncoderConfig(input_dim=3, hidden_dim=6), pyr.PyramidConfig(variant="max", num_levels=2)
+    apn = heads.ApnConfig(scales=[[1, 3], [2]], pos_tiou=1, neg_tiou=0.25, nms_tiou=0.5, top_k=7)
+    acn = heads.AcnConfig(num_classes=4, strategy="s2", use_context=False, roi_bins=2, fc_dim=5, fg_tiou=0.6,
+                          nms_tiou=1, score_thresh=0)
+    train = pipeline.TrainConfig(sgd=nc.SgdConfig(learning_rate=2, momentum=0.5, weight_decay=0, lr_decay_factor=0.5,
+                                                  lr_decay_every=7),
+                                 max_steps=9, buffer_len=64, apn_batch=8, apn_pos_fraction=1, acn_batch=4,
+                                 acn_pos_fraction=0.75, seed=11, loss_weights=pipeline.LossWeights(gamma=[1, 0.5], lam=[2, 3]),
+                                 checkpoint_every=3)
+    path = tmp_path / "m.tfpm"
+    pipeline.save_checkpoint(path, pipeline.Model.build(encoder, pyramid_cfg, apn, acn, seed=1), train, 4)
+    loaded, loaded_train, step = pipeline.load_checkpoint(path)
+    assert step == 4
+    for cfg, got in ((encoder, loaded.encoder_cfg), (pyramid_cfg, loaded.pyramid_cfg), (apn, loaded.apn_cfg),
+                     (acn, loaded.acn_cfg), (train, loaded_train)):
+        assert got == cfg and hash(got) == hash(cfg)
+    assert apn.scales == ((1, 3), (2,)) and train.loss_weights.gamma == (1.0, 0.5)
 
 
 def test_truncated_checkpoint_raises_data_error(tmp_path):
@@ -459,9 +486,9 @@ def set_config_field(section: str, field: str, value):
 
 # Values of the wrong JSON type: each raised a bare TypeError, or loaded,
 # before configs were decoded field by field from their annotations.  The
-# int fields' constructors now reject such values too; use_context,
-# learning_rate and gamma still rely on the decoding alone.  The dims are
-# the saved values of small_model(), written as floats.
+# decoder now passes every scalar to the config's constructor, which
+# rejects each of them.  The dims are the saved values of small_model(),
+# written as floats.
 UNTYPED_CONFIG_VALUES = [
     ("encoder", "hidden_dim", 4.0), ("encoder", "input_dim", 4.0), ("acn", "roi_bins", 4.0),
     ("acn", "fc_dim", 8.0), ("acn", "num_classes", 2.0), ("acn", "use_context", "no"), ("apn", "top_k", 100.0),
@@ -478,6 +505,7 @@ HEADER_EDITS = {
     "configs that do not fit together": lambda h: h["configs"]["apn"].update(scales=[[1, 2]]),
     "step not an int": lambda h: h.update(step="17"),
     "step a float": lambda h: h.update(step=17.0),
+    "step negative": lambda h: h.update(step=-1),
     "params not a list": lambda h: h.update(params={"a": 1}),
     "header not an object": lambda h: h.clear(),
     "header keeps the v1 seed": lambda h: h.update(seed=0),

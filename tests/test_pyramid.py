@@ -86,7 +86,7 @@ def test_pyramid_config_validation():
         with pytest.raises(ConfigError, match="levels"):
             pyr.PyramidConfig(num_levels=value)
         for field in ("input_dim", "hidden_dim"):
-            with pytest.raises(ConfigError, match="encoder dims"):
+            with pytest.raises(ConfigError, match=rf"{field} must be an int >= 1"):
                 pyr.EncoderConfig(**{"input_dim": 4, field: value})
     # strides are derived: the encoder's 8, doubled per level
     assert pyr.PyramidConfig(num_levels=4).strides == (8, 16, 32, 64)

@@ -8,7 +8,9 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
 (``bench/workloads.py``, full scale, one BLAS thread):
 
 - ``train``: 40 ops of the ``train`` workload at seed 3, then one digest of
-  the StepReports and one of every parameter's values and velocity;
+  the StepReports, one of every parameter's values and velocity, and one
+  of the bytes that ``pipeline.save_checkpoint`` writes for the workload's
+  model and ``TrainConfig`` at step 40, which pins the header's configs;
 - ``infer_long``: per seed 1 to 5, one digest of ``infer_video``'s
   detections on each of the workload's videos;
 - ``propose_long``: per seed 1 to 5, one digest of ``propose_video``'s
@@ -93,14 +95,18 @@ def to_float64(workloads, model, videos_or_buffers) -> list:
     return [dataclasses.replace(item, features=cast(item.features)) for item in videos_or_buffers]
 
 
-def train_digests(workloads, float64: bool, workdir: Path) -> tuple[str, str]:
+def train_digests(workloads, float64: bool, workdir: Path) -> tuple[str, str, str]:
+    from tfpdet import pipeline
+
     w = workloads.Train(TRAIN_SEED, workloads.FULL, workdir)
     if float64:
         cast = iter(to_float64(workloads, w.model, [b for bufs in w.buffers.values() for b in bufs]))
         w.buffers = {vid: [next(cast) for _ in bufs] for vid, bufs in w.buffers.items()}
     reports = [json.dumps(w.op(i).to_json_dict(), sort_keys=True).encode() for i in range(TRAIN_OPS)]
     arrays = [a.tobytes() for name, p in w.model.params.items() for a in (p.data, w.model.velocity[name])]
-    return sha256(reports), sha256(arrays)
+    checkpoint = workdir / "model.tfpm"
+    pipeline.save_checkpoint(checkpoint, w.model, w.cfg, TRAIN_OPS)
+    return sha256(reports), sha256(arrays), sha256([checkpoint.read_bytes()])
 
 
 def infer_digests(workloads, seed: int, float64: bool, workdir: Path) -> tuple[str, str]:
@@ -225,9 +231,10 @@ def main(argv=None) -> int:
     import workloads  # imports numpy and tfpdet, so only after the thread cap
 
     with tempfile.TemporaryDirectory() as tmp:
-        reports, arrays = train_digests(workloads, args.float64, Path(tmp) / "train")
+        reports, arrays, checkpoint = train_digests(workloads, args.float64, Path(tmp) / "train")
         print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} reports {reports}")
         print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} params+velocities {arrays}")
+        print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} checkpoint {checkpoint}")
         proposals = []
         for seed in INFER_SEEDS:
             dets, props = infer_digests(workloads, seed, args.float64, Path(tmp) / f"infer{seed}")
