@@ -121,11 +121,11 @@ def _reject_duplicate_keys(pairs):
 
 
 def _read_json(raw: bytes, where, **kwargs):
-    """``json.loads(raw.decode("utf-8"), **kwargs)``; bad UTF-8, bad JSON and
-    nesting too deep for the parser raise DataError."""
+    """``json.loads(raw.decode("utf-8"), **kwargs)``; bad UTF-8 or JSON, an int of
+    over 4,300 digits and nesting too deep for the parser raise DataError."""
     try:
         return json.loads(raw.decode("utf-8"), **kwargs)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
+    except (ValueError, RecursionError) as e:  # ValueError covers UnicodeDecodeError and JSONDecodeError
         raise DataError(f"{where}: not valid UTF-8 JSON: {e}") from e
 
 

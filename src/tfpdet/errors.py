@@ -10,6 +10,7 @@ import sys
 from functools import lru_cache
 
 _FLOAT_MAX = sys.float_info.max
+_INT64_MAX = 2 ** 63 - 1
 
 
 class TfpdetError(Exception):
@@ -28,10 +29,15 @@ class ContractError(TfpdetError):
     """An operation was called outside its contract at runtime."""
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an int too wide to write in decimal (over 4,300 digits)."""
+    return f"an int of {value.bit_length()} bits" if isinstance(value, int) and value.bit_length() > 64 else repr(value)
+
+
 def check_int(name: str, value, lo: int, error=ConfigError) -> int:
-    """``value`` if it is an ``int`` (not a bool or numpy integer) >= ``lo``, else raise ``error``."""
-    if type(value) is not int or value < lo:
-        raise error(f"{name} must be an int >= {lo}, got {value!r}")
+    """``value`` if it is an ``int`` (not a bool or numpy integer) in [lo, 2**63 - 1], else raise ``error``."""
+    if type(value) is not int or not lo <= value <= _INT64_MAX:
+        raise error(f"{name} must be an int >= {lo} and <= 2**63 - 1, got {_shown(value)}")
     return value
 
 
@@ -47,5 +53,5 @@ def check_real(name: str, value, interval: str, error=ConfigError) -> float:
     lo, hi, lo_open, hi_open = _interval(interval)
     if (type(value) is bool or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX
             or (value <= lo if lo_open else value < lo) or (value >= hi if hi_open else value > hi)):
-        raise error(f"{name} must lie in {interval}, got {value!r}")
+        raise error(f"{name} must lie in {interval}, got {_shown(value)}")
     return float(value)

@@ -27,7 +27,7 @@ import numpy as np
 from . import numcore as nc
 from .anchorkit import AnchorGrid, Segment, decode, tiou
 from .errors import ConfigError, ContractError, check_int, check_real
-from .pyramid import HEAD_BIAS, HEAD_WEIGHT_STD, PyramidFeatures
+from .pyramid import PyramidFeatures, layer_specs
 
 STRATEGIES = ("s1", "s2", "s3")
 NMS_BLOCK = 64  # candidates per greedy block of nms_indices' top_k scan
@@ -145,14 +145,8 @@ def apn_param_specs(hidden_dim: int, cfg: ApnConfig) -> list[tuple]:
     specs = []
     for k, level_scales in enumerate(cfg.scales):
         two_a = 2 * len(level_scales)
-        weights = [(f"apn.level{k}.shared.w", (hidden_dim, hidden_dim, 3)),
-                   (f"apn.level{k}.cls.w", (two_a, hidden_dim, 1)),
-                   (f"apn.level{k}.reg.w", (two_a, hidden_dim, 1))]
-        biases = [(f"apn.level{k}.shared.b", (hidden_dim,)),
-                  (f"apn.level{k}.cls.b", (two_a,)),
-                  (f"apn.level{k}.reg.b", (two_a,))]
-        specs += [(name, shape, ("gaussian", 0.0, HEAD_WEIGHT_STD)) for name, shape in weights]
-        specs += [(name, shape, ("constant", HEAD_BIAS)) for name, shape in biases]
+        specs += layer_specs([(f"apn.level{k}.shared", (hidden_dim, hidden_dim, 3)),
+                              (f"apn.level{k}.cls", (two_a, hidden_dim, 1)), (f"apn.level{k}.reg", (two_a, hidden_dim, 1))])
     return specs
 
 
@@ -164,22 +158,12 @@ def acn_param_specs(hidden_dim: int, cfg: AcnConfig, num_levels: int) -> list[tu
     in_dim = hidden_dim * cfg.roi_bins
     half = hidden_dim // 2
     for k in range(num_levels):
-        weights, biases = [], []
-        if cfg.use_context:
-            weights += [(f"acn.level{k}.roi_reduce.w", (half, hidden_dim, 3)),
-                        (f"acn.level{k}.ctx_reduce.w", (half, hidden_dim, 3))]
-            biases += [(f"acn.level{k}.roi_reduce.b", (half,)),
-                       (f"acn.level{k}.ctx_reduce.b", (half,))]
-        weights += [(f"acn.level{k}.fc6.w", (in_dim, cfg.fc_dim)),
-                    (f"acn.level{k}.fc7.w", (cfg.fc_dim, cfg.fc_dim)),
-                    (f"acn.level{k}.cls.w", (cfg.fc_dim, cfg.num_classes + 1)),
-                    (f"acn.level{k}.reg.w", (cfg.fc_dim, 2 * cfg.num_classes))]
-        biases += [(f"acn.level{k}.fc6.b", (cfg.fc_dim,)),
-                   (f"acn.level{k}.fc7.b", (cfg.fc_dim,)),
-                   (f"acn.level{k}.cls.b", (cfg.num_classes + 1,)),
-                   (f"acn.level{k}.reg.b", (2 * cfg.num_classes,))]
-        specs += [(name, shape, ("gaussian", 0.0, HEAD_WEIGHT_STD)) for name, shape in weights]
-        specs += [(name, shape, ("constant", HEAD_BIAS)) for name, shape in biases]
+        context = [(f"acn.level{k}.roi_reduce", (half, hidden_dim, 3)),
+                   (f"acn.level{k}.ctx_reduce", (half, hidden_dim, 3))] if cfg.use_context else []
+        specs += layer_specs(context + [(f"acn.level{k}.fc6", (in_dim, cfg.fc_dim)),
+                                        (f"acn.level{k}.fc7", (cfg.fc_dim, cfg.fc_dim)),
+                                        (f"acn.level{k}.cls", (cfg.fc_dim, cfg.num_classes + 1)),
+                                        (f"acn.level{k}.reg", (cfg.fc_dim, 2 * cfg.num_classes))])
     return specs
 
 

@@ -271,7 +271,10 @@ def _check_finite_losses(report: StepReport) -> None:
 
 
 def pick_training_buffer(buffers_by_video: dict[str, list], cfg: TrainConfig, step: int) -> datakit.Buffer:
-    """Uniformly pick a video, then one of its windows, for this step."""
+    """Uniformly pick a video, then one of its windows, for this step.  No
+    video, or a video without windows, raises ContractError before any draw."""
+    if not buffers_by_video or not all(buffers_by_video.values()):
+        raise ContractError("pick_training_buffer needs at least one video, and at least one buffer per video")
     rng = _step_rng(cfg.seed, step)
     vids = sorted(buffers_by_video)
     vid = vids[int(rng.integers(len(vids)))]

@@ -20,12 +20,26 @@ from .errors import ConfigError, check_int
 ENCODER_BLOCKS = 3  # conv+relu+pool blocks, each halving the length
 ENCODER_STRIDE = 2 ** ENCODER_BLOCKS
 
-# Initialization follows the split between the backbone stand-in and the
-# detection-specific layers: the encoder replaces a pretrained feature
-# extractor and gets fan-in-scaled weights, while every head/pyramid layer
-# is drawn from N(0, 0.01^2) with biases at 0.1.
 HEAD_WEIGHT_STD = 0.01
 HEAD_BIAS = 0.1
+
+
+def layer_specs(layers: list[tuple]) -> list[tuple]:
+    """(name, shape, init_spec) of the weights and then the biases of
+    ``layers``, each given as (name, weight shape).  A conv weight is
+    [C_out, C_in, k] and a linear one [D_in, D_out]; they give the fan-in
+    and the bias width.  Initialization follows the split between the
+    backbone stand-in and the detection-specific layers: the encoder
+    replaces a pretrained feature extractor and gets fan-in-scaled weights,
+    sqrt(2 / fan_in), while every head/pyramid layer is drawn from
+    N(0, HEAD_WEIGHT_STD^2) with biases at HEAD_BIAS."""
+    weights, biases = [], []
+    for name, shape in layers:
+        fan_in, out = (shape[1] * shape[2], shape[0]) if len(shape) == 3 else shape
+        std = math.sqrt(2.0 / fan_in) if name.startswith("encoder.") else HEAD_WEIGHT_STD
+        weights.append((f"{name}.w", shape, ("gaussian", 0.0, std)))
+        biases.append((f"{name}.b", (out,), ("constant", HEAD_BIAS)))
+    return weights + biases
 
 
 @dataclass(frozen=True)
@@ -64,23 +78,14 @@ class PyramidFeatures:
 
 def encoder_param_specs(cfg: EncoderConfig) -> list[tuple]:
     """(name, shape, init_spec) of every encoder parameter, in creation order."""
-    specs, c_in = [], cfg.input_dim
-    for i in range(ENCODER_BLOCKS):
-        std = math.sqrt(2.0 / (c_in * 3))
-        specs.append((f"encoder.block{i}.w", (cfg.hidden_dim, c_in, 3), ("gaussian", 0.0, std)))
-        specs.append((f"encoder.block{i}.b", (cfg.hidden_dim,), ("constant", HEAD_BIAS)))
-        c_in = cfg.hidden_dim
-    return specs
+    c_in = (cfg.input_dim,) + (cfg.hidden_dim,) * (ENCODER_BLOCKS - 1)
+    return [s for i, c in enumerate(c_in) for s in layer_specs([(f"encoder.block{i}", (cfg.hidden_dim, c, 3))])]
 
 
 def pyramid_param_specs(pcfg: PyramidConfig, hidden_dim: int) -> list[tuple]:
     """(name, shape, init_spec) of the down-sampling convs of the conv variant."""
-    specs = []
-    if pcfg.variant == "conv":
-        for k in range(1, pcfg.num_levels):
-            specs.append((f"pyramid.down{k}.w", (hidden_dim, hidden_dim, 3), ("gaussian", 0.0, HEAD_WEIGHT_STD)))
-            specs.append((f"pyramid.down{k}.b", (hidden_dim,), ("constant", HEAD_BIAS)))
-    return specs
+    levels = range(1, pcfg.num_levels) if pcfg.variant == "conv" else ()
+    return [s for k in levels for s in layer_specs([(f"pyramid.down{k}", (hidden_dim, hidden_dim, 3))])]
 
 
 def encode(x: nc.Tensor, cfg: EncoderConfig, params: dict) -> nc.Tensor:

@@ -71,6 +71,27 @@ def test_deeply_nested_json_raises_data_error(tmp_path, fmt):
         FORMATS[fmt][1](path)
 
 
+HUGE_INT = b"1" + b"0" * 5000  # json.loads refuses an int of more than 4,300 digits
+HUGE_INT_DOCS = {
+    "annotations": b'{"version": 1, "database": {"a": {"fps": 8.0, "num_frames": ' + HUGE_INT
+                   + b', "subset": "train", "annotations": []}}}',
+    "labels": b'{"labels": [' + HUGE_INT + b"]}",
+    "tfpm": b'{"configs": {}, "params": [], "step": ' + HUGE_INT + b"}",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(HUGE_INT_DOCS))
+def test_json_holding_an_int_of_over_4300_digits_raises_data_error(tmp_path, fmt):
+    # each raised json.loads' bare ValueError
+    doc = HUGE_INT_DOCS[fmt]
+    if fmt == "tfpm":
+        doc = pipeline.CHECKPOINT_MAGIC + struct.pack("<II", pipeline.CHECKPOINT_VERSION, len(doc)) + doc
+    path = tmp_path / "file"
+    path.write_bytes(doc)
+    with pytest.raises(DataError, match="4300 digits"):
+        FORMATS[fmt][1](path)
+
+
 @pytest.mark.parametrize("fmt", sorted(FORMATS))
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())

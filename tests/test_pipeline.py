@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -220,6 +221,33 @@ def test_model_build_peaks_at_what_it_keeps():
     assert peak <= 1.1 * kept  # measured 1.0001x
 
 
+@pytest.mark.parametrize("cfgs,count,sha256", [
+    ((pyr.EncoderConfig(16, 64), pyr.PyramidConfig(), heads.ApnConfig(scales=ak.DEFAULT_SCALES),
+      heads.AcnConfig(num_classes=3)),
+     64, "5941cfcf6c665b4852326dcf8cc20366b91e92a28678b2d7f172b7cd19f8219a"),
+    ((pyr.EncoderConfig(16, 9), pyr.PyramidConfig(variant="max", num_levels=1),
+      heads.ApnConfig(scales=ak.SINGLE_SCALE_SCALES),
+      heads.AcnConfig(num_classes=2, use_context=False, roi_bins=3, fc_dim=32)),
+     20, "4dfa7bee8d4ee9263c7337f31893a70cc961beab1e5e706315836eb73af4fc29"),
+], ids=["bench model", "one max level without context"])
+def test_param_specs_pin_the_layout_and_the_init_rule(cfgs, count, sha256):
+    """The spec list fixes the order of the model's random draws and the
+    TFPM v4 payload layout, so its names, shapes, init specs and order are
+    pinned by hash; the rule they follow is asserted readably below.  A
+    change of the init rule, such as He-scaling the hidden head layers,
+    changes this test on purpose."""
+    specs = pipeline.Model.param_specs(*cfgs)
+    assert len(specs) == count
+    for name, shape, init in specs:
+        if name.endswith(".b"):
+            assert init == ("constant", 0.1), name
+        elif name.startswith("encoder."):
+            assert shape[2] == 3 and init == ("gaussian", 0.0, math.sqrt(2.0 / (shape[1] * 3))), name
+        else:
+            assert name.endswith(".w") and init == ("gaussian", 0.0, 0.01), name
+    assert hashlib.sha256(json.dumps(specs).encode()).hexdigest() == sha256
+
+
 def test_train_step_builds_no_segment_or_activity_objects(monkeypatch):
     # ground truth travels as the buffer's arrays from make_buffers to the loss
     model, cfg = small_model(), pipeline.TrainConfig(seed=5)
@@ -248,6 +276,28 @@ def test_same_seed_training_is_byte_identical():
         runs.append((reports, {n: (p.data.tobytes(), model.velocity[n].tobytes()) for n, p in model.params.items()}))
     assert runs[0] == runs[1]
     assert sum(sum(r["acn_pos"]) + sum(r["acn_neg"]) for r in runs[0][0]) > 0  # both heads trained
+
+
+def test_pick_training_buffer_picks_a_video_then_one_of_its_buffers():
+    cfg = pipeline.TrainConfig(seed=7)
+    bufs = {vid: datakit.make_buffers(datakit.VideoRecord(vid, n, [], np.zeros((1, n), np.float32)), 768)
+            for vid, n in (("b", 768), ("a", 1000), ("c", 3000))}
+    reordered = dict(reversed(bufs.items()))
+    picked = []
+    for step in range(600):
+        pick = pipeline.pick_training_buffer(bufs, cfg, step)
+        assert pick is pipeline.pick_training_buffer(reordered, cfg, step)  # equal (seed, step): the same buffer
+        rng = pipeline._step_rng(cfg.seed, step)
+        vid = sorted(bufs)[rng.integers(len(bufs))]
+        assert pick is bufs[vid][rng.integers(len(bufs[vid]))]
+        picked.append(vid)
+    # uniform over videos, not over buffers: "c" holds 8 of the 14 buffers
+    assert [len(bufs[vid]) for vid in "abc"] == [4, 2, 8]
+    assert all(150 <= picked.count(vid) <= 250 for vid in "abc")
+    # both raised numpy's bare ValueError: high <= 0
+    for empty in ({}, {**bufs, "d": []}):
+        with pytest.raises(ContractError, match="at least one"):
+            pipeline.pick_training_buffer(empty, cfg, 0)
 
 
 def test_non_finite_loss_raises_before_any_update():
@@ -349,19 +399,28 @@ def test_train_config_rejects_sampling_fractions_outside_unit_interval(field, va
     pipeline.TrainConfig(**{field: 1.0})
 
 
+def huge_int_id(value):
+    """A test id for an int too long to write in decimal; the default otherwise."""
+    return f"{value.bit_length()}-bit int" if type(value) is int and value.bit_length() > 64 else None
+
+
 @pytest.mark.parametrize("field,value", [
     *((field, v) for field in ("max_steps", "buffer_len", "apn_batch", "acn_batch", "checkpoint_every", "seed")
       for v in (float("nan"), 2.5, 768.0, True)),
     ("seed", -1),
-])
+    ("max_steps", 2 ** 63), ("max_steps", 10 ** 5000), ("seed", -10 ** 5000),
+], ids=huge_int_id)
 def test_train_config_rejects_counts_and_seeds_that_are_not_ints(field, value):
     # buffer_len=768.0 constructed, then make_buffers raised a bare TypeError;
-    # seed=-1 failed at the first draw with numpy's ValueError
+    # seed=-1 failed at the first draw with numpy's ValueError; max_steps=2**63
+    # and 10**5000 constructed, and save_checkpoint then failed on the second
+    # in json.dumps; seed=-10**5000 raised ValueError while writing its message
     with pytest.raises(ConfigError, match=field):
         pipeline.TrainConfig(**{field: value})
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf"), True, np.float32(0.5), "0.5"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf"), True, np.float32(0.5), "0.5",
+                                   10 ** 5000], ids=huge_int_id)  # 10**5000 raised ValueError while writing its message
 @pytest.mark.parametrize("field", ["gamma", "lam"])
 def test_loss_weights_reject_non_positive_and_non_finite_values(field, value):
     weights = {"gamma": (1.0, 1.0, 1.0), "lam": (1.0, 1.0, 1.0)}
