@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, _shown
 
 # Per-level anchor lengths, as multiples of the level's stride (which
 # ``PyramidConfig.strides`` gives).
@@ -36,7 +36,7 @@ class Segment:
 
     def __post_init__(self):
         if not self.end > self.start:
-            raise ContractError(f"segment needs end > start, got [{self.start}, {self.end}]")
+            raise ContractError(f"segment needs end > start, got [{_shown(self.start)}, {_shown(self.end)}]")
 
     @property
     def length(self) -> float:
@@ -79,7 +79,7 @@ def build_anchor_grid(buffer_len: int, strides, scales) -> AnchorGrid:
     starts, ends, offsets = [], [], [0]
     for s_k, level_scales in zip(strides, scales):
         if buffer_len % s_k != 0:
-            raise ConfigError(f"buffer_len {buffer_len} not divisible by stride {s_k}")
+            raise ConfigError(f"buffer_len {_shown(buffer_len)} not divisible by stride {_shown(s_k)}")
         c = ((np.arange(buffer_len // s_k) + 0.5) * s_k)[:, None]
         half = 0.5 * np.asarray(level_scales, dtype=np.float64) * s_k
         starts.append((c - half).ravel())
@@ -201,7 +201,7 @@ def sample_pos_neg(pos_idx: np.ndarray, neg_idx: np.ndarray, batch: int, pos_fra
     pos_idx = np.asarray(pos_idx, dtype=np.int64)
     neg_idx = np.asarray(neg_idx, dtype=np.int64)
     if batch < 1:
-        raise ContractError(f"batch must be positive, got {batch}")
+        raise ContractError(f"batch must be positive, got {_shown(batch)}")
     if pos_idx.size == 0 and neg_idx.size == 0:
         raise ContractError("cannot sample a minibatch: no positives and no negatives")
     n_pos = min(pos_idx.size, int(round(batch * pos_fraction)))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .anchorkit import Segment
-from .errors import ConfigError, ContractError, DataError, check_int, check_real
+from .errors import ConfigError, ContractError, DataError, _shown, check_int, check_real
 
 TFPV_MAGIC = b"TFPV"
 TFPV_VERSION = 1
@@ -67,10 +67,12 @@ class VideoRecord:
     subset: str = "train"
 
     def __post_init__(self):
+        if not isinstance(self.video_id, str):  # an annotation file keys its videos by id
+            raise DataError(f"a video id must be a str, got {_shown(self.video_id)}")
         check_int(f"video {self.video_id!r}: num_frames", self.num_frames, 0, DataError)
         check_real(f"video {self.video_id!r}: fps", self.fps, "(0, inf)", DataError)
         if self.subset not in ("train", "val", "test"):
-            raise DataError(f"video {self.video_id!r}: unknown subset {self.subset!r}")
+            raise DataError(f"video {self.video_id!r}: unknown subset {_shown(self.subset)}")
         object.__setattr__(self, "annotations", tuple(self.annotations))
         for a in self.annotations:
             if a.t_end > self.num_frames + 1e-6:
@@ -157,14 +159,14 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
             raise DataError(f"{where}: num_frames must be a whole number, got {num_frames}")
         anns = entry["annotations"]
         if not isinstance(anns, list):
-            raise DataError(f"{where}: annotations must be a list, got {anns!r}")
+            raise DataError(f"{where}: annotations must be a list, got {_shown(anns)}")
         spans = []
         for i, ann in enumerate(anns):
             if not isinstance(ann, dict) or "segment" not in ann or not isinstance(ann.get("label"), str):
                 raise DataError(f"{where}: annotation {i}: expected an object with a 'segment' and a string 'label'")
             seg = ann["segment"]
             if not isinstance(seg, list) or len(seg) != 2:
-                raise DataError(f"{where}: annotation {i}: segment must be [start, end], got {seg!r}")
+                raise DataError(f"{where}: annotation {i}: segment must be [start, end], got {_shown(seg)}")
             t0, t1 = (check_real(f"{where}: annotation {i}: segment", t, "[0, inf)", DataError) for t in seg)
             if not t0 < t1:
                 raise DataError(f"{where}: annotation {i}: non-increasing segment {seg}")
@@ -286,7 +288,7 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
     if record.features is None:
         raise ContractError(f"video {record.video_id!r} has no features loaded")
     if directions not in ("both", "forward"):
-        raise ConfigError(f"directions must be 'both' or 'forward', got {directions!r}")
+        raise ConfigError(f"directions must be 'both' or 'forward', got {_shown(directions)}")
     L = record.num_frames
     feats = record.features
     starts, ends = np.array([(a.t_start, a.t_end) for a in record.annotations], dtype=np.float64).reshape(-1, 2).T
@@ -344,13 +346,17 @@ class SynthConfig:
         for name, interval in (("noise_sigma", "[0, inf)"), ("signal_amplitude", "(-inf, inf)"),
                                ("val_fraction", "[0, 1)"), ("fps", "(0, inf)")):
             check_real(name, getattr(self, name), interval)
-        lo, hi = self.instances_per_video
-        if check_int("instances_per_video", lo, 0) > check_int("instances_per_video", hi, 0):
-            raise ConfigError(f"bad instances_per_video {self.instances_per_video}")
+        pair = self.instances_per_video
+        if (not (isinstance(pair, (tuple, list)) and len(pair) == 2)
+                or check_int("instances_per_video", pair[0], 0) > check_int("instances_per_video", pair[1], 0)):
+            raise ConfigError(f"instances_per_video must be a (min, max) pair, got {_shown(pair)}")
+        if not (isinstance(self.duration_bands, (tuple, list)) and self.duration_bands):
+            raise ConfigError(f"duration_bands must hold one or more bands, got {_shown(self.duration_bands)}")
         prev_max = -1
         for b in self.duration_bands:
-            if len(b) != 3 or check_int("duration band length", b[0], 1) > check_int("duration band length", b[1], 1):
-                raise ConfigError(f"bad duration band {b}")
+            if (not (isinstance(b, (tuple, list)) and len(b) == 3)
+                    or check_int("duration band length", b[0], 1) > check_int("duration band length", b[1], 1)):
+                raise ConfigError(f"bad duration band {_shown(b)}")
             check_real("duration band weight", b[2], "(0, inf)")
             if b[0] <= prev_max:
                 raise ConfigError("duration bands must be disjoint and ascending")

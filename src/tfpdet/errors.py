@@ -4,6 +4,8 @@ Each kind has the exit code that a command-line front end should give it
 (the package has none yet): ConfigError -> 2, DataError -> 3,
 ContractError -> 4.  Every config and record constructor checks its numbers
 with ``check_int`` and ``check_real``, so a config that constructs also saves and loads.
+Every message shows a value that a caller passed, and that is not yet
+checked, through ``_shown``, so building the message cannot itself raise.
 """
 
 import sys
@@ -30,8 +32,14 @@ class ContractError(TfpdetError):
 
 
 def _shown(value) -> str:
-    """``repr(value)``, or the bit length of an int too wide to write in decimal (over 4,300 digits)."""
-    return f"an int of {value.bit_length()} bits" if isinstance(value, int) and value.bit_length() > 64 else repr(value)
+    """``repr(value)``, or the bit length of an int too wide to write in decimal (over 4,300
+    digits), or the type of any other value whose ``repr`` raises, such as a tuple holding that int."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an int of {value.bit_length()} bits"
+    try:
+        return repr(value)
+    except Exception:  # any __repr__ may raise; the message it is for must still be built
+        return f"a {type(value).__name__} that cannot be written out"
 
 
 def check_int(name: str, value, lo: int, error=ConfigError) -> int:

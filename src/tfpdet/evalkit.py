@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchorkit import segment_pairs, tiou
-from .errors import ConfigError, ContractError, check_real
+from .errors import ConfigError, ContractError, _shown, check_real
 
 DETECTION_DISPLAY_THRESHOLDS = (0.5, 0.75, 0.95)
 
@@ -40,7 +40,7 @@ def _check_budget(budget) -> None:
     all proposals but the last) and fails on a float with a bare
     TypeError."""
     if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
-        raise ConfigError(f"proposal budget must be an int >= 1, got {budget!r}")
+        raise ConfigError(f"proposal budget must be an int >= 1, got {_shown(budget)}")
 
 
 def _check_grid(grid) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import numcore as nc
 from .anchorkit import AnchorGrid, Segment, decode, tiou
-from .errors import ConfigError, ContractError, check_int, check_real
+from .errors import ConfigError, ContractError, _shown, check_int, check_real
 from .pyramid import PyramidFeatures, layer_specs
 
 STRATEGIES = ("s1", "s2", "s3")
@@ -72,9 +72,9 @@ class AcnConfig:
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {_shown(self.strategy)}")
         if type(self.use_context) is not bool:
-            raise ConfigError(f"use_context must be a bool, got {self.use_context!r}")
+            raise ConfigError(f"use_context must be a bool, got {_shown(self.use_context)}")
         for name in ("num_classes", "roi_bins", "fc_dim"):
             check_int(name, getattr(self, name), 1)
         for name, interval in (("fg_tiou", "[0, 1]"), ("score_thresh", "[0, 1]"), ("nms_tiou", "(0, 1]")):

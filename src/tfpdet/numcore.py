@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, check_int, check_real
+from .errors import ConfigError, ContractError, _shown, check_int, check_real
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))  # kept as given; anything else becomes float64
 
@@ -108,7 +108,7 @@ def create_params(specs, rng: np.random.Generator, dtype=np.float64) -> dict:
         elif kind == "constant":
             data = np.full(shape, float(init_spec[1]), dtype=dtype)
         else:
-            raise ConfigError(f"unknown init spec {init_spec!r}")
+            raise ConfigError(f"unknown init spec {_shown(init_spec)}")
         params[name] = Tensor(data, requires_grad=True)
     return params
 

@@ -4,8 +4,10 @@ inference and checkpointing.
 Each optimization step consumes one buffer of one video.  Anchors are
 matched jointly across levels, minibatches are sampled per level for each
 head, and the total loss is the level-weighted sum of classification and
-(positives-only) localization terms.  Proposal geometry is detached: the
-classifier treats decoded proposals as fixed inputs.  Inference runs the
+(positives-only) localization terms.  ``step_loss`` builds that loss and
+its ``StepReport``; ``train_step`` is ``step_loss`` plus a backward pass
+and one SGD update.  Proposal geometry is detached: the classifier treats
+decoded proposals as fixed inputs.  Inference runs the
 same layer functions on non-grad views of the parameters, so it records no
 autograd graph.  A parameter is a leaf tensor in ``Model.params`` and its
 momentum the array of the same name in ``Model.velocity``, both float32
@@ -29,7 +31,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import anchorkit, datakit, heads, numcore as nc, pyramid
-from .errors import ConfigError, ContractError, DataError, check_int, check_real
+from .errors import ConfigError, ContractError, DataError, _shown, check_int, check_real
 
 CHECKPOINT_MAGIC = b"TFPM"
 CHECKPOINT_VERSION = 4
@@ -68,6 +70,9 @@ class TrainConfig:
     checkpoint_every: int = 1000
 
     def __post_init__(self):
+        if type(self.sgd) is not nc.SgdConfig or type(self.loss_weights) is not LossWeights:
+            raise ConfigError(f"sgd must be an SgdConfig and loss_weights a LossWeights, got {_shown(self.sgd)}"
+                              f" and {_shown(self.loss_weights)}")
         for name in ("max_steps", "buffer_len", "apn_batch", "acn_batch", "checkpoint_every"):
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed, 0)
@@ -168,18 +173,18 @@ def _step_rng(seed: int, step: int) -> np.random.Generator:
 
 
 def _head_terms(logits, labels, reg, pos_pairs, targets) -> tuple:
-    """One head's (classification loss, localization loss or None): cross-entropy
-    of ``logits`` against ``labels``, and smooth-L1 of the ``reg`` values at the
-    positives' flat index pairs ``pos_pairs`` against their ``targets``."""
+    """One head's (classification loss, localization loss or None, positives,
+    negatives) on one level: cross-entropy of ``logits`` against ``labels``,
+    and smooth-L1 of the ``reg`` values at the positives' flat index pairs
+    ``pos_pairs`` against their ``targets``; every sampled row that is not a
+    positive is a negative."""
     cls_loss = nc.softmax_cross_entropy(logits, labels)
-    if not len(pos_pairs):
-        return cls_loss, None
-    return cls_loss, nc.smooth_l1(nc.take(reg, pos_pairs), targets)
+    loc_loss = nc.smooth_l1(nc.take(reg, pos_pairs), targets) if len(pos_pairs) else None
+    return cls_loss, loc_loss, len(pos_pairs), len(labels) - len(pos_pairs)
 
 
-def _apn_level_losses(apn_out, grid, match, cfg: TrainConfig, rng):
-    terms = [(None, None)] * len(apn_out)
-    pos_counts, neg_counts = [0] * len(apn_out), [0] * len(apn_out)
+def _apn_level_losses(apn_out, grid, match, cfg: TrainConfig, rng) -> list:
+    terms = [(None, None, 0, 0)] * len(apn_out)
     for k, (cls_map, reg_map) in enumerate(apn_out):
         level_idx = grid.level_indices(k)
         if not match.labels[level_idx].any():  # all ignored: nothing to sample
@@ -188,72 +193,66 @@ def _apn_level_losses(apn_out, grid, match, cfg: TrainConfig, rng):
         pairs = heads.anchor_map_indices(grid, k, cls_map.shape, sel)
         pos = match.labels[sel] == 1
         terms[k] = _head_terms(nc.take(cls_map, pairs), pos.astype(np.int64), reg_map, pairs[pos], match.reg_targets[sel[pos]])
-        pos_counts[k] = int(pos.sum())
-        neg_counts[k] = int(sel.size - pos_counts[k])
-    return terms, pos_counts, neg_counts
+    return terms
 
 
-def _acn_level_losses(pyr, proposals, pmatch, model: Model, cfg: TrainConfig, rng):
-    num_levels = model.pyramid_cfg.num_levels
-    acn_cfg = model.acn_cfg
-    terms = [(None, None)] * num_levels
-    pos_counts, neg_counts = [0] * num_levels, [0] * num_levels
-    assignment = heads.assign_proposals(proposals, acn_cfg, num_levels)
-    sampled = []
-    for k, cand in enumerate(assignment):
-        if cand.size == 0:
-            sampled.append(cand)
-            continue
-        pos = cand[pmatch.labels[cand] > 0]
-        neg = cand[pmatch.labels[cand] == 0]
-        sel = anchorkit.sample_pos_neg(pos, neg, cfg.acn_batch, cfg.acn_pos_fraction, rng)
-        sampled.append(sel)
-        pos_counts[k] = int(np.sum(pmatch.labels[sel] > 0))
-        neg_counts[k] = int(sel.size - pos_counts[k])
-    acn_out = heads.acn_forward(pyr, proposals, acn_cfg, model.params, assignment=sampled)
-    for k, (idx, cls, reg) in enumerate(acn_out):
+def _acn_level_losses(pyr, proposals, pmatch, model: Model, cfg: TrainConfig, rng) -> list:
+    assignment = heads.assign_proposals(proposals, model.acn_cfg, model.pyramid_cfg.num_levels)
+    sampled = [anchorkit.sample_pos_neg(c[pmatch.labels[c] > 0], c[pmatch.labels[c] == 0], cfg.acn_batch,
+                                        cfg.acn_pos_fraction, rng) if c.size else c for c in assignment]
+    terms = [(None, None, 0, 0)] * len(sampled)
+    for k, (idx, cls, reg) in enumerate(heads.acn_forward(pyr, proposals, model.acn_cfg, model.params, assignment=sampled)):
         if cls is None:
             continue
         labels = pmatch.labels[idx]
         rows = np.nonzero(labels > 0)[0]
         terms[k] = _head_terms(cls, labels, reg, heads.acn_reg_indices(reg.shape, rows, labels[rows]), pmatch.reg_targets[idx[rows]])
-    return terms, pos_counts, neg_counts
+    return terms
 
 
-def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anchorkit.AnchorGrid, step: int) -> StepReport:
-    """One optimization step on one buffer: forward both heads, sample
-    per-level minibatches, backpropagate the joint loss and update.  A
-    non-finite loss raises ``ContractError`` before the update, leaving the
-    parameters and velocities as they were."""
+def _column(terms: list, i: int) -> list:
+    """Entry ``i`` of each level's (cls, loc, positives, negatives), a loss as a float."""
+    return [v.item() if isinstance(v, nc.Tensor) else v for v in (t[i] for t in terms)]
+
+
+def step_loss(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anchorkit.AnchorGrid,
+              step: int) -> tuple[nc.Tensor, StepReport]:
+    """The joint loss of one step on one buffer and its report: forward both
+    heads and sample per-level minibatches, then run no backward and no
+    update.  A non-finite loss raises ``ContractError``."""
     if buffer.features is None or buffer.features.size == 0:
-        raise ContractError("train_step needs a buffer with features")
+        raise ContractError("a training step needs a buffer with features")
     rng = _step_rng(cfg.seed, step)
     pyr = model.forward_pyramid(buffer.features, model.params)
     apn_out = heads.apn_forward(pyr, model.params)
     proposals = heads.generate_proposals(apn_out, grid, model.apn_cfg)  # first: it checks the grid against the maps
     match = anchorkit.match_anchors_apn(grid, buffer.segments, model.apn_cfg.pos_tiou, model.apn_cfg.neg_tiou)
-    apn_terms, apn_pos, apn_neg = _apn_level_losses(apn_out, grid, match, cfg, rng)
+    apn = _apn_level_losses(apn_out, grid, match, cfg, rng)
     pmatch = anchorkit.match_proposals_acn(proposals.segments, buffer.segments, buffer.labels, model.acn_cfg.fg_tiou)
-    acn_terms, acn_pos, acn_neg = _acn_level_losses(pyr, proposals, pmatch, model, cfg, rng)
-    loss = joint_loss(apn_terms, acn_terms, cfg.loss_weights)
-
-    def vals(terms, which):
-        return [None if t[which] is None else t[which].item() for t in terms]
-
+    acn = _acn_level_losses(pyr, proposals, pmatch, model, cfg, rng)
+    loss = joint_loss([t[:2] for t in apn], [t[:2] for t in acn], cfg.loss_weights)
     report = StepReport(
         step=step,
         lr=cfg.sgd.effective_lr(step),
         total_loss=loss.item(),
-        apn_cls=vals(apn_terms, 0),
-        apn_loc=vals(apn_terms, 1),
-        acn_cls=vals(acn_terms, 0),
-        acn_loc=vals(acn_terms, 1),
-        apn_pos=apn_pos,
-        apn_neg=apn_neg,
-        acn_pos=acn_pos,
-        acn_neg=acn_neg,
+        apn_cls=_column(apn, 0),
+        apn_loc=_column(apn, 1),
+        acn_cls=_column(acn, 0),
+        acn_loc=_column(acn, 1),
+        apn_pos=_column(apn, 2),
+        apn_neg=_column(apn, 3),
+        acn_pos=_column(acn, 2),
+        acn_neg=_column(acn, 3),
     )
     _check_finite_losses(report)
+    return loss, report
+
+
+def train_step(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anchorkit.AnchorGrid, step: int) -> StepReport:
+    """One optimization step on one buffer: ``step_loss``, then backpropagate
+    the joint loss and update.  A non-finite loss raises ``ContractError``
+    before the update, leaving the parameters and velocities as they were."""
+    loss, report = step_loss(buffer, model, cfg, grid, step)
     nc.backward(loss)
     nc.sgd_step(model.params, model.velocity, cfg.sgd, step)
     return report
@@ -372,7 +371,7 @@ def _decode(tp, value, where: str):
     if get_origin(tp) is not tuple:
         return value
     if not isinstance(value, list):
-        raise DataError(f"{where}: expected a list, got {value!r}")
+        raise DataError(f"{where}: expected a list, got {_shown(value)}")
     return tuple(_decode(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, check_int
+from .errors import ConfigError, _shown, check_int
 
 ENCODER_BLOCKS = 3  # conv+relu+pool blocks, each halving the length
 ENCODER_STRIDE = 2 ** ENCODER_BLOCKS
@@ -59,7 +59,7 @@ class PyramidConfig:
 
     def __post_init__(self):
         if self.variant not in ("max", "conv"):
-            raise ConfigError(f"pyramid variant must be 'max' or 'conv', got {self.variant!r}")
+            raise ConfigError(f"pyramid variant must be 'max' or 'conv', got {_shown(self.variant)}")
         check_int("num_levels", self.num_levels, 1)
 
     @property

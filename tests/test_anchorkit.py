@@ -240,6 +240,8 @@ def test_encode_decode_roundtrip_sample():
 def test_segment_rejects_empty():
     with pytest.raises(ContractError):
         seg(5, 5)
+    with pytest.raises(ContractError, match="an int of 16610 bits"):  # raised a bare ValueError in the message
+        seg(10 ** 5000, 0)
 
 
 # ---------------------------------------------------------------------------

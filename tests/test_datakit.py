@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tfpdet import datakit as dk
-from tfpdet.errors import ConfigError, ContractError, DataError
+from tfpdet.errors import ConfigError, ContractError, DataError, _shown
 from tfpdet.numcore import Tensor
 
 
@@ -283,10 +283,19 @@ nan, inf = float("nan"), float("inf")
     *((lambda v=v: dk.VideoRecord("v", v, []), DataError) for v in (-5, 100.5, nan, True)),
     *((lambda v=v: dk.VideoRecord("v", 100, [], fps=v), DataError) for v in (0, nan, True)),
     (lambda: dk.VideoRecord("v", 100, [], subset="x"), DataError),
+    (lambda: dk.VideoRecord("v", 100, [], subset=10 ** 5000), DataError),
+    (lambda: dk.VideoRecord("v", 100, [], subset=(10 ** 5000,)), DataError),
+    (lambda: dk.VideoRecord(5, 100, []), DataError),
+    (lambda: dk.VideoRecord(None, 100, []), DataError),
 ], ids=["label 1.5", "label True", "label nan", "end inf", "num_frames -5", "num_frames 100.5", "num_frames nan",
-        "num_frames True", "fps 0", "fps nan", "fps True", "subset x"])
+        "num_frames True", "fps 0", "fps nan", "fps True", "subset x", "subset huge int", "subset tuple of a huge int",
+        "video_id 5", "video_id None"])
 def test_records_reject_values_that_their_files_cannot_hold(make, error):
-    # each constructed; a record then saved a file that load_annotations refuses
+    # each constructed; a record then saved a file that load_annotations
+    # refuses, or, for an int video id, one that loads back under the id "5"
+    # (save_annotations raised a bare TypeError when str ids were mixed in).
+    # A subset of an int of over 4,300 digits raised a bare ValueError in the
+    # message
     with pytest.raises(error):
         make()
 
@@ -440,6 +449,14 @@ def test_buffers_forward_only():
     assert [b.frame_offset for b in bufs] == [0, 768]
 
 
+@pytest.mark.parametrize("directions", ["backward", None, 10 ** 5000, [10 ** 5000]], ids=_shown)
+def test_buffers_reject_unknown_directions(directions):
+    # an int of over 4,300 digits, alone or in a list, raised a bare
+    # ValueError while the message was written
+    with pytest.raises(ConfigError, match="directions must be"):
+        dk.make_buffers(make_record(100), 64, directions=directions)
+
+
 @pytest.mark.parametrize("buf_len", [0, -32, -768, 40.0, True])
 def test_buffers_reject_non_positive_length(buf_len):
     # only the sign check stops an endless window loop; 40.0 and True raised
@@ -490,10 +507,15 @@ NOT_INTS = [float("nan"), 2.5, 768.0, True]
     # a NaN band length was already rejected by the range check
     *({"duration_bands": (band,)} for v in NOT_INTS[1:] for band in ((v, 768, 1.0), (1, v, 1.0))),
     {"seed": -1},
-], ids=repr)
+    {"duration_bands": ((10 ** 5000,),)}, {"duration_bands": ()}, {"duration_bands": 5}, {"duration_bands": (5,)},
+    {"instances_per_video": (1, 2, 3)}, {"instances_per_video": 5}, {"instances_per_video": (10 ** 5000, 1)},
+], ids=_shown)
 def test_synth_config_rejects_counts_and_seeds_that_are_not_ints(kw):
     # a NaN video length constructed and then failed placement after 11,011
-    # draws; a negative seed failed at the first draw with numpy's ValueError
+    # draws; a negative seed failed at the first draw with numpy's ValueError.
+    # No band constructed and then failed in generate_synthetic with numpy's
+    # bare ValueError; an instance count that is no pair, or a band of an int
+    # of over 4,300 digits, raised a bare ValueError or TypeError
     with pytest.raises(ConfigError):
         dk.SynthConfig(**kw)
 

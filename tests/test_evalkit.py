@@ -288,8 +288,8 @@ def test_eval_config_validation():
         ek.EvalConfig(tiou_thresholds=(0.5, 0.5))
     with pytest.raises(ConfigError):
         ek.EvalConfig(tiou_thresholds=(0.0, 0.5))
-    for budget in (0, -1, 2.5, True, "3"):
-        with pytest.raises(ConfigError):
+    for budget in (0, -1, 2.5, True, "3", -10 ** 5000):  # -10**5000 raised a bare ValueError in the message
+        with pytest.raises(ConfigError, match="proposal budget"):
             ek.EvalConfig(proposal_budget=budget)
     # True and a float32 scored as thresholds, and a string raised a bare TypeError
     for value in (True, np.float32(0.5), "0.5"):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tfpdet import anchorkit as ak, heads, numcore as nc, pyramid as pyr
 from tfpdet.datakit import Buffer
-from tfpdet.errors import ConfigError, ContractError
+from tfpdet.errors import ConfigError, ContractError, _shown
 
 from oracles import (acn_forward_ref, check_gradients, finalize_detections_ref, nms_blocked_ref, nms_ref,
                      roi_cell_selection_ref, roi_pool_ref, tiou_ref)
@@ -55,11 +55,21 @@ def test_configs_reject_counts_that_are_not_ints(field, value):
             heads.AcnConfig(**{"num_classes": 1, field: value})
 
 
-@pytest.mark.parametrize("value", [0, 1, "no"])
+@pytest.mark.parametrize("value", [0, 1, "no", 10 ** 5000, (10 ** 5000,)],
+                         ids=["0", "1", "no", "huge int", "tuple of a huge int"])
 def test_acn_config_use_context_must_be_a_bool(value):
-    # "no" turned context on, and 0 and 1 saved checkpoints that did not load
+    # "no" turned context on, and 0 and 1 saved checkpoints that did not load;
+    # an int of over 4,300 digits raised a bare ValueError in the message
     with pytest.raises(ConfigError, match="use_context"):
         heads.AcnConfig(num_classes=1, use_context=value)
+
+
+@pytest.mark.parametrize("value", ["s4", None, 10 ** 5000, [10 ** 5000]], ids=_shown)
+def test_acn_config_rejects_an_unknown_strategy(value):
+    # an int of over 4,300 digits, alone or in a list, raised a bare
+    # ValueError while the message was written
+    with pytest.raises(ConfigError, match="strategy must be one of"):
+        heads.AcnConfig(num_classes=1, strategy=value)
 
 
 def test_configs_accept_threshold_bounds():

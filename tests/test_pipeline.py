@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tfpdet import anchorkit as ak, datakit, heads, numcore as nc, pipeline, pyramid as pyr
-from tfpdet.errors import ConfigError, ContractError, DataError
+from tfpdet.errors import ConfigError, ContractError, DataError, _shown
 from tfpdet.numcore import Tensor
 
 
@@ -314,6 +314,57 @@ def test_non_finite_loss_raises_before_any_update():
     assert parameter_bytes(model) == before
 
 
+def test_step_loss_gradients_reach_every_parameter_and_match_central_differences(monkeypatch):
+    # the whole step in float64: both heads of every level under joint_loss.
+    # Redrawn at O(1) scale, as test_acn_gradcheck_full_path explains: at the
+    # 0.01 init, gradients fall below finite-difference resolution
+    enc, pcfg = pyr.EncoderConfig(input_dim=4, hidden_dim=4), pyr.PyramidConfig()
+    apn_cfg, acn_cfg = heads.ApnConfig(scales=ak.DEFAULT_SCALES, top_k=30), heads.AcnConfig(num_classes=2, fc_dim=8)
+    rng = np.random.default_rng(0)
+    params = nc.create_params(pipeline.Model.param_specs(enc, pcfg, apn_cfg, acn_cfg), rng)
+    for p in params.values():
+        p.data[...] = rng.standard_normal(p.data.shape) * 0.4
+    velocity = {name: rng.standard_normal(p.data.shape) for name, p in params.items()}
+    model = pipeline.Model(enc, pcfg, apn_cfg, acn_cfg, params, velocity)
+    # an instance at each level's scale; instances may overlap
+    acts = [datakit.Activity(8.0, 24.0, 1), datakit.Activity(120.0, 184.0, 2), datakit.Activity(30.0, 240.0, 1)]
+    buf = datakit.make_buffers(datakit.VideoRecord("v", 256, acts, rng.standard_normal((4, 256))), 256, "forward")[0]
+    cfg = pipeline.TrainConfig(buffer_len=256, seed=1)
+    grid = ak.build_anchor_grid(256, pcfg.strides, apn_cfg.scales)
+    # the classifier takes proposal geometry as fixed input, so hold the
+    # proposals at the first call's; a fixed step holds the samples
+    generate, first = heads.generate_proposals, []
+
+    def pinned(*args):
+        if not first:
+            first.append(generate(*args))
+        return first[0]
+
+    monkeypatch.setattr(heads, "generate_proposals", pinned)
+
+    before = parameter_bytes(model)
+    loss, report = pipeline.step_loss(buf, model, cfg, grid, 3)
+    assert parameter_bytes(model) == before  # no backward, no update
+    assert all(n > 0 for n in report.apn_pos + report.acn_pos)  # positives on every level of both heads
+    nc.backward(loss)
+    for name, p in params.items():
+        assert p.grad.any(), name
+        flat, grad = p.data.reshape(-1), p.grad.reshape(-1)
+        for i in np.random.default_rng(len(name)).choice(flat.size, size=min(3, flat.size), replace=False):
+            orig, errors = flat[i], []
+            for h in (1e-5, 1e-6, 1e-7):  # a retry at h/10 and h/100 steps off a relu or max-pool kink
+                flat[i] = orig + h
+                up = pipeline.step_loss(buf, model, cfg, grid, 3)[0].item()
+                flat[i] = orig - h
+                down = pipeline.step_loss(buf, model, cfg, grid, 3)[0].item()
+                flat[i] = orig
+                fd = (up - down) / (2 * h)
+                errors.append(abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8))
+                if errors[-1] < 1e-4:
+                    break
+            assert errors[-1] < 1e-4, (name, i, grad[i], errors)
+
+
 @pytest.mark.parametrize("buffer_len,scales", [
     (384, ak.DEFAULT_SCALES),
     (1536, ak.DEFAULT_SCALES),
@@ -397,6 +448,14 @@ def test_train_config_rejects_sampling_fractions_outside_unit_interval(field, va
         pipeline.TrainConfig(**{field: value})
     pipeline.TrainConfig(**{field: 0.0})
     pipeline.TrainConfig(**{field: 1.0})
+
+
+@pytest.mark.parametrize("kw", [{"sgd": None}, {"sgd": {"learning_rate": 1e-3}}, {"loss_weights": None},
+                                {"loss_weights": {"gamma": (1.0,), "lam": (1.0,)}}], ids=_shown)
+def test_train_config_requires_an_sgd_config_and_loss_weights(kw):
+    # each constructed and saved a checkpoint that load_checkpoint refused
+    with pytest.raises(ConfigError, match="sgd must be an SgdConfig and loss_weights a LossWeights"):
+        pipeline.TrainConfig(**kw)
 
 
 def huge_int_id(value):

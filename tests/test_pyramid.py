@@ -77,8 +77,11 @@ def test_single_level_pyramid_is_base_only():
 
 
 def test_pyramid_config_validation():
-    with pytest.raises(ConfigError):
-        pyr.PyramidConfig(variant="avg")
+    # an int of over 4,300 digits, alone or in a tuple, raised a bare
+    # ValueError while the message was written
+    for variant in ("avg", 10 ** 5000, (10 ** 5000,)):
+        with pytest.raises(ConfigError, match="variant"):
+            pyr.PyramidConfig(variant=variant)
     with pytest.raises(ConfigError):
         pyr.PyramidConfig(num_levels=0)
     # num_levels=True built a one-level pyramid

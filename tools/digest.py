@@ -10,6 +10,11 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
 - ``init``: one digest of every parameter's name, shape and values as the
   ``train`` workload's model is built, before any op (in ``--float64``
   mode, as redrawn), which pins the initial draw apart from training;
+- ``grad``: one digest of every parameter's name, shape and leaf gradient
+  after the backward of the ``train`` workload's op 0 and before its
+  update, taken by wrapping ``numcore.sgd_step`` for that op only; when a
+  change moves the ``train`` lines, it tells whether the backward or the
+  update moved;
 - ``train``: 40 ops of the ``train`` workload at seed 3, then one digest of
   the StepReports, one of every parameter's values and velocity, and one
   of the bytes that ``pipeline.save_checkpoint`` writes for the workload's
@@ -98,20 +103,37 @@ def to_float64(workloads, model, videos_or_buffers) -> list:
     return [dataclasses.replace(item, features=cast(item.features)) for item in videos_or_buffers]
 
 
-def train_digests(workloads, float64: bool, workdir: Path) -> tuple[str, str, str, str]:
-    from tfpdet import pipeline
+def params_digest(params: dict, values) -> str:
+    """Digest of each named parameter's name, shape and the array ``values`` gives for it."""
+    return sha256(chunk for name, p in params.items()
+                  for chunk in (json.dumps([name, p.data.shape]).encode(), values(p).tobytes()))
+
+
+def train_digests(workloads, float64: bool, workdir: Path) -> tuple[str, str, str, str, str]:
+    from tfpdet import numcore, pipeline
 
     w = workloads.Train(TRAIN_SEED, workloads.FULL, workdir)
     if float64:
         cast = iter(to_float64(workloads, w.model, [b for bufs in w.buffers.values() for b in bufs]))
         w.buffers = {vid: [next(cast) for _ in bufs] for vid, bufs in w.buffers.items()}
-    init = sha256(chunk for name, p in w.model.params.items()
-                  for chunk in (json.dumps([name, p.data.shape]).encode(), p.data.tobytes()))
-    reports = [json.dumps(w.op(i).to_json_dict(), sort_keys=True).encode() for i in range(TRAIN_OPS)]
+    init = params_digest(w.model.params, lambda p: p.data)
+    update, grads = numcore.sgd_step, []
+
+    def digest_then_update(params, *args):
+        grads.append(params_digest(params, lambda p: p.grad))
+        return update(params, *args)
+
+    numcore.sgd_step = digest_then_update
+    try:
+        ops = [w.op(0)]
+    finally:
+        numcore.sgd_step = update
+    ops += [w.op(i) for i in range(1, TRAIN_OPS)]
+    reports = [json.dumps(op.to_json_dict(), sort_keys=True).encode() for op in ops]
     arrays = [a.tobytes() for name, p in w.model.params.items() for a in (p.data, w.model.velocity[name])]
     checkpoint = workdir / "model.tfpm"
     pipeline.save_checkpoint(checkpoint, w.model, w.cfg, TRAIN_OPS)
-    return init, sha256(reports), sha256(arrays), sha256([checkpoint.read_bytes()])
+    return init, grads[0], sha256(reports), sha256(arrays), sha256([checkpoint.read_bytes()])
 
 
 def infer_digests(workloads, seed: int, float64: bool, workdir: Path) -> tuple[str, str]:
@@ -236,8 +258,9 @@ def main(argv=None) -> int:
     import workloads  # imports numpy and tfpdet, so only after the thread cap
 
     with tempfile.TemporaryDirectory() as tmp:
-        init, reports, arrays, checkpoint = train_digests(workloads, args.float64, Path(tmp) / "train")
+        init, grads, reports, arrays, checkpoint = train_digests(workloads, args.float64, Path(tmp) / "train")
         print(f"init model seed {workloads.MODEL_SEED} params {init}")
+        print(f"grad seed {TRAIN_SEED} op 0 leaf gradients before the update {grads}")
         print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} reports {reports}")
         print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} params+velocities {arrays}")
         print(f"train seed {TRAIN_SEED} ops {TRAIN_OPS} checkpoint {checkpoint}")
