@@ -3,6 +3,12 @@
 All segments are half-open temporal intervals in frame units.  Anchors are
 laid out per pyramid level on a regular grid of cell centers and are left
 unclipped at generation; clipping happens only when proposals are decoded.
+
+Arrays of segments have one format throughout the package: float64
+(start, end) rows of shape [..., 2], so functions that take or return
+several segments broadcast and pass them to one another as they are.
+``Segment`` objects remain only at the edges: video records, ``Proposal``
+and ``Detection`` objects, and the inputs of ``evalkit``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, _shown
+
+_REALS = (float, int, np.integer, np.floating)  # bool is an int, and excluded apart
 
 # Per-level anchor lengths, as multiples of the level's stride (which
 # ``PyramidConfig.strides`` gives).
@@ -29,14 +37,16 @@ SINGLE_SCALE_SCALES = (
 
 @dataclass(frozen=True)
 class Segment:
-    """Half-open interval [start, end) in frames; end must exceed start."""
+    """Half-open interval [start, end) in frames: real numbers (Python or
+    numpy ints and floats, not bools) with end exceeding start."""
 
     start: float
     end: float
 
     def __post_init__(self):
-        if not self.end > self.start:
-            raise ContractError(f"segment needs end > start, got [{_shown(self.start)}, {_shown(self.end)}]")
+        s, e = self.start, self.end
+        if not (isinstance(s, _REALS) and isinstance(e, _REALS) and e > s) or type(s) is bool or type(e) is bool:
+            raise ContractError(f"segment needs real bounds with end > start, got [{_shown(s)}, {_shown(e)}]")
 
     @property
     def length(self) -> float:
@@ -49,20 +59,19 @@ class Segment:
 
 @dataclass(frozen=True, eq=False)
 class AnchorGrid:
-    """All anchors of all levels as flat (start, end) arrays.  Level k's are
+    """All anchors of all levels as [n, 2] (start, end) rows.  Level k's are
     the block [level_offsets[k], level_offsets[k+1]), position-major: scale
     j at position p is entry p * len(scales[k]) + j of the block, and
     ``heads.anchor_map_indices`` maps it to APN map rows.  The flat index is
     the tie-break key everywhere.
     """
 
-    starts: np.ndarray
-    ends: np.ndarray
+    segments: np.ndarray
     level_offsets: np.ndarray
     buffer_len: int
 
     def __len__(self) -> int:
-        return len(self.starts)
+        return len(self.segments)
 
     def level_indices(self, k: int) -> np.ndarray:
         return np.arange(self.level_offsets[k], self.level_offsets[k + 1])
@@ -76,16 +85,15 @@ def build_anchor_grid(buffer_len: int, strides, scales) -> AnchorGrid:
         raise ConfigError(f"{len(strides)} strides but {len(scales)} scale lists")
     if not strides:
         raise ConfigError("an anchor grid needs at least one level")
-    starts, ends, offsets = [], [], [0]
+    segments, offsets = [], [0]
     for s_k, level_scales in zip(strides, scales):
         if buffer_len % s_k != 0:
             raise ConfigError(f"buffer_len {_shown(buffer_len)} not divisible by stride {_shown(s_k)}")
         c = ((np.arange(buffer_len // s_k) + 0.5) * s_k)[:, None]
         half = 0.5 * np.asarray(level_scales, dtype=np.float64) * s_k
-        starts.append((c - half).ravel())
-        ends.append((c + half).ravel())
+        segments.append(np.stack([c - half, c + half], axis=-1).reshape(-1, 2))
         offsets.append(offsets[-1] + c.size * half.size)
-    return AnchorGrid(np.concatenate(starts), np.concatenate(ends), np.array(offsets), int(buffer_len))
+    return AnchorGrid(np.concatenate(segments), np.array(offsets), int(buffer_len))
 
 
 def tiou(a, b) -> np.ndarray:
@@ -116,31 +124,30 @@ def encode(anchors, gts) -> np.ndarray:
     return np.stack([offset, np.log((g[..., 1] - g[..., 0]) / length)], axis=-1)
 
 
-def decode(starts, ends, center_offsets, log_lengths, clip_to):
-    """Invert ``encode`` elementwise over broadcasting arrays (anchor
-    starts and ends, and the two columns of ``encode``'s result), then clip
-    to ``clip_to`` = (lo, hi).
+def decode(anchors, deltas, clip_to):
+    """Invert ``encode``: the segments that the [..., 2] ``deltas`` encode
+    against the [..., 2] ``anchors`` (arrays that broadcast), clipped to
+    ``clip_to`` = (lo, hi).
 
-    Returns (starts, ends, keep); ``keep`` is False where the clipped
+    Returns ([..., 2] segments, keep); ``keep`` is False where the clipped
     result is shorter than one frame, which callers drop as degenerate.
     """
-    length = ends - starts
-    c = 0.5 * (starts + ends) + center_offsets * length
-    half = 0.5 * length * np.exp(log_lengths)
-    s, e = np.maximum(c - half, clip_to[0]), np.minimum(c + half, clip_to[1])
-    return s, e, e - s >= 1.0
+    length = anchors[..., 1] - anchors[..., 0]
+    c = 0.5 * (anchors[..., 0] + anchors[..., 1]) + deltas[..., 0] * length
+    half = 0.5 * length * np.exp(deltas[..., 1])
+    segs = np.stack([np.maximum(c - half, clip_to[0]), np.minimum(c + half, clip_to[1])], axis=-1)
+    return segs, segs[..., 1] - segs[..., 0] >= 1.0
 
 
 @dataclass
 class MatchResult:
     """Per-row matching outcome of an anchor or proposal matcher: ``labels``
     (anchors: +1 pos, -1 neg, 0 ignore; proposals: the class, 0 for
-    background), the matched ground-truth index of positives (-1 elsewhere)
-    and their ``encode`` regression targets (zeros elsewhere).
+    background) and the ``encode`` regression targets of positives toward
+    their best ground truth (zeros elsewhere).
     """
 
     labels: np.ndarray
-    matched_gt: np.ndarray
     reg_targets: np.ndarray
 
 
@@ -156,11 +163,11 @@ def _best_gt(segs: np.ndarray, gts: np.ndarray) -> tuple:
 
 
 def _match(segs: np.ndarray, gts: np.ndarray, labels: np.ndarray, fg: np.ndarray, best: np.ndarray) -> MatchResult:
-    """``labels`` plus, for the rows where ``fg`` is set, the index of their
-    best ground truth and the regression target toward it."""
+    """``labels`` plus, for the rows where ``fg`` is set, the regression
+    target toward their best ground truth ``best``."""
     reg = np.zeros((len(segs), 2))
     reg[fg] = encode(segs[fg], gts[best[fg]])
-    return MatchResult(labels, np.where(fg, best, -1), reg)
+    return MatchResult(labels, reg)
 
 
 def match_anchors_apn(grid: AnchorGrid, gts: np.ndarray, pos_tiou: float = 0.7, neg_tiou: float = 0.3) -> MatchResult:
@@ -173,13 +180,12 @@ def match_anchors_apn(grid: AnchorGrid, gts: np.ndarray, pos_tiou: float = 0.7, 
     strictly below ``neg_tiou`` for every ground truth; everything else is
     ignored.  Positives regress toward their own highest-tIoU ground truth.
     """
-    anchors = np.stack([grid.starts, grid.ends], axis=1)
-    m, best_gt, best_tiou = _best_gt(anchors, gts)
+    m, best_gt, best_tiou = _best_gt(grid.segments, gts)
     labels = np.zeros(len(grid), dtype=np.int8)
     labels[best_tiou < neg_tiou] = -1
     labels[best_tiou > pos_tiou] = 1
     labels[m.argmax(axis=0)] = 1  # best anchor per ground truth; argmax takes lowest index
-    return _match(anchors, gts, labels, labels == 1, best_gt)
+    return _match(grid.segments, gts, labels, labels == 1, best_gt)
 
 
 def match_proposals_acn(proposals: np.ndarray, gts: np.ndarray, gt_labels: np.ndarray, fg_tiou: float = 0.5) -> MatchResult:

@@ -73,8 +73,12 @@ class VideoRecord:
         check_real(f"video {self.video_id!r}: fps", self.fps, "(0, inf)", DataError)
         if self.subset not in ("train", "val", "test"):
             raise DataError(f"video {self.video_id!r}: unknown subset {_shown(self.subset)}")
+        if not isinstance(self.annotations, (tuple, list)):
+            raise DataError(f"video {self.video_id!r}: annotations must be a tuple or list, got {_shown(self.annotations)}")
         object.__setattr__(self, "annotations", tuple(self.annotations))
-        for a in self.annotations:
+        for i, a in enumerate(self.annotations):
+            if not isinstance(a, Activity):
+                raise DataError(f"video {self.video_id!r}: annotation {i} must be an Activity, got {_shown(a)}")
             if a.t_end > self.num_frames + 1e-6:
                 raise DataError(
                     f"video {self.video_id!r}: annotation [{a.t_start}, {a.t_end}] exceeds {self.num_frames} frames"
@@ -291,7 +295,7 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
         raise ConfigError(f"directions must be 'both' or 'forward', got {_shown(directions)}")
     L = record.num_frames
     feats = record.features
-    starts, ends = np.array([(a.t_start, a.t_end) for a in record.annotations], dtype=np.float64).reshape(-1, 2).T
+    gts = np.array([(a.t_start, a.t_end) for a in record.annotations], dtype=np.float64).reshape(-1, 2)
     labels = np.array([a.label for a in record.annotations], dtype=np.int64)
     forward = [0] if L == 0 else list(range(0, L, buf_len))
     backward = [max(0, end - buf_len) for end in range(L, 0, -buf_len)] if directions == "both" else []
@@ -304,11 +308,10 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
 
     def window(offset: int) -> Buffer:
         valid = max(0, min(buf_len, L - offset))
-        cs = np.maximum(starts, float(offset))
-        ce = np.minimum(ends, float(offset + valid))
-        kept = (ce > cs) & ((ce - cs) >= CLIP_KEEP_FRACTION * (ends - starts))
-        segments = np.stack([cs[kept], ce[kept]], axis=1) - offset
-        return Buffer(record.video_id, offset, stack[rows[offset]], segments, labels[kept], valid)
+        clipped = np.clip(gts, float(offset), float(offset + valid))
+        length = clipped[:, 1] - clipped[:, 0]
+        kept = (length > 0) & (length >= CLIP_KEEP_FRACTION * (gts[:, 1] - gts[:, 0]))
+        return Buffer(record.video_id, offset, stack[rows[offset]], clipped[kept] - offset, labels[kept], valid)
 
     return [window(offset) for offset in forward + backward]
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchorkit import segment_pairs, tiou
-from .errors import ConfigError, ContractError, _shown, check_real
+from .errors import ConfigError, ContractError, _shown, check_int, check_real
 
 DETECTION_DISPLAY_THRESHOLDS = (0.5, 0.75, 0.95)
 
@@ -176,7 +176,8 @@ def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport
     total_gt = sum(len(v) for v in gts_by_video.values())
     if total_gt == 0:
         raise ContractError("evaluate_detections needs at least one ground-truth instance")
-    classes = sorted({label for v in gts_by_video.values() for _, label in v})
+    # a label < 1 is background, which no Detection carries, and would still count toward the mAP
+    classes = sorted({check_int("ground-truth label", label, 1, ContractError) for v in gts_by_video.values() for _, label in v})
     thresholds = sorted(set(cfg.tiou_thresholds) | set(cfg.average_grid))
     codes = {vid: k for k, vid in enumerate(sorted({d.video_id for d in dets} | gts_by_video.keys()))}
     segments = segment_pairs([d.segment for d in dets])

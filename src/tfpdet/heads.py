@@ -15,7 +15,11 @@ Post-processing runs on arrays: proposals and detections are decoded by
 ``anchorkit.decode`` per level, and NMS is exact greedy suppression that
 computes ``anchorkit.tiou`` only for pairs that can suppress.  Proposals
 (``Proposals``) and detections (``Detections``) stay arrays from a window's
-NMS to one class-wise ``nms_detections`` per video.
+NMS to one class-wise ``nms_detections`` per video.  Every array of
+segments, from the anchor grid through NMS, RoI pooling and context
+windows to the detections, holds [n, 2] (start, end) rows, as in
+``anchorkit``; only ``Proposal`` and ``Detection`` objects hold a
+``Segment``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .pyramid import PyramidFeatures, layer_specs
 
 STRATEGIES = ("s1", "s2", "s3")
 NMS_BLOCK = 64  # candidates per greedy block of nms_indices' top_k scan
+_INTS = (int, np.integer)  # bool is an int, and excluded apart
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,10 @@ class Detection:
     video_id: str
 
     def __post_init__(self):
-        if self.label < 1:
-            raise ContractError("detections never carry the background label")
+        label = self.label
+        if not (isinstance(self.segment, Segment) and isinstance(label, _INTS) and label >= 1) or type(label) is bool:
+            raise ContractError(f"a detection needs a Segment and an int label >= 1, never background; got "
+                                f"{_shown(self.segment)} and {_shown(label)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +217,8 @@ def _overlap_survivors(segs: np.ndarray, thresh: float) -> list[int]:
     return [r for r, d in enumerate(dead) if not d]
 
 
-def nms_indices(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray, thresh: float, top_k: int | None = None) -> list[int]:
-    """Greedy NMS: keep by descending score, suppress overlaps >= thresh.
+def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: int | None = None) -> list[int]:
+    """Greedy NMS of [n, 2] rows: keep by descending score, suppress overlaps >= thresh.
 
     Score ties break on the lower index, which callers keep deterministic.
     A NaN overlap suppresses; a threshold that is not > 0 (NaN included)
@@ -232,7 +239,7 @@ def nms_indices(starts: np.ndarray, ends: np.ndarray, scores: np.ndarray, thresh
     """
     n = len(scores)
     order = np.lexsort((np.arange(n), -np.asarray(scores)))
-    segs = np.stack([starts, ends], axis=1).take(order, axis=0)
+    segs = segments.take(order, axis=0)
     if not thresh > 0:
         return order[:1].tolist()
     with np.errstate(invalid="ignore"):  # NaN and infinite ends give NaN overlaps, which suppress
@@ -270,7 +277,7 @@ def generate_proposals(apn_out, grid: AnchorGrid, cfg: ApnConfig) -> Proposals:
     levels through NMS at ``cfg.nms_tiou``, keeping at most ``cfg.top_k``."""
     if len(grid.level_offsets) != len(apn_out) + 1:
         raise ContractError(f"an anchor grid of {len(grid.level_offsets) - 1} levels for {len(apn_out)} APN levels")
-    parts = []  # per level: the kept anchors' starts, ends, scores and levels
+    parts = []  # per level: the kept anchors' segments, scores and levels
     hi = float(grid.buffer_len)
     for k, (cls, reg) in enumerate(apn_out):
         idx = grid.level_indices(k)
@@ -279,19 +286,18 @@ def generate_proposals(apn_out, grid: AnchorGrid, cfg: ApnConfig) -> Proposals:
         m = np.maximum(bg, fg)
         efg = np.exp(fg - m)
         obj = efg / (np.exp(bg - m) + efg)
-        offsets, log_lengths = reg.data.take(cells).T
-        s, e, keep = decode(grid.starts[idx], grid.ends[idx], offsets, log_lengths, (0.0, hi))
-        parts.append((s[keep], e[keep], obj[keep], np.full(int(keep.sum()), k)))
-    starts, ends, scores, levels = (np.concatenate(x) for x in zip(*parts))
-    kept = nms_indices(starts, ends, scores, cfg.nms_tiou, cfg.top_k)
-    return Proposals(np.stack([starts, ends], 1)[kept], scores[kept], levels[kept])
+        segs, keep = decode(grid.segments[idx], reg.data.take(cells), (0.0, hi))
+        parts.append((segs[keep], obj[keep], np.full(int(keep.sum()), k)))
+    segments, scores, levels = (np.concatenate(x) for x in zip(*parts))
+    kept = nms_indices(segments, scores, cfg.nms_tiou, cfg.top_k)
+    return Proposals(segments[kept], scores[kept], levels[kept])
 
 
 # ---------------------------------------------------------------------------
 # RoI pooling and context fusion
 
 
-def _roi_windows(t: int, starts: np.ndarray, ends: np.ndarray, stride: float, num_bins: int) -> tuple:
+def _roi_windows(t: int, segments: np.ndarray, stride: float, num_bins: int) -> tuple:
     """Range-max table rows (left, right), each [N, P], of the two power-of-two
     windows that cover each bin's cell range, and the table's level count.
 
@@ -302,12 +308,11 @@ def _roi_windows(t: int, starts: np.ndarray, ends: np.ndarray, stride: float, nu
     whose maximum per channel is the larger of two (possibly overlapping)
     table windows, the later one winning only if strictly larger.
     """
-    lo = np.minimum(np.maximum(starts / stride, 0.0), float(t))
-    hi = np.minimum(np.maximum(ends / stride, 0.0), float(t))
+    lo, hi = np.minimum(np.maximum(segments / stride, 0.0), float(t)).T
     outside = hi <= lo
     if outside.any():
         i = outside.argmax()
-        raise ContractError(f"segment [{starts[i]}, {ends[i]}] lies outside the feature extent")
+        raise ContractError(f"segment [{segments[i, 0]}, {segments[i, 1]}] lies outside the feature extent")
     # covered cells [first, last): centers in [lo, hi), else the cell at the middle
     first = np.maximum(np.ceil(lo - 0.5), 0).astype(np.int64)
     last = np.minimum(np.ceil(hi - 0.5), t).astype(np.int64)
@@ -388,9 +393,9 @@ def _first_max_cells(t: int, ups: list, left: np.ndarray, right: np.ndarray, win
     return cells
 
 
-def roi_pool(feat: nc.Tensor, starts, ends, stride: float, num_bins: int) -> nc.Tensor:
+def roi_pool(feat: nc.Tensor, segments: np.ndarray, stride: float, num_bins: int) -> nc.Tensor:
     """Fixed-size [N, D, P] max-pooled features of a level's [D, T] Tensor
-    for N segments, given as arrays of start and end frames.
+    for the [N, 2] (start, end) segment rows, in frames.
 
     The values are read from the range-max table.  The pooled cells'
     indices, which only the gradient needs, are computed by the backward
@@ -399,29 +404,28 @@ def roi_pool(feat: nc.Tensor, starts, ends, stride: float, num_bins: int) -> nc.
     through those cells bit for bit.
     """
     t = feat.shape[1]
-    starts, ends = np.asarray(starts, dtype=np.float64), np.asarray(ends, dtype=np.float64)
-    left, right, levels = _roi_windows(t, starts, ends, stride, num_bins)
+    left, right, levels = _roi_windows(t, segments, stride, num_bins)
     val, ups = _range_max_table(feat.data, levels)
     out, wins = _pool_values(val, left, right)
     return nc.gathered(feat, out, lambda: _first_max_cells(t, ups, left, right, wins))
 
 
-def context_window(starts, ends, buffer_len: float):
-    """(starts, ends) of the segments dilated to twice their length about
-    their centers, clipped to the buffer."""
-    c, half = 0.5 * (starts + ends), ends - starts
-    return np.maximum(0.0, c - half), np.minimum(float(buffer_len), c + half)
+def context_window(segments: np.ndarray, buffer_len: float) -> np.ndarray:
+    """The [..., 2] segment rows dilated to twice their length about their
+    centers, clipped to the buffer."""
+    c, half = 0.5 * (segments[..., 0] + segments[..., 1]), segments[..., 1] - segments[..., 0]
+    return np.stack([np.maximum(0.0, c - half), np.minimum(float(buffer_len), c + half)], axis=-1)
 
 
-def context_features(level_feat, starts, ends, stride: float, num_bins: int, params: dict, level: int) -> nc.Tensor:
-    """Fuse the RoI features of N segments (start and end arrays) with their
+def context_features(level_feat, segments: np.ndarray, stride: float, num_bins: int, params: dict, level: int) -> nc.Tensor:
+    """Fuse the RoI features of the [N, 2] segment rows with their
     context: one ``roi_pool`` call pools the segments and their context
     windows, and the two [N, D, P] row halves are channel-reduced to D/2 by
     separate conv layers and concatenated back to [N, D, P].  Context windows
     are clipped to the buffer the level's map spans, its length times stride."""
-    ctx_starts, ctx_ends = context_window(starts, ends, level_feat.shape[-1] * stride)
-    both = roi_pool(level_feat, np.concatenate([starts, ctx_starts]), np.concatenate([ends, ctx_ends]), stride, num_bins)
-    n = len(starts)
+    ctx = context_window(segments, level_feat.shape[-1] * stride)
+    both = roi_pool(level_feat, np.concatenate([segments, ctx]), stride, num_bins)
+    n = len(segments)
     pooled, ctx = nc.rows(both, 0, n), nc.rows(both, n, 2 * n)
     r = nc.relu(nc.temporal_conv(pooled, params[f"acn.level{level}.roi_reduce.w"], params[f"acn.level{level}.roi_reduce.b"], 1, 1))
     c = nc.relu(nc.temporal_conv(ctx, params[f"acn.level{level}.ctx_reduce.w"], params[f"acn.level{level}.ctx_reduce.b"], 1, 1))
@@ -452,7 +456,6 @@ def acn_forward(pyr: PyramidFeatures, proposals: Proposals, cfg: AcnConfig, para
     """
     if assignment is None:
         assignment = assign_proposals(proposals, cfg, len(pyr.levels))
-    starts, ends = proposals.segments.T
     out = []
     for k, idx in enumerate(assignment):
         if len(idx) == 0:
@@ -460,9 +463,9 @@ def acn_forward(pyr: PyramidFeatures, proposals: Proposals, cfg: AcnConfig, para
             continue
         feat, stride = pyr.levels[k], pyr.strides[k]
         if cfg.use_context:
-            f = context_features(feat, starts[idx], ends[idx], stride, cfg.roi_bins, params, k)
+            f = context_features(feat, proposals.segments[idx], stride, cfg.roi_bins, params, k)
         else:
-            f = roi_pool(feat, starts[idx], ends[idx], stride, cfg.roi_bins)
+            f = roi_pool(feat, proposals.segments[idx], stride, cfg.roi_bins)
         x = nc.reshape(f, (len(idx), -1))
         h = nc.relu(nc.linear(x, params[f"acn.level{k}.fc6.w"], params[f"acn.level{k}.fc6.b"]))
         h = nc.relu(nc.linear(h, params[f"acn.level{k}.fc7.w"], params[f"acn.level{k}.fc7.b"]))
@@ -494,9 +497,9 @@ def finalize_detections(acn_out, proposals: Proposals, cfg: AcnConfig, buffer) -
         post = (ez / ez.sum(axis=1, keepdims=True))[:, 1:]  # class posteriors
         seg = proposals.segments[idx]
         pairs = reg.data.take(acn_reg_indices(reg.shape, 0, np.arange(1, cfg.num_classes + 1)), axis=1)  # [n, C, 2]
-        s, e, ok = decode(seg[:, :1], seg[:, 1:], pairs[..., 0], pairs[..., 1], (0.0, float(buffer.num_valid)))
+        segs, ok = decode(seg[:, None], pairs, (0.0, float(buffer.num_valid)))
         row, c = np.nonzero(~(post < cfg.score_thresh) & ok)
-        parts.append(Detections(np.stack([s[row, c], e[row, c]], axis=1) + float(buffer.frame_offset), c + 1, post[row, c]))
+        parts.append(Detections(segs[row, c] + float(buffer.frame_offset), c + 1, post[row, c]))
     return Detections.concat(parts)
 
 
@@ -505,11 +508,10 @@ def nms_detections(cands: Detections, thresh: float) -> Detections:
     window order, ranked by descending score, then label, then start; ties
     keep candidate order.  Candidates of two disjoint windows meet at most
     at a boundary, at tIoU 0, so one NMS per class equals one per window."""
-    starts, ends = cands.segments.T
     kept = [np.zeros(0, dtype=np.int64)]
     for c in sorted(set(cands.labels.tolist())):  # np.unique imports numpy.ma: ~1.6 MB of RSS
         idx = np.flatnonzero(cands.labels == c)
-        kept.append(idx[nms_indices(starts[idx], ends[idx], cands.scores[idx], thresh)])
+        kept.append(idx[nms_indices(cands.segments[idx], cands.scores[idx], thresh)])
     kept = np.concatenate(kept)
-    order = kept[np.lexsort((starts[kept], cands.labels[kept], -cands.scores[kept]))]
+    order = kept[np.lexsort((cands.segments[kept, 0], cands.labels[kept], -cands.scores[kept]))]
     return Detections(cands.segments[order], cands.labels[order], cands.scores[order])

@@ -295,14 +295,13 @@ def propose_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -
     """Every forward window's proposals in video frames, ranked by objectness, then start."""
     parts = []
     for buf, _, _, proposals in _forward_windows(record, model, cfg):
-        s = np.maximum(proposals.segments[:, 0], 0.0) + buf.frame_offset
-        e = np.minimum(proposals.segments[:, 1], float(buf.num_valid)) + buf.frame_offset
-        keep = e - s >= 1.0
-        parts.append((s[keep], e[keep], proposals.objectness[keep], proposals.levels[keep]))
-    s, e, obj, levels = (np.concatenate(x) for x in zip(*parts))
-    order = np.lexsort((s, -obj))
-    rows = zip(s[order].tolist(), e[order].tolist(), obj[order].tolist(), levels[order].tolist())
-    return [heads.Proposal(anchorkit.Segment(a, b), score, level) for a, b, score, level in rows]
+        segs = np.minimum(proposals.segments, float(buf.num_valid)) + buf.frame_offset  # decode clamped starts at 0
+        keep = segs[:, 1] - segs[:, 0] >= 1.0
+        parts.append((segs[keep], proposals.objectness[keep], proposals.levels[keep]))
+    segs, obj, levels = (np.concatenate(x) for x in zip(*parts))
+    order = np.lexsort((segs[:, 0], -obj))
+    rows = zip(segs[order].tolist(), obj[order].tolist(), levels[order].tolist())
+    return [heads.Proposal(anchorkit.Segment(a, b), score, level) for (a, b), score, level in rows]
 
 
 def infer_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> list[heads.Detection]:

@@ -19,12 +19,12 @@ def seg(s, e):
 
 
 def grid_segments(grid):
-    return [seg(s, e) for s, e in zip(grid.starts.tolist(), grid.ends.tolist())]
+    return [seg(s, e) for s, e in grid.segments.tolist()]
 
 
 def level_lengths(grid, k):
-    idx = grid.level_indices(k)
-    return sorted(set((grid.ends[idx] - grid.starts[idx]).tolist()))
+    segs = grid.segments[grid.level_indices(k)]
+    return sorted(set((segs[:, 1] - segs[:, 0]).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -57,11 +57,11 @@ def test_first_cell_anchor_placement():
     grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
     assert grid.level_offsets.tolist() == [0, 96 * 7, 96 * 7 + 48 * 7, 1272]
     assert level_position_scale(grid, ak.DEFAULT_SCALES, 0) == (0, 0, 0)
-    assert (grid.starts[0], grid.ends[0]) == (0.0, 8.0)
+    assert grid.segments[0].tolist() == [0.0, 8.0]
     # the last anchor of level 0, and the first of level 1
     assert level_position_scale(grid, ak.DEFAULT_SCALES, 96 * 7 - 1) == (0, 95, 6)
     assert level_position_scale(grid, ak.DEFAULT_SCALES, 96 * 7) == (1, 0, 0)
-    assert (grid.starts[96 * 7], grid.ends[96 * 7]) == (-24.0, 40.0)
+    assert grid.segments[96 * 7].tolist() == [-24.0, 40.0]
 
 
 @pytest.mark.parametrize("buffer_len,strides,scales", [
@@ -79,7 +79,7 @@ def test_grid_arrays_equal_per_anchor_loop(buffer_len, strides, scales):
                 half = 0.5 * sc * s_k
                 want.append((c - half, c + half, k, p, j))
     assert [(s, e, *level_position_scale(grid, scales, i))
-            for i, (s, e) in enumerate(zip(grid.starts.tolist(), grid.ends.tolist()))] == want
+            for i, (s, e) in enumerate(grid.segments.tolist())] == want
     assert [len(grid.level_indices(k)) for k in range(len(strides))] == [
         sum(1 for a in want if a[2] == k) for k in range(len(strides))]
 
@@ -181,9 +181,8 @@ def test_encode_equals_the_scalar_reference_on_random_pairs():
 
 def decode_one(anchor, center_offset, log_length, clip_to=(-math.inf, math.inf)):
     """``ak.decode`` on a single row: (start, end), or None if dropped."""
-    s, e, keep = ak.decode(np.array([anchor.start]), np.array([anchor.end]),
-                           np.array([center_offset]), np.array([log_length]), clip_to)
-    return (s[0], e[0]) if keep[0] else None
+    segs, keep = ak.decode(np.array([[anchor.start, anchor.end]]), np.array([[center_offset, log_length]]), clip_to)
+    return tuple(segs[0]) if keep[0] else None
 
 
 def test_decode_zero_offsets_is_anchor():
@@ -202,17 +201,17 @@ def test_decode_degenerate_returns_none():
 
 
 def test_decode_broadcasts_anchors_against_class_columns():
-    starts, ends = np.array([[0.0], [100.0]]), np.array([[10.0], [300.0]])
+    anchors = np.array([[[0.0, 10.0]], [[100.0, 300.0]]])
     offsets = np.array([[0.0, 0.5, 80.0], [0.0, -0.25, 0.0]])
     logs = np.array([[0.0, 0.0, 0.0], [math.log(3), 0.0, -10.0]])
-    s, e, keep = ak.decode(starts, ends, offsets, logs, (0.0, 400.0))
-    assert s.shape == e.shape == keep.shape == (2, 3)
+    segs, keep = ak.decode(anchors, np.stack([offsets, logs], axis=-1), (0.0, 400.0))
+    assert segs.shape == (2, 3, 2) and keep.shape == (2, 3)
     for i in range(2):
         for j in range(3):
-            expect = decode_one(seg(starts[i, 0], ends[i, 0]), offsets[i, j], logs[i, j], (0.0, 400.0))
-            assert (None if not keep[i, j] else (s[i, j], e[i, j])) == expect
+            expect = decode_one(seg(*anchors[i, 0]), offsets[i, j], logs[i, j], (0.0, 400.0))
+            assert (None if not keep[i, j] else tuple(segs[i, j])) == expect
     assert not keep[0, 2] and not keep[1, 2]  # pushed past the clip range; shorter than a frame
-    assert (s[1, 0], e[1, 0]) == (0.0, 400.0)
+    assert segs[1, 0].tolist() == [0.0, 400.0]
 
 
 def test_encode_decode_roundtrip_sample():
@@ -226,11 +225,40 @@ def test_encode_decode_roundtrip_sample():
         anchors.append(seg(ac, ac + al))
         gts.append(seg(gc, gc + gl))
     a, g = ak.segment_pairs(anchors), ak.segment_pairs(gts)
-    offsets, logs = ak.encode(a, g).T
-    s, e, keep = ak.decode(a[:, 0], a[:, 1], offsets, logs, (-math.inf, math.inf))
+    segs, keep = ak.decode(a, ak.encode(a, g), (-math.inf, math.inf))
     assert keep.all()
-    worst = max(np.abs(s - g[:, 0]).max(), np.abs(e - g[:, 1]).max())
-    assert worst < 1e-9
+    assert np.abs(segs - g).max() < 1e-9
+
+
+EXTREME = (math.nan, math.inf, -math.inf, 1e308, -1e308, 800.0, -800.0, 0.0)
+
+
+def assert_tame(segs, lo, hi):
+    """Each [n, 2] row is finite, inside [lo, hi] and at least one frame long."""
+    assert np.isfinite(segs).all()
+    assert np.all((lo <= segs[:, 0]) & (segs[:, 1] <= hi) & (segs[:, 1] - segs[:, 0] >= 1.0))
+
+
+def test_decode_keeps_only_tame_rows_of_extreme_deltas():
+    deltas = np.array([(o, g) for o in EXTREME for g in EXTREME])
+    for anchor in ([100.0, 164.0], [-24.0, 40.0], [700.0, 800.0]):
+        with np.errstate(all="ignore"):  # inf - inf, exp overflow
+            segs, keep = ak.decode(np.array([anchor]), deltas, (0.0, 768.0))
+        assert segs.shape == (64, 2) and keep.sum() == 10
+        assert_tame(segs[keep], 0.0, 768.0)
+
+
+_DELTA = st.one_of(st.sampled_from(EXTREME), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@given(st.lists(st.tuples(_DELTA, _DELTA), min_size=1, max_size=16), st.floats(-1000, 1000), st.floats(0.5, 800),
+       st.sampled_from([np.float64, np.float32]))
+@settings(max_examples=200, deadline=None)
+def test_decode_keeps_only_tame_rows(deltas, start, length, dtype):
+    # the model's regression outputs are float32, where exp overflows at 89
+    with np.errstate(all="ignore"):
+        segs, keep = ak.decode(np.array([[start, start + length]]), np.array(deltas, dtype=dtype), (0.0, 768.0))
+    assert_tame(segs[keep], 0.0, 768.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +272,17 @@ def test_segment_rejects_empty():
         seg(10 ** 5000, 0)
 
 
+@pytest.mark.parametrize("start,end", [("a", "b"), (True, 2), (0, np.True_), (None, 1), (0, "1")])
+def test_segment_rejects_bounds_that_are_not_real(start, end):
+    # Segment("a", "b") constructed, since "b" > "a"; a None bound raised a bare TypeError
+    with pytest.raises(ContractError, match="real bounds"):
+        seg(start, end)
+
+
+def test_segment_accepts_numpy_reals():
+    assert seg(np.float32(1.5), np.int64(4)).length == 2.5
+
+
 # ---------------------------------------------------------------------------
 # anchor matching
 
@@ -252,7 +291,7 @@ def test_match_perfect_anchor_is_positive():
     grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
     m = ak.match_anchors_apn(grid, np.array([[0.0, 56.0]]))
     # the length-56 anchor centered at 28 is an exact hit
-    exact = np.flatnonzero((grid.starts == 0.0) & (grid.ends == 56.0)).tolist()
+    exact = np.flatnonzero((grid.segments == [0.0, 56.0]).all(axis=1)).tolist()
     assert len(exact) == 1
     assert m.labels[exact[0]] == 1
     assert np.allclose(m.reg_targets[exact[0]], [0.0, 0.0])
@@ -270,7 +309,7 @@ def test_match_midrange_best_anchor_still_positive():
     # clause can make it positive, and exactly one anchor wins
     grid = ak.build_anchor_grid(768, STRIDES, ak.DEFAULT_SCALES)
     m = ak.match_anchors_apn(grid, np.array([[0.0, 4.0]]))
-    best = ak.tiou(np.stack([grid.starts, grid.ends], axis=1), (0.0, 4.0)).max()
+    best = ak.tiou(grid.segments, (0.0, 4.0)).max()
     assert best == pytest.approx(0.5, abs=1e-12)
     assert int(np.sum(m.labels == 1)) == 1
     ref_labels, _ = match_anchors_ref(grid_segments(grid), [seg(0.0, 4.0)])
@@ -287,9 +326,8 @@ def test_match_every_gt_gets_a_positive():
         ]
         m = ak.match_anchors_apn(grid, ak.segment_pairs(gts))
         for j in range(len(gts)):
-            assert np.any((m.labels == 1) & (m.matched_gt >= 0)), "some positive exists"
             # the best anchor for gt j is positive
-            ti = ak.tiou(np.stack([grid.starts, grid.ends], axis=1), (gts[j].start, gts[j].end))
+            ti = ak.tiou(grid.segments, (gts[j].start, gts[j].end))
             assert m.labels[int(ti.argmax())] == 1
 
 
@@ -306,7 +344,6 @@ def test_match_equals_exhaustive_oracle_on_random_scenes():
         m = ak.match_anchors_apn(grid, ak.segment_pairs(gts))
         ref_labels, ref_match = match_anchors_ref(segs, gts)
         assert np.array_equal(m.labels, ref_labels)
-        assert np.array_equal(m.matched_gt, ref_match)
         targets = [encode_ref(a, gts[j]) if j >= 0 else (0.0, 0.0) for a, j in zip(segs, ref_match)]
         assert np.array_equal(m.reg_targets.astype(np.float32), np.array(targets, dtype=np.float32).reshape(-1, 2))
 
@@ -324,7 +361,6 @@ def test_proposal_match_perfect():
 def test_proposal_match_below_threshold_is_background():
     m = ak.match_proposals_acn(np.array([[0.0, 4.0]]), np.array([[0.0, 10.0]]), np.array([2]))
     assert m.labels[0] == 0
-    assert m.matched_gt[0] == -1
 
 
 def test_proposal_match_exactly_half_is_background():
@@ -343,16 +379,15 @@ def test_proposal_match_equals_oracle():
         m = ak.match_proposals_acn(ak.segment_pairs(props), ak.segment_pairs(gts), labels)
         ref = match_proposals_ref(props, gts, labels)
         assert m.labels.tolist() == [r[0] for r in ref]
-        assert m.matched_gt.tolist() == [r[1] for r in ref]
         targets = [encode_ref(p, gts[j]) if j >= 0 else (0.0, 0.0) for p, (_, j) in zip(props, ref)]
         assert np.array_equal(m.reg_targets.astype(np.float32), np.array(targets, dtype=np.float32))
 
 
 def test_proposal_match_without_ground_truth_or_proposals():
     m = ak.match_proposals_acn(np.array([[0.0, 5.0]]), np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
-    assert (m.labels.tolist(), m.matched_gt.tolist(), m.reg_targets.tolist()) == ([0], [-1], [[0.0, 0.0]])
+    assert (m.labels.tolist(), m.reg_targets.tolist()) == ([0], [[0.0, 0.0]])
     m = ak.match_proposals_acn(np.zeros((0, 2)), np.array([[0.0, 5.0]]), np.array([1]))
-    assert m.labels.shape == m.matched_gt.shape == (0,) and m.reg_targets.shape == (0, 2)
+    assert m.labels.shape == (0,) and m.reg_targets.shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +398,7 @@ def _match_with(pos, neg, total):
     labels = np.zeros(total, dtype=np.int8)
     labels[:pos] = 1
     labels[pos : pos + neg] = -1
-    return ak.MatchResult(labels, np.full(total, -1), np.zeros((total, 2)))
+    return ak.MatchResult(labels, np.zeros((total, 2)))
 
 
 def test_sample_balanced_one_to_one():

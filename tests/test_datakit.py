@@ -287,15 +287,18 @@ nan, inf = float("nan"), float("inf")
     (lambda: dk.VideoRecord("v", 100, [], subset=(10 ** 5000,)), DataError),
     (lambda: dk.VideoRecord(5, 100, []), DataError),
     (lambda: dk.VideoRecord(None, 100, []), DataError),
+    *((lambda v=v: dk.VideoRecord("v", 10, v), DataError) for v in ([5], [dk.Activity(0, 5, 1), None], "ab", None)),
 ], ids=["label 1.5", "label True", "label nan", "end inf", "num_frames -5", "num_frames 100.5", "num_frames nan",
         "num_frames True", "fps 0", "fps nan", "fps True", "subset x", "subset huge int", "subset tuple of a huge int",
-        "video_id 5", "video_id None"])
+        "video_id 5", "video_id None", "annotation 5", "annotation None after an Activity", "annotations str",
+        "annotations None"])
 def test_records_reject_values_that_their_files_cannot_hold(make, error):
     # each constructed; a record then saved a file that load_annotations
     # refuses, or, for an int video id, one that loads back under the id "5"
     # (save_annotations raised a bare TypeError when str ids were mixed in).
     # A subset of an int of over 4,300 digits raised a bare ValueError in the
-    # message
+    # message.  Annotations that are not a list of Activity objects raised a
+    # bare AttributeError or TypeError
     with pytest.raises(error):
         make()
 

@@ -27,12 +27,12 @@ def load_digest():
 def test_nms_edge_rows_raise_no_warnings():
     # NaN and infinite ends and empty segments have defined results; tIoU's
     # NaN arithmetic on them must not reach the caller as warnings
-    calls = [c for c in load_digest().nms_battery() if len(c[0]) == 16 and c[4] in (None, 1)]
+    calls = [c for c in load_digest().nms_battery() if len(c[0]) == 16 and c[3] in (None, 1)]
     assert len(calls) == 3 * 7 * 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for starts, ends, scores, thresh, top_k in calls:
-            heads.nms_indices(starts, ends, scores, thresh, top_k)
+        for segments, scores, thresh, top_k in calls:
+            heads.nms_indices(segments, scores, thresh, top_k)
 
 
 def test_float64_redraw_is_the_model_draw_before_rounding(monkeypatch, tmp_path):

@@ -232,6 +232,15 @@ def test_evaluate_requires_ground_truth():
         ek.evaluate_detections([], {"v": []}, ek.EvalConfig())
 
 
+@pytest.mark.parametrize("label", [0, -1, "a", True, 1.0])
+def test_evaluate_rejects_ground_truth_labels_that_no_detection_carries(label):
+    # background (0) turned a perfect mAP of 1.0 into 0.5 without a warning,
+    # and "a" raised a bare TypeError from sorted
+    gts = {"v": [(Segment(0, 10), 1), (Segment(20, 30), label)]}
+    with pytest.raises(ContractError, match="ground-truth label"):
+        ek.evaluate_detections([det(0, 10, 1), det(20, 30, 1)], gts, ek.EvalConfig())
+
+
 def test_evaluate_map_monotone_in_threshold():
     rng = np.random.default_rng(8)
     gts = {"v": [(Segment(s, s + 30), 1) for s in (0, 100, 200)]}

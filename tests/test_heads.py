@@ -146,9 +146,7 @@ def test_apn_gradcheck_through_sibling_heads():
 
 
 def _props_from(segments, scores, thresh=0.7, top_k=None):
-    st = np.array([s.start for s in segments])
-    en = np.array([s.end for s in segments])
-    return heads.nms_indices(st, en, np.asarray(scores, dtype=float), thresh, top_k)
+    return heads.nms_indices(ak.segment_pairs(segments), np.asarray(scores, dtype=float), thresh, top_k)
 
 
 def test_nms_duplicate_suppression():
@@ -216,7 +214,7 @@ def test_nms_equals_the_blocked_scan_on_any_rows(rows, top_k):
     for thresh in NMS_THRESHOLDS:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # NaN overlaps are expected, not warned about
-            got = heads.nms_indices(starts, ends, scores, thresh, top_k)
+            got = heads.nms_indices(np.stack([starts, ends], axis=1), scores, thresh, top_k)
         with np.errstate(invalid="ignore"):  # the reference warns on them
             assert got == nms_blocked_ref(starts, ends, scores, thresh, top_k)
         if tame and not np.isnan(thresh):
@@ -237,7 +235,7 @@ def test_nms_computes_tiou_only_for_rows_that_can_suppress(monkeypatch):
     monkeypatch.setattr(heads, "tiou", counting_tiou)
     starts = np.append(np.arange(n, dtype=np.float64), np.nan)
     scores = np.append(np.random.default_rng(3).uniform(0.1, 1.0, n), 0.0)
-    kept = heads.nms_indices(starts, starts + 1.0, scores, 0.4)
+    kept = heads.nms_indices(np.stack([starts, starts + 1.0], axis=1), scores, 0.4)
     assert kept == np.argsort(-scores[:n], kind="stable").tolist()
     assert sum(computed) <= n + 1
 
@@ -245,19 +243,18 @@ def test_nms_computes_tiou_only_for_rows_that_can_suppress(monkeypatch):
 @pytest.mark.parametrize("thresh", [1e-9, 0.4, 0.7, 1.0, 1.5])
 @pytest.mark.parametrize("top_k", [None, 10])
 def test_nms_nan_segment_suppresses_every_row_below_it(thresh, top_k):
-    starts = np.array([0.0, 50.0, np.nan, 100.0, 3.0])
-    ends = np.array([10.0, 60.0, 5.0, 110.0, np.nan])
-    assert heads.nms_indices(starts, ends, np.array([0.5, 0.4, 0.9, 0.3, 0.2]), thresh, top_k) == [2]
+    segments = np.array([[0.0, 10.0], [50.0, 60.0], [np.nan, 5.0], [100.0, 110.0], [3.0, np.nan]])
+    assert heads.nms_indices(segments, np.array([0.5, 0.4, 0.9, 0.3, 0.2]), thresh, top_k) == [2]
     # ranked below a kept row, a NaN row is suppressed by it and suppresses nothing
-    assert heads.nms_indices(starts, ends, np.array([0.9, 0.8, 0.7, 0.6, 0.5]), thresh, top_k) == [0, 1, 3]
+    assert heads.nms_indices(segments, np.array([0.9, 0.8, 0.7, 0.6, 0.5]), thresh, top_k) == [0, 1, 3]
 
 
 @pytest.mark.parametrize("thresh", [0.0, -0.0, -1.0, float("nan")])
 @pytest.mark.parametrize("top_k", [None, 10])
 def test_nms_threshold_not_above_zero_keeps_only_the_top_row(thresh, top_k):
-    starts = np.array([0.0, 100.0, 200.0, 300.0])
-    assert heads.nms_indices(starts, starts + 10.0, np.array([0.2, 0.9, 0.5, 0.9]), thresh, top_k) == [1]
-    assert heads.nms_indices(starts[:0], starts[:0], starts[:0], thresh, top_k) == []
+    segments = np.array([[0.0, 10.0], [100.0, 110.0], [200.0, 210.0], [300.0, 310.0]])
+    assert heads.nms_indices(segments, np.array([0.2, 0.9, 0.5, 0.9]), thresh, top_k) == [1]
+    assert heads.nms_indices(segments[:0], np.zeros(0), thresh, top_k) == []
 
 
 def test_generate_proposals_sorted_and_separated():
@@ -306,7 +303,7 @@ def generate_proposals_ref(apn_out, grid, cfg):
     """The proposal list built one object per kept row, as before proposals
     stayed arrays: per level, softmax objectness and decoded anchors, then
     NMS over all levels."""
-    starts, ends, scores, levels = [], [], [], []
+    segments, scores, levels = [], [], []
     for k, (cls, reg) in enumerate(apn_out):
         c = cls.data
         m = np.maximum(c[0::2], c[1::2])
@@ -315,16 +312,15 @@ def generate_proposals_ref(apn_out, grid, cfg):
         a, t = len(cfg.scales[k]), c.shape[1]
         assert len(idx) == a * t
         j, p = np.tile(np.arange(a), t), np.repeat(np.arange(t), a)  # the level block is position-major
-        s, e, keep = ak.decode(grid.starts[idx], grid.ends[idx], reg.data[0::2][j, p], reg.data[1::2][j, p],
-                               (0.0, float(grid.buffer_len)))
-        starts += s[keep].tolist()
-        ends += e[keep].tolist()
+        deltas = np.stack([reg.data[0::2][j, p], reg.data[1::2][j, p]], axis=-1)
+        segs, keep = ak.decode(grid.segments[idx], deltas, (0.0, float(grid.buffer_len)))
+        segments += segs[keep].tolist()
         scores += obj[j, p][keep].tolist()
         levels += [k] * int(keep.sum())
     if not scores:
         return []
-    kept = heads.nms_indices(np.array(starts), np.array(ends), np.array(scores), cfg.nms_tiou, cfg.top_k)
-    return [heads.Proposal(ak.Segment(starts[i], ends[i]), scores[i], levels[i]) for i in kept]
+    kept = heads.nms_indices(np.array(segments), np.array(scores), cfg.nms_tiou, cfg.top_k)
+    return [heads.Proposal(ak.Segment(*segments[i]), scores[i], levels[i]) for i in kept]
 
 
 @pytest.mark.parametrize("seed", [5, 7])
@@ -351,9 +347,7 @@ def test_generate_proposals_rows_equal_the_proposal_list(seed):
 
 
 def pool(feat, segments, stride, bins):
-    starts = np.array([s.start for s in segments])
-    ends = np.array([s.end for s in segments])
-    return heads.roi_pool(feat, starts, ends, stride, bins)
+    return heads.roi_pool(feat, ak.segment_pairs(segments), stride, bins)
 
 
 def test_roi_pool_aligned_identity():
@@ -407,7 +401,7 @@ def test_cell_selection_bytes_equal_oracle(n, bins, monkeypatch):
         starts = rng.uniform(-stride, stride * t - 1, size=n)
         ends = np.maximum(starts + rng.uniform(0.1, 1.5, size=n) * rng.choice([stride, stride * t], size=n), 1.0)
         for f in (feat, feat.astype(np.float32)):
-            heads.roi_pool(nc.Tensor(f, requires_grad=True), starts, ends, stride, bins)
+            heads.roi_pool(nc.Tensor(f, requires_grad=True), np.stack([starts, ends], axis=1), stride, bins)
             got = cell_fns.pop()()
             want = roi_cell_selection_ref(f, starts, ends, stride, bins)
             assert got.flags["C_CONTIGUOUS"] and got.dtype == want.dtype
@@ -430,9 +424,10 @@ def test_roi_pool_bytes_equal_take_of_cell_selection(n, bins):
         g = rng.standard_normal((n, d, bins)) * 10.0 ** rng.integers(-8, 8, size=(n, d, bins))
         for dtype in (np.float64, np.float32):
             outs = []
-            for pool_fn in (heads.roi_pool, lambda x, *a: nc.take(x, roi_cell_selection_ref(x.data, *a))):
+            for pool_fn in (lambda x: heads.roi_pool(x, np.stack([starts, ends], axis=1), stride, bins),
+                            lambda x: nc.take(x, roi_cell_selection_ref(x.data, starts, ends, stride, bins))):
                 x = nc.Tensor(feat.astype(dtype), requires_grad=True)
-                y = pool_fn(x, starts, ends, stride, bins)
+                y = pool_fn(x)
                 y._backward(g.astype(dtype))
                 outs.append((y.data, x.grad))
             for got, want in zip(*outs):
@@ -443,11 +438,11 @@ def test_roi_pool_value_table_follows_the_index_selections_through_nan():
     # the value table takes the later window only where it is larger, so a
     # NaN never replaces the value of the cell the indices pick: each pooled
     # value is the cell its own backward routes a unit gradient to
-    starts, ends = np.array([0.0, 8.0, 0.0, 24.0]), np.array([32.0, 64.0, 64.0, 56.0])
+    segments = np.array([[0.0, 32.0], [8.0, 64.0], [0.0, 64.0], [24.0, 56.0]])
     for dtype in (np.float64, np.float32):
         feat = np.array([[1.0, np.nan, 3.0, 0.0, 2.0, 5.0, np.nan, 4.0]], dtype=dtype)
         x = nc.Tensor(feat, requires_grad=True)
-        out = heads.roi_pool(x, starts, ends, 8.0, 1)
+        out = heads.roi_pool(x, segments, 8.0, 1)
         assert out.data.dtype == dtype
         for i in range(out.data.size):
             x.grad = None
@@ -502,11 +497,11 @@ def test_roi_pool_ignores_outside_features():
 
 
 def test_context_window_centered_doubling():
-    assert heads.context_window(100.0, 150.0, 768.0) == (75.0, 175.0)
+    assert heads.context_window(np.array([[100.0, 150.0]]), 768.0).tolist() == [[75.0, 175.0]]
 
 
 def test_context_window_clipped_at_start():
-    assert heads.context_window(0.0, 50.0, 768.0) == (0.0, 75.0)
+    assert heads.context_window(np.array([[0.0, 50.0]]), 768.0).tolist() == [[0.0, 75.0]]
 
 
 def test_context_features_channel_count():
@@ -514,7 +509,7 @@ def test_context_features_channel_count():
     acn_cfg = heads.AcnConfig(num_classes=2, roi_bins=4, fc_dim=16)
     params = nc.create_params(heads.acn_param_specs(8, acn_cfg, 1), rng)
     feat = nc.Tensor(rng.standard_normal((8, 96)))
-    out = heads.context_features(feat, np.array([100.0, 300.0]), np.array([200.0, 340.0]), 8, 4, params, 0)
+    out = heads.context_features(feat, np.array([[100.0, 200.0], [300.0, 340.0]]), 8, 4, params, 0)
     assert out.shape == (2, 8, 4)
 
 
@@ -725,6 +720,70 @@ def detections(rows):
     """``heads.Detections`` of (start, end, label, score) rows, in order."""
     s, e, labels, scores = (np.array(col) for col in zip(*rows))
     return heads.Detections(np.stack([s, e], axis=1).astype(np.float64), labels.astype(np.int64), scores.astype(np.float64))
+
+
+EXTREME = (np.nan, np.inf, -np.inf, 1e308, -1e308, 800.0, -800.0, 0.0)
+
+
+def assert_tame(segments, lo, hi):
+    """Each [n, 2] row is finite, inside [lo, hi] and at least one frame long."""
+    s, e = segments.T
+    assert np.isfinite(segments).all() and np.all((lo <= s) & (e <= hi) & (e - s >= 1.0))
+
+
+def with_extremes(values, rng, dtype, fraction=0.3):
+    """``values`` in ``dtype``, about ``fraction`` of its entries replaced by extreme ones."""
+    out = values.astype(dtype)
+    hit = rng.random(out.shape) < fraction
+    with np.errstate(over="ignore"):  # 1e308 is inf in float32
+        out[hit] = rng.choice(EXTREME, int(hit.sum()))
+    return nc.Tensor(out)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_extreme_head_outputs_give_only_tame_rows(dtype, monkeypatch):
+    # NaN, infinite and overflowing logits and regression deltas: no wild row
+    # reaches nms_indices, the proposals or the detection candidates
+    handed, nms = [], heads.nms_indices
+
+    def recording_nms(segments, *args):
+        handed.append(segments)
+        return nms(segments, *args)
+
+    monkeypatch.setattr(heads, "nms_indices", recording_nms)
+    rng = np.random.default_rng(29)
+    ecfg, pcfg, apn_cfg, params = small_setup(seed=5)
+    grid = ak.build_anchor_grid(768, pcfg.strides, apn_cfg.scales)
+    apn_out = [(with_extremes(cls.data, rng, dtype), with_extremes(reg.data, rng, dtype))
+               for cls, reg in heads.apn_forward(forward_pyramid(ecfg, pcfg, params, seed=6), params)]
+    cfg = heads.AcnConfig(num_classes=3, score_thresh=0.0)
+    with np.errstate(all="ignore"):  # inf - inf, exp overflow
+        props = heads.generate_proposals(apn_out, grid, apn_cfg)
+        n = len(props)
+        acn_out = [(np.arange(n), with_extremes(rng.standard_normal((n, 4)), rng, dtype),
+                    with_extremes(rng.standard_normal((n, 6)), rng, dtype))]
+        cands = heads.finalize_detections(acn_out, props, cfg, make_buffer(offset=1000, num_valid=500))
+        heads.nms_detections(cands, cfg.nms_tiou)
+    assert n > 0 and len(cands) > 0 and len(handed) > 1
+    assert_tame(props.segments, 0.0, 768.0)
+    assert_tame(handed[0], 0.0, 768.0)
+    assert_tame(cands.segments, 1000.0, 1500.0)
+    for segments in handed[1:]:
+        assert_tame(segments, 1000.0, 1500.0)
+
+
+@pytest.mark.parametrize("segment,label", [
+    (ak.Segment(0, 1), "a"), (ak.Segment(0, 1), True), (ak.Segment(0, 1), np.True_), (ak.Segment(0, 1), 1.0),
+    (ak.Segment(0, 1), 0), ((0, 1), 1), (None, 1),
+])
+def test_detection_rejects_what_it_cannot_hold(segment, label):
+    # a str label raised a bare TypeError; a bool label and a tuple segment constructed
+    with pytest.raises(ContractError, match="a detection needs"):
+        heads.Detection(segment, label, 0.5, "v")
+
+
+def test_detection_accepts_numpy_integer_labels():
+    assert heads.Detection(ak.Segment(0, 1), np.int64(2), 0.5, "v").label == 2
 
 
 def test_finalize_confident_background_yields_nothing():

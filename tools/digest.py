@@ -28,7 +28,9 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
   ``top_k`` 100 at 0.7, 300 and 550 candidates at 0.4), and a small set
   with tied scores, duplicate and touching segments, NaN and infinite ends
   and zero and negative lengths at every threshold from 0 to 1.5 and NaN,
-  with and without ``top_k``;
+  with and without ``top_k``; the rows are passed as one [n, 2] array, or
+  as start and end columns to a checkout whose ``nms_indices`` takes those
+  (its signature names ``starts``);
 - ``pool``: one digest of the level values and the input gradient of
   ``pyramid.build_pyramid(x, PyramidConfig(variant="max"), {})``, driven by
   ``numcore.backward`` through a smooth-L1 loss on every level, over a
@@ -61,6 +63,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -153,8 +156,8 @@ def infer_digests(workloads, seed: int, float64: bool, workdir: Path) -> tuple[s
 
 
 def nms_battery():
-    """(starts, ends, scores, thresh, top_k) of every ``nms_indices`` call
-    the ``nms`` digest makes."""
+    """(segments, scores, thresh, top_k) of every ``nms_indices`` call the
+    ``nms`` digest makes, with [n, 2] (start, end) rows."""
     import numpy as np
 
     rng = np.random.default_rng(NMS_SEED)
@@ -163,23 +166,33 @@ def nms_battery():
             base = rng.uniform(-50, 768, n // copies)
             starts = np.repeat(base, copies) + rng.normal(0, 4, n // copies * copies)
             ends = starts + np.exp(rng.uniform(np.log(8), np.log(400), len(starts)))
-            yield starts, ends, rng.uniform(0, 1, len(starts)), thresh, top_k
+            yield np.stack([starts, ends], axis=1), rng.uniform(0, 1, len(starts)), thresh, top_k
     inf, nan = float("inf"), float("nan")
     edge = [(0, 10), (0, 10), (10, 20), (5, 15), (nan, 4), (3, nan), (-inf, 2), (1, inf), (-inf, inf),
             (7, 7), (9, 6), (inf, inf), (12, 30), (2, 8), (30, 40), (39, 50)]
-    starts, ends = (np.array(col, dtype=np.float64) for col in zip(*edge))
+    segments = np.array(edge, dtype=np.float64)
     for scores in (np.zeros(len(edge)), rng.integers(0, 3, len(edge)) / 2, rng.uniform(0, 1, len(edge))):
         for thresh in NMS_THRESHOLDS:
             for top_k in (None, 1, 4, 100):
-                yield starts, ends, scores, thresh, top_k
+                yield segments, scores, thresh, top_k
+
+
+def nms_call():
+    """``heads.nms_indices`` as a function of [n, 2] rows; a checkout whose
+    NMS takes start and end columns gets the columns."""
+    from tfpdet import heads
+
+    if "starts" in inspect.signature(heads.nms_indices).parameters:
+        return lambda segments, *rest: heads.nms_indices(segments[:, 0], segments[:, 1], *rest)
+    return heads.nms_indices
 
 
 def nms_digest() -> str:
     import numpy as np
-    from tfpdet import heads
 
+    nms = nms_call()
     with np.errstate(invalid="ignore"):  # NaN and infinite ends give NaN overlaps
-        kept = [heads.nms_indices(*call) for call in nms_battery()]
+        kept = [nms(*call) for call in nms_battery()]
     return sha256([json.dumps(kept).encode()])
 
 
