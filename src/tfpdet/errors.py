@@ -4,12 +4,15 @@ Each kind has the exit code that a command-line front end should give it
 (the package has none yet): ConfigError -> 2, DataError -> 3,
 ContractError -> 4.  Every config and record constructor checks its numbers
 with ``check_int`` and ``check_real``, so a config that constructs also saves and loads.
+``is_label`` is the one rule for a class label, which may be a numpy integer.
 Every message shows a value that a caller passed, and that is not yet
 checked, through ``_shown``, so building the message cannot itself raise.
 """
 
 import sys
 from functools import lru_cache
+
+import numpy as np
 
 _FLOAT_MAX = sys.float_info.max
 _INT64_MAX = 2 ** 63 - 1
@@ -47,6 +50,12 @@ def check_int(name: str, value, lo: int, error=ConfigError) -> int:
     if type(value) is not int or not lo <= value <= _INT64_MAX:
         raise error(f"{name} must be an int >= {lo} and <= 2**63 - 1, got {_shown(value)}")
     return value
+
+
+def is_label(value) -> bool:
+    """Whether ``value`` is a class label, never background: an ``int`` or numpy integer (not a
+    bool) in [1, 2**63 - 1].  ``heads.Detection`` and a scoring pass's ground truth hold such labels."""
+    return isinstance(value, (int, np.integer)) and type(value) is not bool and 1 <= value <= _INT64_MAX
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchorkit import segment_pairs, tiou
-from .errors import ConfigError, ContractError, _shown, check_int, check_real
+from .errors import ConfigError, ContractError, _shown, check_real, is_label
 
 DETECTION_DISPLAY_THRESHOLDS = (0.5, 0.75, 0.95)
 
@@ -169,7 +169,8 @@ def average_precision(segments: np.ndarray, videos: np.ndarray, gts_by_video: di
 def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport:
     """AP per (class, threshold), mAP per threshold, averaged mAP.
 
-    ``gts_by_video`` maps video id to a list of (Segment, label) pairs;
+    ``gts_by_video`` maps video id to a list of (Segment, label) pairs, each
+    label an int or numpy integer >= 1 (``errors.is_label``);
     ``dets`` is a flat detection list (attributes segment/label/score/
     video_id).
     """
@@ -177,7 +178,11 @@ def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport
     if total_gt == 0:
         raise ContractError("evaluate_detections needs at least one ground-truth instance")
     # a label < 1 is background, which no Detection carries, and would still count toward the mAP
-    classes = sorted({check_int("ground-truth label", label, 1, ContractError) for v in gts_by_video.values() for _, label in v})
+    gt_labels = [label for v in gts_by_video.values() for _, label in v]
+    for label in gt_labels:
+        if not is_label(label):
+            raise ContractError(f"a ground-truth label must be an int >= 1, as a detection's, got {_shown(label)}")
+    classes = sorted({int(label) for label in gt_labels})
     thresholds = sorted(set(cfg.tiou_thresholds) | set(cfg.average_grid))
     codes = {vid: k for k, vid in enumerate(sorted({d.video_id for d in dets} | gts_by_video.keys()))}
     segments = segment_pairs([d.segment for d in dets])

@@ -13,7 +13,10 @@ that route the gradient are computed only by the backward, so a forward
 that needs no gradient never builds them.
 Post-processing runs on arrays: proposals and detections are decoded by
 ``anchorkit.decode`` per level, and NMS is exact greedy suppression that
-computes ``anchorkit.tiou`` only for pairs that can suppress.  Proposals
+computes ``anchorkit.tiou`` only for pairs that can suppress.  The sweep of
+a video's class-wise NMS walks those pairs in chunks of ``NMS_CHUNK``, so
+beside its per-row arrays its transient memory is O(chunk + hits): only the
+list of suppressing pairs grows with the pairs of a longer video.  Proposals
 (``Proposals``) and detections (``Detections``) stay arrays from a window's
 NMS to one class-wise ``nms_detections`` per video.  Every array of
 segments, from the anchor grid through NMS, RoI pooling and context
@@ -30,12 +33,14 @@ import numpy as np
 
 from . import numcore as nc
 from .anchorkit import AnchorGrid, Segment, decode, tiou
-from .errors import ConfigError, ContractError, _shown, check_int, check_real
+from .errors import ConfigError, ContractError, _shown, check_int, check_real, is_label
 from .pyramid import PyramidFeatures, layer_specs
 
 STRATEGIES = ("s1", "s2", "s3")
 NMS_BLOCK = 64  # candidates per greedy block of nms_indices' top_k scan
-_INTS = (int, np.integer)  # bool is an int, and excluded apart
+# overlapping pairs per chunk of nms_indices' sweep: its [chunk] and [chunk, 2]
+# temporaries stay under glibc's 128 KiB mmap threshold, so they reuse heap pages
+NMS_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -118,10 +123,9 @@ class Detection:
     video_id: str
 
     def __post_init__(self):
-        label = self.label
-        if not (isinstance(self.segment, Segment) and isinstance(label, _INTS) and label >= 1) or type(label) is bool:
+        if not (isinstance(self.segment, Segment) and is_label(self.label)):
             raise ContractError(f"a detection needs a Segment and an int label >= 1, never background; got "
-                                f"{_shown(self.segment)} and {_shown(label)}")
+                                f"{_shown(self.segment)} and {_shown(self.label)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,22 +197,36 @@ def apn_forward(pyr: PyramidFeatures, params: dict) -> list:
     return out
 
 
-def _overlap_survivors(segs: np.ndarray, thresh: float) -> list[int]:
-    """The positions that greedy NMS at ``thresh > 0`` keeps of ``segs``, rows in score order."""
+def _overlapping_pairs(segs: np.ndarray):
+    """Every pair of ``segs``' rows that can overlap, as (a, b) position arrays
+    of at most ``NMS_CHUNK`` pairs each: the runs of one flat pair index."""
     n, (s, e) = len(segs), segs.T
     tame = np.isfinite(s) & np.isfinite(e) & (e > s)
     by_start = np.flatnonzero(tame)[np.argsort(s[tame])]
-    # position p meets positions p+1 .. (the last one starting before its end)
+    # position p meets positions p+1 .. (the last one starting before its end),
+    # which are the flat pairs first[p] .. first[p] + count[p] - 1
     pos = np.arange(len(by_start))
     count = np.searchsorted(s[by_start], e[by_start]) - pos - 1
-    later = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - pos - 1, count)
-    wild = np.flatnonzero(~tame)
-    a = np.concatenate([by_start[np.repeat(pos, count)], np.repeat(wild, n)])
-    b = np.concatenate([by_start[later], np.tile(np.arange(n), len(wild))])
-    i, j = np.minimum(a, b), np.maximum(a, b)
-    # `not < thresh` rather than `>= thresh`: a NaN overlap suppresses
-    hit = (i != j) & ~(tiou(segs.take(i, axis=0), segs.take(j, axis=0)) < thresh)
-    i, j = i[hit], j[hit]
+    first, total = np.cumsum(count) - count, int(count.sum())
+    for lo in range(0, total, NMS_CHUNK):
+        f = np.arange(lo, min(lo + NMS_CHUNK, total))
+        p = np.searchsorted(first, f, side="right") - 1
+        yield by_start[p], by_start[f - first[p] + p + 1]
+    wild = np.flatnonzero(~tame)  # paired with every row
+    for lo in range(0, len(wild) * n, NMS_CHUNK):
+        f = np.arange(lo, min(lo + NMS_CHUNK, len(wild) * n))
+        yield wild[f // n], f % n
+
+
+def _overlap_survivors(segs: np.ndarray, thresh: float) -> list[int]:
+    """The positions that greedy NMS at ``thresh > 0`` keeps of ``segs``, rows in score order."""
+    n, hits = len(segs), [(np.zeros(0, dtype=np.int64),) * 2]
+    for a, b in _overlapping_pairs(segs):
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        # `not < thresh` rather than `>= thresh`: a NaN overlap suppresses
+        hit = (i != j) & ~(tiou(segs.take(i, axis=0), segs.take(j, axis=0)) < thresh)
+        hits.append((i[hit], j[hit]))
+    i, j = (np.concatenate(c) for c in zip(*hits))
     o = np.argsort(i)
     dead = [False] * n
     for r, q in zip(i[o].tolist(), j[o].tolist()):  # the pairs that can kill r come first
@@ -230,6 +248,9 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
     end).  A wild row (a non-finite end or a length <= 0) can have a NaN
     tIoU with any row and is paired with all.  Only these pairs get an
     ``anchorkit.tiou``, so the result is the full matrix scan's bit for bit.
+    The pairs are one flat index, read in chunks of ``NMS_CHUNK`` pairs, and
+    a chunk keeps only its hits: no temporary is larger than a chunk, however
+    many partners a row has, and only the hit list grows with the input.
 
     With ``top_k`` the score order is walked in blocks of ``NMS_BLOCK``
     until ``top_k`` rows are kept.  Each block reads one tIoU matrix of its

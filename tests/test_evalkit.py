@@ -232,13 +232,25 @@ def test_evaluate_requires_ground_truth():
         ek.evaluate_detections([], {"v": []}, ek.EvalConfig())
 
 
-@pytest.mark.parametrize("label", [0, -1, "a", True, 1.0])
+@pytest.mark.parametrize("label", [0, -1, "a", True, 1.0, np.True_, np.float64(1.0), np.int64(0), 2 ** 63])
 def test_evaluate_rejects_ground_truth_labels_that_no_detection_carries(label):
     # background (0) turned a perfect mAP of 1.0 into 0.5 without a warning,
     # and "a" raised a bare TypeError from sorted
     gts = {"v": [(Segment(0, 10), 1), (Segment(20, 30), label)]}
     with pytest.raises(ContractError, match="ground-truth label"):
         ek.evaluate_detections([det(0, 10, 1), det(20, 30, 1)], gts, ek.EvalConfig())
+    with pytest.raises(ContractError, match="a detection needs"):
+        det(20, 30, label)
+
+
+def test_evaluate_scores_numpy_integer_ground_truth_labels_as_ints():
+    # a Detection holds a numpy integer label, so the ground truth may too (labels built from Buffer.labels)
+    dets = [det(0, 10, 1, 0.9), det(21, 30, 2, 0.8), det(40, 52, np.int64(2), 0.7), det(60, 70, 1, 0.6, "w")]
+    gts = {"v": [(Segment(0, 10), 1), (Segment(20, 30), 2), (Segment(40, 50), 1)], "w": [(Segment(60, 68), 2)]}
+    as_numpy = {vid: [(seg, np.int64(label)) for seg, label in v] for vid, v in gts.items()}
+    report, numpy_report = (ek.evaluate_detections(dets, g, ek.EvalConfig()) for g in (gts, as_numpy))
+    assert numpy_report == report and numpy_report.to_json_dict() == report.to_json_dict()
+    assert all(type(c) is int for c in numpy_report.per_class_ap)
 
 
 def test_evaluate_map_monotone_in_threshold():

@@ -1,6 +1,8 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -205,14 +207,15 @@ def nms_rows(draw):
     return starts, ends, np.array(draw(st.lists(score, min_size=len(rows), max_size=len(rows))), dtype=np.float64)
 
 
-@given(nms_rows(), st.sampled_from([None, 1, 3, 100]))
+@given(nms_rows(), st.sampled_from([None, 1, 3, 100]), st.sampled_from([1, 5, heads.NMS_CHUNK]))
 @settings(max_examples=300, deadline=None)
-def test_nms_equals_the_blocked_scan_on_any_rows(rows, top_k):
+def test_nms_equals_the_blocked_scan_on_any_rows(rows, top_k, chunk):
+    # chunks of 1 and 5 pairs split the sweep's pairs, a row's partners and the wild rows' pairs
     starts, ends, scores = rows
     tame = np.all(np.isfinite(starts) & np.isfinite(ends) & (ends > starts))
     segs = [ak.Segment(s, e) for s, e in zip(starts, ends)] if tame else None
     for thresh in NMS_THRESHOLDS:
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), patch.object(heads, "NMS_CHUNK", chunk):
             warnings.simplefilter("error")  # NaN overlaps are expected, not warned about
             got = heads.nms_indices(np.stack([starts, ends], axis=1), scores, thresh, top_k)
         with np.errstate(invalid="ignore"):  # the reference warns on them
@@ -238,6 +241,28 @@ def test_nms_computes_tiou_only_for_rows_that_can_suppress(monkeypatch):
     kept = heads.nms_indices(np.stack([starts, starts + 1.0], axis=1), scores, 0.4)
     assert kept == np.argsort(-scores[:n], kind="stable").tolist()
     assert sum(computed) <= n + 1
+
+
+@pytest.mark.parametrize("wild", [0, 50])
+def test_nms_sweep_memory_does_not_grow_with_the_overlapping_pairs(wild):
+    # a staircase of 20,000 rows [i, i + 50) has ~980k overlapping pairs and none at
+    # tIoU 0.99; rows ending at +inf pair with every row and hit only each other
+    n = 20_000
+    starts = np.arange(n, dtype=np.float64)
+    ends = starts + 50.0
+    if wild:
+        ends[7::n // wild] = np.inf
+    scores = np.random.default_rng(5).uniform(0.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        kept = heads.nms_indices(np.stack([starts, ends], axis=1), scores, 0.99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    order = np.argsort(-scores, kind="stable")
+    top_wild = next((r for r in order if np.isinf(ends[r])), None)
+    assert kept == [r for r in order.tolist() if not np.isinf(ends[r]) or r == top_wild]
+    assert peak < 4e6  # 1.7-1.8 MB measured; building every pair at once peaked at 96 and 184 MB
 
 
 @pytest.mark.parametrize("thresh", [1e-9, 0.4, 0.7, 1.0, 1.5])

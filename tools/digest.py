@@ -25,10 +25,14 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
   proposals on the same videos with the same model;
 - ``nms``: one digest of ``heads.nms_indices``'s kept indices over a seeded
   battery: random sets of the detector's shapes (1,272 candidates with
-  ``top_k`` 100 at 0.7, 300 and 550 candidates at 0.4), and a small set
+  ``top_k`` 100 at 0.7, 300 and 550 candidates at 0.4), a small set
   with tied scores, duplicate and touching segments, NaN and infinite ends
   and zero and negative lengths at every threshold from 0 to 1.5 and NaN,
-  with and without ``top_k``; the rows are passed as one [n, 2] array, or
+  with and without ``top_k``, and sweeps whose pairs span many of
+  ``nms_indices``' chunks: 2,400 candidates spread over an 8-window video,
+  as one class of an ``infer_long`` video, and the same with 120 of them
+  wild (infinite ends, zero or negative lengths), each with tied and with
+  distinct scores at 0.4 and 0.7; the rows are passed as one [n, 2] array, or
   as start and end columns to a checkout whose ``nms_indices`` takes those
   (its signature names ``starts``);
 - ``pool``: one digest of the level values and the input gradient of
@@ -175,6 +179,18 @@ def nms_battery():
         for thresh in NMS_THRESHOLDS:
             for top_k in (None, 1, 4, 100):
                 yield segments, scores, thresh, top_k
+    # one class of an 8-window video, whose ~90k overlapping pairs span many of the sweep's chunks,
+    # then the same rows with 120 wild (lengths in (-3, 0], -inf starts, +inf ends), each paired with all 2,400
+    base = rng.uniform(0, 8 * 768, 800)
+    starts = np.repeat(base, 3) + rng.normal(0, 4, 2400)
+    segments = np.stack([starts, starts + np.exp(rng.uniform(np.log(8), np.log(400), 2400))], axis=1)
+    wild = segments.copy()
+    wild[::40, 1] = wild[::40, 0] - rng.uniform(0, 3, 60)
+    wild[20::80, 0], wild[60::80, 1] = -inf, inf
+    for scores in (rng.integers(0, 50, 2400) / 49, rng.uniform(0, 1, 2400)):
+        for thresh in (0.4, 0.7):
+            yield segments, scores, thresh, None
+            yield wild, scores, thresh, None
 
 
 def nms_call():
