@@ -2,9 +2,10 @@
 
 A fresh computation graph is built on every forward pass: each operation
 returns a new ``Tensor`` wired to its inputs through a backward closure,
-and ``backward()`` walks the graph in reverse topological order,
+and ``backward()`` walks the graph once, in reverse topological order,
 accumulating gradients into every tensor on a path to a gradient-requiring
-leaf.  Only gradient-requiring tensors are recorded, and ``Tensor`` alone
+leaf and releasing each interior node as soon as its closure has run.
+Only gradient-requiring tensors are recorded, and ``Tensor`` alone
 decides which: a node requires grad when any input does, and one that does
 not keeps neither the inputs nor the backward closure its operation passes,
 so an operation on inputs that need no gradient holds nothing of them once
@@ -13,7 +14,10 @@ graph at all.  Every op takes Tensors and reads each input's
 ``requires_grad``, so a raw array among its inputs raises as the op builds
 its output.  A parameter is a gradient-requiring leaf tensor, so every layer
 takes the same dict of tensors in training and inference; its SGD momentum
-lives apart, in ``Model.velocity``.
+lives apart, in ``Model.velocity``.  A leaf's gradient has one lifecycle:
+untouched zeros while the leaf is fresh, the step's gradient after
+``backward()``, and ``None`` once ``sgd_step`` has consumed it, until the
+next ``backward()`` copies in a new one.
 
 Only the operations the detection heads actually need are provided, at
 the shapes the network runs them (``temporal_maxpool`` is the pair maximum
@@ -52,14 +56,14 @@ class Tensor:
     Data of either float dtype is kept as given (a view where it is already
     contiguous); any other dtype, Python scalars included, becomes float64.
 
-    ``grad`` is allocated at construction for gradient-requiring leaves and
-    lazily during ``backward()`` for interior nodes; when present it always
-    has the same shape as ``data``.  A leaf's buffer comes from ``np.zeros``,
-    which leaves its zero pages untouched, so a leaf that never receives a
-    gradient (a model that only infers) never makes them resident.  A
-    leaf's buffer is its own: gradients are added into it in place, so code
-    that assigns a leaf's ``grad`` hands that array over.  An interior node's ``grad`` may be a view of another
-    node's gradient and is never written in place.
+    ``grad``, when present, has the same shape as ``data``.  A
+    gradient-requiring leaf starts with a buffer from ``np.zeros``, whose
+    pages stay untouched until a gradient is added, so a model that only
+    infers never makes them resident.  A leaf's buffer is its own:
+    gradients are added into it in place, so code that assigns a leaf's
+    ``grad`` hands that array over; ``sgd_step`` sets it to ``None``.  An
+    interior node holds a ``grad`` only while ``backward()`` walks it; it
+    may be a view of another node's gradient and is never written in place.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -151,10 +155,25 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _consumed(g=None):
+    """The backward closure of a node that a ``backward()`` has released."""
+    raise ContractError("backward() reached a node of a graph that an earlier backward() consumed")
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; fills ``grad`` along the graph."""
+    """Reverse-mode sweep from a scalar loss; adds its gradient into every
+    gradient-requiring leaf of the graph, and consumes the graph.
+
+    Once an interior node's closure has run, the node drops its ``grad``,
+    its closure and its parents, so every gradient and closure operand is
+    freed as soon as nothing left to walk reads it; its ``data`` stays.  A
+    later ``backward()`` whose graph reaches a released node, the same loss
+    included, raises ``ContractError`` before any gradient moves, and so
+    does one of a loss that records no graph."""
     if loss.data.size != 1:
         raise ContractError(f"backward() requires a scalar, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        raise ContractError("backward() of a loss that records no graph: nothing it depends on requires grad")
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
@@ -165,15 +184,20 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _consumed:
+            _consumed()
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad, node._backward, node._parents = None, _consumed, ()
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +456,12 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 def sgd_step(params: dict, velocity: dict, cfg: SgdConfig, step: int) -> None:
     """One momentum-SGD update of each leaf tensor in ``params`` with its
-    namesake momentum buffer in ``velocity``; gradients are zeroed after.
+    namesake momentum buffer in ``velocity``, which consumes the gradients:
+    each leaf's ``grad`` is ``None`` after, so no gradient is held between
+    steps, and the next ``backward()`` copies in a fresh one.  A leaf
+    without a gradient contributes none.
 
     v <- momentum*v + grad + weight_decay*param;  param <- param - lr(step)*v
-
-    Each leaf gets a fresh zeroed gradient buffer rather than its old one
-    zeroed in place: the fresh buffers outlive the step's temporaries, so
-    the allocator keeps their memory mapped instead of returning it and
-    faulting it back in on the next step (in-place zeroing measured ~2,300
-    more minor page faults per training step).
     """
     lr = cfg.effective_lr(step)
     for name, p in params.items():
@@ -451,4 +472,4 @@ def sgd_step(params: dict, velocity: dict, cfg: SgdConfig, step: int) -> None:
         if cfg.weight_decay:
             v += cfg.weight_decay * p.data
         p.data -= lr * v
-        p.grad = np.zeros_like(p.data)
+        p.grad = None

@@ -294,6 +294,59 @@ def test_backward_rejects_non_scalar():
         nc.backward(tensor([[1.0, 2.0]]))
 
 
+def test_backward_of_a_loss_that_records_no_graph_raises():
+    # it set the loss's grad to 1.0 and computed nothing, so a loss built on
+    # frozen parameter views trained nothing without a word
+    for loss in (tensor(1.0, grad=False), nc.smooth_l1(tensor([1.0, 2.0], grad=False), np.zeros(2))):
+        with pytest.raises(ContractError, match="records no graph"):
+            nc.backward(loss)
+        assert loss.grad is None
+
+
+def reachable(loss):
+    """Every tensor reachable from ``loss`` through ``_parents``, loss first."""
+    nodes, seen = [loss], {id(loss)}
+    for node in nodes:
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                nodes.append(p)
+    return nodes
+
+
+def test_backward_consumes_its_graph_and_a_second_backward_raises_before_any_gradient_moves():
+    rng = np.random.default_rng(11)
+    x, w, b = tensor(rng.standard_normal((3, 8))), tensor(rng.standard_normal((4, 3, 3))), tensor(rng.standard_normal(4))
+    fw, fb = tensor(rng.standard_normal((4, 2))), tensor(np.zeros(2))
+    h = nc.relu(nc.temporal_conv(x, w, b, padding=1))  # x reaches the loss on two paths
+    p = nc.temporal_maxpool(nc.concat_channels(h, x))
+    logits = nc.linear(nc.rows(p, 0, 5), fw, fb)
+    loss = nc.add(nc.softmax_cross_entropy(logits, [0, 1, 1, 0, 1]),
+                  nc.scale(nc.smooth_l1(nc.take(h, [1, 5, 9]), np.ones(3)), 0.5))
+    nodes = reachable(loss)
+    interior = [t for t in nodes if t._parents]
+    leaves = [x, w, b, fw, fb]
+    assert len(interior) == 11 and all(any(t is leaf for t in nodes) for leaf in leaves)
+    values = [t.data.copy() for t in interior]
+    nc.backward(loss)
+    for t, value in zip(interior, values):
+        assert t.grad is None and t._backward is nc._consumed and t._parents == ()
+        assert_same_bytes(t.data, value)
+    for leaf in leaves:
+        assert leaf.grad.shape == leaf.data.shape and leaf.grad.any()
+    grads = [leaf.grad.copy() for leaf in leaves]
+    # the same loss, and a new loss built on a released node beside a fresh
+    # branch over the same leaves: the walk raises before any closure runs
+    fresh = nc.smooth_l1(nc.linear(nc.reshape(x, (6, 4)), fw, fb), np.zeros((6, 2)))
+    for again in (loss, nc.add(fresh, nc.smooth_l1(nc.rows(p, 0, 1), np.zeros((1, 4))))):
+        with pytest.raises(ContractError, match="consumed"):
+            nc.backward(again)
+        for leaf, grad in zip(leaves, grads):
+            assert_same_bytes(leaf.grad, grad)
+    nc.backward(fresh)  # a graph of its own still backpropagates
+    assert not np.array_equal(fw.grad, grads[3])
+
+
 def test_leaf_gradients_accumulate_in_buffers_of_their_own():
     # both adds hand one gradient array to two tensors; a leaf without a
     # buffer must copy it before the second add accumulates into it in place
@@ -380,7 +433,7 @@ def test_sgd_plain_gradient_step():
     params, velocity = leaf([1.0], [1.0])
     nc.sgd_step(params, velocity, nc.SgdConfig(learning_rate=0.1, momentum=0.0, weight_decay=0.0), 0)
     assert params["p"].data[0] == pytest.approx(0.9, abs=1e-15)
-    assert np.array_equal(params["p"].grad, [0.0])
+    assert params["p"].grad is None  # consumed by the update
 
 
 def test_sgd_momentum_two_steps():

@@ -79,7 +79,10 @@ def infer_video_taped(record, model, cfg):
 
 
 def parameter_bytes(model):
-    return {n: (p.data.tobytes(), p.grad.tobytes(), model.velocity[n].tobytes()) for n, p in model.params.items()}
+    """Each parameter's values, gradient and velocity as bytes; a gradient
+    that an update has consumed is ``None``."""
+    return {n: (p.data.tobytes(), None if p.grad is None else p.grad.tobytes(), model.velocity[n].tobytes())
+            for n, p in model.params.items()}
 
 
 def test_infer_video_records_no_graph_and_equals_a_taped_forward(monkeypatch):
@@ -182,8 +185,8 @@ def test_default_model_builds_every_tensor_and_gradient_in_float32(monkeypatch):
     model, cfg, rec = small_model(), pipeline.TrainConfig(seed=5), annotated_video()
     grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
     buf = datakit.make_buffers(rec, cfg.buffer_len)[0]
-    built, passed = [], []
-    init, accumulate = nc.Tensor.__init__, nc._accumulate
+    built, passed, stepped = [], [], []
+    init, accumulate, sgd_step = nc.Tensor.__init__, nc._accumulate, nc.sgd_step
 
     def recording_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -193,14 +196,21 @@ def test_default_model_builds_every_tensor_and_gradient_in_float32(monkeypatch):
         passed.append(np.asarray(g).dtype)
         accumulate(t, g)
 
+    def recording_sgd_step(params, *args):
+        # the update consumes the gradients, so read them as it receives them
+        stepped.extend((p.data.dtype, p.grad.dtype) for p in params.values())
+        sgd_step(params, *args)
+
     monkeypatch.setattr(nc.Tensor, "__init__", recording_init)
     monkeypatch.setattr(nc, "_accumulate", recording_accumulate)
+    monkeypatch.setattr(nc, "sgd_step", recording_sgd_step)
     report = pipeline.train_step(buf, model, cfg, grid, 0)
     # both heads' smooth-L1 terms ran, so their float64 targets were met
     assert any(v is not None for v in report.apn_loc) and any(v is not None for v in report.acn_loc)
     assert set(passed) == {np.dtype(np.float32)}
+    assert len(stepped) == len(model.params) and set(stepped) == {(np.dtype(np.float32),) * 2}
     for name, p in model.params.items():
-        assert p.data.dtype == p.grad.dtype == model.velocity[name].dtype == np.float32
+        assert p.data.dtype == model.velocity[name].dtype == np.float32 and p.grad is None
     assert pipeline.infer_video(rec, model, cfg) and pipeline.propose_video(rec, model, cfg)
     assert len(built) > 100 and set(built) == {np.dtype(np.float32)}
 
@@ -219,6 +229,31 @@ def test_model_build_peaks_at_what_it_keeps():
     param_bytes = sum(p.data.nbytes for p in model.params.values())
     assert kept >= 3 * param_bytes  # values, gradients and velocities
     assert peak <= 1.1 * kept  # measured 1.0001x
+
+
+def test_train_step_frees_its_graph_as_it_walks_it_and_holds_no_gradient_after():
+    # backward releases each node once its closure has run, and the update
+    # consumes the gradients; measured at this shape: a 2.43 MB peak and
+    # ~1 KB kept, against 3.80 MB and 0.22 MB (every gradient) when the
+    # graph lived until backward returned and the update left fresh zeros
+    model = pipeline.Model.build(pyr.EncoderConfig(input_dim=16, hidden_dim=32), pyr.PyramidConfig(),
+                                 heads.ApnConfig(scales=ak.DEFAULT_SCALES), heads.AcnConfig(num_classes=2, fc_dim=32),
+                                 seed=0)
+    cfg = pipeline.TrainConfig(seed=5)
+    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    features = np.random.default_rng(8).standard_normal((16, 1200)).astype(np.float32)
+    bufs = datakit.make_buffers(replace(annotated_video(), features=features), cfg.buffer_len)
+    pipeline.train_step(bufs[0], model, cfg, grid, 0)
+    tracemalloc.start()
+    try:
+        report = pipeline.train_step(bufs[1], model, cfg, grid, 1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(report.apn_pos) > 0 and sum(report.acn_pos) > 0
+    assert peak < 3.0e6
+    assert kept < 0.05 * sum(p.data.nbytes for p in model.params.values())
+    assert all(p.grad is None for p in model.params.values())
 
 
 @pytest.mark.parametrize("cfgs,count,sha256", [
