@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import json
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from math import inf
 from pathlib import Path
 
 import numpy as np
@@ -353,23 +356,45 @@ class SynthConfig:
         if (not (isinstance(pair, (tuple, list)) and len(pair) == 2)
                 or check_int("instances_per_video", pair[0], 0) > check_int("instances_per_video", pair[1], 0)):
             raise ConfigError(f"instances_per_video must be a (min, max) pair, got {_shown(pair)}")
-        if not (isinstance(self.duration_bands, (tuple, list)) and self.duration_bands):
-            raise ConfigError(f"duration_bands must hold one or more bands, got {_shown(self.duration_bands)}")
-        prev_max = -1
-        for b in self.duration_bands:
+        bands = self.duration_bands
+        if not (isinstance(bands, (tuple, list)) and bands):
+            raise ConfigError(f"duration_bands must hold one or more bands, got {_shown(bands)}")
+        prev_max, total = -1, 0.0
+        for b in bands:
             if (not (isinstance(b, (tuple, list)) and len(b) == 3)
                     or check_int("duration band length", b[0], 1) > check_int("duration band length", b[1], 1)):
                 raise ConfigError(f"bad duration band {_shown(b)}")
-            check_real("duration band weight", b[2], "(0, inf)")
+            total += check_real("duration band weight", b[2], "(0, inf)")
             if b[0] <= prev_max:
                 raise ConfigError("duration bands must be disjoint and ascending")
             prev_max = b[1]
+        if total == inf:
+            raise ConfigError(f"duration band weights must have a finite sum, got {_shown(bands)}")
+
+
+@lru_cache(maxsize=64)
+def _band_cdf(weights: tuple) -> tuple:
+    """The cumulative band probabilities that ``Generator.choice`` builds for
+    ``p=weights / weights.sum()``, by numpy's own expressions, as floats."""
+    w = np.array(weights, dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+    if not (np.isfinite(cdf).all() and (w >= 0).all()):
+        raise ConfigError(f"duration band weights must be >= 0 with a finite, positive sum, got {_shown(weights)}")
+    return tuple(cdf.tolist())
 
 
 def sample_instance_length(rng: np.random.Generator, bands) -> tuple[int, int]:
-    """Draw (length, band index): band by weight, length uniform within."""
-    weights = np.array([b[2] for b in bands], dtype=np.float64)
-    band = int(rng.choice(len(bands), p=weights / weights.sum()))
+    """Draw (length, band index): band by weight, length uniform within.
+
+    The band is drawn exactly as ``rng.choice(len(bands), p=w / w.sum())``
+    over the weights ``w`` would draw it: one ``rng.random()`` against the
+    same CDF, so every draw and the generator's state after it are equal
+    bit for bit.  The CDF is computed once per weight table and cached
+    under the tuple of the weights, so tables given as lists work too.
+    """
+    band = bisect_right(_band_cdf(tuple(b[2] for b in bands)), rng.random())
     lo, hi, _ = bands[band]
     return int(rng.integers(lo, hi + 1)), band
 

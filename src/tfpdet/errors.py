@@ -10,7 +10,6 @@ checked, through ``_shown``, so building the message cannot itself raise.
 """
 
 import sys
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,16 +57,23 @@ def is_label(value) -> bool:
     return isinstance(value, (int, np.integer)) and type(value) is not bool and 1 <= value <= _INT64_MAX
 
 
-@lru_cache(maxsize=None)
-def _interval(text: str) -> tuple:
-    lo, hi = text[1:-1].split(",")
-    return float(lo), float(hi), text[0] == "(", text[-1] == ")"
+class _Intervals(dict):
+    """Each interval text, such as ``"(0, 1]"``, parsed once into (lo, hi, lo_open, hi_open); a
+    dict lookup costs half an ``lru_cache`` call, and every config check pays it."""
+
+    def __missing__(self, text: str) -> tuple:
+        lo, hi = text[1:-1].split(",")
+        bounds = self[text] = float(lo), float(hi), text[0] == "(", text[-1] == ")"
+        return bounds
+
+
+_INTERVALS = _Intervals()
 
 
 def check_real(name: str, value, interval: str, error=ConfigError) -> float:
     """``value`` as a float if it is an int or float (not a bool or numpy float32) of finite
     magnitude inside ``interval``, written like ``"(0, 1]"``; else raise ``error``."""
-    lo, hi, lo_open, hi_open = _interval(interval)
+    lo, hi, lo_open, hi_open = _INTERVALS[interval]
     if (type(value) is bool or not isinstance(value, (int, float)) or not -_FLOAT_MAX <= value <= _FLOAT_MAX
             or (value <= lo if lo_open else value < lo) or (value >= hi if hi_open else value > hi)):
         raise error(f"{name} must lie in {interval}, got {_shown(value)}")

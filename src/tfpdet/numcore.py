@@ -57,9 +57,10 @@ class Tensor:
     contiguous); any other dtype, Python scalars included, becomes float64.
 
     ``grad``, when present, has the same shape as ``data``.  A
-    gradient-requiring leaf starts with a buffer from ``np.zeros``, whose
-    pages stay untouched until a gradient is added, so a model that only
-    infers never makes them resident.  A leaf's buffer is its own:
+    gradient-requiring leaf starts with a zero buffer from ``np.zeros``.
+    Small buffers come from the process heap's recycled memory, so most
+    of those pages are resident from the start, even in a model that only
+    infers.  A leaf's buffer is its own:
     gradients are added into it in place, so code that assigns a leaf's
     ``grad`` hands that array over; ``sgd_step`` sets it to ``None``.  An
     interior node holds a ``grad`` only while ``backward()`` walks it; it

@@ -107,8 +107,11 @@ class Model:
     def build(cls, encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, seed: int) -> "Model":
         """A fresh model: each parameter drawn from the seed in float64 and
         cast to ``PARAM_DTYPE`` as it is drawn, with zero velocities.  The
-        velocities and the leaves' gradients are untouched zero pages until
-        a training step writes them."""
+        velocities and the leaves' zero gradients are allocated here, and
+        most of their pages are resident at once: small ``np.zeros``
+        buffers come from the recycled heap.  Allocating them only when a
+        step first needs them lowers an inferring model's peak memory, but
+        costs every training step minor page faults (ROADMAP item 6)."""
         rng = np.random.default_rng([int(seed), 2])
         params = nc.create_params(cls.param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg), rng, PARAM_DTYPE)
         velocity = {name: np.zeros(p.shape, PARAM_DTYPE) for name, p in params.items()}

@@ -597,3 +597,24 @@ def roi_cell_selection_ref(feat_data: np.ndarray, starts: np.ndarray, ends: np.n
     left = table.take(((k * t + a) * d)[:, :, None] + np.arange(d))
     right = table.take(((k * t + b - (1 << k)) * d)[:, :, None] + np.arange(d))
     return np.where(feat_data.take(right) > feat_data.take(left), right, left).transpose(0, 2, 1)
+
+
+# ---------------------------------------------------------------------------
+# synthetic data: the band draw as it was before its CDF was cached, verbatim
+# apart from its name; the cached draw must match it bit for bit
+
+
+def sample_instance_length_ref(rng: np.random.Generator, bands) -> tuple[int, int]:
+    """Draw (length, band index): band by weight, length uniform within."""
+    weights = np.array([b[2] for b in bands], dtype=np.float64)
+    band = int(rng.choice(len(bands), p=weights / weights.sum()))
+    lo, hi, _ = bands[band]
+    return int(rng.integers(lo, hi + 1)), band
+
+
+def band_cdf_ref(bands) -> np.ndarray:
+    """The CDF that ``Generator.choice`` builds from the reference's ``p``."""
+    weights = np.array([b[2] for b in bands], dtype=np.float64)
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf

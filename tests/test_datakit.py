@@ -12,6 +12,9 @@ from tfpdet import datakit as dk
 from tfpdet.errors import ConfigError, ContractError, DataError, _shown
 from tfpdet.numcore import Tensor
 
+from oracles import band_cdf_ref, sample_instance_length_ref
+from test_digest import load_digest
+
 
 def write_annotations(tmp_path, database):
     p = tmp_path / "ann.json"
@@ -511,6 +514,7 @@ NOT_INTS = [float("nan"), 2.5, 768.0, True]
     *({"duration_bands": (band,)} for v in NOT_INTS[1:] for band in ((v, 768, 1.0), (1, v, 1.0))),
     {"seed": -1},
     {"duration_bands": ((10 ** 5000,),)}, {"duration_bands": ()}, {"duration_bands": 5}, {"duration_bands": (5,)},
+    {"duration_bands": ((8, 56, 1e308), (64, 160, 1e308))},
     {"instances_per_video": (1, 2, 3)}, {"instances_per_video": 5}, {"instances_per_video": (10 ** 5000, 1)},
 ], ids=_shown)
 def test_synth_config_rejects_counts_and_seeds_that_are_not_ints(kw):
@@ -518,7 +522,8 @@ def test_synth_config_rejects_counts_and_seeds_that_are_not_ints(kw):
     # draws; a negative seed failed at the first draw with numpy's ValueError.
     # No band constructed and then failed in generate_synthetic with numpy's
     # bare ValueError; an instance count that is no pair, or a band of an int
-    # of over 4,300 digits, raised a bare ValueError or TypeError
+    # of over 4,300 digits, raised a bare ValueError or TypeError; band
+    # weights whose sum overflows warned and then raised numpy's bare ValueError
     with pytest.raises(ConfigError):
         dk.SynthConfig(**kw)
 
@@ -579,6 +584,64 @@ def test_band_histogram_matches_weights():
     weights = np.array([b[2] for b in cfg.duration_bands])
     weights = weights / weights.sum()
     assert np.all(np.abs(counts / n - weights) < 0.05)
+
+
+def test_band_draw_equals_generator_choice_bit_for_bit():
+    # the cached CDF and one random() per draw reproduce Generator.choice: the
+    # same draws and generator state, and a CDF equal to the last bit, which
+    # draws alone rarely show (a Python-sequential sum differs from 8 bands up)
+    digest = load_digest()
+    tables = list(digest.length_tables())
+    assert sorted({len(t) for t in tables}) == list(digest.LENGTH_SIZES)
+    assert {type(t) for t in tables} == {tuple, list}
+    weights = [b[2] for t in tables for b in t]
+    assert {type(w) for w in weights} == {int, float} and 0 < min(weights) < np.finfo(np.float64).tiny
+    sequential_differs = False
+    for bands in tables:
+        cdf = np.array(dk._band_cdf(tuple(b[2] for b in bands)))
+        assert cdf.tobytes() == band_cdf_ref(bands).tobytes()
+        w = [float(b[2]) for b in bands]
+        sequential = (np.array(w) / sum(w)).cumsum()
+        sequential_differs |= not np.array_equal(sequential / sequential[-1], cdf)
+        for seed in digest.LENGTH_DRAW_SEEDS:
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert ([dk.sample_instance_length(rng, bands) for _ in range(digest.LENGTH_DRAWS)]
+                    == [sample_instance_length_ref(ref, bands) for _ in range(digest.LENGTH_DRAWS)])
+            assert rng.random() == ref.random()
+    assert sequential_differs
+
+
+def test_band_draw_on_a_cdf_value_takes_the_next_band_as_generator_choice_does():
+    # Generator.choice takes searchsorted(cdf, u, side="right"), so a draw that
+    # lands on a CDF value, 0.0 included, skips the bands of zero weight there;
+    # random draws land on one too rarely to show it
+    class Fixed:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+        def integers(self, lo, hi):
+            return lo
+
+    bands = ((1, 2, 0.0), (3, 4, 1.0), (5, 6, 0.0), (7, 8, 2.0), (9, 10, 0.0))
+    cdf = band_cdf_ref(bands)
+    inner = cdf[cdf < 1.0]  # random() lies in [0, 1)
+    for u in [0.0, *inner, *np.nextafter(inner, 0.0)]:
+        length, band = dk.sample_instance_length(Fixed(u), bands)
+        assert band == np.searchsorted(cdf, u, side="right") and length == bands[band][0]
+        assert bands[band][2] > 0
+
+
+@pytest.mark.parametrize("weights", [(1.0, -0.5), (0.0, 0.0), (1.0, float("nan")), (1.0, float("inf")),
+                                     (1e308, 1e308)], ids=_shown)
+def test_band_draw_rejects_the_weights_that_generator_choice_rejects(weights):
+    bands = tuple((10 * i + 1, 10 * i + 5, w) for i, w in enumerate(weights))
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        sample_instance_length_ref(np.random.default_rng(0), bands)
+    with pytest.raises(ConfigError, match="duration band weights"):
+        dk.sample_instance_length(np.random.default_rng(0), bands)
 
 
 def test_generate_instances_respect_gaps(tmp_path):

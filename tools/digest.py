@@ -48,7 +48,13 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
   too;
 - ``synth``: one digest of every file that ``datakit.generate_synthetic``
   writes for ``SynthConfig(seed=510)``, whose ``video_0069`` restarts its
-  instance placement, and for the default config at seeds 0 to 3.
+  instance placement, and for the default config at seeds 0 to 3;
+- ``lengths``: one digest of ``datakit.sample_instance_length``'s draws over
+  a seeded battery of band tables of 1, 2, 3, 7, 8, 9, 16 and 40 bands, with
+  int weights, float weights of one or of 16 decades and subnormal weights,
+  none summing to 1, given as tuples or as lists: per table and per seed 0
+  to 3, 500 draws and then the next ``random()`` of the generator, which
+  pins its state.
 
 ``--float64`` runs the model in float64: before the first op it redraws
 the parameters as ``Model.build`` draws them from the model seed, in float64
@@ -83,6 +89,8 @@ POOL_SEED, POOL_CASES = 13, 60
 EVAL_SEEDS = range(1, 6)
 SYNTH_SEEDS = (510, 0, 1, 2, 3)  # 510: a video whose placement restarts
 TIE_STEP = 0.05
+LENGTH_SEED, LENGTH_SIZES = 17, (1, 2, 3, 7, 8, 9, 16, 40)
+LENGTH_DRAW_SEEDS, LENGTH_DRAWS = range(4), 500
 
 
 def sha256(chunks) -> str:
@@ -258,6 +266,39 @@ def synth_digest() -> str:
     return sha256(chunks)
 
 
+def length_tables():
+    """Every band table of the ``lengths`` digest: for each of
+    ``LENGTH_SIZES`` bands, disjoint ascending lengths with int weights,
+    float weights of one decade or of 16 and subnormal weights, every other
+    table a list of lists."""
+    import numpy as np
+
+    rng = np.random.default_rng(LENGTH_SEED)
+    kinds = [(n, kind) for n in LENGTH_SIZES for kind in ("int", "float", "wide", "subnormal")]
+    for i, (n, kind) in enumerate(kinds):
+        lo = np.cumsum(rng.integers(1, 30, n)) + 30 * np.arange(n)
+        hi = lo + rng.integers(0, 30, n)
+        ints = rng.integers(1, 1000, n)
+        floats = rng.uniform(1, 10, n)
+        weights = {"int": ints.tolist(), "float": floats.tolist(),
+                   "wide": (floats * 10.0 ** rng.integers(-8, 8, n)).tolist(),
+                   "subnormal": (ints * 5e-324).tolist()}[kind]
+        table = [(int(a), int(b), w) for a, b, w in zip(lo, hi, weights)]
+        yield [list(band) for band in table] if i % 2 else tuple(table)
+
+
+def lengths_digest() -> str:
+    import numpy as np
+    from tfpdet import datakit
+
+    draws = []
+    for bands in length_tables():
+        for seed in LENGTH_DRAW_SEEDS:
+            rng = np.random.default_rng(seed)
+            draws.append([datakit.sample_instance_length(rng, bands) for _ in range(LENGTH_DRAWS)] + [rng.random()])
+    return sha256([json.dumps(draws).encode()])
+
+
 def tied(w):
     """The detections and proposals of ``Eval`` workload ``w`` with each
     score and objectness rounded to a multiple of ``TIE_STEP``."""
@@ -308,6 +349,7 @@ def main(argv=None) -> int:
     print(f"nms seed {NMS_SEED} kept {nms_digest()}")
     print(f"pool seed {POOL_SEED} cases {POOL_CASES} values+gradients {pool_digest()}")
     print(f"synth seeds {', '.join(map(str, SYNTH_SEEDS))} files {synth_digest()}")
+    print(f"lengths seed {LENGTH_SEED} tables {len(list(length_tables()))} draws {lengths_digest()}")
     return 0
 
 
