@@ -13,10 +13,11 @@ that route the gradient are computed only by the backward, so a forward
 that needs no gradient never builds them.
 Post-processing runs on arrays: proposals and detections are decoded by
 ``anchorkit.decode`` per level, and NMS is exact greedy suppression that
-computes ``anchorkit.tiou`` only for pairs that can suppress.  The sweep of
-a video's class-wise NMS walks those pairs in chunks of ``NMS_CHUNK``, so
-beside its per-row arrays its transient memory is O(chunk + hits): only the
-list of suppressing pairs grows with the pairs of a longer video.  Proposals
+computes ``anchorkit.tiou`` only for pairs that can reach its threshold.
+The sweep of a video's class-wise NMS walks those pairs in chunks of
+``NMS_CHUNK``, so beside its per-row arrays its transient memory is
+O(chunk + hits): only the list of suppressing pairs grows with the pairs of
+a longer video.  Proposals
 (``Proposals``) and detections (``Detections``) stay arrays from a window's
 NMS to one class-wise ``nms_detections`` per video.  Every array of
 segments, from the anchor grid through NMS, RoI pooling and context
@@ -197,16 +198,42 @@ def apn_forward(pyr: PyramidFeatures, params: dict) -> list:
     return out
 
 
-def _overlapping_pairs(segs: np.ndarray):
-    """Every pair of ``segs``' rows that can overlap, as (a, b) position arrays
-    of at most ``NMS_CHUNK`` pairs each: the runs of one flat pair index."""
+def _partner_bounds(s: np.ndarray, e: np.ndarray, thresh: float) -> np.ndarray:
+    """Per tame row p, a start past which no later-starting row q reaches
+    ``thresh`` > 0 in ``anchorkit.tiou``, so the sweep need not pair them.
+
+    With s_p <= s_q the overlap is at most e_p - s_q and the union at least
+    L_p = e_p - s_p, so a hit needs s_q <= e_p - thresh * L_p, give or take
+    rounding.  With u = 2**-53, ``tiou``'s quotient before its last rounding
+    is at most (e_p - s_q) / L_p * (1 + u) / ((1 - 2u)(1 - u)), and a
+    quotient at or below the float ``theta`` just under ``thresh`` rounds to
+    at most ``theta``.  As c (1 + u) / ((1 - 2u)(1 - u)) < 1 for
+    c = (1 - 2**-40)(1 + u)**2, no q with s_q > e_p - c * theta * L_p is a
+    hit.  The product below is at most c * theta * L_p, plus 2**-1074 where
+    it underflows, and two steps up from the rounded difference land at
+    least 2**-1074 above its exact value.  A row whose product overflows
+    gets no bound."""
+    s, e = s.astype(np.float64, copy=False), e.astype(np.float64, copy=False)
+    with np.errstate(over="ignore"):  # overflows are handled, not warned about
+        prod = np.nextafter(thresh, 0.0) * (e - s) * (1.0 - 2.0 ** -40)
+        bound = np.where(prod < np.inf, e - prod, np.inf)
+    return np.nextafter(np.nextafter(bound, np.inf), np.inf)
+
+
+def _overlapping_pairs(segs: np.ndarray, thresh: float):
+    """Every pair of ``segs``' rows that can reach ``thresh``, as (a, b)
+    position arrays of at most ``NMS_CHUNK`` pairs each: the runs of one flat
+    pair index."""
     n, (s, e) = len(segs), segs.T
     tame = np.isfinite(s) & np.isfinite(e) & (e > s)
     by_start = np.flatnonzero(tame)[np.argsort(s[tame])]
-    # position p meets positions p+1 .. (the last one starting before its end),
-    # which are the flat pairs first[p] .. first[p] + count[p] - 1
-    pos = np.arange(len(by_start))
-    count = np.searchsorted(s[by_start], e[by_start]) - pos - 1
+    # position p meets positions p+1 .. (the last one starting before its end
+    # and at most at its partner bound), which are the flat pairs
+    # first[p] .. first[p] + count[p] - 1
+    pos, starts, ends = np.arange(len(by_start)), s[by_start], e[by_start]
+    bound = _partner_bounds(starts, ends, thresh)
+    last = np.minimum(np.searchsorted(starts, ends), np.searchsorted(starts, bound, "right"))
+    count = np.maximum(last - pos - 1, 0)
     first, total = np.cumsum(count) - count, int(count.sum())
     for lo in range(0, total, NMS_CHUNK):
         f = np.arange(lo, min(lo + NMS_CHUNK, total))
@@ -221,7 +248,7 @@ def _overlapping_pairs(segs: np.ndarray):
 def _overlap_survivors(segs: np.ndarray, thresh: float) -> list[int]:
     """The positions that greedy NMS at ``thresh > 0`` keeps of ``segs``, rows in score order."""
     n, hits = len(segs), [(np.zeros(0, dtype=np.int64),) * 2]
-    for a, b in _overlapping_pairs(segs):
+    for a, b in _overlapping_pairs(segs, thresh):
         i, j = np.minimum(a, b), np.maximum(a, b)
         # `not < thresh` rather than `>= thresh`: a NaN overlap suppresses
         hit = (i != j) & ~(tiou(segs.take(i, axis=0), segs.take(j, axis=0)) < thresh)
@@ -242,11 +269,15 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
     A NaN overlap suppresses; a threshold that is not > 0 (NaN included)
     keeps only the top row, since every tIoU reaches it.
 
+    ``top_k`` is None or an int >= 1, else ``ContractError`` is raised.
+
     Without ``top_k`` the rows are swept by start.  Two segments with finite
     ends and positive length that do not overlap have a tIoU of exactly 0,
     so such a row is paired only with the rows starting in [its start, its
-    end).  A wild row (a non-finite end or a length <= 0) can have a NaN
-    tIoU with any row and is paired with all.  Only these pairs get an
+    end), and of those only with the ones starting at most at its partner
+    bound (``_partner_bounds``), past which no tIoU reaches ``thresh``.  A
+    wild row (a non-finite end or a length <= 0) can have a NaN tIoU with
+    any row and is paired with all.  Only these pairs get an
     ``anchorkit.tiou``, so the result is the full matrix scan's bit for bit.
     The pairs are one flat index, read in chunks of ``NMS_CHUNK`` pairs, and
     a chunk keeps only its hits: no temporary is larger than a chunk, however
@@ -258,6 +289,8 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
     candidate overlapping a kept row is dead before the greedy pass over the
     block's own columns starts.
     """
+    if top_k is not None:
+        check_int("top_k", top_k, 1, ContractError)
     n = len(scores)
     order = np.lexsort((np.arange(n), -np.asarray(scores)))
     segs = segments.take(order, axis=0)
@@ -300,14 +333,20 @@ def generate_proposals(apn_out, grid: AnchorGrid, cfg: ApnConfig) -> Proposals:
         raise ContractError(f"an anchor grid of {len(grid.level_offsets) - 1} levels for {len(apn_out)} APN levels")
     parts = []  # per level: the kept anchors' segments, scores and levels
     hi = float(grid.buffer_len)
+    offsets = grid.level_offsets
+    for k, (cls, _) in enumerate(apn_out):  # every level, before any is decoded
+        a, t = cls.shape[0] // 2, cls.shape[1]
+        if offsets[k + 1] - offsets[k] != a * t:
+            raise ContractError(f"level {k} of the anchor grid is not {a} anchors at each of {t} positions")
     for k, (cls, reg) in enumerate(apn_out):
-        idx = grid.level_indices(k)
-        cells = anchor_map_indices(grid, k, cls.shape, idx)
-        bg, fg = cls.data.take(cells).T
+        a, t = cls.shape[0] // 2, cls.shape[1]
+        # views of the [2A, T] maps, [T, A] or [T, A, 2]: position-major, as the grid's level block
+        bg, fg = cls.data.reshape(a, 2, t).transpose(1, 2, 0)
         m = np.maximum(bg, fg)
         efg = np.exp(fg - m)
         obj = efg / (np.exp(bg - m) + efg)
-        segs, keep = decode(grid.segments[idx], reg.data.take(cells), (0.0, hi))
+        anchors = grid.segments[offsets[k] : offsets[k + 1]].reshape(t, a, 2)
+        segs, keep = decode(anchors, reg.data.reshape(a, 2, t).transpose(2, 0, 1), (0.0, hi))
         parts.append((segs[keep], obj[keep], np.full(int(keep.sum()), k)))
     segments, scores, levels = (np.concatenate(x) for x in zip(*parts))
     kept = nms_indices(segments, scores, cfg.nms_tiou, cfg.top_k)
@@ -394,7 +433,8 @@ def _pool_values(val: np.ndarray, left: np.ndarray, right: np.ndarray) -> tuple[
     for p, pooled in enumerate(out.transpose(2, 0, 1)):
         vl, vr = val.take(left[:, p], axis=0), val.take(right[:, p], axis=0)
         np.greater(vr, vl, out=wins[p])
-        pooled[...] = np.where(wins[p], vr, vl)
+        np.copyto(vl, vr, where=wins[p])
+        pooled[...] = vl
     return out, wins
 
 

@@ -35,8 +35,12 @@ outputs would, so results are identical bit for bit whichever layout a
 kernel picks.  A kernel arranges its copies and additions so that numpy's
 innermost loop runs over long contiguous memory: along T within a [C, T]
 map, over whole [N, C] planes (time-major) where an input gradient is
-scattered back, and as whole T-runs moved as single opaque items where a
-copy has to transpose around short runs.
+scattered back or a short bias-gradient axis is summed, and as whole T-runs
+moved as single opaque items where a copy has to transpose around short
+runs, into the patch rows and into the padded input alike (a map without
+padding is read where it lies).  A kernel allocates only what it returns or
+reads again: ``linear`` and ``temporal_conv`` add the bias into their fresh
+matmul output in place, unless the bias's dtype would widen it.
 """
 
 from __future__ import annotations
@@ -213,7 +217,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ContractError(f"linear shape mismatch: x {x.shape} vs w {w.shape}, b {b.shape}")
-    y = x.data @ w.data + b.data
+    y = _plus_bias(x.data @ w.data, b.data)
 
     def back(g):
         _accumulate(x, g @ w.data.T)
@@ -221,6 +225,30 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g.sum(axis=0))
 
     return Tensor(y, _parents=(x, w, b), _backward=back)
+
+
+def _plus_bias(y: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``y + b`` for a fresh matmul output ``y``: the bias is added into ``y``
+    in place, unless ``b``'s dtype would widen ``y``'s (a float64 bias of a
+    float32 product), where a new array of the wider dtype holds the sum."""
+    if np.result_type(y, np.asarray(b)) != y.dtype:  # asarray: a raw array's .data is a memoryview
+        return y + b
+    y += b
+    return y
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """``g.sum(axis=2).sum(axis=0)`` of an [N, C, T'] gradient, bit for bit.
+
+    Below 8 terms numpy sums an axis sequentially onto +0.0, so a short
+    axis (the RoI convs' T') is summed as the same additions over whole
+    [N, C] planes, without a reduction call per (row, channel)."""
+    if g.shape[2] >= 8:  # numpy's pairwise order from 8 terms on
+        return g.sum(axis=2).sum(axis=0)
+    s = np.zeros(g.shape[:2], dtype=g.dtype)
+    for t in range(g.shape[2]):
+        s += g[:, :, t]
+    return s.sum(axis=0)
 
 
 def _im2col(xb: np.ndarray, k: int, stride: int, padding: int, t_out: int) -> np.ndarray:
@@ -231,12 +259,16 @@ def _im2col(xb: np.ndarray, k: int, stride: int, padding: int, t_out: int) -> np
     and the whole array is the weight-gradient operand, without a copy.
     """
     n, c_in, t_in = xb.shape
-    xp = np.zeros((n, c_in, t_in + 2 * padding), dtype=xb.dtype)
-    xp[:, :, padding : padding + t_in] = xb
+    size = xb.itemsize
+    xp = xb
+    if padding:
+        xp = np.zeros((n, c_in, t_in + 2 * padding), dtype=xb.dtype)
+        if t_in:  # each (row, channel) T-run of xb moves into its padded row as one item
+            rows = np.dtype((np.void, size * t_in))
+            np.ndarray((n, c_in), rows, xp, size * padding, xp.strides[:2])[...] = xb.view(rows)[..., 0]
     cols = np.empty((c_in, k, n, t_out), dtype=xb.dtype)
     if stride == 1:
         # each patch row is a contiguous T'-run of xp: move it as one item
-        size = xb.itemsize
         run = np.dtype((np.void, size * t_out))
         dst = cols.view(run)[..., 0]
         for j in range(k):
@@ -275,13 +307,13 @@ def temporal_conv(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int
     n = xb.shape[0]
     cols = _im2col(xb, k, stride, padding, t_out)
     w2 = w.data.reshape(c_out, c_in * k)
-    y = np.matmul(w2, cols.transpose(1, 0, 2)) + b.data[:, None]
+    y = _plus_bias(np.matmul(w2, cols.transpose(1, 0, 2)), b.data[:, None])
 
     def back(g):
         g = g.reshape(n, c_out, t_out)
         gw = g.transpose(1, 0, 2).reshape(c_out, n * t_out) @ cols.reshape(c_in * k, n * t_out).T
         _accumulate(w, gw.reshape(w.shape))
-        _accumulate(b, g.sum(axis=2).sum(axis=0))
+        _accumulate(b, _bias_grad(g))
         if x.requires_grad:
             gk = np.matmul(w2.T, g).reshape(n, c_in, k, t_out)
             # time-major: each tap adds whole [N, C_in] planes

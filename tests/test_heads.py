@@ -224,6 +224,56 @@ def test_nms_equals_the_blocked_scan_on_any_rows(rows, top_k, chunk):
             assert got == nms_ref(segs, scores, thresh, top_k)
 
 
+def _ordered(x: float) -> int:
+    """An int that orders float64 values as they compare (both zeros at 0)."""
+    i = int(np.float64(x).view(np.int64))
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _unordered(i: int) -> float:
+    return float(np.int64(i if i >= 0 else -i | -0x8000_0000_0000_0000).view(np.float64))
+
+
+def _last_hit_start(p, end, thresh):
+    """The largest start in [p's start, p's end] of a row ending at ``end``
+    whose computed tIoU with row ``p`` still reaches ``thresh``, found by
+    bisection over the floats; p's start if none does."""
+    def hit(i):
+        return not ak.tiou(p, [_unordered(i), end]) < thresh
+    lo, hi = _ordered(p[0]), _ordered(p[1])
+    if not hit(lo):
+        return p[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if hit(mid) else (lo, mid)
+    return _unordered(lo)
+
+
+@pytest.mark.parametrize("thresh", [1e-9, 0.4, 0.7, 1.0, 1.5])
+def test_nms_partner_bound_keeps_every_pair_at_the_threshold(thresh):
+    # the sweep pairs a row only with later-starting rows that can reach the
+    # threshold; rows starting at the last start that reaches it, and one and
+    # two floats either side, must be suppressed exactly as the full scan does
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for base in (0.0, 1 / 3, 640.5, 65536.0, 123456.789, 999_999.875):
+            for length in (1e-6, 3e-6, 1e-3, 1.0, 97.3, 4096.0):
+                p = (base, base + length)
+                for end in (p[1], np.nextafter(p[1], -np.inf), p[1] + length / 2, p[1] - length / 4):
+                    last = _last_hit_start(p, end, thresh)
+                    for start in (np.nextafter(np.nextafter(last, -np.inf), -np.inf), np.nextafter(last, -np.inf), last,
+                                  np.nextafter(last, np.inf), np.nextafter(np.nextafter(last, np.inf), np.inf)):
+                        for mirror in (1.0, -1.0):  # -1: the rows flipped, so they share an end or a start
+                            rows = np.sort(mirror * np.array([p, (start, end)]), axis=1)
+                            for scores in (np.array([0.9, 0.1]), np.array([0.1, 0.9])):
+                                got = heads.nms_indices(rows, scores, thresh)
+                                with np.errstate(invalid="ignore"):  # a start at the end is an empty row
+                                    assert got == nms_blocked_ref(rows[:, 0], rows[:, 1], scores, thresh)
+                                outcomes.add(len(got))
+    assert outcomes == ({1, 2} if thresh <= 1.0 else {2})  # the battery holds hits and misses
+
+
 def test_nms_computes_tiou_only_for_rows_that_can_suppress(monkeypatch):
     # 50,000 disjoint unit segments and a NaN row ranked last: a dense scan
     # computes ~10^9 overlaps, the sweep one per NaN pair
@@ -274,6 +324,15 @@ def test_nms_nan_segment_suppresses_every_row_below_it(thresh, top_k):
     assert heads.nms_indices(segments, np.array([0.9, 0.8, 0.7, 0.6, 0.5]), thresh, top_k) == [0, 1, 3]
 
 
+@pytest.mark.parametrize("top_k", [0, -1, True, 2.0, np.int64(3), "3"])
+def test_nms_top_k_is_none_or_an_int_of_at_least_one(top_k):
+    # top_k=0, a negative top_k and True used to keep one row
+    segments = np.array([[0.0, 10.0], [20.0, 30.0]])
+    with pytest.raises(ContractError, match="top_k"):
+        heads.nms_indices(segments, np.array([0.5, 0.4]), 0.4, top_k)
+    assert heads.nms_indices(segments, np.array([0.5, 0.4]), 0.4, 1) == [0]
+
+
 @pytest.mark.parametrize("thresh", [0.0, -0.0, -1.0, float("nan")])
 @pytest.mark.parametrize("top_k", [None, 10])
 def test_nms_threshold_not_above_zero_keeps_only_the_top_row(thresh, top_k):
@@ -315,13 +374,17 @@ def test_anchor_map_indices_equal_a_per_anchor_loop(strides, scales):
     (768, ((1, 2), (3, 4), (5, 6))),
     (768, ak.DEFAULT_SCALES[:2]),
     (768, ak.DEFAULT_SCALES + ((8, 12),)),
+    (768, ak.DEFAULT_SCALES[:2] + ((6, 7),)),  # only the last level differs
 ])
-def test_generate_proposals_rejects_a_grid_of_other_maps(buffer_len, scales):
+def test_generate_proposals_rejects_a_grid_of_other_maps(buffer_len, scales, monkeypatch):
     ecfg, pcfg, apn_cfg, params = small_setup()
     out = heads.apn_forward(forward_pyramid(ecfg, pcfg, params), params)
     grid = ak.build_anchor_grid(buffer_len, (8, 16, 32, 64)[:len(scales)], scales)
+    decoded = []
+    monkeypatch.setattr(heads, "decode", lambda *args: decoded.append(args))
     with pytest.raises(ContractError, match="anchor grid"):
         heads.generate_proposals(out, grid, apn_cfg)
+    assert decoded == []  # every level is checked before any is decoded
 
 
 def generate_proposals_ref(apn_out, grid, cfg):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -652,6 +653,49 @@ def test_im2col_layout_equals_a_loop_in_the_input_dtype(stride, padding, k, dtyp
         want = np.array([[[xp[i, c, stride * t + j] for t in range(t_out)] for i in range(n)]
                          for c in range(c_in) for j in range(k)], dtype=dtype)
         assert_same_bytes(nc._im2col(xb, k, stride, padding, t_out), want)
+
+
+@pytest.mark.parametrize("dtypes", list(itertools.product((np.float32, np.float64), repeat=3)))
+def test_bias_adds_give_the_dtype_and_bytes_of_the_product_plus_bias(dtypes):
+    # the bias goes into the fresh product in place, except where it would
+    # widen it: a float64 bias is never rounded into a float32 product
+    rng = np.random.default_rng(17)
+    x, w, b = (rng.standard_normal(s).astype(d) for s, d in zip(((5, 6), (6, 4), (4,)), dtypes))
+    assert_same_bytes(nc.linear(nc.Tensor(x), nc.Tensor(w), nc.Tensor(b)).data, x @ w + b)
+    xc, wc = rng.standard_normal((3, 6, 5)).astype(dtypes[0]), rng.standard_normal((4, 6, 3)).astype(dtypes[1])
+    cols = nc._im2col(xc, 3, 1, 1, 5)
+    want = np.matmul(wc.reshape(4, 18), cols.transpose(1, 0, 2)) + b[:, None]
+    assert_same_bytes(nc.temporal_conv(nc.Tensor(xc), nc.Tensor(wc), nc.Tensor(b), 1, 1).data, want)
+
+
+def _bits(dtype, pattern):
+    return np.array([pattern], dtype=f"u{np.dtype(dtype).itemsize}").view(dtype)[0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_short_axis_bias_gradient_equals_numpy_sum_bytes(dtype):
+    # below 8 terms the planes are added onto +0.0 in numpy's own order: signed
+    # zeros, NaNs of both signs and payloads, infinities and subnormals included
+    info, width = np.finfo(dtype), 8 * np.dtype(dtype).itemsize
+    sign, quiet = 1 << (width - 1), int(np.array([np.nan], dtype).view(f"u{width // 8}")[0])
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal, -info.smallest_subnormal,
+                         info.smallest_normal / 3, _bits(dtype, quiet), _bits(dtype, quiet | sign),
+                         _bits(dtype, quiet + 5), _bits(dtype, (quiet + 7) | sign)], dtype=dtype)
+    rng = np.random.default_rng(23)
+    for t in range(1, 10):
+        for share in (0.0, 0.05, 0.5, 0.95):
+            g = (rng.standard_normal((37, 11, t)) * 10.0 ** rng.integers(-20, 20, (37, 11, t))).astype(dtype)
+            mask = rng.random(g.shape) < share
+            g[mask] = rng.choice(specials, int(mask.sum()))
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = g.sum(axis=2).sum(axis=0)
+                assert_same_bytes(nc._bias_grad(g), want)
+                # and as the conv's backward hands it to a bias without a buffer
+                bt = nc.Tensor(np.zeros(11, dtype), requires_grad=True)
+                bt.grad = None
+                y = nc.temporal_conv(nc.Tensor(np.zeros((37, 2, t), dtype)), nc.Tensor(np.zeros((11, 2, 3), dtype)), bt, 1, 1)
+                y._backward(g)
+            assert_same_bytes(bt.grad, want)
 
 
 def assert_float32_tracks_float64(op, arrays, args, g):
