@@ -13,7 +13,9 @@ that route the gradient are computed only by the backward, so a forward
 that needs no gradient never builds them.
 Post-processing runs on arrays: proposals and detections are decoded by
 ``anchorkit.decode`` per level, and NMS is exact greedy suppression that
-computes ``anchorkit.tiou`` only for pairs that can reach its threshold.
+computes ``anchorkit.tiou`` only for pairs that can reach its threshold;
+it takes only rows such as ``decode`` keeps (finite ends, positive length)
+at a threshold in (0, 1], and rejects other input with ``ContractError``.
 The sweep of a video's class-wise NMS walks those pairs in chunks of
 ``NMS_CHUNK``, so beside its per-row arrays its transient memory is
 O(chunk + hits): only the list of suppressing pairs grows with the pairs of
@@ -124,9 +126,9 @@ class Detection:
     video_id: str
 
     def __post_init__(self):
-        if not (isinstance(self.segment, Segment) and is_label(self.label)):
-            raise ContractError(f"a detection needs a Segment and an int label >= 1, never background; got "
-                                f"{_shown(self.segment)} and {_shown(self.label)}")
+        if not (isinstance(self.segment, Segment) and is_label(self.label) and isinstance(self.video_id, str)):
+            raise ContractError(f"a detection needs a Segment, an int label >= 1 (never background) and a str video "
+                                f"id; got {_shown(self.segment)}, {_shown(self.label)} and {_shown(self.video_id)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +201,8 @@ def apn_forward(pyr: PyramidFeatures, params: dict) -> list:
 
 
 def _partner_bounds(s: np.ndarray, e: np.ndarray, thresh: float) -> np.ndarray:
-    """Per tame row p, a start past which no later-starting row q reaches
-    ``thresh`` > 0 in ``anchorkit.tiou``, so the sweep need not pair them.
+    """Per row p, a start past which no later-starting row q reaches
+    ``thresh`` in (0, 1] in ``anchorkit.tiou``, so the sweep need not pair them.
 
     With s_p <= s_q the overlap is at most e_p - s_q and the union at least
     L_p = e_p - s_p, so a hit needs s_q <= e_p - thresh * L_p, give or take
@@ -211,12 +213,10 @@ def _partner_bounds(s: np.ndarray, e: np.ndarray, thresh: float) -> np.ndarray:
     c = (1 - 2**-40)(1 + u)**2, no q with s_q > e_p - c * theta * L_p is a
     hit.  The product below is at most c * theta * L_p, plus 2**-1074 where
     it underflows, and two steps up from the rounded difference land at
-    least 2**-1074 above its exact value.  A row whose product overflows
-    gets no bound."""
+    least 2**-1074 above its exact value.  As theta < 1 and L_p is finite,
+    the product cannot overflow."""
     s, e = s.astype(np.float64, copy=False), e.astype(np.float64, copy=False)
-    with np.errstate(over="ignore"):  # overflows are handled, not warned about
-        prod = np.nextafter(thresh, 0.0) * (e - s) * (1.0 - 2.0 ** -40)
-        bound = np.where(prod < np.inf, e - prod, np.inf)
+    bound = e - np.nextafter(thresh, 0.0) * (e - s) * (1.0 - 2.0 ** -40)
     return np.nextafter(np.nextafter(bound, np.inf), np.inf)
 
 
@@ -224,13 +224,11 @@ def _overlapping_pairs(segs: np.ndarray, thresh: float):
     """Every pair of ``segs``' rows that can reach ``thresh``, as (a, b)
     position arrays of at most ``NMS_CHUNK`` pairs each: the runs of one flat
     pair index."""
-    n, (s, e) = len(segs), segs.T
-    tame = np.isfinite(s) & np.isfinite(e) & (e > s)
-    by_start = np.flatnonzero(tame)[np.argsort(s[tame])]
+    by_start = np.argsort(segs[:, 0])
     # position p meets positions p+1 .. (the last one starting before its end
     # and at most at its partner bound), which are the flat pairs
     # first[p] .. first[p] + count[p] - 1
-    pos, starts, ends = np.arange(len(by_start)), s[by_start], e[by_start]
+    pos, (starts, ends) = np.arange(len(by_start)), segs[by_start].T
     bound = _partner_bounds(starts, ends, thresh)
     last = np.minimum(np.searchsorted(starts, ends), np.searchsorted(starts, bound, "right"))
     count = np.maximum(last - pos - 1, 0)
@@ -239,19 +237,14 @@ def _overlapping_pairs(segs: np.ndarray, thresh: float):
         f = np.arange(lo, min(lo + NMS_CHUNK, total))
         p = np.searchsorted(first, f, side="right") - 1
         yield by_start[p], by_start[f - first[p] + p + 1]
-    wild = np.flatnonzero(~tame)  # paired with every row
-    for lo in range(0, len(wild) * n, NMS_CHUNK):
-        f = np.arange(lo, min(lo + NMS_CHUNK, len(wild) * n))
-        yield wild[f // n], f % n
 
 
 def _overlap_survivors(segs: np.ndarray, thresh: float) -> list[int]:
-    """The positions that greedy NMS at ``thresh > 0`` keeps of ``segs``, rows in score order."""
+    """The positions that greedy NMS at ``thresh`` keeps of ``segs``, rows in score order."""
     n, hits = len(segs), [(np.zeros(0, dtype=np.int64),) * 2]
     for a, b in _overlapping_pairs(segs, thresh):
         i, j = np.minimum(a, b), np.maximum(a, b)
-        # `not < thresh` rather than `>= thresh`: a NaN overlap suppresses
-        hit = (i != j) & ~(tiou(segs.take(i, axis=0), segs.take(j, axis=0)) < thresh)
+        hit = tiou(segs.take(i, axis=0), segs.take(j, axis=0)) >= thresh
         hits.append((i[hit], j[hit]))
     i, j = (np.concatenate(c) for c in zip(*hits))
     o = np.argsort(i)
@@ -266,18 +259,16 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
     """Greedy NMS of [n, 2] rows: keep by descending score, suppress overlaps >= thresh.
 
     Score ties break on the lower index, which callers keep deterministic.
-    A NaN overlap suppresses; a threshold that is not > 0 (NaN included)
-    keeps only the top row, since every tIoU reaches it.
+    The rows are those ``anchorkit.decode`` keeps: every row must have
+    0 < end - start < inf, so both ends are finite.  ``thresh`` must lie
+    in (0, 1] and ``top_k`` be None or an int >= 1; other input raises
+    ``ContractError``.
 
-    ``top_k`` is None or an int >= 1, else ``ContractError`` is raised.
-
-    Without ``top_k`` the rows are swept by start.  Two segments with finite
-    ends and positive length that do not overlap have a tIoU of exactly 0,
-    so such a row is paired only with the rows starting in [its start, its
-    end), and of those only with the ones starting at most at its partner
-    bound (``_partner_bounds``), past which no tIoU reaches ``thresh``.  A
-    wild row (a non-finite end or a length <= 0) can have a NaN tIoU with
-    any row and is paired with all.  Only these pairs get an
+    Without ``top_k`` the rows are swept by start.  Two such segments that
+    do not overlap have a tIoU of exactly 0, so a row is paired only with
+    the rows starting in [its start, its end), and of those only with the
+    ones starting at most at its partner bound (``_partner_bounds``), past
+    which no tIoU reaches ``thresh``.  Only these pairs get an
     ``anchorkit.tiou``, so the result is the full matrix scan's bit for bit.
     The pairs are one flat index, read in chunks of ``NMS_CHUNK`` pairs, and
     a chunk keeps only its hits: no temporary is larger than a chunk, however
@@ -291,26 +282,30 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
     """
     if top_k is not None:
         check_int("top_k", top_k, 1, ContractError)
+    check_real("nms thresh", thresh, "(0, 1]", ContractError)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a length past the float range
+        length = segments[:, 1] - segments[:, 0]
+    tame = (0 < length) & (length < np.inf)
+    if not tame.all():
+        s, e = segments[tame.argmin()]
+        raise ContractError(f"nms rows need 0 < end - start < inf, got [{s}, {e}]")
     n = len(scores)
     order = np.lexsort((np.arange(n), -np.asarray(scores)))
     segs = segments.take(order, axis=0)
-    if not thresh > 0:
-        return order[:1].tolist()
-    with np.errstate(invalid="ignore"):  # NaN and infinite ends give NaN overlaps, which suppress
-        if top_k is None:
-            return order[_overlap_survivors(segs, thresh)].tolist()
-        kept: list[int] = []  # positions in score order
-        for lo in range(0, n, NMS_BLOCK):
-            block, k = segs[lo : lo + NMS_BLOCK], len(kept)
-            hits = ~(tiou(block[:, None], np.concatenate([segs[kept], block])) < thresh)
-            dead, own = hits[:, :k].any(axis=1), hits[:, k:]
-            for r in range(len(block)):
-                if dead[r]:
-                    continue
-                kept.append(lo + r)
-                if len(kept) >= top_k:
-                    return order[kept].tolist()
-                dead |= own[r]
+    if top_k is None:
+        return order[_overlap_survivors(segs, thresh)].tolist()
+    kept: list[int] = []  # positions in score order
+    for lo in range(0, n, NMS_BLOCK):
+        block, k = segs[lo : lo + NMS_BLOCK], len(kept)
+        hits = tiou(block[:, None], np.concatenate([segs[kept], block])) >= thresh
+        dead, own = hits[:, :k].any(axis=1), hits[:, k:]
+        for r in range(len(block)):
+            if dead[r]:
+                continue
+            kept.append(lo + r)
+            if len(kept) >= top_k:
+                return order[kept].tolist()
+            dead |= own[r]
     return order[kept].tolist()
 
 
@@ -369,20 +364,19 @@ def _roi_windows(t: int, segments: np.ndarray, stride: float, num_bins: int) -> 
     table windows, the later one winning only if strictly larger.
     """
     lo, hi = np.minimum(np.maximum(segments / stride, 0.0), float(t)).T
-    outside = hi <= lo
+    outside = ~(hi > lo)  # NaN ends too
     if outside.any():
         i = outside.argmax()
         raise ContractError(f"segment [{segments[i, 0]}, {segments[i, 1]}] lies outside the feature extent")
     # covered cells [first, last): centers in [lo, hi), else the cell at the middle
-    first = np.maximum(np.ceil(lo - 0.5), 0).astype(np.int64)
-    last = np.minimum(np.ceil(hi - 0.5), t).astype(np.int64)
+    first, last = np.ceil(lo - 0.5).astype(np.int64), np.ceil(hi - 0.5).astype(np.int64)
     empty = last <= first
     first[empty] = np.minimum(np.maximum(np.floor(0.5 * (lo + hi)), 0), t - 1)[empty]
     last[empty] = first[empty] + 1
     first, last = first[:, None], last[:, None]
     edges = lo[:, None] + (hi - lo)[:, None] * np.arange(num_bins + 1) / num_bins
     # bin p pools covered cells [a, b): those with centers in [edge p, edge p+1)
-    bounds = np.minimum(np.maximum(np.searchsorted(np.arange(t) + 0.5, edges, side="left"), first), last)
+    bounds = np.minimum(np.maximum(np.ceil(edges - 0.5).astype(np.int64), first), last)
     a, b = bounds[:, :-1], bounds[:, 1:]
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
     near = np.minimum(np.maximum(np.floor(mid - 0.5), first), last - 1).astype(np.int64)

@@ -1,9 +1,10 @@
-"""``tools/digest.py`` against the package: its NMS edge rows run without
-warnings, its float64 parameter draw is ``Model.build``'s and its cast
-returns copies of a workload's videos and buffers with float64 features,
-its pooling battery holds the ties that routing can get wrong, and its
-rounded scoring set holds the ranking ties that only the stable sort
-orders."""
+"""``tools/digest.py`` against the package: its NMS battery holds only
+valid calls, while the wild edge rows it once held make ``heads.nms_indices``
+raise ``ContractError`` without a warning, its float64 parameter draw is
+``Model.build``'s and its cast returns copies of a workload's videos and
+buffers with float64 features, its pooling battery holds the ties that
+routing can get wrong, and its rounded scoring set holds the ranking ties
+that only the stable sort orders."""
 
 import importlib.util
 import warnings
@@ -11,8 +12,10 @@ from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from tfpdet import heads
+from tfpdet.errors import ContractError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,15 +27,28 @@ def load_digest():
     return digest
 
 
-def test_nms_edge_rows_raise_no_warnings():
-    # NaN and infinite ends and empty segments have defined results; tIoU's
-    # NaN arithmetic on them must not reach the caller as warnings
-    calls = [c for c in load_digest().nms_battery() if len(c[0]) == 16 and c[3] in (None, 1)]
-    assert len(calls) == 3 * 7 * 2
+def test_nms_battery_is_valid_and_the_old_edge_rows_raise():
+    # every call is one nms_indices takes: finite ends, positive lengths, a
+    # threshold in (0, 1] and a top_k of None or an int >= 1
+    calls = list(load_digest().nms_battery())
+    for segments, scores, thresh, top_k in calls:
+        length = segments[:, 1] - segments[:, 0]
+        assert np.isfinite(segments).all() and (length > 0).all() and (length < np.inf).all()
+        assert len(scores) == len(segments) and 0 < thresh <= 1 and (top_k is None or top_k >= 1)
+    # the battery's edge set once also held NaN and infinite ends and lengths <= 0
+    inf, nan = float("inf"), float("nan")
+    edge = np.array([(0, 10), (0, 10), (10, 20), (5, 15), (nan, 4), (3, nan), (-inf, 2), (1, inf), (-inf, inf),
+                     (7, 7), (9, 6), (inf, inf), (12, 30), (2, 8), (30, 40), (39, 50)], dtype=np.float64)
+    tame = [c for c in calls if len(c[0]) == 8]
+    assert len(tame) == 3 * 4 * 4 and all(np.array_equal(c[0], edge[[0, 1, 2, 3, 12, 13, 14, 15]]) for c in tame)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for segments, scores, thresh, top_k in calls:
-            heads.nms_indices(segments, scores, thresh, top_k)
+        for _, _, thresh, top_k in tame:
+            for row in range(4, 12):
+                with pytest.raises(ContractError, match="0 < end - start < inf"):
+                    heads.nms_indices(edge[[0, 1, 2, 3, row]], np.linspace(0.9, 0.1, 5), thresh, top_k)
+            with pytest.raises(ContractError, match="0 < end - start < inf"):
+                heads.nms_indices(edge, np.zeros(len(edge)), thresh, top_k)
 
 
 def test_float64_redraw_is_the_model_draw_before_rounding(monkeypatch, tmp_path):

@@ -24,17 +24,14 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
 - ``propose_long``: per seed 1 to 5, one digest of ``propose_video``'s
   proposals on the same videos with the same model;
 - ``nms``: one digest of ``heads.nms_indices``'s kept indices over a seeded
-  battery: random sets of the detector's shapes (1,272 candidates with
-  ``top_k`` 100 at 0.7, 300 and 550 candidates at 0.4), a small set
-  with tied scores, duplicate and touching segments, NaN and infinite ends
-  and zero and negative lengths at every threshold from 0 to 1.5 and NaN,
-  with and without ``top_k``, and sweeps whose pairs span many of
-  ``nms_indices``' chunks: 2,400 candidates spread over an 8-window video,
-  as one class of an ``infer_long`` video, and the same with 120 of them
-  wild (infinite ends, zero or negative lengths), each with tied and with
-  distinct scores at 0.4 and 0.7; the rows are passed as one [n, 2] array, or
-  as start and end columns to a checkout whose ``nms_indices`` takes those
-  (its signature names ``starts``);
+  battery of valid calls, rows with finite ends and positive length at
+  thresholds in (0, 1]: random sets of the detector's shapes (1,272
+  candidates with ``top_k`` 100 at 0.7, 300 and 550 candidates at 0.4), a
+  small set with tied scores and duplicate, nested and touching segments
+  at thresholds 1e-9, 0.4, 0.7 and 1.0, with and without ``top_k``, and
+  sweeps whose pairs span many of ``nms_indices``' chunks: 2,400
+  candidates spread over an 8-window video, as one class of an
+  ``infer_long`` video, with tied and with distinct scores at 0.4 and 0.7;
 - ``pool``: one digest of the level values and the input gradient of
   ``pyramid.build_pyramid(x, PyramidConfig(variant="max"), {})``, driven by
   ``numcore.backward`` through a smooth-L1 loss on every level, over a
@@ -60,12 +57,11 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
 the parameters as ``Model.build`` draws them from the model seed, in float64
 and before any rounding to the model's own dtype, zeroes the velocities in
 float64, and swaps the workload's videos or buffers for copies (made with
-``dataclasses.replace``) whose features are cast to float64, whether they
-are arrays or (in older checkouts) numcore tensors.  A checkout whose
-model computes in another dtype can so be checked against float64
+``dataclasses.replace``) whose features are cast to float64.  A checkout
+whose model computes in another dtype can so be checked against float64
 arithmetic.  Only the public API is used, so the script runs unchanged on
-older checkouts: copy it into one made with ``git archive`` and compare the
-printed lines.
+a checkout of the parent commit: copy it into one made with
+``git archive`` and compare the printed lines.
 """
 
 from __future__ import annotations
@@ -73,7 +69,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import inspect
 import json
 import os
 import sys
@@ -84,7 +79,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TRAIN_SEED, TRAIN_OPS = 3, 40
 INFER_SEEDS = range(1, 6)
 NMS_SEED = 11
-NMS_THRESHOLDS = (0.0, 1e-9, 0.4, 0.7, 1.0, 1.5, float("nan"))
+NMS_THRESHOLDS = (1e-9, 0.4, 0.7, 1.0)
 POOL_SEED, POOL_CASES = 13, 60
 EVAL_SEEDS = range(1, 6)
 SYNTH_SEEDS = (510, 0, 1, 2, 3)  # 510: a video whose placement restarts
@@ -103,19 +98,14 @@ def sha256(chunks) -> str:
 def to_float64(workloads, model, videos_or_buffers) -> list:
     """Redraw the parameters of the benchmark's model in float64 with zero
     velocities, and return copies of the videos or buffers whose
-    ``features`` are cast to float64: an array, or a numcore ``Tensor`` in
-    older checkouts."""
+    ``features`` arrays are cast to float64."""
     import numpy as np
     from tfpdet import numcore as nc, pipeline
 
     specs = pipeline.Model.param_specs(model.encoder_cfg, model.pyramid_cfg, model.apn_cfg, model.acn_cfg)
     model.params = nc.create_params(specs, np.random.default_rng([workloads.MODEL_SEED, 2]))  # Model.build's draw
     model.velocity = {name: np.zeros_like(p.data) for name, p in model.params.items()}
-
-    def cast(f):
-        return f.astype(np.float64) if isinstance(f, np.ndarray) else nc.Tensor(f.data.astype(np.float64))
-
-    return [dataclasses.replace(item, features=cast(item.features)) for item in videos_or_buffers]
+    return [dataclasses.replace(item, features=item.features.astype(np.float64)) for item in videos_or_buffers]
 
 
 def params_digest(params: dict, values) -> str:
@@ -169,7 +159,8 @@ def infer_digests(workloads, seed: int, float64: bool, workdir: Path) -> tuple[s
 
 def nms_battery():
     """(segments, scores, thresh, top_k) of every ``nms_indices`` call the
-    ``nms`` digest makes, with [n, 2] (start, end) rows."""
+    ``nms`` digest makes, with [n, 2] (start, end) rows of finite ends and
+    positive length."""
     import numpy as np
 
     rng = np.random.default_rng(NMS_SEED)
@@ -179,45 +170,25 @@ def nms_battery():
             starts = np.repeat(base, copies) + rng.normal(0, 4, n // copies * copies)
             ends = starts + np.exp(rng.uniform(np.log(8), np.log(400), len(starts)))
             yield np.stack([starts, ends], axis=1), rng.uniform(0, 1, len(starts)), thresh, top_k
-    inf, nan = float("inf"), float("nan")
-    edge = [(0, 10), (0, 10), (10, 20), (5, 15), (nan, 4), (3, nan), (-inf, 2), (1, inf), (-inf, inf),
-            (7, 7), (9, 6), (inf, inf), (12, 30), (2, 8), (30, 40), (39, 50)]
+    edge = [(0, 10), (0, 10), (10, 20), (5, 15), (12, 30), (2, 8), (30, 40), (39, 50)]
     segments = np.array(edge, dtype=np.float64)
     for scores in (np.zeros(len(edge)), rng.integers(0, 3, len(edge)) / 2, rng.uniform(0, 1, len(edge))):
         for thresh in NMS_THRESHOLDS:
             for top_k in (None, 1, 4, 100):
                 yield segments, scores, thresh, top_k
-    # one class of an 8-window video, whose ~90k overlapping pairs span many of the sweep's chunks,
-    # then the same rows with 120 wild (lengths in (-3, 0], -inf starts, +inf ends), each paired with all 2,400
+    # one class of an 8-window video, whose ~90k overlapping pairs span many of the sweep's chunks
     base = rng.uniform(0, 8 * 768, 800)
     starts = np.repeat(base, 3) + rng.normal(0, 4, 2400)
     segments = np.stack([starts, starts + np.exp(rng.uniform(np.log(8), np.log(400), 2400))], axis=1)
-    wild = segments.copy()
-    wild[::40, 1] = wild[::40, 0] - rng.uniform(0, 3, 60)
-    wild[20::80, 0], wild[60::80, 1] = -inf, inf
     for scores in (rng.integers(0, 50, 2400) / 49, rng.uniform(0, 1, 2400)):
         for thresh in (0.4, 0.7):
             yield segments, scores, thresh, None
-            yield wild, scores, thresh, None
-
-
-def nms_call():
-    """``heads.nms_indices`` as a function of [n, 2] rows; a checkout whose
-    NMS takes start and end columns gets the columns."""
-    from tfpdet import heads
-
-    if "starts" in inspect.signature(heads.nms_indices).parameters:
-        return lambda segments, *rest: heads.nms_indices(segments[:, 0], segments[:, 1], *rest)
-    return heads.nms_indices
 
 
 def nms_digest() -> str:
-    import numpy as np
+    from tfpdet import heads
 
-    nms = nms_call()
-    with np.errstate(invalid="ignore"):  # NaN and infinite ends give NaN overlaps
-        kept = [nms(*call) for call in nms_battery()]
-    return sha256([json.dumps(kept).encode()])
+    return sha256([json.dumps([heads.nms_indices(*call) for call in nms_battery()]).encode()])
 
 
 def pool_battery():
