@@ -11,21 +11,20 @@ context conv), so its graph does not grow with the proposal count.  RoI
 values are read from a range-max value table; the first-max cell indices
 that route the gradient are computed only by the backward, so a forward
 that needs no gradient never builds them.
-Post-processing runs on arrays: proposals and detections are decoded by
-``anchorkit.decode`` per level, and NMS is exact greedy suppression that
-computes ``anchorkit.tiou`` only for pairs that can reach its threshold;
-it takes only rows such as ``decode`` keeps (finite ends, positive length)
-at a threshold in (0, 1], and rejects other input with ``ContractError``.
-The sweep of a video's class-wise NMS walks those pairs in chunks of
-``NMS_CHUNK``, so beside its per-row arrays its transient memory is
-O(chunk + hits): only the list of suppressing pairs grows with the pairs of
-a longer video.  Proposals
-(``Proposals``) and detections (``Detections``) stay arrays from a window's
-NMS to one class-wise ``nms_detections`` per video.  Every array of
-segments, from the anchor grid through NMS, RoI pooling and context
-windows to the detections, holds [n, 2] (start, end) rows, as in
-``anchorkit``; only ``Proposal`` and ``Detection`` objects hold a
-``Segment``.
+Post-processing runs on arrays: ``anchorkit.decode`` decodes proposals per
+level and a window's detections at once, and NMS is exact greedy
+suppression that computes ``anchorkit.tiou`` only for pairs that can reach
+its threshold; it takes only rows such as ``decode`` keeps (finite ends,
+positive length) at a threshold in (0, 1], and rejects other input with
+``ContractError``.  The sweep of a video's class-wise NMS walks those pairs
+in chunks of ``NMS_CHUNK``, so beside its per-row arrays its transient
+memory is O(chunk + hits): only the list of suppressing pairs grows with
+the pairs of a longer video.  Proposals (``Proposals``) and detections
+(``Detections``) stay arrays from a window's NMS to one class-wise
+``nms_detections`` per video.  Every array of segments, from the anchor
+grid through NMS, RoI pooling and context windows to the detections, holds
+[n, 2] (start, end) rows, as in ``anchorkit``; only ``Proposal`` and
+``Detection`` objects hold a ``Segment``.
 """
 
 from __future__ import annotations
@@ -234,9 +233,12 @@ def _overlapping_pairs(segs: np.ndarray, thresh: float):
     count = np.maximum(last - pos - 1, 0)
     first, total = np.cumsum(count) - count, int(count.sum())
     for lo in range(0, total, NMS_CHUNK):
-        f = np.arange(lo, min(lo + NMS_CHUNK, total))
-        p = np.searchsorted(first, f, side="right") - 1
-        yield by_start[p], by_start[f - first[p] + p + 1]
+        hi = min(lo + NMS_CHUNK, total)
+        # the positions whose pairs the chunk spans, each repeated for its pairs in [lo, hi)
+        after_lo, after_last = np.searchsorted(first, (lo, hi - 1), side="right")
+        r = np.arange(after_lo - 1, after_last)
+        p = np.repeat(r, np.minimum(first[r] + count[r], hi) - np.maximum(first[r], lo))
+        yield by_start[p], by_start[np.arange(lo, hi) - first[p] + p + 1]
 
 
 def _overlap_survivors(segs: np.ndarray, thresh: float) -> list[int]:
@@ -259,10 +261,10 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
     """Greedy NMS of [n, 2] rows: keep by descending score, suppress overlaps >= thresh.
 
     Score ties break on the lower index, which callers keep deterministic.
-    The rows are those ``anchorkit.decode`` keeps: every row must have
-    0 < end - start < inf, so both ends are finite.  ``thresh`` must lie
-    in (0, 1] and ``top_k`` be None or an int >= 1; other input raises
-    ``ContractError``.
+    The rows are those ``anchorkit.decode`` keeps, one per score
+    ([len(scores), 2]): every row must have 0 < end - start < inf, so both
+    ends are finite.  ``thresh`` must lie in (0, 1] and ``top_k`` be None or
+    an int >= 1; other input raises ``ContractError``.
 
     Without ``top_k`` the rows are swept by start.  Two such segments that
     do not overlap have a tIoU of exactly 0, so a row is paired only with
@@ -283,6 +285,8 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
     if top_k is not None:
         check_int("top_k", top_k, 1, ContractError)
     check_real("nms thresh", thresh, "(0, 1]", ContractError)
+    if segments.shape != (len(scores), 2):
+        raise ContractError(f"nms needs one [start, end] row per score: {segments.shape} rows for {len(scores)} scores")
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a length past the float range
         length = segments[:, 1] - segments[:, 0]
     tame = (0 < length) & (length < np.inf)
@@ -543,19 +547,18 @@ def finalize_detections(acn_out, proposals: Proposals, cfg: AcnConfig, buffer) -
     one per (proposal, level) output and non-background class whose posterior
     clears ``cfg.score_thresh``, the class-specific refinement of the proposal
     clipped to the buffer's valid content.  Rows are in (level, row, class)
-    order, so each class's candidates are in (level, row) order."""
-    parts = []
-    for idx, cls, reg in acn_out:
-        if cls is None:
-            continue
-        ez = np.exp(cls.data - cls.data.max(axis=1, keepdims=True))
-        post = (ez / ez.sum(axis=1, keepdims=True))[:, 1:]  # class posteriors
-        seg = proposals.segments[idx]
-        pairs = reg.data.take(acn_reg_indices(reg.shape, 0, np.arange(1, cfg.num_classes + 1)), axis=1)  # [n, C, 2]
-        segs, ok = decode(seg[:, None], pairs, (0.0, float(buffer.num_valid)))
-        row, c = np.nonzero(~(post < cfg.score_thresh) & ok)
-        parts.append(Detections(segs[row, c] + float(buffer.frame_offset), c + 1, post[row, c]))
-    return Detections.concat(parts)
+    order, so each class's candidates are in (level, row) order: the live
+    levels' outputs are stacked and scored as one set of rows."""
+    live = [(idx, cls.data, reg.data) for idx, cls, reg in acn_out if cls is not None]
+    if not live:
+        return Detections.concat([])
+    idx, logits, reg = (np.concatenate(x) for x in zip(*live))
+    ez = np.exp(logits - logits.max(axis=1, keepdims=True))
+    post = (ez / ez.sum(axis=1, keepdims=True))[:, 1:]  # class posteriors
+    pairs = reg.take(acn_reg_indices(reg.shape, 0, np.arange(1, cfg.num_classes + 1)), axis=1)  # [n, C, 2]
+    segs, ok = decode(proposals.segments[idx][:, None], pairs, (0.0, float(buffer.num_valid)))
+    row, c = np.nonzero(~(post < cfg.score_thresh) & ok)
+    return Detections.concat([Detections(segs[row, c] + float(buffer.frame_offset), c + 1, post[row, c])])
 
 
 def nms_detections(cands: Detections, thresh: float) -> Detections:

@@ -14,7 +14,9 @@ graph at all.  Every op takes Tensors and reads each input's
 ``requires_grad``, so a raw array among its inputs raises as the op builds
 its output.  A parameter is a gradient-requiring leaf tensor, so every layer
 takes the same dict of tensors in training and inference; its SGD momentum
-lives apart, in ``Model.velocity``.  A leaf's gradient has one lifecycle:
+lives apart, in ``Model.velocity``, absent until ``sgd_step`` first updates
+the leaf (absent means zeros), so a model that only infers holds none.  A
+leaf's gradient has one lifecycle:
 untouched zeros while the leaf is fresh, the step's gradient after
 ``backward()``, and ``None`` once ``sgd_step`` has consumed it, until the
 next ``backward()`` copies in a new one.
@@ -492,13 +494,17 @@ def sgd_step(params: dict, velocity: dict, cfg: SgdConfig, step: int) -> None:
     namesake momentum buffer in ``velocity``, which consumes the gradients:
     each leaf's ``grad`` is ``None`` after, so no gradient is held between
     steps, and the next ``backward()`` copies in a fresh one.  A leaf
-    without a gradient contributes none.
+    without a gradient contributes none.  A leaf absent from ``velocity``
+    has zero momentum: its first update creates its buffer as zeros of the
+    leaf's dtype and shape, and updates it as any other.
 
     v <- momentum*v + grad + weight_decay*param;  param <- param - lr(step)*v
     """
     lr = cfg.effective_lr(step)
     for name, p in params.items():
-        v = velocity[name]
+        v = velocity.get(name)
+        if v is None:
+            v = velocity[name] = np.zeros_like(p.data)
         v *= cfg.momentum
         if p.grad is not None:
             v += p.grad

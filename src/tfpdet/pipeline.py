@@ -12,11 +12,12 @@ same layer functions on non-grad views of the parameters, so it records no
 autograd graph.  A parameter is a leaf tensor in ``Model.params`` and its
 momentum the array of the same name in ``Model.velocity``, both float32
 (``PARAM_DTYPE``): the network computes in single precision, while anchors,
-decoded segments, NMS and scoring stay float64.  A checkpoint
-(TFPM version 4) is the configs plus the arrays: its header holds the
-configs, the step and the parameter names in ``Model.param_specs`` order,
-its payload each parameter's values and then velocity.  Changing that
-order needs a new version.
+decoded segments, NMS and scoring stay float64.  A velocity is absent until
+the parameter's first update creates it, and absent means zeros, so a model
+that only infers holds none.  A checkpoint (TFPM version 4) is the configs
+plus the arrays: its header holds the configs, the step and the parameter
+names in ``Model.param_specs`` order, its payload each parameter's values
+and then velocity.  Changing that order needs a new version.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ class TrainConfig:
 
 
 class Model:
-    """All named parameters, their namesake momentum buffers and the configs that shaped them."""
+    """All named parameters, the namesake momentum buffers of those updated so far and the configs that shaped them."""
 
     def __init__(self, encoder_cfg: pyramid.EncoderConfig, pyramid_cfg: pyramid.PyramidConfig,
                  apn_cfg: heads.ApnConfig, acn_cfg: heads.AcnConfig, params: dict, velocity: dict):
@@ -106,16 +107,11 @@ class Model:
     @classmethod
     def build(cls, encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, seed: int) -> "Model":
         """A fresh model: each parameter drawn from the seed in float64 and
-        cast to ``PARAM_DTYPE`` as it is drawn, with zero velocities.  The
-        velocities and the leaves' zero gradients are allocated here, and
-        most of their pages are resident at once: small ``np.zeros``
-        buffers come from the recycled heap.  Allocating them only when a
-        step first needs them lowers an inferring model's peak memory, but
-        costs every training step minor page faults (ROADMAP item 6)."""
+        cast to ``PARAM_DTYPE`` as it is drawn, with no velocities, which
+        mean zeros until ``nc.sgd_step`` creates each at its first update."""
         rng = np.random.default_rng([int(seed), 2])
         params = nc.create_params(cls.param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg), rng, PARAM_DTYPE)
-        velocity = {name: np.zeros(p.shape, PARAM_DTYPE) for name, p in params.items()}
-        return cls(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params, velocity)
+        return cls(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params, {})
 
     def forward_pyramid(self, features: np.ndarray, params: dict) -> pyramid.PyramidFeatures:
         """The pyramid of a [D, L] feature array, computed in the parameters'
@@ -342,10 +338,11 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> No
     The header holds ``configs``, ``step`` and ``params``, the parameter
     names in ``Model.param_specs`` order.  The payload holds each parameter's
     values and then its momentum velocity, in that order, as little-endian
-    f32; shapes come from the configs alone.  A code change to what
-    ``param_specs`` gives for the same configs (names, order or shapes)
-    changes this layout and needs a new version; the name list makes older
-    files fail to load rather than load wrong.
+    f32, zeros for a parameter not yet updated; shapes come from the
+    configs alone.  A code change to what ``param_specs`` gives for the same
+    configs (names, order or shapes) changes this layout and needs a new
+    version; the name list makes older files fail to load rather than load
+    wrong.
     """
     cfgs = _Configs(model.encoder_cfg, model.pyramid_cfg, model.apn_cfg, model.acn_cfg, train_cfg)
     names = [name for name, _, _ in Model.param_specs(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn)]
@@ -356,8 +353,9 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> No
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(hb)))
         f.write(hb)
         for name in names:
-            f.write(np.ascontiguousarray(model.params[name].data, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(model.velocity[name], dtype="<f4").tobytes())
+            values = model.params[name].data
+            for a in (values, model.velocity.get(name, np.zeros_like(values))):
+                f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
 
 
 def _decode(tp, value, where: str):

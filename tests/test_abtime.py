@@ -1,6 +1,7 @@
 """``tools/abtime.py`` at the benchmark's tiny scale: the checkout timed
-against itself gives equal outputs, a checkout whose detector differs does
-not, and both package copies leave the process when it returns."""
+against itself gives equal outputs, a checkout whose detector or final
+velocities differ does not, and both package copies leave the process when
+it returns."""
 
 import importlib.util
 import shutil
@@ -29,19 +30,33 @@ def run(other: Path, workload: str, capsys) -> tuple[int, str]:
     return code, capsys.readouterr().out
 
 
-@pytest.mark.parametrize("workload", ["train", "infer_long"])
+@pytest.mark.parametrize("workload", ["train", "infer_long", "eval"])
 def test_abtime_of_the_checkout_against_itself_gives_equal_outputs(workload, capsys):
     code, out = run(ROOT, workload, capsys)
     assert code == 0 and "outputs equal: yes" in out
     assert out.count("mean op") == 2 and "ratio this/other" in out
 
 
-def test_abtime_reports_a_checkout_whose_detections_differ(tmp_path, capsys):
+def edited_copy(tmp_path: Path, module: str, old: str, new: str) -> Path:
+    """A copy of the checkout's sources and bench with ``old`` replaced by ``new`` in ``tfpdet.<module>``."""
     shutil.copytree(ROOT / "src" / "tfpdet", tmp_path / "src" / "tfpdet", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copytree(ROOT / "bench", tmp_path / "bench", ignore=shutil.ignore_patterns("__pycache__"))
-    heads = tmp_path / "src" / "tfpdet" / "heads.py"
-    source = heads.read_text()
-    assert "    score_thresh: float = 0.05\n" in source
-    heads.write_text(source.replace("    score_thresh: float = 0.05\n", "    score_thresh: float = 0.5\n"))
-    code, out = run(tmp_path, "infer_long", capsys)
+    path = tmp_path / "src" / "tfpdet" / f"{module}.py"
+    source = path.read_text()
+    assert source.count(old) == 1
+    path.write_text(source.replace(old, new))
+    return tmp_path
+
+
+def test_abtime_reports_a_checkout_whose_detections_differ(tmp_path, capsys):
+    other = edited_copy(tmp_path, "heads", "    score_thresh: float = 0.05\n", "    score_thresh: float = 0.5\n")
+    code, out = run(other, "infer_long", capsys)
+    assert code == 1 and "outputs equal: NO" in out
+
+
+def test_abtime_reports_a_checkout_whose_final_velocities_differ(tmp_path, capsys):
+    # doubling the velocities after the last op's update (op 2) moves no
+    # StepReport and no parameter, only the final velocities
+    other = edited_copy(tmp_path, "numcore", "        p.grad = None\n", "        p.grad = None\n        v *= 1 + (step == 2)\n")
+    code, out = run(other, "train", capsys)
     assert code == 1 and "outputs equal: NO" in out

@@ -341,6 +341,23 @@ def test_nms_rejects_a_nan_segment(thresh, top_k):
                 heads.nms_indices(rows, np.linspace(0.9, 0.5, len(rows)), thresh, top_k)
 
 
+@pytest.mark.parametrize("rows,scores", [
+    ([[0.0, 10.0], [50.0, 60.0], [100.0, 110.0]], 2),
+    ([[0.0, 10.0], [50.0, 60.0]], 3),
+    ([[0.0, 10.0, 1.0], [50.0, 60.0, 1.0], [100.0, 110.0, 1.0]], 3),
+], ids=["a row past the scores", "a score past the rows", "three columns"])
+@pytest.mark.parametrize("top_k", [None, 10])
+def test_nms_needs_one_start_end_row_per_score(rows, scores, top_k):
+    # 3 rows and 2 scores used to drop the third row, and 2 rows and 3 scores
+    # raised a bare IndexError
+    rows = np.array(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=r"one \[start, end\] row per score"):
+            heads.nms_indices(rows, np.linspace(0.9, 0.5, scores), 0.4, top_k)
+    assert heads.nms_indices(rows[:, :2], np.linspace(0.9, 0.5, len(rows)), 0.4, top_k) == list(range(len(rows)))
+
+
 @pytest.mark.parametrize("top_k", [0, -1, True, 2.0, np.int64(3), "3"])
 def test_nms_top_k_is_none_or_an_int_of_at_least_one(top_k):
     # top_k=0, a negative top_k and True used to keep one row

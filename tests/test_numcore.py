@@ -463,6 +463,24 @@ def test_sgd_delta_equals_lr_times_grad_exactly():
     assert np.array_equal(params["p"].data, vals - 0.01 * grad)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sgd_creates_a_missing_velocity_as_zeros_at_the_first_update(dtype):
+    # an absent velocity is zero momentum: the first update creates it and
+    # leaves parameter and velocity as an explicit zero buffer would
+    rng = np.random.default_rng(4)
+    vals, grad = rng.standard_normal((2, 3, 4)).astype(dtype)
+    cfg = nc.SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
+    runs = []
+    for velocity in ({}, {"p": np.zeros_like(vals)}):
+        params = {"p": nc.Tensor(vals.copy(), requires_grad=True)}
+        for step in range(2):
+            params["p"].grad = grad.copy()
+            nc.sgd_step(params, velocity, cfg, step)
+        assert velocity["p"].dtype == dtype and velocity["p"].shape == vals.shape
+        runs.append((params["p"].data.tobytes(), velocity["p"].tobytes()))
+    assert runs[0] == runs[1]
+
+
 def test_lr_schedule():
     cfg = nc.SgdConfig(learning_rate=1e-3, lr_decay_factor=0.1, lr_decay_every=100)
     assert cfg.effective_lr(0) == 1e-3

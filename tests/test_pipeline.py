@@ -80,8 +80,9 @@ def infer_video_taped(record, model, cfg):
 
 def parameter_bytes(model):
     """Each parameter's values, gradient and velocity as bytes; a gradient
-    that an update has consumed is ``None``."""
-    return {n: (p.data.tobytes(), None if p.grad is None else p.grad.tobytes(), model.velocity[n].tobytes())
+    that an update has consumed, or a velocity that no update has created
+    yet, is ``None``."""
+    return {n: tuple(None if a is None else a.tobytes() for a in (p.data, p.grad, model.velocity.get(n)))
             for n, p in model.params.items()}
 
 
@@ -227,8 +228,53 @@ def test_model_build_peaks_at_what_it_keeps():
     finally:
         tracemalloc.stop()
     param_bytes = sum(p.data.nbytes for p in model.params.values())
-    assert kept >= 3 * param_bytes  # values, gradients and velocities
+    assert model.velocity == {}  # created by the first update
+    assert 2 * param_bytes <= kept < 2.1 * param_bytes  # values and gradients
     assert peak <= 1.1 * kept  # measured 1.0001x
+
+
+def test_a_model_that_only_infers_holds_no_velocity():
+    model, cfg, rec = small_model(), pipeline.TrainConfig(), two_window_video()
+    assert model.velocity == {}
+    assert pipeline.infer_video(rec, model, cfg) and pipeline.propose_video(rec, model, cfg)
+    assert model.velocity == {}
+
+
+def test_the_first_train_step_creates_every_velocity():
+    model, cfg = small_model(), pipeline.TrainConfig(seed=5)
+    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    pipeline.train_step(annotated_buffers()[0], model, cfg, grid, 0)
+    assert list(model.velocity) == list(model.params)
+    for name, p in model.params.items():
+        v = model.velocity[name]
+        assert v.dtype == p.data.dtype and v.shape == p.data.shape and v is not p.data and v.any(), name
+
+
+def zero_velocities(model) -> dict:
+    """A zero velocity per parameter, as ``Model.build`` made them before velocities were created by the first update."""
+    return {name: np.zeros(p.shape, pipeline.PARAM_DTYPE) for name, p in model.params.items()}
+
+
+def test_lazy_velocities_train_as_zero_velocities_made_at_build():
+    cfg, bufs = pipeline.TrainConfig(seed=5), annotated_buffers()
+    runs = []
+    for eager in (False, True):
+        model = small_model()
+        if eager:
+            model.velocity = zero_velocities(model)
+        grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+        reports = [pipeline.train_step(bufs[step % 2], model, cfg, grid, step).to_json_dict() for step in range(40)]
+        runs.append((reports, parameter_bytes(model)))
+    assert runs[0] == runs[1]
+    assert all(v is not None for _, _, v in runs[0][1].values())
+
+
+def test_checkpoint_of_a_fresh_model_writes_zero_velocities(tmp_path):
+    model, cfg = small_model(), pipeline.TrainConfig()
+    pipeline.save_checkpoint(tmp_path / "lazy.tfpm", model, cfg, 0)
+    model.velocity = zero_velocities(model)
+    pipeline.save_checkpoint(tmp_path / "zeros.tfpm", model, cfg, 0)
+    assert (tmp_path / "lazy.tfpm").read_bytes() == (tmp_path / "zeros.tfpm").read_bytes()
 
 
 def test_train_step_frees_its_graph_as_it_walks_it_and_holds_no_gradient_after():
@@ -467,13 +513,10 @@ def test_level_count_without_loss_weights_raises_before_any_update():
     cfg = pipeline.TrainConfig(seed=5)
     assert len(cfg.loss_weights.gamma) == 3
     grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
-    rng = np.random.default_rng(3)
-    for v in model.velocity.values():
-        v[...] = rng.standard_normal(v.shape)
     before = parameter_bytes(model)
     with pytest.raises(ConfigError, match=r"3 \(gamma, lambda\) loss weights for 4 pyramid levels"):
         pipeline.train_step(annotated_buffers()[0], model, cfg, grid, 0)
-    assert parameter_bytes(model) == before
+    assert parameter_bytes(model) == before and model.velocity == {}  # no update, so no velocity created
 
 
 @pytest.mark.parametrize("value", [1.5, -0.5, float("nan"), True, np.float32(0.5), "0.5"])

@@ -1,6 +1,6 @@
 """Time one workload's ops of two checkouts against each other, in one process.
 
-    python3 tools/abtime.py OTHER --workload {train,infer_long} --ops N [--seed S]
+    python3 tools/abtime.py OTHER --workload {eval,infer_long,train} --ops N [--seed S]
 
 Run from the root of a source checkout ("this"); ``OTHER`` is the root of
 another one, such as a ``git archive`` copy of the parent commit.  Each
@@ -11,9 +11,12 @@ sides build their inputs from the same seed at the benchmark's full scale,
 as ``tools/digest.py`` does, and run one untimed warm-up op.  Then op i of
 each side runs in turn, this side first at odd i and the other side first
 at even i (ABAB, then BABA), each timed on its own.  The script prints each
-side's mean op time, their ratio (this over other) and whether every op of
-the two sides gave equal outputs: equal ``StepReport``s for ``train``,
-equal detections, floats bit for bit, for ``infer_long``.
+side's mean op time, their ratio (this over other) and whether the two
+sides computed the same, floats bit for bit: equal ``StepReport``s at every
+op and, after the last, equal parameter values and momentum velocities for
+``train`` (an absent velocity counts as zeros); equal detections for
+``infer_long``; and equal (average mAP, per-threshold mAPs in threshold
+order, AR) for ``eval``.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = {"train": "Train", "infer_long": "InferLong"}
+WORKLOADS = {"train": "Train", "infer_long": "InferLong", "eval": "Eval"}
 
 
 @contextlib.contextmanager
@@ -68,16 +73,28 @@ def loaded(checkouts, tmp: Path):
 
 def canonical(out) -> str:
     """An op's output as text that is equal exactly when the outputs are:
-    a ``StepReport`` as its JSON dict, detections as their fields."""
+    a ``StepReport`` as its JSON dict, detections as their fields, and a
+    scoring pass as (average mAP, sorted per-threshold items, AR)."""
     if hasattr(out, "to_json_dict"):
         return json.dumps(out.to_json_dict(), sort_keys=True)
+    if isinstance(out, tuple):
+        average_map, per_threshold, ar = out
+        return json.dumps([average_map, sorted(per_threshold.items()), ar])
     return json.dumps([[d.video_id, d.label, d.segment.start, d.segment.end, d.score] for d in out])
+
+
+def model_state(model) -> list[bytes]:
+    """Each parameter's values and velocity as bytes, in parameter order; a
+    velocity that no update has created yet is zeros."""
+    return [a.tobytes() for name, p in model.params.items()
+            for a in (p.data, model.velocity.get(name, np.zeros_like(p.data)))]
 
 
 def compare(other: Path, workload: str, ops: int, seed: int, scale: str = "FULL") -> dict:
     """Mean op seconds of this checkout and of ``other`` over ``ops``
     alternating ops after one warm-up op each, and whether every op's
-    outputs were equal."""
+    outputs, and for ``train`` the final parameters and velocities, were
+    equal."""
     with tempfile.TemporaryDirectory() as tmp, loaded([ROOT, other], Path(tmp)) as mods:
         sides = [getattr(m, WORKLOADS[workload])(seed, getattr(m, scale), Path(tmp) / f"data{i}")
                  for i, m in enumerate(mods)]
@@ -90,6 +107,8 @@ def compare(other: Path, workload: str, ops: int, seed: int, scale: str = "FULL"
                 outs[s] = sides[s].op(i)
                 seconds[s] += time.perf_counter() - t0
             equal = equal and canonical(outs[0]) == canonical(outs[1])
+        if workload == "train":
+            equal = equal and model_state(sides[0].model) == model_state(sides[1].model)
     return {"this_s": seconds[0] / ops, "other_s": seconds[1] / ops, "equal": equal}
 
 
