@@ -262,9 +262,9 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
 
     Score ties break on the lower index, which callers keep deterministic.
     The rows are those ``anchorkit.decode`` keeps, one per score
-    ([len(scores), 2]): every row must have 0 < end - start < inf, so both
-    ends are finite.  ``thresh`` must lie in (0, 1] and ``top_k`` be None or
-    an int >= 1; other input raises ``ContractError``.
+    ([len(scores), 2]), with 0 < end - start and ends and length within half
+    the float range, so no tIoU overflows.  ``thresh`` must lie in (0, 1] and
+    ``top_k`` be None or an int >= 1; other input raises ``ContractError``.
 
     Without ``top_k`` the rows are swept by start.  Two such segments that
     do not overlap have a tIoU of exactly 0, so a row is paired only with
@@ -289,10 +289,10 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
         raise ContractError(f"nms needs one [start, end] row per score: {segments.shape} rows for {len(scores)} scores")
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a length past the float range
         length = segments[:, 1] - segments[:, 0]
-    tame = (0 < length) & (length < np.inf)
+    tame = (0 < length) & (abs(np.column_stack((segments, length))) <= np.finfo(np.float64).max / 2).all(axis=1)
     if not tame.all():
         s, e = segments[tame.argmin()]
-        raise ContractError(f"nms rows need 0 < end - start < inf, got [{s}, {e}]")
+        raise ContractError(f"nms rows need 0 < end - start < inf, ends and length within half the float range: [{s}, {e}]")
     n = len(scores)
     order = np.lexsort((np.arange(n), -np.asarray(scores)))
     segs = segments.take(order, axis=0)

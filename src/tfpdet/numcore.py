@@ -16,10 +16,10 @@ its output.  A parameter is a gradient-requiring leaf tensor, so every layer
 takes the same dict of tensors in training and inference; its SGD momentum
 lives apart, in ``Model.velocity``, absent until ``sgd_step`` first updates
 the leaf (absent means zeros), so a model that only infers holds none.  A
-leaf's gradient has one lifecycle:
-untouched zeros while the leaf is fresh, the step's gradient after
-``backward()``, and ``None`` once ``sgd_step`` has consumed it, until the
-next ``backward()`` copies in a new one.
+leaf's gradient has one lifecycle: untouched zeros while the leaf is fresh
+(in a model, views of one zero block, freed with its last view: ``leaves``),
+the step's gradient once ``backward()`` has added it in, and ``None`` once
+``sgd_step`` has consumed it, until the next ``backward()`` copies one in.
 
 Only the operations the detection heads actually need are provided, at
 the shapes the network runs them (``temporal_maxpool`` is the pair maximum
@@ -63,11 +63,9 @@ class Tensor:
     contiguous); any other dtype, Python scalars included, becomes float64.
 
     ``grad``, when present, has the same shape as ``data``.  A
-    gradient-requiring leaf starts with a zero buffer from ``np.zeros``.
-    Small buffers come from the process heap's recycled memory, so most
-    of those pages are resident from the start, even in a model that only
-    infers.  A leaf's buffer is its own:
-    gradients are added into it in place, so code that assigns a leaf's
+    gradient-requiring leaf starts with a zero buffer from ``np.zeros``, or
+    with its own slice of a shared one (``leaves``).  A leaf's buffer is its
+    own: gradients are added into it in place, so code that assigns a leaf's
     ``grad`` hands that array over; ``sgd_step`` sets it to ``None``.  An
     interior node holds a ``grad`` only while ``backward()`` walks it; it
     may be a view of another node's gradient and is never written in place.
@@ -109,19 +107,30 @@ def create_params(specs, rng: np.random.Generator, dtype=np.float64) -> dict:
     ``("gaussian", mean, stddev)`` or ``("constant", value)``.  Each draw is
     made in float64 and cast to ``dtype`` as it is made, so the values are
     the float64 draw rounded once, and no float64 copy of the whole set is
-    held."""
-    params = {}
+    held; ``leaves`` makes the tensors."""
+    arrays = {}
     for name, shape, init_spec in specs:
         kind = init_spec[0]
         if kind == "gaussian":
-            _, mean, std = init_spec
-            data = rng.normal(mean, std, size=shape).astype(dtype, copy=False)
+            arrays[name] = rng.normal(*init_spec[1:], size=shape).astype(dtype, copy=False)
         elif kind == "constant":
-            data = np.full(shape, float(init_spec[1]), dtype=dtype)
+            arrays[name] = np.full(shape, float(init_spec[1]), dtype=dtype)
         else:
             raise ConfigError(f"unknown init spec {_shown(init_spec)}")
-        params[name] = Tensor(data, requires_grad=True)
-    return params
+    return leaves(arrays)
+
+
+def leaves(arrays: dict) -> dict:
+    """Gradient-requiring leaves of named arrays, whose zero gradients are
+    consecutive views, in order, of one ``np.zeros`` block per dtype: past
+    glibc's mmap threshold, fresh pages that stay unresident until written."""
+    tensors = {name: Tensor(a) for name, a in arrays.items()}  # no gradient buffer yet
+    for dtype in dict.fromkeys(t.data.dtype for t in tensors.values()):
+        group = [t for t in tensors.values() if t.data.dtype == dtype]
+        ends = np.cumsum([t.data.size for t in group])
+        for t, g in zip(group, np.split(np.zeros(ends[-1], dtype), ends[:-1])):
+            t.requires_grad, t.grad = True, g.reshape(t.data.shape)
+    return tensors
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,9 @@ class Model:
 
     @classmethod
     def build(cls, encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, seed: int) -> "Model":
-        """A fresh model: each parameter drawn from the seed in float64 and
-        cast to ``PARAM_DTYPE`` as it is drawn, with no velocities, which
-        mean zeros until ``nc.sgd_step`` creates each at its first update."""
+        """A fresh model: parameters drawn from the seed in float64 and cast
+        to ``PARAM_DTYPE`` as drawn, their zero gradients views of one block
+        (``nc.leaves``), and no velocities: zeros until each first update."""
         rng = np.random.default_rng([int(seed), 2])
         params = nc.create_params(cls.param_specs(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg), rng, PARAM_DTYPE)
         return cls(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params, {})
@@ -380,8 +380,8 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
     content raises ``DataError``.  The header's ``params`` must equal the
     names that ``Model.param_specs`` gives for its configs, and the payload
     must hold 8 bytes per parameter element, before anything is allocated.
-    Parameters and velocities load as ``PARAM_DTYPE``, so a save, load and
-    save writes the same bytes."""
+    Parameters (through ``nc.leaves``) and velocities load as ``PARAM_DTYPE``,
+    one of all-zero bits as absent, so save, load and save write the same bytes."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != CHECKPOINT_MAGIC:
         raise DataError(f"{path}: bad checkpoint magic")
@@ -411,7 +411,9 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
         raise DataError(f"{path}: payload has {len(raw) - offset} bytes, the configs need {8 * sum(sizes)}")
     for (name, shape, _), size in zip(specs, sizes):
         values, velocity = np.frombuffer(raw, dtype="<f4", count=2 * size, offset=offset).reshape((2, *shape))
-        model.params[name] = nc.Tensor(values.astype(PARAM_DTYPE), requires_grad=True)
-        model.velocity[name] = velocity.astype(PARAM_DTYPE)
+        model.params[name] = values.astype(PARAM_DTYPE)
+        if velocity.view("<u4").any():  # all bits zero is what an absent velocity saves as
+            model.velocity[name] = velocity.astype(PARAM_DTYPE)
         offset += 8 * size
+    model.params = nc.leaves(model.params)
     return model, cfgs.train, header["step"]

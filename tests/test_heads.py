@@ -341,6 +341,38 @@ def test_nms_rejects_a_nan_segment(thresh, top_k):
                 heads.nms_indices(rows, np.linspace(0.9, 0.5, len(rows)), thresh, top_k)
 
 
+HALF_RANGE = np.finfo(np.float64).max / 2
+
+
+@pytest.mark.parametrize("top_k", [None, 10])
+@pytest.mark.parametrize("wild", [
+    [(-1e308, 0.5), (0.0, 1e308)],
+    [(-1.7e308, -1.6e308), (1.6e308, 1.7e308)],
+    [(0.0, np.nextafter(HALF_RANGE, np.inf))],
+    [(np.nextafter(-HALF_RANGE, -np.inf), -1.0)],
+], ids=["lengths that sum past the range", "ends whose gap passes the range", "a length past half", "an end past half"])
+def test_nms_rejects_rows_whose_tiou_would_overflow(wild, top_k):
+    # every row is finite, but tIoU's union would overflow on the first set
+    # and its intersection on the second
+    segments = np.array([(5.0, 10.0)] + wild)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="half the float range"):
+            heads.nms_indices(segments, np.linspace(0.9, 0.5, len(segments)), 0.5, top_k)
+
+
+@pytest.mark.parametrize("top_k", [None, 10])
+def test_nms_takes_rows_of_exactly_half_the_float_range(top_k):
+    segments = np.array([(0.0, HALF_RANGE), (-HALF_RANGE, 0.0), (HALF_RANGE / 2, HALF_RANGE), (-1.0, 1.0)])
+    scores = np.array([0.9, 0.8, 0.7, 0.6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the third row's tIoU with the first is exactly 0.5
+        assert heads.nms_indices(segments, scores, 0.5, top_k) == [0, 1, 3]
+        assert heads.nms_indices(segments, scores, 0.6, top_k) == [0, 1, 2, 3]
+        assert heads.nms_indices(segments, scores, 0.5, top_k) == nms_ref([ak.Segment(*r) for r in segments], scores, 0.5, top_k)
+
+
 @pytest.mark.parametrize("rows,scores", [
     ([[0.0, 10.0], [50.0, 60.0], [100.0, 110.0]], 2),
     ([[0.0, 10.0], [50.0, 60.0]], 3),

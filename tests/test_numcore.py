@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+import weakref
 
 import mpmath
 import numpy as np
@@ -534,6 +536,66 @@ def test_parameters_cast_as_drawn_equal_the_float64_draw_rounded():
     for name, p in narrow.items():
         assert p.data.dtype == p.grad.dtype == np.float32
         assert np.array_equal(p.data, wide[name].data.astype(np.float32)) and not p.grad.any()
+
+
+def gradient_blocks(params: dict) -> dict:
+    """Per dtype, the one zero-filled array whose consecutive slices, in the
+    order of ``params``, are the leaves' gradients; asserts that layout, so
+    no two gradients overlap and the block holds exactly their elements."""
+    blocks = {}
+    for name, p in params.items():
+        g = p.grad
+        block, used = blocks.setdefault(g.dtype, [g.base, 0])
+        assert g.base is block and g.flags.c_contiguous and g.shape == p.data.shape, name
+        assert g.ctypes.data == block.ctypes.data + used * g.itemsize, name  # the next slice
+        blocks[g.dtype][1] += g.size
+    for dtype, (block, used) in blocks.items():
+        assert block.base is None and block.shape == (used,) and not block.any(), dtype
+    return {dtype: block for dtype, (block, _) in blocks.items()}
+
+
+def test_leaves_slice_one_zero_block_per_dtype_in_order():
+    arrays = {"a": np.ones((3, 4), np.float32), "b": np.arange(5.0), "c": np.full((2, 2, 2), 2.0, np.float32),
+              "d": np.ones(1)}
+    params = nc.leaves(arrays)
+    assert list(params) == list(arrays)
+    for name, p in params.items():
+        assert p.requires_grad and p._parents == () and p._backward is None and p.data is arrays[name], name
+    assert {dtype: b.size for dtype, b in gradient_blocks(params).items()} == {np.dtype(np.float32): 20,
+                                                                           np.dtype(np.float64): 6}
+    # created from specs too, and a lone leaf keeps zeros of its own
+    gradient_blocks(nc.create_params([("g", (4, 3), ("gaussian", 0.0, 1.0)), ("c", (3,), ("constant", 0.1))],
+                                     np.random.default_rng(0), np.float32))
+    lone = nc.Tensor(np.ones(3), requires_grad=True)
+    assert lone.grad.base is None and not lone.grad.any()
+
+
+def test_leaves_allocate_their_block_and_no_buffer_per_leaf():
+    # zeros per leaf made first and dropped for the block would peak at twice the block
+    arrays = {f"p{i}": np.ones(1000) for i in range(50)}
+    tracemalloc.start()
+    try:
+        params = nc.leaves(arrays)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = 50 * 1000 * 8
+    assert block <= kept and peak < 1.1 * block
+    assert gradient_blocks(params)[np.dtype(np.float64)].nbytes == block
+
+
+def test_the_first_backward_fills_the_block_in_place_and_the_update_frees_it():
+    rng = np.random.default_rng(3)
+    params = nc.leaves({"w": rng.standard_normal((2, 3)), "b": rng.standard_normal(3)})
+    block = gradient_blocks(params)[np.dtype(np.float64)]
+    x = nc.Tensor(rng.standard_normal((4, 2)))
+    nc.backward(nc.smooth_l1(nc.linear(x, params["w"], params["b"]), np.zeros((4, 3))))
+    assert all(p.grad.base is block for p in params.values())
+    assert block.all() and np.array_equal(block, np.concatenate([params["w"].grad.ravel(), params["b"].grad]))
+    freed = weakref.ref(block)
+    del block
+    nc.sgd_step(params, {}, nc.SgdConfig(), 0)
+    assert all(p.grad is None for p in params.values()) and freed() is None
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,74 @@ def test_checkpoint_of_a_fresh_model_writes_zero_velocities(tmp_path):
     assert (tmp_path / "lazy.tfpm").read_bytes() == (tmp_path / "zeros.tfpm").read_bytes()
 
 
+def gradient_block(model) -> np.ndarray:
+    """The one ``PARAM_DTYPE`` zero block whose consecutive slices, in
+    ``param_specs`` order, are the model's leaf gradients; asserts that it
+    holds exactly the parameter count, so no two gradients overlap."""
+    specs = pipeline.Model.param_specs(model.encoder_cfg, model.pyramid_cfg, model.apn_cfg, model.acn_cfg)
+    block = model.params[specs[0][0]].grad.base
+    assert block.dtype == pipeline.PARAM_DTYPE and block.shape == (sum(math.prod(s) for _, s, _ in specs),)
+    offset = 0
+    for name, shape, _ in specs:
+        g = model.params[name].grad
+        assert g.base is block and g.shape == shape and g.flags.c_contiguous, name
+        assert g.ctypes.data == block.ctypes.data + offset * block.itemsize, name
+        offset += g.size
+    assert not block.any()
+    return block
+
+
+def test_built_and_loaded_models_hold_their_gradients_in_one_zero_block(tmp_path):
+    model = small_model()
+    gradient_block(model)
+    pipeline.save_checkpoint(tmp_path / "m.tfpm", model, pipeline.TrainConfig(), 0)
+    gradient_block(pipeline.load_checkpoint(tmp_path / "m.tfpm")[0])
+
+
+def test_inference_leaves_the_gradient_block_zero():
+    model, cfg, rec = small_model(), pipeline.TrainConfig(), two_window_video()
+    block = gradient_block(model)
+    assert pipeline.infer_video(rec, model, cfg) and pipeline.propose_video(rec, model, cfg)
+    assert gradient_block(model) is block
+
+
+def test_block_gradients_train_as_zeros_per_leaf():
+    # per-leaf np.zeros gradients, as Model.build made them before the block
+    cfg, bufs = pipeline.TrainConfig(seed=5), annotated_buffers()
+    runs = []
+    for per_leaf in (False, True):
+        model = small_model()
+        if per_leaf:
+            for p in model.params.values():
+                p.grad = np.zeros(p.data.shape, p.data.dtype)
+        grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+        reports = [pipeline.train_step(bufs[step % 2], model, cfg, grid, step).to_json_dict() for step in range(40)]
+        runs.append((reports, parameter_bytes(model)))
+    assert runs[0] == runs[1]
+    assert all(v is not None for _, _, v in runs[0][1].values())
+
+
+def test_zero_velocities_load_as_absent_and_save_as_they_were(tmp_path):
+    # an absent velocity saves as +0.0 zeros, so those load as absent; -0.0 is kept
+    model, cfg = small_model(), pipeline.TrainConfig()
+    first, second = tmp_path / "a.tfpm", tmp_path / "b.tfpm"
+    pipeline.save_checkpoint(first, model, cfg, 0)
+    loaded = pipeline.load_checkpoint(first)[0]
+    assert loaded.velocity == {}
+    pipeline.save_checkpoint(second, loaded, cfg, 0)
+    assert second.read_bytes() == first.read_bytes()
+    zero, negative, other = list(model.params)[:3]
+    model.velocity = zero_velocities(model)
+    model.velocity[negative] = -model.velocity[negative]
+    model.velocity[other][0] = 1.0
+    pipeline.save_checkpoint(first, model, cfg, 0)
+    loaded = pipeline.load_checkpoint(first)[0]
+    assert list(loaded.velocity) == [negative, other]
+    assert loaded.velocity[negative].tobytes() == model.velocity[negative].tobytes()
+    pipeline.save_checkpoint(second, loaded, cfg, 0)
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_train_step_frees_its_graph_as_it_walks_it_and_holds_no_gradient_after():
     # backward releases each node once its closure has run, and the update
     # consumes the gradients; measured at this shape: a 2.43 MB peak and
