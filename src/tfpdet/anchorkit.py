@@ -8,7 +8,9 @@ Arrays of segments have one format throughout the package: float64
 (start, end) rows of shape [..., 2], so functions that take or return
 several segments broadcast and pass them to one another as they are.
 ``Segment`` objects remain only at the edges: video records, ``Proposal``
-and ``Detection`` objects, and the inputs of ``evalkit``.
+and ``Detection`` objects, and the inputs of ``evalkit``.  A ``Segment``
+and a row of ``heads.nms_indices`` must be valid: as float64, 0 < end -
+start, and ends and length within ``HALF_RANGE``, as ``decode``'s rows are.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, _shown
+from .errors import _FLOAT_MAX, ConfigError, ContractError, _shown
 
 _REALS = (float, int, np.integer, np.floating)  # bool is an int, and excluded apart
+HALF_RANGE = _FLOAT_MAX / 2  # the largest end or length of a valid row
 
 # Per-level anchor lengths, as multiples of the level's stride (which
 # ``PyramidConfig.strides`` gives).
@@ -38,15 +41,16 @@ SINGLE_SCALE_SCALES = (
 @dataclass(frozen=True)
 class Segment:
     """Half-open interval [start, end) in frames: real numbers (Python or
-    numpy ints and floats, not bools) with end exceeding start."""
+    numpy ints and floats, not bools) that form a valid row as float64."""
 
     start: float
     end: float
 
     def __post_init__(self):
         s, e = self.start, self.end
-        if not (isinstance(s, _REALS) and isinstance(e, _REALS) and e > s) or type(s) is bool or type(e) is bool:
-            raise ContractError(f"segment needs real bounds with end > start, got [{_shown(s)}, {_shown(e)}]")
+        if not (isinstance(s, _REALS) and isinstance(e, _REALS)) or type(s) is bool or type(e) is bool or not _valid(s, e):
+            raise ContractError(f"segment needs real bounds with 0 < end - start, ends and length within half the "
+                                f"float range, got [{_shown(s)}, {_shown(e)}]")
 
     @property
     def length(self) -> float:
@@ -55,6 +59,15 @@ class Segment:
     @property
     def center(self) -> float:
         return 0.5 * (self.start + self.end)
+
+
+def _valid(s, e) -> bool:
+    """Whether the reals (s, e) form a valid row, so that no tIoU of two overflows or is NaN."""
+    try:  # float() casts a float32 without the warning that comparing it with HALF_RANGE gives
+        s, e = float(s), float(e)
+    except OverflowError:  # a Python int past the float range
+        return False
+    return -HALF_RANGE <= s < e <= HALF_RANGE and e - s <= HALF_RANGE
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,7 +111,7 @@ def build_anchor_grid(buffer_len: int, strides, scales) -> AnchorGrid:
 
 def tiou(a, b) -> np.ndarray:
     """Temporal intersection-over-union of (start, end) pairs: in [0, 1] for
-    segments of positive length, NaN for two empty ones (0 / 0) or a NaN end.
+    valid rows; other rows are outside its contract.
 
     ``a`` and ``b`` are array-likes of shape [..., 2] that broadcast against
     each other, so ``tiou(x[:, None], y)`` is the [len(x), len(y)] matrix.

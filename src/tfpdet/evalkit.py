@@ -10,11 +10,11 @@ subsequence of that order.  Ground truth becomes [g, 2] arrays once.
 Matching is one-to-one and greedy by rank with each ground truth usable
 once: one ``tiou`` matrix per (video, class) block, walked once for all
 thresholds, and only through the cells that reach the lowest one.  A row's
-walk stops at its first column below it; NaN ranks below every number, so
-a NaN cell counts only when every finite cell of its row reaches.  AP
-integrates the precision envelope over exact recall steps, which only true
-positives take, so it is summed over them alone.  Classes without any
-ground truth are excluded from mAP averaging.
+walk stops at its first column below it.  ``Segment``, ``Detection`` and
+``Proposal`` admit only valid rows and finite scores, so every tIoU lies in
+[0, 1].  AP integrates the precision envelope over exact recall steps,
+which only true positives take, so it is summed over them alone.  Classes
+without any ground truth are excluded from mAP averaging.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .anchorkit import segment_pairs, tiou
-from .errors import ConfigError, ContractError, _shown, check_real, is_label
+from .errors import ConfigError, ContractError, _shown, check_int, check_real, is_label
 
 DETECTION_DISPLAY_THRESHOLDS = (0.5, 0.75, 0.95)
 
@@ -32,15 +32,6 @@ DETECTION_DISPLAY_THRESHOLDS = (0.5, 0.75, 0.95)
 def average_map_grid() -> tuple:
     """tIoU thresholds 0.5:0.05:0.95 used for the averaged mAP and AR."""
     return tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
-
-
-def _check_budget(budget) -> None:
-    """Raise ConfigError unless ``budget`` is an int >= 1.  A slice
-    ``[:budget]`` takes zero or a negative budget silently (``-1`` scores
-    all proposals but the last) and fails on a float with a bare
-    TypeError."""
-    if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)) or budget < 1:
-        raise ConfigError(f"proposal budget must be an int >= 1, got {_shown(budget)}")
 
 
 def _check_grid(grid) -> None:
@@ -65,7 +56,7 @@ class EvalConfig:
     def __post_init__(self):
         for grid in (self.tiou_thresholds, self.average_grid, self.ar_tiou_grid):
             _check_grid(grid)
-        _check_budget(self.proposal_budget)
+        check_int("proposal budget", self.proposal_budget, 1)
 
 
 @dataclass
@@ -97,23 +88,15 @@ def _greedy_match(m: np.ndarray, thresholds) -> np.ndarray:
     Only cells that reach the lowest threshold are walked, in one flat list
     sorted by (row, descending tIoU, lowest column).  The rule is a walk of
     each row's columns, best first, that stops at the first one below the
-    lowest threshold: a NaN cell reaches every threshold but ranks below
-    every number, so it counts only when every finite cell of its row
-    reaches.  Sorted threshold k is bit k of the ints in ``used`` and
-    ``row``.
+    lowest threshold (callers pass grids that passed ``_check_grid``, never
+    empty).  Sorted threshold k is bit k of the ints in ``used`` and ``row``.
     """
     ts = np.asarray(thresholds, dtype=np.float64)
     if len(ts) > 62:  # a row's bits must fit an int64
         return np.concatenate([_greedy_match(m, ts[k:k + 62]) for k in range(0, len(ts), 62)])
     hit = np.zeros((len(ts), len(m)), dtype=bool)
-    if not len(ts):
-        return hit
     perm = np.argsort(ts, kind="stable")
-    nan = np.isnan(m)  # NaN sorts above every threshold, so it reaches them all
-    walk = nan | (m >= ts[perm[0]])
-    if nan.any():
-        walk &= ~nan | walk.all(axis=1, keepdims=True)
-    rows, cols = np.nonzero(walk)  # row by row, each row's columns in order
+    rows, cols = np.nonzero(m >= ts[perm[0]])  # row by row, each row's columns in order
     tious = m[rows, cols]
     cells = np.lexsort((-tious, rows))  # stable, so ties keep the lowest column first
     masks = (1 << np.searchsorted(ts[perm], tious[cells], side="right")) - 1  # the thresholds each cell reaches
@@ -170,9 +153,8 @@ def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport
     """AP per (class, threshold), mAP per threshold, averaged mAP.
 
     ``gts_by_video`` maps video id to a list of (Segment, label) pairs, each
-    label an int or numpy integer >= 1 (``errors.is_label``);
-    ``dets`` is a flat detection list (attributes segment/label/score/
-    video_id).
+    label an int or numpy integer >= 1 (``errors.is_label``); ``dets`` is a
+    flat list of ``Detection`` values.
     """
     total_gt = sum(len(v) for v in gts_by_video.values())
     if total_gt == 0:
@@ -217,13 +199,13 @@ def evaluate_detections(dets, gts_by_video: dict, cfg: EvalConfig) -> EvalReport
 
 
 def average_recall(proposals_by_video: dict, gts_by_video: dict, budget: int, grid) -> float:
-    """Mean over the tIoU grid of the recall of the top-``budget``
-    proposals per video, matched one-to-one greedily by objectness.
+    """Mean over the tIoU grid of the recall of each video's top-``budget``
+    ``Proposal``s, matched one-to-one greedily by objectness to its ``Segment``s.
 
     A video's proposals rank by one stable ``np.lexsort`` by descending
     objectness, ties by earlier start.  ``budget`` must be an int >= 1 and
     ``grid`` pass ``EvalConfig``'s grid check, else ``ConfigError``."""
-    _check_budget(budget)
+    check_int("proposal budget", budget, 1)  # a slice [:budget] takes 0 and -1 silently
     _check_grid(grid)
     total_gt = sum(len(v) for v in gts_by_video.values())
     if total_gt == 0:

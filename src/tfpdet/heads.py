@@ -14,17 +14,17 @@ that needs no gradient never builds them.
 Post-processing runs on arrays: ``anchorkit.decode`` decodes proposals per
 level and a window's detections at once, and NMS is exact greedy
 suppression that computes ``anchorkit.tiou`` only for pairs that can reach
-its threshold; it takes only rows such as ``decode`` keeps (finite ends,
-positive length) at a threshold in (0, 1], and rejects other input with
-``ContractError``.  The sweep of a video's class-wise NMS walks those pairs
-in chunks of ``NMS_CHUNK``, so beside its per-row arrays its transient
+its threshold; it takes only valid rows (``anchorkit``'s rule, which
+``decode``'s rows meet) at a threshold in (0, 1], and rejects other input
+with ``ContractError``.  The sweep of a video's class-wise NMS walks those
+pairs in chunks of ``NMS_CHUNK``, so beside its per-row arrays its transient
 memory is O(chunk + hits): only the list of suppressing pairs grows with
 the pairs of a longer video.  Proposals (``Proposals``) and detections
 (``Detections``) stay arrays from a window's NMS to one class-wise
 ``nms_detections`` per video.  Every array of segments, from the anchor
 grid through NMS, RoI pooling and context windows to the detections, holds
 [n, 2] (start, end) rows, as in ``anchorkit``; only ``Proposal`` and
-``Detection`` objects hold a ``Segment``.
+``Detection`` objects hold a ``Segment``, so a valid row, and a finite score.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .anchorkit import AnchorGrid, Segment, decode, tiou
+from .anchorkit import HALF_RANGE, AnchorGrid, Segment, decode, tiou
 from .errors import ConfigError, ContractError, _shown, check_int, check_real, is_label
 from .pyramid import PyramidFeatures, layer_specs
 
@@ -101,6 +101,9 @@ class Proposal:
     objectness: float
     source_level: int
 
+    def __post_init__(self):
+        check_real("proposal objectness", self.objectness, "(-inf, inf)", ContractError)
+
 
 @dataclass(frozen=True, eq=False)
 class Proposals:
@@ -128,6 +131,7 @@ class Detection:
         if not (isinstance(self.segment, Segment) and is_label(self.label) and isinstance(self.video_id, str)):
             raise ContractError(f"a detection needs a Segment, an int label >= 1 (never background) and a str video "
                                 f"id; got {_shown(self.segment)}, {_shown(self.label)} and {_shown(self.video_id)}")
+        check_real("detection score", self.score, "(-inf, inf)", ContractError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,10 +265,9 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
     """Greedy NMS of [n, 2] rows: keep by descending score, suppress overlaps >= thresh.
 
     Score ties break on the lower index, which callers keep deterministic.
-    The rows are those ``anchorkit.decode`` keeps, one per score
-    ([len(scores), 2]), with 0 < end - start and ends and length within half
-    the float range, so no tIoU overflows.  ``thresh`` must lie in (0, 1] and
-    ``top_k`` be None or an int >= 1; other input raises ``ContractError``.
+    The rows are valid (``anchorkit``'s rule, which ``decode``'s rows meet),
+    one per score ([len(scores), 2]), so no tIoU overflows.  ``thresh`` must
+    lie in (0, 1] and ``top_k`` be None or an int >= 1; other input raises ``ContractError``.
 
     Without ``top_k`` the rows are swept by start.  Two such segments that
     do not overlap have a tIoU of exactly 0, so a row is paired only with
@@ -289,7 +292,7 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
         raise ContractError(f"nms needs one [start, end] row per score: {segments.shape} rows for {len(scores)} scores")
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a length past the float range
         length = segments[:, 1] - segments[:, 0]
-    tame = (0 < length) & (abs(np.column_stack((segments, length))) <= np.finfo(np.float64).max / 2).all(axis=1)
+    tame = (0 < length) & (abs(np.column_stack((segments, length))) <= HALF_RANGE).all(axis=1)
     if not tame.all():
         s, e = segments[tame.argmin()]
         raise ContractError(f"nms rows need 0 < end - start < inf, ends and length within half the float range: [{s}, {e}]")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,19 @@ def test_segment_rejects_empty():
         seg(5, 5)
     with pytest.raises(ContractError, match="an int of 16610 bits"):  # raised a bare ValueError in the message
         seg(10 ** 5000, 0)
+
+
+@pytest.mark.parametrize("start,end", [
+    (0, 10 ** 400), (-10 ** 400, 0), (0, float("inf")), (float("-inf"), 0), (0, float("nan")), (2 ** 62, 2 ** 62 + 1),
+    (np.float32(0), np.float32(np.inf)),
+])
+def test_segment_rejects_bounds_that_do_not_form_a_valid_row(start, end):
+    # each constructed: Segment(0, 10**400) then raised a bare OverflowError in segment_pairs, two
+    # infinite segments had a NaN tIoU, and 2**62 + 1 is 2**62 as float64, an empty row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="segment needs"):
+            seg(start, end)
 
 
 @pytest.mark.parametrize("start,end", [("a", "b"), (True, 2), (0, np.True_), (None, 1), (0, "1")])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -166,24 +168,20 @@ def test_greedy_match_prefers_best_then_lowest_index_column():
 
 
 def test_greedy_match_equals_row_walk_reference():
-    # NaN cells, tied tIoUs, and blocks without rows or columns
+    # -0.0 cells, tied tIoUs, and blocks without rows or columns, on non-empty grids in (0, 1]
     rng = np.random.default_rng(35)
     grids = ([0.5], [0.25, 0.5, 0.75, 1.0], [1.0, 0.5, 0.75], list(ek.average_map_grid()),
-             list(rng.permutation(np.linspace(0.01, 1.0, 100))), [], [0.0, 0.5])
+             list(rng.permutation(np.linspace(0.01, 1.0, 100))))
     for case in range(700):
         n, g = int(rng.integers(0, 7)), int(rng.integers(0, 6))
         m = rng.integers(0, 5, (n, g)) / 4
         m[(m == 0) & (rng.random((n, g)) < 0.5)] = -0.0
-        m[rng.random((n, g)) < (0.0, 0.1, 0.4)[case % 3]] = np.nan
         ts = grids[case % len(grids)]
         hit = ek._greedy_match(m, ts)
         if g == 0:  # the reference's row max has no identity here
             assert hit.shape == (len(ts), n) and not hit.any()
         else:
             assert np.array_equal(hit, greedy_match_rows_ref(m, ts))
-    # a NaN cell counts only when every finite cell of its row reaches
-    m = np.array([[np.nan, 0.6], [np.nan, 0.2], [np.nan, np.nan]])
-    assert ek._greedy_match(m, [0.5]).tolist() == [[True, False, True]]
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +278,14 @@ def test_evaluate_equals_string_keyed_per_class_reference():
         assert ek.evaluate_detections(case, gts, cfg).to_json_dict() == evaluate_detections_strings_ref(case, gts, cfg)
     # the hit in "v10" ranks before the misses in "v9" and "w"
     assert ek.evaluate_detections(dets[:3], gts, cfg).per_class_ap[1][0.5] == 1 / 3
-    # NaN, +0.0 against -0.0, all-equal scores, and equal starts in different videos
-    nan = float("nan")
-    for scores in ([nan, 0.5, nan, 0.8, 0.8, 0.8, 0.5, 0.25], [0.0, -0.0, 0.0, -0.0, 0.5, 0.0, -0.0, 0.0],
-                   [0.5] * 8, [nan] * 8):
+    # +0.0 against -0.0, all-equal scores, and equal starts in different videos
+    for scores in ([0.0, -0.0, 0.0, -0.0, 0.5, 0.0, -0.0, 0.0], [0.5] * 8):
         case = [Detection(d.segment, d.label, s, d.video_id) for d, s in zip(dets, scores)]
         for c in (case, case[::-1]):
             assert ek.evaluate_detections(c, gts, cfg).to_json_dict() == evaluate_detections_strings_ref(c, gts, cfg)
     rng = np.random.default_rng(33)
     vids = ("v9", "v10", "v2", "w")
-    scores = (0.0, 0.25, 0.5, 0.75, 1.0, -0.0, nan)
+    scores = (0.0, 0.25, 0.5, 0.75, 1.0, -0.0)
     for case in range(300):
         gts = {vid: [(Segment(float(s), float(s + l)), int(c)) for s, l, c in
                      zip(rng.integers(0, 40, n), rng.integers(1, 12, n), rng.integers(1, 4, n))]
@@ -299,9 +295,24 @@ def test_evaluate_equals_string_keyed_per_class_reference():
         dets = []
         for _ in range(int(rng.integers(0, 40))):
             s = int(rng.integers(0, 40))
-            score = float(rng.uniform(0, 1)) if case % 3 == 2 else scores[int(rng.integers(0, 5 + 2 * (case % 3)))]
+            score = float(rng.uniform(0, 1)) if case % 3 == 2 else scores[int(rng.integers(0, 5 + case % 3))]
             dets.append(det(s, s + int(rng.integers(1, 12)), int(rng.integers(1, 5)), score, vids[int(rng.integers(4))]))
         assert ek.evaluate_detections(dets, gts, cfg).to_json_dict() == evaluate_detections_strings_ref(dets, gts, cfg)
+
+
+def test_scoring_takes_only_valid_segments_and_finite_scores():
+    # NaN scores and objectness were ranked by rule, a detection Segment(0, inf) against ground truth
+    # Segment(0, inf) scored mAP 1.0, and Segment(0, 10**400) raised a bare OverflowError in segment_pairs
+    nan = float("nan")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="detection score"):
+            ek.evaluate_detections([det(0, 40, 1, nan, "v1")], simple_gts(), ek.EvalConfig())
+        with pytest.raises(ContractError, match="proposal objectness"):
+            ek.average_recall({"v": [prop(0, 40, nan)]}, {"v": [Segment(0, 40)]}, 100, (0.5,))
+        for end in (float("inf"), 10 ** 400):
+            with pytest.raises(ContractError, match="segment needs"):
+                ek.evaluate_detections([det(0, end)], {"v": [(Segment(0, end), 1)]}, ek.EvalConfig())
 
 
 def test_eval_config_validation():
@@ -309,7 +320,8 @@ def test_eval_config_validation():
         ek.EvalConfig(tiou_thresholds=(0.5, 0.5))
     with pytest.raises(ConfigError):
         ek.EvalConfig(tiou_thresholds=(0.0, 0.5))
-    for budget in (0, -1, 2.5, True, "3", -10 ** 5000):  # -10**5000 raised a bare ValueError in the message
+    # -10**5000 raised a bare ValueError in the message; a numpy integer budget was taken
+    for budget in (0, -1, 2.5, True, "3", -10 ** 5000, np.int64(100)):
         with pytest.raises(ConfigError, match="proposal budget"):
             ek.EvalConfig(proposal_budget=budget)
     # True and a float32 scored as thresholds, and a string raised a bare TypeError
@@ -379,12 +391,12 @@ def test_ar_matches_exhaustive_oracle():
 def test_ar_rejects_a_budget_that_is_not_a_positive_int():
     gts = {"v": [Segment(0, 40), Segment(100, 200)]}
     props = {"v": [prop(0, 40, 0.9), prop(100, 200, 0.8)]}
-    for budget in (-1, 0, 2.5, True, "3", None):
+    for budget in (-1, 0, 2.5, True, "3", None, np.int64(1)):  # one int rule, as EvalConfig's
         with pytest.raises(ConfigError, match="budget"):
             ek.average_recall(props, gts, budget, (0.5,))
     with pytest.raises(ConfigError, match="budget"):
         ek.average_recall(props, {"v": []}, 0, (0.5,))  # before the early return on no ground truth
-    assert ek.average_recall(props, gts, np.int64(1), (0.5,)) == 0.5
+    assert ek.average_recall(props, gts, 1, (0.5,)) == 0.5
 
 
 def test_ar_rejects_an_empty_grid():
@@ -405,12 +417,11 @@ def test_ar_rejects_an_empty_grid():
 
 def test_ar_equals_lexsort_reference_with_objectness_ties():
     rng = np.random.default_rng(36)
-    nan = float("nan")
-    objectness = (0.0, 0.25, 0.5, 0.75, 1.0, -0.0, nan)
+    objectness = (0.0, 0.25, 0.5, 0.75, 1.0, -0.0)
     for case in range(300):
         gts, dets = grid_scene(rng)
         props = {vid: [prop(d.segment.start, d.segment.end,
-                            float(rng.uniform(0, 1)) if case % 3 == 2 else objectness[int(rng.integers(0, 5 + 2 * (case % 3)))])
+                            float(rng.uniform(0, 1)) if case % 3 == 2 else objectness[int(rng.integers(0, 5 + case % 3))])
                        for d in dets if d.video_id == vid] for vid in ("a", "b", "c")}
         budget = int(rng.integers(1, 10))
         grid = (0.3, 0.5, 0.7, 1.0) if case % 2 else ek.average_map_grid()

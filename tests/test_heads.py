@@ -373,6 +373,55 @@ def test_nms_takes_rows_of_exactly_half_the_float_range(top_k):
         assert heads.nms_indices(segments, scores, 0.5, top_k) == nms_ref([ak.Segment(*r) for r in segments], scores, 0.5, top_k)
 
 
+# rows on both sides of HALF_RANGE, and ints that float64 rounds together
+EDGE_ROWS = [(-1e308, 0.5), (0.0, 1e308), (-1.7e308, -1.6e308), (1.6e308, 1.7e308),
+             (0.0, float(np.nextafter(HALF_RANGE, np.inf))), (float(np.nextafter(-HALF_RANGE, -np.inf)), -1.0),
+             (-HALF_RANGE, HALF_RANGE / 2), (0.0, HALF_RANGE), (-HALF_RANGE, 0.0), (HALF_RANGE / 2, HALF_RANGE),
+             (-1.0, 1.0), (5.0, 10.0)]
+INT_ROWS = [(2 ** 62, 2 ** 62 + 1), (2 ** 62, 2 ** 62 + 1024), (-2 ** 63, 2 ** 63 - 1), (0, 1), (-3, -2)]
+
+
+def bound_rows(kind):
+    """WILD_ROWS, EDGE_ROWS and INT_ROWS with bounds of one kind: every row as Python floats or
+    float32 (inf past its range), and the rows of finite integers below 2**63 as Python ints or int64."""
+    rows = WILD_ROWS + EDGE_ROWS + [tuple(map(float, r)) for r in INT_ROWS]
+    if kind in (float, np.float32):
+        with np.errstate(over="ignore"):
+            return [tuple(kind(x) for x in r) for r in rows]
+    rows = INT_ROWS + [r for r in rows if all(np.isfinite(x) and x == int(x) and abs(x) < 2 ** 63 for x in r)]
+    return [tuple(kind(int(x)) for x in r) for r in rows]
+
+
+@pytest.mark.parametrize("kind", [float, np.float32, int, np.int64])
+def test_segment_raises_exactly_when_nms_rejects_the_row(kind):
+    # one row rule in two forms: a Segment's scalar bounds and nms_indices' float64 rows
+    taken = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # comparing a float32 with HALF_RANGE warns of an overflowing cast
+        for row in bound_rows(kind):
+            try:
+                heads.nms_indices(np.array([row], dtype=np.float64), np.array([0.5]), 0.5)
+            except ContractError:
+                with pytest.raises(ContractError, match="segment needs"):
+                    ak.Segment(*row)
+                taken.append(False)
+            else:
+                assert ak.Segment(*row) == ak.Segment(*row)
+                taken.append(True)
+    assert any(taken) and not all(taken)
+
+
+@pytest.mark.parametrize("score", [float("nan"), float("inf"), -float("inf"), "0.5", True, None])
+def test_detections_and_proposals_hold_only_finite_scores(score):
+    # NaN scores reached evalkit's ranking, and a str score was parsed by np.array
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match="detection score"):
+            heads.Detection(ak.Segment(0, 10), 1, score, "v")
+        with pytest.raises(ContractError, match="proposal objectness"):
+            heads.Proposal(ak.Segment(0, 10), score, 0)
+
+
 @pytest.mark.parametrize("rows,scores", [
     ([[0.0, 10.0], [50.0, 60.0], [100.0, 110.0]], 2),
     ([[0.0, 10.0], [50.0, 60.0]], 3),
