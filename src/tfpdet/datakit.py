@@ -44,8 +44,7 @@ class Activity:
         check_real("activity t_start", self.t_start, "[0, inf)", ContractError)
         check_real("activity t_end", self.t_end, "[0, inf)", ContractError)
         check_int("activity label", self.label, 1, ContractError)
-        if not self.t_end > self.t_start:
-            raise ContractError(f"activity needs t_end > t_start, got [{self.t_start}, {self.t_end}]")
+        self.segment()  # the row rule of every segment, in its ContractError
 
     @property
     def length(self) -> float:

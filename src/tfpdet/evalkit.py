@@ -61,6 +61,8 @@ class EvalConfig:
 
 @dataclass
 class EvalReport:
+    """One scoring pass: ``ar_at_budget`` is None from ``evaluate_detections``, filled by ``pipeline.evaluate``."""
+
     per_class_ap: dict  # label -> {threshold -> ap}
     map_per_threshold: dict  # threshold -> map
     average_map: float
@@ -85,21 +87,20 @@ def _greedy_match(m: np.ndarray, thresholds) -> np.ndarray:
     in rank order, takes the unused column of largest tIoU >= threshold t
     (lowest index on ties).
 
-    Only cells that reach the lowest threshold are walked, in one flat list
-    sorted by (row, descending tIoU, lowest column).  The rule is a walk of
-    each row's columns, best first, that stops at the first one below the
-    lowest threshold (callers pass grids that passed ``_check_grid``, never
-    empty).  Sorted threshold k is bit k of the ints in ``used`` and ``row``.
+    ``thresholds`` increase strictly (a grid that passed ``_check_grid``, or
+    the sorted union of two); threshold k is bit k of the ints in ``used``
+    and ``row``.  Only cells that reach the lowest threshold are walked, in
+    one flat list sorted by (row, descending tIoU, lowest column): each
+    row's columns, best first, up to the first one below the lowest one.
     """
     ts = np.asarray(thresholds, dtype=np.float64)
     if len(ts) > 62:  # a row's bits must fit an int64
         return np.concatenate([_greedy_match(m, ts[k:k + 62]) for k in range(0, len(ts), 62)])
     hit = np.zeros((len(ts), len(m)), dtype=bool)
-    perm = np.argsort(ts, kind="stable")
-    rows, cols = np.nonzero(m >= ts[perm[0]])  # row by row, each row's columns in order
+    rows, cols = np.nonzero(m >= ts[0])  # row by row, each row's columns in order
     tious = m[rows, cols]
     cells = np.lexsort((-tious, rows))  # stable, so ties keep the lowest column first
-    masks = (1 << np.searchsorted(ts[perm], tious[cells], side="right")) - 1  # the thresholds each cell reaches
+    masks = (1 << np.searchsorted(ts, tious[cells], side="right")) - 1  # the thresholds each cell reaches
     used = [0] * m.shape[1]
     walked, got, row = [-1], [], 0  # got[k] is the row walked[k] took, once the walk leaves it
     for i, g, mask in zip(rows[cells].tolist(), cols[cells].tolist(), masks.tolist()):
@@ -111,16 +112,15 @@ def _greedy_match(m: np.ndarray, thresholds) -> np.ndarray:
         used[g] |= take
         row |= take
     got.append(row)
-    # threshold t's bit is its place in the sorted order, the inverse of perm
-    hit[:, walked[1:]] = (np.array(got[1:], dtype=np.int64) >> np.argsort(perm)[:, None]) & 1
+    hit[:, walked[1:]] = (np.array(got[1:], dtype=np.int64) >> np.arange(len(ts))[:, None]) & 1
     return hit
 
 
 def average_precision(segments: np.ndarray, videos: np.ndarray, gts_by_video: dict, thresholds) -> list | None:
-    """AP of one class at each of ``thresholds``.  ``segments`` [n, 2] and
-    ``videos`` [n] (integer video codes) hold the class's detections in rank
-    order; ``gts_by_video`` maps a video code to its [g, 2] ground truth.
-    Returns None when the class has no ground truth anywhere.
+    """AP of one class at each of the strictly increasing ``thresholds``.
+    ``segments`` [n, 2] and ``videos`` [n] (integer video codes) hold the
+    class's detections in rank order; ``gts_by_video`` maps a video code to
+    its [g, 2] ground truth.  None when the class has none anywhere.
 
     Only true positives move the precision-recall curve, so AP is summed
     over them: the k-th at rank i gives a recall step k/npos - (k-1)/npos

@@ -1,5 +1,6 @@
 """Joint training over proposal and classification heads, plus whole-video
-inference and checkpointing.
+inference, scoring and checkpointing: ``fit`` runs the step loop and
+``evaluate`` the scoring pass.
 
 Each optimization step consumes one buffer of one video.  Anchors are
 matched jointly across levels, minibatches are sampled per level for each
@@ -25,13 +26,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import anchorkit, datakit, heads, numcore as nc, pyramid
+from . import anchorkit, datakit, evalkit, heads, numcore as nc, pyramid
 from .errors import ConfigError, ContractError, DataError, _shown, check_int, check_real
 
 CHECKPOINT_MAGIC = b"TFPM"
@@ -57,7 +58,8 @@ class LossWeights:
 @dataclass(frozen=True)
 class TrainConfig:
     """Desk-scale defaults.  The paper trains with lr 1e-4, decayed 10x
-    every 100k steps, for 150k steps."""
+    every 100k steps, for 150k steps.  ``max_steps`` is the step count
+    ``fit`` runs; nothing reads ``checkpoint_every`` yet (ROADMAP item 2b)."""
 
     sgd: nc.SgdConfig = field(default_factory=nc.SgdConfig)
     max_steps: int = 3000
@@ -280,6 +282,16 @@ def pick_training_buffer(buffers_by_video: dict[str, list], cfg: TrainConfig, st
     return bufs[int(rng.integers(len(bufs)))]
 
 
+def fit(buffers_by_video: dict[str, list], model: Model, cfg: TrainConfig):
+    """Train for ``cfg.max_steps`` steps, yielding each step's report: step
+    s is ``train_step`` on ``pick_training_buffer``'s pick for s, on the
+    config's anchor grid, built once.  A generator: each step runs when its
+    report is asked for."""
+    grid = anchorkit.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    for step in range(cfg.max_steps):
+        yield train_step(pick_training_buffer(buffers_by_video, cfg, step), model, cfg, grid, step)
+
+
 def _forward_windows(record: datakit.VideoRecord, model: Model, cfg: TrainConfig):
     """(buffer, pyramid, frozen parameters, proposals) per disjoint forward
     window of the video; computed on frozen parameters, they record no graph."""
@@ -314,6 +326,19 @@ def infer_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> 
     dets = heads.nms_detections(heads.Detections.concat(windows), model.acn_cfg.nms_tiou)
     rows = zip(dets.segments.tolist(), dets.labels.tolist(), dets.scores.tolist())
     return [heads.Detection(anchorkit.Segment(s, e), c, score, record.video_id) for (s, e), c, score in rows]
+
+
+def evaluate(records: dict, model: Model, cfg: TrainConfig, eval_cfg: evalkit.EvalConfig) -> evalkit.EvalReport:
+    """``evaluate_detections`` of the ``infer_video`` detections of
+    ``records`` (video id -> ``VideoRecord``), in dict order, against their
+    annotations, with ``ar_at_budget`` the ``average_recall`` of their
+    ``propose_video`` at ``eval_cfg.proposal_budget`` over ``ar_tiou_grid``."""
+    gts = {r.video_id: [(a.segment(), a.label) for a in r.annotations] for r in records.values()}
+    report = evalkit.evaluate_detections([d for r in records.values() for d in infer_video(r, model, cfg)], gts, eval_cfg)
+    proposals = {r.video_id: propose_video(r, model, cfg) for r in records.values()}
+    segments = {vid: [seg for seg, _ in v] for vid, v in gts.items()}
+    ar = evalkit.average_recall(proposals, segments, eval_cfg.proposal_budget, eval_cfg.ar_tiou_grid)
+    return replace(report, ar_at_budget=ar)
 
 
 # ---------------------------------------------------------------------------

@@ -128,8 +128,8 @@ def grid_scene(rng):
 
 def test_ap_all_thresholds_equal_oracle_per_threshold():
     rng = np.random.default_rng(31)
-    grids = ([0.1, 0.3, 0.5, 0.7, 0.9, 1.0], [1.0, 0.5, 0.75], list(ek.average_map_grid()),
-             list(rng.permutation(np.linspace(0.01, 1.0, 100))))  # unsorted; more than 62 thresholds
+    grids = ([0.1, 0.3, 0.5, 0.7, 0.9, 1.0], [0.5, 0.75, 1.0], list(ek.average_map_grid()),
+             sorted(rng.permutation(np.linspace(0.01, 1.0, 100))))  # more than 62 thresholds
     for case in range(400):
         gts, dets = grid_scene(rng)
         ts = grids[case % len(grids)]
@@ -168,10 +168,11 @@ def test_greedy_match_prefers_best_then_lowest_index_column():
 
 
 def test_greedy_match_equals_row_walk_reference():
-    # -0.0 cells, tied tIoUs, and blocks without rows or columns, on non-empty grids in (0, 1]
+    # -0.0 cells, tied tIoUs, and blocks without rows or columns, on strictly
+    # increasing grids in (0, 1]; the 100-threshold one runs in chunks of 62
     rng = np.random.default_rng(35)
-    grids = ([0.5], [0.25, 0.5, 0.75, 1.0], [1.0, 0.5, 0.75], list(ek.average_map_grid()),
-             list(rng.permutation(np.linspace(0.01, 1.0, 100))))
+    grids = ([0.5], [0.25, 0.5, 0.75, 1.0], [0.5, 0.75, 1.0], list(ek.average_map_grid()),
+             sorted(rng.permutation(np.linspace(0.01, 1.0, 100))))
     for case in range(700):
         n, g = int(rng.integers(0, 7)), int(rng.integers(0, 6))
         m = rng.integers(0, 5, (n, g)) / 4

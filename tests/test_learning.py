@@ -1,10 +1,11 @@
 """Learning guard: a short run of the default (float32) model must learn.
 
 Hidden 16, 500 steps of lr 1e-2 without decay on the train split of
-``SynthConfig(seed=DATA_SEED)``, model seed ``MODEL_SEED``, scored on the
-20 val videos.  Measured over the 10 (data, model) seed pairs (0, 0) and
-{1, 2, 3} x {0, 1, 2}, float32 mAP@0.5 ran from 0.266 to 0.361 (mean
-0.317); an untrained model scores 0.005 to 0.027.  The floor sits well
+``SynthConfig(seed=DATA_SEED)``, model seed ``MODEL_SEED``, trained with
+``pipeline.fit`` and scored on the 20 val videos with ``pipeline.evaluate``.
+Measured over the 10 (data, model) seed pairs (0, 0) and {1, 2, 3} x
+{0, 1, 2}, float32 mAP@0.5 ran from 0.266 to 0.361 (mean 0.317); an
+untrained model scores 0.005 to 0.027.  The floor sits well
 below that minimum, so it fails on a model that stopped learning and not on
 a numeric change that moves one seed pair.  Never lower it to pass; a
 change of the training schedule may set a new floor from a new multi-seed
@@ -29,11 +30,7 @@ def test_short_run_learns_above_the_floor(tmp_path):
                                  heads.AcnConfig(num_classes=3), seed=MODEL_SEED)
     cfg = pipeline.TrainConfig(sgd=nc.SgdConfig(learning_rate=1e-2, lr_decay_every=10**9), max_steps=500,
                                seed=MODEL_SEED)
-    grid = anchorkit.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
-    for step in range(cfg.max_steps):
-        pipeline.train_step(pipeline.pick_training_buffer(train, cfg, step), model, cfg, grid, step)
+    assert len(list(pipeline.fit(train, model, cfg))) == cfg.max_steps
     assert all(p.data.dtype == np.float32 for p in model.params.values())
-    dets = [d for r in val.values() for d in pipeline.infer_video(r, model, cfg)]
-    gts = {vid: [(a.segment(), a.label) for a in r.annotations] for vid, r in val.items()}
-    report = evalkit.evaluate_detections(dets, gts, evalkit.EvalConfig())
+    report = pipeline.evaluate(val, model, cfg, evalkit.EvalConfig())
     assert report.map_per_threshold[0.5] >= MAP50_FLOOR, report.map_per_threshold

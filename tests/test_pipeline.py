@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tfpdet import anchorkit as ak, datakit, heads, numcore as nc, pipeline, pyramid as pyr
+from tfpdet import anchorkit as ak, datakit, evalkit, heads, numcore as nc, pipeline, pyramid as pyr
 from tfpdet.errors import ConfigError, ContractError, DataError, _shown
 from tfpdet.numcore import Tensor
 
@@ -447,6 +448,53 @@ def test_pick_training_buffer_picks_a_video_then_one_of_its_buffers():
     for empty in ({}, {**bufs, "d": []}):
         with pytest.raises(ContractError, match="at least one"):
             pipeline.pick_training_buffer(empty, cfg, 0)
+
+
+def hidden8_model():
+    return pipeline.Model.build(pyr.EncoderConfig(input_dim=4, hidden_dim=8), pyr.PyramidConfig(),
+                                heads.ApnConfig(scales=ak.DEFAULT_SCALES), heads.AcnConfig(num_classes=2, fc_dim=8), seed=0)
+
+
+def two_annotated_videos():
+    """``annotated_video`` and a second fixed-seed, annotated 900-frame video, by id."""
+    acts = [datakit.Activity(100.0, 180.0, 2), datakit.Activity(500.0, 700.0, 1)]
+    features = np.random.default_rng(9).standard_normal((4, 900)).astype(np.float32)
+    return {"v": annotated_video(), "w": datakit.VideoRecord("w", 900, acts, features)}
+
+
+def hand_loop(buffers_by_video, model, cfg):
+    """The step loop that ``pipeline.fit`` runs, written out."""
+    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    return [pipeline.train_step(pipeline.pick_training_buffer(buffers_by_video, cfg, step), model, cfg, grid, step)
+            for step in range(cfg.max_steps)]
+
+
+def test_fit_trains_as_the_hand_written_step_loop():
+    cfg = pipeline.TrainConfig(max_steps=6, seed=3)
+    bufs = {vid: datakit.make_buffers(r, cfg.buffer_len) for vid, r in two_annotated_videos().items()}
+    assert {pipeline.pick_training_buffer(bufs, cfg, step).video_id for step in range(cfg.max_steps)} == {"v", "w"}
+    model = hidden8_model()
+    steps = pipeline.fit(bufs, model, cfg)
+    assert inspect.isgenerator(steps) and not model.velocity  # no step runs before its report is asked for
+    fitted = [r.to_json_dict() for r in steps]
+    reference = hidden8_model()
+    by_hand = [r.to_json_dict() for r in hand_loop(bufs, reference, cfg)]
+    assert len(fitted) == cfg.max_steps and fitted == by_hand
+    assert parameter_bytes(model) == parameter_bytes(reference) != parameter_bytes(hidden8_model())
+    assert sum(sum(r["acn_pos"]) + sum(r["acn_neg"]) for r in fitted) > 0  # both heads trained
+
+
+def test_evaluate_is_the_hand_composition_of_inference_and_scoring():
+    model, cfg, records = hidden8_model(), pipeline.TrainConfig(), two_annotated_videos()
+    eval_cfg = evalkit.EvalConfig(tiou_thresholds=(0.1, 0.5), proposal_budget=5, ar_tiou_grid=(0.1, 0.3, 0.5))
+    dets = [d for r in records.values() for d in pipeline.infer_video(r, model, cfg)]
+    gts = {vid: [(a.segment(), a.label) for a in r.annotations] for vid, r in records.items()}
+    alone = evalkit.evaluate_detections(dets, gts, eval_cfg)
+    props = {vid: pipeline.propose_video(r, model, cfg) for vid, r in records.items()}
+    ar = evalkit.average_recall(props, {vid: [seg for seg, _ in v] for vid, v in gts.items()}, 5, (0.1, 0.3, 0.5))
+    assert alone.ar_at_budget is None and alone.map_per_threshold[0.1] > 0 and ar > 0
+    report = pipeline.evaluate(records, model, cfg, eval_cfg)
+    assert report.to_json_dict() == {**alone.to_json_dict(), "ar_at_budget": ar}
 
 
 def test_non_finite_loss_raises_before_any_update():
