@@ -38,7 +38,7 @@ SINGLE_SCALE_SCALES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """Half-open interval [start, end) in frames: real numbers (Python or
     numpy ints and floats, not bools) that form a valid row as float64."""
@@ -70,7 +70,7 @@ def _valid(s, e) -> bool:
     return -HALF_RANGE <= s < e <= HALF_RANGE and e - s <= HALF_RANGE
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AnchorGrid:
     """All anchors of all levels as [n, 2] (start, end) rows.  Level k's are
     the block [level_offsets[k], level_offsets[k+1]), position-major: scale
@@ -152,7 +152,7 @@ def decode(anchors, deltas, clip_to):
     return segs, segs[..., 1] - segs[..., 0] >= 1.0
 
 
-@dataclass
+@dataclass(slots=True)
 class MatchResult:
     """Per-row matching outcome of an anchor or proposal matcher: ``labels``
     (anchors: +1 pos, -1 neg, 0 ignore; proposals: the class, 0 for

@@ -32,7 +32,7 @@ PLACEMENT_RESTARTS = 10  # fresh starts of one video's placement before giving u
 CLIP_KEEP_FRACTION = 0.5  # clipped instances keeping less are dropped
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Activity:
     """One annotated activity instance, in frame units."""
 
@@ -54,7 +54,7 @@ class Activity:
         return Segment(self.t_start, self.t_end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VideoRecord:
     """Per-video [D, L] feature array (or None before it is loaded) plus
     its annotation set.  Immutable: ``load_dataset`` adds the features with
@@ -94,7 +94,7 @@ class VideoRecord:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Buffer:
     """A fixed-length training/inference window sliced from a video;
     immutable, like a record.
@@ -322,7 +322,7 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
 # synthetic untrimmed sequences
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthConfig:
     """Generator settings for synthetic untrimmed feature sequences.
 

@@ -46,7 +46,7 @@ def _check_grid(grid) -> None:
         raise ConfigError(f"tIoU thresholds must be strictly increasing, got {grid}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvalConfig:
     tiou_thresholds: tuple = DETECTION_DISPLAY_THRESHOLDS
     average_grid: tuple = field(default_factory=average_map_grid)
@@ -59,7 +59,7 @@ class EvalConfig:
         check_int("proposal budget", self.proposal_budget, 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalReport:
     """One scoring pass: ``ar_at_budget`` is None from ``evaluate_detections``, filled by ``pipeline.evaluate``."""
 

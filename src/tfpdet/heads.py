@@ -45,7 +45,7 @@ NMS_BLOCK = 64  # candidates per greedy block of nms_indices' top_k scan
 NMS_CHUNK = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ApnConfig:
     """Proposal-network settings: anchor scales per level plus the matching
     and suppression thresholds."""
@@ -68,7 +68,7 @@ class ApnConfig:
             raise ConfigError(f"neg_tiou {self.neg_tiou} exceeds pos_tiou {self.pos_tiou}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AcnConfig:
     """Classifier settings: proposal-to-level assignment strategy, context
     toggle, RoI bins, classifier width and class count."""
@@ -93,7 +93,7 @@ class AcnConfig:
             check_real(name, getattr(self, name), interval)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     """A decoded, clipped candidate segment with its objectness score."""
 
@@ -105,7 +105,7 @@ class Proposal:
         check_real("proposal objectness", self.objectness, "(-inf, inf)", ContractError)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Proposals:
     """A window's proposals in NMS order: [n, 2] (start, end) segments, [n]
     objectness scores and [n] source levels."""
@@ -118,7 +118,7 @@ class Proposals:
         return len(self.objectness)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A scored, class-labeled, boundary-refined segment in video frames."""
 
@@ -134,7 +134,7 @@ class Detection:
         check_real("detection score", self.score, "(-inf, inf)", ContractError)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Detections:
     """Detections as arrays: [n, 2] (start, end) segments in video frames,
     [n] class labels (never background) and [n] scores."""
@@ -292,9 +292,9 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
         raise ContractError(f"nms needs one [start, end] row per score: {segments.shape} rows for {len(scores)} scores")
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a length past the float range
         length = segments[:, 1] - segments[:, 0]
-    tame = (0 < length) & (abs(np.column_stack((segments, length))) <= HALF_RANGE).all(axis=1)
-    if not tame.all():
-        s, e = segments[tame.argmin()]
+    tame, ends = (0 < length) & (length <= HALF_RANGE), abs(segments) <= HALF_RANGE
+    if not (tame.all() and ends.all()):
+        s, e = segments[(tame & ends[:, 0] & ends[:, 1]).argmin()]
         raise ContractError(f"nms rows need 0 < end - start < inf, ends and length within half the float range: [{s}, {e}]")
     n = len(scores)
     order = np.lexsort((np.arange(n), -np.asarray(scores)))

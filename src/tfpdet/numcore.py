@@ -133,7 +133,7 @@ def leaves(arrays: dict) -> dict:
     return tensors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SgdConfig:
     """SGD with momentum, weight decay and a stepped learning-rate decay."""
 

@@ -40,7 +40,7 @@ CHECKPOINT_VERSION = 4
 PARAM_DTYPE = np.float32  # of every parameter, velocity and feature the network computes on
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LossWeights:
     """Per-level loss balance: gamma scales a level's whole contribution,
     lam trades classification against localization inside it."""
@@ -55,7 +55,7 @@ class LossWeights:
             raise ConfigError("gamma and lambda must have one entry per level")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrainConfig:
     """Desk-scale defaults.  The paper trains with lr 1e-4, decayed 10x
     every 100k steps, for 150k steps.  ``max_steps`` is the step count
@@ -124,7 +124,7 @@ class Model:
         return pyramid.build_pyramid(base, self.pyramid_cfg, params)
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
     """Telemetry for one optimization step (values are plain floats)."""
 
@@ -302,40 +302,67 @@ def _forward_windows(record: datakit.VideoRecord, model: Model, cfg: TrainConfig
         yield buf, pyr, params, heads.generate_proposals(heads.apn_forward(pyr, params), grid, model.apn_cfg)
 
 
-def propose_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> list[heads.Proposal]:
-    """Every forward window's proposals in video frames, ranked by objectness, then start."""
-    parts = []
-    for buf, _, _, proposals in _forward_windows(record, model, cfg):
-        segs = np.minimum(proposals.segments, float(buf.num_valid)) + buf.frame_offset  # decode clamped starts at 0
-        keep = segs[:, 1] - segs[:, 0] >= 1.0
-        parts.append((segs[keep], proposals.objectness[keep], proposals.levels[keep]))
-    segs, obj, levels = (np.concatenate(x) for x in zip(*parts))
+def _window_proposals(window: tuple) -> tuple:
+    """A ``_forward_windows`` window's proposals in video frames as (segments,
+    objectness, levels), without those that clamping to its content leaves
+    shorter than a frame."""
+    buf, _, _, proposals = window
+    segs = np.minimum(proposals.segments, float(buf.num_valid)) + buf.frame_offset  # decode clamped starts at 0
+    keep = segs[:, 1] - segs[:, 0] >= 1.0
+    return segs[keep], proposals.objectness[keep], proposals.levels[keep]
+
+
+def _proposal_objects(windows: list) -> list[heads.Proposal]:
+    """The windows' ``_window_proposals`` as ``Proposal`` objects, ranked by objectness, then start."""
+    segs, obj, levels = (np.concatenate(x) for x in zip(*windows))
     order = np.lexsort((segs[:, 0], -obj))
     rows = zip(segs[order].tolist(), obj[order].tolist(), levels[order].tolist())
     return [heads.Proposal(anchorkit.Segment(a, b), score, level) for (a, b), score, level in rows]
+
+
+def _window_detections(window: tuple, model: Model) -> heads.Detections:
+    """A ``_forward_windows`` window's ACN candidates in video frames."""
+    buf, pyr, params, proposals = window
+    return heads.finalize_detections(heads.acn_forward(pyr, proposals, model.acn_cfg, params), proposals, model.acn_cfg, buf)
+
+
+def _detection_objects(windows: list, model: Model, video_id: str) -> list[heads.Detection]:
+    """One class-wise ``nms_detections`` over all windows' candidates; only
+    its survivors become ``Detection`` objects."""
+    dets = heads.nms_detections(heads.Detections.concat(windows), model.acn_cfg.nms_tiou)
+    rows = zip(dets.segments.tolist(), dets.labels.tolist(), dets.scores.tolist())
+    return [heads.Detection(anchorkit.Segment(s, e), c, score, video_id) for (s, e), c, score in rows]
+
+
+def propose_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> list[heads.Proposal]:
+    """Every forward window's proposals in video frames, ranked by objectness, then start."""
+    return _proposal_objects([_window_proposals(w) for w in _forward_windows(record, model, cfg)])
 
 
 def infer_video(record: datakit.VideoRecord, model: Model, cfg: TrainConfig) -> list[heads.Detection]:
     """Two-stage inference over disjoint forward windows on frozen parameters
     (no graph is recorded): all windows' candidates pass one class-wise
     ``nms_detections``, and only its survivors become ``Detection`` objects."""
-    windows = []
-    for buf, pyr, params, proposals in _forward_windows(record, model, cfg):
-        acn_out = heads.acn_forward(pyr, proposals, model.acn_cfg, params)
-        windows.append(heads.finalize_detections(acn_out, proposals, model.acn_cfg, buf))
-    dets = heads.nms_detections(heads.Detections.concat(windows), model.acn_cfg.nms_tiou)
-    rows = zip(dets.segments.tolist(), dets.labels.tolist(), dets.scores.tolist())
-    return [heads.Detection(anchorkit.Segment(s, e), c, score, record.video_id) for (s, e), c, score in rows]
+    windows = [_window_detections(w, model) for w in _forward_windows(record, model, cfg)]
+    return _detection_objects(windows, model, record.video_id)
 
 
 def evaluate(records: dict, model: Model, cfg: TrainConfig, eval_cfg: evalkit.EvalConfig) -> evalkit.EvalReport:
     """``evaluate_detections`` of the ``infer_video`` detections of
     ``records`` (video id -> ``VideoRecord``), in dict order, against their
     annotations, with ``ar_at_budget`` the ``average_recall`` of their
-    ``propose_video`` at ``eval_cfg.proposal_budget`` over ``ar_tiou_grid``."""
+    ``propose_video`` at ``eval_cfg.proposal_budget`` over ``ar_tiou_grid``.
+    Both come from one walk of each video's forward windows."""
+    detections, proposals = [], {}
+    for r in records.values():
+        dets, props = [], []
+        for w in _forward_windows(r, model, cfg):
+            dets.append(_window_detections(w, model))
+            props.append(_window_proposals(w))
+        detections += _detection_objects(dets, model, r.video_id)
+        proposals[r.video_id] = _proposal_objects(props)
     gts = {r.video_id: [(a.segment(), a.label) for a in r.annotations] for r in records.values()}
-    report = evalkit.evaluate_detections([d for r in records.values() for d in infer_video(r, model, cfg)], gts, eval_cfg)
-    proposals = {r.video_id: propose_video(r, model, cfg) for r in records.values()}
+    report = evalkit.evaluate_detections(detections, gts, eval_cfg)
     segments = {vid: [seg for seg, _ in v] for vid, v in gts.items()}
     ar = evalkit.average_recall(proposals, segments, eval_cfg.proposal_budget, eval_cfg.ar_tiou_grid)
     return replace(report, ar_at_budget=ar)
@@ -345,7 +372,7 @@ def evaluate(records: dict, model: Model, cfg: TrainConfig, eval_cfg: evalkit.Ev
 # checkpoint container
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Configs:
     """The configs a checkpoint header records; they define the model."""
 

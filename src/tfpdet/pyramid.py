@@ -42,7 +42,7 @@ def layer_specs(layers: list[tuple]) -> list[tuple]:
     return weights + biases
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EncoderConfig:
     input_dim: int
     hidden_dim: int = 64
@@ -52,7 +52,7 @@ class EncoderConfig:
         check_int("hidden_dim", self.hidden_dim, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PyramidConfig:
     variant: str = "conv"
     num_levels: int = 3
@@ -68,7 +68,7 @@ class PyramidConfig:
         return tuple(ENCODER_STRIDE << k for k in range(self.num_levels))
 
 
-@dataclass
+@dataclass(slots=True)
 class PyramidFeatures:
     """Per-level feature sequences [D, L_buf/stride_k] plus their strides."""
 

@@ -497,6 +497,25 @@ def test_evaluate_is_the_hand_composition_of_inference_and_scoring():
     assert report.to_json_dict() == {**alone.to_json_dict(), "ar_at_budget": ar}
 
 
+def test_evaluate_walks_each_video_once(monkeypatch):
+    # detections and proposals come from one pass over each video's forward windows
+    model, cfg, records = hidden8_model(), pipeline.TrainConfig(), two_annotated_videos()
+    calls = []
+    generate_proposals = heads.generate_proposals
+    monkeypatch.setattr(heads, "generate_proposals", lambda *args: calls.append(1) or generate_proposals(*args))
+    pipeline.evaluate(records, model, cfg, evalkit.EvalConfig())
+    windows = sum(len(datakit.make_buffers(r, cfg.buffer_len, directions="forward")) for r in records.values())
+    assert windows == 4 and len(calls) == windows
+
+
+def test_infer_video_builds_no_proposal_objects(monkeypatch):
+    def refuse(self):
+        raise AssertionError("infer_video built a Proposal")
+
+    monkeypatch.setattr(heads.Proposal, "__post_init__", refuse)
+    assert pipeline.infer_video(two_annotated_videos()["w"], hidden8_model(), pipeline.TrainConfig())
+
+
 def test_non_finite_loss_raises_before_any_update():
     model, cfg = small_model(), pipeline.TrainConfig(seed=5)
     grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
