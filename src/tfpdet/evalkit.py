@@ -54,8 +54,11 @@ class EvalConfig:
     ar_tiou_grid: tuple = field(default_factory=average_map_grid)
 
     def __post_init__(self):
-        for grid in (self.tiou_thresholds, self.average_grid, self.ar_tiou_grid):
-            _check_grid(grid)
+        for name in ("tiou_thresholds", "average_grid", "ar_tiou_grid"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ConfigError(f"{name} must be a tuple or list, got {_shown(getattr(self, name))}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+            _check_grid(getattr(self, name))
         check_int("proposal budget", self.proposal_budget, 1)
 
 

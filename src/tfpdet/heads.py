@@ -57,9 +57,10 @@ class ApnConfig:
     top_k: int = 100
 
     def __post_init__(self):
+        if not (isinstance(self.scales, (tuple, list)) and self.scales
+                and all(isinstance(s, (tuple, list)) and s for s in self.scales)):
+            raise ConfigError(f"anchor scales must be a non-empty tuple or list of non-empty tuples or lists, got {_shown(self.scales)}")
         object.__setattr__(self, "scales", tuple(tuple(check_int("anchor scales", x, 1) for x in s) for s in self.scales))
-        if not self.scales or any(len(s) < 1 for s in self.scales):
-            raise ConfigError("apn needs at least one anchor scale per level")
         check_int("top_k", self.top_k, 1)
         # at nms_tiou 0 every overlap, even none, would suppress
         for name, interval in (("pos_tiou", "[0, 1]"), ("neg_tiou", "[0, 1]"), ("nms_tiou", "(0, 1]")):
@@ -365,10 +366,10 @@ def _roi_windows(t: int, segments: np.ndarray, stride: float, num_bins: int) -> 
 
     Each segment is mapped to feature coordinates and clamped; each of its P
     equal sub-intervals pools the cells whose centers fall inside it, and an
-    empty sub-interval borrows the covered cell nearest its center.  All
-    segments are resolved in one pass: every bin becomes a cell range [a, b)
-    whose maximum per channel is the larger of two (possibly overlapping)
-    table windows, the later one winning only if strictly larger.
+    empty one the covered cell of center nearest its own, the earlier on a
+    tie.  All segments are resolved in one pass: every bin becomes a cell
+    range [a, b) whose maximum per channel is the larger of two (possibly
+    overlapping) table windows, the later one winning only if strictly larger.
     """
     lo, hi = np.minimum(np.maximum(segments / stride, 0.0), float(t)).T
     outside = ~(hi > lo)  # NaN ends too
@@ -386,9 +387,7 @@ def _roi_windows(t: int, segments: np.ndarray, stride: float, num_bins: int) -> 
     bounds = np.minimum(np.maximum(np.ceil(edges - 0.5).astype(np.int64), first), last)
     a, b = bounds[:, :-1], bounds[:, 1:]
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    near = np.minimum(np.maximum(np.floor(mid - 0.5), first), last - 1).astype(np.int64)
-    after = np.minimum(near + 1, last - 1)
-    near = np.where(np.abs(after + 0.5 - mid) < np.abs(near + 0.5 - mid), after, near)
+    near = np.minimum(np.maximum(np.ceil(mid - 1.0), first), last - 1).astype(np.int64)  # center c + 0.5 nearest mid, ties down
     a, b = np.where(b > a, a, near), np.where(b > a, b, near + 1)
     k = np.frexp(b - a)[1] - 1  # floor(log2(width))
     return k * t + a, k * t + b - (1 << k), int(k.max(initial=0)) + 1

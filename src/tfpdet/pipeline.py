@@ -28,7 +28,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -49,10 +49,10 @@ class LossWeights:
     lam: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        if not (isinstance(self.gamma, (tuple, list)) and isinstance(self.lam, (tuple, list)) and len(self.gamma) == len(self.lam)):
+            raise ConfigError(f"gamma and lambda must be equal-length tuples or lists, got {_shown(self.gamma)} and {_shown(self.lam)}")
         for name in ("gamma", "lam"):
             object.__setattr__(self, name, tuple(check_real(f"loss weights {name}", w, "(0, inf)") for w in getattr(self, name)))
-        if len(self.gamma) != len(self.lam):
-            raise ConfigError("gamma and lambda must have one entry per level")
 
 
 @dataclass(frozen=True, slots=True)
@@ -413,18 +413,14 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> No
 def _decode(tp, value, where: str):
     """``value``, read from JSON, rebuilt as a config field of type ``tp``: a
     config dataclass from an object with exactly its fields, each decoded by
-    its annotation, and a ``tuple[X, ...]`` from a list whose items decode as
-    X.  Any other value goes as read to the config's constructor, which checks it."""
+    its annotation.  Any other value, a list too, goes as read to the
+    config's constructor, which checks it and makes a tuple of a list."""
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         if not isinstance(value, dict) or set(value) != set(hints):
             raise DataError(f"{where}: expected an object with exactly the fields of {tp.__name__}")
         return tp(**{name: _decode(hints[name], v, f"{where}.{name}") for name, v in value.items()})
-    if get_origin(tp) is not tuple:
-        return value
-    if not isinstance(value, list):
-        raise DataError(f"{where}: expected a list, got {_shown(value)}")
-    return tuple(_decode(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    return value
 
 
 def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:

@@ -3,8 +3,9 @@ valid calls, while the wild edge rows it once held make ``heads.nms_indices``
 raise ``ContractError`` without a warning, its float64 parameter draw is
 ``Model.build``'s and its cast returns copies of a workload's videos and
 buffers with float64 features, its pooling battery holds the ties that
-routing can get wrong, and its rounded scoring set holds the ranking ties
-that only the stable sort orders."""
+routing can get wrong, its RoI battery holds the bins and rows where cell
+selection rounds, clamps or breaks a tie, and its rounded scoring set holds
+the ranking ties that only the stable sort orders."""
 
 import importlib.util
 import warnings
@@ -14,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfpdet import heads
+from tfpdet import anchorkit as ak, heads, numcore as nc
 from tfpdet.errors import ContractError
+
+from oracles import roi_pool_ref
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,6 +84,32 @@ def test_pool_battery_holds_ties_signed_zeros_and_nan():
     assert (first == second).any()
     assert ((first == 0) & (second == 0) & (np.signbit(first) != np.signbit(second))).any()
     assert (np.isnan(first) & ~np.isnan(second)).any() and (~np.isnan(first) & np.isnan(second)).any()
+
+
+def test_roi_battery_holds_halfway_bins_uncovered_and_clamped_rows():
+    cases = list(load_digest().roi_battery())
+    assert sorted((stride, bins) for _, _, stride, bins, _ in cases) == [
+        (stride, bins) for stride in (8.0, 16.0, 32.0) for bins in range(1, 9) for _ in range(2)]
+    halfway_bins, uncovered, clamped_low, clamped_high = set(), 0, 0, 0
+    for x, segments, stride, bins, target in cases:
+        t = x.shape[1]
+        assert target.shape == (len(segments), len(x), bins)
+        clamped_low += (segments[:, 0] < 0).sum()
+        clamped_high += (segments[:, 1] > t * stride).sum()
+        lo, hi = np.clip(segments / stride, 0, t).T
+        for a, b in zip(lo, hi):
+            covered = {j for j in range(t) if a <= j + 0.5 < b}
+            uncovered += not covered
+            edges = [a + (b - a) * p / bins for p in range(bins + 1)]
+            for e0, e1 in zip(edges, edges[1:]):  # an empty bin centered on the edge between two covered cells
+                mid = 0.5 * (e0 + e1)
+                if not any(e0 <= j + 0.5 < e1 for j in covered) and mid == int(mid) and {int(mid) - 1, int(mid)} <= covered:
+                    halfway_bins.add(bins)
+        if not np.isnan(x).any():  # the battery is one that the loop oracle reads as roi_pool does
+            got = heads.roi_pool(nc.Tensor(x), segments, stride, bins).data
+            for row, (s, e) in zip(got, segments):
+                assert np.array_equal(row, roi_pool_ref(x, ak.Segment(s, e), stride, bins))
+    assert halfway_bins == set(range(3, 9)) and uncovered and clamped_low and clamped_high
 
 
 def test_tied_eval_set_holds_score_and_objectness_ties(monkeypatch, tmp_path):

@@ -330,6 +330,12 @@ def test_eval_config_validation():
         for name in ("tiou_thresholds", "average_grid", "ar_tiou_grid"):
             with pytest.raises(ConfigError, match=r"tIoU thresholds must lie in \(0, 1\]"):
                 ek.EvalConfig(**{name: (value,)})
+    # a number or None raised a bare TypeError; a dict or an array constructed,
+    # the array leaving the frozen config unhashable
+    for value in (0.5, None, {0.5: 1}, np.array([0.5, 0.7])):
+        for name in ("tiou_thresholds", "average_grid", "ar_tiou_grid"):
+            with pytest.raises(ConfigError, match=f"{name} must be a tuple or list"):
+                ek.EvalConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", ["tiou_thresholds", "average_grid", "ar_tiou_grid"])
@@ -337,6 +343,18 @@ def test_eval_config_rejects_an_empty_grid(name):
     # an empty grid has no mean: scoring with one gave NaN and numpy warnings
     with pytest.raises(ConfigError, match="empty"):
         ek.EvalConfig(**{name: ()})
+
+
+def test_eval_config_keeps_its_grids_as_tuples():
+    # a list was kept as given: hash(cfg) raised, and the caller could change
+    # the grid after it was checked
+    grids = {"tiou_thresholds": [0.5, 0.7], "average_grid": [0.3, 0.6], "ar_tiou_grid": [0.4]}
+    cfg = ek.EvalConfig(**grids)
+    for grid in grids.values():
+        grid.append(0.1)
+    assert (cfg.tiou_thresholds, cfg.average_grid, cfg.ar_tiou_grid) == ((0.5, 0.7), (0.3, 0.6), (0.4,))
+    assert cfg == ek.EvalConfig(tiou_thresholds=(0.5, 0.7), average_grid=(0.3, 0.6), ar_tiou_grid=(0.4,))
+    assert hash(cfg) == hash(ek.EvalConfig(tiou_thresholds=(0.5, 0.7), average_grid=(0.3, 0.6), ar_tiou_grid=(0.4,)))
 
 
 def test_report_serialization_shape():

@@ -29,9 +29,12 @@ def test_apn_config_rejects_thresholds_out_of_range(field, value):
         heads.ApnConfig(scales=((1,),), **{field: value})
 
 
-@pytest.mark.parametrize("scales", [((1.0, 2),), ((0,),), ((1,), (True,))])
+@pytest.mark.parametrize("scales", [((1.0, 2),), ((0,),), ((1,), (True,)), 5, None, "12", {1: (2,)}, (5,), ((1,), 2),
+                                    ((1,), None), [[1], "2"], (), ((),)])
 def test_apn_config_rejects_scales_that_are_not_positive_ints(scales):
-    # a checkpoint decodes scales as JSON integers, so only those may be saved
+    # a checkpoint decodes scales as JSON integers, so only those may be
+    # saved, in tuples or lists; a number or None, at either depth, raised a
+    # bare TypeError
     with pytest.raises(ConfigError, match="scales"):
         heads.ApnConfig(scales=scales)
 
@@ -568,21 +571,23 @@ def test_roi_pool_single_cell_borrow():
 
 
 def test_roi_pool_matches_loop_oracle():
+    # 1 to 8 bins; every other segment is shorter than a cell, so it covers
+    # at most one cell center and most of its bins borrow
     rng = np.random.default_rng(12)
-    for _ in range(30):
-        t = int(rng.integers(4, 40))
+    for case in range(48):
+        t, bins = int(rng.integers(4, 40)), case % 8 + 1
         feat = rng.standard_normal((3, t))
         stride = float(rng.choice([8, 16, 32]))
         segs = []
         while len(segs) < 10:
             s = rng.uniform(-20, stride * t - 1)
-            seg = ak.Segment(s, s + rng.uniform(1.5, stride * t))
+            seg = ak.Segment(s, s + (rng.uniform(0.01, 1.0) * stride if len(segs) % 2 else rng.uniform(1.5, stride * t)))
             if seg.end > 0 and seg.start < stride * t:
                 segs.append(seg)
-        got = pool(nc.Tensor(feat), segs, stride, 4)
-        assert got.shape == (10, 3, 4)
+        got = pool(nc.Tensor(feat), segs, stride, bins)
+        assert got.shape == (10, 3, bins)
         for row, seg in zip(got.data, segs):
-            assert np.array_equal(row, roi_pool_ref(feat, seg, stride, 4))
+            assert np.array_equal(row, roi_pool_ref(feat, seg, stride, bins))
 
 
 @pytest.mark.parametrize("n", [0, 1, 64])

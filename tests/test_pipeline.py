@@ -701,6 +701,16 @@ def test_loss_weights_reject_non_positive_and_non_finite_values(field, value):
         pipeline.LossWeights(**weights)
 
 
+@pytest.mark.parametrize("value", [1.0, None, "111", {1.0: 1}, np.ones(3)], ids=repr)
+@pytest.mark.parametrize("field", ["gamma", "lam"])
+def test_loss_weights_must_be_tuples_or_lists(field, value):
+    # a number or None raised a bare TypeError; an array constructed
+    weights = {"gamma": (1.0, 1.0, 1.0), "lam": [1.0, 1.0, 1.0]}
+    weights[field] = value
+    with pytest.raises(ConfigError, match="gamma and lambda must be equal-length tuples or lists"):
+        pipeline.LossWeights(**weights)
+
+
 def test_buffer_length_is_limited_by_the_model_only():
     # 40 frames is no multiple of a 3-level model's largest stride, 32, but a
     # 1-level model (stride 8) takes such buffers
@@ -853,6 +863,11 @@ HEADER_EDITS = {
     "float scales": set_config_field("apn", "scales", [[float(x) for x in s] for s in ak.DEFAULT_SCALES]),
     **{f"configs.{section}.{field} = {value!r}": set_config_field(section, field, value)
        for section, field, value in UNTYPED_CONFIG_VALUES},
+    # each sequence field as a number, a string, an object, null or a list
+    # holding a non-number; configs now take the lists, as JSON gives them
+    **{f"configs.{section}.{field} = {value!r}": set_config_field(section, field, value)
+       for section, field in (("apn", "scales"), ("train.loss_weights", "gamma"), ("train.loss_weights", "lam"))
+       for value in (1, 1.5, "1", {"a": 1}, None, [[1, "x"]], ["1"], [True], [[]], [None, 1.0, 1.0], [[1], [2], {}])},
 }
 
 

@@ -37,6 +37,14 @@ checkout's ``src/`` and builds its inputs with the benchmark's workloads
   ``numcore.backward`` through a smooth-L1 loss on every level, over a
   seeded battery of [C, T] maps in float32 and float64: relu'd small
   integers, so pairs tie, with signed zeros and some NaN;
+- ``roi``: one digest of the values and the input gradient of
+  ``heads.roi_pool``, driven by ``numcore.backward`` through a smooth-L1
+  loss, over a seeded battery of such maps in float32 and float64 at
+  strides 8, 16 and 32 and 1 to 8 bins, pooling rows whose ends lie on
+  sixteenths of a cell: from a sixteenth of a cell long to past the map,
+  so that rows are clamped at 0 and at T * stride, rows that cover no
+  cell center, and, from 3 bins up, rows with an empty bin whose center
+  lies exactly halfway between two covered cells;
 - ``eval``: per seed 1 to 5 of the ``eval`` workload, one digest of
   ``evaluate_detections``'s ``to_json_dict()`` and the exact AR at the
   workload's budget; then one line over the same five sets with every
@@ -81,6 +89,7 @@ INFER_SEEDS = range(1, 6)
 NMS_SEED = 11
 NMS_THRESHOLDS = (1e-9, 0.4, 0.7, 1.0)
 POOL_SEED, POOL_CASES = 13, 60
+ROI_SEED, ROI_CASES, ROI_ROWS = 19, 48, 24
 EVAL_SEEDS = range(1, 6)
 SYNTH_SEEDS = (510, 0, 1, 2, 3)  # 510: a video whose placement restarts
 TIE_STEP = 0.05
@@ -221,6 +230,52 @@ def pool_digest() -> str:
     return sha256(chunks)
 
 
+def roi_battery():
+    """(x, segments, stride, bins, target) of every ``roi`` case: a [C, T]
+    map, [N, 2] (start, end) rows in frames that ``heads.roi_pool`` takes,
+    and a smooth-L1 target of the pooled [N, C, bins] shape.  Row ends are
+    multiples of a sixteenth of a cell, so every bin edge and center is
+    exact; case i has ``bins`` i % 8 + 1 and stride 8, 16 or 32 by i // 8."""
+    import numpy as np
+
+    rng = np.random.default_rng(ROI_SEED)
+    for case in range(ROI_CASES):
+        bins, stride = case % 8 + 1, float(8 << case // 8 % 3)
+        c, t = int(rng.integers(1, 5)), int(rng.integers(8, 33))
+        x = np.maximum(rng.integers(-3, 4, (c, t)), 0).astype(np.float64)
+        x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+        if case % 3 == 0:
+            x[rng.random(x.shape) < 0.1] = np.nan
+        # in sixteenths of a cell: every third row under a cell long, the others up to past the map
+        starts = rng.integers(-32, 16 * t, ROI_ROWS)
+        lengths = np.where(np.arange(ROI_ROWS) % 3, rng.integers(1, 16 * t + 48, ROI_ROWS), rng.integers(1, 16, ROI_ROWS))
+        rows = [np.stack([starts, starts + lengths], axis=1)]
+        # bins of half a cell from 3 bins up, of a quarter from 5: bin p is empty
+        # and centered on cell edge k, so the covered cells k - 1 and k tie for it
+        for width in (8, 4)[: (bins >= 3) + (bins >= 5)]:
+            p = (bins - 1) // 2
+            k = 16 * rng.integers(2, t - 2, 2)
+            lo = k - width // 2 - p * width
+            rows.append(np.stack([lo, lo + bins * width], axis=1))
+        segments = np.concatenate(rows)
+        segments = segments[(segments[:, 1] > 0) & (segments[:, 0] < 16 * t)] * (stride / 16)
+        yield x, segments, stride, bins, rng.integers(-3, 4, (len(segments), c, bins)).astype(np.float64)
+
+
+def roi_digest() -> str:
+    import numpy as np
+    from tfpdet import heads, numcore as nc
+
+    chunks = []
+    for dtype in (np.float32, np.float64):
+        for x, segments, stride, bins, target in roi_battery():
+            xt = nc.Tensor(x.astype(dtype), requires_grad=True)
+            out = heads.roi_pool(xt, segments, stride, bins)
+            nc.backward(nc.smooth_l1(out, target.astype(dtype)))
+            chunks += [out.data.tobytes(), xt.grad.tobytes()]
+    return sha256(chunks)
+
+
 def synth_digest() -> str:
     """Digest of every file that ``generate_synthetic`` writes for the
     default ``SynthConfig`` at each of ``SYNTH_SEEDS``."""
@@ -319,6 +374,7 @@ def main(argv=None) -> int:
     print(f"eval seeds {EVAL_SEEDS[0]}-{EVAL_SEEDS[-1]} scores rounded to {TIE_STEP} reports+ars {sha256([tied_digests])}")
     print(f"nms seed {NMS_SEED} kept {nms_digest()}")
     print(f"pool seed {POOL_SEED} cases {POOL_CASES} values+gradients {pool_digest()}")
+    print(f"roi seed {ROI_SEED} cases {ROI_CASES} values+gradients {roi_digest()}")
     print(f"synth seeds {', '.join(map(str, SYNTH_SEEDS))} files {synth_digest()}")
     print(f"lengths seed {LENGTH_SEED} tables {len(list(length_tables()))} draws {lengths_digest()}")
     return 0
