@@ -320,10 +320,8 @@ def nms_indices(segments: np.ndarray, scores: np.ndarray, thresh: float, top_k: 
 def anchor_map_indices(grid: AnchorGrid, k: int, shape, anchors) -> np.ndarray:
     """[n, 2] flat indices into level k's [2A, T] APN map (``shape``) of the
     rows (2j, 2j+1) at position p of each of the n grid ``anchors``, all of
-    level k.  Level k of the grid must hold exactly A anchors per position."""
+    level k, which holds A anchors at each of the T positions."""
     (two_a, t), offsets = shape, grid.level_offsets
-    if offsets[k + 1] - offsets[k] != two_a // 2 * t:
-        raise ContractError(f"level {k} of the anchor grid is not {two_a // 2} anchors at each of {t} positions")
     p, j = np.divmod(np.asarray(anchors) - offsets[k], two_a // 2)
     first = 2 * j * t + p
     return np.stack([first, first + t], axis=1)
@@ -331,16 +329,11 @@ def anchor_map_indices(grid: AnchorGrid, k: int, shape, anchors) -> np.ndarray:
 
 def generate_proposals(apn_out, grid: AnchorGrid, cfg: ApnConfig) -> Proposals:
     """Score and decode every anchor of the maps' ``grid``, then pool all
-    levels through NMS at ``cfg.nms_tiou``, keeping at most ``cfg.top_k``."""
-    if len(grid.level_offsets) != len(apn_out) + 1:
-        raise ContractError(f"an anchor grid of {len(grid.level_offsets) - 1} levels for {len(apn_out)} APN levels")
+    levels through NMS at ``cfg.nms_tiou``, keeping at most ``cfg.top_k``.
+    It does not check ``grid``; ``pipeline.step_loss`` does, for training."""
     parts = []  # per level: the kept anchors' segments, scores and levels
     hi = float(grid.buffer_len)
     offsets = grid.level_offsets
-    for k, (cls, _) in enumerate(apn_out):  # every level, before any is decoded
-        a, t = cls.shape[0] // 2, cls.shape[1]
-        if offsets[k + 1] - offsets[k] != a * t:
-            raise ContractError(f"level {k} of the anchor grid is not {a} anchors at each of {t} positions")
     for k, (cls, reg) in enumerate(apn_out):
         a, t = cls.shape[0] // 2, cls.shape[1]
         # views of the [2A, T] maps, [T, A] or [T, A, 2]: position-major, as the grid's level block

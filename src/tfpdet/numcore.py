@@ -10,10 +10,11 @@ decides which: a node requires grad when any input does, and one that does
 not keeps neither the inputs nor the backward closure its operation passes,
 so an operation on inputs that need no gradient holds nothing of them once
 it returns, and a forward over non-grad views of the parameters builds no
-graph at all.  Every op takes Tensors and reads each input's
-``requires_grad``, so a raw array among its inputs raises as the op builds
-its output.  A parameter is a gradient-requiring leaf tensor, so every layer
-takes the same dict of tensors in training and inference; its SGD momentum
+graph at all.  Every op takes Tensors (but for ``smooth_l1``'s target, a
+fixed array) and reads each input's ``requires_grad``, so a raw array among
+its inputs raises as the op builds its output.  A parameter is a
+gradient-requiring leaf tensor, so every layer takes the same dict of
+tensors in training and inference; its SGD momentum
 lives apart, in ``Model.velocity``, absent until ``sgd_step`` first updates
 the leaf (absent means zeros), so a model that only infers holds none.  A
 leaf's gradient has one lifecycle: untouched zeros while the leaf is fresh
@@ -413,16 +414,16 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     return Tensor(y, _parents=(logits,), _backward=back)
 
 
-def smooth_l1(pred: Tensor, target) -> Tensor:
+def smooth_l1(pred: Tensor, target: np.ndarray) -> Tensor:
     """Mean elementwise smooth-L1: 0.5*d^2 for |d| < 1, else |d| - 0.5.
 
-    The target is an array or a Tensor.  Targets are cast to the
-    prediction's dtype, so float64 targets of a float32 prediction promote
-    neither the loss nor its gradient."""
-    target = target if isinstance(target, Tensor) else Tensor(np.asarray(target, dtype=pred.data.dtype))
+    The target is a fixed array, so no gradient flows to it.  It is cast to
+    the prediction's dtype, so float64 targets of a float32 prediction
+    promote neither the loss nor its gradient."""
+    target = np.asarray(target, dtype=pred.data.dtype)
     if pred.shape != target.shape:
         raise ContractError(f"smooth_l1 shape mismatch: {pred.shape} vs {target.shape}")
-    d = pred.data - target.data.astype(pred.data.dtype, copy=False)
+    d = pred.data - target
     ad = np.abs(d)
     quad = ad < 1.0
     y = np.where(quad, 0.5 * d * d, ad - 0.5).mean()
@@ -430,9 +431,8 @@ def smooth_l1(pred: Tensor, target) -> Tensor:
     def back(g):
         df = np.where(quad, d, np.sign(d)) * (float(g) / d.size)
         _accumulate(pred, df)
-        _accumulate(target, -df)
 
-    return Tensor(y, _parents=(pred, target), _backward=back)
+    return Tensor(y, _parents=(pred,), _backward=back)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

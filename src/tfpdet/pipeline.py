@@ -49,8 +49,9 @@ class LossWeights:
     lam: tuple[float, ...] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        if not (isinstance(self.gamma, (tuple, list)) and isinstance(self.lam, (tuple, list)) and len(self.gamma) == len(self.lam)):
-            raise ConfigError(f"gamma and lambda must be equal-length tuples or lists, got {_shown(self.gamma)} and {_shown(self.lam)}")
+        if not (isinstance(self.gamma, (tuple, list)) and isinstance(self.lam, (tuple, list)) and len(self.gamma) == len(self.lam) > 0):
+            raise ConfigError(f"gamma and lambda must be equal-length tuples or lists of at least one weight,"
+                              f" got {_shown(self.gamma)} and {_shown(self.lam)}")
         for name in ("gamma", "lam"):
             object.__setattr__(self, name, tuple(check_real(f"loss weights {name}", w, "(0, inf)") for w in getattr(self, name)))
 
@@ -149,10 +150,8 @@ def joint_loss(apn_terms: list, acn_terms: list, weights: LossWeights) -> nc.Ten
 
     ``apn_terms``/``acn_terms`` hold per level a (cls, loc) pair of scalar
     tensors, either possibly None; levels with nothing sampled contribute 0.
-    ``weights`` must hold one gamma and one lambda per level.
+    ``weights`` holds one gamma and one lambda per level, as ``_Configs`` checks.
     """
-    if not len(weights.gamma) == len(apn_terms) == len(acn_terms):
-        raise ConfigError(f"{len(weights.gamma)} (gamma, lambda) loss weights for {len(apn_terms)} pyramid levels")
     total = None
     for terms in (apn_terms, acn_terms):
         for k, (cls, loc) in enumerate(terms):
@@ -220,13 +219,18 @@ def step_loss(buffer: datakit.Buffer, model: Model, cfg: TrainConfig, grid: anch
               step: int) -> tuple[nc.Tensor, StepReport]:
     """The joint loss of one step on one buffer and its report: forward both
     heads and sample per-level minibatches, then run no backward and no
-    update.  A non-finite loss raises ``ContractError``."""
+    update.  Loss weights not one per level raise ``ConfigError`` first; a grid not
+    the model's own for the buffer, or a non-finite loss, ``ContractError``."""
     if buffer.features is None or buffer.features.size == 0:
         raise ContractError("a training step needs a buffer with features")
+    _Configs(model.encoder_cfg, model.pyramid_cfg, model.apn_cfg, model.acn_cfg, cfg)
+    own = anchorkit.build_anchor_grid(buffer.features.shape[1], model.pyramid_cfg.strides, model.apn_cfg.scales)
+    if not (np.array_equal(grid.level_offsets, own.level_offsets) and np.array_equal(grid.segments, own.segments)):
+        raise ContractError("the anchor grid is not the model's own for the buffer's length")
     rng = _step_rng(cfg.seed, step)
     pyr = model.forward_pyramid(buffer.features, model.params)
     apn_out = heads.apn_forward(pyr, model.params)
-    proposals = heads.generate_proposals(apn_out, grid, model.apn_cfg)  # first: it checks the grid against the maps
+    proposals = heads.generate_proposals(apn_out, grid, model.apn_cfg)
     match = anchorkit.match_anchors_apn(grid, buffer.segments, model.apn_cfg.pos_tiou, model.apn_cfg.neg_tiou)
     apn = _apn_level_losses(apn_out, grid, match, cfg, rng)
     pmatch = anchorkit.match_proposals_acn(proposals.segments, buffer.segments, buffer.labels, model.acn_cfg.fg_tiou)
@@ -382,6 +386,10 @@ class _Configs:
     acn: heads.AcnConfig
     train: TrainConfig
 
+    def __post_init__(self):
+        if (n := len(self.train.loss_weights.gamma)) != self.pyramid.num_levels:
+            raise ConfigError(f"{n} (gamma, lambda) loss weights for {self.pyramid.num_levels} pyramid levels")
+
 
 def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> None:
     """Write the TFPM container, version 4: magic, little-endian u32
@@ -446,9 +454,6 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
         cfgs = _decode(_Configs, header["configs"], f"{path}: configs")
         model = Model(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn, {}, {})  # arrays from the payload below
         specs = Model.param_specs(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn)
-        if len(cfgs.train.loss_weights.gamma) != cfgs.pyramid.num_levels:
-            raise ConfigError(f"{len(cfgs.train.loss_weights.gamma)} (gamma, lambda) loss weights"
-                              f" for {cfgs.pyramid.num_levels} pyramid levels")
     except (TypeError, ConfigError) as exc:
         raise DataError(f"{path}: invalid checkpoint configs: {exc!r}") from exc
     if header["params"] != [name for name, _, _ in specs]:

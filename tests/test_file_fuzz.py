@@ -20,7 +20,8 @@ def write_checkpoint(path):
         heads.AcnConfig(num_classes=1, fc_dim=2),
         seed=0,
     )
-    pipeline.save_checkpoint(path, model, pipeline.TrainConfig(), 3)
+    cfg = pipeline.TrainConfig(loss_weights=pipeline.LossWeights((1.0,), (1.0,)))  # one level, so the file loads
+    pipeline.save_checkpoint(path, model, cfg, 3)
 
 
 def write_annotations(path):
@@ -43,11 +44,12 @@ FORMATS = {
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
     """Per format: the path mutated files are written to, the loader and
-    the bytes of a valid file."""
+    the bytes of a valid file, which loads."""
     out = {}
     for name, (write, load) in FORMATS.items():
         path = tmp_path_factory.mktemp(name) / "file"
         write(path)
+        load(path)
         out[name] = (path, load, path.read_bytes())
     return out
 

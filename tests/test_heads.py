@@ -139,7 +139,7 @@ def test_apn_gradcheck_through_sibling_heads():
         labels = np.arange(cls.shape[1]) % cls.shape[0]
         loss = nc.add(
             nc.softmax_cross_entropy(nc.reshape(cls, (cls.shape[1], cls.shape[0])), labels),
-            nc.smooth_l1(reg, nc.Tensor(np.full(reg.shape, 0.3))),
+            nc.smooth_l1(reg, np.full(reg.shape, 0.3)),
         )
         return loss, [ft] + list(params.values())
 
@@ -488,25 +488,6 @@ def test_anchor_map_indices_equal_a_per_anchor_loop(strides, scales):
             want[i - grid.level_offsets[k]] for i in sub.tolist()]
 
 
-@pytest.mark.parametrize("buffer_len,scales", [
-    (384, ak.DEFAULT_SCALES),
-    (1536, ak.DEFAULT_SCALES),
-    (768, ((1, 2), (3, 4), (5, 6))),
-    (768, ak.DEFAULT_SCALES[:2]),
-    (768, ak.DEFAULT_SCALES + ((8, 12),)),
-    (768, ak.DEFAULT_SCALES[:2] + ((6, 7),)),  # only the last level differs
-])
-def test_generate_proposals_rejects_a_grid_of_other_maps(buffer_len, scales, monkeypatch):
-    ecfg, pcfg, apn_cfg, params = small_setup()
-    out = heads.apn_forward(forward_pyramid(ecfg, pcfg, params), params)
-    grid = ak.build_anchor_grid(buffer_len, (8, 16, 32, 64)[:len(scales)], scales)
-    decoded = []
-    monkeypatch.setattr(heads, "decode", lambda *args: decoded.append(args))
-    with pytest.raises(ContractError, match="anchor grid"):
-        heads.generate_proposals(out, grid, apn_cfg)
-    assert decoded == []  # every level is checked before any is decoded
-
-
 def generate_proposals_ref(apn_out, grid, cfg):
     """The proposal list built one object per kept row, as before proposals
     stayed arrays: per level, softmax objectness and decoded anchors, then
@@ -687,14 +668,14 @@ def test_roi_pool_gradient_routes_to_selected_cells():
     feat[0] = [0, 5, 1, 7, 2, 0, 0, 0]
     x = nc.Tensor(feat, requires_grad=True)
     out = pool(x, [ak.Segment(0.0, 32.0)], 8, 2)  # cells 0..3, bins of 2
-    nc.backward(nc.smooth_l1(out, nc.Tensor(np.zeros((1, 1, 2)))))
+    nc.backward(nc.smooth_l1(out, np.zeros((1, 1, 2))))
     assert np.nonzero(x.grad[0])[0].tolist() == [1, 3]
 
 
 def test_roi_pool_ties_route_to_the_first_cell():
     x = nc.Tensor(np.ones((1, 8)), requires_grad=True)
     out = pool(x, [ak.Segment(0.0, 48.0)], 8, 2)  # cells 0..5, bins of 3
-    nc.backward(nc.smooth_l1(out, nc.Tensor(np.zeros((1, 1, 2)))))
+    nc.backward(nc.smooth_l1(out, np.zeros((1, 1, 2))))
     assert np.nonzero(x.grad[0])[0].tolist() == [0, 3]
 
 
@@ -876,7 +857,7 @@ def test_acn_matches_per_proposal_oracle(strategy, use_context):
         for (idx, cls, reg), target in zip(out, targets):
             if cls is None:
                 continue
-            term = nc.add(nc.softmax_cross_entropy(cls, np.arange(len(idx)) % 4), nc.smooth_l1(reg, nc.Tensor(target)))
+            term = nc.add(nc.softmax_cross_entropy(cls, np.arange(len(idx)) % 4), nc.smooth_l1(reg, target))
             loss = term if loss is None else nc.add(loss, term)
         leaves = list(pf.levels) + list(params.values())
         for t in leaves:
@@ -914,7 +895,7 @@ def test_acn_gradcheck_full_path():
             if cls is None:
                 continue
             term = nc.add(nc.softmax_cross_entropy(cls, labels),
-                          nc.smooth_l1(reg, nc.Tensor(np.full(reg.shape, 0.2))))
+                          nc.smooth_l1(reg, np.full(reg.shape, 0.2)))
             loss = term if loss is None else nc.add(loss, term)
         return loss, list(pf.levels) + list(params.values())
 

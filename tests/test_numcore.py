@@ -116,7 +116,7 @@ def test_maxpool_tie_routes_to_first():
     x = tensor([[5.0, 5.0, 5.0, 5.0]])
     y = nc.temporal_maxpool(x)
     assert np.array_equal(y.data, [[5.0, 5.0]])
-    nc.backward(nc.smooth_l1(y, nc.Tensor(np.zeros((1, 2)))))
+    nc.backward(nc.smooth_l1(y, np.zeros((1, 2))))
     # gradient lands only on the first element of each window
     assert x.grad[0, 0] != 0 and x.grad[0, 2] != 0
     assert x.grad[0, 1] == 0 and x.grad[0, 3] == 0
@@ -220,29 +220,39 @@ def test_cross_entropy_nonnegative_and_zero_limit():
 
 
 def test_smooth_l1_zero_residual():
-    assert nc.smooth_l1(tensor([[1.0, 2.0]]), tensor([[1.0, 2.0]])).item() == 0.0
+    assert nc.smooth_l1(tensor([[1.0, 2.0]]), np.array([[1.0, 2.0]])).item() == 0.0
 
 
 @pytest.mark.parametrize("d,expected", [(0.5, 0.125), (2.0, 1.5)])
 def test_smooth_l1_closed_form(d, expected):
-    assert nc.smooth_l1(tensor([[d]]), tensor([[0.0]])).item() == pytest.approx(expected, abs=1e-15)
+    assert nc.smooth_l1(tensor([[d]]), np.array([[0.0]])).item() == pytest.approx(expected, abs=1e-15)
 
 
 def test_smooth_l1_continuous_at_one():
     eps = 1e-13
-    below = nc.smooth_l1(tensor([[1.0 - eps]]), tensor([[0.0]])).item()
-    above = nc.smooth_l1(tensor([[1.0 + eps]]), tensor([[0.0]])).item()
+    below = nc.smooth_l1(tensor([[1.0 - eps]]), np.array([[0.0]])).item()
+    above = nc.smooth_l1(tensor([[1.0 + eps]]), np.array([[0.0]])).item()
     assert abs(below - above) < 1e-12
     # derivative: d for |d|<1, sign(d) beyond; both sides approach 1
     for d in (1.0 - 1e-9, 1.0 + 1e-9):
         x = tensor([[d]])
-        nc.backward(nc.smooth_l1(x, nc.Tensor([[0.0]])))
+        nc.backward(nc.smooth_l1(x, np.array([[0.0]])))
         assert abs(x.grad[0, 0] - 1.0) < 1e-8
+
+
+def test_smooth_l1_target_is_a_fixed_array_outside_the_graph():
+    # a target Tensor was a parent of the loss, one graph node per term
+    pred = nc.Tensor(np.array([[0.5, -3.0]], dtype=np.float32), requires_grad=True)
+    target = np.array([[0.0, 0.0]])
+    loss = nc.smooth_l1(pred, target)
+    assert loss._parents == (pred,) and loss.data.dtype == np.float32
+    nc.backward(loss)
+    assert pred.grad.dtype == np.float32 and pred.grad.tolist() == [[0.25, -0.5]]
 
 
 def test_smooth_l1_shape_mismatch():
     with pytest.raises(ContractError, match="mismatch"):
-        nc.smooth_l1(tensor([[1.0, 2.0]]), tensor([[1.0]]))
+        nc.smooth_l1(tensor([[1.0, 2.0]]), np.array([[1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +293,7 @@ def test_concat_gradient_splits_exactly():
 
     def build():
         at, bt = nc.Tensor(a, requires_grad=True), nc.Tensor(b, requires_grad=True)
-        return nc.smooth_l1(nc.concat_channels(at, bt), nc.Tensor(target)), [at, bt]
+        return nc.smooth_l1(nc.concat_channels(at, bt), target), [at, bt]
 
     check_gradients(build, [a, b])
 
@@ -358,7 +368,7 @@ def test_leaf_gradients_accumulate_in_buffers_of_their_own():
     owned = tensor([5.0, 6.0])
     buffer = owned.grad
     y = nc.add(nc.add(nc.add(a, b), a), owned)
-    nc.backward(nc.smooth_l1(y, nc.Tensor(np.zeros(2))))
+    nc.backward(nc.smooth_l1(y, np.zeros(2)))
     assert np.array_equal(a.grad, [1.0, 1.0]) and np.array_equal(b.grad, [0.5, 0.5])
     assert owned.grad is buffer and np.array_equal(buffer, [0.5, 0.5])
 
@@ -371,7 +381,7 @@ OPS = {
     "relu": (nc.relu, [np.ones((2, 3))], ()),
     "concat_channels": (nc.concat_channels, [np.ones((2, 3)), np.ones((1, 3))], ()),
     "softmax_cross_entropy": (nc.softmax_cross_entropy, [np.ones((2, 3))], ([0, 2],)),
-    "smooth_l1": (nc.smooth_l1, [np.ones((2, 3)), np.zeros((2, 3))], ()),
+    "smooth_l1": (nc.smooth_l1, [np.ones((2, 3))], (np.zeros((2, 3)),)),
     "add": (nc.add, [np.ones((2, 3)), np.ones((2, 3))], ()),
     "scale": (nc.scale, [np.ones((2, 3))], (2.0,)),
     "take": (nc.take, [np.ones((2, 3))], ([[0, 4]],)),
@@ -403,7 +413,7 @@ def test_an_op_given_a_raw_array_raises_when_it_builds_its_output():
     with pytest.raises(AttributeError, match="requires_grad"):
         nc.linear(tensor([[1.0, 2.0]]), np.eye(2), np.zeros(2))
     for name, (op, arrays, args) in OPS.items():
-        if len(arrays) > 1 and name != "smooth_l1":  # smooth_l1's target may be an array
+        if len(arrays) > 1:
             with pytest.raises(AttributeError):
                 op(tensor(arrays[0]), *arrays[1:], *args)
 
@@ -609,7 +619,7 @@ def test_gradcheck_linear():
 
     def build():
         xt, wt, bt = (nc.Tensor(a, requires_grad=True) for a in (x, w, b))
-        return nc.smooth_l1(nc.linear(xt, wt, bt), nc.Tensor(t)), [xt, wt, bt]
+        return nc.smooth_l1(nc.linear(xt, wt, bt), t), [xt, wt, bt]
 
     check_gradients(build, [x, w, b])
 
@@ -635,7 +645,7 @@ def test_gradcheck_maxpool_and_relu():
 
     def build(pool=nc.temporal_maxpool):
         xt = nc.Tensor(x, requires_grad=True)
-        return nc.smooth_l1(pool(nc.relu(xt)), nc.Tensor(t)), [xt]
+        return nc.smooth_l1(pool(nc.relu(xt)), t), [xt]
 
     check_gradients(build, [x])
     grads = []
@@ -670,7 +680,7 @@ def test_gradcheck_batched_conv_concat_and_scale_add():
     def build():
         xt, wat, bat, wbt, bbt = (nc.Tensor(a, requires_grad=True) for a in arrays)
         y = nc.concat_channels(nc.temporal_conv(xt, wat, bat, 1, 1), nc.relu(nc.temporal_conv(xt, wbt, bbt, 1, 1)))
-        loss = nc.add(nc.scale(nc.smooth_l1(y, nc.Tensor(t)), 2.0),
+        loss = nc.add(nc.scale(nc.smooth_l1(y, t), 2.0),
                       nc.softmax_cross_entropy(nc.reshape(y, (3, 12)), np.arange(3)))
         return loss, [xt, wat, bat, wbt, bbt]
 
@@ -815,7 +825,7 @@ def test_rows_slices_and_writes_its_gradient_rows():
     x = tensor(np.arange(12.0).reshape(4, 3))
     top, bottom = nc.rows(x, 0, 1), nc.rows(x, 3, 4)
     assert np.array_equal(top.data, [[0.0, 1.0, 2.0]]) and np.array_equal(bottom.data, [[9.0, 10.0, 11.0]])
-    loss = nc.add(nc.smooth_l1(top, nc.Tensor(np.zeros((1, 3)))), nc.scale(nc.smooth_l1(bottom, nc.Tensor(np.zeros((1, 3)))), 2.0))
+    loss = nc.add(nc.smooth_l1(top, np.zeros((1, 3))), nc.scale(nc.smooth_l1(bottom, np.zeros((1, 3))), 2.0))
     nc.backward(loss)
     assert np.array_equal(x.grad, [[0.0, 1 / 3, 1 / 3], [0.0] * 3, [0.0] * 3, [2 / 3] * 3])
 

@@ -581,23 +581,30 @@ def test_step_loss_gradients_reach_every_parameter_and_match_central_differences
             assert errors[-1] < 1e-4, (name, i, grad[i], errors)
 
 
-@pytest.mark.parametrize("buffer_len,scales", [
-    (384, ak.DEFAULT_SCALES),
-    (1536, ak.DEFAULT_SCALES),
-    (768, ((1, 2), (3, 4), (5, 6))),
-    (768, ak.DEFAULT_SCALES[:2]),
-    (768, ak.DEFAULT_SCALES + ((8, 12),)),
+@pytest.mark.parametrize("buffer_len,strides,scales", [
+    (384, (8, 16, 32), ak.DEFAULT_SCALES),
+    (1536, (8, 16, 32), ak.DEFAULT_SCALES),
+    # the model's offsets, but twice its anchor lengths: it trained on, then
+    # failed in _roi_windows with "lies outside the feature extent"
+    (1536, (16, 32, 64), ak.DEFAULT_SCALES),
+    (768, (8, 16, 32), ((1, 2), (3, 4), (5, 6))),
+    (768, (8, 16), ak.DEFAULT_SCALES[:2]),
+    (768, (8, 16, 32, 64), ak.DEFAULT_SCALES + ((8, 12),)),
+    (768, (8, 16, 32), ak.DEFAULT_SCALES[:2] + ((6, 7),)),  # only the last level differs
+    # the model's per-level counts, other anchor lengths: it trained
+    (768, (8, 16, 32), tuple(tuple(x + 1 for x in s) for s in ak.DEFAULT_SCALES)),
 ])
-def test_grid_of_other_maps_raises_before_any_update(buffer_len, scales):
+def test_grid_of_other_maps_raises_before_any_update(buffer_len, strides, scales, monkeypatch):
     model, cfg = small_model(), pipeline.TrainConfig(seed=5)
     bufs = annotated_buffers()
     pipeline.train_step(bufs[0], model, cfg, ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides,
                                                                   model.apn_cfg.scales), 0)  # non-zero velocities
-    grid = ak.build_anchor_grid(buffer_len, (8, 16, 32, 64)[:len(scales)], scales)
-    before = parameter_bytes(model)
+    grid = ak.build_anchor_grid(buffer_len, strides, scales)
+    before, forwards = parameter_bytes(model), []
+    monkeypatch.setattr(pipeline.Model, "forward_pyramid", lambda *args: forwards.append(args))
     with pytest.raises(ContractError, match="anchor grid"):
         pipeline.train_step(bufs[1], model, cfg, grid, 1)
-    assert parameter_bytes(model) == before
+    assert parameter_bytes(model) == before and forwards == []
 
 
 def test_checkpoint_round_trip_then_step_is_byte_identical(tmp_path):
@@ -632,9 +639,6 @@ def test_joint_loss_weights_levels_by_gamma_and_lambda():
                      "acn_cls2": 0.5, "acn_loc2": 2.0}
     with pytest.raises(ContractError, match="no sampled terms"):
         pipeline.joint_loss([(None, None)] * 3, [(None, None)] * 3, weights)
-    for num_levels in (1, 2, 4):  # extra weights are not ignored, and missing ones raise no IndexError
-        with pytest.raises(ConfigError, match="loss weights"):
-            pipeline.joint_loss(apn[:1] * num_levels, acn[:1] * num_levels, weights)
 
 
 def four_level_model():
@@ -643,15 +647,16 @@ def four_level_model():
                                 heads.AcnConfig(num_classes=2, fc_dim=8), seed=0)
 
 
-def test_level_count_without_loss_weights_raises_before_any_update():
+def test_level_count_without_loss_weights_raises_before_any_update(monkeypatch):
     model = four_level_model()
-    cfg = pipeline.TrainConfig(seed=5)
-    assert len(cfg.loss_weights.gamma) == 3
-    grid = ak.build_anchor_grid(cfg.buffer_len, model.pyramid_cfg.strides, model.apn_cfg.scales)
-    before = parameter_bytes(model)
-    with pytest.raises(ConfigError, match=r"3 \(gamma, lambda\) loss weights for 4 pyramid levels"):
-        pipeline.train_step(annotated_buffers()[0], model, cfg, grid, 0)
-    assert parameter_bytes(model) == before and model.velocity == {}  # no update, so no velocity created
+    grid = ak.build_anchor_grid(768, model.pyramid_cfg.strides, model.apn_cfg.scales)
+    before, forwards = parameter_bytes(model), []
+    monkeypatch.setattr(pipeline.Model, "forward_pyramid", lambda *args: forwards.append(args))
+    for n in (1, 3, 5):  # extra weights are not ignored, and missing ones raise no IndexError
+        cfg = pipeline.TrainConfig(seed=5, loss_weights=pipeline.LossWeights((1.0,) * n, (1.0,) * n))
+        with pytest.raises(ConfigError, match=rf"{n} \(gamma, lambda\) loss weights for 4 pyramid levels"):
+            pipeline.train_step(annotated_buffers()[0], model, cfg, grid, 0)
+    assert parameter_bytes(model) == before and model.velocity == {} and forwards == []  # no forward, no update
 
 
 @pytest.mark.parametrize("value", [1.5, -0.5, float("nan"), True, np.float32(0.5), "0.5"])
@@ -701,14 +706,16 @@ def test_loss_weights_reject_non_positive_and_non_finite_values(field, value):
         pipeline.LossWeights(**weights)
 
 
-@pytest.mark.parametrize("value", [1.0, None, "111", {1.0: 1}, np.ones(3)], ids=repr)
+@pytest.mark.parametrize("value", [1.0, None, "111", {1.0: 1}, np.ones(3), ()], ids=repr)
 @pytest.mark.parametrize("field", ["gamma", "lam"])
 def test_loss_weights_must_be_tuples_or_lists(field, value):
-    # a number or None raised a bare TypeError; an array constructed
+    # a number or None raised a bare TypeError; an array constructed, and so
+    # did no weights at all, which no model can take
     weights = {"gamma": (1.0, 1.0, 1.0), "lam": [1.0, 1.0, 1.0]}
     weights[field] = value
-    with pytest.raises(ConfigError, match="gamma and lambda must be equal-length tuples or lists"):
-        pipeline.LossWeights(**weights)
+    for kw in (weights, {"gamma": value, "lam": value}):
+        with pytest.raises(ConfigError, match="gamma and lambda must be equal-length tuples or lists"):
+            pipeline.LossWeights(**kw)
 
 
 def test_buffer_length_is_limited_by_the_model_only():
@@ -747,10 +754,12 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_without_loss_weights_per_level_raises_data_error(tmp_path):
+    # the save wrote a file that the load then refused; a file edited to
+    # hold such weights still raises DataError (HEADER_EDITS)
     path = tmp_path / "m.tfpm"
-    pipeline.save_checkpoint(path, four_level_model(), pipeline.TrainConfig(), 0)
-    with pytest.raises(DataError, match=r"3 \(gamma, lambda\) loss weights for 4 pyramid levels"):
-        pipeline.load_checkpoint(path)
+    with pytest.raises(ConfigError, match=r"3 \(gamma, lambda\) loss weights for 4 pyramid levels"):
+        pipeline.save_checkpoint(path, four_level_model(), pipeline.TrainConfig(), 0)
+    assert not path.exists()
     cfg = pipeline.TrainConfig(loss_weights=pipeline.LossWeights(gamma=(1.0,) * 4, lam=(1.0,) * 4))
     pipeline.save_checkpoint(path, four_level_model(), cfg, 0)
     assert pipeline.load_checkpoint(path)[1] == cfg
@@ -855,6 +864,9 @@ HEADER_EDITS = {
     "parameter name not a string": lambda h: h["params"].__setitem__(0, []),
     "parameter name an object": lambda h: h["params"].__setitem__(0, {"a": 1}),
     "pyramid keeps the v2 strides": set_config_field("pyramid", "strides", [8, 16, 32]),
+    # a checkpoint can no longer be saved with either
+    "loss weights for two of three levels": set_config_field("train", "loss_weights", {"gamma": [1.0] * 2, "lam": [1.0] * 2}),
+    "no loss weights": set_config_field("train", "loss_weights", {"gamma": [], "lam": []}),
     # loaded before sampling fractions were checked, then failed mid-step
     "apn_pos_fraction above 1": set_config_field("train", "apn_pos_fraction", 1.5),
     # both loaded before tuple items were typed: the nested scales then made

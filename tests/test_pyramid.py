@@ -110,7 +110,7 @@ def test_gradcheck_encoder_and_pyramid(variant):
         feats = pyr.build_pyramid(pyr.encode(xt, ecfg, params), pcfg, params)
         loss = None
         for lvl, tgt in zip(feats.levels, targets):
-            term = nc.smooth_l1(lvl, nc.Tensor(tgt))
+            term = nc.smooth_l1(lvl, tgt)
             loss = term if loss is None else nc.add(loss, term)
         return loss, [xt] + list(params.values())
 
