@@ -99,12 +99,10 @@ class Buffer:
     """A fixed-length training/inference window sliced from a video;
     immutable, like a record.
 
-    ``features`` is a read-only [D, buf_len] numpy array, zero-padded past
-    ``num_valid`` when the window runs off the end of the source: a view of
-    one array that holds the video's windows for all of its buffers (see
-    ``make_buffers``), so it is never written.  The ground truth is two
-    arrays in buffer coordinates: ``segments`` [g, 2] float64 (start, end)
-    and ``labels`` [g] int64 classes.
+    ``features`` is a read-only [D, buf_len] numpy array, laid out as
+    ``make_buffers`` says.  The ground truth is two arrays in buffer
+    coordinates: ``segments`` [g, 2] float64 (start, end) and ``labels``
+    [g] int64 classes.
     """
 
     video_id: str
@@ -233,6 +231,8 @@ def load_label_index(path) -> list[str]:
 
 
 def save_label_index(labels: list[str], path) -> None:
+    if not all(isinstance(x, str) for x in labels) or len(set(labels)) != len(labels):
+        raise DataError(f"labels must be unique names of type str, got {_shown(labels)}")
     Path(path).write_text(json.dumps({"labels": sorted(labels)}, indent=2) + "\n", encoding="utf-8")
 
 
@@ -261,12 +261,15 @@ def load_features(path) -> np.ndarray:
 
 
 def save_features(features: np.ndarray, path) -> None:
-    """Write a [D, L] feature array as TFPV (frame-major f32 payload)."""
+    """Write a [D, L] feature array as TFPV (frame-major f32 payload) of finite values."""
     arr = np.asarray(features)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"features must be a non-empty [D, L] matrix, got shape {arr.shape}")
     d, l = arr.shape
-    payload = np.ascontiguousarray(arr.T, dtype="<f4").tobytes()
+    with np.errstate(over="ignore"):  # a value past the f32 range casts to inf, refused below
+        payload = np.ascontiguousarray(arr.T, dtype="<f4").tobytes()
+    if not np.isfinite(np.frombuffer(payload, dtype="<f4")).all():
+        raise DataError("feature values must be finite in float32")
     Path(path).write_bytes(TFPV_MAGIC + struct.pack("<III", TFPV_VERSION, d, l) + payload)
 
 
@@ -279,13 +282,9 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
 
     Forward windows start at offsets 0, buf_len, 2*buf_len, ...; backward
     windows end at L, L-buf_len, ... (offsets clamped at 0); the list holds
-    the forward windows first, then the backward ones.  Windows keep
-    the features' dtype, and short ones are zero-padded at the tail.  Each
-    distinct window is laid out once, as a row of one zero-padded,
-    read-only [n, D, buf_len] array, and a buffer's ``features`` is a
-    contiguous view of its row.  So a backward window at a forward offset
-    (every backward window, when L is a multiple of buf_len) shares its
-    forward twin's row; nothing is copied per buffer.
+    the forward windows first, then the backward ones.  A buffer's features
+    are a read-only view of the record's, shared by twins at one offset; only
+    a window that runs past the end is copied, zero-padded at the tail.
     All of the video's instances are clipped to each window in one pass
     and shifted into its coordinates; a clipped instance keeping less than
     half its original length is dropped.
@@ -296,24 +295,21 @@ def make_buffers(record: VideoRecord, buf_len: int, directions: str = "both") ->
     if directions not in ("both", "forward"):
         raise ConfigError(f"directions must be 'both' or 'forward', got {_shown(directions)}")
     L = record.num_frames
-    feats = record.features
     gts = np.array([(a.t_start, a.t_end) for a in record.annotations], dtype=np.float64).reshape(-1, 2)
     labels = np.array([a.label for a in record.annotations], dtype=np.int64)
     forward = [0] if L == 0 else list(range(0, L, buf_len))
     backward = [max(0, end - buf_len) for end in range(L, 0, -buf_len)] if directions == "both" else []
-    rows = {offset: i for i, offset in enumerate(dict.fromkeys(forward + backward))}
-    stack = np.zeros((len(rows), feats.shape[0], buf_len), dtype=feats.dtype)
-    for offset, i in rows.items():
-        part = feats[:, offset : offset + buf_len]
-        stack[i, :, : part.shape[1]] = part
-    stack.flags.writeable = False
 
     def window(offset: int) -> Buffer:
         valid = max(0, min(buf_len, L - offset))
+        part = record.features[:, offset : offset + buf_len]
+        if valid < buf_len:
+            part = np.pad(part, ((0, 0), (0, buf_len - valid)))
         clipped = np.clip(gts, float(offset), float(offset + valid))
         length = clipped[:, 1] - clipped[:, 0]
         kept = (length > 0) & (length >= CLIP_KEEP_FRACTION * (gts[:, 1] - gts[:, 0]))
-        return Buffer(record.video_id, offset, stack[rows[offset]], clipped[kept] - offset, labels[kept], valid)
+        features = np.lib.stride_tricks.as_strided(part, writeable=False)
+        return Buffer(record.video_id, offset, features, clipped[kept] - offset, labels[kept], valid)
 
     return [window(offset) for offset in forward + backward]
 

@@ -117,9 +117,8 @@ class Model:
         return cls(encoder_cfg, pyramid_cfg, apn_cfg, acn_cfg, params, {})
 
     def forward_pyramid(self, features: np.ndarray, params: dict) -> pyramid.PyramidFeatures:
-        """The pyramid of a [D, L] feature array, computed in the parameters'
-        dtype.  This is where a window becomes network input: loaded features
-        are float32 already, and are not copied."""
+        """The pyramid of a [D, L] feature array in the parameters' dtype.  Here
+        a buffer's view of its video becomes network input, copied at most once."""
         x = nc.Tensor(features.astype(params["encoder.block0.w"].data.dtype, copy=False))
         base = pyramid.encode(x, self.encoder_cfg, params)
         return pyramid.build_pyramid(base, self.pyramid_cfg, params)

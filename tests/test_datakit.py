@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import struct
 import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
@@ -175,6 +177,14 @@ def test_label_index_roundtrip(tmp_path):
     assert dk.load_label_index(tmp_path / "labels.json") == ["a", "b"]
 
 
+@pytest.mark.parametrize("labels", [["b", "a", "a"], ["a", 1]], ids=["duplicate", "not-str"])
+def test_label_index_save_refuses_what_load_refuses(tmp_path, labels):
+    # the duplicate wrote a file that loaded as DataError; the int raised TypeError from sorted
+    with pytest.raises(DataError, match="unique names"):
+        dk.save_label_index(labels, tmp_path / "labels.json")
+    assert not (tmp_path / "labels.json").exists()
+
+
 def test_label_index_truncated_file(tmp_path):
     p = tmp_path / "labels.json"
     dk.save_label_index(["a", "b"], p)
@@ -238,9 +248,17 @@ def test_tfpv_truncated_payload(tmp_path):
         dk.load_features(p)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e39])
 def test_tfpv_non_finite_value_rejected(tmp_path, value):
+    # 1e39 is finite in float64 but past the f32 range; its cast warned "overflow encountered in cast"
     p = tmp_path / "f.tfpv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="finite"):
+            dk.save_features(np.array([[1.0, 3.0, 5.0], [2.0, 4.0, value]]), p)
+    assert not p.exists()
+    if math.isfinite(value):  # no f32 file holds it
+        return
     p.write_bytes(b"TFPV" + struct.pack("<III", 1, 2, 3) + struct.pack("<6f", 1, 2, value, 4, 5, 6))
     with pytest.raises(DataError, match="finite"):
         dk.load_features(p)
@@ -364,28 +382,34 @@ def test_buffers_equal_per_window_padded_copies(L):
     assert any(b.frame_offset % 768 for b in bufs) == any(b.num_valid < 768 for b in bufs) == bool(L % 768)
 
 
-def test_buffers_share_rows_and_are_read_only():
+def test_buffers_share_the_video_and_are_read_only():
     rec = make_record(3 * 768)
     bufs = dk.make_buffers(rec, 768)
     forward = {b.frame_offset: b for b in bufs[:3]}  # forward windows first, then backward ones
     backward = bufs[3:]
     assert sorted(forward) == sorted(b.frame_offset for b in backward) == [0, 768, 1536]
-    for b in backward:
+    for b in bufs:  # a window inside the video is a strided view of it
+        assert np.shares_memory(b.features, rec.features) and not b.features.flags["C_CONTIGUOUS"]
         assert np.shares_memory(b.features, forward[b.frame_offset].features)
     assert not np.shares_memory(forward[0].features, forward[768].features)
-    misaligned = dk.make_buffers(make_record(1000), 768)  # backward windows at 232 (a row of its own) and 0
-    assert np.shares_memory(misaligned[0].features, misaligned[3].features)
-    assert not any(np.shares_memory(misaligned[2].features, b.features) for b in misaligned[:2])
+    tail = make_record(2 * 768 + 100)
+    misaligned = dk.make_buffers(tail, 768)  # forward at 0, 768 and 1536 (padded); backward at 868, 100 and 0
+    assert [b.frame_offset for b in misaligned] == [0, 768, 1536, 868, 100, 0]
+    assert np.shares_memory(misaligned[4].features, misaligned[0].features)  # 100 overlaps both neighbours
+    assert np.shares_memory(misaligned[4].features, misaligned[1].features)
+    assert np.shares_memory(misaligned[5].features, misaligned[0].features)
+    padded = misaligned[2]  # the window past the end is its own copy
+    assert padded.features.flags["C_CONTIGUOUS"]
+    others = [tail.features] + [b.features for b in misaligned if b is not padded]
+    assert not any(np.shares_memory(padded.features, a) for a in others)
     for buf in bufs + misaligned:
-        assert buf.features.flags["C_CONTIGUOUS"]
         with pytest.raises(ValueError, match="read-only"):
             buf.features[0, 0] = 1.0
-    assert not np.shares_memory(rec.features, bufs[0].features)
+    assert rec.features.flags.writeable  # the record's own array stays as loaded
 
 
 def test_buffers_hold_an_exact_fit_video_once():
-    # both directions of a 6,144-frame video: each window's features once,
-    # not a copy per buffer
+    # both directions of a 6,144-frame video: views of the video, no copy
     rec = make_record(8 * 768, D=16)
     rec = replace(rec, features=rec.features.astype(np.float32))
     tracemalloc.start()
@@ -395,7 +419,21 @@ def test_buffers_hold_an_exact_fit_video_once():
     finally:
         tracemalloc.stop()
     assert len(bufs) == 16
-    assert peak <= 1.05 * rec.features.nbytes  # measured 1.04x
+    assert peak < 0.1 * rec.features.nbytes  # measured 0.075x; 1.04x with a copy of each window
+
+
+def test_records_kept_with_their_buffers_hold_each_video_once(tmp_path):
+    # the default synthetic set, 80 exact-fit videos of 768 frames
+    dk.generate_synthetic(dk.SynthConfig(), tmp_path)
+    tracemalloc.start()
+    try:
+        records, _ = dk.load_dataset(tmp_path)
+        buffers = {vid: dk.make_buffers(r, 768) for vid, r in records.items()}
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(b) for b in buffers.values()) == 160
+    assert held <= 1.1 * sum(r.features.nbytes for r in records.values())  # measured 1.07x; 2.04x with copies
 
 
 def test_buffers_drop_badly_clipped_annotation():

@@ -1,7 +1,12 @@
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -606,6 +611,53 @@ def test_the_first_backward_fills_the_block_in_place_and_the_update_frees_it():
     del block
     nc.sgd_step(params, {}, nc.SgdConfig(), 0)
     assert all(p.grad is None for p in params.values()) and freed() is None
+
+
+# Train steps at hidden 64 on one 768-frame buffer, in a fresh interpreter
+# (glibc's thresholds are process-wide, and earlier tests move them), after
+# ``pad`` bytes held first: prints the minor faults of the quietest of 10
+# steps after 3 warm-up steps.
+_FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from tfpdet import anchorkit as ak, datakit as dk, heads, pipeline, pyramid as pyr
+
+held = np.ones(int(sys.argv[1]), np.uint8)
+rec = dk.VideoRecord("v", 768, [dk.Activity(100.0, 300.0, 1), dk.Activity(500.0, 560.0, 2)],
+                     features=np.random.default_rng(0).standard_normal((16, 768)).astype(np.float32))
+buf = dk.make_buffers(rec, 768, directions="forward")[0]
+model = pipeline.Model.build(pyr.EncoderConfig(input_dim=16, hidden_dim=64), pyr.PyramidConfig(),
+                             heads.ApnConfig(scales=ak.DEFAULT_SCALES), heads.AcnConfig(num_classes=3), seed=0)
+cfg = pipeline.TrainConfig()
+grid = ak.build_anchor_grid(768, model.pyramid_cfg.strides, model.apn_cfg.scales)
+faults = []
+for step in range(13):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    pipeline.train_step(buf, model, cfg, grid, step)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(min(faults[3:]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_a_train_step_after_the_block_is_freed_stays_off_fresh_pages():
+    # Freeing the block raises glibc's mmap threshold to its size, so a step's
+    # temporaries stay on the heap and a step that does not trim it touches no
+    # fresh page.  With zeros per leaf, every step maps its temporaries afresh:
+    # 538 faults or more in its quietest step, in every heap layout tried.
+    # With the block, a step still trims the heap in some layouts (the ~4.1 MB
+    # it frees at the top sits just under the 4.3 MB trim threshold, twice the
+    # block), in a few layouts every step, so the guard takes the best of three.
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(nc.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+    faults = []
+    for pad in (0, 49152, 200000):
+        run = subprocess.run([sys.executable, "-c", _FAULT_PROBE, str(pad)], env=env, capture_output=True,
+                             text=True, check=True)
+        faults.append(int(run.stdout))
+        if faults[-1] < 50:
+            return
+    pytest.fail(f"minor faults in the quietest of 10 train steps, in three heap layouts: {faults}")
 
 
 # ---------------------------------------------------------------------------

@@ -171,14 +171,17 @@ def annotated_buffers():
 
 
 def test_forward_pyramid_reads_a_float32_window_in_place(monkeypatch):
-    # the network's input tensor is the buffer's row itself, not a per-step copy
-    model, buf = small_model(), annotated_buffers()[1]
+    # a padded window is the network's input tensor itself; a view of the
+    # video becomes one contiguous float32 copy
+    model, (view, padded) = small_model(), annotated_buffers()[:2]
     inputs = []
     encode = pyr.encode
     monkeypatch.setattr(pyr, "encode", lambda x, *args: inputs.append(x) or encode(x, *args))
-    model.forward_pyramid(buf.features, model.params)
-    assert buf.features.dtype == inputs[0].data.dtype == np.float32
-    assert np.shares_memory(inputs[0].data, buf.features)
+    for buf in (view, padded):
+        model.forward_pyramid(buf.features, model.params)
+    assert view.features.dtype == padded.features.dtype == inputs[0].data.dtype == inputs[1].data.dtype == np.float32
+    assert np.shares_memory(inputs[1].data, padded.features)
+    assert inputs[0].data.flags["C_CONTIGUOUS"] and np.array_equal(inputs[0].data, view.features)
 
 
 def test_default_model_builds_every_tensor_and_gradient_in_float32(monkeypatch):
