@@ -197,6 +197,7 @@ def load_annotations(path, label_index: list[str] | None = None) -> tuple[dict[s
 
 def save_annotations(records: dict[str, VideoRecord], path, label_index: list[str]) -> None:
     """Write records back to the annotation JSON schema (seconds on disk); every label must be in ``label_index``."""
+    _label_index(label_index, "label_index")
     database = {}
     for vid in sorted(records):
         r = records[vid]
@@ -221,19 +222,25 @@ def save_annotations(records: dict[str, VideoRecord], path, label_index: list[st
     )
 
 
+def _label_index(labels, where: str) -> list[str]:
+    """``labels`` as a list if it is a label index, else DataError: a list or
+    tuple of ``str`` names in strictly increasing order, the order in which
+    ``load_annotations`` numbers the names it reads, so each name's class id
+    is its 1-based position in the index either way."""
+    if (not isinstance(labels, (list, tuple)) or not all(isinstance(x, str) for x in labels)
+            or any(a >= b for a, b in zip(labels, labels[1:]))):
+        raise DataError(f"{where} must be a list of unique names of type str in sorted order, got {_shown(labels)}")
+    return list(labels)
+
+
 def load_label_index(path) -> list[str]:
     doc = _read_json(Path(path).read_bytes(), path)
-    labels = doc.get("labels") if isinstance(doc, dict) else None
-    if (not isinstance(labels, list) or not all(isinstance(x, str) for x in labels)
-            or labels != sorted(labels) or len(set(labels)) != len(labels)):
-        raise DataError(f"{path}: 'labels' must be a sorted list of unique names")
-    return labels
+    return _label_index(doc.get("labels") if isinstance(doc, dict) else None, f"{path}: 'labels'")
 
 
 def save_label_index(labels: list[str], path) -> None:
-    if not all(isinstance(x, str) for x in labels) or len(set(labels)) != len(labels):
-        raise DataError(f"labels must be unique names of type str, got {_shown(labels)}")
-    Path(path).write_text(json.dumps({"labels": sorted(labels)}, indent=2) + "\n", encoding="utf-8")
+    labels = _label_index(labels, "labels")
+    Path(path).write_text(json.dumps({"labels": labels}, indent=2) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -260,16 +267,25 @@ def load_features(path) -> np.ndarray:
     return np.ascontiguousarray(flat.reshape(l, d).T, dtype=np.float32)
 
 
+def _finite_f32(arr: np.ndarray, what: str, error) -> np.ndarray:
+    """A real array as little-endian f32, which must be finite, else ``error``:
+    a value past the f32 range casts to inf without the overflow warning."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(arr, dtype="<f4")
+    if not np.isfinite(out).all():
+        raise error(f"{what} must be finite in float32")
+    return out
+
+
 def save_features(features: np.ndarray, path) -> None:
-    """Write a [D, L] feature array as TFPV (frame-major f32 payload) of finite values."""
+    """Write a [D, L] feature array of real numbers as TFPV (frame-major f32 payload) of finite values."""
     arr = np.asarray(features)
+    if arr.dtype.kind not in "biuf":  # a str array raised a bare ValueError, a complex one lost its imaginary part
+        raise DataError(f"features must be real numbers, got dtype {arr.dtype}")
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"features must be a non-empty [D, L] matrix, got shape {arr.shape}")
     d, l = arr.shape
-    with np.errstate(over="ignore"):  # a value past the f32 range casts to inf, refused below
-        payload = np.ascontiguousarray(arr.T, dtype="<f4").tobytes()
-    if not np.isfinite(np.frombuffer(payload, dtype="<f4")).all():
-        raise DataError("feature values must be finite in float32")
+    payload = _finite_f32(arr.T, "feature values", DataError).tobytes()
     Path(path).write_bytes(TFPV_MAGIC + struct.pack("<III", TFPV_VERSION, d, l) + payload)
 
 
@@ -436,7 +452,8 @@ def generate_synthetic(cfg: SynthConfig, out_dir) -> dict:
     """
     out_dir = Path(out_dir)
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
-    labels = [f"activity_{i:02d}" for i in range(cfg.num_classes)]
+    width = max(2, len(str(cfg.num_classes - 1)))  # equal widths keep the names in sorted order
+    labels = [f"activity_{i:0{width}d}" for i in range(cfg.num_classes)]
     sigs = class_signatures(cfg)
     n_val = int(round(cfg.num_videos * cfg.val_fraction))
     n_train = cfg.num_videos - n_val

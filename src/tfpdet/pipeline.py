@@ -397,7 +397,8 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> No
     The header holds ``configs``, ``step`` and ``params``, the parameter
     names in ``Model.param_specs`` order.  The payload holds each parameter's
     values and then its momentum velocity, in that order, as little-endian
-    f32, zeros for a parameter not yet updated; shapes come from the
+    f32, zeros for a parameter not yet updated, each finite in f32 (else
+    ``ContractError``, before the file is opened); shapes come from the
     configs alone.  A code change to what ``param_specs`` gives for the same
     configs (names, order or shapes) changes this layout and needs a new
     version; the name list makes older files fail to load rather than load
@@ -407,14 +408,17 @@ def save_checkpoint(path, model: Model, train_cfg: TrainConfig, step: int) -> No
     names = [name for name, _, _ in Model.param_specs(cfgs.encoder, cfgs.pyramid, cfgs.apn, cfgs.acn)]
     header = {"configs": asdict(cfgs), "step": check_int("checkpoint step", step, 0, ContractError), "params": names}
     hb = json.dumps(header, sort_keys=True).encode("utf-8")
+    payload = []
+    for name in names:
+        values = model.params[name].data
+        for a in (values, model.velocity.get(name, np.zeros_like(values))):
+            payload.append(datakit._finite_f32(a, f"parameter {name!r}: values and velocity", ContractError))
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(struct.pack("<II", CHECKPOINT_VERSION, len(hb)))
         f.write(hb)
-        for name in names:
-            values = model.params[name].data
-            for a in (values, model.velocity.get(name, np.zeros_like(values))):
-                f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+        for a in payload:
+            f.write(a.tobytes())
 
 
 def _decode(tp, value, where: str):
@@ -434,7 +438,8 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
     """Read a TFPM version 4 container; any malformed or inconsistent
     content raises ``DataError``.  The header's ``params`` must equal the
     names that ``Model.param_specs`` gives for its configs, and the payload
-    must hold 8 bytes per parameter element, before anything is allocated.
+    must hold 8 bytes per parameter element, before anything is allocated;
+    every value and velocity must be finite.
     Parameters (through ``nc.leaves``) and velocities load as ``PARAM_DTYPE``,
     one of all-zero bits as absent, so save, load and save write the same bytes."""
     raw = Path(path).read_bytes()
@@ -462,7 +467,10 @@ def load_checkpoint(path) -> tuple[Model, TrainConfig, int]:
     if len(raw) - offset != 8 * sum(sizes):
         raise DataError(f"{path}: payload has {len(raw) - offset} bytes, the configs need {8 * sum(sizes)}")
     for (name, shape, _), size in zip(specs, sizes):
-        values, velocity = np.frombuffer(raw, dtype="<f4", count=2 * size, offset=offset).reshape((2, *shape))
+        arrays = np.frombuffer(raw, dtype="<f4", count=2 * size, offset=offset).reshape((2, *shape))
+        if not np.isfinite(arrays).all():
+            raise DataError(f"{path}: parameter {name!r}: values and velocity must be finite")
+        values, velocity = arrays
         model.params[name] = values.astype(PARAM_DTYPE)
         if velocity.view("<u4").any():  # all bits zero is what an absent velocity saves as
             model.velocity[name] = velocity.astype(PARAM_DTYPE)

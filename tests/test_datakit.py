@@ -173,16 +173,65 @@ def test_load_database_not_an_object(tmp_path):
 
 
 def test_label_index_roundtrip(tmp_path):
-    dk.save_label_index(["b", "a"], tmp_path / "labels.json")
+    # an unsorted index was written sorted, so its class ids changed on the way
+    with pytest.raises(DataError, match="sorted order"):
+        dk.save_label_index(["b", "a"], tmp_path / "labels.json")
+    assert not (tmp_path / "labels.json").exists()
+    dk.save_label_index(("a", "b"), tmp_path / "labels.json")
     assert dk.load_label_index(tmp_path / "labels.json") == ["a", "b"]
 
 
-@pytest.mark.parametrize("labels", [["b", "a", "a"], ["a", 1]], ids=["duplicate", "not-str"])
+BAD_LABEL_INDEXES = [["b", "a", "a"], ["a", 1], ["walk", "run"], ["a", "a"], "ab", None, {"a", "b"}]
+BAD_LABEL_INDEX_IDS = ["duplicate", "not-str", "unsorted", "repeated", "a-str", "none", "a-set"]
+
+
+@pytest.mark.parametrize("labels", BAD_LABEL_INDEXES, ids=BAD_LABEL_INDEX_IDS)
 def test_label_index_save_refuses_what_load_refuses(tmp_path, labels):
-    # the duplicate wrote a file that loaded as DataError; the int raised TypeError from sorted
+    # the duplicate wrote a file that loaded as DataError; the int raised TypeError
+    # from sorted, "ab" was written as ["a", "b"] and None raised a bare TypeError
     with pytest.raises(DataError, match="unique names"):
         dk.save_label_index(labels, tmp_path / "labels.json")
     assert not (tmp_path / "labels.json").exists()
+    if isinstance(labels, list):
+        (tmp_path / "labels.json").write_text(json.dumps({"labels": labels}))
+        with pytest.raises(DataError, match="unique names"):
+            dk.load_label_index(tmp_path / "labels.json")
+
+
+@pytest.mark.parametrize("labels", BAD_LABEL_INDEXES, ids=BAD_LABEL_INDEX_IDS)
+def test_save_annotations_refuses_what_a_label_index_refuses(tmp_path, labels):
+    records = {"v": dk.VideoRecord("v", 64, [dk.Activity(4.0, 8.0, 1)], fps=8.0)}
+    with pytest.raises(DataError, match="unique names"):
+        dk.save_annotations(records, tmp_path / "ann.json", labels)
+    assert not (tmp_path / "ann.json").exists()
+
+
+def test_records_and_their_index_survive_load_dataset(tmp_path):
+    # save_label_index sorted ["walk", "run"] while save_annotations kept it, so
+    # "walk" (class 1) came back from load_dataset as class 2
+    labels = ["run", "walk"]
+    records = {
+        "v1": dk.VideoRecord("v1", 64, [dk.Activity(4.0, 12.0, 2), dk.Activity(16.0, 40.0, 1)], fps=8.0),
+        "v2": dk.VideoRecord("v2", 32, [dk.Activity(0.0, 8.0, 2)], fps=4.0, subset="val"),
+    }
+    (tmp_path / "features").mkdir()
+    for vid, r in records.items():
+        dk.save_features(np.ones((3, r.num_frames)), tmp_path / "features" / f"{vid}.tfpv")
+    dk.save_annotations(records, tmp_path / "annotations.json", labels)
+    dk.save_label_index(labels, tmp_path / "labels.json")
+    loaded, loaded_labels = dk.load_dataset(tmp_path)
+    assert loaded_labels == labels and list(loaded) == list(records)
+    for vid, r in records.items():
+        assert [(a.t_start, a.t_end, a.label) for a in loaded[vid].annotations] == \
+               [(a.t_start, a.t_end, a.label) for a in r.annotations]
+
+
+def test_generated_label_names_stay_sorted_past_100_classes(tmp_path):
+    # "activity_100" sorts before "activity_11", so 101 classes made an unsorted index
+    summary = dk.generate_synthetic(small_cfg(num_videos=1, video_length=64, num_classes=101,
+                                              duration_bands=((8, 16, 1.0),)), tmp_path)
+    assert summary["classes"][:2] == ["activity_000", "activity_001"] and summary["classes"][-1] == "activity_100"
+    assert dk.load_dataset(tmp_path)[1] == summary["classes"]
 
 
 def test_label_index_truncated_file(tmp_path):
@@ -262,6 +311,19 @@ def test_tfpv_non_finite_value_rejected(tmp_path, value):
     p.write_bytes(b"TFPV" + struct.pack("<III", 1, 2, 3) + struct.pack("<6f", 1, 2, value, 4, 5, 6))
     with pytest.raises(DataError, match="finite"):
         dk.load_features(p)
+
+
+@pytest.mark.parametrize("features", [np.array([["a", "b"]]), np.array([[1 + 2j, 3]]), np.array([[1.0, None]])],
+                         ids=["str", "complex", "object"])
+def test_tfpv_values_that_are_not_real_numbers_rejected(tmp_path, features):
+    # a str array raised a bare ValueError; a complex one warned ComplexWarning
+    # and wrote its real part, so the file loaded as [[1., 3.]]
+    p = tmp_path / "f.tfpv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="real numbers"):
+            dk.save_features(features, p)
+    assert not p.exists()
 
 
 def test_tfpv_roundtrip_bit_exact(tmp_path):

@@ -799,8 +799,8 @@ def test_im2col_layout_equals_a_loop_in_the_input_dtype(stride, padding, k, dtyp
 
 @pytest.mark.parametrize("dtypes", list(itertools.product((np.float32, np.float64), repeat=3)))
 def test_bias_adds_give_the_dtype_and_bytes_of_the_product_plus_bias(dtypes):
-    # the bias goes into the fresh product in place, except where it would
-    # widen it: a float64 bias is never rounded into a float32 product
+    # the bias is added to the product in numpy's promotion: a float64 bias
+    # is never rounded into a float32 product
     rng = np.random.default_rng(17)
     x, w, b = (rng.standard_normal(s).astype(d) for s, d in zip(((5, 6), (6, 4), (4,)), dtypes))
     assert_same_bytes(nc.linear(nc.Tensor(x), nc.Tensor(w), nc.Tensor(b)).data, x @ w + b)
@@ -816,8 +816,8 @@ def _bits(dtype, pattern):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_short_axis_bias_gradient_equals_numpy_sum_bytes(dtype):
-    # below 8 terms the planes are added onto +0.0 in numpy's own order: signed
-    # zeros, NaNs of both signs and payloads, infinities and subnormals included
+    # the conv's backward hands its bias numpy's own sum, short T' included:
+    # signed zeros, NaNs of both signs and payloads, infinities and subnormals
     info, width = np.finfo(dtype), 8 * np.dtype(dtype).itemsize
     sign, quiet = 1 << (width - 1), int(np.array([np.nan], dtype).view(f"u{width // 8}")[0])
     specials = np.array([0.0, -0.0, np.inf, -np.inf, info.smallest_subnormal, -info.smallest_subnormal,
@@ -831,8 +831,7 @@ def test_short_axis_bias_gradient_equals_numpy_sum_bytes(dtype):
             g[mask] = rng.choice(specials, int(mask.sum()))
             with np.errstate(invalid="ignore", over="ignore"):
                 want = g.sum(axis=2).sum(axis=0)
-                assert_same_bytes(nc._bias_grad(g), want)
-                # and as the conv's backward hands it to a bias without a buffer
+                # a bias without a buffer takes the conv's sum as it is handed
                 bt = nc.Tensor(np.zeros(11, dtype), requires_grad=True)
                 bt.grad = None
                 y = nc.temporal_conv(nc.Tensor(np.zeros((37, 2, t), dtype)), nc.Tensor(np.zeros((11, 2, 3), dtype)), bt, 1, 1)

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -953,3 +954,35 @@ def test_float64_model_loads_as_the_float32_rounding_of_its_values(tmp_path):
         for got, wide in ((loaded.params[name].data, p.data), (loaded.velocity[name], model.velocity[name])):
             assert got.dtype == np.float32 and np.array_equal(got, wide.astype(np.float32))
     assert any(not np.array_equal(loaded.params[n].data, p.data) for n, p in model.params.items())  # rounded
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e39])
+@pytest.mark.parametrize("part", ["values", "velocity"])
+def test_checkpoint_holds_only_finite_values(tmp_path, part, value):
+    # a NaN parameter or an inf velocity saved and loaded without complaint, and a
+    # float64 parameter of 1e39 saved as inf after "overflow encountered in cast"
+    model = small_model()
+    good, bad = tmp_path / "good.tfpm", tmp_path / "bad.tfpm"
+    pipeline.save_checkpoint(good, model, pipeline.TrainConfig(), 0)
+    name = list(model.params)[1]
+    wide = np.zeros(model.params[name].shape)
+    wide.flat[3] = value
+    if part == "values":
+        wide += model.params[name].data
+        model.params[name].data = wide
+    else:
+        model.velocity[name] = wide
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=f"parameter '{name}'.*finite in float32"):
+            pipeline.save_checkpoint(bad, model, pipeline.TrainConfig(), 0)
+    assert not bad.exists()
+    if math.isfinite(value):  # no f32 file holds it
+        return
+    raw = bytearray(good.read_bytes())
+    sizes = [p.data.size for p in model.params.values()]
+    at = 12 + int.from_bytes(raw[8:12], "little") + 8 * sizes[0] + 4 * (sizes[1] if part == "velocity" else 0) + 4 * 3
+    raw[at : at + 4] = np.float32(value).tobytes()
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=f"parameter '{name}'.*finite"):
+        pipeline.load_checkpoint(bad)
